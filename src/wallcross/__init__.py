@@ -10,8 +10,8 @@ from .closed import (DeltaValue, delta_l0, delta_l0_odd, delta_l1,
                      delta_leading, leading_insertion_class, segre_det_closed,
                      segre_det_determinant, segre_det_recursive,
                      segre_sum_closed)
-from .errors import (InvalidWallError, ModelMismatchError, PreconditionError,
-                     RegimeError, SchemaError, WallCrossError)
+from .errors import (InvalidWallError, InvariantError, ModelMismatchError,
+                     PreconditionError, RegimeError, SchemaError, WallCrossError)
 from .graded import (GeneratorSpec, GradedElement, ModelSpec, SIGMA,
                      exp_truncated, integrate, integrate_jacobian,
                      inverse_unit_series, mul, term_list, to_json)

@@ -1,10 +1,11 @@
 """Chern character <-> Chern / Segre class conversions.
 
 ``ChernData`` stores the rank together with a_i = i! ch_i (even classes in
-the ring).  Chern and Segre classes come out of the classical Hessenberg
-determinants in the a_i; the determinant is expanded by cofactors along the
-first row, which has at most two nonzero entries, so the recursion stays
-cheap for the small n arising here.
+the ring).  Chern and Segre classes come from Newton's recurrence in the
+a_i, n steps for the n-th class; the Segre classes are memoised on each
+``ChernData``.  The classical Hessenberg determinant, which the recurrence
+solves, is kept only for ``closed.segre_det_determinant``, where the
+determinant is itself the claim.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ class ChernData:
     model: ModelSpec
     rank: Fraction
     a: tuple = field(default=())
+    _segre: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "rank", frac(self.rank))
@@ -76,6 +78,44 @@ def ch_direct_sum(x: ChernData, y: ChernData) -> ChernData:
     return ChernData(x.model, x.rank + y.rank, a)
 
 
+def _newton(data: ChernData, seq, segre, n) -> GradedElement:
+    """Extend ``seq`` = {0: x_0, 1: x_1, ...} in place up to x_n and return x_n.
+
+    Newton's identities (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.2): x_0 = 1 and n x_n = sum_{k=1..n} e_k a_k x_(n-k),
+    with e_k = (-1)^(k-1) for the Chern classes and (-1)^k for the Segre
+    classes.  Keys stay a prefix 0..m and a key is only ever set to its one
+    value, so callers sharing ``seq`` across threads cannot corrupt it.
+    """
+    if not seq:
+        seq[0] = data.model.one()
+    for m in range(len(seq), n + 1):
+        acc = data.model.zero()
+        for k in range(1, min(m, len(data.a)) + 1):
+            term = data.a[k - 1] * seq[m - k]
+            acc = acc - term if (k % 2 == 1) == segre else acc + term
+        seq[m] = acc / m
+    return seq[n]
+
+
+def chern_from_ch(data: ChernData, n) -> GradedElement:
+    """n-th Chern class by Newton's identities in the a_i."""
+    if n < 0:
+        raise PreconditionError("chern_from_ch needs n >= 0")
+    return _newton(data, {}, False, n)
+
+
+def segre_from_ch(data: ChernData, n) -> GradedElement:
+    """n-th Segre class, the degree-2n part of the inverse total Chern class.
+
+    Newton's identities with the sign flipped; the classes are memoised on
+    ``data``, so asking for n = 0..N costs N steps in total.
+    """
+    if n < 0:
+        raise PreconditionError("segre_from_ch needs n >= 0")
+    return _newton(data, data._segre, True, n)
+
+
 def _det(model, rows) -> GradedElement:
     """Determinant of a square matrix of commuting (even) ring elements.
 
@@ -98,7 +138,13 @@ def _det(model, rows) -> GradedElement:
     return total
 
 
-def _hessenberg(data: ChernData, n, signed) -> GradedElement:
+def hessenberg_det(data: ChernData, n, signed) -> GradedElement:
+    """The literal n x n Hessenberg determinant in the a_i.
+
+    It equals n! c_n, or n! s_n when ``signed``.  Its cost grows
+    exponentially in n, so only ``closed.segre_det_determinant``, where the
+    determinant is itself the claim, evaluates it.
+    """
     model = data.model
     zero = model.zero()
     rows = []
@@ -116,26 +162,6 @@ def _hessenberg(data: ChernData, n, signed) -> GradedElement:
                 row.append(zero)
         rows.append(row)
     return _det(model, rows)
-
-
-def chern_from_ch(data: ChernData, n) -> GradedElement:
-    """n-th Chern class via the determinant in the a_i."""
-    if n < 0:
-        raise PreconditionError("chern_from_ch needs n >= 0")
-    model = data.model
-    if n == 0:
-        return model.one()
-    return _hessenberg(data, n, signed=False) / math.factorial(n)
-
-
-def segre_from_ch(data: ChernData, n) -> GradedElement:
-    """n-th Segre class via the signed determinant; inverse of the total Chern class."""
-    if n < 0:
-        raise PreconditionError("segre_from_ch needs n >= 0")
-    model = data.model
-    if n == 0:
-        return model.one()
-    return _hessenberg(data, n, signed=True) / math.factorial(n)
 
 
 def total_chern(data: ChernData, top=None) -> GradedElement:

@@ -18,8 +18,9 @@ import sys
 
 from . import __version__
 from .closed import delta_l0, delta_l0_odd, delta_l1, delta_leading
-from .errors import InvalidWallError, PreconditionError, RegimeError, SchemaError, WallCrossError
-from .graded import frac
+from .errors import (InvalidWallError, InvariantError, PreconditionError, RegimeError,
+                     SchemaError, WallCrossError)
+from .graded import exact_int, frac
 from .jacobian import InsertionWord, build_model, pairing_input_from_json, volume
 from .oracle import delta_oracle_l0, delta_oracle_l1
 from .surfaces import enumerate_walls, surface_from_json_dict
@@ -62,13 +63,12 @@ def _wall_from_doc(inp, wall_doc):
     pr = inp.pairings
     try:
         return WallGeometry.build(
-            p1=int(wall_doc["p1"]), q=inp.q,
-            zeta2=int(pr.zeta2), zetaK=int(pr.zetaK),
-            zetaW=int(wall_doc["zetaW"]) if "zetaW" in wall_doc else None,
-            w2=int(wall_doc["w2"]) if "w2" in wall_doc else None,
-            wK=int(wall_doc["wK"]) if "wK" in wall_doc else None)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad wall section: {exc}") from exc
+            p1=exact_int(wall_doc["p1"], "p1"), q=inp.q,
+            zeta2=exact_int(pr.zeta2, "zeta2"), zetaK=exact_int(pr.zetaK, "zetaK"),
+            **{key: exact_int(wall_doc[key], key)
+               for key in ("zetaW", "w2", "wK") if key in wall_doc})
+    except (TypeError, ValueError, PreconditionError) as exc:
+        raise SchemaError(f"bad wall data: {exc}") from exc
 
 
 def _emit(doc, rows, columns, opts):
@@ -119,8 +119,17 @@ def _delta_values(inp, wall, opts):
     vol = volume(model)
     word = InsertionWord(r=opts.r, s=opts.s if opts.s is not None else max(wall.d - 2 * opts.r, 0),
                          gammas=_parse_int_list(opts.gammas), threes=_parse_int_list(opts.threes))
-    values = []
+    # every path below prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,
+    # so any other word must be refused here rather than answered for r alone
+    if word.degree() != 2 * wall.d:
+        raise PreconditionError(
+            f"word {word.describe()} has degree {word.degree()}, not 2d = {2 * wall.d}")
     path = opts.path
+    if word.odd_count() and path == "leading":
+        raise PreconditionError("the leading terms cover words x^r alpha^s only")
+    if word.odd_count() and wall.l_zeta != 0:
+        raise RegimeError("odd insertions are only evaluated exactly at l_zeta = 0")
+    values = []
     if path in ("auto", "closed"):
         if wall.l_zeta == 0:
             if word.odd_count():
@@ -128,8 +137,6 @@ def _delta_values(inp, wall, opts):
             else:
                 values.append(delta_l0(wall, inp.pairings, word.r, vol))
         elif wall.l_zeta == 1:
-            if word.odd_count():
-                raise RegimeError("odd insertions are only evaluated exactly at l_zeta = 0")
             values.append(delta_l1(wall, inp.pairings, word.r, vol))
         else:
             raise RegimeError(
@@ -282,6 +289,9 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (SchemaError, InvalidWallError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError, RegimeError
+from .chern import ChernData, hessenberg_det, segre_from_ch
+from .errors import InvariantError, PreconditionError, RegimeError
 from .graded import SIGMA, GradedElement, ModelSpec, frac
 from .jacobian import InsertionWord, Pairings, e_alpha, e_zeta, jacobian_odd_integral
 from .walls import WallGeometry
@@ -209,11 +210,18 @@ def segre_det_closed(model: ModelSpec, n) -> GradedElement:
 
 
 def segre_det_determinant(model: ModelSpec, n) -> GradedElement:
-    """The stratum determinant evaluated literally as a determinant."""
-    from .chern import ChernData, segre_from_ch
-    a1, a2, a3 = segre_det_entries(model)
-    data = ChernData(model, 0, (a1, a2, a3))
-    return segre_from_ch(data, n) * math.factorial(n)
+    """The stratum determinant evaluated literally as a determinant.
+
+    The determinant is n! s_n of the stratum data, so it also cross-checks
+    Newton's recurrence in ``segre_from_ch``; a mismatch raises.
+    """
+    if n < 0:
+        raise PreconditionError("segre_det needs n >= 0")
+    data = ChernData(model, 0, segre_det_entries(model))
+    det = hessenberg_det(data, n, signed=True)
+    if det != segre_from_ch(data, n) * math.factorial(n):
+        raise InvariantError(f"literal stratum determinant != n! s_n by recurrence at n={n}")
+    return det
 
 
 def leading_insertion_class(model: ModelSpec, l_zeta, which) -> GradedElement:

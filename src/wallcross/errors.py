@@ -23,3 +23,7 @@ class RegimeError(WallCrossError):
 
 class SchemaError(WallCrossError):
     """An input document does not match the expected JSON schema."""
+
+
+class InvariantError(WallCrossError):
+    """Two exact routes to the same quantity disagree; a program defect."""

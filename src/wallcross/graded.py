@@ -57,6 +57,17 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def exact_int(x, what) -> int:
+    """Coerce an integral int / str / Fraction into an int; never truncates.
+
+    A value with a fractional part raises PreconditionError naming ``what``.
+    """
+    f = frac(x)
+    if f.denominator != 1:
+        raise PreconditionError(f"{what} must be an integer, got {f}")
+    return f.numerator
+
+
 def _merge_odd(t1, t2):
     """Exterior product of two sorted index tuples: (sign, merged) or (0, None)."""
     if not t1:

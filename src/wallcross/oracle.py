@@ -61,33 +61,32 @@ def ch_extension_bundles(model: ModelSpec, wall: WallGeometry, l_zeta, k):
 
 
 class _SegreTable:
-    """Lazy X^N -> ring class substitution for one wall."""
+    """X^N -> ring class substitution for one wall.
 
-    def __init__(self, model, wall, datas, component_rank=None):
+    Each N is asked for once per evaluation, and the Segre classes behind
+    it are memoised on their ``ChernData``, so nothing is cached here.
+    """
+
+    def __init__(self, model, wall, datas, component=False):
         self.model = model
         self.wall = wall
         self.datas = datas
-        self.component = component_rank is not None
-        self._cache = {}
+        self.component = component
 
     def xpower(self, n):
-        out = self._cache.get(n)
-        if out is None:
-            wall = self.wall
-            if self.component:
-                idx = n - wall.n_minus
-                out = self.model.zero()
-                if idx >= 0:
-                    out = segre_from_ch(self.datas[0], idx)
-            else:
-                idx = n - 1 - wall.n_plus - wall.n_minus
-                out = self.model.zero()
-                if idx >= 0:
-                    for data in self.datas:
-                        out = out + segre_from_ch(data, idx)
-                    if (n - wall.n_minus) % 2:
-                        out = -out
-            self._cache[n] = out
+        wall = self.wall
+        out = self.model.zero()
+        if self.component:
+            idx = n - wall.n_minus
+            if idx >= 0:
+                out = segre_from_ch(self.datas[0], idx)
+        else:
+            idx = n - 1 - wall.n_plus - wall.n_minus
+            if idx >= 0:
+                for data in self.datas:
+                    out = out + segre_from_ch(data, idx)
+                if (n - wall.n_minus) % 2:
+                    out = -out
         return out
 
 
@@ -140,7 +139,7 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     elif branch == "component":
         if wall.h_plus + wall.q != 0:
             raise RegimeError("component branch requires h(zeta) + q = 0")
-        table = _SegreTable(model, wall, (ch_minus,), component_rank=ch_minus.rank)
+        table = _SegreTable(model, wall, (ch_minus,), component=True)
     else:
         raise PreconditionError(f"unknown branch {branch!r}")
     a = model.pair("zeta", "alpha") / 2

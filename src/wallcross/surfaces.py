@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidWallError, PreconditionError
+from .errors import InvalidWallError, PreconditionError, SchemaError
+from .graded import exact_int
 from .jacobian import Pairings
 from .walls import WallGeometry
 
@@ -102,23 +103,25 @@ def custom_surface(name, q, gram, K, Sigma, cone_slope=None) -> SurfaceData:
 
 
 def surface_from_json_dict(doc) -> SurfaceData:
-    from .errors import SchemaError
     surf = doc.get("surface")
     if not isinstance(surf, dict):
         raise SchemaError("missing 'surface' object")
     name = surf.get("name", "")
-    if name.startswith("product_ruled"):
-        return product_ruled(int(surf["q"]))
-    if name.startswith("odd_ruled"):
-        return odd_ruled(int(surf["q"]))
     try:
+        q = exact_int(surf["q"], "q")
+        if name.startswith("product_ruled"):
+            return product_ruled(q)
+        if name.startswith("odd_ruled"):
+            return odd_ruled(q)
         slope = surf.get("cone_slope")
         return SurfaceData(
-            name=name or "custom", q=int(surf["q"]), basis=tuple(surf["basis"]),
+            name=name or "custom", q=q, basis=tuple(surf["basis"]),
             gram=tuple(tuple(Fraction(str(x)) for x in row) for row in surf["gram"]),
             K=tuple(surf["K"]), Sigma=tuple(surf["Sigma"]),
             cone_slope=None if slope is None else Fraction(str(slope)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise SchemaError(f"surface document lacks {exc}") from exc
+    except (TypeError, ValueError, PreconditionError) as exc:
         raise SchemaError(f"bad surface document: {exc}") from exc
 
 
@@ -153,7 +156,7 @@ def enumerate_walls(surface: SurfaceData, w: Vec, p1, bound, alpha: Vec = None):
                 continue
             if surface.cone_slope is not None and not a > surface.cone_slope * b:
                 continue
-            z2 = surface.pairing(zeta, zeta)
+            z2 = exact_int(surface.pairing(zeta, zeta), f"zeta^2 for zeta = {zeta}")
             if not p1 <= z2 < 0:
                 continue
             if (z2 - p1) % 4:
@@ -161,9 +164,11 @@ def enumerate_walls(surface: SurfaceData, w: Vec, p1, bound, alpha: Vec = None):
             pair = _pairings_for(surface, zeta, alpha)
             try:
                 wall = WallGeometry.build(
-                    p1=p1, q=surface.q, zeta2=int(z2), zetaK=int(surface.pairing(zeta, surface.K)),
-                    zetaW=int(surface.pairing(zeta, w)), w2=int(surface.pairing(w, w)),
-                    wK=int(surface.pairing(w, surface.K)))
+                    p1=p1, q=surface.q, zeta2=z2,
+                    zetaK=exact_int(pair.zetaK, f"zeta.K for zeta = {zeta}"),
+                    zetaW=exact_int(surface.pairing(zeta, w), f"zeta.w for zeta = {zeta}"),
+                    w2=exact_int(surface.pairing(w, w), "w^2"),
+                    wK=exact_int(surface.pairing(w, surface.K), "w.K"))
             except InvalidWallError:
                 continue
             out.append(WallRecord(a=a, b=b, zeta=zeta, wall=wall, pairings=pair))

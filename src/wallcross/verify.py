@@ -58,6 +58,7 @@ def parse_grid(text) -> Grid:
         return grid
     keymap = {"q": "q_max", "d": "d_max", "r": "r_max", "pair": "pair_bound",
               "sweep": "sweep_bound"}
+    starts = {"q": 0, "d": 1, "r": 0}  # where each grid begins; pair and sweep run from -bound
     for clause in text.split(","):
         clause = clause.strip()
         if not clause:
@@ -71,13 +72,15 @@ def parse_grid(text) -> Grid:
         key = key.strip()
         if key not in keymap:
             raise SchemaError(f"unknown grid key {key!r}")
-        val = val.strip()
-        if ".." in val:
-            val = val.split("..")[-1]
+        low, dots, val = val.strip().rpartition("..")
         try:
             num = int(val)
+            low = int(low) if dots else None
         except ValueError as exc:
-            raise SchemaError(f"bad grid bound {val!r}") from exc
+            raise SchemaError(f"bad grid bound in {clause!r}") from exc
+        start = starts.get(key, -num)
+        if low is not None and low > start:
+            raise SchemaError(f"grid clause {clause!r}: the {key} grid starts at {start}")
         grid = replace(grid, **{keymap[key]: num})
     return grid
 

@@ -1,5 +1,7 @@
-"""Chern/Segre determinants against Newton's identities and series inversion."""
+"""Chern/Segre classes against the literal determinants, an independent
+Newton oracle and series inversion."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from wallcross import (ChernData, PreconditionError, chern_from_ch, ch_direct_sum,
                        ch_dual, chern_data_from_element, e_divisor, e_zeta,
                        inverse_unit_series, segre_from_ch, total_chern)
+from wallcross.chern import hessenberg_det
 
 from conftest import make_model, random_element
 
@@ -49,6 +52,34 @@ def test_chern_matches_newton_oracle(rng):
             data = _random_data(model, rng)
             for n in range(0, 7):
                 assert chern_from_ch(data, n) == newton_chern(data, n)
+
+
+def test_recurrence_matches_literal_determinant(rng):
+    for q, blocks in ((0, None), (1, None), (2, (1, 2))):
+        model = make_model(q=q, blocks=blocks)
+        for _ in range(3):
+            data = _random_data(model, rng)
+            for n in range(0, 7):
+                scale = math.factorial(n)
+                assert segre_from_ch(data, n) * scale == hessenberg_det(data, n, signed=True)
+                assert chern_from_ch(data, n) * scale == hessenberg_det(data, n, signed=False)
+
+
+def test_segre_cache_is_invisible(rng):
+    model = make_model(q=2, blocks=(1, 1))
+    data = _random_data(model, rng)
+
+    def fresh():
+        return ChernData(model, data.rank, data.a)
+
+    before = (repr(data), hash(data))
+    high = segre_from_ch(data, 5)
+    assert segre_from_ch(data, 3) == segre_from_ch(fresh(), 3)
+    assert high == segre_from_ch(fresh(), 5)
+    assert (repr(data), hash(data)) == before == (repr(fresh()), hash(fresh()))
+    assert data == fresh()
+    with pytest.raises(PreconditionError):
+        segre_from_ch(data, -1)
 
 
 def test_segre_matches_series_inversion(rng):

@@ -4,7 +4,11 @@ import csv
 import io
 import json
 
+import pytest
+
+from wallcross import SchemaError
 from wallcross.cli import main
+from wallcross.verify import parse_grid
 
 L0_DOC = {
     "schema_version": 1,
@@ -79,6 +83,51 @@ def test_input_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", {"q": 1, "pairings": {"nope": 3}})
     code, _, err = _run(capsys, "--command", "delta", "--input", path)
     assert code == 1
+
+
+def test_delta_rejects_word_of_wrong_degree(tmp_path, capsys):
+    # d = 1: alpha^3 used to be answered with the value of alpha^1
+    path = _write(tmp_path, "m.json", L0_DOC)
+    for route in ("auto", "closed", "oracle", "leading"):
+        code, out, err = _run(capsys, "--command", "delta", "--input", path,
+                              "--path", route, "--s", "3")
+        assert (code, out) == (1, "") and "not 2d = 2" in err
+    path = _write(tmp_path, "m1.json", L1_DOC)  # d = 5
+    for route in ("closed", "oracle"):
+        code, out, _ = _run(capsys, "--command", "delta", "--input", path,
+                            "--path", route, "--r", "1", "--s", "1")
+        assert (code, out) == (1, "")
+    # odd insertions are priced only at l_zeta = 0, never by dropping them
+    code, out, _ = _run(capsys, "--command", "delta", "--input", path, "--path", "oracle",
+                        "--s", "3", "--gammas", "0", "--threes", "1")
+    assert (code, out) == (2, "")
+
+
+def test_non_integral_lattice_pairing_is_rejected(tmp_path, capsys):
+    doc = dict(L0_DOC, pairings=dict(L0_DOC["pairings"], zeta2="-5/4"))
+    code, out, err = _run(capsys, "--command", "params", "--input",
+                          _write(tmp_path, "z.json", doc))
+    assert (code, out) == (1, "") and "zeta2 must be an integer, got -5/4" in err
+    doc = dict(L0_DOC, wall={"p1": -1, "w2": "1/2"})
+    code, out, err = _run(capsys, "--command", "delta", "--input",
+                          _write(tmp_path, "w.json", doc))
+    assert (code, out) == (1, "") and "w2" in err
+
+
+def test_surface_document_without_q(tmp_path, capsys):
+    for name in ("product_ruled", "odd_ruled"):
+        path = _write(tmp_path, "s.json", {"schema_version": 1, "surface": {"name": name}})
+        code, out, err = _run(capsys, "--command", "walls", "--input", path,
+                              "--w", "1,1", "--p1", "-2")
+        assert (code, out) == (1, "") and "'q'" in err
+
+
+def test_grid_lower_bounds():
+    grid = parse_grid("q=0..2,d=1..5,r=0..1,pair=-2..2")
+    assert (grid.q_max, grid.d_max, grid.r_max, grid.pair_bound) == (2, 5, 1, 2)
+    for text in ("q=2..1", "q=1..3", "d=2..8", "r=1..2", "pair=1..3", "q=x..3"):
+        with pytest.raises(SchemaError):
+            parse_grid(text)
 
 
 def test_output_determinism_and_format_parity(tmp_path, capsys):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross import (InsertionWord, Pairings, PreconditionError, RegimeError,
-                       WallGeometry, ch_direct_sum, ch_dual, ch_extension_bundles,
+from wallcross import (InsertionWord, InvariantError, Pairings, PreconditionError,
+                       RegimeError, WallGeometry, ch_direct_sum, ch_dual, ch_extension_bundles,
                        delta_l0, delta_l0_odd, delta_l1, delta_leading, e_alpha,
                        e_zeta, leading_insertion_class, segre_det_closed,
                        segre_det_determinant, segre_det_recursive,
@@ -145,6 +145,17 @@ def test_segre_det_routes_agree():
             assert closed == segre_det_determinant(m, n)
         assert segre_det_closed(m, 1) == (4 * e_zeta(m) - 2 * m.even("zeta")
                                           - 4 * m.universal_class())
+
+
+def test_literal_determinant_cross_checks_recurrence(monkeypatch):
+    import wallcross.closed as closed
+    m = _l1_model(q=1)
+    with pytest.raises(PreconditionError):
+        segre_det_determinant(m, -1)
+    real = closed.segre_from_ch
+    monkeypatch.setattr(closed, "segre_from_ch", lambda data, n: -real(data, n))
+    with pytest.raises(InvariantError):
+        segre_det_determinant(m, 3)
 
 
 def test_factorial_segre_identity():

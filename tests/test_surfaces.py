@@ -1,5 +1,7 @@
 """Ruled-surface data and wall enumeration."""
 
+from fractions import Fraction
+
 import pytest
 
 from wallcross import (PreconditionError, custom_surface, enumerate_walls,
@@ -67,6 +69,12 @@ def test_enumeration_single_representative():
         seen.add(r.zeta)
     with pytest.raises(PreconditionError):
         enumerate_walls(product_ruled(1), (0, 0), -8, 0)
+
+
+def test_enumeration_rejects_non_integral_pairings():
+    half = custom_surface("half", 0, ((Fraction(1, 2), 1), (1, 0)), K=(0, -2), Sigma=(1, 0))
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        enumerate_walls(half, (1, 1), -20, 4)
 
 
 def test_custom_surface_and_json_round_trip():

@@ -14,7 +14,7 @@ from .errors import (InvalidWallError, InvariantError, ModelMismatchError,
                      PreconditionError, RegimeError, SchemaError, WallCrossError)
 from .graded import (GeneratorSpec, GradedElement, ModelSpec, SIGMA,
                      exp_truncated, integrate, integrate_jacobian,
-                     inverse_unit_series, mul, term_list, to_json)
+                     inverse_unit_series, term_list, to_json)
 from .jacobian import (InsertionWord, PairingInput, Pairings, build_model,
                        e_alpha, e_divisor, e_gamma, e_zeta, e_zeta_beta,
                        jacobian_odd_integral, volume)

@@ -21,7 +21,8 @@ from .closed import delta_l0, delta_l0_odd, delta_l1, delta_leading
 from .errors import (InvalidWallError, InvariantError, PreconditionError, RegimeError,
                      SchemaError, WallCrossError)
 from .graded import exact_int, frac
-from .jacobian import InsertionWord, build_model, pairing_input_from_json, volume
+from .jacobian import (InsertionWord, PairingInput, build_model, pairing_input_from_json,
+                       volume)
 from .oracle import delta_oracle_l0, delta_oracle_l1
 from .surfaces import enumerate_walls, surface_from_json_dict
 from .verify import Grid, parse_grid, run_checks
@@ -201,7 +202,7 @@ def cmd_walls(opts) -> int:
     for rec in records:
         delta_str = ""
         if rec.wall.l_zeta <= 1 and alpha is not None:
-            model = build_model_from_record(surface, rec)
+            model = build_model(PairingInput(q=surface.q, pairings=rec.pairings))
             vol = volume(model)
             if rec.wall.l_zeta == 0:
                 value = delta_l0(rec.wall, rec.pairings, 0, vol).value
@@ -222,33 +223,23 @@ def cmd_walls(opts) -> int:
     return EXIT_OK
 
 
-def build_model_from_record(surface, rec):
-    from .jacobian import PairingInput
-    return build_model(PairingInput(q=surface.q, pairings=rec.pairings))
+def _report(results) -> int:
+    for res in results:
+        print(res.line())
+    return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
 
 
 def cmd_verify(opts) -> int:
     grid = parse_grid(opts.grid) if opts.grid else Grid(q_max=2, d_max=6, r_max=1,
                                                         pair_bound=2, sweep_bound=12)
     properties = opts.property.split(",") if opts.property else None
-    results = run_checks(grid, properties=properties,
-                         inject_sign_error=opts.inject_sign_error)
-    ok = True
-    for res in results:
-        print(res.line())
-        ok = ok and res.passed
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _report(run_checks(grid, properties=properties))
 
 
 def cmd_selftest(opts) -> int:
     grid = Grid(q_max=1, d_max=4, r_max=1, pair_bound=1, sweep_bound=8)
-    results = run_checks(grid, properties=["identities", "axioms", "segre",
-                                           "simple-type", "scale"])
-    ok = True
-    for res in results:
-        print(res.line())
-        ok = ok and res.passed
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _report(run_checks(grid, properties=["identities", "axioms", "segre",
+                                                "simple-type", "scale"]))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -275,8 +266,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--property", default=None,
                         help="comma-separated property filter for verify")
     parser.add_argument("--meta", action="store_true", help="attach run metadata")
-    parser.add_argument("--inject-sign-error", action="store_true",
-                        help=argparse.SUPPRESS)  # mutation hook for tests
     return parser
 
 

@@ -425,12 +425,6 @@ class GradedElement:
     def total_degrees(self):
         return sorted({len(j) + s[0] for (j, s) in self._terms})
 
-    def parities(self):
-        return {(len(j) + s[0]) & 1 for (j, s) in self._terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.total_degrees()) <= 1
-
     def __repr__(self):
         if not self._terms:
             return "0"
@@ -460,11 +454,6 @@ def monomial_str(key) -> str:
     elif d == 4:
         parts.append("[S]")
     return "*".join(parts) if parts else "1"
-
-
-def mul(a: GradedElement, b: GradedElement) -> GradedElement:
-    """Supercommutative product (same as ``a * b``)."""
-    return a * b
 
 
 def exp_truncated(a: GradedElement) -> GradedElement:

@@ -51,7 +51,6 @@ def wall_params(p1, q, zeta2, zetaK) -> WallParams:
             raise InvalidWallError(f"negative extension rank on the {side} side")
     n_plus = l_zeta + h_plus + q - 1
     n_minus = l_zeta + h_minus + q - 1
-    assert n_plus + n_minus + q + 2 * l_zeta == d - 1
     return WallParams(d, l_zeta, h_plus, h_minus, n_plus, n_minus,
                       l_zeta == 0 and h_plus + q == 0)
 

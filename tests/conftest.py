@@ -1,10 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from wallcross import ModelSpec, PairingInput, Pairings, build_model
-from wallcross.verify import monomial_basis
 
 
 def make_model(q=1, blocks=None, matrix=None, **pairings) -> ModelSpec:
@@ -13,17 +11,6 @@ def make_model(q=1, blocks=None, matrix=None, **pairings) -> ModelSpec:
     base.update(pairings)
     return build_model(PairingInput(q=q, pairings=Pairings(**base),
                                     a_blocks=blocks, a_matrix=matrix))
-
-
-def random_element(model, degree, rng, density=3):
-    basis = monomial_basis(model, degree)
-    out = model.zero()
-    if not basis:
-        return out
-    for elem in rng.sample(basis, min(density, len(basis))):
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        out = out + elem * c
-    return out
 
 
 @pytest.fixture

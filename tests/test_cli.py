@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from wallcross import SchemaError
+from wallcross import SchemaError, verify
 from wallcross.cli import main
 from wallcross.verify import parse_grid
 
@@ -125,7 +125,8 @@ def test_surface_document_without_q(tmp_path, capsys):
 def test_grid_lower_bounds():
     grid = parse_grid("q=0..2,d=1..5,r=0..1,pair=-2..2")
     assert (grid.q_max, grid.d_max, grid.r_max, grid.pair_bound) == (2, 5, 1, 2)
-    for text in ("q=2..1", "q=1..3", "d=2..8", "r=1..2", "pair=1..3", "q=x..3"):
+    for text in ("q=2..1", "q=1..3", "d=2..8", "r=1..2", "pair=1..3", "q=x..3",
+                 "q<=-1", "d<=0", "r<=-1", "pair<=-1", "sweep<=0", "sweep<=-3"):
         with pytest.raises(SchemaError):
             parse_grid(text)
 
@@ -186,15 +187,17 @@ def test_walls_alpha_with_nonzero_delta(tmp_path, capsys):
     assert doc["walls"][0]["delta_alpha_d"] not in ("", "0/1")
 
 
-def test_verify_command_and_mutation(tmp_path, capsys):
+def test_verify_command_and_mutation(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, "--command", "verify", "--grid",
                         "q<=1,d<=3,r<=0,pair<=1,sweep<=6",
                         "--property", "identities,axioms")
     assert code == 0
     assert out.count("PASS") == 2
-    # an injected sign error must be caught with a counterexample
+    # a sign error in the wall sign must be caught with a counterexample
+    wall_sign = verify.wall_sign
+    monkeypatch.setattr(verify, "wall_sign", lambda *args: -wall_sign(*args))
     code, out, _ = _run(capsys, "--command", "verify", "--grid", "sweep<=6",
-                        "--property", "identities", "--inject-sign-error")
+                        "--property", "identities")
     assert code == 3
     assert "FAIL" in out and "sign identity" in out
 

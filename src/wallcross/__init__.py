@@ -10,11 +10,11 @@ from .closed import (DeltaValue, delta_l0, delta_l0_odd, delta_l1,
                      delta_leading, leading_insertion_class, segre_det_closed,
                      segre_det_determinant, segre_det_recursive,
                      segre_sum_closed)
+from .delta import evaluate
 from .errors import (InvalidWallError, InvariantError, ModelMismatchError,
                      PreconditionError, RegimeError, SchemaError, WallCrossError)
-from .graded import (GeneratorSpec, GradedElement, ModelSpec, SIGMA,
-                     exp_truncated, integrate, integrate_jacobian,
-                     inverse_unit_series, term_list, to_json)
+from .graded import (GradedElement, ModelSpec, SIGMA, exp_truncated, integrate,
+                     integrate_jacobian, inverse_unit_series, term_list, to_json)
 from .jacobian import (InsertionWord, PairingInput, Pairings, build_model,
                        e_alpha, e_divisor, e_gamma, e_zeta, e_zeta_beta,
                        jacobian_odd_integral, volume)

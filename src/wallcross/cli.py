@@ -17,13 +17,11 @@ import json
 import sys
 
 from . import __version__
-from .closed import delta_l0, delta_l0_odd, delta_l1, delta_leading
-from .errors import (InvalidWallError, InvariantError, PreconditionError, RegimeError,
-                     SchemaError, WallCrossError)
+from .delta import PATHS, evaluate
+from .errors import InvariantError, PreconditionError, RegimeError, SchemaError, WallCrossError
 from .graded import exact_int, frac
 from .jacobian import (InsertionWord, PairingInput, build_model, pairing_input_from_json,
                        volume)
-from .oracle import delta_oracle_l0, delta_oracle_l1
 from .surfaces import enumerate_walls, surface_from_json_dict
 from .verify import Grid, parse_grid, run_checks
 from .walls import WallGeometry
@@ -115,53 +113,14 @@ def cmd_params(opts) -> int:
     return EXIT_OK
 
 
-def _delta_values(inp, wall, opts):
-    model = build_model(inp)
-    vol = volume(model)
-    word = InsertionWord(r=opts.r, s=opts.s if opts.s is not None else max(wall.d - 2 * opts.r, 0),
-                         gammas=_parse_int_list(opts.gammas), threes=_parse_int_list(opts.threes))
-    # every path below prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,
-    # so any other word must be refused here rather than answered for r alone
-    if word.degree() != 2 * wall.d:
-        raise PreconditionError(
-            f"word {word.describe()} has degree {word.degree()}, not 2d = {2 * wall.d}")
-    path = opts.path
-    if word.odd_count() and path == "leading":
-        raise PreconditionError("the leading terms cover words x^r alpha^s only")
-    if word.odd_count() and wall.l_zeta != 0:
-        raise RegimeError("odd insertions are only evaluated exactly at l_zeta = 0")
-    values = []
-    if path in ("auto", "closed"):
-        if wall.l_zeta == 0:
-            if word.odd_count():
-                values.append(delta_l0_odd(wall, model, word))
-            else:
-                values.append(delta_l0(wall, inp.pairings, word.r, vol))
-        elif wall.l_zeta == 1:
-            values.append(delta_l1(wall, inp.pairings, word.r, vol))
-        else:
-            raise RegimeError(
-                f"no exact evaluation for l_zeta = {wall.l_zeta} >= 2 (Hilbert-scheme "
-                "cohomology not modeled); use --path leading for the two leading terms")
-    if path in ("auto", "oracle") and wall.l_zeta <= 1:
-        if wall.l_zeta == 0:
-            values.append(delta_oracle_l0(model, wall, word))
-        else:
-            values.append(delta_oracle_l1(model, wall, word.r))
-    if path == "oracle" and wall.l_zeta > 1:
-        raise RegimeError(f"the ring oracle requires l_zeta <= 1, got {wall.l_zeta}")
-    if path == "leading":
-        values.append(delta_leading(wall, inp.pairings, word.r, vol))
-    if not values:
-        raise RegimeError("no evaluation path selected")
-    return word, values
-
-
 def cmd_delta(opts) -> int:
     inp, wall_doc = pairing_input_from_json(_load_input(opts.input))
     wall = _wall_from_doc(inp, wall_doc)
-    word, values = _delta_values(inp, wall, opts)
-    if opts.path == "auto" and len(values) == 2 and values[0].value != values[1].value:
+    model = build_model(inp)
+    word = InsertionWord(r=opts.r, s=opts.s if opts.s is not None else max(wall.d - 2 * opts.r, 0),
+                         gammas=_parse_int_list(opts.gammas), threes=_parse_int_list(opts.threes))
+    values = evaluate(model, wall, inp.pairings, word, opts.path)
+    if opts.path == "auto" and values[0].value != values[1].value:
         print(f"error: closed-form and oracle disagree: "
               f"{_rat(values[0].value)} vs {_rat(values[1].value)}", file=sys.stderr)
         return EXIT_VERIFY
@@ -203,12 +162,9 @@ def cmd_walls(opts) -> int:
         delta_str = ""
         if rec.wall.l_zeta <= 1 and alpha is not None:
             model = build_model(PairingInput(q=surface.q, pairings=rec.pairings))
-            vol = volume(model)
-            if rec.wall.l_zeta == 0:
-                value = delta_l0(rec.wall, rec.pairings, 0, vol).value
-            else:
-                value = delta_l1(rec.wall, rec.pairings, 0, vol).value
-            delta_str = _rat(value)
+            (closed,) = evaluate(model, rec.wall, rec.pairings, InsertionWord(s=rec.wall.d),
+                                 "closed")
+            delta_str = _rat(closed.value)
         entry = {"a": rec.a, "b": rec.b, "zeta2": rec.wall.zeta2,
                  "l_zeta": rec.wall.l_zeta, "h_plus": rec.wall.h_plus,
                  "d": rec.wall.d}
@@ -256,8 +212,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="multiplicity of alpha (default: d - 2r)")
     parser.add_argument("--gammas", default="", help="H_1 insertion indices, e.g. '0,1'")
     parser.add_argument("--threes", default="", help="H_3 insertion indices, e.g. '0'")
-    parser.add_argument("--path", choices=["auto", "closed", "oracle", "leading"],
-                        default="auto", help="delta evaluation path")
+    parser.add_argument("--path", choices=PATHS, default="auto",
+                        help="delta evaluation path")
     parser.add_argument("--alpha", default=None, help="alpha vector in the surface basis")
     parser.add_argument("--w", default=None, help="w vector in the surface basis")
     parser.add_argument("--p1", type=int, default=None, help="first Pontryagin number")
@@ -281,9 +237,6 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (SchemaError, InvalidWallError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except WallCrossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

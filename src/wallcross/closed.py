@@ -28,15 +28,10 @@ class DeltaValue:
 
     value: Fraction
     path: str
-    wall: WallGeometry = None
-    word: str = None
     modulus_exponent: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "value", frac(self.value))
-
-    def rational_str(self) -> str:
-        return f"{self.value.numerator}/{self.value.denominator}"
 
 
 def comb0(n, k) -> int:
@@ -69,7 +64,7 @@ def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
         total += (sign * Fraction(2) ** (3 * q - b - d) * math.perm(q, b) * c
                   * pow0(za, s - b) * pow0(sa, b) * pow0(sz, q - b))
     value = wall.sign_wall() * total * frac(vol)
-    return DeltaValue(value, "closed-form", wall=wall, word=f"x^{r} alpha^{s}")
+    return DeltaValue(value, "closed-form")
 
 
 def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> DeltaValue:
@@ -84,7 +79,7 @@ def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> D
         raise RegimeError(f"delta_l0_odd needs l_zeta = 0, got {wall.l_zeta}")
     a_cnt, b_cnt = len(word.gammas), len(word.threes)
     if (a_cnt + b_cnt) % 2:
-        return DeltaValue(Fraction(0), "closed-form", wall=wall, word=word.describe())
+        return DeltaValue(Fraction(0), "closed-form")
     d, q = wall.d, wall.q
     if word.degree() != 2 * d:
         raise PreconditionError(
@@ -92,7 +87,7 @@ def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> D
     r, s = word.r, word.s
     fz = jacobian_odd_integral(model, word.gammas, word.threes)
     if fz == 0:
-        return DeltaValue(Fraction(0), "closed-form", wall=wall, word=word.describe())
+        return DeltaValue(Fraction(0), "closed-form")
     za = model.pair("zeta", "alpha")
     sa = model.pair(SIGMA, "alpha")
     sz = model.pair(SIGMA, "zeta")
@@ -107,7 +102,7 @@ def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> D
                   * pow0(za, s - j) * pow0(sa, j)
                   * pow0(sz, q + (b_cnt - a_cnt) // 2 - j))
     value = wall.sign_wall() * total
-    return DeltaValue(value, "closed-form", wall=wall, word=word.describe())
+    return DeltaValue(value, "closed-form")
 
 
 def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
@@ -130,7 +125,7 @@ def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
         total += (sign * Fraction(2) ** (3 * q - b - d) * group
                   * pow0(sa, b) * pow0(sz, q - b) * math.perm(q, b))
     value = wall.sign_wall() * total * frac(vol)
-    return DeltaValue(value, "closed-form", wall=wall, word=f"x^{r} alpha^{s}")
+    return DeltaValue(value, "closed-form")
 
 
 # -- the summed Segre classes of the two extension strata (l_zeta = 1) ----
@@ -268,5 +263,4 @@ def delta_leading(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValu
     second = (4 * pow0(a, m + 1) * fact * q / math.factorial(m + 1)
               * pow0(a2, l) * pow0(sa, q - 1) * sz) if q >= 1 else Fraction(0)
     value = wall.sign_wall() * scale * (first + second) * frac(vol)
-    return DeltaValue(value, "leading-term", wall=wall,
-                      word=f"x^{r} alpha^{d - 2 * r}", modulus_exponent=m + 2)
+    return DeltaValue(value, "leading-term", modulus_exponent=m + 2)

@@ -1,0 +1,57 @@
+"""One entry point prices a word on a wall.
+
+``evaluate`` holds the one rule that picks the function pricing a word:
+l_zeta 0 or 1, odd insertions only at l_zeta = 0, the word's degree must be
+2d, and which path was asked for.  The closed forms and the ring oracle stay
+independent routes; this module only chooses between them.
+"""
+
+from __future__ import annotations
+
+from .closed import DeltaValue, delta_l0, delta_l0_odd, delta_l1, delta_leading
+from .errors import PreconditionError, RegimeError
+from .graded import ModelSpec
+from .jacobian import InsertionWord, Pairings, volume
+from .oracle import delta_oracle_l0, delta_oracle_l1
+from .walls import WallGeometry
+
+PATHS = ("auto", "closed", "oracle", "leading")
+
+
+def evaluate(model: ModelSpec, wall: WallGeometry, pairings: Pairings, word: InsertionWord,
+             path="auto") -> tuple[DeltaValue, ...]:
+    """The value of ``word`` on ``wall`` by ``path``.
+
+    "closed" gives the closed form and "oracle" the ring oracle, both for
+    l_zeta <= 1; "auto" gives both, the closed form first; "leading" gives
+    the two leading terms for any l_zeta, on words x^r alpha^s only.
+    """
+    if path not in PATHS:
+        raise PreconditionError(f"unknown evaluation path {path!r}; known: {', '.join(PATHS)}")
+    # every route prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,
+    # so any other word must be refused here rather than answered for r alone
+    if word.degree() != 2 * wall.d:
+        raise PreconditionError(
+            f"word {word.describe()} has degree {word.degree()}, not 2d = {2 * wall.d}")
+    odd = word.odd_count()
+    if path == "leading":
+        if odd:
+            raise PreconditionError("the leading terms cover words x^r alpha^s only")
+        return (delta_leading(wall, pairings, word.r, volume(model)),)
+    if odd and wall.l_zeta != 0:
+        raise RegimeError("odd insertions are only evaluated exactly at l_zeta = 0")
+    if wall.l_zeta >= 2:
+        raise RegimeError(
+            f"no exact evaluation for l_zeta = {wall.l_zeta} >= 2 (Hilbert-scheme "
+            "cohomology not modeled); use --path leading for the two leading terms")
+    values = []
+    if path in ("auto", "closed"):
+        if odd:
+            values.append(delta_l0_odd(wall, model, word))
+        else:
+            closed = delta_l0 if wall.l_zeta == 0 else delta_l1
+            values.append(closed(wall, pairings, word.r, volume(model)))
+    if path in ("auto", "oracle"):
+        values.append(delta_oracle_l0(model, wall, word) if wall.l_zeta == 0
+                      else delta_oracle_l1(model, wall, word.r))
+    return tuple(values)

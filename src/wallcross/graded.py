@@ -25,7 +25,6 @@ the S-side word), so equality of elements is literal dictionary equality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -95,21 +94,6 @@ def _merge_odd(t1, t2):
     return sign, tuple(out)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """One named generator of the model, with its factor, degree and parity."""
-
-    name: str
-    factor: str  # "J" or "S"
-    degree: int
-    parity: str  # "even" or "odd"
-
-    def __post_init__(self):
-        if self.parity != ("odd" if self.degree % 2 else "even"):
-            raise PreconditionError(
-                f"generator {self.name}: parity {self.parity} inconsistent with degree {self.degree}")
-
-
 class ModelSpec:
     """Presentation of H*(J) (x) H*(S): generators, a_ij data, Gram pairings.
 
@@ -159,9 +143,6 @@ class ModelSpec:
 
     # -- element constructors -------------------------------------------
 
-    def element(self, terms) -> "GradedElement":
-        return GradedElement(self, {k: frac(v) for k, v in terms.items() if v})
-
     def zero(self) -> "GradedElement":
         return GradedElement(self, {})
 
@@ -195,13 +176,6 @@ class ModelSpec:
     def _check_index(self, i):
         if not 0 <= i < 2 * self.q:
             raise PreconditionError(f"generator index {i} out of range for q={self.q}")
-
-    def generators(self):
-        gens = [GeneratorSpec(f"th{i + 1}", "J", 1, "odd") for i in range(2 * self.q)]
-        gens += [GeneratorSpec(f"be{i + 1}", "S", 1, "odd") for i in range(2 * self.q)]
-        gens += [GeneratorSpec(sym, "S", 2, "even") for sym in self.even_symbols]
-        gens.append(GeneratorSpec("[S]", "S", 4, "even"))
-        return tuple(gens)
 
     # -- distinguished classes ------------------------------------------
 

@@ -128,7 +128,7 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     a_cnt, b_cnt = len(word.gammas), len(word.threes)
     if (a_cnt + b_cnt) % 2:
         # the Jacobian integral of an odd-degree class vanishes
-        return DeltaValue(Fraction(0), "ring-oracle", wall=wall, word=word.describe())
+        return DeltaValue(Fraction(0), "ring-oracle")
     if word.degree() != 2 * wall.d:
         raise PreconditionError(
             f"word degree {word.degree()} does not match 2d = {2 * wall.d}")
@@ -154,7 +154,7 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     for n, coeff in poly.items():
         total += integrate_jacobian(coeff * table.xpower(n))
     value = wall.sign_complex() * total
-    return DeltaValue(value, "ring-oracle", wall=wall, word=word.describe())
+    return DeltaValue(value, "ring-oracle")
 
 
 def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
@@ -168,7 +168,7 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
         raise RegimeError(f"l1 oracle needs l_zeta = 1, got {wall.l_zeta}")
     s = wall.d - 2 * r
     if s < 0:
-        return DeltaValue(Fraction(0), "ring-oracle", wall=wall, word=f"x^{r} alpha^{s}")
+        return DeltaValue(Fraction(0), "ring-oracle")
     datas = []
     for k in (0, 1):
         ch_plus, ch_minus = ch_extension_bundles(model, wall, 1, k)
@@ -185,4 +185,4 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     for n, coeff in poly.items():
         total += integrate(coeff * table.xpower(n))
     value = wall.sign_complex() * total
-    return DeltaValue(value, "ring-oracle", wall=wall, word=f"x^{r} alpha^{s}")
+    return DeltaValue(value, "ring-oracle")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from wallcross import (ModelMismatchError, PreconditionError, SIGMA,
                        exp_truncated, integrate, integrate_jacobian,
                        inverse_unit_series, term_list, to_json)
-from wallcross.graded import GeneratorSpec
 from wallcross.verify import monomial_basis, random_even_element
 
 from conftest import make_model
@@ -112,16 +111,6 @@ def test_integrate_omega_examples():
     assert integrate(m.omega_class() * m.point()) == 1
     m2 = make_model(q=2, blocks=(1, 1))
     assert integrate(m2.omega_pow(2) * m2.point()) == 2
-
-
-def test_generator_specs():
-    m = make_model(q=1)
-    gens = m.generators()
-    names = [g.name for g in gens]
-    assert names[:2] == ["th1", "th2"]
-    assert "Sigma" in names and "[S]" in names
-    with pytest.raises(PreconditionError):
-        GeneratorSpec("bad", "J", 1, "even")
 
 
 def test_serialization_round_trip_format():

@@ -1,12 +1,13 @@
-"""Every verification check can fail: with one name that it looks up in
-``wallcross.verify`` replaced by a wrong version, it reports FAIL with a
-counterexample."""
+"""Every verification check can fail: with one name that it looks up
+replaced by a wrong version, it reports FAIL with a counterexample.  A check
+that prices words through ``delta.evaluate`` is mutated where ``evaluate``
+looks the route function up."""
 
 from dataclasses import replace
 
 import pytest
 
-from wallcross import SIGMA, verify
+from wallcross import SIGMA, delta, verify
 
 SMALL = verify.Grid(q_max=1, d_max=5, r_max=1, pair_bound=1, sweep_bound=6)
 
@@ -48,32 +49,44 @@ def _doubled(fn):
     return lambda *args: fn(*args) * 2
 
 
-# (check, name the check looks up in wallcross.verify, mutant of that name)
+# (check, module the check looks the name up in, that name, mutant of it)
 MUTANTS = [
-    ("identities", "wall_sign", _negated),
-    ("identities", "wall_params", _n_plus_off_by_one),
-    ("axioms", "e_alpha", _with_omega),
-    ("oracle-l0", "delta_oracle_l0", _shifted(_sigma_k)),
-    ("oracle-l1", "delta_oracle_l1", _shifted(_sigma_k)),
-    ("odd-words", "delta_l0_odd", _shifted(_one)),
-    ("segre", "segre_det_recursive", _doubled),
-    ("leading", "delta_leading", _shifted(_one)),
-    ("hidden-data", "delta_oracle_l0", _shifted(_sigma_k)),
-    ("scale", "delta_oracle_l0", _shifted(_sigma_k)),
-    ("simple-type", "delta_l1", _shifted(_one)),
-    ("component-branch", "delta_oracle_l0", _shifted(_sigma_k)),
+    ("identities", verify, "wall_sign", _negated),
+    ("identities", verify, "wall_params", _n_plus_off_by_one),
+    ("axioms", verify, "e_alpha", _with_omega),
+    ("oracle-l0", delta, "delta_oracle_l0", _shifted(_sigma_k)),
+    ("oracle-l1", delta, "delta_oracle_l1", _shifted(_sigma_k)),
+    ("odd-words", verify, "delta_l0_odd", _shifted(_one)),
+    ("segre", verify, "segre_det_recursive", _doubled),
+    ("leading", verify, "delta_leading", _shifted(_one)),
+    ("hidden-data", delta, "delta_oracle_l0", _shifted(_sigma_k)),
+    ("scale", delta, "delta_oracle_l0", _shifted(_sigma_k)),
+    ("simple-type", delta, "delta_l1", _shifted(_one)),
+    ("component-branch", verify, "delta_oracle_l0", _shifted(_sigma_k)),
 ]
 
 
-def test_every_check_has_a_mutant():
-    assert {check for check, _, _ in MUTANTS} == set(verify.ALL_CHECKS)
-
-
-@pytest.mark.parametrize("check, name, mutate", MUTANTS,
-                         ids=[f"{check}-{name}" for check, name, _ in MUTANTS])
-def test_check_fails_under_mutant(check, name, mutate, monkeypatch):
-    monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
-    result = verify.ALL_CHECKS[check](SMALL)
+def _fails_under(check, module, name, mutate, grid, monkeypatch):
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    result = verify.ALL_CHECKS[check](grid)
     assert not result.passed
     assert result.points >= 1 and result.detail
     assert result.line().startswith("FAIL ")
+
+
+def test_every_check_has_a_mutant():
+    assert {check for check, _, _, _ in MUTANTS} == set(verify.ALL_CHECKS)
+
+
+@pytest.mark.parametrize("check, module, name, mutate", MUTANTS,
+                         ids=[f"{check}-{name}" for check, _, name, _ in MUTANTS])
+def test_check_fails_under_mutant(check, module, name, mutate, monkeypatch):
+    _fails_under(check, module, name, mutate, SMALL, monkeypatch)
+
+
+def test_oracle_l1_fails_on_a_grid_with_only_the_w_variant_slice(monkeypatch):
+    # with d <= 3 no l = 1 wall of the main grid fits, so only the w-variant
+    # slice runs; its Sigma.K must be nonzero for a Sigma.K error to show
+    tiny = verify.Grid(q_max=1, d_max=3, r_max=1, pair_bound=1, sweep_bound=6)
+    assert verify.check_oracle_l1(tiny).points == 4
+    _fails_under("oracle-l1", delta, "delta_oracle_l1", _shifted(_sigma_k), tiny, monkeypatch)

@@ -23,7 +23,6 @@ from .graded import exact_int, frac
 from .jacobian import (InsertionWord, PairingInput, build_model, pairing_input_from_json,
                        volume)
 from .surfaces import enumerate_walls, surface_from_json_dict
-from .verify import Grid, parse_grid, run_checks
 from .walls import WallGeometry
 
 EXIT_OK = 0
@@ -185,7 +184,10 @@ def _report(results) -> int:
     return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
 
 
+# the verification grids are imported only by the two commands that run them,
+# so params, delta and walls neither compile nor load them
 def cmd_verify(opts) -> int:
+    from .verify import Grid, parse_grid, run_checks
     grid = parse_grid(opts.grid) if opts.grid else Grid(q_max=2, d_max=6, r_max=1,
                                                         pair_bound=2, sweep_bound=12)
     properties = opts.property.split(",") if opts.property else None
@@ -193,6 +195,7 @@ def cmd_verify(opts) -> int:
 
 
 def cmd_selftest(opts) -> int:
+    from .verify import Grid, run_checks
     grid = Grid(q_max=1, d_max=4, r_max=1, pair_bound=1, sweep_bound=8)
     return _report(run_checks(grid, properties=["identities", "axioms", "segre",
                                                 "simple-type", "scale"]))

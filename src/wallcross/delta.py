@@ -43,7 +43,7 @@ def evaluate(model: ModelSpec, wall: WallGeometry, pairings: Pairings, word: Ins
     if wall.l_zeta >= 2:
         raise RegimeError(
             f"no exact evaluation for l_zeta = {wall.l_zeta} >= 2 (Hilbert-scheme "
-            "cohomology not modeled); use --path leading for the two leading terms")
+            'cohomology not modeled); the "leading" path gives the two leading terms')
     values = []
     if path in ("auto", "closed"):
         if odd:

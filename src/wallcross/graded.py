@@ -18,12 +18,25 @@ from the base curve, which forces both this and be_i.Sigma = 0 (the latter
 is also required for associativity once some a_ij is nonzero).
 
 Coefficients are exact rationals; no floating point is used anywhere.
-Monomials are kept in a canonical form (J generators sorted by index, then
-the S-side word), so equality of elements is literal dictionary equality.
+A monomial th_{i_1}...th_{i_k} (x) s, with i_1 < ... < i_k, is the key
+``(j, s)``: ``j`` is an int bitmask with bit i set for th_{i+1}, and ``s``
+is the S-side word ``(s_degree, payload)``.  Keys are canonical, so equality
+of elements is literal dictionary equality.
+
+Products of J-monomials are bitmap blades (Dorst, Fontijne and Mann,
+Geometric Algebra for Computer Science, 2007, ch. 19): ``j1 & j2`` nonzero
+means a repeated generator and a zero product, and ``j1 | j2`` is the
+merged monomial.  Sorting th_{j1} th_{j2} into index order crosses every
+pair (x in j1, y in j2) with x > y once, so the sign is the parity of
+``popcount(P(j1) & j2)``, where P(j1) holds bit y whenever an odd number of
+bits of j1 lie above y.  Moving the left factor's S-part past th_{j2}
+costs one more sign per generator of j2 when that S-part is odd, which
+flips every bit of P(j1).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from types import MappingProxyType
@@ -37,6 +50,7 @@ _ONE = Fraction(1)
 # S-side monomial encodings: (s_degree, payload)
 S_ONE = (0, ())
 S_PT = (4, ())
+_SCALAR = (0, S_ONE)
 
 
 def s_odd(i):
@@ -67,31 +81,20 @@ def exact_int(x, what) -> int:
     return f.numerator
 
 
-def _merge_odd(t1, t2):
-    """Exterior product of two sorted index tuples: (sign, merged) or (0, None)."""
-    if not t1:
-        return 1, t2
-    if not t2:
-        return 1, t1
-    sign = 1
-    out = []
-    i = j = 0
-    n1, n2 = len(t1), len(t2)
-    while i < n1 and j < n2:
-        x, y = t1[i], t2[j]
-        if x == y:
-            return 0, None
-        if x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-            if (n1 - i) & 1:
-                sign = -sign
-    out.extend(t1[i:])
-    out.extend(t2[j:])
-    return sign, tuple(out)
+def _above_parity(j):
+    """P(j): bit y set when an odd number of bits of ``j`` lie above y."""
+    x = j >> 1
+    width = x.bit_length()
+    shift = 1
+    while shift < width:
+        x ^= x >> shift
+        shift <<= 1
+    return x
+
+
+def _indices(j):
+    """The generator indices of a J-bitmask, in increasing order."""
+    return tuple(i for i in range(j.bit_length()) if j >> i & 1)
 
 
 class ModelSpec:
@@ -132,8 +135,9 @@ class ModelSpec:
             self._gram[(s2, s1)] = v
         if self._gram.get((SIGMA, SIGMA), Fraction(0)) != 0:
             raise PreconditionError("Sigma.Sigma must be 0")
-        self.j_top = tuple(range(n))
+        self.j_top = (1 << n) - 1
         self._omega_powers = None
+        self._s_table = {}
 
     # -- pairings -------------------------------------------------------
 
@@ -147,31 +151,43 @@ class ModelSpec:
         return GradedElement(self, {})
 
     def one(self) -> "GradedElement":
-        return GradedElement(self, {((), S_ONE): _ONE})
+        return GradedElement(self, {_SCALAR: _ONE})
 
     def scalar(self, c) -> "GradedElement":
         c = frac(c)
-        return GradedElement(self, {((), S_ONE): c} if c else {})
+        return GradedElement(self, {_SCALAR: c} if c else {})
 
     def theta(self, i) -> "GradedElement":
         """J-side odd generator th_i (0-based index)."""
         self._check_index(i)
-        return GradedElement(self, {((i,), S_ONE): _ONE})
+        return GradedElement(self, {(1 << i, S_ONE): _ONE})
 
     def beta(self, i) -> "GradedElement":
         """S-side odd generator be_i (0-based index)."""
         self._check_index(i)
-        return GradedElement(self, {((), s_odd(i)): _ONE})
+        return GradedElement(self, {(0, s_odd(i)): _ONE})
 
     def even(self, sym) -> "GradedElement":
         """An even degree-2 surface symbol."""
         if sym not in self.even_symbols:
             raise PreconditionError(f"unregistered even symbol {sym!r}")
-        return GradedElement(self, {((), s_even(sym)): _ONE})
+        return GradedElement(self, {(0, s_even(sym)): _ONE})
 
     def point(self) -> "GradedElement":
         """The point class [S]."""
-        return GradedElement(self, {((), S_PT): _ONE})
+        return GradedElement(self, {(0, S_PT): _ONE})
+
+    def monomials(self, j_degree, s_degree):
+        """Every canonical monomial of J-degree ``j_degree`` and S-degree
+        ``s_degree``, each as an element with coefficient 1."""
+        n = 2 * self.q
+        s_words = {0: [S_ONE], 1: [s_odd(i) for i in range(n)],
+                   2: [s_even(sym) for sym in self.even_symbols],
+                   3: [s_mixed(i, sym) for i in range(n)
+                       for sym in self.even_symbols if sym != SIGMA],
+                   4: [S_PT]}.get(s_degree, [])
+        return [GradedElement(self, {(sum(1 << i for i in js), s): _ONE})
+                for js in itertools.combinations(range(n), j_degree) for s in s_words]
 
     def _check_index(self, i):
         if not 0 <= i < 2 * self.q:
@@ -187,36 +203,47 @@ class ModelSpec:
             for j in range(i + 1, n):
                 c = self.a_matrix[i][j]
                 if c:
-                    terms[((i, j), S_ONE)] = c
+                    terms[(1 << i | 1 << j, S_ONE)] = c
         return GradedElement(self, terms)
 
     def omega_pow(self, p) -> "GradedElement":
         """Cached p-th power of omega."""
         if p < 0:
             raise PreconditionError("negative omega power")
-        if self._omega_powers is None:
-            self._omega_powers = [self.one(), self.omega_class()]
-        while len(self._omega_powers) <= p:
-            self._omega_powers.append(self._omega_powers[-1] * self._omega_powers[1])
-        return self._omega_powers[p]
+        # the cache holds term dicts, not elements: an element refers to its
+        # model, and a cycle would keep a dead model alive until a full
+        # garbage collection
+        powers = self._omega_powers
+        if powers is None:
+            powers = self._omega_powers = [self.one()._terms, self.omega_class()._terms]
+        while len(powers) <= p:
+            prev = GradedElement(self, powers[-1]) * GradedElement(self, powers[1])
+            powers.append(prev._terms)
+        return GradedElement(self, powers[p])
 
     def universal_class(self) -> "GradedElement":
         """E = sum_i th_i be_i, the first Chern class of the universal bundle."""
         return GradedElement(
-            self, {((i,), s_odd(i)): _ONE for i in range(2 * self.q)})
+            self, {(1 << i, s_odd(i)): _ONE for i in range(2 * self.q)})
 
     def interior_omega(self, i) -> "GradedElement":
         """Interior product of be_i with omega: sum_j a_ij th_j."""
         self._check_index(i)
         return GradedElement(
             self,
-            {((j,), S_ONE): self.a_matrix[i][j]
+            {(1 << j, S_ONE): self.a_matrix[i][j]
              for j in range(2 * self.q) if self.a_matrix[i][j]})
 
     # -- S-side product table -------------------------------------------
 
     def _smul(self, s1, s2):
-        """Product of two S-side monomials: (coeff, monomial) or None."""
+        """Product of two S-side monomials: (coeff, monomial) or None, memoised."""
+        key = (s1, s2)
+        if key not in self._s_table:
+            self._s_table[key] = self._s_product(s1, s2)
+        return self._s_table[key]
+
+    def _s_product(self, s1, s2):
         d1, p1 = s1
         d2, p2 = s2
         if d1 == 0:
@@ -316,49 +343,55 @@ class GradedElement:
 
     # -- multiplicative structure ---------------------------------------
 
-    def __mul__(self, other):
-        if not isinstance(other, GradedElement):
-            try:
-                c = frac(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-            if not c:
-                return GradedElement(self.model, {})
-            return GradedElement(self.model, {k: v * c for k, v in self._terms.items()})
-        self._require_same_model(other)
-        model = self.model
-        smul = model._smul
-        acc = {}
-        for (j1, s1), c1 in self._terms.items():
-            s1_odd = s1[0] & 1
-            for (j2, s2), c2 in other._terms.items():
-                sign, jm = _merge_odd(j1, j2)
-                if jm is None:
-                    continue
-                sp = smul(s1, s2)
-                if sp is None:
-                    continue
-                if s1_odd and (len(j2) & 1):
-                    sign = -sign
-                c = c1 * c2 * sp[0]
-                if sign < 0:
-                    c = -c
-                key = (jm, sp[1])
-                s = acc.get(key, 0) + c
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return GradedElement(model, acc)
-
-    def __rmul__(self, other):
-        try:
-            c = frac(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+    def _scaled(self, c):
         if not c:
             return GradedElement(self.model, {})
         return GradedElement(self.model, {k: v * c for k, v in self._terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, GradedElement):
+            try:
+                return self._scaled(frac(other))
+            except (TypeError, ValueError):
+                return NotImplemented
+        self._require_same_model(other)
+        # a scalar commutes with everything and only rescales the other factor
+        if len(other._terms) == 1 and _SCALAR in other._terms:
+            return self._scaled(other._terms[_SCALAR])
+        if len(self._terms) == 1 and _SCALAR in self._terms:
+            return other._scaled(self._terms[_SCALAR])
+        model = self.model
+        smul = model._smul
+        right = _by_s_part(other._terms)
+        acc = {}
+        for s1, left in _by_s_part(self._terms).items():
+            flip = model.j_top if s1[0] & 1 else 0
+            left = [(j1, _above_parity(j1) ^ flip, c1) for j1, c1 in left]
+            for s2, terms2 in right.items():
+                sp = smul(s1, s2)
+                if sp is None:
+                    continue
+                sc, s = sp
+                for j1, koszul, c1 in left:
+                    if sc is not _ONE:
+                        c1 = c1 * sc
+                    for j2, c2 in terms2:
+                        if j1 & j2:
+                            continue
+                        c = c1 * c2
+                        key = (j1 | j2, s)
+                        old = acc.get(key)
+                        if (koszul & j2).bit_count() & 1:
+                            acc[key] = -c if old is None else old - c
+                        else:
+                            acc[key] = c if old is None else old + c
+        return GradedElement(model, {k: v for k, v in acc.items() if v})
+
+    def __rmul__(self, other):
+        try:
+            return self._scaled(frac(other))
+        except (TypeError, ValueError):
+            return NotImplemented
 
     def __truediv__(self, other):
         c = frac(other)
@@ -388,16 +421,17 @@ class GradedElement:
         return self._terms.get(monomial, Fraction(0))
 
     def scalar_part(self) -> Fraction:
-        return self._terms.get(((), S_ONE), Fraction(0))
+        return self._terms.get(_SCALAR, Fraction(0))
 
     def component(self, total_degree) -> "GradedElement":
         """The part of pure total degree ``total_degree``."""
         return GradedElement(
             self.model,
-            {k: v for k, v in self._terms.items() if len(k[0]) + k[1][0] == total_degree})
+            {k: v for k, v in self._terms.items()
+             if k[0].bit_count() + k[1][0] == total_degree})
 
     def total_degrees(self):
-        return sorted({len(j) + s[0] for (j, s) in self._terms})
+        return sorted({j.bit_count() + s[0] for (j, s) in self._terms})
 
     def __repr__(self):
         if not self._terms:
@@ -411,12 +445,12 @@ class GradedElement:
 
 def _mono_sort_key(key):
     (j, s) = key
-    return (len(j) + s[0], j, s)
+    return (j.bit_count() + s[0], _indices(j), s)
 
 
 def monomial_str(key) -> str:
     (j, s) = key
-    parts = [f"th{i + 1}" for i in j]
+    parts = [f"th{i + 1}" for i in _indices(j)]
     d, payload = s
     if d == 1:
         parts.append(f"be{payload[0] + 1}")
@@ -459,6 +493,14 @@ def inverse_unit_series(a: GradedElement) -> GradedElement:
         out = out + p
 
 
+def _by_s_part(terms):
+    """The terms of an element grouped by S-side word: {s: [(j, coeff), ...]}."""
+    groups = {}
+    for (j, s), c in terms.items():
+        groups.setdefault(s, []).append((j, c))
+    return groups
+
+
 def integrate(a: GradedElement) -> Fraction:
     """Evaluation against the top monomial th_1...th_{2q} (x) [S]."""
     return a.coefficient((a.model.j_top, S_PT))
@@ -467,6 +509,41 @@ def integrate(a: GradedElement) -> Fraction:
 def integrate_jacobian(a: GradedElement) -> Fraction:
     """Evaluation of a pure Jacobian class against th_1...th_{2q}."""
     return a.coefficient((a.model.j_top, S_ONE))
+
+
+def integrate_product(a: GradedElement, b: GradedElement, jacobian=False) -> Fraction:
+    """integrate(a * b), or integrate_jacobian(a * b) when ``jacobian``, without a * b.
+
+    Only a term pair whose J-monomials are complementary reaches the top
+    class, so ``b`` is indexed by J-mask and each term j1 of ``a`` meets
+    only the terms of ``b`` at ``j_top ^ j1``; their S-words must multiply
+    to [S] (to 1 when ``jacobian``).
+    """
+    a._require_same_model(b)
+    model = a.model
+    full = model.j_top
+    top = 0 if jacobian else S_PT[0]
+    by_j = {}
+    for (j, s), c in b._terms.items():
+        by_j.setdefault(j, []).append((s, c))
+    smul = model._smul
+    total = Fraction(0)
+    for (j1, s1), c1 in a._terms.items():
+        j2 = full ^ j1
+        partners = by_j.get(j2)
+        if partners is None:
+            continue
+        odd = (_above_parity(j1) & j2).bit_count() + (j2.bit_count() if s1[0] & 1 else 0)
+        for s2, c2 in partners:
+            if s1[0] + s2[0] != top:
+                continue
+            # the only S-word of degree 0 is 1 and of degree 4 is [S]
+            sp = smul(s1, s2)
+            if sp is None:
+                continue
+            c = c1 * c2 * sp[0]
+            total = total - c if odd & 1 else total + c
+    return total
 
 
 def term_list(a: GradedElement):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .graded import SIGMA, GradedElement, ModelSpec, frac, integrate_jacobian
+from .graded import (SIGMA, GradedElement, ModelSpec, frac, integrate_jacobian,
+                     integrate_product)
 
 PAIRING_KEYS = ("zeta2", "zetaK", "zetaAlpha", "sigmaZeta", "sigmaAlpha",
                 "sigmaK", "K2", "Kalpha", "alpha2")
@@ -175,7 +176,7 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
         elem = elem * model.interior_omega(j)
         if elem.is_zero():
             return Fraction(0)
-    return integrate_jacobian(elem * model.omega_pow(p))
+    return integrate_product(elem, model.omega_pow(p), jacobian=True)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Ring evaluation of the general wall-crossing expression for l_zeta <= 1.
 
 This is the brute-force side of every closed form: the insertion word is
-expanded multinomially as a polynomial in the formal variable X with ring
-coefficients, each power X^N is replaced through the Segre substitution
-table of the extension-bundle data, and the result is integrated.
+expanded as a polynomial in the formal variable X with ring coefficients
+(a factor repeated m times, such as the alpha insertion, is raised by the
+binomial theorem), each power X^N is replaced through the Segre
+substitution table of the extension-bundle data, and each product of an
+X^N coefficient with its substitute is integrated without being formed.
 
 The substitution table is built once per wall from the Chern characters of
 the extension bundles:
@@ -18,12 +20,13 @@ l_zeta >= 2 is rejected.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .chern import ch_direct_sum, ch_dual, chern_data_from_element, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
-from .graded import SIGMA, ModelSpec, exp_truncated, integrate, integrate_jacobian
+from .graded import SIGMA, ModelSpec, exp_truncated, integrate_product
 from .jacobian import InsertionWord, e_alpha, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
@@ -90,7 +93,7 @@ class _SegreTable:
         return out
 
 
-def _xpoly_mul(model, poly, factor):
+def _xpoly_mul(poly, factor):
     out = {}
     for n1, c1 in poly.items():
         for n2, c2 in factor.items():
@@ -103,10 +106,47 @@ def _xpoly_mul(model, poly, factor):
     return {n: c for n, c in out.items() if not c.is_zero()}
 
 
+def _xpoly_power(model, factor, m):
+    """``factor ** m`` by the binomial theorem in its lowest power of X.
+
+    (c X^n + rest)^m = sum_k C(m, k) c^k X^(nk) rest^(m-k) holds only when
+    the coefficients commute, so a factor with an odd coefficient may not
+    repeat.
+    """
+    if m == 1:
+        return factor
+    one = model.one()
+    if m == 0:
+        return {0: one}
+    if any(deg % 2 for c in factor.values() for deg in c.total_degrees()):
+        raise PreconditionError(
+            "an X-polynomial factor with an odd coefficient cannot be raised to a power")
+    (n0, c0), *rest = sorted(factor.items())
+    rest = dict(rest)
+    rest_pows = [{0: one}]
+    for _ in range(m):
+        rest_pows.append(_xpoly_mul(rest_pows[-1], rest))
+    out = {}
+    c0_pow = one
+    for k in range(m + 1):
+        if k:
+            c0_pow = c0_pow * c0
+            if c0_pow.is_zero():
+                break
+        for n, c in rest_pows[m - k].items():
+            term = c0_pow * c * math.comb(m, k)
+            key = n0 * k + n
+            s = out.get(key)
+            out[key] = term if s is None else s + term
+    return {n: c for n, c in out.items() if not c.is_zero()}
+
+
 def _expand(model, factors):
+    """The X-polynomial product of ``factor ** multiplicity``, in the given order,
+    over ``(factor, multiplicity)`` pairs."""
     poly = {0: model.one()}
-    for f in factors:
-        poly = _xpoly_mul(model, poly, f)
+    for factor, m in factors:
+        poly = _xpoly_mul(poly, _xpoly_power(model, factor, m))
         if not poly:
             break
     return poly
@@ -144,15 +184,14 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
         raise PreconditionError(f"unknown branch {branch!r}")
     a = model.pair("zeta", "alpha") / 2
     ea = e_alpha(model)
-    factors = []
-    factors += [{2: model.scalar(Fraction(-1, 4))}] * word.r
-    factors += [{0: -ea, 1: model.scalar(a)}] * word.s
-    factors += [{1: model.theta(i)} for i in word.gammas]
-    factors += [{0: -e_zeta_beta(model, j)} for j in word.threes]
+    factors = [({2: model.scalar(Fraction(-1, 4))}, word.r),
+               ({0: -ea, 1: model.scalar(a)}, word.s)]
+    factors += [({1: model.theta(i)}, 1) for i in word.gammas]
+    factors += [({0: -e_zeta_beta(model, j)}, 1) for j in word.threes]
     poly = _expand(model, factors)
     total = Fraction(0)
     for n, coeff in poly.items():
-        total += integrate_jacobian(coeff * table.xpower(n))
+        total += integrate_product(coeff, table.xpower(n), jacobian=True)
     value = wall.sign_complex() * total
     return DeltaValue(value, "ring-oracle")
 
@@ -177,12 +216,11 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     a = model.pair("zeta", "alpha") / 2
     ea = e_alpha(model)
     alpha_s = model.even("alpha")
-    factors = []
-    factors += [{0: model.point(), 2: model.scalar(Fraction(-1, 4))}] * r
-    factors += [{0: alpha_s - ea, 1: model.scalar(a)}] * s
+    factors = [({0: model.point(), 2: model.scalar(Fraction(-1, 4))}, r),
+               ({0: alpha_s - ea, 1: model.scalar(a)}, s)]
     poly = _expand(model, factors)
     total = Fraction(0)
     for n, coeff in poly.items():
-        total += integrate(coeff * table.xpower(n))
+        total += integrate_product(coeff, table.xpower(n))
     value = wall.sign_complex() * total
     return DeltaValue(value, "ring-oracle")

@@ -25,8 +25,7 @@ from .closed import (comb0, delta_l0, delta_l0_odd, delta_l1, delta_leading,
                      segre_det_recursive, segre_sum_closed)
 from .delta import evaluate
 from .errors import InvalidWallError, SchemaError
-from .graded import (SIGMA, GradedElement, ModelSpec, S_ONE, S_PT,
-                     inverse_unit_series, s_even, s_mixed, s_odd)
+from .graded import SIGMA, ModelSpec, inverse_unit_series
 from .jacobian import (InsertionWord, PairingInput, Pairings, build_model,
                        e_alpha, volume)
 from .oracle import ch_extension_bundles, delta_oracle_l0
@@ -130,27 +129,8 @@ def wall_with_variant(p1, q, zeta2, zetaK, variant=(0, 0, 0)) -> WallGeometry:
 
 def monomial_basis(model, degree):
     """All canonical monomials of one total degree, as elements."""
-    out = []
-    n = 2 * model.q
-    for jsize in range(min(degree, n) + 1):
-        sdeg = degree - jsize
-        if not 0 <= sdeg <= 4:
-            continue
-        if sdeg == 0:
-            sparts = [S_ONE]
-        elif sdeg == 1:
-            sparts = [s_odd(i) for i in range(n)]
-        elif sdeg == 2:
-            sparts = [s_even(sym) for sym in model.even_symbols]
-        elif sdeg == 3:
-            sparts = [s_mixed(i, sym) for i in range(n)
-                      for sym in model.even_symbols if sym != SIGMA]
-        else:
-            sparts = [S_PT]
-        for jpart in itertools.combinations(range(n), jsize):
-            for sp in sparts:
-                out.append(GradedElement(model, {(jpart, sp): Fraction(1)}))
-    return out
+    return [m for jsize in range(min(degree, 2 * model.q) + 1)
+            for m in model.monomials(jsize, degree - jsize)]
 
 
 def random_even_element(model, degree, rng, density=3):

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wallcross
 from wallcross import SchemaError, verify
 from wallcross.cli import main
 from wallcross.verify import parse_grid
@@ -214,3 +219,17 @@ def test_selftest_command(capsys):
     code, out, _ = _run(capsys, "--command", "selftest")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_import_leaves_the_verification_grids_unloaded():
+    # only verify and selftest need wallcross.verify; params, delta and walls
+    # should neither compile nor load it
+    src = str(Path(wallcross.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import json, sys, wallcross.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert "wallcross.cli" in loaded
+    assert "wallcross.verify" not in loaded

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallcross import (ModelMismatchError, PreconditionError, SIGMA,
+from wallcross import (GradedElement, ModelMismatchError, PreconditionError, SIGMA,
                        exp_truncated, integrate, integrate_jacobian,
                        inverse_unit_series, term_list, to_json)
+from wallcross.graded import integrate_product
 from wallcross.verify import monomial_basis, random_even_element
 
 from conftest import make_model
@@ -121,6 +122,11 @@ def test_serialization_round_trip_format():
                      {"monomial": "th1*th2", "coeff": "3/2"}]
     doc = json.loads(to_json(elem))
     assert doc["terms"] == terms
+    # monomials of one degree sort by their generator indices, not by bitmask
+    m2 = make_model(q=2)
+    elem = m2.theta(1) * m2.theta(2) + m2.theta(0) * m2.theta(3)
+    assert [t["monomial"] for t in term_list(elem)] == ["th1*th4", "th2*th3"]
+    assert repr(elem) == "(1)*th1*th4 + (1)*th2*th3"
 
 
 # -- property tests ----------------------------------------------------
@@ -182,3 +188,120 @@ def test_monomial_basis_degrees():
     for deg in range(2 * m.q + 4 + 1):
         for elem in monomial_basis(m, deg):
             assert elem.total_degrees() == [deg]
+
+
+# -- the bitmask kernel against the sorted-tuple kernel it replaced ------
+
+def _merge_odd(t1, t2):
+    """Exterior product of two sorted index tuples: (sign, merged) or (0, None)."""
+    sign, out = 1, []
+    i = j = 0
+    while i < len(t1) and j < len(t2):
+        if t1[i] == t2[j]:
+            return 0, None
+        if t1[i] < t2[j]:
+            out.append(t1[i])
+            i += 1
+        else:
+            out.append(t2[j])
+            j += 1
+            if (len(t1) - i) & 1:
+                sign = -sign
+    return sign, tuple(out) + t1[i:] + t2[j:]
+
+
+def _reference_mul(a, b):
+    """a * b with J-monomials as sorted index tuples and the sign from merging them."""
+    model = a.model
+
+    def tuple_terms(x):
+        return {(tuple(i for i in range(2 * model.q) if j >> i & 1), s): c
+                for (j, s), c in x.terms.items()}
+
+    acc = {}
+    for (j1, s1), c1 in tuple_terms(a).items():
+        for (j2, s2), c2 in tuple_terms(b).items():
+            sign, jm = _merge_odd(j1, j2)
+            if jm is None:
+                continue
+            sp = model._s_product(s1, s2)
+            if sp is None:
+                continue
+            if s1[0] % 2 and len(j2) % 2:
+                sign = -sign
+            key = (sum(1 << i for i in jm), sp[1])
+            acc[key] = acc.get(key, 0) + sign * c1 * c2 * sp[0]
+    return GradedElement(model, {k: v for k, v in acc.items() if v})
+
+
+FULL_A = ((0, 1, -2, 0, 1, 3), (-1, 0, 1, 1, 0, -1), (2, -1, 0, 2, -3, 0),
+          (0, -1, -2, 0, 1, 1), (-1, 0, 3, -1, 0, 2), (-3, 1, 0, -1, -2, 0))
+
+
+def _kernel_models():
+    # K pairs with zeta, K and alpha, so one even symbol meets several partners
+    pairs = dict(zetaK=2, K2=8, Kalpha=-1, sigmaK=3, sigmaZeta=1, sigmaAlpha=2)
+    return [make_model(q=0, **pairs), make_model(q=1, **pairs),
+            make_model(q=2, blocks=(2, 3), **pairs),
+            make_model(q=3, matrix=FULL_A, **pairs)]
+
+
+def _random_mixed(model, rng, per_s_degree=3):
+    """A sum of monomials of every S-degree (1, be, symbols, be.sym, [S]) and mixed parity."""
+    out = model.zero()
+    for s_degree in range(5):
+        monos = [m for j_degree in range(2 * model.q + 1)
+                 for m in model.monomials(j_degree, s_degree)]
+        for mono in rng.sample(monos, min(per_s_degree, len(monos))):
+            out = out + mono * Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return out
+
+
+def test_bitmask_kernel_matches_sorted_tuple_reference():
+    rng = random.Random(20261018)
+    for model in _kernel_models():
+        nonzero = 0
+        for _ in range(40):
+            a, b = _random_mixed(model, rng), _random_mixed(model, rng)
+            assert a * b == _reference_mul(a, b)
+            assert b * a == _reference_mul(b, a)
+            nonzero += not (a * b).is_zero()
+        assert nonzero >= 30
+        # dense products of odd classes, where the Koszul signs pile up
+        u = model.universal_class() + model.omega_class()
+        assert u * u * u == _reference_mul(_reference_mul(u, u), u)
+
+
+def _complements(model, mono, s_degree):
+    """The monomials of S-degree ``s_degree`` whose J-part completes that of ``mono``."""
+    ((j, _),) = mono.terms
+    return [m for m in model.monomials(2 * model.q - j.bit_count(), s_degree)
+            if model.j_top ^ j in {k for k, _ in m.terms}]
+
+
+def test_integrate_product_matches_integrating_the_product():
+    rng = random.Random(77)
+    for model in _kernel_models():
+        hits = {False: 0, True: 0}
+        for _ in range(30):
+            a, b = _random_mixed(model, rng), _random_mixed(model, rng)
+            # pad both so that the top class is reached: every complement of
+            # S-degree 4 - s, so an even symbol meets each of its partners
+            for s_degree in range(5):
+                monos = [m for j_degree in range(2 * model.q + 1)
+                         for m in model.monomials(j_degree, s_degree)]
+                if not monos:
+                    continue
+                mono = rng.choice(monos)
+                a = a + mono * rng.randint(1, 3)
+                for other in (0, 4 - s_degree):
+                    for partner in _complements(model, mono, other):
+                        b = b + partner * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for jacobian, whole in ((False, integrate), (True, integrate_jacobian)):
+                value = integrate_product(a, b, jacobian=jacobian)
+                assert value == whole(a * b)
+                hits[jacobian] += value != 0
+        assert min(hits.values()) >= 20
+    m1, m2 = make_model(q=1), make_model(q=1)
+    with pytest.raises(ModelMismatchError):
+        integrate_product(m1.one(), m2.one())

@@ -3,11 +3,14 @@
 import math
 import pytest
 
+from fractions import Fraction
+
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
                        RegimeError, WallGeometry, build_model, ch_direct_sum,
                        ch_dual, ch_extension_bundles, delta_l0, delta_oracle_l0,
-                       delta_oracle_l1, e_zeta, exp_truncated, segre_from_ch,
-                       volume)
+                       delta_oracle_l1, e_alpha, e_zeta, e_zeta_beta, exp_truncated,
+                       segre_from_ch, volume)
+from wallcross.oracle import _expand
 
 from conftest import make_model
 
@@ -190,3 +193,41 @@ def test_oracle_agreement_with_negative_volume():
     model1 = build_model(PairingInput(q=q, pairings=pr1, a_blocks=blocks))
     assert delta_l1(wall1, pr1, 0, volume(model1)).value == \
         delta_oracle_l1(model1, wall1, 0).value
+
+
+def _sequential_expand(model, factors):
+    """The X-polynomial product with every factor repeated, one multiply at a time."""
+    poly = {0: model.one()}
+    for factor, m in factors:
+        for _ in range(m):
+            out = {}
+            for n1, c1 in poly.items():
+                for n2, c2 in factor.items():
+                    out[n1 + n2] = out.get(n1 + n2, model.zero()) + c1 * c2
+            poly = {n: c for n, c in out.items() if not c.is_zero()}
+    return poly
+
+
+def test_grouped_expansion_matches_the_sequential_one():
+    _, model = _wall_and_model(q=2)
+    quarter = model.scalar(Fraction(-1, 4))
+    a = model.scalar(model.pair("zeta", "alpha") / 2)
+    point = {0: model.point(), 2: quarter}  # nilpotent: [S]^2 = 0
+    alpha_l1 = {0: model.even("alpha") - e_alpha(model), 1: a}
+    alpha_l0 = {0: -e_alpha(model), 1: a}
+    odd = [({1: model.theta(0)}, 1), ({0: -e_zeta_beta(model, 2)}, 1)]
+    for r in range(7):
+        for s in range(7):
+            for factors in ([(point, r), (alpha_l1, s)],
+                            [({2: quarter}, r), (alpha_l0, s)] + odd):
+                assert _expand(model, factors) == _sequential_expand(model, factors)
+    assert _expand(model, [(point, 0), (alpha_l1, 0)]) == {0: model.one()}
+    assert _expand(model, [(point, 3)]) == _sequential_expand(model, [(point, 3)])
+
+
+def test_an_odd_factor_may_not_repeat():
+    _, model = _wall_and_model(q=2)
+    for odd in ({1: model.theta(0)}, {0: -e_zeta_beta(model, 1), 1: model.one()}):
+        assert _expand(model, [(odd, 1)]) == _sequential_expand(model, [(odd, 1)])
+        with pytest.raises(PreconditionError, match="odd coefficient"):
+            _expand(model, [(odd, 2)])

@@ -51,15 +51,15 @@ class ChernData:
 
 def chern_data_from_element(ch: GradedElement, top=None) -> ChernData:
     """Split a total Chern character into (rank, a_1, a_2, ...)."""
-    rank = ch.scalar_part()
+    model = ch.model
     if top is None:
-        top = (2 * ch.model.q + 4) // 2
-    a = []
-    for i in range(1, top + 1):
-        a.append(ch.component(2 * i) * math.factorial(i))
+        top = model.q + 2
+    parts = ch.components()
+    a = [parts[2 * i] * math.factorial(i) if 2 * i in parts else model.zero()
+         for i in range(1, top + 1)]
     while a and a[-1].is_zero():
         a.pop()
-    return ChernData(ch.model, rank, tuple(a))
+    return ChernData(model, ch.scalar_part(), tuple(a))
 
 
 def ch_dual(data: ChernData) -> ChernData:

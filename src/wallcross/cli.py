@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -65,7 +66,7 @@ def _wall_from_doc(inp, wall_doc):
             zeta2=exact_int(pr.zeta2, "zeta2"), zetaK=exact_int(pr.zetaK, "zetaK"),
             **{key: exact_int(wall_doc[key], key)
                for key in ("zetaW", "w2", "wK") if key in wall_doc})
-    except (TypeError, ValueError, PreconditionError) as exc:
+    except (ArithmeticError, TypeError, ValueError, PreconditionError) as exc:
         raise SchemaError(f"bad wall data: {exc}") from exc
 
 
@@ -201,8 +202,19 @@ def cmd_selftest(opts) -> int:
                                                 "simple-type", "scale"]))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 1), not
+    argparse's exit 2, which is the regime-error code here."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
+# a parser is a reference cycle, so main reuses one per process instead of
+# leaving one for the cyclic collector at every call
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wallcross",
         description="Exact wall-crossing difference terms for Donaldson invariants "
                     "of surfaces with b+=1 and irregularity q >= 0.")
@@ -229,10 +241,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    opts = make_parser().parse_args(argv)
     handlers = {"params": cmd_params, "delta": cmd_delta, "walls": cmd_walls,
                 "verify": cmd_verify, "selftest": cmd_selftest}
     try:
+        opts = make_parser().parse_args(argv)
         return handlers[opts.command](opts)
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,23 +48,50 @@ def pow0(base: Fraction, n) -> Fraction:
     return frac(base) ** n
 
 
+def _l0_sum(s, p, e, za, sa, sz):
+    """sum_{j=0..min(s,p)} C(s,j) p!/(p-j)! 2^(-j) za^(s-j) sa^j sz^(e-j), needing e >= p,
+    as an int numerator over the int denominator zd^s (2 ad)^min(s,p) sd^e.
+
+    zd, ad and sd are the denominators of za, sa and sz; every term is an
+    integer over that one denominator, so no Fraction is built here.
+    """
+    top = min(s, p)
+    if top < 0:
+        return 0, 1
+    zn, zd = za.numerator, za.denominator
+    an, two_ad = sa.numerator, 2 * sa.denominator
+    sn, sd = sz.numerator, sz.denominator
+    x = zd * an * sd
+    num = 0
+    for j in range(top + 1):
+        num += (math.comb(s, j) * math.perm(p, j) * two_ad ** (top - j)
+                * zn ** (s - j) * sn ** (e - j) * x ** j)
+    return num, zd ** s * two_ad ** top * sd ** e
+
+
+def _closed_value(num, den, shift) -> DeltaValue:
+    """num/den * 2^shift as the one Fraction of a closed-form sum."""
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return DeltaValue(Fraction(num, den), "closed-form")
+
+
 def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
-    """Wall-crossing term for l_zeta = 0 on the word x^r alpha^(d-2r)."""
+    """Wall-crossing term for l_zeta = 0 on the word x^r alpha^(d-2r):
+
+    eps (-1)^(r+d) vol sum_b 2^(3q-b-d) q!/(q-b)! C(d-2r, b)
+    (zeta.alpha)^(d-2r-b) (Sigma.alpha)^b (Sigma.zeta)^(q-b).
+    """
     if wall.l_zeta != 0:
         raise RegimeError(f"delta_l0 needs l_zeta = 0, got {wall.l_zeta}")
     d, q = wall.d, wall.q
-    s = d - 2 * r
-    za, sa, sz = pairings.zetaAlpha, pairings.sigmaAlpha, pairings.sigmaZeta
-    sign = -1 if (r + d) % 2 else 1
-    total = Fraction(0)
-    for b in range(q + 1):
-        c = comb0(s, b)
-        if not c:
-            continue
-        total += (sign * Fraction(2) ** (3 * q - b - d) * math.perm(q, b) * c
-                  * pow0(za, s - b) * pow0(sa, b) * pow0(sz, q - b))
-    value = wall.sign_wall() * total * frac(vol)
-    return DeltaValue(value, "closed-form")
+    num, den = _l0_sum(d - 2 * r, q, q, pairings.zetaAlpha, pairings.sigmaAlpha,
+                       pairings.sigmaZeta)
+    sign = -wall.sign_wall() if (r + d) % 2 else wall.sign_wall()
+    vol = frac(vol)
+    return _closed_value(sign * num * vol.numerator, den * vol.denominator, 3 * q - d)
 
 
 def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> DeltaValue:
@@ -84,25 +111,16 @@ def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> D
     if word.degree() != 2 * d:
         raise PreconditionError(
             f"word degree {word.degree()} does not match 2d = {2 * d}")
-    r, s = word.r, word.s
     fz = jacobian_odd_integral(model, word.gammas, word.threes)
     if fz == 0:
         return DeltaValue(Fraction(0), "closed-form")
-    za = model.pair("zeta", "alpha")
-    sa = model.pair(SIGMA, "alpha")
-    sz = model.pair(SIGMA, "zeta")
-    sign = -1 if (r + d + b_cnt) % 2 else 1
-    total = Fraction(0)
-    for j in range(s + 1):
-        idx = q - (a_cnt + b_cnt) // 2 - j
-        if idx < 0:
-            continue
-        total += (sign * Fraction(2) ** (3 * q - d - b_cnt - j) * comb0(s, j)
-                  * fz / math.factorial(idx)
-                  * pow0(za, s - j) * pow0(sa, j)
-                  * pow0(sz, q + (b_cnt - a_cnt) // 2 - j))
-    value = wall.sign_wall() * total
-    return DeltaValue(value, "closed-form")
+    # with p = q - (a+b)/2: 2^(3q-d-b-j) C(s, j) F / (p-j)! za^(s-j) sa^j sz^(p+b-j)
+    p = q - (a_cnt + b_cnt) // 2
+    num, den = _l0_sum(word.s, p, p + b_cnt, model.pair("zeta", "alpha"),
+                       model.pair(SIGMA, "alpha"), model.pair(SIGMA, "zeta"))
+    sign = -wall.sign_wall() if (word.r + d + b_cnt) % 2 else wall.sign_wall()
+    return _closed_value(sign * num * fz.numerator,
+                         den * fz.denominator * math.factorial(p), 3 * q - d - b_cnt)
 
 
 def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:

@@ -116,10 +116,31 @@ class ModelSpec:
         if len(a) != n or any(len(row) != n for row in a):
             raise PreconditionError(f"a_matrix must be {n}x{n} for q={q}")
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 if a[i][j] != -a[j][i]:
                     raise PreconditionError("a_matrix must be antisymmetric")
         self.a_matrix = a
+        self.j_top = (1 << n) - 1
+        # the cache holds term dicts, not elements: an element refers to its
+        # model, and a cycle would keep a dead model alive until a full
+        # garbage collection
+        self._omega_powers = [{_SCALAR: _ONE}, self.omega_class()._terms]
+        self._set_gram(gram, even_symbols)
+
+    def with_gram(self, gram) -> "ModelSpec":
+        """The model over this J-side (q, a_ij and the omega-power cache) with
+        new Gram pairings among the same even symbols.
+
+        The a_ij are not validated again and the omega powers are shared, so a
+        sweep over pairings at fixed a_ij builds its J-side once.
+        """
+        model = object.__new__(ModelSpec)
+        model.q, model.a_matrix, model.j_top = self.q, self.a_matrix, self.j_top
+        model._omega_powers = self._omega_powers
+        model._set_gram(gram, self.even_symbols)
+        return model
+
+    def _set_gram(self, gram, even_symbols):
         if SIGMA not in even_symbols:
             raise PreconditionError("the even symbol table must contain Sigma")
         self.even_symbols = tuple(even_symbols)
@@ -135,8 +156,7 @@ class ModelSpec:
             self._gram[(s2, s1)] = v
         if self._gram.get((SIGMA, SIGMA), Fraction(0)) != 0:
             raise PreconditionError("Sigma.Sigma must be 0")
-        self.j_top = (1 << n) - 1
-        self._omega_powers = None
+        # S-side products read the Gram pairings, so each model has its own memo
         self._s_table = {}
 
     # -- pairings -------------------------------------------------------
@@ -210,12 +230,7 @@ class ModelSpec:
         """Cached p-th power of omega."""
         if p < 0:
             raise PreconditionError("negative omega power")
-        # the cache holds term dicts, not elements: an element refers to its
-        # model, and a cycle would keep a dead model alive until a full
-        # garbage collection
         powers = self._omega_powers
-        if powers is None:
-            powers = self._omega_powers = [self.one()._terms, self.omega_class()._terms]
         while len(powers) <= p:
             prev = GradedElement(self, powers[-1]) * GradedElement(self, powers[1])
             powers.append(prev._terms)
@@ -344,6 +359,8 @@ class GradedElement:
     # -- multiplicative structure ---------------------------------------
 
     def _scaled(self, c):
+        if c == 1:
+            return self  # elements are immutable
         if not c:
             return GradedElement(self.model, {})
         return GradedElement(self.model, {k: v * c for k, v in self._terms.items()})
@@ -423,12 +440,12 @@ class GradedElement:
     def scalar_part(self) -> Fraction:
         return self._terms.get(_SCALAR, Fraction(0))
 
-    def component(self, total_degree) -> "GradedElement":
-        """The part of pure total degree ``total_degree``."""
-        return GradedElement(
-            self.model,
-            {k: v for k, v in self._terms.items()
-             if k[0].bit_count() + k[1][0] == total_degree})
+    def components(self) -> dict:
+        """The parts of pure total degree, ``{degree: element}``, split in one pass."""
+        parts = {}
+        for key, v in self._terms.items():
+            parts.setdefault(key[0].bit_count() + key[1][0], {})[key] = v
+        return {deg: GradedElement(self.model, terms) for deg, terms in parts.items()}
 
     def total_degrees(self):
         return sorted({j.bit_count() + s[0] for (j, s) in self._terms})

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .graded import (SIGMA, GradedElement, ModelSpec, frac, integrate_jacobian,
+from .graded import (SIGMA, GradedElement, ModelSpec, exact_int, frac, integrate_jacobian,
                      integrate_product)
 
 PAIRING_KEYS = ("zeta2", "zetaK", "zetaAlpha", "sigmaZeta", "sigmaAlpha",
@@ -90,7 +90,7 @@ class PairingInput:
     @classmethod
     def from_json_dict(cls, doc) -> "PairingInput":
         try:
-            q = int(doc["q"])
+            q = exact_int(doc["q"], "q")
             raw = doc.get("pairings", {})
             unknown = set(raw) - set(PAIRING_KEYS)
             if unknown:
@@ -103,7 +103,7 @@ class PairingInput:
                        a_matrix=tuple(map(tuple, matrix)) if matrix is not None else None)
         except SchemaError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad PairingInput document: {exc}") from exc
 
 
@@ -132,7 +132,7 @@ def volume(model: ModelSpec) -> Fraction:
 def e_divisor(model: ModelSpec, sigma_dot) -> GradedElement:
     """Slant of c_1(F)^2 against a divisor class D with Sigma.D = sigma_dot:
     -2 (Sigma.D) omega."""
-    return model.omega_class() * (-2 * frac(sigma_dot))
+    return model.omega_pow(1) * (-2 * frac(sigma_dot))
 
 
 def e_alpha(model: ModelSpec) -> GradedElement:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chern import ch_direct_sum, ch_dual, chern_data_from_element, segre_from_ch
+from .chern import ChernData, ch_direct_sum, ch_dual, chern_data_from_element, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
 from .graded import SIGMA, ModelSpec, exp_truncated, integrate_product
@@ -47,10 +47,15 @@ def ch_extension_bundles(model: ModelSpec, wall: WallGeometry, l_zeta, k):
     sigma_k = model.pair(SIGMA, "K")
     sigma_z = model.pair(SIGMA, "zeta")
     # ch M_{+-zeta} = rank + e_{K -+ 2 zeta}
-    m_plus = model.scalar(wall.h_plus + wall.q) + e_divisor(model, sigma_k - 2 * sigma_z)
-    m_minus = model.scalar(wall.h_minus + wall.q) + e_divisor(model, sigma_k + 2 * sigma_z)
+    rank_plus, rank_minus = wall.h_plus + wall.q, wall.h_minus + wall.q
+    e_plus = e_divisor(model, sigma_k - 2 * sigma_z)
+    e_minus = e_divisor(model, sigma_k + 2 * sigma_z)
     if l_zeta == 0:
-        return (chern_data_from_element(m_plus), chern_data_from_element(m_minus))
+        # nothing above degree 2: the data is (rank, a_1 = e), a_1 dropped when zero
+        return tuple(ChernData(model, rank, () if e.is_zero() else (e,))
+                     for rank, e in ((rank_plus, e_plus), (rank_minus, e_minus)))
+    m_plus = model.scalar(rank_plus) + e_plus
+    m_minus = model.scalar(rank_minus) + e_minus
     zs = model.even("zeta")
     ks = model.even("K")
     two_e = 2 * model.universal_class()
@@ -134,7 +139,7 @@ def _xpoly_power(model, factor, m):
             if c0_pow.is_zero():
                 break
         for n, c in rest_pows[m - k].items():
-            term = c0_pow * c * math.comb(m, k)
+            term = c0_pow * (c * math.comb(m, k))
             key = n0 * k + n
             s = out.get(key)
             out[key] = term if s is None else s + term

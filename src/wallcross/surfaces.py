@@ -121,7 +121,7 @@ def surface_from_json_dict(doc) -> SurfaceData:
             cone_slope=None if slope is None else Fraction(str(slope)))
     except KeyError as exc:
         raise SchemaError(f"surface document lacks {exc}") from exc
-    except (TypeError, ValueError, PreconditionError) as exc:
+    except (ArithmeticError, TypeError, ValueError, PreconditionError) as exc:
         raise SchemaError(f"bad surface document: {exc}") from exc
 
 

@@ -233,3 +233,67 @@ def test_cli_import_leaves_the_verification_grids_unloaded():
     loaded = json.loads(out)
     assert "wallcross.cli" in loaded
     assert "wallcross.verify" not in loaded
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    # each parser is a reference cycle; main must not build one per call
+    import argparse
+    path = _write(tmp_path, "m.json", L0_DOC)
+    assert _run(capsys, "--command", "params", "--input", path)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert _run(capsys, "--command", "params", "--input", path)[0] == 0
+    assert built == []
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["--command", "bogus"], "invalid choice: 'bogus'"),
+    (["--command", "delta", "--r", "abc"], "invalid int value: 'abc'"),
+], ids=["unknown-command", "non-integer-r"])
+def test_usage_errors_are_input_errors(capsys, argv, needle):
+    # argparse's own exit code 2 is the documented regime-error code
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) and needle in err
+
+
+def _model_text(**changes):
+    doc = dict(L0_DOC, **changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, command, needle", [
+    pytest.param(_model_text(q=0).replace('"q": 0', '"q": 1e400'), "params",
+                 "bad PairingInput document", id="q-1e400"),
+    pytest.param(_model_text(pairings=dict(L0_DOC["pairings"], zetaAlpha="1/0")), "delta",
+                 "bad PairingInput document", id="pairing-n/0"),
+    pytest.param(_model_text(wall={"p1": -1, "zetaW": "1/0"}), "delta", "bad wall data",
+                 id="wall-n/0"),
+    pytest.param(json.dumps({"schema_version": 1,
+                             "surface": {"name": "product_ruled", "q": "1/0"}}),
+                 "walls", "bad surface document", id="surface-q-n/0"),
+    # q = 1.5 used to be read as q = 1
+    pytest.param(_model_text(q=1.5), "params", "q must be an integer, got 3/2", id="q-1.5"),
+])
+def test_bad_numbers_are_input_errors(tmp_path, capsys, text, command, needle):
+    # these used to end in an OverflowError or ZeroDivisionError traceback
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    args = ["--command", command, "--input", str(path)]
+    if command == "walls":
+        args += ["--w", "1,1", "--p1", "-2"]
+    code, out, err = _run(capsys, *args)
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) and needle in err

@@ -1,5 +1,6 @@
 """Closed-form evaluators: pinned values, stratum Segre identities, leading terms."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from wallcross import (InsertionWord, InvariantError, Pairings, PreconditionErro
                        segre_det_determinant, segre_det_recursive,
                        segre_from_ch, segre_sum_closed)
 from wallcross.closed import comb0, pow0
+from wallcross.jacobian import jacobian_odd_integral
 
 from conftest import make_model
 
@@ -276,3 +278,100 @@ def test_delta_leading_preconditions_and_zero_at_origin():
     assert delta_leading(wall, pr, 0).modulus_exponent == 9 - 4 - 0 + 2
     with pytest.raises(PreconditionError):
         delta_leading(wall, pr, 3)  # d - 2r < 2l + q
+
+
+# -- the integer sums of delta_l0 / delta_l0_odd against their Fraction forms --
+
+def _fraction_delta_l0(wall, pairings, r, vol):
+    """delta_l0 as it was written before it summed in ints: one Fraction per term."""
+    d, q = wall.d, wall.q
+    s = d - 2 * r
+    za, sa, sz = pairings.zetaAlpha, pairings.sigmaAlpha, pairings.sigmaZeta
+    sign = -1 if (r + d) % 2 else 1
+    total = Fraction(0)
+    for b in range(q + 1):
+        c = comb0(s, b)
+        if not c:
+            continue
+        total += (sign * Fraction(2) ** (3 * q - b - d) * math.perm(q, b) * c
+                  * pow0(za, s - b) * pow0(sa, b) * pow0(sz, q - b))
+    return wall.sign_wall() * total * Fraction(vol)
+
+
+def _fraction_delta_l0_odd(wall, model, word):
+    """delta_l0_odd as it was written before it summed in ints."""
+    a_cnt, b_cnt = len(word.gammas), len(word.threes)
+    if (a_cnt + b_cnt) % 2:
+        return Fraction(0)
+    d, q = wall.d, wall.q
+    r, s = word.r, word.s
+    fz = jacobian_odd_integral(model, word.gammas, word.threes)
+    za, sa, sz = (model.pair("zeta", "alpha"), model.pair("Sigma", "alpha"),
+                  model.pair("Sigma", "zeta"))
+    sign = -1 if (r + d + b_cnt) % 2 else 1
+    total = Fraction(0)
+    for j in range(s + 1):
+        idx = q - (a_cnt + b_cnt) // 2 - j
+        if idx < 0:
+            continue
+        total += (sign * Fraction(2) ** (3 * q - d - b_cnt - j) * comb0(s, j)
+                  * fz / math.factorial(idx)
+                  * pow0(za, s - j) * pow0(sa, j)
+                  * pow0(sz, q + (b_cnt - a_cnt) // 2 - j))
+    return wall.sign_wall() * total
+
+
+# non-integral pairings, zeros and both signs of each
+ZA = (Fraction(3, 2), -2, 0)
+SA = (Fraction(-1, 3), 2, 0)
+SZ = (1, Fraction(-3, 4))
+
+
+def _l0_walls(q, d):
+    """The l = 0 wall of (q, d) with w = zeta and one with the opposite wall sign."""
+    zeta2 = -(d + 3 * (1 - q))
+    if zeta2 >= 0:
+        return []
+    zetaK = zeta2 % 2
+    walls = [WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK),
+             WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK,
+                                zetaW=zeta2 - 2, w2=zeta2, wK=zetaK)]
+    assert {w.sign_wall() for w in walls} == {1, -1}
+    return walls
+
+
+def test_delta_l0_integer_sum_equals_fraction_form():
+    compared = 0
+    for q, d in itertools.product(range(4), range(1, 8)):
+        for wall in _l0_walls(q, d):
+            for r in range(d // 2 + 2):  # the last r has d - 2r < 0
+                for za, sa, sz, vol in itertools.product(ZA, SA, SZ, (1, Fraction(2, 3), 6)):
+                    pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za,
+                                  sigmaAlpha=sa, sigmaZeta=sz)
+                    value = delta_l0(wall, pr, r, vol).value
+                    assert type(value) is Fraction
+                    assert value == _fraction_delta_l0(wall, pr, r, vol), (q, d, r, za, sa, sz)
+                    compared += value != 0
+    assert compared > 1000
+
+
+def test_delta_l0_odd_integer_sum_equals_fraction_form():
+    triples = ((Fraction(3, 2), Fraction(-1, 3), 1), (-2, 2, Fraction(-3, 4)),
+               (0, Fraction(-1, 3), Fraction(-3, 4)), (Fraction(3, 2), 0, 1),
+               (-2, Fraction(-1, 3), Fraction(-3, 4)))
+    compared = 0
+    for q, blocks in ((1, (1,)), (1, (Fraction(3, 2),)), (2, (1, 1)), (2, (Fraction(1, 2), 3))):
+        odd = [c for k in range(3) for c in itertools.combinations(range(2 * q), k)]
+        for r, s, gammas, threes in itertools.product((0, 1), range(4), odd, odd):
+            word = InsertionWord(r=r, s=s, gammas=gammas, threes=threes)
+            if word.odd_count() % 2 or word.odd_count() > 2:
+                continue
+            for wall in _l0_walls(q, word.degree() // 2):
+                for za, sa, sz in triples:
+                    model = make_model(q=q, blocks=blocks, zeta2=wall.zeta2, zetaK=wall.zetaK,
+                                       zetaAlpha=za, sigmaAlpha=sa, sigmaZeta=sz)
+                    value = delta_l0_odd(wall, model, word).value
+                    assert type(value) is Fraction
+                    assert value == _fraction_delta_l0_odd(wall, model, word), (q, blocks, word)
+                    compared += value != 0
+    assert compared > 300, compared

@@ -305,3 +305,32 @@ def test_integrate_product_matches_integrating_the_product():
     m1, m2 = make_model(q=1), make_model(q=1)
     with pytest.raises(ModelMismatchError):
         integrate_product(m1.one(), m2.one())
+
+
+def test_with_gram_matches_a_fresh_model():
+    # a sweep shares one J-side and swaps only the pairings; every product and
+    # omega power must be what a model built from scratch gives
+    rng = random.Random(5)
+    base = make_model(q=2, blocks=(2, 3), sigmaZeta=0, sigmaAlpha=0)
+    base.omega_pow(2)
+    nonzero = 0
+    for pairs in (dict(sigmaZeta=3, alpha2=Fraction(-1, 2)), dict(K2=-4, sigmaK=5)):
+        fresh = make_model(q=2, blocks=(2, 3), **pairs)
+        swapped = base.with_gram(dict(fresh._gram))
+        assert swapped.omega_pow(1).model is swapped
+        assert swapped.a_matrix is base.a_matrix and swapped._s_table is not base._s_table
+        for p in range(3):
+            assert dict(swapped.omega_pow(p).terms) == dict(fresh.omega_pow(p).terms)
+        for k in range(20):
+            # the same draws on both models: the monomial bases list alike
+            x, fx, y, fy = (random_even_element(m, deg, random.Random(seed))
+                            for deg, seed in ((rng.choice((1, 2, 3)), k),
+                                              (rng.choice((1, 2, 3, 4)), k + 100))
+                            for m in (swapped, fresh))
+            assert dict((x * y).terms) == dict((fx * fy).terms)
+            nonzero += not (x * y).is_zero()
+    assert nonzero >= 10
+    with pytest.raises(PreconditionError):
+        base.with_gram({(SIGMA, SIGMA): 1})
+    with pytest.raises(PreconditionError):
+        base.with_gram({("zeta", "nope"): 1})

@@ -1,5 +1,6 @@
 """Ring-oracle internals: extension Chern data, substitution table, regimes."""
 
+import itertools
 import math
 import pytest
 
@@ -231,3 +232,25 @@ def test_an_odd_factor_may_not_repeat():
         assert _expand(model, [(odd, 1)]) == _sequential_expand(model, [(odd, 1)])
         with pytest.raises(PreconditionError, match="odd coefficient"):
             _expand(model, [(odd, 2)])
+
+
+def test_direct_l0_extension_data_equals_the_split_character():
+    # at l = 0 the Chern data is built as (h + q, (e,)) directly; it must equal
+    # splitting the character h + q + e in rank and in every a_i, e = 0 and q = 0 included
+    from wallcross import chern_data_from_element, e_divisor
+    cases = 0
+    for q, blocks in ((0, None), (1, (3,)), (2, (1, 2))):
+        zeta2 = -4
+        for zetaK, sigma_z, sigma_k in itertools.product((0, 2), (1, Fraction(-1, 2)), (2, 0, -1)):
+            wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK)
+            model = make_model(q=q, blocks=blocks, zeta2=zeta2, zetaK=zetaK,
+                               sigmaZeta=sigma_z, sigmaK=sigma_k)
+            direct = ch_extension_bundles(model, wall, 0, 0)
+            for data, h, d_dot in ((direct[0], wall.h_plus, sigma_k - 2 * sigma_z),
+                                   (direct[1], wall.h_minus, sigma_k + 2 * sigma_z)):
+                split = chern_data_from_element(model.scalar(h + q) + e_divisor(model, d_dot))
+                assert data.rank == split.rank
+                assert [data.a_i(i) for i in range(q + 4)] == [split.a_i(i) for i in range(q + 4)]
+                assert data == split
+                cases += 1
+    assert cases == 72

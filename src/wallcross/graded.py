@@ -75,6 +75,8 @@ def exact_int(x, what) -> int:
 
     A value with a fractional part raises PreconditionError naming ``what``.
     """
+    if type(x) is int:
+        return x
     f = frac(x)
     if f.denominator != 1:
         raise PreconditionError(f"{what} must be an integer, got {f}")
@@ -107,7 +109,7 @@ class ModelSpec:
     """
 
     def __init__(self, q, a_matrix, gram, even_symbols=(SIGMA, "zeta", "K", "alpha")):
-        q = int(q)
+        q = exact_int(q, "q")
         if q < 0:
             raise PreconditionError("q must be non-negative")
         self.q = q
@@ -156,8 +158,11 @@ class ModelSpec:
             self._gram[(s2, s1)] = v
         if self._gram.get((SIGMA, SIGMA), Fraction(0)) != 0:
             raise PreconditionError("Sigma.Sigma must be 0")
-        # S-side products read the Gram pairings, so each model has its own memo
+        # S-side products read the Gram pairings, so each model has its own memo;
+        # so do the ring oracle's X-power substitutes, kept as term dicts by
+        # (branch, wall) for every word priced on this model
         self._s_table = {}
+        self.xpower_memo = {}
 
     # -- pairings -------------------------------------------------------
 

@@ -72,6 +72,7 @@ class PairingInput:
     a_matrix: tuple = None
 
     def __post_init__(self):
+        object.__setattr__(self, "q", exact_int(self.q, "q"))
         if self.q < 0:
             raise PreconditionError("q must be non-negative")
         if self.a_blocks is not None and self.a_matrix is not None:
@@ -195,8 +196,10 @@ class InsertionWord:
     threes: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(self.gammas))
-        object.__setattr__(self, "threes", tuple(self.threes))
+        object.__setattr__(self, "r", exact_int(self.r, "the multiplicity r"))
+        object.__setattr__(self, "s", exact_int(self.s, "the multiplicity s"))
+        object.__setattr__(self, "gammas", tuple(exact_int(i, "a gamma index") for i in self.gammas))
+        object.__setattr__(self, "threes", tuple(exact_int(j, "an A index") for j in self.threes))
         if self.r < 0 or self.s < 0:
             raise PreconditionError("multiplicities must be non-negative")
         if len(set(self.gammas)) != len(self.gammas) or len(set(self.threes)) != len(self.threes):

@@ -7,8 +7,8 @@ binomial theorem), each power X^N is replaced through the Segre
 substitution table of the extension-bundle data, and each product of an
 X^N coefficient with its substitute is integrated without being formed.
 
-The substitution table is built once per wall from the Chern characters of
-the extension bundles:
+Each X^N substitute is computed once per model and wall, whatever the
+word, from the Chern characters of the extension bundles:
 
     l = 0:  ch E_{+-zeta} = (h(+-zeta) + q) + e_{K -+ 2 zeta}
     l = 1:  ch E(k-th stratum) = ch M_{+-zeta} + exp(line class) exp(+-2E)
@@ -26,7 +26,7 @@ from fractions import Fraction
 from .chern import ChernData, ch_direct_sum, ch_dual, chern_data_from_element, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
-from .graded import SIGMA, ModelSpec, exp_truncated, integrate_product
+from .graded import SIGMA, GradedElement, ModelSpec, exp_truncated, integrate_product
 from .jacobian import InsertionWord, e_alpha, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
@@ -68,33 +68,56 @@ def ch_extension_bundles(model: ModelSpec, wall: WallGeometry, l_zeta, k):
     return (chern_data_from_element(ch_plus), chern_data_from_element(ch_minus))
 
 
-class _SegreTable:
-    """X^N -> ring class substitution for one wall.
+def _table_datas(model, wall, branch):
+    """The Chern data a wall's X-table takes its Segre classes from."""
+    if wall.l_zeta == 1:
+        pairs = [ch_extension_bundles(model, wall, 1, k) for k in (0, 1)]
+    else:
+        pairs = [ch_extension_bundles(model, wall, 0, 0)]
+        if branch == "component":
+            return (pairs[0][1],)
+    return tuple(ch_direct_sum(ch_plus, ch_dual(ch_minus)) for ch_plus, ch_minus in pairs)
 
-    Each N is asked for once per evaluation, and the Segre classes behind
-    it are memoised on their ``ChernData``, so nothing is cached here.
+
+class _SegreTable:
+    """X^N -> ring class substitution for one wall of one model.
+
+    The substitutes depend on the model and the wall, never on the word, so
+    each is kept in the model's ``xpower_memo`` under (branch, wall), and
+    every word priced on that model and wall shares it.  The memo holds term
+    dicts, not elements, so it makes no reference cycle with its model; an
+    entry is only ever set to its one value, and the extension-bundle data
+    is built only when an X^N is missing.
     """
 
-    def __init__(self, model, wall, datas, component=False):
+    def __init__(self, model, wall, branch="unified"):
         self.model = model
         self.wall = wall
-        self.datas = datas
-        self.component = component
+        self.branch = branch
+        self._xpowers = model.xpower_memo.setdefault((branch, wall), {})
+        self._datas = None
 
     def xpower(self, n):
+        terms = self._xpowers.get(n)
+        if terms is None:
+            terms = self._xpowers[n] = self._substitute(n)._terms
+        return GradedElement(self.model, terms)
+
+    def _substitute(self, n):
         wall = self.wall
-        out = self.model.zero()
-        if self.component:
+        if self.branch == "component":
             idx = n - wall.n_minus
-            if idx >= 0:
-                out = segre_from_ch(self.datas[0], idx)
         else:
             idx = n - 1 - wall.n_plus - wall.n_minus
-            if idx >= 0:
-                for data in self.datas:
-                    out = out + segre_from_ch(data, idx)
-                if (n - wall.n_minus) % 2:
-                    out = -out
+        if idx < 0:
+            return self.model.zero()
+        if self._datas is None:
+            self._datas = _table_datas(self.model, wall, self.branch)
+        out = self.model.zero()
+        for data in self._datas:
+            out = out + segre_from_ch(data, idx)
+        if self.branch != "component" and (n - wall.n_minus) % 2:
+            out = -out
         return out
 
 
@@ -177,22 +200,21 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     if word.degree() != 2 * wall.d:
         raise PreconditionError(
             f"word degree {word.degree()} does not match 2d = {2 * wall.d}")
-    ch_plus, ch_minus = ch_extension_bundles(model, wall, 0, 0)
-    if branch == "unified":
-        data = ch_direct_sum(ch_plus, ch_dual(ch_minus))
-        table = _SegreTable(model, wall, (data,))
-    elif branch == "component":
+    if branch == "component":
         if wall.h_plus + wall.q != 0:
             raise RegimeError("component branch requires h(zeta) + q = 0")
-        table = _SegreTable(model, wall, (ch_minus,), component=True)
-    else:
+    elif branch != "unified":
         raise PreconditionError(f"unknown branch {branch!r}")
+    table = _SegreTable(model, wall, branch)
     a = model.pair("zeta", "alpha") / 2
     ea = e_alpha(model)
-    factors = [({2: model.scalar(Fraction(-1, 4))}, word.r),
-               ({0: -ea, 1: model.scalar(a)}, word.s)]
-    factors += [({1: model.theta(i)}, 1) for i in word.gammas]
+    # the odd factors go first, in the word's order: the even x and alpha
+    # factors commute with everything, and the single-term odd product then
+    # meets the alpha polynomial once
+    factors = [({1: model.theta(i)}, 1) for i in word.gammas]
     factors += [({0: -e_zeta_beta(model, j)}, 1) for j in word.threes]
+    factors += [({2: model.scalar(Fraction(-1, 4))}, word.r),
+                ({0: -ea, 1: model.scalar(a)}, word.s)]
     poly = _expand(model, factors)
     total = Fraction(0)
     for n, coeff in poly.items():
@@ -213,11 +235,7 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     s = wall.d - 2 * r
     if s < 0:
         return DeltaValue(Fraction(0), "ring-oracle")
-    datas = []
-    for k in (0, 1):
-        ch_plus, ch_minus = ch_extension_bundles(model, wall, 1, k)
-        datas.append(ch_direct_sum(ch_plus, ch_dual(ch_minus)))
-    table = _SegreTable(model, wall, tuple(datas))
+    table = _SegreTable(model, wall)
     a = model.pair("zeta", "alpha") / 2
     ea = e_alpha(model)
     alpha_s = model.even("alpha")

@@ -51,8 +51,8 @@ class SurfaceData:
                 if gram[i][j] != gram[j][i]:
                     raise PreconditionError("gram must be symmetric")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "K", tuple(int(x) for x in self.K))
-        object.__setattr__(self, "Sigma", tuple(int(x) for x in self.Sigma))
+        object.__setattr__(self, "K", tuple(exact_int(x, "K") for x in self.K))
+        object.__setattr__(self, "Sigma", tuple(exact_int(x, "Sigma") for x in self.Sigma))
 
     def pairing(self, u, v) -> Fraction:
         return sum((Fraction(ui) * self.gram[i][j] * Fraction(vj)

@@ -308,20 +308,23 @@ def check_oracle_l0(grid):
                 continue
             zks = valid_zeta_k(q, zeta2, 0)
             zks = zks[:2] if q <= 1 else zks[:1]
-            for r in range(0, min(grid.r_max, d // 2) + 1):
-                word = InsertionWord(r=r, s=d - 2 * r)
-                for blocks in _blocks_for_q(q):
-                    for zetaK in zks:
-                        wall = wall_with_variant(zeta2, q, zeta2, zetaK)
-                        for sz, sa, za in itertools.product(pairs, pairs, pairs):
-                            pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za,
-                                          sigmaZeta=sz, sigmaAlpha=sa, sigmaK=1,
-                                          K2=-4, Kalpha=2, alpha2=-1)
-                            model = j_sides[blocks].with_gram(pr.gram())
+            words = [InsertionWord(r=r, s=d - 2 * r)
+                     for r in range(0, min(grid.r_max, d // 2) + 1)]
+            for blocks in _blocks_for_q(q):
+                for zetaK in zks:
+                    wall = wall_with_variant(zeta2, q, zeta2, zetaK)
+                    for sz, sa, za in itertools.product(pairs, pairs, pairs):
+                        pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za,
+                                      sigmaZeta=sz, sigmaAlpha=sa, sigmaK=1,
+                                      K2=-4, Kalpha=2, alpha2=-1)
+                        # every r on one model and wall shares its X-table
+                        model = j_sides[blocks].with_gram(pr.gram())
+                        for word in words:
                             closed, oracle = _closed_and_oracle(model, wall, pr, word)
                             yield (closed, oracle,
-                                   lambda: f"q={q} d={d} r={r} blocks={blocks} zetaK={zetaK} "
-                                           f"(za,sa,sz)=({za},{sa},{sz}): closed vs oracle")
+                                   lambda: f"q={q} d={d} r={word.r} blocks={blocks} "
+                                           f"zetaK={zetaK} (za,sa,sz)=({za},{sa},{sz}): "
+                                           f"closed vs oracle")
     # a non-trivial w-variant slice
     for q, d, variant in itertools.product((0, 1, 2), (3, 5), W_VARIANTS[1:]):
         zeta2 = -(d + 3 * (1 - q))
@@ -358,34 +361,35 @@ def check_oracle_l1(grid):
         blocks_list = _blocks_for_q(q)[:2 if q == 1 else 1]
         j_sides = {blocks: _j_side(q, blocks) for blocks in blocks_list}
         sa_sz = [(0, 0)] if q == 0 else [(-2, 1), (1, -1), (2, 2), (0, 1)]
-        for r in (0, 1):
-            if 2 * r > d or r > grid.r_max:
-                continue
-            word = InsertionWord(r=r, s=d - 2 * r)
-            for zetaK in zks:
-                wall = wall_with_variant(zeta2 - 4, q, zeta2, zetaK)
-                for blocks, (sa, sz), k2, a2, za in itertools.product(
-                        blocks_list, sa_sz, (-4, 0, 8), (-2, 0, 1), _pair_range(grid.pair_bound)):
-                    pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za,
-                                  sigmaZeta=sz, sigmaAlpha=sa, sigmaK=2,
-                                  K2=k2, Kalpha=-1, alpha2=a2)
-                    closed, oracle = _closed_and_oracle(j_sides[blocks].with_gram(pr.gram()),
-                                                        wall, pr, word)
+        words = [InsertionWord(r=r, s=d - 2 * r)
+                 for r in (0, 1) if 2 * r <= d and r <= grid.r_max]
+        for zetaK in zks:
+            wall = wall_with_variant(zeta2 - 4, q, zeta2, zetaK)
+            for blocks, (sa, sz), k2, a2, za in itertools.product(
+                    blocks_list, sa_sz, (-4, 0, 8), (-2, 0, 1), _pair_range(grid.pair_bound)):
+                pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za,
+                              sigmaZeta=sz, sigmaAlpha=sa, sigmaK=2,
+                              K2=k2, Kalpha=-1, alpha2=a2)
+                model = j_sides[blocks].with_gram(pr.gram())
+                for word in words:
+                    closed, oracle = _closed_and_oracle(model, wall, pr, word)
                     yield (closed, oracle,
-                           lambda: f"q={q} d={d} r={r} zetaK={zetaK} blocks={blocks} "
+                           lambda: f"q={q} d={d} r={word.r} zetaK={zetaK} blocks={blocks} "
                                    f"(za,sa,sz,K2,a2)=({za},{sa},{sz},{k2},{a2}): closed vs oracle")
     if grid.q_max >= 2:
         # beyond the stated d-bound: one q=2 slice (d = 11)
         q, zeta2 = 2, -4
         wall = wall_with_variant(zeta2 - 4, q, zeta2, valid_zeta_k(q, zeta2, 1)[0])
         j_side = _j_side(q, (1, 2))
-        for r, za, sa, sz in itertools.product((0, 1), (-1, 2), (1, -2), (1, 2)):
+        for za, sa, sz in itertools.product((-1, 2), (1, -2), (1, 2)):
             pr = Pairings(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=za, sigmaZeta=sz,
                           sigmaAlpha=sa, sigmaK=1, K2=8, Kalpha=3, alpha2=-1)
-            closed, oracle = _closed_and_oracle(j_side.with_gram(pr.gram()), wall, pr,
-                                                InsertionWord(r=r, s=wall.d - 2 * r))
-            yield (closed, oracle,
-                   lambda: f"q=2 d=11 r={r} (za,sa,sz)=({za},{sa},{sz}): closed vs oracle")
+            model = j_side.with_gram(pr.gram())
+            for r in (0, 1):
+                closed, oracle = _closed_and_oracle(model, wall, pr,
+                                                    InsertionWord(r=r, s=wall.d - 2 * r))
+                yield (closed, oracle,
+                       lambda: f"q=2 d=11 r={r} (za,sa,sz)=({za},{sa},{sz}): closed vs oracle")
     # w-variants at l=1
     q, zeta2 = 1, -4
     zetaK = valid_zeta_k(q, zeta2, 1)[0]
@@ -435,13 +439,17 @@ def check_odd_words(grid):
         odd_wall = wall_with_variant(zeta2, q, zeta2, zetaK)
         odd_pr = Pairings(zeta2=zeta2, zetaK=zetaK, **pair_sets[0])
         odd_model = j_sides[blocks_list[0]].with_gram(odd_pr.gram())
+        by_degree = {}
         for word in _words_with_odd(q):
             if word.odd_count() % 2:
                 yield ((delta_l0_odd(odd_wall, odd_model, word).value,
                         delta_oracle_l0(odd_model, odd_wall, word).value), (0, 0),
                        lambda: f"odd-parity word {word.describe()} (closed, oracle)")
-                continue
-            d = word.degree() // 2
+            else:
+                by_degree.setdefault(word.degree() // 2, []).append(word)
+        # the even words of one degree are priced on one model and wall each,
+        # so they share its X-table
+        for d, words in by_degree.items():
             zeta2 = -(d + 3 * (1 - q))
             if zeta2 >= 0:
                 continue
@@ -449,11 +457,12 @@ def check_odd_words(grid):
                 wall = wall_with_variant(zeta2, q, zeta2, zetaK)
                 for base, blocks in itertools.product(pair_sets, blocks_list):
                     pr = Pairings(zeta2=zeta2, zetaK=zetaK, **base)
-                    closed, oracle = _closed_and_oracle(j_sides[blocks].with_gram(pr.gram()),
-                                                        wall, pr, word)
-                    yield (closed, oracle,
-                           lambda: f"q={q} word={word.describe()} blocks={blocks} zetaK={zetaK} "
-                                   f"pairs={base}: closed vs oracle")
+                    model = j_sides[blocks].with_gram(pr.gram())
+                    for word in words:
+                        closed, oracle = _closed_and_oracle(model, wall, pr, word)
+                        yield (closed, oracle,
+                               lambda: f"q={q} word={word.describe()} blocks={blocks} "
+                                       f"zetaK={zetaK} pairs={base}: closed vs oracle")
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,12 @@ def _model_text(**changes):
                  "walls", "bad surface document", id="surface-q-n/0"),
     # q = 1.5 used to be read as q = 1
     pytest.param(_model_text(q=1.5), "params", "q must be an integer, got 3/2", id="q-1.5"),
+    # K = (1.5, -2) used to be read as K = (1, -2), and walls exited 0
+    pytest.param(json.dumps({"schema_version": 1,
+                             "surface": {"name": "blown-up", "q": 1, "basis": ["e0", "e1"],
+                                         "gram": [[0, 1], [1, 0]], "K": [1.5, -2],
+                                         "Sigma": [1, 0]}}),
+                 "walls", "K must be an integer, got 3/2", id="surface-K-1.5"),
 ])
 def test_bad_numbers_are_input_errors(tmp_path, capsys, text, command, needle):
     # these used to end in an OverflowError or ZeroDivisionError traceback

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
+from wallcross import (InsertionWord, ModelSpec, PairingInput, Pairings, PreconditionError,
                        SchemaError, build_model, e_alpha, e_gamma, e_zeta_beta,
                        jacobian_odd_integral, volume)
 from wallcross.jacobian import pairing_input_from_json
@@ -123,6 +123,36 @@ def test_insertion_word_validation():
         InsertionWord(gammas=(0, 0))
     with pytest.raises(PreconditionError):
         InsertionWord(r=-1)
+
+
+def test_insertion_word_refuses_a_non_integral_multiplicity():
+    # r = 1/2 used to be priced and end in a TypeError inside the closed form
+    with pytest.raises(PreconditionError, match="r must be an integer, got 1/2"):
+        InsertionWord(r=0.5, s=1)
+    with pytest.raises(PreconditionError, match="s must be an integer, got 3/2"):
+        InsertionWord(s=Fraction(3, 2))
+    word = InsertionWord(r=Fraction(1), s=2.0)
+    assert (word.r, word.s) == (1, 2) and type(word.r) is int and type(word.s) is int
+
+
+def test_insertion_word_refuses_a_non_integral_odd_index():
+    with pytest.raises(PreconditionError, match="gamma index must be an integer, got 1/2"):
+        InsertionWord(s=1, gammas=(0.5,))
+    with pytest.raises(PreconditionError, match="A index must be an integer, got 3/2"):
+        InsertionWord(s=1, threes=(0, Fraction(3, 2)))
+    word = InsertionWord(gammas=(Fraction(1),), threes=(2.0,))
+    assert word.gammas == (1,) and word.threes == (2,)
+    assert all(type(i) is int for i in word.gammas + word.threes)
+
+
+def test_pairing_input_refuses_a_non_integral_q():
+    # q = 3/2 used to end in a TypeError inside build_model
+    with pytest.raises(PreconditionError, match="q must be an integer, got 3/2"):
+        PairingInput(q=1.5, pairings=Pairings())
+    with pytest.raises(PreconditionError, match="q must be an integer, got 3/2"):
+        ModelSpec(Fraction(3, 2), (), {})
+    inp = PairingInput(q=Fraction(2), pairings=Pairings())
+    assert inp.q == 2 and type(inp.q) is int and build_model(inp).q == 2
 
 
 def test_pairing_input_validation():

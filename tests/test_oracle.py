@@ -254,3 +254,102 @@ def test_direct_l0_extension_data_equals_the_split_character():
                 assert data == split
                 cases += 1
     assert cases == 72
+
+
+# -- the per-model X-power memo ------------------------------------------------
+
+def _priced(model, wall, word, branch="unified"):
+    if wall.l_zeta == 1:
+        return delta_oracle_l1(model, wall, word.r).value
+    return delta_oracle_l0(model, wall, word, branch).value
+
+
+def _fresh(q, blocks, pr, wall, word, branch="unified"):
+    return _priced(build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks)),
+                   wall, word, branch)
+
+
+def test_words_priced_on_one_model_equal_fresh_models():
+    # each list opens with a word that asks for few X-powers, so a later word
+    # needs substitutes that no earlier one did, and the memo must extend
+    cases = []
+    q, blocks, zeta2 = 2, (1, 2), -1
+    wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
+    pr = Pairings(zeta2=zeta2, zetaK=1, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2,
+                  sigmaK=-1, K2=8, Kalpha=1, alpha2=-1)
+    cases.append((q, blocks, pr, wall, "unified",
+                  [InsertionWord(r=2), InsertionWord(r=1, s=2), InsertionWord(s=4),
+                   InsertionWord(s=1, gammas=(0, 1)), InsertionWord(s=3, threes=(1, 2)),
+                   InsertionWord(gammas=(0, 2), threes=(1, 3))]))
+    # an empty-side wall (h(zeta) + q = 0, Sigma.K = 2 Sigma.zeta) carries both
+    # l = 0 branches on one model and wall; they must not share a table
+    q, zeta2 = 1, -2
+    wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta2)
+    pr = Pairings(zeta2=zeta2, zetaK=zeta2, zetaAlpha=3, sigmaZeta=2, sigmaAlpha=-1,
+                  sigmaK=4, K2=0, Kalpha=0, alpha2=1)
+    for branch in ("unified", "component", "unified"):
+        cases.append((q, (3,), pr, wall, branch,
+                      [InsertionWord(r=1), InsertionWord(s=2),
+                       InsertionWord(gammas=(0,), threes=(1,))]))
+    q, zeta2 = 0, -1
+    wall = WallGeometry.build(p1=zeta2 - 4, q=q, zeta2=zeta2, zetaK=1)
+    pr = Pairings(zeta2=zeta2, zetaK=1, zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1,
+                  sigmaK=2, K2=8, Kalpha=-1, alpha2=-1)
+    cases.append((q, None, pr, wall, "unified", [InsertionWord(r=1), InsertionWord(s=2)]))
+    models = {}
+    nonzero = extended = 0
+    for q, blocks, pr, wall, branch, words in cases:
+        model = models.setdefault((q, pr), build_model(
+            PairingInput(q=q, pairings=pr, a_blocks=blocks)))
+        for word in words:
+            before = {n for n, terms in model.xpower_memo.get((branch, wall), {}).items() if terms}
+            value = _priced(model, wall, word, branch)
+            assert value == _fresh(q, blocks, pr, wall, word, branch), (word, branch)
+            after = {n for n, terms in model.xpower_memo[branch, wall].items() if terms}
+            nonzero += value != 0
+            extended += bool(before) and after > before
+    assert (nonzero, extended) == (12, 4)
+
+
+def test_a_priced_model_is_freed_without_the_cycle_collector():
+    # the memo holds term dicts, never elements, so no reference cycle
+    # keeps a model alive once its last reference is dropped
+    import gc
+    import weakref
+    gc.collect()
+    gc.disable()
+    try:
+        wall0, model = _wall_and_model(q=2, zeta2=-4, zetaK=2, l=0)
+        wall1 = WallGeometry.build(p1=-8, q=2, zeta2=-4, zetaK=2)
+        for r in (0, 1):
+            delta_oracle_l0(model, wall0, InsertionWord(r=r, s=wall0.d - 2 * r))
+            delta_oracle_l1(model, wall1, r)
+        assert len(model.xpower_memo) == 2
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_models_over_one_j_side_and_walls_of_one_model_keep_separate_tables():
+    # the X-table reads the pairings and the wall, so neither with_gram models
+    # over one J-side nor two walls of one model may share one; the table reads
+    # only the wall's ranks and dimensions, so the pairings need not match it
+    q, blocks, zeta2 = 1, (2,), -4
+    j_side = build_model(PairingInput(q=q, pairings=Pairings(), a_blocks=blocks))
+    walls = [WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK)
+             for p1, zetaK in ((zeta2, 2), (zeta2, -4), (zeta2 - 4, 2), (zeta2 - 4, 0))]
+    nonzero = 0
+    for sigma_z, sigma_k in ((1, 2), (-2, 3)):
+        pr = Pairings(zeta2=zeta2, zetaK=2, zetaAlpha=3, sigmaZeta=sigma_z, sigmaAlpha=1,
+                      sigmaK=sigma_k, K2=8, Kalpha=-1, alpha2=-1)
+        model = j_side.with_gram(pr.gram())
+        for wall in walls:
+            for r in (0, 1):
+                word = InsertionWord(r=r, s=wall.d - 2 * r)
+                value = _priced(model, wall, word)
+                assert value == _fresh(q, blocks, pr, wall, word), (sigma_z, wall, r)
+                nonzero += value != 0
+    assert not j_side.xpower_memo
+    assert nonzero == 16

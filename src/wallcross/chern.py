@@ -2,10 +2,10 @@
 
 ``ChernData`` stores the rank together with a_i = i! ch_i (even classes in
 the ring).  Chern and Segre classes come from Newton's recurrence in the
-a_i, n steps for the n-th class; the Segre classes are memoised on each
-``ChernData``.  The classical Hessenberg determinant, which the recurrence
-solves, is kept only for ``closed.segre_det_determinant``, where the
-determinant is itself the claim.
+a_i, n steps for the n-th class; the Segre classes are memoised, as term
+dicts, in each ``ChernData``'s ``segre_memo``.  The classical Hessenberg
+determinant, which the recurrence solves, is kept only for
+``closed.segre_det_determinant``, where the determinant is itself the claim.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ class ChernData:
     """Rank plus the sequence a_i = i! ch_i of a sheaf, as ring elements.
 
     ``a[k]`` holds a_{k+1}; entries beyond the list are zero.  Each stored
-    a_i must be homogeneous of total degree 2i (or zero).
+    a_i must be homogeneous of total degree 2i (or zero).  ``segre_memo``
+    holds the Segre classes s_0..s_m found so far as term dicts; data of
+    equal a_i over models whose products agree on them may share one.
     """
 
     model: ModelSpec
     rank: Fraction
     a: tuple = field(default=())
-    _segre: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    segre_memo: dict = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "rank", frac(self.rank))
@@ -79,7 +81,8 @@ def ch_direct_sum(x: ChernData, y: ChernData) -> ChernData:
 
 
 def _newton(data: ChernData, seq, segre, n) -> GradedElement:
-    """Extend ``seq`` = {0: x_0, 1: x_1, ...} in place up to x_n and return x_n.
+    """Extend ``seq`` = {0: x_0, 1: x_1, ...}, term dicts, in place up to x_n
+    and return x_n.
 
     Newton's identities (Macdonald, Symmetric Functions and Hall
     Polynomials, I.2): x_0 = 1 and n x_n = sum_{k=1..n} e_k a_k x_(n-k),
@@ -87,15 +90,16 @@ def _newton(data: ChernData, seq, segre, n) -> GradedElement:
     classes.  Keys stay a prefix 0..m and a key is only ever set to its one
     value, so callers sharing ``seq`` across threads cannot corrupt it.
     """
+    model = data.model
     if not seq:
-        seq[0] = data.model.one()
+        seq[0] = model.one()._terms
     for m in range(len(seq), n + 1):
-        acc = data.model.zero()
+        acc = model.zero()
         for k in range(1, min(m, len(data.a)) + 1):
-            term = data.a[k - 1] * seq[m - k]
+            term = data.a[k - 1] * GradedElement(model, seq[m - k])
             acc = acc - term if (k % 2 == 1) == segre else acc + term
-        seq[m] = acc / m
-    return seq[n]
+        seq[m] = (acc / m)._terms
+    return GradedElement(model, seq[n])
 
 
 def chern_from_ch(data: ChernData, n) -> GradedElement:
@@ -108,12 +112,12 @@ def chern_from_ch(data: ChernData, n) -> GradedElement:
 def segre_from_ch(data: ChernData, n) -> GradedElement:
     """n-th Segre class, the degree-2n part of the inverse total Chern class.
 
-    Newton's identities with the sign flipped; the classes are memoised on
-    ``data``, so asking for n = 0..N costs N steps in total.
+    Newton's identities with the sign flipped; the classes are memoised in
+    ``data.segre_memo``, so asking for n = 0..N costs N steps in total.
     """
     if n < 0:
         raise PreconditionError("segre_from_ch needs n >= 0")
-    return _newton(data, data._segre, True, n)
+    return _newton(data, data.segre_memo, True, n)
 
 
 def _det(model, rows) -> GradedElement:

@@ -45,6 +45,7 @@ from .errors import ModelMismatchError, PreconditionError
 
 SIGMA = "Sigma"
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # S-side monomial encodings: (s_degree, payload)
@@ -123,22 +124,23 @@ class ModelSpec:
                     raise PreconditionError("a_matrix must be antisymmetric")
         self.a_matrix = a
         self.j_top = (1 << n) - 1
-        # the cache holds term dicts, not elements: an element refers to its
+        # both caches hold term dicts, not elements: an element refers to its
         # model, and a cycle would keep a dead model alive until a full
         # garbage collection
         self._omega_powers = [{_SCALAR: _ONE}, self.omega_class()._terms]
+        self._memo = {}
         self._set_gram(gram, even_symbols)
 
     def with_gram(self, gram) -> "ModelSpec":
-        """The model over this J-side (q, a_ij and the omega-power cache) with
-        new Gram pairings among the same even symbols.
+        """The model over this J-side (q, a_ij, the omega-power cache and the
+        memo behind ``memo``) with new Gram pairings among the same even symbols.
 
-        The a_ij are not validated again and the omega powers are shared, so a
-        sweep over pairings at fixed a_ij builds its J-side once.
+        The a_ij are not validated again and the caches are shared, so a sweep
+        over pairings at fixed a_ij builds its J-side once.
         """
         model = object.__new__(ModelSpec)
         model.q, model.a_matrix, model.j_top = self.q, self.a_matrix, self.j_top
-        model._omega_powers = self._omega_powers
+        model._omega_powers, model._memo = self._omega_powers, self._memo
         model._set_gram(gram, self.even_symbols)
         return model
 
@@ -158,17 +160,31 @@ class ModelSpec:
             self._gram[(s2, s1)] = v
         if self._gram.get((SIGMA, SIGMA), Fraction(0)) != 0:
             raise PreconditionError("Sigma.Sigma must be 0")
-        # S-side products read the Gram pairings, so each model has its own memo;
-        # so do the ring oracle's X-power substitutes, kept as term dicts by
-        # (branch, wall) for every word priced on this model
+        # S-side products read every Gram pairing, so each model has its own
+        # table; its slots in the J-side memo are looked up on first use
         self._s_table = {}
-        self.xpower_memo = {}
+        self._slots = {}
 
     # -- pairings -------------------------------------------------------
 
     def pair(self, s1, s2) -> Fraction:
         """Gram pairing of two even symbols (0 when unset)."""
-        return self._gram.get((s1, s2), Fraction(0))
+        return self._gram.get((s1, s2), _ZERO)
+
+    def memo(self, reads) -> dict:
+        """The J-side memo's slot for the pairings ``reads``, pairs of symbols.
+
+        Every model over this J-side (``with_gram``) whose pairings agree on
+        ``reads`` gets the same dict, so a value that reads the J-side and no
+        other pairing is computed once for all of them.  A model finds each
+        slot once and keeps it.  Store term dicts, never elements: an element
+        refers to its model, and a cycle would keep dead models alive.
+        """
+        slot = self._slots.get(reads)
+        if slot is None:
+            key = (reads, *(self.pair(s1, s2) for s1, s2 in reads))
+            slot = self._slots[reads] = self._memo.setdefault(key, {})
+        return slot
 
     # -- element constructors -------------------------------------------
 
@@ -184,12 +200,12 @@ class ModelSpec:
 
     def theta(self, i) -> "GradedElement":
         """J-side odd generator th_i (0-based index)."""
-        self._check_index(i)
+        i = self._index(i)
         return GradedElement(self, {(1 << i, S_ONE): _ONE})
 
     def beta(self, i) -> "GradedElement":
         """S-side odd generator be_i (0-based index)."""
-        self._check_index(i)
+        i = self._index(i)
         return GradedElement(self, {(0, s_odd(i)): _ONE})
 
     def even(self, sym) -> "GradedElement":
@@ -214,9 +230,13 @@ class ModelSpec:
         return [GradedElement(self, {(sum(1 << i for i in js), s): _ONE})
                 for js in itertools.combinations(range(n), j_degree) for s in s_words]
 
-    def _check_index(self, i):
+    def _index(self, i) -> int:
+        """A generator index as an int; PreconditionError when it is not one
+        of 0..2q-1."""
+        i = exact_int(i, "a generator index")
         if not 0 <= i < 2 * self.q:
             raise PreconditionError(f"generator index {i} out of range for q={self.q}")
+        return i
 
     # -- distinguished classes ------------------------------------------
 
@@ -248,7 +268,7 @@ class ModelSpec:
 
     def interior_omega(self, i) -> "GradedElement":
         """Interior product of be_i with omega: sum_j a_ij th_j."""
-        self._check_index(i)
+        i = self._index(i)
         return GradedElement(
             self,
             {(1 << j, S_ONE): self.a_matrix[i][j]
@@ -440,10 +460,10 @@ class GradedElement:
         return hash((id(self.model), frozenset(self._terms.items())))
 
     def coefficient(self, monomial) -> Fraction:
-        return self._terms.get(monomial, Fraction(0))
+        return self._terms.get(monomial, _ZERO)
 
     def scalar_part(self) -> Fraction:
-        return self._terms.get(_SCALAR, Fraction(0))
+        return self._terms.get(_SCALAR, _ZERO)
 
     def components(self) -> dict:
         """The parts of pure total degree, ``{degree: element}``, split in one pass."""

@@ -7,15 +7,18 @@ binomial theorem), each power X^N is replaced through the Segre
 substitution table of the extension-bundle data, and each product of an
 X^N coefficient with its substitute is integrated without being formed.
 
-Each X^N substitute is computed once per model and wall, whatever the
-word, from the Chern characters of the extension bundles:
+Each X^N substitute is computed once per J-side, wall and the pairings
+that the table reads (``TABLE_READS``), whatever the word, from the Chern
+characters of the extension bundles:
 
     l = 0:  ch E_{+-zeta} = (h(+-zeta) + q) + e_{K -+ 2 zeta}
     l = 1:  ch E(k-th stratum) = ch M_{+-zeta} + exp(line class) exp(+-2E)
 
 with duals through ch_dual and the two strata summed inside the table.
 Hilbert schemes of >= 2 points would require their full cohomology, so
-l_zeta >= 2 is rejected.
+l_zeta >= 2 is rejected.  The X-polynomial of an l = 0 word is likewise
+kept per J-side, word and the pairings it reads (``WORD_READS``), so a
+sweep over pairings builds each once.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ from .errors import PreconditionError, RegimeError
 from .graded import SIGMA, GradedElement, ModelSpec, exp_truncated, integrate_product
 from .jacobian import InsertionWord, e_alpha, e_divisor, e_zeta_beta
 from .walls import WallGeometry
+
+
+# The pairings an X-table reads.  ch_extension_bundles builds it from Sigma,
+# zeta, K, the universal class E and omega, whose products pair only Sigma,
+# zeta and K (E.E = -2 Sigma omega); no product reads an alpha pairing.
+TABLE_READS = ((SIGMA, "zeta"), (SIGMA, "K"), ("zeta", "zeta"), ("zeta", "K"), ("K", "K"))
 
 
 def ch_extension_bundles(model: ModelSpec, wall: WallGeometry, l_zeta, k):
@@ -79,28 +88,44 @@ def _table_datas(model, wall, branch):
     return tuple(ch_direct_sum(ch_plus, ch_dual(ch_minus)) for ch_plus, ch_minus in pairs)
 
 
+class _TableEntry:
+    """One X-table, shared by every model over a J-side whose ``TABLE_READS``
+    agree: the X^N substitutes and, once built, each Chern data's rank, a_i
+    and Segre prefix, all as term dicts, so that a later X^N extends the
+    table and never rebuilds the extension-bundle data."""
+
+    __slots__ = ("xpowers", "datas")
+
+    def __init__(self):
+        self.xpowers = {}
+        self.datas = None
+
+
 class _SegreTable:
     """X^N -> ring class substitution for one wall of one model.
 
-    The substitutes depend on the model and the wall, never on the word, so
-    each is kept in the model's ``xpower_memo`` under (branch, wall), and
-    every word priced on that model and wall shares it.  The memo holds term
-    dicts, not elements, so it makes no reference cycle with its model; an
+    The substitutes depend on the J-side, the wall and ``TABLE_READS``,
+    never on the word or another pairing, so each lives in the model's
+    ``memo(TABLE_READS)`` slot under (branch, wall), shared by every word
+    and every model over the J-side that agrees there.  The memo holds term
+    dicts, not elements, so it makes no reference cycle with a model; an
     entry is only ever set to its one value, and the extension-bundle data
-    is built only when an X^N is missing.
+    is built once per entry, on its first miss.
     """
 
     def __init__(self, model, wall, branch="unified"):
         self.model = model
         self.wall = wall
         self.branch = branch
-        self._xpowers = model.xpower_memo.setdefault((branch, wall), {})
+        key, memo = (branch, wall), model.memo(TABLE_READS)
+        self._entry = memo.get(key) or memo.setdefault(key, _TableEntry())
         self._datas = None
 
     def xpower(self, n):
-        terms = self._xpowers.get(n)
+        xpowers = self._entry.xpowers
+        terms = xpowers.get(n)
         if terms is None:
-            terms = self._xpowers[n] = self._substitute(n)._terms
+            terms = xpowers[n] = self._substitute(n)._terms
         return GradedElement(self.model, terms)
 
     def _substitute(self, n):
@@ -111,14 +136,28 @@ class _SegreTable:
             idx = n - 1 - wall.n_plus - wall.n_minus
         if idx < 0:
             return self.model.zero()
-        if self._datas is None:
-            self._datas = _table_datas(self.model, wall, self.branch)
         out = self.model.zero()
-        for data in self._datas:
+        for data in self._chern_datas():
             out = out + segre_from_ch(data, idx)
         if self.branch != "component" and (n - wall.n_minus) % 2:
             out = -out
         return out
+
+    def _chern_datas(self):
+        """This model's Chern data over the entry's a_i and Segre prefixes."""
+        if self._datas is None:
+            model, entry = self.model, self._entry
+            if entry.datas is None:
+                # the model that builds the data keeps it; the others wrap the entry's
+                self._datas = _table_datas(model, self.wall, self.branch)
+                entry.datas = tuple((data.rank, tuple(a._terms for a in data.a), data.segre_memo)
+                                    for data in self._datas)
+            else:
+                self._datas = tuple(
+                    ChernData(model, rank, tuple(GradedElement(model, a) for a in a_terms),
+                              segre_memo=seq)
+                    for rank, a_terms, seq in entry.datas)
+        return self._datas
 
 
 def _xpoly_mul(poly, factor):
@@ -180,6 +219,33 @@ def _expand(model, factors):
     return poly
 
 
+# The pairings an l = 0 word's X-polynomial reads: Sigma.alpha through
+# e_alpha, zeta.alpha through aX, and Sigma.zeta through e_zeta_beta when the
+# word has A-insertions.  Every factor is a Jacobian class (or a scalar), so
+# their products read no pairing at all.
+WORD_READS = ((SIGMA, "alpha"), ("zeta", "alpha"))
+WORD_READS_A = WORD_READS + ((SIGMA, "zeta"),)
+
+
+def _l0_word_poly(model, word):
+    """The X-polynomial of an l = 0 word as {N: term dict}, from the model's
+    ``WORD_READS`` slot (``WORD_READS_A`` for a word with A-insertions)."""
+    memo = model.memo(WORD_READS_A if word.threes else WORD_READS)
+    poly = memo.get(word)
+    if poly is None:
+        a = model.pair("zeta", "alpha") / 2
+        ea = e_alpha(model)
+        # the odd factors go first, in the word's order: the even x and alpha
+        # factors commute with everything, and the single-term odd product then
+        # meets the alpha polynomial once
+        factors = [({1: model.theta(i)}, 1) for i in word.gammas]
+        factors += [({0: -e_zeta_beta(model, j)}, 1) for j in word.threes]
+        factors += [({2: model.scalar(Fraction(-1, 4))}, word.r),
+                    ({0: -ea, 1: model.scalar(a)}, word.s)]
+        poly = memo[word] = {n: c._terms for n, c in _expand(model, factors).items()}
+    return poly
+
+
 def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
                     branch="unified") -> DeltaValue:
     """Ring evaluation of the wall-crossing term for l_zeta = 0.
@@ -206,19 +272,9 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     elif branch != "unified":
         raise PreconditionError(f"unknown branch {branch!r}")
     table = _SegreTable(model, wall, branch)
-    a = model.pair("zeta", "alpha") / 2
-    ea = e_alpha(model)
-    # the odd factors go first, in the word's order: the even x and alpha
-    # factors commute with everything, and the single-term odd product then
-    # meets the alpha polynomial once
-    factors = [({1: model.theta(i)}, 1) for i in word.gammas]
-    factors += [({0: -e_zeta_beta(model, j)}, 1) for j in word.threes]
-    factors += [({2: model.scalar(Fraction(-1, 4))}, word.r),
-                ({0: -ea, 1: model.scalar(a)}, word.s)]
-    poly = _expand(model, factors)
     total = Fraction(0)
-    for n, coeff in poly.items():
-        total += integrate_product(coeff, table.xpower(n), jacobian=True)
+    for n, coeff in _l0_word_poly(model, word).items():
+        total += integrate_product(GradedElement(model, coeff), table.xpower(n), jacobian=True)
     value = wall.sign_complex() * total
     return DeltaValue(value, "ring-oracle")
 

@@ -334,3 +334,27 @@ def test_with_gram_matches_a_fresh_model():
         base.with_gram({(SIGMA, SIGMA): 1})
     with pytest.raises(PreconditionError):
         base.with_gram({("zeta", "nope"): 1})
+
+
+# a non-integral generator index is a typed error; an integral one of another
+# type names the same generator
+
+def test_theta_reads_its_index_as_an_exact_int(model_q2):
+    with pytest.raises(PreconditionError, match="generator index must be an integer"):
+        model_q2.theta(0.5)
+    assert model_q2.theta(1.0) == model_q2.theta(Fraction(1)) == model_q2.theta(1)
+
+
+def test_beta_reads_its_index_as_an_exact_int(model_q2):
+    with pytest.raises(PreconditionError, match="generator index must be an integer"):
+        model_q2.beta(Fraction(3, 2))
+    assert model_q2.beta(1.0) == model_q2.beta(1)
+    assert repr(model_q2.beta(1.0)) == "(1)*be2"
+
+
+def test_interior_omega_reads_its_index_as_an_exact_int(model_q2):
+    with pytest.raises(PreconditionError, match="generator index must be an integer"):
+        model_q2.interior_omega(0.5)
+    assert model_q2.interior_omega(3.0) == model_q2.interior_omega(3)
+    with pytest.raises(PreconditionError, match="out of range"):
+        model_q2.interior_omega(4.0)

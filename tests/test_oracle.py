@@ -11,7 +11,8 @@ from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
                        ch_dual, ch_extension_bundles, delta_l0, delta_oracle_l0,
                        delta_oracle_l1, e_alpha, e_zeta, e_zeta_beta, exp_truncated,
                        segre_from_ch, volume)
-from wallcross.oracle import _expand
+from wallcross import oracle
+from wallcross.oracle import TABLE_READS, WORD_READS, WORD_READS_A, _expand
 
 from conftest import make_model
 
@@ -256,7 +257,7 @@ def test_direct_l0_extension_data_equals_the_split_character():
     assert cases == 72
 
 
-# -- the per-model X-power memo ------------------------------------------------
+# -- the J-side memo ------------------------------------------------------------
 
 def _priced(model, wall, word, branch="unified"):
     if wall.l_zeta == 1:
@@ -267,6 +268,26 @@ def _priced(model, wall, word, branch="unified"):
 def _fresh(q, blocks, pr, wall, word, branch="unified"):
     return _priced(build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks)),
                    wall, word, branch)
+
+
+def _j_side(q, blocks):
+    return build_model(PairingInput(q=q, pairings=Pairings(), a_blocks=blocks))
+
+
+def _table(model, wall, branch="unified"):
+    return model.memo(TABLE_READS).get((branch, wall))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ``oracle.<name>`` from here on; returns the call list."""
+    calls = []
+    real = getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
 
 
 def test_words_priced_on_one_model_equal_fresh_models():
@@ -302,54 +323,221 @@ def test_words_priced_on_one_model_equal_fresh_models():
         model = models.setdefault((q, pr), build_model(
             PairingInput(q=q, pairings=pr, a_blocks=blocks)))
         for word in words:
-            before = {n for n, terms in model.xpower_memo.get((branch, wall), {}).items() if terms}
+            table = _table(model, wall, branch)
+            before = {n for n, terms in table.xpowers.items() if terms} if table else set()
             value = _priced(model, wall, word, branch)
             assert value == _fresh(q, blocks, pr, wall, word, branch), (word, branch)
-            after = {n for n, terms in model.xpower_memo[branch, wall].items() if terms}
+            after = {n for n, terms in _table(model, wall, branch).xpowers.items() if terms}
             nonzero += value != 0
             extended += bool(before) and after > before
     assert (nonzero, extended) == (12, 4)
 
 
 def test_a_priced_model_is_freed_without_the_cycle_collector():
-    # the memo holds term dicts, never elements, so no reference cycle
-    # keeps a model alive once its last reference is dropped
+    # the memo holds term dicts, never elements, so no reference cycle keeps a
+    # model, or a J-side and the with_gram models sharing its memo, alive once
+    # the last reference is dropped
     import gc
     import weakref
+    wall0, model = _wall_and_model(q=2, zeta2=-4, zetaK=2, l=0)
+    wall1 = WallGeometry.build(p1=-8, q=2, zeta2=-4, zetaK=2)
+
+    def price(model):
+        for r in (0, 1):
+            delta_oracle_l0(model, wall0, InsertionWord(r=r, s=wall0.d - 2 * r))
+            delta_oracle_l0(model, wall0, InsertionWord(r=r, s=wall0.d - 2 * r - 4,
+                                                        gammas=(0, 1), threes=(2, 3)))
+            delta_oracle_l1(model, wall1, r)
+
     gc.collect()
     gc.disable()
     try:
-        wall0, model = _wall_and_model(q=2, zeta2=-4, zetaK=2, l=0)
-        wall1 = WallGeometry.build(p1=-8, q=2, zeta2=-4, zetaK=2)
-        for r in (0, 1):
-            delta_oracle_l0(model, wall0, InsertionWord(r=r, s=wall0.d - 2 * r))
-            delta_oracle_l1(model, wall1, r)
-        assert len(model.xpower_memo) == 2
+        price(model)
+        assert len(model.memo(TABLE_READS)) == 2
+        assert len(model.memo(WORD_READS)) == len(model.memo(WORD_READS_A)) == 2
         ref = weakref.ref(model)
         del model
         assert ref() is None
+        j_side = _j_side(2, (1, 2))
+        models = [j_side.with_gram(Pairings(zeta2=-4, zetaK=2, zetaAlpha=za, sigmaZeta=sz,
+                                            sigmaAlpha=1, sigmaK=2, K2=8).gram())
+                  for za, sz in ((3, 1), (3, -2), (-1, 1))]
+        for model in models:
+            price(model)
+        assert len(j_side.memo(TABLE_READS)) == 0 and len(models[0].memo(TABLE_READS)) == 2
+        refs = [weakref.ref(m) for m in (j_side, *models)]
+        del j_side, models, model
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
 
 
-def test_models_over_one_j_side_and_walls_of_one_model_keep_separate_tables():
-    # the X-table reads the pairings and the wall, so neither with_gram models
-    # over one J-side nor two walls of one model may share one; the table reads
-    # only the wall's ranks and dimensions, so the pairings need not match it
+# pairing -> (read by an X-table, by an l = 0 word without A-insertions, by one with
+# them), written out here rather than taken from the oracle's read sets
+READS = {"sigmaZeta": (True, False, True), "sigmaK": (True, False, False),
+         "zeta2": (True, False, False), "zetaK": (True, False, False),
+         "K2": (True, False, False), "sigmaAlpha": (False, True, True),
+         "zetaAlpha": (False, True, True), "Kalpha": (False, False, False),
+         "alpha2": (False, False, False)}
+
+
+def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_read_it(
+        monkeypatch):
+    # two with_gram models over one J-side that differ in one pairing: each
+    # entry that reads it is built again, every other one is shared, and both
+    # models price as fresh models do
+    builds = _counting(monkeypatch, "_table_datas")
+    expands = _counting(monkeypatch, "_expand")
+    q, blocks = 1, (2,)
+    base = dict(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
+                K2=8, Kalpha=-1, alpha2=-1)
+    other = dict(zeta2=-8, zetaK=0, zetaAlpha=-1, sigmaZeta=-2, sigmaAlpha=2, sigmaK=3,
+                 K2=-4, Kalpha=2, alpha2=3)
+    wall0 = WallGeometry.build(p1=-4, q=q, zeta2=-4, zetaK=2)
+    wall1 = WallGeometry.build(p1=-8, q=q, zeta2=-4, zetaK=2)
+    words0 = [InsertionWord(r=1, s=wall0.d - 2),
+              InsertionWord(s=wall0.d - 2, gammas=(1,), threes=(1,))]
+    words1 = [InsertionWord(r=r, s=wall1.d - 2 * r) for r in (0, 1)]
+    changed = set()
+    for key, (table, plain, with_a) in READS.items():
+        j_side = _j_side(q, blocks)
+        values = []
+        for pairs in (base, dict(base, **{key: other[key]})):
+            pr = Pairings(**pairs)
+            model = j_side.with_gram(pr.gram())
+            del builds[:], expands[:]
+            priced = [_priced(model, wall, word) for wall, words in ((wall0, words0),
+                                                                    (wall1, words1))
+                      for word in words]
+            # the first model builds both tables and both l = 0 polynomials; the
+            # l = 1 polynomials are not kept
+            expect = (2, 4) if pairs is base else (2 * table, 2 + plain + with_a)
+            assert (len(builds), len(expands)) == expect, key
+            assert priced == [_fresh(q, blocks, pr, wall, word)
+                              for wall, words in ((wall0, words0), (wall1, words1))
+                              for word in words], key
+            values.append(priced)
+        if values[0] != values[1]:
+            changed.add(key)
+    # Sigma.K cancels from the unified l = 0 table and zeta.K from the l = 1
+    # strata sum; K.alpha is paired by neither route here
+    assert changed == {"sigmaZeta", "zeta2", "K2", "sigmaAlpha", "zetaAlpha", "alpha2"}
+
+
+def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
+    builds = _counting(monkeypatch, "_table_datas")
+    expands = _counting(monkeypatch, "_expand")
+    # four walls of one model: l = 0 and l = 1, two zeta.K each
     q, blocks, zeta2 = 1, (2,), -4
-    j_side = build_model(PairingInput(q=q, pairings=Pairings(), a_blocks=blocks))
-    walls = [WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK)
-             for p1, zetaK in ((zeta2, 2), (zeta2, -4), (zeta2 - 4, 2), (zeta2 - 4, 0))]
-    nonzero = 0
-    for sigma_z, sigma_k in ((1, 2), (-2, 3)):
-        pr = Pairings(zeta2=zeta2, zetaK=2, zetaAlpha=3, sigmaZeta=sigma_z, sigmaAlpha=1,
-                      sigmaK=sigma_k, K2=8, Kalpha=-1, alpha2=-1)
-        model = j_side.with_gram(pr.gram())
-        for wall in walls:
-            for r in (0, 1):
-                word = InsertionWord(r=r, s=wall.d - 2 * r)
-                value = _priced(model, wall, word)
-                assert value == _fresh(q, blocks, pr, wall, word), (sigma_z, wall, r)
-                nonzero += value != 0
-    assert not j_side.xpower_memo
-    assert nonzero == 16
+    pr = Pairings(zeta2=zeta2, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
+                  K2=8, Kalpha=-1, alpha2=-1)
+    model = _j_side(q, blocks).with_gram(pr.gram())
+    for p1, zetaK in ((zeta2, 2), (zeta2, -4), (zeta2 - 4, 2), (zeta2 - 4, 0)):
+        wall = WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK)
+        word = InsertionWord(r=1, s=wall.d - 2)
+        del builds[:]
+        value = _priced(model, wall, word)
+        assert len(builds) == 1, wall
+        assert value == _fresh(q, blocks, pr, wall, word)
+    # the two l = 0 branches of an empty-side wall on one model
+    q, zeta2 = 1, -2
+    wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta2)
+    pr = Pairings(zeta2=zeta2, zetaK=zeta2, zetaAlpha=3, sigmaZeta=2, sigmaAlpha=-1,
+                  sigmaK=4, K2=0, Kalpha=0, alpha2=1)
+    model = _j_side(q, (3,)).with_gram(pr.gram())
+    word = InsertionWord(r=1)
+    for branch in ("unified", "component"):
+        del builds[:]
+        value = _priced(model, wall, word, branch)
+        assert len(builds) == 1, branch
+        assert value == _fresh(q, (3,), pr, wall, word, branch)
+    assert _table(model, wall, "unified") is not _table(model, wall, "component")
+    # words of one degree on one model and wall: one polynomial each
+    q, blocks, zeta2 = 2, (1, 2), -1
+    wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
+    pr = Pairings(zeta2=zeta2, zetaK=1, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2,
+                  sigmaK=-1, K2=8, Kalpha=1, alpha2=-1)
+    model = _j_side(q, blocks).with_gram(pr.gram())
+    values = []
+    for word in (InsertionWord(r=2), InsertionWord(r=1, s=2), InsertionWord(s=4),
+                 InsertionWord(s=1, gammas=(0, 1)), InsertionWord(s=3, threes=(1, 2))):
+        del expands[:]
+        values.append(_priced(model, wall, word))
+        assert len(expands) == 1, word
+        assert values[-1] == _fresh(q, blocks, pr, wall, word)
+    assert len(set(values)) == len(values)
+
+
+def test_a_new_x_power_on_a_second_model_extends_the_shared_table(monkeypatch):
+    # the first model asks for few X-powers; the second, over the same J-side
+    # and table pairings, asks for more and extends the table from its kept
+    # a_i and Segre prefixes, without building the extension data again.  At
+    # l = 0 the A-insertions keep the first word's X-degree below d, so the
+    # Segre prefix grows too; at l = 1 every word reaches X^d
+    builds = _counting(monkeypatch, "_table_datas")
+    grown = []
+    for q, blocks, p1, zeta2, zetaK, words in (
+            (2, (1, 2), -1, -1, 1, (InsertionWord(s=3, threes=(0, 1)), InsertionWord(s=4))),
+            (1, (2,), -8, -4, 2, (InsertionWord(r=4), InsertionWord(s=8)))):
+        wall = WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK)
+        j_side = _j_side(q, blocks)
+        first, second = (Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=1,
+                                  sigmaAlpha=2, sigmaK=-1, K2=8, Kalpha=1, alpha2=a2)
+                         for za, a2 in ((3, -1), (1, 5)))
+        del builds[:]
+        _priced(j_side.with_gram(first.gram()), wall, words[0])
+        table = _table(j_side.with_gram(first.gram()), wall)
+        known = set(table.xpowers)
+        prefixes = [len(seq) for _, _, seq in table.datas]
+        assert len(builds) == 1
+        model = j_side.with_gram(second.gram())
+        value = _priced(model, wall, words[1])
+        assert len(builds) == 1, wall.l_zeta
+        assert _table(model, wall) is table and set(table.xpowers) > known
+        assert value == _fresh(q, blocks, second, wall, words[1]) != 0
+        grown.append([len(seq) for _, _, seq in table.datas] > prefixes)
+    assert grown == [True, False]
+
+
+def _leaves(obj):
+    """Every value held in a memo entry: dict values, sequence items and slots."""
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _leaves(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _leaves(value)
+    elif isinstance(obj, oracle._TableEntry):
+        for name in obj.__slots__:
+            yield from _leaves(getattr(obj, name))
+    elif obj is not None:
+        yield obj
+
+
+def test_the_memo_and_the_values_hold_fractions_only():
+    # exactness guard: int / int is a float in Python, so every coefficient the
+    # memo keeps and every value priced from it must be a Fraction
+    from wallcross.verify import _words_with_odd, valid_zeta_k
+    values = []
+    j_sides = []
+    for q, blocks in ((1, (3,)), (2, (2, 3))):
+        j_side = _j_side(q, blocks)
+        j_sides.append(j_side)
+        by_degree = {}
+        for word in _words_with_odd(q, r_max=1, s_max=2, odd_max=2):
+            by_degree.setdefault(word.degree(), []).append(word)
+        for degree, words in by_degree.items():
+            d = degree // 2
+            zeta2 = -(d + 3 * (1 - q))
+            if degree % 2 or zeta2 >= 0:
+                continue
+            for zetaK in valid_zeta_k(q, zeta2, 0)[:2]:
+                wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK)
+                for sz, sa, za in itertools.product((1, -2), (Fraction(1, 2), 3), (2, -3)):
+                    pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
+                                  sigmaAlpha=sa, sigmaK=1, K2=-4, Kalpha=2, alpha2=-1)
+                    model = j_side.with_gram(pr.gram())
+                    values += [delta_oracle_l0(model, wall, word).value for word in words]
+    leaves = [leaf for j_side in j_sides for leaf in _leaves(j_side._memo)]
+    assert {type(v) for v in values} == {type(v) for v in leaves} == {Fraction}
+    assert len(values) > 2000 and len(leaves) > 1000 and any(values)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -67,18 +68,27 @@ def s_mixed(i, sym):
 
 
 def frac(x) -> Fraction:
-    """Coerce an int / str / Fraction into an exact rational."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce an int / str / Fraction into an exact rational; a value that is
+    no finite number (None, "a", NaN, infinity) raises PreconditionError."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"{x!r} is not an exact rational number") from exc
 
 
 def exact_int(x, what) -> int:
     """Coerce an integral int / str / Fraction into an int; never truncates.
 
-    A value with a fractional part raises PreconditionError naming ``what``.
+    A value with a fractional part, or no number, raises PreconditionError.
     """
     if type(x) is int:
         return x
-    f = frac(x)
+    try:
+        f = frac(x)
+    except PreconditionError:
+        raise PreconditionError(f"{what} must be an integer, got {x!r}") from None
     if f.denominator != 1:
         raise PreconditionError(f"{what} must be an integer, got {f}")
     return f.numerator
@@ -182,7 +192,10 @@ class ModelSpec:
         """
         slot = self._slots.get(reads)
         if slot is None:
-            key = (reads, *(self.pair(s1, s2) for s1, s2 in reads))
+            # a pairing enters the key as its two ints: Fraction's pure-Python
+            # __hash__ would otherwise dominate the first lookup of a slot
+            key = (reads, *((v.numerator, v.denominator)
+                            for v in (self.pair(s1, s2) for s1, s2 in reads)))
             slot = self._slots[reads] = self._memo.setdefault(key, {})
         return slot
 
@@ -394,7 +407,7 @@ class GradedElement:
         if not isinstance(other, GradedElement):
             try:
                 return self._scaled(frac(other))
-            except (TypeError, ValueError):
+            except PreconditionError:
                 return NotImplemented
         self._require_same_model(other)
         # a scalar commutes with everything and only rescales the other factor
@@ -432,7 +445,7 @@ class GradedElement:
     def __rmul__(self, other):
         try:
             return self._scaled(frac(other))
-        except (TypeError, ValueError):
+        except PreconditionError:
             return NotImplemented
 
     def __truediv__(self, other):
@@ -553,39 +566,64 @@ def integrate_jacobian(a: GradedElement) -> Fraction:
     return a.coefficient((a.model.j_top, S_ONE))
 
 
-def integrate_product(a: GradedElement, b: GradedElement, jacobian=False) -> Fraction:
-    """integrate(a * b), or integrate_jacobian(a * b) when ``jacobian``, without a * b.
+def integration_index(terms) -> tuple:
+    """Terms ``{(j, s): c}`` as ``(den, {s: {j: num}})``: int numerators over
+    the lcm of their denominators, so the form is reduced."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    index = {}
+    for (j, s), c in terms.items():
+        index.setdefault(s, {})[j] = c.numerator * (den // c.denominator)
+    return den, index
 
-    Only a term pair whose J-monomials are complementary reaches the top
-    class, so ``b`` is indexed by J-mask and each term j1 of ``a`` meets
-    only the terms of ``b`` at ``j_top ^ j1``; their S-words must multiply
-    to [S] (to 1 when ``jacobian``).
-    """
-    a._require_same_model(b)
-    model = a.model
+
+def integration_pairs(model, terms) -> tuple:
+    """Terms ``{(j, s): c}`` as the left factor of an integral, ``(den, {s:
+    ((j_top ^ j, num), ...)})``: each int numerator, over the lcm of their
+    denominators, carries the Koszul sign of (th_j s) th_{j_top ^ j}."""
     full = model.j_top
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    pairs = {}
+    for (j, s), c in terms.items():
+        jc = full ^ j
+        num = c.numerator * (den // c.denominator)
+        if ((_above_parity(j) & jc).bit_count() + (jc.bit_count() if s[0] & 1 else 0)) & 1:
+            num = -num
+        pairs.setdefault(s, []).append((jc, num))
+    return den, {s: tuple(p) for s, p in pairs.items()}
+
+
+def integrate_forms(model, pairs, index, jacobian=False) -> tuple:
+    """integrate(a * b), or integrate_jacobian(a * b) when ``jacobian``, as
+    ``(num, den)`` from ``integration_pairs`` of a and ``integration_index`` of b.
+
+    Only complementary J-monomials reach the top class, and their S-words
+    must multiply to [S] (to 1 when ``jacobian``): each pair of S-words costs
+    one product from ``model`` and one dot product of ints.
+    """
+    (den_a, pairs), (den_b, index) = pairs, index
     top = 0 if jacobian else S_PT[0]
-    by_j = {}
-    for (j, s), c in b._terms.items():
-        by_j.setdefault(j, []).append((s, c))
     smul = model._smul
-    total = Fraction(0)
-    for (j1, s1), c1 in a._terms.items():
-        j2 = full ^ j1
-        partners = by_j.get(j2)
-        if partners is None:
-            continue
-        odd = (_above_parity(j1) & j2).bit_count() + (j2.bit_count() if s1[0] & 1 else 0)
-        for s2, c2 in partners:
+    total = 0
+    for s1, left in pairs.items():
+        for s2, right in index.items():
+            # the only S-word of degree 0 is 1 and of degree 4 is [S]
             if s1[0] + s2[0] != top:
                 continue
-            # the only S-word of degree 0 is 1 and of degree 4 is [S]
             sp = smul(s1, s2)
             if sp is None:
                 continue
-            c = c1 * c2 * sp[0]
-            total = total - c if odd & 1 else total + c
-    return total
+            acc = 0
+            for j, num in left:
+                acc += num * right.get(j, 0)
+            total += acc if sp[0] is _ONE else acc * sp[0]
+    return total, den_a * den_b
+
+
+def integrate_product(a: GradedElement, b: GradedElement, jacobian=False) -> Fraction:
+    """integrate(a * b), or integrate_jacobian(a * b) when ``jacobian``, without a * b."""
+    a._require_same_model(b)
+    return Fraction(*integrate_forms(a.model, integration_pairs(a.model, a._terms),
+                                     integration_index(b._terms), jacobian))
 
 
 def term_list(a: GradedElement):

@@ -104,7 +104,7 @@ class PairingInput:
                        a_matrix=tuple(map(tuple, matrix)) if matrix is not None else None)
         except SchemaError:
             raise
-        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        except (ArithmeticError, KeyError, TypeError, ValueError, PreconditionError) as exc:
             raise SchemaError(f"bad PairingInput document: {exc}") from exc
 
 
@@ -126,8 +126,15 @@ def build_model(inp: PairingInput) -> ModelSpec:
 
 
 def volume(model: ModelSpec) -> Fraction:
-    """vol = (1/q!) integral over J of omega^q; equals 1 when q = 0."""
-    return integrate_jacobian(model.omega_pow(model.q)) / math.factorial(model.q)
+    """vol = (1/q!) integral over J of omega^q; equals 1 when q = 0.
+
+    It reads no pairing, so it is kept once per J-side, in ``model.memo(())``.
+    """
+    memo = model.memo(())
+    vol = memo.get("volume")
+    if vol is None:
+        vol = memo["volume"] = integrate_jacobian(model.omega_pow(model.q)) / math.factorial(model.q)
+    return vol
 
 
 def e_divisor(model: ModelSpec, sigma_dot) -> GradedElement:
@@ -163,6 +170,8 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
     Zero when the odd count is odd or when q - (a+b)/2 < 0 (the omega power
     cannot fill the top degree); otherwise the integral over J of
     th_{g_1} ... th_{g_a} . i_{be_{j_1}} omega ... i_{be_{j_b}} omega . omega^{q-(a+b)/2}.
+    It reads no pairing, so it is kept once per J-side and index lists, in
+    ``model.memo(())``.
     """
     a, b = len(gammas), len(threes)
     if (a + b) % 2:
@@ -170,14 +179,18 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
     p = model.q - (a + b) // 2
     if p < 0:
         return Fraction(0)
-    elem = model.one()
-    for i in gammas:
-        elem = elem * model.theta(i)
-    for j in threes:
-        elem = elem * model.interior_omega(j)
-        if elem.is_zero():
-            return Fraction(0)
-    return integrate_product(elem, model.omega_pow(p), jacobian=True)
+    memo, key = model.memo(()), (tuple(gammas), tuple(threes))
+    value = memo.get(key)
+    if value is None:
+        elem = model.one()
+        for i in gammas:
+            elem = elem * model.theta(i)
+        for j in threes:
+            elem = elem * model.interior_omega(j)
+        # a vanishing product needs no omega power
+        value = memo[key] = (Fraction(0) if elem.is_zero()
+                             else integrate_product(elem, model.omega_pow(p), jacobian=True))
+    return value
 
 
 @dataclass(frozen=True)

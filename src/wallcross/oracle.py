@@ -18,7 +18,10 @@ with duals through ch_dual and the two strata summed inside the table.
 Hilbert schemes of >= 2 points would require their full cohomology, so
 l_zeta >= 2 is rejected.  The X-polynomial of an l = 0 word is likewise
 kept per J-side, word and the pairings it reads (``WORD_READS``), so a
-sweep over pairings builds each once.
+sweep over pairings builds each once, over one alpha power (-e_alpha + aX)^s
+per s.  Tables and word polynomials keep each X^N term as int numerators
+over one denominator, so an l = 0 point costs one integer dot product per
+X-power.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from fractions import Fraction
 from .chern import ChernData, ch_direct_sum, ch_dual, chern_data_from_element, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
-from .graded import SIGMA, GradedElement, ModelSpec, exp_truncated, integrate_product
+from .graded import (SIGMA, GradedElement, ModelSpec, exp_truncated, integrate_forms,
+                     integration_index, integration_pairs)
 from .jacobian import InsertionWord, e_alpha, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
@@ -90,14 +94,14 @@ def _table_datas(model, wall, branch):
 
 class _TableEntry:
     """One X-table, shared by every model over a J-side whose ``TABLE_READS``
-    agree: the X^N substitutes and, once built, each Chern data's rank, a_i
-    and Segre prefix, all as term dicts, so that a later X^N extends the
-    table and never rebuilds the extension-bundle data."""
+    agree: each X^N substitute as an ``integration_index`` and, once built,
+    each Chern data's rank, a_i and Segre prefix as term dicts, so that a
+    later X^N extends the table and never rebuilds the extension-bundle data."""
 
-    __slots__ = ("xpowers", "datas")
+    __slots__ = ("indexes", "datas")
 
     def __init__(self):
-        self.xpowers = {}
+        self.indexes = {}
         self.datas = None
 
 
@@ -121,12 +125,13 @@ class _SegreTable:
         self._entry = memo.get(key) or memo.setdefault(key, _TableEntry())
         self._datas = None
 
-    def xpower(self, n):
-        xpowers = self._entry.xpowers
-        terms = xpowers.get(n)
-        if terms is None:
-            terms = xpowers[n] = self._substitute(n)._terms
-        return GradedElement(self.model, terms)
+    def index(self, n):
+        """The X^N substitute's ``integration_index``."""
+        indexes = self._entry.indexes
+        index = indexes.get(n)
+        if index is None:
+            index = indexes[n] = integration_index(self._substitute(n)._terms)
+        return index
 
     def _substitute(self, n):
         wall = self.wall
@@ -227,22 +232,36 @@ WORD_READS = ((SIGMA, "alpha"), ("zeta", "alpha"))
 WORD_READS_A = WORD_READS + ((SIGMA, "zeta"),)
 
 
+def _alpha_power(model, s):
+    """(-e_alpha + aX)^s as {N: term dict}, kept under s in the model's
+    ``WORD_READS`` slot."""
+    memo = model.memo(WORD_READS)
+    poly = memo.get(s)
+    if poly is None:
+        factor = {0: -e_alpha(model), 1: model.scalar(model.pair("zeta", "alpha") / 2)}
+        poly = memo[s] = {n: c._terms for n, c in _xpoly_power(model, factor, s).items()}
+    return poly
+
+
 def _l0_word_poly(model, word):
-    """The X-polynomial of an l = 0 word as {N: term dict}, from the model's
-    ``WORD_READS`` slot (``WORD_READS_A`` for a word with A-insertions)."""
+    """The X-polynomial of an l = 0 word as {N: ``integration_pairs``}, from the
+    model's ``WORD_READS`` slot (``WORD_READS_A`` for a word with A-insertions).
+
+    The odd factors go first, in the word's order, then x^r and the alpha
+    power: the even factors commute with everything, and the single-term odd
+    product then meets the alpha polynomial once.
+    """
     memo = model.memo(WORD_READS_A if word.threes else WORD_READS)
     poly = memo.get(word)
     if poly is None:
-        a = model.pair("zeta", "alpha") / 2
-        ea = e_alpha(model)
-        # the odd factors go first, in the word's order: the even x and alpha
-        # factors commute with everything, and the single-term odd product then
-        # meets the alpha polynomial once
         factors = [({1: model.theta(i)}, 1) for i in word.gammas]
         factors += [({0: -e_zeta_beta(model, j)}, 1) for j in word.threes]
-        factors += [({2: model.scalar(Fraction(-1, 4))}, word.r),
-                    ({0: -ea, 1: model.scalar(a)}, word.s)]
-        poly = memo[word] = {n: c._terms for n, c in _expand(model, factors).items()}
+        factors.append(({2: model.scalar(Fraction(-1, 4))}, word.r))
+        poly = _expand(model, factors)
+        if poly:  # a vanishing odd product needs no alpha power
+            poly = _xpoly_mul(poly, {n: GradedElement(model, terms)
+                                     for n, terms in _alpha_power(model, word.s).items()})
+        poly = memo[word] = {n: integration_pairs(model, c._terms) for n, c in poly.items()}
     return poly
 
 
@@ -272,11 +291,12 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     elif branch != "unified":
         raise PreconditionError(f"unknown branch {branch!r}")
     table = _SegreTable(model, wall, branch)
-    total = Fraction(0)
-    for n, coeff in _l0_word_poly(model, word).items():
-        total += integrate_product(GradedElement(model, coeff), table.xpower(n), jacobian=True)
-    value = wall.sign_complex() * total
-    return DeltaValue(value, "ring-oracle")
+    num, den = 0, 1
+    for n, pairs in _l0_word_poly(model, word).items():
+        num_n, den_n = integrate_forms(model, pairs, table.index(n), jacobian=True)
+        if num_n:
+            num, den = num * den_n + num_n * den, den * den_n
+    return DeltaValue(Fraction(wall.sign_complex() * num, den), "ring-oracle")
 
 
 def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
@@ -297,9 +317,9 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     alpha_s = model.even("alpha")
     factors = [({0: model.point(), 2: model.scalar(Fraction(-1, 4))}, r),
                ({0: alpha_s - ea, 1: model.scalar(a)}, s)]
-    poly = _expand(model, factors)
     total = Fraction(0)
-    for n, coeff in poly.items():
-        total += integrate_product(coeff, table.xpower(n))
+    for n, coeff in _expand(model, factors).items():
+        total += Fraction(*integrate_forms(model, integration_pairs(model, coeff._terms),
+                                           table.index(n)))
     value = wall.sign_complex() * total
     return DeltaValue(value, "ring-oracle")

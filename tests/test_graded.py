@@ -1,6 +1,7 @@
 """Ring kernel: canonical products, Koszul signs, truncation, series ops."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from wallcross import (GradedElement, ModelMismatchError, PreconditionError, SIGMA,
                        exp_truncated, integrate, integrate_jacobian,
                        inverse_unit_series, term_list, to_json)
-from wallcross.graded import integrate_product
+from wallcross.graded import integrate_forms, integrate_product, integration_index, integration_pairs
 from wallcross.verify import monomial_basis, random_even_element
 
 from conftest import make_model
@@ -279,24 +280,30 @@ def _complements(model, mono, s_degree):
             if model.j_top ^ j in {k for k, _ in m.terms}]
 
 
+def _integrable_pair(model, rng):
+    """Two random mixed elements, padded so that their product reaches the top
+    class: every complement of S-degree 4 - s, so an even symbol meets each
+    of its partners."""
+    a, b = _random_mixed(model, rng), _random_mixed(model, rng)
+    for s_degree in range(5):
+        monos = [m for j_degree in range(2 * model.q + 1)
+                 for m in model.monomials(j_degree, s_degree)]
+        if not monos:
+            continue
+        mono = rng.choice(monos)
+        a = a + mono * rng.randint(1, 3)
+        for other in (0, 4 - s_degree):
+            for partner in _complements(model, mono, other):
+                b = b + partner * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return a, b
+
+
 def test_integrate_product_matches_integrating_the_product():
     rng = random.Random(77)
     for model in _kernel_models():
         hits = {False: 0, True: 0}
         for _ in range(30):
-            a, b = _random_mixed(model, rng), _random_mixed(model, rng)
-            # pad both so that the top class is reached: every complement of
-            # S-degree 4 - s, so an even symbol meets each of its partners
-            for s_degree in range(5):
-                monos = [m for j_degree in range(2 * model.q + 1)
-                         for m in model.monomials(j_degree, s_degree)]
-                if not monos:
-                    continue
-                mono = rng.choice(monos)
-                a = a + mono * rng.randint(1, 3)
-                for other in (0, 4 - s_degree):
-                    for partner in _complements(model, mono, other):
-                        b = b + partner * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            a, b = _integrable_pair(model, rng)
             for jacobian, whole in ((False, integrate), (True, integrate_jacobian)):
                 value = integrate_product(a, b, jacobian=jacobian)
                 assert value == whole(a * b)
@@ -305,6 +312,30 @@ def test_integrate_product_matches_integrating_the_product():
     m1, m2 = make_model(q=1), make_model(q=1)
     with pytest.raises(ModelMismatchError):
         integrate_product(m1.one(), m2.one())
+
+
+def test_the_integration_forms_are_reduced_and_integrate_the_product():
+    # the one integration loop over int forms, on the kernel models and on one
+    # whose a_ij and pairings are not integral, so S-products carry fractions
+    rng = random.Random(78)
+    rational = make_model(q=2, blocks=(Fraction(1, 2), 3), alpha2=Fraction(-1, 3),
+                          zetaK=Fraction(2, 5), Kalpha=Fraction(-3, 2), K2=8, sigmaK=3,
+                          sigmaZeta=1, sigmaAlpha=Fraction(2, 3))
+    for model in _kernel_models() + [rational]:
+        hits = {False: 0, True: 0}
+        for _ in range(20):
+            a, b = _integrable_pair(model, rng)
+            pairs, index = integration_pairs(model, a._terms), integration_index(b._terms)
+            for den, nums in ((pairs[0], [n for p in pairs[1].values() for _, n in p]),
+                              (index[0], [n for i in index[1].values() for n in i.values()])):
+                assert type(den) is int and den > 0 and {type(n) for n in nums} == {int}
+                assert math.gcd(den, *nums) == 1
+            for jacobian, whole in ((False, integrate), (True, integrate_jacobian)):
+                value = Fraction(*integrate_forms(model, pairs, index, jacobian))
+                assert value == whole(a * b)
+                hits[jacobian] += value != 0
+        assert min(hits.values()) >= 12, model
+    assert rational.a_matrix[0][1] == Fraction(1, 2)
 
 
 def test_with_gram_matches_a_fresh_model():

@@ -186,3 +186,37 @@ def test_json_parsing():
         pairing_input_from_json('{"q": 1, "pairings": {"bogus": 1}}')
     with pytest.raises(SchemaError):
         pairing_input_from_json('{"q": 1, "schema_version": 99}')
+
+
+# a value that is no finite number at all used to end in Fraction's own
+# TypeError, ValueError or OverflowError traceback
+@pytest.mark.parametrize("call, needle", [
+    pytest.param(lambda: make_model(q=1).theta(None), "generator index must be an integer, got None",
+                 id="theta-None"),
+    pytest.param(lambda: PairingInput(q=None, pairings=Pairings()), "q must be an integer, got None",
+                 id="q-None"),
+    pytest.param(lambda: Pairings(zeta2=None), "None is not an exact rational", id="zeta2-None"),
+    pytest.param(lambda: InsertionWord(r="a"), "r must be an integer, got 'a'", id="r-str"),
+    pytest.param(lambda: make_model(q=1).scalar("x"), "'x' is not an exact rational",
+                 id="scalar-str"),
+    pytest.param(lambda: InsertionWord(s=float("nan")), "s must be an integer, got nan",
+                 id="s-nan"),
+    pytest.param(lambda: InsertionWord(s=float("inf")), "s must be an integer, got inf",
+                 id="s-inf"),
+])
+def test_a_value_that_is_no_number_is_a_typed_error(call, needle):
+    with pytest.raises(PreconditionError, match=needle):
+        call()
+
+
+def test_the_json_reader_and_the_operators_keep_their_errors_for_no_number():
+    # the document reader still wraps the error, and a ring element meets a
+    # non-number with NotImplemented, so Python raises its own TypeError
+    with pytest.raises(SchemaError, match="bad PairingInput document: 'x' is not an exact"):
+        pairing_input_from_json('{"q": 1, "a_blocks": ["x"]}')
+    with pytest.raises(SchemaError, match="bad PairingInput document: q must be an integer"):
+        pairing_input_from_json('{"q": null}')
+    one = make_model(q=1).one()
+    assert one.__mul__("x") is NotImplemented and one.__rmul__(None) is NotImplemented
+    with pytest.raises(TypeError):
+        one * None

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
                        RegimeError, WallGeometry, build_model, ch_direct_sum,
-                       ch_dual, ch_extension_bundles, delta_l0, delta_oracle_l0,
+                       ch_dual, ch_extension_bundles, delta_l0, delta_l0_odd, delta_oracle_l0,
                        delta_oracle_l1, e_alpha, e_zeta, e_zeta_beta, exp_truncated,
-                       segre_from_ch, volume)
-from wallcross import oracle
+                       jacobian_odd_integral, segre_from_ch, volume)
+from wallcross import jacobian, oracle
 from wallcross.oracle import TABLE_READS, WORD_READS, WORD_READS_A, _expand
 
 from conftest import make_model
@@ -278,16 +278,21 @@ def _table(model, wall, branch="unified"):
     return model.memo(TABLE_READS).get((branch, wall))
 
 
-def _counting(monkeypatch, name):
-    """Count the calls of ``oracle.<name>`` from here on; returns the call list."""
+def _counting(monkeypatch, name, module=oracle):
+    """Count the calls of ``module.<name>`` from here on; returns the call list."""
     calls = []
-    real = getattr(oracle, name)
+    real = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(oracle, name, counted)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _alpha_powers(model):
+    """The alpha powers kept in the model's WORD_READS slot, by s."""
+    return sorted(key for key in model.memo(WORD_READS) if type(key) is int)
 
 
 def test_words_priced_on_one_model_equal_fresh_models():
@@ -324,10 +329,10 @@ def test_words_priced_on_one_model_equal_fresh_models():
             PairingInput(q=q, pairings=pr, a_blocks=blocks)))
         for word in words:
             table = _table(model, wall, branch)
-            before = {n for n, terms in table.xpowers.items() if terms} if table else set()
+            before = {n for n, (_, index) in table.indexes.items() if index} if table else set()
             value = _priced(model, wall, word, branch)
             assert value == _fresh(q, blocks, pr, wall, word, branch), (word, branch)
-            after = {n for n, terms in _table(model, wall, branch).xpowers.items() if terms}
+            after = {n for n, (_, index) in _table(model, wall, branch).indexes.items() if index}
             nonzero += value != 0
             extended += bool(before) and after > before
     assert (nonzero, extended) == (12, 4)
@@ -348,13 +353,19 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
             delta_oracle_l0(model, wall0, InsertionWord(r=r, s=wall0.d - 2 * r - 4,
                                                         gammas=(0, 1), threes=(2, 3)))
             delta_oracle_l1(model, wall1, r)
+        volume(model)
+        jacobian_odd_integral(model, (0, 1), (2, 3))
 
     gc.collect()
     gc.disable()
     try:
         price(model)
+        d = wall0.d
         assert len(model.memo(TABLE_READS)) == 2
-        assert len(model.memo(WORD_READS)) == len(model.memo(WORD_READS_A)) == 2
+        # two words and four alpha powers; the words with A-insertions read Sigma.zeta
+        assert len(model.memo(WORD_READS)) == 6 and len(model.memo(WORD_READS_A)) == 2
+        assert _alpha_powers(model) == [d - 6, d - 4, d - 2, d]
+        assert set(model.memo(())) == {"volume", ((0, 1), (2, 3))}
         ref = weakref.ref(model)
         del model
         assert ref() is None
@@ -365,6 +376,8 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         for model in models:
             price(model)
         assert len(j_side.memo(TABLE_READS)) == 0 and len(models[0].memo(TABLE_READS)) == 2
+        # vol and F read no pairing: the J-side itself holds the models' entries
+        assert len(j_side.memo(())) == 2
         refs = [weakref.ref(m) for m in (j_side, *models)]
         del j_side, models, model
         assert [ref() for ref in refs] == [None] * 4
@@ -373,12 +386,17 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
 
 
 # pairing -> (read by an X-table, by an l = 0 word without A-insertions, by one with
-# them), written out here rather than taken from the oracle's read sets
-READS = {"sigmaZeta": (True, False, True), "sigmaK": (True, False, False),
-         "zeta2": (True, False, False), "zetaK": (True, False, False),
-         "K2": (True, False, False), "sigmaAlpha": (False, True, True),
-         "zetaAlpha": (False, True, True), "Kalpha": (False, False, False),
-         "alpha2": (False, False, False)}
+# them, by an alpha power), written out here rather than taken from the oracle's
+# read sets; vol and F read none
+READS = {"sigmaZeta": (True, False, True, False), "sigmaK": (True, False, False, False),
+         "zeta2": (True, False, False, False), "zetaK": (True, False, False, False),
+         "K2": (True, False, False, False), "sigmaAlpha": (False, True, True, True),
+         "zetaAlpha": (False, True, True, True), "Kalpha": (False, False, False, False),
+         "alpha2": (False, False, False, False)}
+BASE = dict(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
+            K2=8, Kalpha=-1, alpha2=-1)
+OTHER = dict(zeta2=-8, zetaK=0, zetaAlpha=-1, sigmaZeta=-2, sigmaAlpha=2, sigmaK=3,
+             K2=-4, Kalpha=2, alpha2=3)
 
 
 def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_read_it(
@@ -388,34 +406,39 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
     # models price as fresh models do
     builds = _counting(monkeypatch, "_table_datas")
     expands = _counting(monkeypatch, "_expand")
+    alphas = _counting(monkeypatch, "e_alpha")
+    vols = _counting(monkeypatch, "integrate_jacobian", jacobian)
+    odds = _counting(monkeypatch, "integrate_product", jacobian)
     q, blocks = 1, (2,)
-    base = dict(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
-                K2=8, Kalpha=-1, alpha2=-1)
-    other = dict(zeta2=-8, zetaK=0, zetaAlpha=-1, sigmaZeta=-2, sigmaAlpha=2, sigmaK=3,
-                 K2=-4, Kalpha=2, alpha2=3)
     wall0 = WallGeometry.build(p1=-4, q=q, zeta2=-4, zetaK=2)
     wall1 = WallGeometry.build(p1=-8, q=q, zeta2=-4, zetaK=2)
     words0 = [InsertionWord(r=1, s=wall0.d - 2),
               InsertionWord(s=wall0.d - 2, gammas=(1,), threes=(1,))]
     words1 = [InsertionWord(r=r, s=wall1.d - 2 * r) for r in (0, 1)]
     changed = set()
-    for key, (table, plain, with_a) in READS.items():
+    for key, (table, plain, with_a, alpha) in READS.items():
         j_side = _j_side(q, blocks)
         values = []
-        for pairs in (base, dict(base, **{key: other[key]})):
+        for pairs in (BASE, dict(BASE, **{key: OTHER[key]})):
             pr = Pairings(**pairs)
             model = j_side.with_gram(pr.gram())
-            del builds[:], expands[:]
-            priced = [_priced(model, wall, word) for wall, words in ((wall0, words0),
-                                                                    (wall1, words1))
-                      for word in words]
-            # the first model builds both tables and both l = 0 polynomials; the
-            # l = 1 polynomials are not kept
-            expect = (2, 4) if pairs is base else (2 * table, 2 + plain + with_a)
-            assert (len(builds), len(expands)) == expect, key
-            assert priced == [_fresh(q, blocks, pr, wall, word)
+            del builds[:], expands[:], alphas[:], vols[:], odds[:]
+            priced = [_priced(model, wall0, word) for word in words0]
+            # both l = 0 words raise one alpha power, and only they call e_alpha here
+            built = [len(alphas)]
+            priced += [_priced(model, wall1, word) for word in words1]
+            priced += [volume(model), delta_l0_odd(wall0, model, words0[1]).value]
+            # the first model builds both tables, both l = 0 polynomials, their
+            # alpha power, vol and F; the l = 1 polynomials are not kept
+            built += [len(builds), len(expands), len(vols), len(odds)]
+            expect = ([1, 2, 4, 1, 1] if pairs is BASE
+                      else [alpha, 2 * table, 2 + plain + with_a, 0, 0])
+            assert built == expect, key
+            fresh = build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks))
+            assert priced == [_priced(fresh, wall, word)
                               for wall, words in ((wall0, words0), (wall1, words1))
-                              for word in words], key
+                              for word in words] + [
+                volume(fresh), delta_l0_odd(wall0, fresh, words0[1]).value], key
             values.append(priced)
         if values[0] != values[1]:
             changed.add(key)
@@ -427,6 +450,7 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
 def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     builds = _counting(monkeypatch, "_table_datas")
     expands = _counting(monkeypatch, "_expand")
+    alphas = _counting(monkeypatch, "e_alpha")
     # four walls of one model: l = 0 and l = 1, two zeta.K each
     q, blocks, zeta2 = 1, (2,), -4
     pr = Pairings(zeta2=zeta2, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
@@ -459,13 +483,75 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
                   sigmaK=-1, K2=8, Kalpha=1, alpha2=-1)
     model = _j_side(q, blocks).with_gram(pr.gram())
     values = []
-    for word in (InsertionWord(r=2), InsertionWord(r=1, s=2), InsertionWord(s=4),
-                 InsertionWord(s=1, gammas=(0, 1)), InsertionWord(s=3, threes=(1, 2))):
-        del expands[:]
+    # one alpha power per s: the last two words raise the ones of earlier words
+    for word, alpha in ((InsertionWord(r=2), 1), (InsertionWord(r=1, s=2), 1),
+                        (InsertionWord(s=4), 1), (InsertionWord(s=1, gammas=(0, 1)), 1),
+                        (InsertionWord(s=3, threes=(1, 2)), 1),
+                        (InsertionWord(s=2, gammas=(0,), threes=(0,)), 0),
+                        (InsertionWord(s=3, threes=(2, 3)), 0)):
+        del expands[:], alphas[:]
         values.append(_priced(model, wall, word))
-        assert len(expands) == 1, word
+        assert (len(expands), len(alphas)) == (1, alpha), word
         assert values[-1] == _fresh(q, blocks, pr, wall, word)
     assert len(set(values)) == len(values)
+    assert _alpha_powers(model) == [0, 1, 2, 3, 4]
+    # th_1 . i_{be_2} omega vanishes, and a vanishing odd product raises no alpha power
+    other = model.with_gram(Pairings(**dict(vars(pr), sigmaAlpha=5)).gram())
+    del alphas[:]
+    assert _priced(other, wall, InsertionWord(s=2, gammas=(0,), threes=(1,))) == 0
+    assert not alphas and _alpha_powers(other) == []
+
+
+def test_alpha_powers_are_kept_by_s_sigma_alpha_and_zeta_alpha(monkeypatch):
+    # (-e_alpha + aX)^s reads s, Sigma.alpha and zeta.alpha only: a model that
+    # differs in either pairing raises its own, one that differs in any other
+    # pairing shares the first model's, and every model prices as a fresh one
+    alphas = _counting(monkeypatch, "e_alpha")
+    q, blocks, zeta2 = 2, (1, 2), -1
+    wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
+    words = [InsertionWord(s=4), InsertionWord(r=1, s=2), InsertionWord(s=1, gammas=(0, 1)),
+             InsertionWord(s=2, gammas=(0,), threes=(0,)), InsertionWord(s=3, threes=(2, 3))]
+    base = dict(BASE, zeta2=zeta2, zetaK=1)
+    changed = set()
+    for key in ("sigmaAlpha", "zetaAlpha", "sigmaZeta", "sigmaK", "zeta2", "zetaK", "K2",
+                "Kalpha", "alpha2"):
+        j_side = _j_side(q, blocks)
+        values = []
+        for pairs in (base, dict(base, **{key: OTHER[key]})):
+            pr = Pairings(**pairs)
+            model = j_side.with_gram(pr.gram())
+            del alphas[:]
+            values.append([delta_oracle_l0(model, wall, word).value for word in words])
+            # four values of s among the five words
+            assert len(alphas) == (4 if pairs is base or READS[key][3] else 0), key
+            assert _alpha_powers(model) == [1, 2, 3, 4]
+            assert values[-1] == [_fresh(q, blocks, pr, wall, word) for word in words], key
+        if values[0] != values[1]:
+            changed.add(key)
+    assert {"sigmaAlpha", "zetaAlpha"} <= changed
+
+
+def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
+    # neither reads a pairing: a second with_gram model computes neither
+    # again, a model over other blocks does; F is kept by both index lists
+    vols = _counting(monkeypatch, "integrate_jacobian", jacobian)
+    odds = _counting(monkeypatch, "integrate_product", jacobian)
+    # consecutive lists share their gammas or their A indices; at blocks (2, 3)
+    # no two share their F
+    lists = [((0, 1), ()), ((0, 1), (2, 3)), ((), (2, 3)), ((2, 3), (0, 1)), ((), (0, 1))]
+    seen = []
+    for blocks in ((2, 3), (1, 5)):
+        j_side = _j_side(2, blocks)
+        for pairs in (BASE, OTHER):
+            model = j_side.with_gram(Pairings(**pairs).gram())
+            del vols[:], odds[:]
+            got = [volume(model)] + [jacobian_odd_integral(model, *key) for key in lists]
+            first = pairs is BASE
+            assert (len(vols), len(odds)) == ((1, len(lists)) if first else (0, 0)), blocks
+            fresh = build_model(PairingInput(q=2, pairings=Pairings(**pairs), a_blocks=blocks))
+            assert got == [volume(fresh)] + [jacobian_odd_integral(fresh, *key) for key in lists]
+            seen.append(got)
+    assert seen[0] == seen[1] != seen[2] == seen[3] and len(set(seen[0][1:])) == len(lists)
 
 
 def test_a_new_x_power_on_a_second_model_extends_the_shared_table(monkeypatch):
@@ -487,36 +573,47 @@ def test_a_new_x_power_on_a_second_model_extends_the_shared_table(monkeypatch):
         del builds[:]
         _priced(j_side.with_gram(first.gram()), wall, words[0])
         table = _table(j_side.with_gram(first.gram()), wall)
-        known = set(table.xpowers)
+        known = set(table.indexes)
         prefixes = [len(seq) for _, _, seq in table.datas]
         assert len(builds) == 1
         model = j_side.with_gram(second.gram())
         value = _priced(model, wall, words[1])
         assert len(builds) == 1, wall.l_zeta
-        assert _table(model, wall) is table and set(table.xpowers) > known
+        assert _table(model, wall) is table and set(table.indexes) > known
         assert value == _fresh(q, blocks, second, wall, words[1]) != 0
         grown.append([len(seq) for _, _, seq in table.datas] > prefixes)
     assert grown == [True, False]
 
 
-def _leaves(obj):
-    """Every value held in a memo entry: dict values, sequence items and slots."""
-    if isinstance(obj, dict):
-        for value in obj.values():
-            yield from _leaves(value)
-    elif isinstance(obj, (tuple, list)):
-        for value in obj:
-            yield from _leaves(value)
-    elif isinstance(obj, oracle._TableEntry):
-        for name in obj.__slots__:
-            yield from _leaves(getattr(obj, name))
-    elif obj is not None:
-        yield obj
+def _memo_parts(j_side):
+    """The J-side memo split by layout: (term dicts, integration forms, scalars)."""
+    dicts, forms, scalars = [], [], []
+    for (reads, *_), slot in j_side._memo.items():
+        for key, entry in slot.items():
+            if reads == TABLE_READS:
+                forms += entry.indexes.values()
+                for rank, a_terms, seq in entry.datas:
+                    scalars.append(rank)
+                    dicts += [*a_terms, *seq.values()]
+            elif reads in (WORD_READS, WORD_READS_A):
+                # a word's integration pairs, or the alpha power under an int s
+                (dicts if type(key) is int else forms).extend(entry.values())
+            else:
+                assert reads == () and (key == "volume" or type(key) is tuple), key
+                scalars.append(entry)
+    return dicts, forms, scalars
+
+
+def _form_ints(form):
+    """A form's numerators: an index {s: {j: num}} or pairs {s: ((j, num), ...)}."""
+    for part in form[1].values():
+        yield from (part.values() if isinstance(part, dict) else (num for _, num in part))
 
 
 def test_the_memo_and_the_values_hold_fractions_only():
     # exactness guard: int / int is a float in Python, so every coefficient the
-    # memo keeps and every value priced from it must be a Fraction
+    # memo keeps and every value priced from it must be a Fraction, and every
+    # integration form int numerators over a positive int denominator, reduced
     from wallcross.verify import _words_with_odd, valid_zeta_k
     values = []
     j_sides = []
@@ -538,6 +635,23 @@ def test_the_memo_and_the_values_hold_fractions_only():
                                   sigmaAlpha=sa, sigmaK=1, K2=-4, Kalpha=2, alpha2=-1)
                     model = j_side.with_gram(pr.gram())
                     values += [delta_oracle_l0(model, wall, word).value for word in words]
-    leaves = [leaf for j_side in j_sides for leaf in _leaves(j_side._memo)]
-    assert {type(v) for v in values} == {type(v) for v in leaves} == {Fraction}
-    assert len(values) > 2000 and len(leaves) > 1000 and any(values)
+                    values += [delta_l0_odd(wall, model, word).value for word in words]
+        # an l = 1 table indexes S-words other than 1, over non-integral pairings
+        wall = WallGeometry.build(p1=-8, q=q, zeta2=-4, zetaK=2)
+        model = j_side.with_gram(Pairings(zeta2=-4, zetaK=2, zetaAlpha=Fraction(3, 2),
+                                          sigmaZeta=1, sigmaAlpha=Fraction(-1, 3), sigmaK=3,
+                                          K2=8, Kalpha=2, alpha2=Fraction(-1, 3)).gram())
+        values += [delta_oracle_l1(model, wall, r).value for r in (0, 1)]
+        values.append(volume(model))
+    dicts, forms, scalars = (sum(parts, []) for parts in zip(*map(_memo_parts, j_sides)))
+    # a slot is keyed by its read pairings as (numerator, denominator) ints
+    assert {type(x) for j_side in j_sides for key in j_side._memo for pair in key[1:]
+            for x in pair} == {int}
+    coeffs = [c for terms in dicts for c in terms.values()]
+    assert {type(v) for v in values + coeffs + scalars} == {Fraction}
+    dens = [den for den, _ in forms]
+    nums = [num for form in forms for num in _form_ints(form)]
+    assert {type(n) for n in dens + nums} == {int} and min(dens) > 0
+    assert all(math.gcd(den, *_form_ints(form)) == 1 for den, form in zip(dens, forms))
+    assert max(dens) > 1 and any(len(form[1]) > 1 for form in forms)
+    assert len(values) > 4000 and len(coeffs) > 300 and len(nums) > 1000 and any(values)

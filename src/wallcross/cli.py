@@ -34,7 +34,10 @@ EXIT_VERIFY = 3
 
 def _rat(x) -> str:
     f = frac(x)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # Python's limit on the digits of an int as text
+        raise PreconditionError(f"the exact value is too long to print: {exc}") from None
 
 
 def _parse_int_list(text):
@@ -179,9 +182,9 @@ def cmd_walls(opts) -> int:
     return EXIT_OK
 
 
-def _report(results) -> int:
+def _report(results, meta) -> int:
     for res in results:
-        print(res.line())
+        print(res.line(meta))
     return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
 
 
@@ -192,14 +195,14 @@ def cmd_verify(opts) -> int:
     grid = parse_grid(opts.grid) if opts.grid else Grid(q_max=2, d_max=6, r_max=1,
                                                         pair_bound=2, sweep_bound=12)
     properties = opts.property.split(",") if opts.property else None
-    return _report(run_checks(grid, properties=properties))
+    return _report(run_checks(grid, properties=properties), opts.meta)
 
 
 def cmd_selftest(opts) -> int:
     from .verify import Grid, run_checks
     grid = Grid(q_max=1, d_max=4, r_max=1, pair_bound=1, sweep_bound=8)
     return _report(run_checks(grid, properties=["identities", "axioms", "segre",
-                                                "simple-type", "scale"]))
+                                                "simple-type", "scale"]), opts.meta)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,7 +239,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", default=None, help="verify bounds, e.g. 'q=0..3,d<=8'")
     parser.add_argument("--property", default=None,
                         help="comma-separated property filter for verify")
-    parser.add_argument("--meta", action="store_true", help="attach run metadata")
+    parser.add_argument("--meta", action="store_true",
+                        help="attach run metadata; verify and selftest add each check's "
+                             "seconds and points/s")
     return parser
 
 

@@ -17,6 +17,10 @@ from .walls import WallGeometry
 
 PATHS = ("auto", "closed", "oracle", "leading")
 
+# The largest d priced: the X-tables and the leading terms' factorials grow
+# with d, so a larger wall is refused rather than left to run.
+MAX_DEGREE = 10_000
+
 
 def evaluate(model: ModelSpec, wall: WallGeometry, pairings: Pairings, word: InsertionWord,
              path="auto") -> tuple[DeltaValue, ...]:
@@ -28,6 +32,8 @@ def evaluate(model: ModelSpec, wall: WallGeometry, pairings: Pairings, word: Ins
     """
     if path not in PATHS:
         raise PreconditionError(f"unknown evaluation path {path!r}; known: {', '.join(PATHS)}")
+    if wall.d > MAX_DEGREE:
+        raise PreconditionError(f"d = {wall.d} exceeds the largest priced d, {MAX_DEGREE}")
     # every route prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,
     # so any other word must be refused here rather than answered for r alone
     if word.degree() != 2 * wall.d:

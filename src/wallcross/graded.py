@@ -49,6 +49,10 @@ SIGMA = "Sigma"
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The largest q a model takes: the ring has 2^(2q) J-monomials and omega^k
+# alone C(q, k) terms, so a larger q is refused rather than left to run.
+MAX_Q = 12
+
 # S-side monomial encodings: (s_degree, payload)
 S_ONE = (0, ())
 S_PT = (4, ())
@@ -70,7 +74,7 @@ def s_mixed(i, sym):
 def frac(x) -> Fraction:
     """Coerce an int / str / Fraction into an exact rational; a value that is
     no finite number (None, "a", NaN, infinity) raises PreconditionError."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:  # the common case, before Fraction's ABC checks
         return x
     try:
         return Fraction(x)
@@ -121,8 +125,8 @@ class ModelSpec:
 
     def __init__(self, q, a_matrix, gram, even_symbols=(SIGMA, "zeta", "K", "alpha")):
         q = exact_int(q, "q")
-        if q < 0:
-            raise PreconditionError("q must be non-negative")
+        if not 0 <= q <= MAX_Q:
+            raise PreconditionError(f"q must be between 0 and {MAX_Q}, got {q}")
         self.q = q
         n = 2 * q
         a = tuple(tuple(frac(x) for x in row) for row in a_matrix)
@@ -155,20 +159,19 @@ class ModelSpec:
         return model
 
     def _set_gram(self, gram, even_symbols):
-        if SIGMA not in even_symbols:
+        symbols = self.even_symbols = tuple(even_symbols)
+        if SIGMA not in symbols:
             raise PreconditionError("the even symbol table must contain Sigma")
-        self.even_symbols = tuple(even_symbols)
-        self._gram = {}
+        table = self._gram = {}
         for (s1, s2), val in dict(gram).items():
-            if s1 not in self.even_symbols or s2 not in self.even_symbols:
+            if s1 not in symbols or s2 not in symbols:
                 raise PreconditionError(f"gram entry for unregistered symbol ({s1},{s2})")
             v = frac(val)
-            old = self._gram.get((s1, s2))
-            if old is not None and old != v:
+            old = table.setdefault((s1, s2), v)
+            if old is not v and old != v:
                 raise PreconditionError(f"conflicting gram entries for ({s1},{s2})")
-            self._gram[(s1, s2)] = v
-            self._gram[(s2, s1)] = v
-        if self._gram.get((SIGMA, SIGMA), Fraction(0)) != 0:
+            table[(s2, s1)] = v
+        if table.get((SIGMA, SIGMA)):
             raise PreconditionError("Sigma.Sigma must be 0")
         # S-side products read every Gram pairing, so each model has its own
         # table; its slots in the J-side memo are looked up on first use
@@ -194,9 +197,11 @@ class ModelSpec:
         if slot is None:
             # a pairing enters the key as its two ints: Fraction's pure-Python
             # __hash__ would otherwise dominate the first lookup of a slot
-            key = (reads, *((v.numerator, v.denominator)
-                            for v in (self.pair(s1, s2) for s1, s2 in reads)))
-            slot = self._slots[reads] = self._memo.setdefault(key, {})
+            gram, key = self._gram, [reads]
+            for pair in reads:
+                v = gram.get(pair, _ZERO)
+                key.append((v.numerator, v.denominator))
+            slot = self._slots[reads] = self._memo.setdefault(tuple(key), {})
         return slot
 
     # -- element constructors -------------------------------------------
@@ -597,17 +602,24 @@ def integrate_forms(model, pairs, index, jacobian=False) -> tuple:
     ``(num, den)`` from ``integration_pairs`` of a and ``integration_index`` of b.
 
     Only complementary J-monomials reach the top class, and their S-words
-    must multiply to [S] (to 1 when ``jacobian``): each pair of S-words costs
-    one product from ``model`` and one dot product of ints.
+    must multiply to [S]: each pair of S-words costs one product from
+    ``model`` and one dot product of ints.  When ``jacobian`` they must
+    multiply to 1, so only the two parts over the S-word 1 meet.
     """
     (den_a, pairs), (den_b, index) = pairs, index
-    top = 0 if jacobian else S_PT[0]
-    smul = model._smul
     total = 0
+    if jacobian:
+        # the only S-word of degree 0 is 1, and 1 . 1 = 1
+        right = index.get(S_ONE)
+        if right:
+            for j, num in pairs.get(S_ONE, ()):
+                total += num * right.get(j, 0)
+        return total, den_a * den_b
+    smul = model._smul
     for s1, left in pairs.items():
         for s2, right in index.items():
-            # the only S-word of degree 0 is 1 and of degree 4 is [S]
-            if s1[0] + s2[0] != top:
+            # the only S-word of degree 4 is [S]
+            if s1[0] + s2[0] != S_PT[0]:
                 continue
             sp = smul(s1, s2)
             if sp is None:

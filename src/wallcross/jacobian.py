@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .graded import (SIGMA, GradedElement, ModelSpec, exact_int, frac, integrate_jacobian,
-                     integrate_product)
+from .graded import (MAX_Q, SIGMA, GradedElement, ModelSpec, exact_int, frac,
+                     integrate_jacobian, integrate_product)
+
+_ZERO = Fraction(0)
 
 PAIRING_KEYS = ("zeta2", "zetaK", "zetaAlpha", "sigmaZeta", "sigmaAlpha",
                 "sigmaK", "K2", "Kalpha", "alpha2")
@@ -39,13 +41,16 @@ class Pairings:
     alpha2: Fraction = Fraction(0)
 
     def __post_init__(self):
+        # the fields of a frozen instance are set in its __dict__, as
+        # object.__setattr__ would, without a call per field
+        fields = vars(self)
         for key in PAIRING_KEYS:
-            object.__setattr__(self, key, frac(getattr(self, key)))
+            fields[key] = frac(fields[key])
 
     def gram(self):
         """Symmetric Gram dictionary over {Sigma, zeta, K, alpha}; Sigma.Sigma = 0."""
         return {
-            (SIGMA, SIGMA): Fraction(0),
+            (SIGMA, SIGMA): _ZERO,
             (SIGMA, "zeta"): self.sigmaZeta,
             (SIGMA, "K"): self.sigmaK,
             (SIGMA, "alpha"): self.sigmaAlpha,
@@ -73,8 +78,8 @@ class PairingInput:
 
     def __post_init__(self):
         object.__setattr__(self, "q", exact_int(self.q, "q"))
-        if self.q < 0:
-            raise PreconditionError("q must be non-negative")
+        if not 0 <= self.q <= MAX_Q:
+            raise PreconditionError(f"q must be between 0 and {MAX_Q}, got {self.q}")
         if self.a_blocks is not None and self.a_matrix is not None:
             raise PreconditionError("give a_blocks or a_matrix, not both")
         if self.a_blocks is not None:
@@ -93,6 +98,8 @@ class PairingInput:
         try:
             q = exact_int(doc["q"], "q")
             raw = doc.get("pairings", {})
+            if not isinstance(raw, dict):
+                raise SchemaError("'pairings' must be an object")
             unknown = set(raw) - set(PAIRING_KEYS)
             if unknown:
                 raise SchemaError(f"unknown pairing keys: {sorted(unknown)}")

@@ -16,10 +16,13 @@ characters of the extension bundles:
 
 with duals through ch_dual and the two strata summed inside the table.
 Hilbert schemes of >= 2 points would require their full cohomology, so
-l_zeta >= 2 is rejected.  The X-polynomial of an l = 0 word is likewise
-kept per J-side, word and the pairings it reads (``WORD_READS``), so a
-sweep over pairings builds each once, over one alpha power (-e_alpha + aX)^s
-per s.  Tables and word polynomials keep each X^N term as int numerators
+l_zeta >= 2 is rejected.  An l = 0 word is c X^(|gamma| + 2r) times the
+alpha power (-e_alpha + aX)^s, and each part is likewise kept per J-side and
+the pairings it reads: the alpha power by s and ``WORD_READS``, the prefix c
+by the word's odd indices and r, and a word with odd insertions as c times
+each alpha-power term.  A word x^r alpha^s is priced from its alpha power
+alone, so a sweep over pairings raises one alpha power per s and expands no
+prefix twice.  Tables and word forms keep each X^N term as int numerators
 over one denominator, so an l = 0 point costs one integer dot product per
 X-power.
 """
@@ -224,45 +227,63 @@ def _expand(model, factors):
     return poly
 
 
-# The pairings an l = 0 word's X-polynomial reads: Sigma.alpha through
-# e_alpha, zeta.alpha through aX, and Sigma.zeta through e_zeta_beta when the
-# word has A-insertions.  Every factor is a Jacobian class (or a scalar), so
-# their products read no pairing at all.
+# The pairings the parts of an l = 0 word read.  Each gamma_i is X th_i, each A_j
+# is -e_{zeta,beta_j} and x^r is (-X^2/4)^r, so a word is c X^(|gamma| + 2r) times
+# the alpha power (-e_alpha + aX)^s.  The prefix c reads Sigma.zeta through
+# e_zeta_beta when the word has A-insertions and no pairing otherwise; the alpha
+# power reads Sigma.alpha through e_alpha and zeta.alpha through aX.  Every factor
+# is a Jacobian class (or a scalar), so their products read no pairing at all.
+PREFIX_READS_A = ((SIGMA, "zeta"),)
 WORD_READS = ((SIGMA, "alpha"), ("zeta", "alpha"))
-WORD_READS_A = WORD_READS + ((SIGMA, "zeta"),)
+WORD_READS_A = WORD_READS + PREFIX_READS_A
 
 
 def _alpha_power(model, s):
-    """(-e_alpha + aX)^s as {N: term dict}, kept under s in the model's
-    ``WORD_READS`` slot."""
+    """(-e_alpha + aX)^s = sum_b A_b X^b as ``({b: term dict}, {b: integration_pairs})``,
+    kept under s in the model's ``WORD_READS`` slot."""
     memo = model.memo(WORD_READS)
-    poly = memo.get(s)
-    if poly is None:
+    power = memo.get(s)
+    if power is None:
         factor = {0: -e_alpha(model), 1: model.scalar(model.pair("zeta", "alpha") / 2)}
-        poly = memo[s] = {n: c._terms for n, c in _xpoly_power(model, factor, s).items()}
-    return poly
+        terms = {b: c._terms for b, c in _xpoly_power(model, factor, s).items()}
+        power = memo[s] = (terms, {b: integration_pairs(model, t) for b, t in terms.items()})
+    return power
 
 
-def _l0_word_poly(model, word):
-    """The X-polynomial of an l = 0 word as {N: ``integration_pairs``}, from the
-    model's ``WORD_READS`` slot (``WORD_READS_A`` for a word with A-insertions).
+def _odd_prefix(model, word):
+    """c of the word's prefix c X^(|gamma| + 2r) as a term dict: (-1/4)^r times
+    the odd factors in the word's order.  Kept under (gamma, A, r) in the model's
+    ``memo(())``, or its ``PREFIX_READS_A`` slot for a word with A-insertions."""
+    memo = model.memo(PREFIX_READS_A if word.threes else ())
+    key = (word.gammas, word.threes, word.r)
+    prefix = memo.get(key)
+    if prefix is None:
+        elem = model.scalar(Fraction(-1, 4) ** word.r)
+        for i in word.gammas:
+            elem = elem * model.theta(i)
+        for j in word.threes:
+            elem = elem * -e_zeta_beta(model, j)
+        prefix = memo[key] = elem._terms
+    return prefix
 
-    The odd factors go first, in the word's order, then x^r and the alpha
-    power: the even factors commute with everything, and the single-term odd
-    product then meets the alpha polynomial once.
-    """
+
+def _odd_word_forms(model, word):
+    """c A_b of an l = 0 word with odd insertions as {b: ``integration_pairs``},
+    kept under the word in the model's ``WORD_READS`` slot (``WORD_READS_A`` for
+    a word with A-insertions); a new alpha power meets the kept prefix only."""
     memo = model.memo(WORD_READS_A if word.threes else WORD_READS)
-    poly = memo.get(word)
-    if poly is None:
-        factors = [({1: model.theta(i)}, 1) for i in word.gammas]
-        factors += [({0: -e_zeta_beta(model, j)}, 1) for j in word.threes]
-        factors.append(({2: model.scalar(Fraction(-1, 4))}, word.r))
-        poly = _expand(model, factors)
-        if poly:  # a vanishing odd product needs no alpha power
-            poly = _xpoly_mul(poly, {n: GradedElement(model, terms)
-                                     for n, terms in _alpha_power(model, word.s).items()})
-        poly = memo[word] = {n: integration_pairs(model, c._terms) for n, c in poly.items()}
-    return poly
+    forms = memo.get(word)
+    if forms is None:
+        forms = {}
+        prefix = _odd_prefix(model, word)
+        if prefix:  # a vanishing odd product needs no alpha power
+            prefix = GradedElement(model, prefix)
+            for b, terms in _alpha_power(model, word.s)[0].items():
+                product = prefix * GradedElement(model, terms)
+                if product._terms:
+                    forms[b] = integration_pairs(model, product._terms)
+        memo[word] = forms
+    return forms
 
 
 def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
@@ -291,12 +312,18 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     elif branch != "unified":
         raise PreconditionError(f"unknown branch {branch!r}")
     table = _SegreTable(model, wall, branch)
+    if a_cnt + b_cnt:
+        forms, scale = _odd_word_forms(model, word), 1
+    else:
+        # x^r alpha^s is (-1/4)^r X^(2r) times the alpha power: its own forms
+        forms, scale = _alpha_power(model, word.s)[1], (-4) ** word.r
+    shift = a_cnt + 2 * word.r
     num, den = 0, 1
-    for n, pairs in _l0_word_poly(model, word).items():
-        num_n, den_n = integrate_forms(model, pairs, table.index(n), jacobian=True)
-        if num_n:
-            num, den = num * den_n + num_n * den, den * den_n
-    return DeltaValue(Fraction(wall.sign_complex() * num, den), "ring-oracle")
+    for b, pairs in forms.items():
+        num_b, den_b = integrate_forms(model, pairs, table.index(shift + b), jacobian=True)
+        if num_b:
+            num, den = num * den_b + num_b * den, den * den_b
+    return DeltaValue(Fraction(wall.sign_complex() * num, den * scale), "ring-oracle")
 
 
 def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:

@@ -51,8 +51,18 @@ class SurfaceData:
                 if gram[i][j] != gram[j][i]:
                     raise PreconditionError("gram must be symmetric")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "K", tuple(exact_int(x, "K") for x in self.K))
-        object.__setattr__(self, "Sigma", tuple(exact_int(x, "Sigma") for x in self.Sigma))
+        for name in ("K", "Sigma"):
+            vec = tuple(exact_int(x, name) for x in getattr(self, name))
+            if len(vec) != n:
+                raise PreconditionError(f"{name} has {len(vec)} entries, the basis {n}")
+            object.__setattr__(self, name, vec)
+        # K is characteristic (Wu's formula): x^2 = x.K mod 2 for every class x, and
+        # so for every basis class of an integral form; wall signs rely on it
+        for i, row in enumerate(gram):
+            wu = row[i] - sum(g * k for g, k in zip(row, self.K))
+            if wu.denominator == 1 and wu.numerator % 2:
+                raise PreconditionError(
+                    f"K is not characteristic: e{i}^2 - e{i}.K = {wu} is odd")
 
     def pairing(self, u, v) -> Fraction:
         return sum((Fraction(ui) * self.gram[i][j] * Fraction(vj)
@@ -103,10 +113,12 @@ def custom_surface(name, q, gram, K, Sigma, cone_slope=None) -> SurfaceData:
 
 
 def surface_from_json_dict(doc) -> SurfaceData:
-    surf = doc.get("surface")
+    surf = doc.get("surface") if isinstance(doc, dict) else None
     if not isinstance(surf, dict):
         raise SchemaError("missing 'surface' object")
     name = surf.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"the surface name must be a string, got {name!r}")
     try:
         q = exact_int(surf["q"], "q")
         if name.startswith("product_ruled"):
@@ -140,7 +152,8 @@ def enumerate_walls(surface: SurfaceData, w: Vec, p1, bound, alpha: Vec = None):
     with 4 | (zeta^2 - p1), the cone inequality a > slope * b holds, and the
     derived wall quantities are valid.  One representative per +-zeta pair is
     produced (all have a > 0).  ``alpha`` supplies the pairing column used by
-    delta evaluations; it defaults to w.
+    delta evaluations; it defaults to w.  Both vectors need the lattice's rank,
+    two entries each.
     """
     if bound <= 0:
         raise PreconditionError("bound must be positive")
@@ -148,6 +161,10 @@ def enumerate_walls(surface: SurfaceData, w: Vec, p1, bound, alpha: Vec = None):
         raise PreconditionError("wall enumeration supports rank-2 lattices only")
     if alpha is None:
         alpha = w
+    for name, vec in (("w", w), ("alpha", alpha)):
+        if len(vec) != 2:
+            raise PreconditionError(
+                f"{name} has {len(vec)} entries; the lattice has rank 2, so it needs 2")
     out = []
     for a in range(1, bound + 1):
         for b in range(1, bound + 1):

@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -38,11 +39,17 @@ class CheckResult:
     passed: bool
     points: int
     detail: str = ""
+    seconds: float = 0.0
 
-    def line(self) -> str:
+    def line(self, meta=False) -> str:
+        """The check's report line; ``meta`` adds its time and points per second."""
         status = "PASS" if self.passed else "FAIL"
+        rate = ""
+        if meta:
+            per_s = f"{self.points / self.seconds:,.0f}" if self.seconds > 0 else "-"
+            rate = f" in {self.seconds:.2f} s, {per_s} points/s"
         tail = f" -- {self.detail}" if self.detail and not self.passed else ""
-        return f"{status} {self.name} ({self.points} points){tail}"
+        return f"{status} {self.name} ({self.points} points){rate}{tail}"
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,7 @@ def parse_grid(text) -> Grid:
               "sweep": "sweep_bound"}
     starts = {"q": 0, "d": 1, "r": 0}  # where each grid begins; pair and sweep run from -bound
     least = dict(starts, pair=0, sweep=1)  # the smallest bound whose grid holds a point
+    most = {"q": 3}  # the sweeps know the a_ij blocks of q <= 3 only
     for clause in text.split(","):
         clause = clause.strip()
         if not clause:
@@ -86,6 +94,8 @@ def parse_grid(text) -> Grid:
         if num < least[key]:
             raise SchemaError(
                 f"grid clause {clause!r}: the {key} bound must be at least {least[key]}")
+        if num > most.get(key, num):
+            raise SchemaError(f"grid clause {clause!r}: the {key} bound must be at most {most[key]}")
         start = starts.get(key, -num)
         if low is not None and low > start:
             raise SchemaError(f"grid clause {clause!r}: the {key} grid starts at {start}")
@@ -169,7 +179,14 @@ def _blocks_for_q(q):
 
 
 def _pair_range(bound):
-    return range(-bound, bound + 1)
+    """-bound..bound as Fractions, built once for a sweep: Pairings keeps a
+    Fraction as it is and would build one from each int at every point."""
+    return [Fraction(v) for v in range(-bound, bound + 1)]
+
+
+def _fixed(**pairings):
+    """The pairings a sweep holds fixed, as Fractions for the same reason."""
+    return {key: Fraction(v) for key, v in pairings.items()}
 
 
 def _closed_and_oracle(model, wall, pairings, word):
@@ -186,17 +203,18 @@ def _show(value) -> str:
 
 def _check(name):
     """Make a generator of ``(lhs, rhs, where)`` cases into the check ``name``
-    on a Grid: it counts the cases and stops at the first with lhs != rhs."""
+    on a Grid: it counts the cases, stops at the first with lhs != rhs and
+    times the whole sweep."""
     def decorate(cases):
         @functools.wraps(cases)
         def check(grid=Grid()) -> CheckResult:
-            points = 0
+            points, detail, start = 0, "", time.perf_counter()
             for lhs, rhs, where in cases(grid):
                 points += 1
                 if lhs != rhs:
-                    return CheckResult(name, False, points,
-                                       f"{where()}: {_show(lhs)} != {_show(rhs)}")
-            return CheckResult(name, True, points)
+                    detail = f"{where()}: {_show(lhs)} != {_show(rhs)}"
+                    break
+            return CheckResult(name, not detail, points, detail, time.perf_counter() - start)
         return check
     return decorate
 
@@ -313,10 +331,9 @@ def check_oracle_l0(grid):
             for blocks in _blocks_for_q(q):
                 for zetaK in zks:
                     wall = wall_with_variant(zeta2, q, zeta2, zetaK)
+                    fixed = _fixed(zeta2=zeta2, zetaK=zetaK, sigmaK=1, K2=-4, Kalpha=2, alpha2=-1)
                     for sz, sa, za in itertools.product(pairs, pairs, pairs):
-                        pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za,
-                                      sigmaZeta=sz, sigmaAlpha=sa, sigmaK=1,
-                                      K2=-4, Kalpha=2, alpha2=-1)
+                        pr = Pairings(zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa, **fixed)
                         # every r on one model and wall shares its X-table
                         model = j_sides[blocks].with_gram(pr.gram())
                         for word in words:

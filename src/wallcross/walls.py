@@ -104,6 +104,13 @@ class WallGeometry:
             raise InvalidWallError("zeta and w are not congruent mod 2: ((zeta-w)/2)^2 not integral")
         if (wK + w2) % 2:
             raise InvalidWallError("K.w + w^2 must be even")
+        # u = (zeta - w)/2 is a class, so u.w is an integer, and K is characteristic
+        # (Wu's formula), so u^2 = u.K mod 2; the two sign conventions agree only
+        # on such data
+        if (zetaW - w2) % 2:
+            raise InvalidWallError("zeta.w and w^2 must have equal parity: u.w not integral")
+        if ((zeta2 - 2 * zetaW + w2) // 4 + (zetaK - wK) // 2) % 2:
+            raise InvalidWallError("u = (zeta - w)/2 must have u^2 = u.K mod 2 (Wu's formula)")
         return cls(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK, zetaW=zetaW, w2=w2, wK=wK,
                    **params._asdict())
 

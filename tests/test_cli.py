@@ -130,8 +130,9 @@ def test_surface_document_without_q(tmp_path, capsys):
 def test_grid_lower_bounds():
     grid = parse_grid("q=0..2,d=1..5,r=0..1,pair=-2..2")
     assert (grid.q_max, grid.d_max, grid.r_max, grid.pair_bound) == (2, 5, 1, 2)
+    # the sweeps know a_ij blocks for q <= 3 only: q<=4 ended in a KeyError traceback
     for text in ("q=2..1", "q=1..3", "d=2..8", "r=1..2", "pair=1..3", "q=x..3",
-                 "q<=-1", "d<=0", "r<=-1", "pair<=-1", "sweep<=0", "sweep<=-3"):
+                 "q<=-1", "d<=0", "r<=-1", "pair<=-1", "sweep<=0", "sweep<=-3", "q<=4"):
         with pytest.raises(SchemaError):
             parse_grid(text)
 
@@ -221,6 +222,50 @@ def test_selftest_command(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+SELFTEST_OUT = """PASS structural-identities (18110 points)
+PASS model-axioms (8 points)
+PASS segre-machinery (105 points)
+PASS simple-type-failure (1 points)
+PASS scale-invariance (12 points)
+"""
+
+
+def test_meta_adds_seconds_and_points_per_second_to_each_check_line(capsys, monkeypatch):
+    # without --meta the output is pinned byte for byte; with it each line
+    # gains " in S s, R points/s" after its point count, and nothing else moves
+    import re
+    for _ in range(2):
+        assert _run(capsys, "--command", "selftest") == (0, SELFTEST_OUT, "")
+    code, out, err = _run(capsys, "--command", "selftest", "--meta")
+    assert (code, err) == (0, "")
+    suffix = re.compile(r" in (\d+\.\d\d) s, (\d{1,3}(?:,\d{3})*|-) points/s$")
+    lines = out.splitlines()
+    assert [suffix.sub("", line) for line in lines] == SELFTEST_OUT.splitlines()
+    assert all(suffix.search(line) for line in lines)
+    rates = [suffix.search(line).group(2) for line in lines]
+    assert int(rates[0].replace(",", "")) > 0  # 18,110 points take well under a second
+    grid = ["--grid", "q<=1,d<=3,r<=0,pair<=1,sweep<=6", "--property", "identities,axioms"]
+    plain = _run(capsys, "--command", "verify", *grid)
+    assert plain == (0, "PASS structural-identities (8994 points)\n"
+                        "PASS model-axioms (8 points)\n", "")
+    code, out, _ = _run(capsys, "--command", "verify", "--meta", *grid)
+    assert code == 0 and [suffix.sub("", line) for line in out.splitlines()] == \
+        plain[1].splitlines()
+    # a FAIL line keeps its detail after the suffix
+    wall_sign = verify.wall_sign
+    monkeypatch.setattr(verify, "wall_sign", lambda *args: -wall_sign(*args))
+    code, out, _ = _run(capsys, "--command", "verify", "--meta", "--grid", "sweep<=6",
+                        "--property", "identities")
+    assert code == 3
+    assert re.match(r"FAIL structural-identities \(\d+ points\) in \d+\.\d\d s, [\d,-]+ "
+                    r"points/s -- sign identity fails", out)
+    result = verify.CheckResult("x", True, 3)
+    assert result.line() == "PASS x (3 points)" and result.line(True) == \
+        "PASS x (3 points) in 0.00 s, - points/s"
+    assert verify.CheckResult("x", True, 12345, seconds=0.5).line(True) == \
+        "PASS x (12345 points) in 0.50 s, 24,690 points/s"
+
+
 def test_cli_import_leaves_the_verification_grids_unloaded():
     # only verify and selftest need wallcross.verify; params, delta and walls
     # should neither compile nor load it
@@ -292,6 +337,23 @@ def _model_text(**changes):
                                          "gram": [[0, 1], [1, 0]], "K": [1.5, -2],
                                          "Sigma": [1, 0]}}),
                  "walls", "K must be an integer, got 3/2", id="surface-K-1.5"),
+    # a w with u = (zeta - w)/2 breaking Wu's formula used to exit 3, the two
+    # routes differing in sign: 81/4 vs -81/4
+    pytest.param(json.dumps({"schema_version": 1, "q": 2,
+                             "pairings": {"zeta2": -4, "zetaK": 4, "zetaAlpha": 1,
+                                          "sigmaZeta": 3, "sigmaAlpha": -3, "sigmaK": 2},
+                             "wall": {"p1": -4, "zetaW": 0, "w2": 0, "wK": 0}}),
+                 "delta", "Wu's formula", id="wall-not-wu"),
+    # a q past the ring's size limit ended in an OverflowError traceback
+    pytest.param(_model_text(q=10**30), "params", "q must be between 0 and 12", id="q-10^30"),
+    # p1 = -10^30 ended in an OverflowError traceback on the leading path
+    pytest.param(_model_text(wall={"p1": -10**30}, pairings={"zeta2": -4, "zetaK": 0}),
+                 "leading", "exceeds the largest priced d, 10000", id="p1-10^30"),
+    # a value past Python's digit limit for int-to-text ended in a ValueError traceback
+    pytest.param(_model_text(wall={"p1": -150},
+                             pairings={"zeta2": -150, "zetaK": 0, "zetaAlpha": 10**30,
+                                       "sigmaZeta": 1, "sigmaAlpha": 1}),
+                 "delta", "too long to print", id="value-digits"),
 ])
 def test_bad_numbers_are_input_errors(tmp_path, capsys, text, command, needle):
     # these used to end in an OverflowError or ZeroDivisionError traceback
@@ -300,6 +362,49 @@ def test_bad_numbers_are_input_errors(tmp_path, capsys, text, command, needle):
     args = ["--command", command, "--input", str(path)]
     if command == "walls":
         args += ["--w", "1,1", "--p1", "-2"]
+    if command == "leading":
+        args[1:2] = ["delta", "--path", "leading"]
     code, out, err = _run(capsys, *args)
     assert (code, out) == (1, "")
     assert _one_error_line(err) and needle in err
+
+
+@pytest.mark.parametrize("flags, needle", [
+    # --alpha 1 used to be priced as alpha = (1, 0) and exit 0
+    (["--w", "1,1", "--alpha", "1"], "alpha has 1 entries"),
+    # these two used to end in IndexError tracebacks
+    (["--w", "1"], "w has 1 entries"),
+    (["--w", "1,1", "--alpha", "1,1,1"], "alpha has 3 entries"),
+], ids=["alpha-1", "w-1", "alpha-3"])
+def test_walls_vectors_need_the_lattice_rank(tmp_path, capsys, flags, needle):
+    path = _write(tmp_path, "s.json", SURFACE_DOC)
+    code, out, err = _run(capsys, "--command", "walls", "--input", path, "--p1", "-2",
+                          "--bound", "4", *flags)
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) and needle in err
+
+
+CUSTOM_SURFACE = {"name": "blown-up", "q": 1, "basis": ["e0", "e1"],
+                  "gram": [[0, 1], [1, 0]], "K": [0, -2], "Sigma": [1, 0]}
+
+
+@pytest.mark.parametrize("changes, needle", [
+    # K = [0] on a rank-2 gram used to print values for a truncated K and exit 0
+    ({"K": [0]}, "K has 1 entries, the basis 2"),
+    ({"Sigma": [1, 0, 0]}, "Sigma has 3 entries, the basis 2"),
+    # a name that is no string used to end in an AttributeError traceback
+    ({"name": 5}, "the surface name must be a string, got 5"),
+    ({"name": None}, "the surface name must be a string, got None"),
+], ids=["K-short", "Sigma-long", "name-int", "name-null"])
+def test_custom_surface_documents_are_checked(tmp_path, capsys, changes, needle):
+    doc = {"schema_version": 1, "surface": dict(CUSTOM_SURFACE, **changes)}
+    path = _write(tmp_path, "s.json", doc)
+    code, out, err = _run(capsys, "--command", "walls", "--input", path, "--w", "1,1",
+                          "--p1", "-2", "--alpha", "1,3", "--bound", "4")
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) and needle in err
+    # the document as it was is accepted
+    path = _write(tmp_path, "s.json", {"schema_version": 1, "surface": CUSTOM_SURFACE})
+    code, out, err = _run(capsys, "--command", "walls", "--input", path, "--w", "1,1",
+                          "--p1", "-2", "--alpha", "1,3", "--bound", "4")
+    assert (code, err) == (0, "") and json.loads(out)["surface"] == "blown-up"

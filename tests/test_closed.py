@@ -328,14 +328,15 @@ SZ = (1, Fraction(-3, 4))
 
 
 def _l0_walls(q, d):
-    """The l = 0 wall of (q, d) with w = zeta and one with the opposite wall sign."""
+    """The l = 0 wall of (q, d) with w = zeta and one with the opposite wall sign,
+    w = zeta - 2u with u^2 = -1 and u.K = 1, as Wu's formula allows."""
     zeta2 = -(d + 3 * (1 - q))
     if zeta2 >= 0:
         return []
     zetaK = zeta2 % 2
     walls = [WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK),
              WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK,
-                                zetaW=zeta2 - 2, w2=zeta2, wK=zetaK)]
+                                zetaW=zeta2, w2=zeta2 - 4, wK=zetaK - 2)]
     assert {w.sign_wall() for w in walls} == {1, -1}
     return walls
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallcross import (GradedElement, ModelMismatchError, PreconditionError, SIGMA,
+from wallcross import (GradedElement, ModelMismatchError, ModelSpec, PreconditionError, SIGMA,
                        exp_truncated, integrate, integrate_jacobian,
                        inverse_unit_series, term_list, to_json)
 from wallcross.graded import integrate_forms, integrate_product, integration_index, integration_pairs
@@ -365,6 +365,26 @@ def test_with_gram_matches_a_fresh_model():
         base.with_gram({(SIGMA, SIGMA): 1})
     with pytest.raises(PreconditionError):
         base.with_gram({("zeta", "nope"): 1})
+
+
+def test_a_gram_is_validated_entry_by_entry():
+    # every value goes through frac, both orders of a pair must agree, and
+    # Sigma.Sigma must vanish, however the values are spelled
+    base = make_model(q=1, blocks=(2,))
+    model = base.with_gram({("zeta", "K"): 3, ("K", "zeta"): Fraction(3), (SIGMA, SIGMA): 0,
+                            (SIGMA, "zeta"): "1/2", ("zeta", SIGMA): Fraction(1, 2)})
+    assert model.pair("K", "zeta") == 3 and model.pair("zeta", SIGMA) == Fraction(1, 2)
+    assert {type(v) for v in model._gram.values()} == {Fraction}
+    for gram, match in (({("zeta", "K"): 3, ("K", "zeta"): 2}, "conflicting"),
+                        ({(SIGMA, "zeta"): 1, ("zeta", SIGMA): Fraction(1, 2)}, "conflicting"),
+                        ({(SIGMA, SIGMA): Fraction(1, 2)}, "Sigma.Sigma"),
+                        ({("zeta", "zeta"): "a"}, "not an exact rational"),
+                        ({("zeta", "zeta"): None}, "not an exact rational"),
+                        ({("zeta", "w"): 1}, "unregistered")):
+        with pytest.raises(PreconditionError, match=match):
+            base.with_gram(gram)
+    with pytest.raises(PreconditionError, match="must contain Sigma"):
+        ModelSpec(0, (), {}, even_symbols=("zeta",))
 
 
 # a non-integral generator index is a typed error; an integral one of another

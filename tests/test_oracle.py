@@ -12,7 +12,8 @@ from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
                        delta_oracle_l1, e_alpha, e_zeta, e_zeta_beta, exp_truncated,
                        jacobian_odd_integral, segre_from_ch, volume)
 from wallcross import jacobian, oracle
-from wallcross.oracle import TABLE_READS, WORD_READS, WORD_READS_A, _expand
+from wallcross.graded import integrate_product
+from wallcross.oracle import PREFIX_READS_A, TABLE_READS, WORD_READS, WORD_READS_A, _expand
 
 from conftest import make_model
 
@@ -362,9 +363,11 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         price(model)
         d = wall0.d
         assert len(model.memo(TABLE_READS)) == 2
-        # two words and four alpha powers; the words with A-insertions read Sigma.zeta
-        assert len(model.memo(WORD_READS)) == 6 and len(model.memo(WORD_READS_A)) == 2
+        # four alpha powers and no entry for the words x^r alpha^s; the words with
+        # A-insertions read Sigma.zeta, and so do their prefixes, one per r
+        assert len(model.memo(WORD_READS)) == 4 and len(model.memo(WORD_READS_A)) == 2
         assert _alpha_powers(model) == [d - 6, d - 4, d - 2, d]
+        assert set(model.memo(PREFIX_READS_A)) == {((0, 1), (2, 3), 0), ((0, 1), (2, 3), 1)}
         assert set(model.memo(())) == {"volume", ((0, 1), (2, 3))}
         ref = weakref.ref(model)
         del model
@@ -385,14 +388,19 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-# pairing -> (read by an X-table, by an l = 0 word without A-insertions, by one with
-# them, by an alpha power), written out here rather than taken from the oracle's
-# read sets; vol and F read none
-READS = {"sigmaZeta": (True, False, True, False), "sigmaK": (True, False, False, False),
-         "zeta2": (True, False, False, False), "zetaK": (True, False, False, False),
-         "K2": (True, False, False, False), "sigmaAlpha": (False, True, True, True),
-         "zetaAlpha": (False, True, True, True), "Kalpha": (False, False, False, False),
-         "alpha2": (False, False, False, False)}
+# pairing -> (read by an X-table, by the prefix of an l = 0 word with A-insertions,
+# by an odd word without them, by one with them, by an alpha power), written out
+# here rather than taken from the oracle's read sets; vol and F read none, and
+# neither does the prefix of a word without A-insertions
+READS = {"sigmaZeta": (True, True, False, True, False),
+         "sigmaK": (True, False, False, False, False),
+         "zeta2": (True, False, False, False, False),
+         "zetaK": (True, False, False, False, False),
+         "K2": (True, False, False, False, False),
+         "sigmaAlpha": (False, False, True, True, True),
+         "zetaAlpha": (False, False, True, True, True),
+         "Kalpha": (False, False, False, False, False),
+         "alpha2": (False, False, False, False, False)}
 BASE = dict(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
             K2=8, Kalpha=-1, alpha2=-1)
 OTHER = dict(zeta2=-8, zetaK=0, zetaAlpha=-1, sigmaZeta=-2, sigmaAlpha=2, sigmaK=3,
@@ -407,32 +415,38 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
     builds = _counting(monkeypatch, "_table_datas")
     expands = _counting(monkeypatch, "_expand")
     alphas = _counting(monkeypatch, "e_alpha")
+    # an odd word's entry is built on a miss only, and so is the prefix that
+    # e_zeta_beta enters; the prefix of gamma_1 gamma_2 never reads a pairing
+    words = _counting(monkeypatch, "_odd_prefix")
+    prefixes = _counting(monkeypatch, "e_zeta_beta")
     vols = _counting(monkeypatch, "integrate_jacobian", jacobian)
     odds = _counting(monkeypatch, "integrate_product", jacobian)
     q, blocks = 1, (2,)
     wall0 = WallGeometry.build(p1=-4, q=q, zeta2=-4, zetaK=2)
     wall1 = WallGeometry.build(p1=-8, q=q, zeta2=-4, zetaK=2)
     words0 = [InsertionWord(r=1, s=wall0.d - 2),
-              InsertionWord(s=wall0.d - 2, gammas=(1,), threes=(1,))]
+              InsertionWord(s=wall0.d - 2, gammas=(1,), threes=(1,)),
+              InsertionWord(s=wall0.d - 3, gammas=(0, 1))]
     words1 = [InsertionWord(r=r, s=wall1.d - 2 * r) for r in (0, 1)]
     changed = set()
-    for key, (table, plain, with_a, alpha) in READS.items():
+    for key, (table, prefix_a, plain, with_a, alpha) in READS.items():
         j_side = _j_side(q, blocks)
         values = []
         for pairs in (BASE, dict(BASE, **{key: OTHER[key]})):
             pr = Pairings(**pairs)
             model = j_side.with_gram(pr.gram())
-            del builds[:], expands[:], alphas[:], vols[:], odds[:]
+            del builds[:], expands[:], alphas[:], words[:], prefixes[:], vols[:], odds[:]
             priced = [_priced(model, wall0, word) for word in words0]
-            # both l = 0 words raise one alpha power, and only they call e_alpha here
-            built = [len(alphas)]
+            # the l = 0 words raise two alpha powers, and only they call e_alpha here
+            built = [len(alphas), len(words), len(prefixes)]
             priced += [_priced(model, wall1, word) for word in words1]
             priced += [volume(model), delta_l0_odd(wall0, model, words0[1]).value]
-            # the first model builds both tables, both l = 0 polynomials, their
-            # alpha power, vol and F; the l = 1 polynomials are not kept
+            # the first model builds both tables, both odd words and their two
+            # prefixes, two alpha powers, vol and F; the l = 1 polynomials are
+            # expanded on every model, and no l = 0 word is expanded
             built += [len(builds), len(expands), len(vols), len(odds)]
-            expect = ([1, 2, 4, 1, 1] if pairs is BASE
-                      else [alpha, 2 * table, 2 + plain + with_a, 0, 0])
+            expect = ([2, 2, 1, 2, 2, 1, 1] if pairs is BASE
+                      else [2 * alpha, plain + with_a, prefix_a, 2 * table, 2, 0, 0])
             assert built == expect, key
             fresh = build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks))
             assert priced == [_priced(fresh, wall, word)
@@ -449,7 +463,7 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
 
 def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     builds = _counting(monkeypatch, "_table_datas")
-    expands = _counting(monkeypatch, "_expand")
+    words = _counting(monkeypatch, "_odd_prefix")
     alphas = _counting(monkeypatch, "e_alpha")
     # four walls of one model: l = 0 and l = 1, two zeta.K each
     q, blocks, zeta2 = 1, (2,), -4
@@ -476,7 +490,8 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
         assert len(builds) == 1, branch
         assert value == _fresh(q, (3,), pr, wall, word, branch)
     assert _table(model, wall, "unified") is not _table(model, wall, "component")
-    # words of one degree on one model and wall: one polynomial each
+    # words of one degree on one model and wall: an entry per odd word, none
+    # for a word x^r alpha^s, which is priced from its alpha power
     q, blocks, zeta2 = 2, (1, 2), -1
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
     pr = Pairings(zeta2=zeta2, zetaK=1, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2,
@@ -484,22 +499,27 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     model = _j_side(q, blocks).with_gram(pr.gram())
     values = []
     # one alpha power per s: the last two words raise the ones of earlier words
-    for word, alpha in ((InsertionWord(r=2), 1), (InsertionWord(r=1, s=2), 1),
-                        (InsertionWord(s=4), 1), (InsertionWord(s=1, gammas=(0, 1)), 1),
-                        (InsertionWord(s=3, threes=(1, 2)), 1),
-                        (InsertionWord(s=2, gammas=(0,), threes=(0,)), 0),
-                        (InsertionWord(s=3, threes=(2, 3)), 0)):
-        del expands[:], alphas[:]
-        values.append(_priced(model, wall, word))
-        assert (len(expands), len(alphas)) == (1, alpha), word
-        assert values[-1] == _fresh(q, blocks, pr, wall, word)
-    assert len(set(values)) == len(values)
+    for word, entry, alpha in ((InsertionWord(r=2), 0, 1), (InsertionWord(r=1, s=2), 0, 1),
+                               (InsertionWord(s=4), 0, 1),
+                               (InsertionWord(s=1, gammas=(0, 1)), 1, 1),
+                               (InsertionWord(s=3, threes=(1, 2)), 1, 1),
+                               (InsertionWord(s=2, gammas=(0,), threes=(0,)), 1, 0),
+                               (InsertionWord(s=3, threes=(2, 3)), 1, 0)):
+        for _ in range(2):  # the second pricing builds nothing
+            del words[:], alphas[:]
+            values.append(_priced(model, wall, word))
+            assert (len(words), len(alphas)) == (entry, alpha), word
+            entry = alpha = 0
+        assert values[-1] == values[-2] == _fresh(q, blocks, pr, wall, word)
+    assert len(set(values)) == len(values) // 2
     assert _alpha_powers(model) == [0, 1, 2, 3, 4]
+    assert [len(model.memo(slot)) for slot in (WORD_READS, WORD_READS_A)] == [6, 3]
     # th_1 . i_{be_2} omega vanishes, and a vanishing odd product raises no alpha power
     other = model.with_gram(Pairings(**dict(vars(pr), sigmaAlpha=5)).gram())
     del alphas[:]
     assert _priced(other, wall, InsertionWord(s=2, gammas=(0,), threes=(1,))) == 0
     assert not alphas and _alpha_powers(other) == []
+    assert other.memo(PREFIX_READS_A)[((0,), (1,), 0)] == {}
 
 
 def test_alpha_powers_are_kept_by_s_sigma_alpha_and_zeta_alpha(monkeypatch):
@@ -523,12 +543,81 @@ def test_alpha_powers_are_kept_by_s_sigma_alpha_and_zeta_alpha(monkeypatch):
             del alphas[:]
             values.append([delta_oracle_l0(model, wall, word).value for word in words])
             # four values of s among the five words
-            assert len(alphas) == (4 if pairs is base or READS[key][3] else 0), key
+            assert len(alphas) == (4 if pairs is base or READS[key][4] else 0), key
             assert _alpha_powers(model) == [1, 2, 3, 4]
             assert values[-1] == [_fresh(q, blocks, pr, wall, word) for word in words], key
         if values[0] != values[1]:
             changed.add(key)
     assert {"sigmaAlpha", "zetaAlpha"} <= changed
+
+
+def _expanded_value(model, wall, word):
+    """The l = 0 oracle's value of ``word`` from its whole X-polynomial, expanded
+    factor by factor, each X^N term integrated against the table's substitute."""
+    table = oracle._SegreTable(model, wall)
+    factors = [({1: model.theta(i)}, 1) for i in word.gammas]
+    factors += [({0: -e_zeta_beta(model, j)}, 1) for j in word.threes]
+    factors += [({2: model.scalar(Fraction(-1, 4))}, word.r),
+                ({0: -e_alpha(model), 1: model.scalar(model.pair("zeta", "alpha") / 2)}, word.s)]
+    return wall.sign_complex() * sum(
+        (integrate_product(c, table._substitute(n), jacobian=True)
+         for n, c in _expand(model, factors).items()), Fraction(0))
+
+
+def test_a_word_is_its_prefix_times_the_alpha_power():
+    # x^r alpha^s is priced from the alpha power alone, scaled by (-1/4)^r and
+    # shifted by X^(2r); an odd word from its prefix c X^(|gamma| + 2r) times each
+    # alpha-power term.  Both equal the whole X-polynomial expanded, for every r
+    q, blocks = 2, (1, 2)
+    j_side = _j_side(q, blocks)
+    cases = nonzero = 0
+    for zeta2, zetaK, sz, za in itertools.product((-3, -5), (1, -1), (1, -2), (3, Fraction(1, 2))):
+        wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK)
+        model = j_side.with_gram(Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
+                                          sigmaAlpha=2, sigmaK=-1, K2=8, Kalpha=1).gram())
+        d = wall.d
+        words = [InsertionWord(r=r, s=d - 2 * r) for r in range(d // 2 + 1)]
+        words += [InsertionWord(r=r, s=d - 3 - 2 * r, gammas=(0, 1)) for r in range(2)]
+        words += [InsertionWord(r=r, s=d - 1 - 2 * r, threes=(2, 3)) for r in range(2)]
+        words += [InsertionWord(r=r, s=d - 2 - 2 * r, gammas=(3,), threes=(2,)) for r in range(2)]
+        for word in words:
+            value = delta_oracle_l0(model, wall, word).value
+            assert value == _expanded_value(model, wall, word), (wall, word)
+            cases += 1
+            nonzero += value != 0
+        # the words x^r alpha^s keep no entry of their own
+        assert not [key for key in model.memo(WORD_READS) if type(key) is not int
+                    and not key.odd_count()]
+    assert (cases, nonzero) == (168, 130)
+
+
+def test_an_odd_prefix_is_kept_by_its_indices_r_and_sigma_zeta():
+    # words with one odd part and different r keep one prefix each: (-1/4)^r is
+    # part of it.  A prefix with A-insertions reads Sigma.zeta, so a model that
+    # differs there keeps its own; one without them is shared by every model
+    q, blocks = 2, (1, 2)
+    j_side = _j_side(q, blocks)
+    walls = [WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1) for zeta2 in (-1, -3)]
+    words = [(walls[0], InsertionWord(s=1, gammas=(0, 1))),
+             (walls[1], InsertionWord(r=1, s=1, gammas=(0, 1))),
+             (walls[0], InsertionWord(s=3, threes=(2, 3))),
+             (walls[0], InsertionWord(r=1, s=1, threes=(2, 3))),
+             (walls[1], InsertionWord(r=2, s=1, threes=(2, 3)))]
+    models, values = [], []
+    for sz in (1, -2):
+        pr = Pairings(zeta2=-1, zetaK=1, zetaAlpha=3, sigmaZeta=sz, sigmaAlpha=2, sigmaK=-1)
+        model = j_side.with_gram(pr.gram())
+        models.append(model)
+        for wall, word in words:
+            pairs = Pairings(**dict(vars(pr), zeta2=wall.zeta2))
+            values.append(delta_oracle_l0(model, wall, word).value)
+            assert values[-1] == _fresh(q, blocks, pairs, wall, word) != 0, word
+    plain = {((0, 1), (), 0), ((0, 1), (), 1)}
+    with_a = {((), (2, 3), r) for r in range(3)}
+    assert plain <= set(j_side.memo(())) and not plain & set(j_side.memo(PREFIX_READS_A))
+    assert [set(model.memo(PREFIX_READS_A)) for model in models] == [with_a, with_a]
+    assert models[0].memo(PREFIX_READS_A) is not models[1].memo(PREFIX_READS_A)
+    assert len(set(values)) == len(values)
 
 
 def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
@@ -596,10 +685,19 @@ def _memo_parts(j_side):
                     scalars.append(rank)
                     dicts += [*a_terms, *seq.values()]
             elif reads in (WORD_READS, WORD_READS_A):
-                # a word's integration pairs, or the alpha power under an int s
-                (dicts if type(key) is int else forms).extend(entry.values())
+                if type(key) is int:  # the alpha power: term dicts and forms by b
+                    terms, pairs = entry
+                    dicts += terms.values()
+                    forms += pairs.values()
+                else:  # an odd word's integration pairs by b
+                    assert reads == WORD_READS_A or not key.threes, key
+                    forms += entry.values()
+            elif reads == PREFIX_READS_A or len(key) == 3:
+                # an odd prefix, under its gamma and A indices and r
+                assert bool(key[1]) == (reads == PREFIX_READS_A), key
+                dicts.append(entry)
             else:
-                assert reads == () and (key == "volume" or type(key) is tuple), key
+                assert reads == () and (key == "volume" or len(key) == 2), key
                 scalars.append(entry)
     return dicts, forms, scalars
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross import (PreconditionError, custom_surface, enumerate_walls,
+from wallcross import (PreconditionError, SchemaError, custom_surface, enumerate_walls,
                        odd_ruled, product_ruled, wall_params)
 from wallcross.surfaces import surface_from_json_dict
 
@@ -86,3 +86,33 @@ def test_custom_surface_and_json_round_trip():
     assert back == product_ruled(2)
     doc2 = odd_ruled(3).to_json_dict()
     assert surface_from_json_dict(doc2) == odd_ruled(3)
+
+
+def test_vectors_of_the_wrong_length_are_refused():
+    # w and alpha need the lattice's rank; K and Sigma the basis length
+    surface = product_ruled(1)
+    for w, alpha in (((1,), None), ((1, 1), (1,)), ((1, 1), (1, 1, 1)), ((1, 1, 0), None)):
+        with pytest.raises(PreconditionError, match="the lattice has rank 2"):
+            enumerate_walls(surface, w, -2, 4, alpha=alpha)
+    gram = ((0, 1), (1, 0))
+    for K, Sigma in (((0,), (1, 0)), ((0, -2), (1, 0, 0)), ((), ())):
+        with pytest.raises(PreconditionError, match="entries, the basis 2"):
+            custom_surface("short", 1, gram, K=K, Sigma=Sigma)
+    with pytest.raises(SchemaError, match="surface name must be a string"):
+        surface_from_json_dict({"surface": {"name": 5, "q": 1}})
+
+
+def test_k_must_be_characteristic():
+    # x^2 = x.K mod 2 (Wu's formula); with K = (1, -2) on the hyperbolic form,
+    # e1^2 - e1.K = -1, and walls whose u broke the formula were dropped or
+    # priced with signs the two conventions disagree on
+    hyperbolic = ((0, 1), (1, 0))
+    with pytest.raises(PreconditionError, match="K is not characteristic: e1"):
+        custom_surface("odd K", 1, hyperbolic, K=(1, -2), Sigma=(1, 0))
+    for g in (1, 2, 3):
+        assert product_ruled(g).K and odd_ruled(g).K  # both built, so both characteristic
+    assert custom_surface("even K", 1, hyperbolic, K=(2, -2), Sigma=(1, 0)).K == (2, -2)
+    with pytest.raises(SchemaError, match="K is not characteristic"):
+        surface_from_json_dict({"surface": {"name": "x", "q": 1, "basis": ["a", "b"],
+                                            "gram": [[0, 1], [1, 0]], "K": [1, -2],
+                                            "Sigma": [1, 0]}})

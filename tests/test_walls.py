@@ -92,3 +92,17 @@ def test_wall_geometry_w_validation():
         WallGeometry.build(p1=-4, q=0, zeta2=-4, zetaK=0, zetaW=1, w2=0, wK=0)
     with pytest.raises(InvalidWallError):
         WallGeometry.build(p1=-4, q=0, zeta2=-4, zetaK=0, zetaW=0, w2=0, wK=1)
+    # u = (zeta - w)/2 with u^2 = -1 and u.K = 2 breaks Wu's formula u^2 = u.K mod 2:
+    # on such data the two wall-sign conventions disagree, so the closed form and
+    # the ring oracle differed in sign and `delta` exited 3
+    with pytest.raises(InvalidWallError, match="Wu's formula"):
+        WallGeometry.build(p1=-4, q=2, zeta2=-4, zetaK=4, zetaW=0, w2=0, wK=0)
+    # u.w = (zeta.w - w^2)/2 = -1/2 is no integer, though u^2 = -2 is: the routes
+    # differed in sign here too (40 vs -40)
+    with pytest.raises(InvalidWallError, match="u.w not integral"):
+        WallGeometry.build(p1=-1, q=1, zeta2=-1, zetaK=-1, zetaW=8, w2=9, wK=-5)
+    for variant in ((0, 0, 0), (0, -1, 1), (1, -1, -3), (2, 2, 0)):  # u.zeta, u^2, u.K
+        zu, u2, uk = variant
+        wall = WallGeometry.build(p1=-4, q=2, zeta2=-4, zetaK=4, zetaW=-4 - 2 * zu,
+                                  w2=-4 - 4 * zu + 4 * u2, wK=4 - 2 * uk)
+        assert wall.sign_wall() == (-1) ** (u2 % 2)

@@ -34,13 +34,6 @@ class DeltaValue:
         object.__setattr__(self, "value", frac(self.value))
 
 
-def comb0(n, k) -> int:
-    """Binomial coefficient, zero whenever the arguments fall out of range."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def pow0(base: Fraction, n) -> Fraction:
     """base**n with the convention that negative exponents give zero terms."""
     if n < 0:
@@ -124,26 +117,23 @@ def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> D
 
 
 def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
-    """Wall-crossing term for l_zeta = 1 on the word x^r alpha^(d-2r)."""
+    """Wall-crossing term for l_zeta = 1 on the word x^r alpha^(d-2r):
+
+    eps (-1)^(r+d+1) vol 2^(3q-d) [B S(s) + 8 s (zeta.alpha) S(s-1)
+    + 8 alpha^2 C(s,2) S(s-2)], with s = d - 2r, B = 6 zeta^2 + 2 K^2 - 24q - 8r
+    and S(m) = ``_l0_sum(m, q, q, zeta.alpha, Sigma.alpha, Sigma.zeta)``.
+    """
     if wall.l_zeta != 1:
         raise RegimeError(f"delta_l1 needs l_zeta = 1, got {wall.l_zeta}")
     d, q = wall.d, wall.q
     s = d - 2 * r
-    za, sa, sz = pairings.zetaAlpha, pairings.sigmaAlpha, pairings.sigmaZeta
-    z2, k2, a2 = pairings.zeta2, pairings.K2, pairings.alpha2
-    bracket_const = 6 * z2 + 2 * k2 - 24 * q - 8 * r
-    sign = -1 if (r + d + 1) % 2 else 1
-    total = Fraction(0)
-    for b in range(q + 1):
-        group = (pow0(za, s - b)
-                 * (comb0(s, b) * bracket_const + 8 * comb0(s, b + 1) * comb0(b + 1, 1))
-                 + 8 * pow0(za, s - b - 2) * a2 * comb0(s, b + 2) * comb0(b + 2, 2))
-        if not group:
-            continue
-        total += (sign * Fraction(2) ** (3 * q - b - d) * group
-                  * pow0(sa, b) * pow0(sz, q - b) * math.perm(q, b))
-    value = wall.sign_wall() * total * frac(vol)
-    return DeltaValue(value, "closed-form")
+    za = pairings.zetaAlpha
+    sums = [Fraction(*_l0_sum(s - k, q, q, za, pairings.sigmaAlpha, pairings.sigmaZeta))
+            for k in range(3)]
+    bracket = ((6 * pairings.zeta2 + 2 * pairings.K2 - 24 * q - 8 * r) * sums[0]
+               + 8 * s * za * sums[1] + 4 * s * (s - 1) * pairings.alpha2 * sums[2])
+    value = (-1 if (r + d + 1) % 2 else 1) * wall.sign_wall() * bracket * frac(vol)
+    return _closed_value(value.numerator, value.denominator, 3 * q - d)
 
 
 # -- the summed Segre classes of the two extension strata (l_zeta = 1) ----

@@ -7,9 +7,10 @@ binomial theorem), each power X^N is replaced through the Segre
 substitution table of the extension-bundle data, and each product of an
 X^N coefficient with its substitute is integrated without being formed.
 
-Each X^N substitute is computed once per J-side, wall and the pairings
-that the table reads (``TABLE_READS``), whatever the word, from the Chern
-characters of the extension bundles:
+A wall's X-table is built whole, every nonzero X^N substitute for N = 0..d
+in one Newton pass, once per J-side, wall and the pairings that it reads
+(``TABLE_READS``), whatever the word, from the Chern characters of the
+extension bundles:
 
     l = 0:  ch E_{+-zeta} = (h(+-zeta) + q) + e_{K -+ 2 zeta}
     l = 1:  ch E(k-th stratum) = ch M_{+-zeta} + exp(line class) exp(+-2E)
@@ -95,77 +96,35 @@ def _table_datas(model, wall, branch):
     return tuple(ch_direct_sum(ch_plus, ch_dual(ch_minus)) for ch_plus, ch_minus in pairs)
 
 
-class _TableEntry:
-    """One X-table, shared by every model over a J-side whose ``TABLE_READS``
-    agree: each X^N substitute as an ``integration_index`` and, once built,
-    each Chern data's rank, a_i and Segre prefix as term dicts, so that a
-    later X^N extends the table and never rebuilds the extension-bundle data."""
+def _x_table(model, wall, branch="unified"):
+    """Every nonzero X^N substitute of one wall as ``{N: integration_index}``.
 
-    __slots__ = ("indexes", "datas")
-
-    def __init__(self):
-        self.indexes = {}
-        self.datas = None
-
-
-class _SegreTable:
-    """X^N -> ring class substitution for one wall of one model.
-
-    The substitutes depend on the J-side, the wall and ``TABLE_READS``,
-    never on the word or another pairing, so each lives in the model's
-    ``memo(TABLE_READS)`` slot under (branch, wall), shared by every word
-    and every model over the J-side that agrees there.  The memo holds term
-    dicts, not elements, so it makes no reference cycle with a model; an
-    entry is only ever set to its one value, and the extension-bundle data
-    is built once per entry, on its first miss.
+    X^N becomes (-1)^(N - N_-) s_(N - 1 - N_+ - N_-) of the table's Chern data,
+    or s_(N - N_-)(E_{-zeta}) on the component branch.  A word of degree 2d
+    reaches X^N for N <= d only, so N_+ + N_- + q + 2l = d - 1 leaves at most
+    q + 2l + 1 substitutes, and the table is built whole, in one Newton pass,
+    on its first miss.  The substitutes read the J-side, the wall and
+    ``TABLE_READS``, never the word, so the table lives in the model's
+    ``memo(TABLE_READS)`` slot under (branch, wall), shared by every word and
+    every model over the J-side that agrees there.
     """
-
-    def __init__(self, model, wall, branch="unified"):
-        self.model = model
-        self.wall = wall
-        self.branch = branch
-        key, memo = (branch, wall), model.memo(TABLE_READS)
-        self._entry = memo.get(key) or memo.setdefault(key, _TableEntry())
-        self._datas = None
-
-    def index(self, n):
-        """The X^N substitute's ``integration_index``."""
-        indexes = self._entry.indexes
-        index = indexes.get(n)
-        if index is None:
-            index = indexes[n] = integration_index(self._substitute(n)._terms)
-        return index
-
-    def _substitute(self, n):
-        wall = self.wall
-        if self.branch == "component":
-            idx = n - wall.n_minus
-        else:
-            idx = n - 1 - wall.n_plus - wall.n_minus
-        if idx < 0:
-            return self.model.zero()
-        out = self.model.zero()
-        for data in self._chern_datas():
-            out = out + segre_from_ch(data, idx)
-        if self.branch != "component" and (n - wall.n_minus) % 2:
-            out = -out
-        return out
-
-    def _chern_datas(self):
-        """This model's Chern data over the entry's a_i and Segre prefixes."""
-        if self._datas is None:
-            model, entry = self.model, self._entry
-            if entry.datas is None:
-                # the model that builds the data keeps it; the others wrap the entry's
-                self._datas = _table_datas(model, self.wall, self.branch)
-                entry.datas = tuple((data.rank, tuple(a._terms for a in data.a), data.segre_memo)
-                                    for data in self._datas)
-            else:
-                self._datas = tuple(
-                    ChernData(model, rank, tuple(GradedElement(model, a) for a in a_terms),
-                              segre_memo=seq)
-                    for rank, a_terms, seq in entry.datas)
-        return self._datas
+    key, memo = (branch, wall), model.memo(TABLE_READS)
+    table = memo.get(key)
+    if table is None:
+        component = branch == "component"
+        low = wall.n_minus if component else wall.n_plus + wall.n_minus + 1
+        datas = _table_datas(model, wall, branch)
+        table = {}
+        for n in range(max(low, 0), wall.d + 1):
+            out = model.zero()
+            for data in datas:
+                out = out + segre_from_ch(data, n - low)
+            if out._terms:
+                if not component and (n - wall.n_minus) % 2:
+                    out = -out
+                table[n] = integration_index(out._terms)
+        memo[key] = table
+    return table
 
 
 def _xpoly_mul(poly, factor):
@@ -286,6 +245,20 @@ def _odd_word_forms(model, word):
     return forms
 
 
+def _integrate_x(model, forms, table, shift, jacobian=False):
+    """sum_n of each X^n coefficient, ``forms[n]`` as ``integration_pairs``, integrated
+    against the substitute of X^(n + shift), as ``(num, den)``; an X-power with
+    no substitute adds nothing."""
+    num, den = 0, 1
+    for n, pairs in forms.items():
+        index = table.get(shift + n)
+        if index is not None:
+            num_n, den_n = integrate_forms(model, pairs, index, jacobian)
+            if num_n:
+                num, den = num * den_n + num_n * den, den * den_n
+    return num, den
+
+
 def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
                     branch="unified") -> DeltaValue:
     """Ring evaluation of the wall-crossing term for l_zeta = 0.
@@ -311,18 +284,15 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
             raise RegimeError("component branch requires h(zeta) + q = 0")
     elif branch != "unified":
         raise PreconditionError(f"unknown branch {branch!r}")
-    table = _SegreTable(model, wall, branch)
     if a_cnt + b_cnt:
         forms, scale = _odd_word_forms(model, word), 1
     else:
         # x^r alpha^s is (-1/4)^r X^(2r) times the alpha power: its own forms
         forms, scale = _alpha_power(model, word.s)[1], (-4) ** word.r
-    shift = a_cnt + 2 * word.r
     num, den = 0, 1
-    for b, pairs in forms.items():
-        num_b, den_b = integrate_forms(model, pairs, table.index(shift + b), jacobian=True)
-        if num_b:
-            num, den = num * den_b + num_b * den, den * den_b
+    if forms:  # a vanishing odd product needs no table
+        num, den = _integrate_x(model, forms, _x_table(model, wall, branch),
+                                a_cnt + 2 * word.r, jacobian=True)
     return DeltaValue(Fraction(wall.sign_complex() * num, den * scale), "ring-oracle")
 
 
@@ -338,15 +308,13 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     s = wall.d - 2 * r
     if s < 0:
         return DeltaValue(Fraction(0), "ring-oracle")
-    table = _SegreTable(model, wall)
+    table = _x_table(model, wall)
     a = model.pair("zeta", "alpha") / 2
     ea = e_alpha(model)
     alpha_s = model.even("alpha")
     factors = [({0: model.point(), 2: model.scalar(Fraction(-1, 4))}, r),
                ({0: alpha_s - ea, 1: model.scalar(a)}, s)]
-    total = Fraction(0)
-    for n, coeff in _expand(model, factors).items():
-        total += Fraction(*integrate_forms(model, integration_pairs(model, coeff._terms),
-                                           table.index(n)))
-    value = wall.sign_complex() * total
-    return DeltaValue(value, "ring-oracle")
+    forms = {n: integration_pairs(model, coeff._terms)
+             for n, coeff in _expand(model, factors).items() if n in table}
+    num, den = _integrate_x(model, forms, table, 0)
+    return DeltaValue(Fraction(wall.sign_complex() * num, den), "ring-oracle")

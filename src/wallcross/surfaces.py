@@ -42,6 +42,8 @@ class SurfaceData:
     cone_slope: Fraction = None
 
     def __post_init__(self):
+        if self.q < 0:
+            raise PreconditionError(f"q must be non-negative, got {self.q}")
         n = len(self.basis)
         gram = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
         if len(gram) != n or any(len(row) != n for row in gram):

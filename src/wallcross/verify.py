@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .chern import (ChernData, ch_direct_sum, ch_dual, chern_from_ch,
                     segre_from_ch, total_chern)
-from .closed import (comb0, delta_l0, delta_l0_odd, delta_l1, delta_leading,
+from .closed import (delta_l0, delta_l0_odd, delta_l1, delta_leading,
                      segre_det_closed, segre_det_determinant,
                      segre_det_recursive, segre_sum_closed)
 from .delta import evaluate
@@ -534,7 +534,7 @@ def check_segre(grid):
             closed = segre_det_closed(model, n)
             factorial_rhs = 2 * closed
             if n >= 2:
-                factorial_rhs = factorial_rhs + 2 * comb0(n, 2) * (ks * ks) * four_ez ** (n - 2)
+                factorial_rhs = factorial_rhs + 2 * math.comb(n, 2) * (ks * ks) * four_ez ** (n - 2)
             yield ((det_sum, det_sum * math.factorial(n), segre_det_recursive(model, n),
                     segre_det_determinant(model, n)),
                    (segre_sum_closed(model, n), factorial_rhs, closed, closed),

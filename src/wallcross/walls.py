@@ -34,6 +34,8 @@ def wall_params(p1, q, zeta2, zetaK) -> WallParams:
     Raises InvalidWallError when the data violates the wall conditions
     (range, divisibility, integrality of h, non-negative extension ranks).
     """
+    if q < 0:
+        raise InvalidWallError(f"need q >= 0, got {q}")
     if not zeta2 < 0:
         raise InvalidWallError(f"need zeta^2 < 0, got {zeta2}")
     if not p1 <= zeta2:

@@ -1,6 +1,21 @@
 import random
+import warnings
 
 import pytest
+
+# Hypothesis writes the patch for a falsifying example through
+# hypothesis.extra._patching, whose import (libcst, through mypy_extensions)
+# raises a DeprecationWarning.  Under -W error that warning ends the report
+# in an INTERNALERROR instead of the example, and pytest re-applies -W error
+# around its hooks, so a module-level filter would not reach it: import the
+# module once here with that one warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from wallcross import ModelSpec, PairingInput, Pairings, build_model
 

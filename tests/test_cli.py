@@ -337,6 +337,12 @@ def _model_text(**changes):
                                          "gram": [[0, 1], [1, 0]], "K": [1.5, -2],
                                          "Sigma": [1, 0]}}),
                  "walls", "K must be an integer, got 3/2", id="surface-K-1.5"),
+    # a custom surface with q = -2 used to list walls and exit 0
+    pytest.param(json.dumps({"schema_version": 1,
+                             "surface": {"name": "blown-up", "q": -2, "basis": ["e0", "e1"],
+                                         "gram": [[0, 1], [1, 0]], "K": [2, -2],
+                                         "Sigma": [1, 0]}}),
+                 "walls", "q must be non-negative, got -2", id="surface-q-negative"),
     # a w with u = (zeta - w)/2 breaking Wu's formula used to exit 3, the two
     # routes differing in sign: 81/4 vs -81/4
     pytest.param(json.dumps({"schema_version": 1, "q": 2,

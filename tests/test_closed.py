@@ -12,17 +12,28 @@ from wallcross import (InsertionWord, InvariantError, Pairings, PreconditionErro
                        e_zeta, leading_insertion_class, segre_det_closed,
                        segre_det_determinant, segre_det_recursive,
                        segre_from_ch, segre_sum_closed)
-from wallcross.closed import comb0, pow0
+from wallcross.closed import _l0_sum, pow0
 from wallcross.jacobian import jacobian_odd_integral
 
 from conftest import make_model
 
 
+def comb0(n, k):
+    """Binomial coefficient, zero whenever the arguments fall out of range."""
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
 def test_binomial_and_power_conventions():
-    assert comb0(5, 2) == 10
-    assert comb0(3, 5) == 0 and comb0(-1, 0) == 0 and comb0(4, -1) == 0
     assert pow0(Fraction(2), -1) == 0
     assert pow0(Fraction(0), 0) == 1
+    # a sum over a negative number of alpha insertions is empty, so a word
+    # x^r alpha^(d-2r) with 2r > d prices to zero
+    assert _l0_sum(-1, 2, 2, Fraction(3), Fraction(1), Fraction(1)) == (0, 1)
+    assert _l0_sum(0, 2, 2, Fraction(0), Fraction(1), Fraction(2)) == (4, 1)
+    wall = WallGeometry.build(p1=-8, q=1, zeta2=-4, zetaK=2)
+    pr = Pairings(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2, alpha2=-1)
+    assert delta_l1(wall, pr, wall.d // 2 + 1).value == 0
+    assert delta_l1(wall, pr, wall.d // 2).value != 0
 
 
 def test_delta_l0_spec_values():
@@ -321,21 +332,39 @@ def _fraction_delta_l0_odd(wall, model, word):
     return wall.sign_wall() * total
 
 
+def _fraction_delta_l1(wall, pairings, r, vol):
+    """delta_l1 as it was written before it summed three l = 0 sums: one Fraction
+    per b."""
+    d, q = wall.d, wall.q
+    s = d - 2 * r
+    za, sa, sz = pairings.zetaAlpha, pairings.sigmaAlpha, pairings.sigmaZeta
+    bracket_const = 6 * pairings.zeta2 + 2 * pairings.K2 - 24 * q - 8 * r
+    sign = -1 if (r + d + 1) % 2 else 1
+    total = Fraction(0)
+    for b in range(q + 1):
+        group = (pow0(za, s - b)
+                 * (comb0(s, b) * bracket_const + 8 * comb0(s, b + 1) * comb0(b + 1, 1))
+                 + 8 * pow0(za, s - b - 2) * pairings.alpha2 * comb0(s, b + 2) * comb0(b + 2, 2))
+        total += (sign * Fraction(2) ** (3 * q - b - d) * group
+                  * pow0(sa, b) * pow0(sz, q - b) * math.perm(q, b))
+    return wall.sign_wall() * total * Fraction(vol)
+
+
 # non-integral pairings, zeros and both signs of each
 ZA = (Fraction(3, 2), -2, 0)
 SA = (Fraction(-1, 3), 2, 0)
 SZ = (1, Fraction(-3, 4))
 
 
-def _l0_walls(q, d):
-    """The l = 0 wall of (q, d) with w = zeta and one with the opposite wall sign,
+def _walls(q, d, l=0):
+    """The wall of (q, d, l) with w = zeta and one with the opposite wall sign,
     w = zeta - 2u with u^2 = -1 and u.K = 1, as Wu's formula allows."""
-    zeta2 = -(d + 3 * (1 - q))
+    zeta2 = 4 * l - (d + 3 * (1 - q))
     if zeta2 >= 0:
         return []
-    zetaK = zeta2 % 2
-    walls = [WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK),
-             WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK,
+    zetaK, p1 = zeta2 % 2, zeta2 - 4 * l
+    walls = [WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK),
+             WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK,
                                 zetaW=zeta2, w2=zeta2 - 4, wK=zetaK - 2)]
     assert {w.sign_wall() for w in walls} == {1, -1}
     return walls
@@ -344,7 +373,7 @@ def _l0_walls(q, d):
 def test_delta_l0_integer_sum_equals_fraction_form():
     compared = 0
     for q, d in itertools.product(range(4), range(1, 8)):
-        for wall in _l0_walls(q, d):
+        for wall in _walls(q, d):
             for r in range(d // 2 + 2):  # the last r has d - 2r < 0
                 for za, sa, sz, vol in itertools.product(ZA, SA, SZ, (1, Fraction(2, 3), 6)):
                     pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za,
@@ -354,6 +383,21 @@ def test_delta_l0_integer_sum_equals_fraction_form():
                     assert value == _fraction_delta_l0(wall, pr, r, vol), (q, d, r, za, sa, sz)
                     compared += value != 0
     assert compared > 1000
+
+
+def test_delta_l1_three_sums_equal_fraction_form():
+    compared = 0
+    for q, d in itertools.product(range(4), range(1, 8)):
+        for wall in _walls(q, d, l=1):
+            for r in range(d // 2 + 2):  # the last r has d - 2r < 0
+                for za, sa, sz, a2 in itertools.product(ZA, SA, SZ, (Fraction(-1, 3), 2)):
+                    pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za,
+                                  sigmaAlpha=sa, sigmaZeta=sz, alpha2=a2, K2=Fraction(5, 2))
+                    value = delta_l1(wall, pr, r, Fraction(2, 3)).value
+                    assert type(value) is Fraction
+                    assert value == _fraction_delta_l1(wall, pr, r, Fraction(2, 3)), (q, d, r)
+                    compared += value != 0
+    assert compared > 1000, compared
 
 
 def test_delta_l0_odd_integer_sum_equals_fraction_form():
@@ -367,7 +411,7 @@ def test_delta_l0_odd_integer_sum_equals_fraction_form():
             word = InsertionWord(r=r, s=s, gammas=gammas, threes=threes)
             if word.odd_count() % 2 or word.odd_count() > 2:
                 continue
-            for wall in _l0_walls(q, word.degree() // 2):
+            for wall in _walls(q, word.degree() // 2):
                 for za, sa, sz in triples:
                     model = make_model(q=q, blocks=blocks, zeta2=wall.zeta2, zetaK=wall.zetaK,
                                        zetaAlpha=za, sigmaAlpha=sa, sigmaZeta=sz)

@@ -296,9 +296,9 @@ def _alpha_powers(model):
     return sorted(key for key in model.memo(WORD_READS) if type(key) is int)
 
 
-def test_words_priced_on_one_model_equal_fresh_models():
+def test_words_priced_on_one_model_equal_fresh_models(monkeypatch):
     # each list opens with a word that asks for few X-powers, so a later word
-    # needs substitutes that no earlier one did, and the memo must extend
+    # needs substitutes that no earlier one did
     cases = []
     q, blocks, zeta2 = 2, (1, 2), -1
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
@@ -323,19 +323,27 @@ def test_words_priced_on_one_model_equal_fresh_models():
     pr = Pairings(zeta2=zeta2, zetaK=1, zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1,
                   sigmaK=2, K2=8, Kalpha=-1, alpha2=-1)
     cases.append((q, None, pr, wall, "unified", [InsertionWord(r=1), InsertionWord(s=2)]))
-    models = {}
+    # a word reads the substitutes its X-powers meet; the table holds them all
+    # from its first word on and never changes
+    reads = _counting(monkeypatch, "integrate_forms")
+    models, tables, read = {}, {}, {}
     nonzero = extended = 0
     for q, blocks, pr, wall, branch, words in cases:
         model = models.setdefault((q, pr), build_model(
             PairingInput(q=q, pairings=pr, a_blocks=blocks)))
         for word in words:
-            table = _table(model, wall, branch)
-            before = {n for n, (_, index) in table.indexes.items() if index} if table else set()
+            del reads[:]
             value = _priced(model, wall, word, branch)
+            table = _table(model, wall, branch)
+            by_index = {id(index): n for n, index in table.items()}
+            before = read.setdefault(id(table), set())
+            after = before | {by_index[id(args[2])] for args in reads}
             assert value == _fresh(q, blocks, pr, wall, word, branch), (word, branch)
-            after = {n for n, (_, index) in _table(model, wall, branch).indexes.items() if index}
+            kept = tables.setdefault(id(table), (table, dict(table)))
+            assert kept[0] is table and kept[1] == table
             nonzero += value != 0
             extended += bool(before) and after > before
+            read[id(table)] = after
     assert (nonzero, extended) == (12, 4)
 
 
@@ -553,15 +561,21 @@ def test_alpha_powers_are_kept_by_s_sigma_alpha_and_zeta_alpha(monkeypatch):
 
 def _expanded_value(model, wall, word):
     """The l = 0 oracle's value of ``word`` from its whole X-polynomial, expanded
-    factor by factor, each X^N term integrated against the table's substitute."""
-    table = oracle._SegreTable(model, wall)
+    factor by factor, each X^N term integrated against its substitute
+    (-1)^(N - N_-) s_(N - 1 - N_+ - N_-), summed over the wall's Chern data here
+    rather than read from the X-table."""
+    datas = oracle._table_datas(model, wall, "unified")
+    low = wall.n_plus + wall.n_minus + 1
     factors = [({1: model.theta(i)}, 1) for i in word.gammas]
     factors += [({0: -e_zeta_beta(model, j)}, 1) for j in word.threes]
     factors += [({2: model.scalar(Fraction(-1, 4))}, word.r),
                 ({0: -e_alpha(model), 1: model.scalar(model.pair("zeta", "alpha") / 2)}, word.s)]
-    return wall.sign_complex() * sum(
-        (integrate_product(c, table._substitute(n), jacobian=True)
-         for n, c in _expand(model, factors).items()), Fraction(0))
+    total = Fraction(0)
+    for n, c in _expand(model, factors).items():
+        if n >= low:
+            substitute = sum((segre_from_ch(data, n - low) for data in datas), model.zero())
+            total += (-1) ** (n - wall.n_minus) * integrate_product(c, substitute, jacobian=True)
+    return wall.sign_complex() * total
 
 
 def test_a_word_is_its_prefix_times_the_alpha_power():
@@ -643,35 +657,40 @@ def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
     assert seen[0] == seen[1] != seen[2] == seen[3] and len(set(seen[0][1:])) == len(lists)
 
 
-def test_a_new_x_power_on_a_second_model_extends_the_shared_table(monkeypatch):
-    # the first model asks for few X-powers; the second, over the same J-side
-    # and table pairings, asks for more and extends the table from its kept
-    # a_i and Segre prefixes, without building the extension data again.  At
-    # l = 0 the A-insertions keep the first word's X-degree below d, so the
-    # Segre prefix grows too; at l = 1 every word reaches X^d
+def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
+    # however many words and with_gram models over one J-side price a wall, the
+    # extension data is built once per (branch, wall, TABLE_READS), and the table
+    # holds at most q + 2l + 1 substitutes, all with N <= d
     builds = _counting(monkeypatch, "_table_datas")
-    grown = []
-    for q, blocks, p1, zeta2, zetaK, words in (
-            (2, (1, 2), -1, -1, 1, (InsertionWord(s=3, threes=(0, 1)), InsertionWord(s=4))),
-            (1, (2,), -8, -4, 2, (InsertionWord(r=4), InsertionWord(s=8)))):
-        wall = WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK)
-        j_side = _j_side(q, blocks)
-        first, second = (Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=1,
-                                  sigmaAlpha=2, sigmaK=-1, K2=8, Kalpha=1, alpha2=a2)
-                         for za, a2 in ((3, -1), (1, 5)))
-        del builds[:]
-        _priced(j_side.with_gram(first.gram()), wall, words[0])
-        table = _table(j_side.with_gram(first.gram()), wall)
-        known = set(table.indexes)
-        prefixes = [len(seq) for _, _, seq in table.datas]
-        assert len(builds) == 1
-        model = j_side.with_gram(second.gram())
-        value = _priced(model, wall, words[1])
-        assert len(builds) == 1, wall.l_zeta
-        assert _table(model, wall) is table and set(table.indexes) > known
-        assert value == _fresh(q, blocks, second, wall, words[1]) != 0
-        grown.append([len(seq) for _, _, seq in table.datas] > prefixes)
-    assert grown == [True, False]
+    q, blocks = 2, (1, 2)
+    j_side = _j_side(q, blocks)
+    l0 = WallGeometry.build(p1=-1, q=q, zeta2=-1, zetaK=1)
+    l1 = WallGeometry.build(p1=-5, q=q, zeta2=-1, zetaK=1)
+    words = {l0: [InsertionWord(s=3, threes=(0, 1)), InsertionWord(s=4), InsertionWord(r=2),
+                  InsertionWord(s=1, gammas=(0, 1)), InsertionWord(gammas=(2, 3), threes=(0, 1))],
+             l1: [InsertionWord(r=r, s=l1.d - 2 * r) for r in (0, 2, l1.d // 2)]}
+    priced, tables = [], {}
+    # the alpha pairings are read by no table; Sigma.zeta and K^2 are
+    for sz, k2 in ((1, 8), (-2, 8), (1, -4)):
+        for za, sa, a2 in ((3, 2, -1), (Fraction(1, 2), -1, 5)):
+            pr = Pairings(zeta2=-1, zetaK=1, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
+                          sigmaK=-1, K2=k2, Kalpha=1, alpha2=a2)
+            model = j_side.with_gram(pr.gram())
+            for wall, wall_words in words.items():
+                priced += [(pr, wall, word, _priced(model, wall, word)) for word in wall_words]
+                table = _table(model, wall)
+                tables.setdefault((wall, sz, k2), set()).add(id(table))
+                assert 0 < len(table) <= q + 2 * wall.l_zeta + 1
+                assert set(table) <= set(range(wall.d + 1))
+    assert len(builds) == len(tables) == 6
+    assert all(len(ids) == 1 for ids in tables.values())
+    assert all(value == _fresh(q, blocks, pr, wall, word) for pr, wall, word, value in priced)
+    assert len(priced) == 48 and sum(value != 0 for *_, value in priced) == 45
+    # a vanishing odd product builds no table
+    model = j_side.with_gram(Pairings(zeta2=-1, zetaK=1, zetaAlpha=3, sigmaZeta=5).gram())
+    del builds[:]
+    assert _priced(model, l0, InsertionWord(s=2, gammas=(0,), threes=(1,))) == 0
+    assert not builds and _table(model, l0) is None
 
 
 def _memo_parts(j_side):
@@ -679,11 +698,8 @@ def _memo_parts(j_side):
     dicts, forms, scalars = [], [], []
     for (reads, *_), slot in j_side._memo.items():
         for key, entry in slot.items():
-            if reads == TABLE_READS:
-                forms += entry.indexes.values()
-                for rank, a_terms, seq in entry.datas:
-                    scalars.append(rank)
-                    dicts += [*a_terms, *seq.values()]
+            if reads == TABLE_READS:  # an X-table: a form by N
+                forms += entry.values()
             elif reads in (WORD_READS, WORD_READS_A):
                 if type(key) is int:  # the alpha power: term dicts and forms by b
                     terms, pairs = entry
@@ -715,11 +731,11 @@ def test_the_memo_and_the_values_hold_fractions_only():
     from wallcross.verify import _words_with_odd, valid_zeta_k
     values = []
     j_sides = []
-    for q, blocks in ((1, (3,)), (2, (2, 3))):
+    for q, blocks in ((1, (3,)), (2, (2, 3)), (3, (1, 2, 3))):
         j_side = _j_side(q, blocks)
         j_sides.append(j_side)
         by_degree = {}
-        for word in _words_with_odd(q, r_max=1, s_max=2, odd_max=2):
+        for word in _words_with_odd(q, r_max=1, s_max=4, odd_max=2):
             by_degree.setdefault(word.degree(), []).append(word)
         for degree, words in by_degree.items():
             d = degree // 2

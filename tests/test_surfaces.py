@@ -102,6 +102,16 @@ def test_vectors_of_the_wrong_length_are_refused():
         surface_from_json_dict({"surface": {"name": 5, "q": 1}})
 
 
+def test_a_negative_q_is_refused():
+    hyperbolic = ((0, 1), (1, 0))
+    with pytest.raises(PreconditionError, match="q must be non-negative, got -2"):
+        custom_surface("negative q", -2, hyperbolic, K=(2, -2), Sigma=(1, 0))
+    with pytest.raises(SchemaError, match="q must be non-negative, got -2"):
+        surface_from_json_dict({"surface": {"name": "x", "q": -2, "basis": ["a", "b"],
+                                            "gram": [[0, 1], [1, 0]], "K": [2, -2],
+                                            "Sigma": [1, 0]}})
+
+
 def test_k_must_be_characteristic():
     # x^2 = x.K mod 2 (Wu's formula); with K = (1, -2) on the hyperbolic form,
     # e1^2 - e1.K = -1, and walls whose u broke the formula were dropped or

@@ -33,6 +33,11 @@ def test_wall_params_errors():
         wall_params(-4, 0, -4, 1)  # h(zeta) not integral
     with pytest.raises(InvalidWallError):
         wall_params(-4, 0, -4, 8)  # negative rank on the -zeta side
+    # a negative q used to pass whenever h(+-zeta) + q stayed non-negative
+    with pytest.raises(InvalidWallError, match="need q >= 0"):
+        wall_params(-8, -1, -8, 0)
+    with pytest.raises(InvalidWallError, match="need q >= 0"):
+        WallGeometry.build(p1=-8, q=-1, zeta2=-8, zetaK=0)
 
 
 def test_wall_sign_examples():

@@ -49,14 +49,12 @@ class ChernData:
         return self.a[i - 1]
 
 
-def chern_data_from_element(ch: GradedElement, top=None) -> ChernData:
+def chern_data_from_element(ch: GradedElement) -> ChernData:
     """Split a total Chern character into (rank, a_1, a_2, ...)."""
     model = ch.model
-    if top is None:
-        top = model.q + 2
     parts = ch.components()
     a = [parts[2 * i] * math.factorial(i) if 2 * i in parts else model.zero()
-         for i in range(1, top + 1)]
+         for i in range(1, model.q + 3)]
     while a and a[-1].is_zero():
         a.pop()
     return ChernData(model, ch.scalar_part(), tuple(a))
@@ -163,12 +161,6 @@ def hessenberg_det(data: ChernData, n, signed) -> GradedElement:
     return _det(model, rows)
 
 
-def total_chern(data: ChernData, top=None) -> GradedElement:
+def total_chern(data: ChernData) -> GradedElement:
     """Sum of chern_from_ch over all degrees representable in the model."""
-    model = data.model
-    if top is None:
-        top = (2 * model.q + 4) // 2
-    out = model.zero()
-    for n in range(top + 1):
-        out = out + chern_from_ch(data, n)
-    return out
+    return sum((chern_from_ch(data, n) for n in range(data.model.q + 3)), data.model.zero())

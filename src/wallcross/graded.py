@@ -3,7 +3,7 @@
 The ring is the tensor product of an exterior algebra on 2q odd degree-1
 generators th_1..th_{2q} (the Jacobian factor J) with a truncated surface
 factor S carrying odd degree-1 generators be_1..be_{2q}, even degree-2
-symbols ("Sigma", "zeta", "K", "alpha", ...) pairing symmetrically into the
+symbols (Sigma, zeta, K and alpha) pairing symmetrically into the
 point class [S], and the reductions
 
     be_i . be_j  =  a_ij Sigma          (a antisymmetric)
@@ -57,6 +57,9 @@ MAX_Q = 12
 S_ONE = (0, ())
 S_PT = (4, ())
 _SCALAR = (0, S_ONE)
+
+# The even degree-2 surface symbols every model carries
+EVEN_SYMBOLS = (SIGMA, "zeta", "K", "alpha")
 
 
 def s_odd(i):
@@ -123,7 +126,7 @@ class ModelSpec:
     even degree-2 symbols (Sigma.Sigma = 0 always).
     """
 
-    def __init__(self, q, a_matrix, gram, even_symbols=(SIGMA, "zeta", "K", "alpha")):
+    def __init__(self, q, a_matrix, gram):
         q = exact_int(q, "q")
         if not 0 <= q <= MAX_Q:
             raise PreconditionError(f"q must be between 0 and {MAX_Q}, got {q}")
@@ -143,11 +146,11 @@ class ModelSpec:
         # garbage collection
         self._omega_powers = [{_SCALAR: _ONE}, self.omega_class()._terms]
         self._memo = {}
-        self._set_gram(gram, even_symbols)
+        self._set_gram(gram)
 
     def with_gram(self, gram) -> "ModelSpec":
         """The model over this J-side (q, a_ij, the omega-power cache and the
-        memo behind ``memo``) with new Gram pairings among the same even symbols.
+        memo behind ``memo``) with new Gram pairings.
 
         The a_ij are not validated again and the caches are shared, so a sweep
         over pairings at fixed a_ij builds its J-side once.
@@ -155,16 +158,13 @@ class ModelSpec:
         model = object.__new__(ModelSpec)
         model.q, model.a_matrix, model.j_top = self.q, self.a_matrix, self.j_top
         model._omega_powers, model._memo = self._omega_powers, self._memo
-        model._set_gram(gram, self.even_symbols)
+        model._set_gram(gram)
         return model
 
-    def _set_gram(self, gram, even_symbols):
-        symbols = self.even_symbols = tuple(even_symbols)
-        if SIGMA not in symbols:
-            raise PreconditionError("the even symbol table must contain Sigma")
+    def _set_gram(self, gram):
         table = self._gram = {}
         for (s1, s2), val in dict(gram).items():
-            if s1 not in symbols or s2 not in symbols:
+            if s1 not in EVEN_SYMBOLS or s2 not in EVEN_SYMBOLS:
                 raise PreconditionError(f"gram entry for unregistered symbol ({s1},{s2})")
             v = frac(val)
             old = table.setdefault((s1, s2), v)
@@ -228,7 +228,7 @@ class ModelSpec:
 
     def even(self, sym) -> "GradedElement":
         """An even degree-2 surface symbol."""
-        if sym not in self.even_symbols:
+        if sym not in EVEN_SYMBOLS:
             raise PreconditionError(f"unregistered even symbol {sym!r}")
         return GradedElement(self, {(0, s_even(sym)): _ONE})
 
@@ -241,9 +241,9 @@ class ModelSpec:
         ``s_degree``, each as an element with coefficient 1."""
         n = 2 * self.q
         s_words = {0: [S_ONE], 1: [s_odd(i) for i in range(n)],
-                   2: [s_even(sym) for sym in self.even_symbols],
+                   2: [s_even(sym) for sym in EVEN_SYMBOLS],
                    3: [s_mixed(i, sym) for i in range(n)
-                       for sym in self.even_symbols if sym != SIGMA],
+                       for sym in EVEN_SYMBOLS if sym != SIGMA],
                    4: [S_PT]}.get(s_degree, [])
         return [GradedElement(self, {(sum(1 << i for i in js), s): _ONE})
                 for js in itertools.combinations(range(n), j_degree) for s in s_words]
@@ -340,7 +340,7 @@ class ModelSpec:
         return None
 
     def __repr__(self):
-        return f"ModelSpec(q={self.q}, even_symbols={self.even_symbols})"
+        return f"ModelSpec(q={self.q})"
 
 
 class GradedElement:
@@ -603,8 +603,10 @@ def integrate_forms(model, pairs, index, jacobian=False) -> tuple:
 
     Only complementary J-monomials reach the top class, and their S-words
     must multiply to [S]: each pair of S-words costs one product from
-    ``model`` and one dot product of ints.  When ``jacobian`` they must
-    multiply to 1, so only the two parts over the S-word 1 meet.
+    ``model`` and one dot product of ints, and the product's coefficient
+    enters as its int numerator and denominator, so both results are ints.
+    When ``jacobian`` they must multiply to 1, so only the two parts over the
+    S-word 1 meet.
     """
     (den_a, pairs), (den_b, index) = pairs, index
     total = 0
@@ -615,6 +617,7 @@ def integrate_forms(model, pairs, index, jacobian=False) -> tuple:
             for j, num in pairs.get(S_ONE, ()):
                 total += num * right.get(j, 0)
         return total, den_a * den_b
+    den = 1  # total / den is the sum so far over den_a * den_b
     smul = model._smul
     for s1, left in pairs.items():
         for s2, right in index.items():
@@ -627,8 +630,10 @@ def integrate_forms(model, pairs, index, jacobian=False) -> tuple:
             acc = 0
             for j, num in left:
                 acc += num * right.get(j, 0)
-            total += acc if sp[0] is _ONE else acc * sp[0]
-    return total, den_a * den_b
+            if acc:
+                c = sp[0]
+                total, den = total * c.denominator + acc * c.numerator * den, den * c.denominator
+    return total, den_a * den_b * den
 
 
 def integrate_product(a: GradedElement, b: GradedElement, jacobian=False) -> Fraction:

@@ -1,11 +1,13 @@
 """Ring evaluation of the general wall-crossing expression for l_zeta <= 1.
 
 This is the brute-force side of every closed form: the insertion word is
-expanded as a polynomial in the formal variable X with ring coefficients
-(a factor repeated m times, such as the alpha insertion, is raised by the
-binomial theorem), each power X^N is replaced through the Segre
-substitution table of the extension-bundle data, and each product of an
-X^N coefficient with its substitute is integrated without being formed.
+expanded as a polynomial in the formal variable X with ring coefficients,
+each power X^N is replaced through the Segre substitution table of the
+extension-bundle data, and each product of an X^N coefficient with its
+substitute is integrated without being formed.  One expansion serves both
+wall lengths: the l = 0 alpha insertion A = -e_alpha + aX is raised as
+A^s = sum_b C(s, b) a^b (-e_alpha)^(s - b) X^b, and an l = 1 word is a sum
+of nilpotent surface classes [S]^i alpha_S^j times X^(2r - 2i) A^(s - j).
 
 A wall's X-table is built whole, every nonzero X^N substitute for N = 0..d
 in one Newton pass, once per J-side, wall and the pairings that it reads
@@ -23,9 +25,9 @@ the pairings it reads: the alpha power by s and ``WORD_READS``, the prefix c
 by the word's odd indices and r, and a word with odd insertions as c times
 each alpha-power term.  A word x^r alpha^s is priced from its alpha power
 alone, so a sweep over pairings raises one alpha power per s and expands no
-prefix twice.  Tables and word forms keep each X^N term as int numerators
-over one denominator, so an l = 0 point costs one integer dot product per
-X-power.
+prefix twice; an l = 1 word reads the same alpha powers.  Tables and word
+forms keep each X^N term as int numerators over one denominator, so an
+l = 0 point costs one integer dot product per X-power.
 """
 
 from __future__ import annotations
@@ -127,65 +129,6 @@ def _x_table(model, wall, branch="unified"):
     return table
 
 
-def _xpoly_mul(poly, factor):
-    out = {}
-    for n1, c1 in poly.items():
-        for n2, c2 in factor.items():
-            c = c1 * c2
-            if c.is_zero():
-                continue
-            key = n1 + n2
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-    return {n: c for n, c in out.items() if not c.is_zero()}
-
-
-def _xpoly_power(model, factor, m):
-    """``factor ** m`` by the binomial theorem in its lowest power of X.
-
-    (c X^n + rest)^m = sum_k C(m, k) c^k X^(nk) rest^(m-k) holds only when
-    the coefficients commute, so a factor with an odd coefficient may not
-    repeat.
-    """
-    if m == 1:
-        return factor
-    one = model.one()
-    if m == 0:
-        return {0: one}
-    if any(deg % 2 for c in factor.values() for deg in c.total_degrees()):
-        raise PreconditionError(
-            "an X-polynomial factor with an odd coefficient cannot be raised to a power")
-    (n0, c0), *rest = sorted(factor.items())
-    rest = dict(rest)
-    rest_pows = [{0: one}]
-    for _ in range(m):
-        rest_pows.append(_xpoly_mul(rest_pows[-1], rest))
-    out = {}
-    c0_pow = one
-    for k in range(m + 1):
-        if k:
-            c0_pow = c0_pow * c0
-            if c0_pow.is_zero():
-                break
-        for n, c in rest_pows[m - k].items():
-            term = c0_pow * (c * math.comb(m, k))
-            key = n0 * k + n
-            s = out.get(key)
-            out[key] = term if s is None else s + term
-    return {n: c for n, c in out.items() if not c.is_zero()}
-
-
-def _expand(model, factors):
-    """The X-polynomial product of ``factor ** multiplicity``, in the given order,
-    over ``(factor, multiplicity)`` pairs."""
-    poly = {0: model.one()}
-    for factor, m in factors:
-        poly = _xpoly_mul(poly, _xpoly_power(model, factor, m))
-        if not poly:
-            break
-    return poly
-
-
 # The pairings the parts of an l = 0 word read.  Each gamma_i is X th_i, each A_j
 # is -e_{zeta,beta_j} and x^r is (-X^2/4)^r, so a word is c X^(|gamma| + 2r) times
 # the alpha power (-e_alpha + aX)^s.  The prefix c reads Sigma.zeta through
@@ -197,14 +140,26 @@ WORD_READS = ((SIGMA, "alpha"), ("zeta", "alpha"))
 WORD_READS_A = WORD_READS + PREFIX_READS_A
 
 
+def _powers(elem, top):
+    """[elem^0, elem^1, ...] up to elem^top, cut before the first zero power."""
+    powers = [elem.model.one()]
+    while len(powers) <= top and not (power := powers[-1] * elem).is_zero():
+        powers.append(power)
+    return powers
+
+
 def _alpha_power(model, s):
-    """(-e_alpha + aX)^s = sum_b A_b X^b as ``({b: term dict}, {b: integration_pairs})``,
-    kept under s in the model's ``WORD_READS`` slot."""
+    """(-e_alpha + aX)^s = sum_b A_b X^b, A_b = C(s, b) a^b (-e_alpha)^(s - b), as
+    ``({b: term dict}, {b: integration_pairs})``, kept under s in the model's
+    ``WORD_READS`` slot."""
     memo = model.memo(WORD_READS)
     power = memo.get(s)
     if power is None:
-        factor = {0: -e_alpha(model), 1: model.scalar(model.pair("zeta", "alpha") / 2)}
-        terms = {b: c._terms for b, c in _xpoly_power(model, factor, s).items()}
+        a, terms = model.pair("zeta", "alpha") / 2, {}
+        for k, ea_k in enumerate(_powers(-e_alpha(model), s)):  # A_(s - k)
+            c = math.comb(s, k) * a ** (s - k)
+            if c:
+                terms[s - k] = (ea_k * c)._terms
         power = memo[s] = (terms, {b: integration_pairs(model, t) for b, t in terms.items()})
     return power
 
@@ -299,9 +254,13 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
 def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     """Ring evaluation of the wall-crossing term for l_zeta = 1 on x^r alpha^(d-2r).
 
-    The point insertion becomes [S] - X^2/4 and the alpha insertion
-    alpha_S - e_alpha + aX; the X-table sums the Segre classes of the k = 0
-    and k = 1 stratum pairs, so the K-odd couplings cancel exactly.
+    The point insertion becomes [S] - X^2/4 and the alpha insertion alpha_S + A,
+    with A = -e_alpha + aX the l = 0 alpha insertion, so the word is
+    sum_(i, j) C(r, i) C(s, j) (-1/4)^(r - i) [S]^i alpha_S^j X^(2r - 2i) A^(s - j):
+    each surface class [S]^i alpha_S^j is a ring product, taken until the ring
+    returns zero, and each A^m is the alpha power the l = 0 words keep.  The
+    X-table sums the Segre classes of the k = 0 and k = 1 stratum pairs, so
+    the K-odd couplings cancel exactly.
     """
     if wall.l_zeta != 1:
         raise RegimeError(f"l1 oracle needs l_zeta = 1, got {wall.l_zeta}")
@@ -309,12 +268,20 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     if s < 0:
         return DeltaValue(Fraction(0), "ring-oracle")
     table = _x_table(model, wall)
-    a = model.pair("zeta", "alpha") / 2
-    ea = e_alpha(model)
-    alpha_s = model.even("alpha")
-    factors = [({0: model.point(), 2: model.scalar(Fraction(-1, 4))}, r),
-               ({0: alpha_s - ea, 1: model.scalar(a)}, s)]
+    alpha_powers = _powers(model.even("alpha"), s)
+    coeffs = {}  # X-power -> its coefficient, summed over (i, j)
+    for i, point_i in enumerate(_powers(model.point(), r)):
+        for j, alpha_j in enumerate(alpha_powers):
+            surface = point_i * alpha_j
+            if surface.is_zero():  # and so is every later one
+                break
+            surface = surface * (math.comb(r, i) * math.comb(s, j) * Fraction(-1, 4) ** (r - i))
+            for b, terms in _alpha_power(model, s - j)[0].items():
+                n = 2 * (r - i) + b
+                if n in table:
+                    term = surface * GradedElement(model, terms)
+                    coeffs[n] = coeffs[n] + term if n in coeffs else term
     forms = {n: integration_pairs(model, coeff._terms)
-             for n, coeff in _expand(model, factors).items() if n in table}
+             for n, coeff in coeffs.items() if coeff._terms}
     num, den = _integrate_x(model, forms, table, 0)
     return DeltaValue(Fraction(wall.sign_complex() * num, den), "ring-oracle")

@@ -113,11 +113,10 @@ def _j_side(q, blocks=None) -> ModelSpec:
     return build_model(PairingInput(q=q, pairings=Pairings(), a_blocks=blocks))
 
 
-def valid_zeta_k(q, zeta2, l_zeta, limit=None):
+def valid_zeta_k(q, zeta2, l_zeta):
     """zeta.K values of the right parity keeping both extension ranks >= 0."""
     out = []
-    hi = -zeta2 + 2 * (l_zeta + q) if limit is None else limit
-    for zk in range(0, hi + 1):
+    for zk in range(0, -zeta2 + 2 * (l_zeta + q) + 1):
         for signed in ((zk,) if zk == 0 else (zk, -zk)):
             if (signed - zeta2) % 2:
                 continue
@@ -145,12 +144,13 @@ def monomial_basis(model, degree):
             for m in model.monomials(jsize, degree - jsize)]
 
 
-def random_even_element(model, degree, rng, density=3):
+def random_even_element(model, degree, rng):
+    """A sum of up to three random monomials of one degree, small rational coefficients."""
     basis = monomial_basis(model, degree)
     if not basis:
         return model.zero()
     out = model.zero()
-    for elem in rng.sample(basis, min(density, len(basis))):
+    for elem in rng.sample(basis, min(3, len(basis))):
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         if c:
             out = out + elem * c

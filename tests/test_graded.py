@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallcross import (GradedElement, ModelMismatchError, ModelSpec, PreconditionError, SIGMA,
+from wallcross import (GradedElement, ModelMismatchError, PreconditionError, SIGMA,
                        exp_truncated, integrate, integrate_jacobian,
                        inverse_unit_series, term_list, to_json)
 from wallcross.graded import integrate_forms, integrate_product, integration_index, integration_pairs
@@ -383,8 +383,6 @@ def test_a_gram_is_validated_entry_by_entry():
                         ({("zeta", "w"): 1}, "unregistered")):
         with pytest.raises(PreconditionError, match=match):
             base.with_gram(gram)
-    with pytest.raises(PreconditionError, match="must contain Sigma"):
-        ModelSpec(0, (), {}, even_symbols=("zeta",))
 
 
 # a non-integral generator index is a typed error; an integral one of another

@@ -12,8 +12,8 @@ from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
                        delta_oracle_l1, e_alpha, e_zeta, e_zeta_beta, exp_truncated,
                        jacobian_odd_integral, segre_from_ch, volume)
 from wallcross import jacobian, oracle
-from wallcross.graded import integrate_product
-from wallcross.oracle import PREFIX_READS_A, TABLE_READS, WORD_READS, WORD_READS_A, _expand
+from wallcross.graded import integrate_product, integration_pairs
+from wallcross.oracle import PREFIX_READS_A, TABLE_READS, WORD_READS, WORD_READS_A, _alpha_power
 
 from conftest import make_model
 
@@ -211,29 +211,19 @@ def _sequential_expand(model, factors):
     return poly
 
 
-def test_grouped_expansion_matches_the_sequential_one():
-    _, model = _wall_and_model(q=2)
-    quarter = model.scalar(Fraction(-1, 4))
-    a = model.scalar(model.pair("zeta", "alpha") / 2)
-    point = {0: model.point(), 2: quarter}  # nilpotent: [S]^2 = 0
-    alpha_l1 = {0: model.even("alpha") - e_alpha(model), 1: a}
-    alpha_l0 = {0: -e_alpha(model), 1: a}
-    odd = [({1: model.theta(0)}, 1), ({0: -e_zeta_beta(model, 2)}, 1)]
-    for r in range(7):
+def test_the_alpha_power_is_the_sequential_expansion():
+    # A^s = (-e_alpha + aX)^s, built as sum_b C(s, b) a^b (-e_alpha)^(s - b) X^b,
+    # equals s multiplies of the binomial, with zeta.alpha rational, zero or not
+    for za in (Fraction(3, 2), 0):
+        _, model = _wall_and_model(q=2, zetaAlpha=za)
+        binomial = {0: -e_alpha(model), 1: model.scalar(model.pair("zeta", "alpha") / 2)}
         for s in range(7):
-            for factors in ([(point, r), (alpha_l1, s)],
-                            [({2: quarter}, r), (alpha_l0, s)] + odd):
-                assert _expand(model, factors) == _sequential_expand(model, factors)
-    assert _expand(model, [(point, 0), (alpha_l1, 0)]) == {0: model.one()}
-    assert _expand(model, [(point, 3)]) == _sequential_expand(model, [(point, 3)])
-
-
-def test_an_odd_factor_may_not_repeat():
-    _, model = _wall_and_model(q=2)
-    for odd in ({1: model.theta(0)}, {0: -e_zeta_beta(model, 1), 1: model.one()}):
-        assert _expand(model, [(odd, 1)]) == _sequential_expand(model, [(odd, 1)])
-        with pytest.raises(PreconditionError, match="odd coefficient"):
-            _expand(model, [(odd, 2)])
+            terms, pairs = _alpha_power(model, s)
+            expanded = _sequential_expand(model, [(binomial, s)])
+            assert terms == {b: c._terms for b, c in expanded.items()}, (za, s)
+            assert pairs == {b: integration_pairs(model, t) for b, t in terms.items()}
+            # omega^3 = 0 at q = 2: A^s has at most three terms, and a = 0 one
+            assert len(terms) == (min(s, 2) + 1 if za else int(s <= 2))
 
 
 def test_direct_l0_extension_data_equals_the_split_character():
@@ -371,10 +361,12 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         price(model)
         d = wall0.d
         assert len(model.memo(TABLE_READS)) == 2
-        # four alpha powers and no entry for the words x^r alpha^s; the words with
+        # four alpha powers for the l = 0 words and A^(s - j), j <= 2, for the
+        # l = 1 words, and no entry for the words x^r alpha^s; the words with
         # A-insertions read Sigma.zeta, and so do their prefixes, one per r
-        assert len(model.memo(WORD_READS)) == 4 and len(model.memo(WORD_READS_A)) == 2
-        assert _alpha_powers(model) == [d - 6, d - 4, d - 2, d]
+        alpha_powers = sorted({d - 6, d - 4, d - 2, d, *range(wall1.d - 4, wall1.d + 1)})
+        assert len(alpha_powers) == 8 and len(model.memo(WORD_READS_A)) == 2
+        assert _alpha_powers(model) == alpha_powers == sorted(model.memo(WORD_READS))
         assert set(model.memo(PREFIX_READS_A)) == {((0, 1), (2, 3), 0), ((0, 1), (2, 3), 1)}
         assert set(model.memo(())) == {"volume", ((0, 1), (2, 3))}
         ref = weakref.ref(model)
@@ -421,7 +413,6 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
     # entry that reads it is built again, every other one is shared, and both
     # models price as fresh models do
     builds = _counting(monkeypatch, "_table_datas")
-    expands = _counting(monkeypatch, "_expand")
     alphas = _counting(monkeypatch, "e_alpha")
     # an odd word's entry is built on a miss only, and so is the prefix that
     # e_zeta_beta enters; the prefix of gamma_1 gamma_2 never reads a pairing
@@ -443,18 +434,18 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
         for pairs in (BASE, dict(BASE, **{key: OTHER[key]})):
             pr = Pairings(**pairs)
             model = j_side.with_gram(pr.gram())
-            del builds[:], expands[:], alphas[:], words[:], prefixes[:], vols[:], odds[:]
+            del builds[:], alphas[:], words[:], prefixes[:], vols[:], odds[:]
             priced = [_priced(model, wall0, word) for word in words0]
-            # the l = 0 words raise two alpha powers, and only they call e_alpha here
+            # the l = 0 words raise two alpha powers, A and A^2
             built = [len(alphas), len(words), len(prefixes)]
             priced += [_priced(model, wall1, word) for word in words1]
             priced += [volume(model), delta_l0_odd(wall0, model, words0[1]).value]
             # the first model builds both tables, both odd words and their two
-            # prefixes, two alpha powers, vol and F; the l = 1 polynomials are
-            # expanded on every model, and no l = 0 word is expanded
-            built += [len(builds), len(expands), len(vols), len(odds)]
-            expect = ([2, 2, 1, 2, 2, 1, 1] if pairs is BASE
-                      else [2 * alpha, plain + with_a, prefix_a, 2 * table, 2, 0, 0])
+            # prefixes, vol and F, and seven alpha powers: the l = 1 words at
+            # d = 8 raise A^4 .. A^8 as well
+            built += [len(builds), len(alphas), len(vols), len(odds)]
+            expect = ([2, 2, 1, 2, 7, 1, 1] if pairs is BASE
+                      else [2 * alpha, plain + with_a, prefix_a, 2 * table, 7 * alpha, 0, 0])
             assert built == expect, key
             fresh = build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks))
             assert priced == [_priced(fresh, wall, word)
@@ -560,21 +551,26 @@ def test_alpha_powers_are_kept_by_s_sigma_alpha_and_zeta_alpha(monkeypatch):
 
 
 def _expanded_value(model, wall, word):
-    """The l = 0 oracle's value of ``word`` from its whole X-polynomial, expanded
-    factor by factor, each X^N term integrated against its substitute
+    """The oracle's value of ``word`` from its whole X-polynomial, expanded one
+    multiply at a time, each X^N term integrated against its substitute
     (-1)^(N - N_-) s_(N - 1 - N_+ - N_-), summed over the wall's Chern data here
-    rather than read from the X-table."""
+    rather than read from the X-table.  At l = 1 the point insertion is
+    [S] - X^2/4 and the alpha insertion alpha_S - e_alpha + aX."""
     datas = oracle._table_datas(model, wall, "unified")
     low = wall.n_plus + wall.n_minus + 1
+    l1 = wall.l_zeta == 1
+    surface_point, surface_alpha = ((model.point(), model.even("alpha")) if l1
+                                    else (model.zero(), model.zero()))
     factors = [({1: model.theta(i)}, 1) for i in word.gammas]
     factors += [({0: -e_zeta_beta(model, j)}, 1) for j in word.threes]
-    factors += [({2: model.scalar(Fraction(-1, 4))}, word.r),
-                ({0: -e_alpha(model), 1: model.scalar(model.pair("zeta", "alpha") / 2)}, word.s)]
+    factors += [({0: surface_point, 2: model.scalar(Fraction(-1, 4))}, word.r),
+                ({0: surface_alpha - e_alpha(model),
+                  1: model.scalar(model.pair("zeta", "alpha") / 2)}, word.s)]
     total = Fraction(0)
-    for n, c in _expand(model, factors).items():
+    for n, c in _sequential_expand(model, factors).items():
         if n >= low:
             substitute = sum((segre_from_ch(data, n - low) for data in datas), model.zero())
-            total += (-1) ** (n - wall.n_minus) * integrate_product(c, substitute, jacobian=True)
+            total += (-1) ** (n - wall.n_minus) * integrate_product(c, substitute, jacobian=not l1)
     return wall.sign_complex() * total
 
 
@@ -603,6 +599,28 @@ def test_a_word_is_its_prefix_times_the_alpha_power():
         assert not [key for key in model.memo(WORD_READS) if type(key) is not int
                     and not key.odd_count()]
     assert (cases, nonzero) == (168, 130)
+
+
+def test_an_l1_word_is_surface_classes_times_alpha_powers():
+    # the l = 1 oracle sums C(r, i) C(s, j) (-1/4)^(r - i) [S]^i alpha_S^j
+    # X^(2r - 2i) A^(s - j); it equals the whole word expanded one multiply at
+    # a time, with alpha^2 zero or not
+    cases = nonzero = 0
+    for q, blocks in ((0, None), (1, (3,)), (2, (1, 2))):
+        j_side = _j_side(q, blocks)
+        for zeta2, zetaK in ((-4, 2), (-4, 0), (-8, 2)):
+            wall = WallGeometry.build(p1=zeta2 - 4, q=q, zeta2=zeta2, zetaK=zetaK)
+            for za, a2 in ((Fraction(3, 2), -1), (-2, 0)):
+                model = j_side.with_gram(Pairings(
+                    zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=1,
+                    sigmaAlpha=Fraction(-1, 3), sigmaK=2, K2=8, Kalpha=1, alpha2=a2).gram())
+                for r in range(min(3, wall.d // 2) + 1):
+                    value = delta_oracle_l1(model, wall, r).value
+                    assert value == _expanded_value(
+                        model, wall, InsertionWord(r=r, s=wall.d - 2 * r)), (wall, za, a2, r)
+                    cases += 1
+                    nonzero += value != 0
+    assert cases == nonzero == 68
 
 
 def test_an_odd_prefix_is_kept_by_its_indices_r_and_sigma_zeta():
@@ -724,11 +742,19 @@ def _form_ints(form):
         yield from (part.values() if isinstance(part, dict) else (num for _, num in part))
 
 
-def test_the_memo_and_the_values_hold_fractions_only():
+def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     # exactness guard: int / int is a float in Python, so every coefficient the
-    # memo keeps and every value priced from it must be a Fraction, and every
-    # integration form int numerators over a positive int denominator, reduced
+    # memo keeps and every value priced from it must be a Fraction, every
+    # integration form int numerators over a positive int denominator, reduced,
+    # and every integral the oracles sum an int numerator over an int denominator
     from wallcross.verify import _words_with_odd, valid_zeta_k
+    integrals = []
+    real = oracle.integrate_forms
+
+    def recorded(model, pairs, index, jacobian):
+        integrals.append((model.q, jacobian, real(model, pairs, index, jacobian)))
+        return integrals[-1][2]
+    monkeypatch.setattr(oracle, "integrate_forms", recorded)
     values = []
     j_sides = []
     for q, blocks in ((1, (3,)), (2, (2, 3)), (3, (1, 2, 3))):
@@ -750,7 +776,8 @@ def test_the_memo_and_the_values_hold_fractions_only():
                     model = j_side.with_gram(pr.gram())
                     values += [delta_oracle_l0(model, wall, word).value for word in words]
                     values += [delta_l0_odd(wall, model, word).value for word in words]
-        # an l = 1 table indexes S-words other than 1, over non-integral pairings
+        # an l = 1 table indexes S-words other than 1, over non-integral pairings,
+        # so S-products with Fraction coefficients meet in its integrals
         wall = WallGeometry.build(p1=-8, q=q, zeta2=-4, zetaK=2)
         model = j_side.with_gram(Pairings(zeta2=-4, zetaK=2, zetaAlpha=Fraction(3, 2),
                                           sigmaZeta=1, sigmaAlpha=Fraction(-1, 3), sigmaK=3,
@@ -769,3 +796,6 @@ def test_the_memo_and_the_values_hold_fractions_only():
     assert all(math.gcd(den, *_form_ints(form)) == 1 for den, form in zip(dens, forms))
     assert max(dens) > 1 and any(len(form[1]) > 1 for form in forms)
     assert len(values) > 4000 and len(coeffs) > 300 and len(nums) > 1000 and any(values)
+    # the q = 2, l = 1 integrals over Sigma.alpha = alpha^2 = -1/3 included
+    assert {type(x) for *_, integral in integrals for x in integral} == {int}
+    assert sum(q == 2 and not jacobian for q, jacobian, _ in integrals) >= 5

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chern import ChernData, hessenberg_det, segre_from_ch
 from .errors import InvariantError, PreconditionError, RegimeError
-from .graded import SIGMA, GradedElement, ModelSpec, frac
+from .graded import SIGMA, GradedElement, ModelSpec, exact_count, frac
 from .jacobian import InsertionWord, Pairings, e_alpha, e_zeta, jacobian_odd_integral
 from .walls import WallGeometry
 
@@ -77,6 +77,7 @@ def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
     eps (-1)^(r+d) vol sum_b 2^(3q-b-d) q!/(q-b)! C(d-2r, b)
     (zeta.alpha)^(d-2r-b) (Sigma.alpha)^b (Sigma.zeta)^(q-b).
     """
+    r = exact_count(r, "the multiplicity r")
     if wall.l_zeta != 0:
         raise RegimeError(f"delta_l0 needs l_zeta = 0, got {wall.l_zeta}")
     d, q = wall.d, wall.q
@@ -123,6 +124,7 @@ def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
     + 8 alpha^2 C(s,2) S(s-2)], with s = d - 2r, B = 6 zeta^2 + 2 K^2 - 24q - 8r
     and S(m) = ``_l0_sum(m, q, q, zeta.alpha, Sigma.alpha, Sigma.zeta)``.
     """
+    r = exact_count(r, "the multiplicity r")
     if wall.l_zeta != 1:
         raise RegimeError(f"delta_l1 needs l_zeta = 1, got {wall.l_zeta}")
     d, q = wall.d, wall.q
@@ -257,6 +259,7 @@ def delta_leading(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValu
     Valid modulo a^(d - 2r - 2 l_zeta - q + 2); the returned value carries
     that exponent.  Requires d - 2r >= 2 l_zeta + q.
     """
+    r = exact_count(r, "the multiplicity r")
     d, q, l = wall.d, wall.q, wall.l_zeta
     m = d - 2 * r - 2 * l - q
     if m < 0:

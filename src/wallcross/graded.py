@@ -101,6 +101,15 @@ def exact_int(x, what) -> int:
     return f.numerator
 
 
+def exact_count(x, what) -> int:
+    """``exact_int`` of a count, such as a multiplicity: a negative value raises
+    PreconditionError too."""
+    n = exact_int(x, what)
+    if n < 0:
+        raise PreconditionError(f"{what} must be non-negative, got {n}")
+    return n
+
+
 def _above_parity(j):
     """P(j): bit y set when an odd number of bits of ``j`` lie above y."""
     x = j >> 1

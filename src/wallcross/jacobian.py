@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .graded import (MAX_Q, SIGMA, GradedElement, ModelSpec, exact_int, frac,
+from .graded import (MAX_Q, SIGMA, GradedElement, ModelSpec, exact_count, exact_int, frac,
                      integrate_jacobian, integrate_product)
 
 _ZERO = Fraction(0)
@@ -216,12 +216,10 @@ class InsertionWord:
     threes: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "r", exact_int(self.r, "the multiplicity r"))
-        object.__setattr__(self, "s", exact_int(self.s, "the multiplicity s"))
+        object.__setattr__(self, "r", exact_count(self.r, "the multiplicity r"))
+        object.__setattr__(self, "s", exact_count(self.s, "the multiplicity s"))
         object.__setattr__(self, "gammas", tuple(exact_int(i, "a gamma index") for i in self.gammas))
         object.__setattr__(self, "threes", tuple(exact_int(j, "an A index") for j in self.threes))
-        if self.r < 0 or self.s < 0:
-            raise PreconditionError("multiplicities must be non-negative")
         if len(set(self.gammas)) != len(self.gammas) or len(set(self.threes)) != len(self.threes):
             raise PreconditionError("odd insertions may appear at most once each")
 

@@ -4,10 +4,12 @@ This is the brute-force side of every closed form: the insertion word is
 expanded as a polynomial in the formal variable X with ring coefficients,
 each power X^N is replaced through the Segre substitution table of the
 extension-bundle data, and each product of an X^N coefficient with its
-substitute is integrated without being formed.  One expansion serves both
-wall lengths: the l = 0 alpha insertion A = -e_alpha + aX is raised as
-A^s = sum_b C(s, b) a^b (-e_alpha)^(s - b) X^b, and an l = 1 word is a sum
-of nilpotent surface classes [S]^i alpha_S^j times X^(2r - 2i) A^(s - j).
+substitute is integrated without being formed.  Alpha enters only through
+a = zeta.alpha/2 and e_alpha = -2 (Sigma.alpha) omega, so with t = 2 Sigma.alpha
+the alpha insertion A = -e_alpha + aX is raised as
+A^s = sum_b C(s, b) a^b t^(s - b) omega^(s - b) X^b: every coefficient is a
+scalar times a power of omega, which the J-side caches (the reduction of
+Jacobian integrals to powers of theta, after Macdonald).
 
 A wall's X-table is built whole, every nonzero X^N substitute for N = 0..d
 in one Newton pass, once per J-side, wall and the pairings that it reads
@@ -19,15 +21,19 @@ extension bundles:
 
 with duals through ch_dual and the two strata summed inside the table.
 Hilbert schemes of >= 2 points would require their full cohomology, so
-l_zeta >= 2 is rejected.  An l = 0 word is c X^(|gamma| + 2r) times the
-alpha power (-e_alpha + aX)^s, and each part is likewise kept per J-side and
-the pairings it reads: the alpha power by s and ``WORD_READS``, the prefix c
-by the word's odd indices and r, and a word with odd insertions as c times
-each alpha-power term.  A word x^r alpha^s is priced from its alpha power
-alone, so a sweep over pairings raises one alpha power per s and expands no
-prefix twice; an l = 1 word reads the same alpha powers.  Tables and word
-forms keep each X^N term as int numerators over one denominator, so an
-l = 0 point costs one integer dot product per X-power.
+l_zeta >= 2 is rejected.  An l = 0 word with odd part c (c = 1 for
+x^r alpha^s) is (-1/4)^r c X^(|gamma| + 2r) A^s, so its value is
+sign (-1/4)^r sum_(b >= s - q) C(s, b) a^b t^(s - b) m_c(s - b, |gamma| + 2r + b)
+in the moments m_c(k, N), the integral over J of c omega^k X^N.  The word's
+degree 2d fixes k + N = d - (|gamma| + |A|)/2, so every r reads the same
+moments.  A moment reads the J-side, the wall and ``TABLE_READS`` only, so
+it is kept beside the table, under (branch, wall, gamma, A) and k, as a
+reduced int pair filled on first use; the forms of c omega^k are kept by
+the odd indices and k in ``memo(())``, or in the ``PREFIX_READS_A`` slot
+for a word with A-insertions.  A sweep over the alpha pairings thus prices
+each point from at most q + 1 kept moments with int arithmetic and one
+Fraction.  An l = 1 word's X^n coefficient is a sum of scalars times
+[S]^i alpha_S^j omega^k, integrated against the table.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from fractions import Fraction
 from .chern import ChernData, ch_direct_sum, ch_dual, chern_data_from_element, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
-from .graded import (SIGMA, GradedElement, ModelSpec, exp_truncated, integrate_forms,
+from .graded import (SIGMA, ModelSpec, exact_count, exp_truncated, integrate_forms,
                      integration_index, integration_pairs)
-from .jacobian import InsertionWord, e_alpha, e_divisor, e_zeta_beta
+from .jacobian import InsertionWord, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
 
@@ -129,15 +135,11 @@ def _x_table(model, wall, branch="unified"):
     return table
 
 
-# The pairings the parts of an l = 0 word read.  Each gamma_i is X th_i, each A_j
-# is -e_{zeta,beta_j} and x^r is (-X^2/4)^r, so a word is c X^(|gamma| + 2r) times
-# the alpha power (-e_alpha + aX)^s.  The prefix c reads Sigma.zeta through
-# e_zeta_beta when the word has A-insertions and no pairing otherwise; the alpha
-# power reads Sigma.alpha through e_alpha and zeta.alpha through aX.  Every factor
-# is a Jacobian class (or a scalar), so their products read no pairing at all.
+# The pairings the forms of c omega^k read, c the odd part of an l = 0 word: each
+# gamma_i is X th_i and each A_j is -e_{zeta,beta_j}, so c reads Sigma.zeta
+# through e_zeta_beta when the word has A-insertions and no pairing otherwise.
+# c and omega^k are Jacobian classes, so their product reads no pairing either.
 PREFIX_READS_A = ((SIGMA, "zeta"),)
-WORD_READS = ((SIGMA, "alpha"), ("zeta", "alpha"))
-WORD_READS_A = WORD_READS + PREFIX_READS_A
 
 
 def _powers(elem, top):
@@ -148,70 +150,36 @@ def _powers(elem, top):
     return powers
 
 
-def _alpha_power(model, s):
-    """(-e_alpha + aX)^s = sum_b A_b X^b, A_b = C(s, b) a^b (-e_alpha)^(s - b), as
-    ``({b: term dict}, {b: integration_pairs})``, kept under s in the model's
-    ``WORD_READS`` slot."""
-    memo = model.memo(WORD_READS)
-    power = memo.get(s)
-    if power is None:
-        a, terms = model.pair("zeta", "alpha") / 2, {}
-        for k, ea_k in enumerate(_powers(-e_alpha(model), s)):  # A_(s - k)
-            c = math.comb(s, k) * a ** (s - k)
-            if c:
-                terms[s - k] = (ea_k * c)._terms
-        power = memo[s] = (terms, {b: integration_pairs(model, t) for b, t in terms.items()})
-    return power
-
-
-def _odd_prefix(model, word):
-    """c of the word's prefix c X^(|gamma| + 2r) as a term dict: (-1/4)^r times
-    the odd factors in the word's order.  Kept under (gamma, A, r) in the model's
-    ``memo(())``, or its ``PREFIX_READS_A`` slot for a word with A-insertions."""
+def _odd_forms(model, word, k):
+    """c omega^k as ``integration_pairs``, c the word's odd factors in its order.
+    Kept under (gamma, A, k) in the model's ``memo(())``, or its ``PREFIX_READS_A``
+    slot for a word with A-insertions."""
     memo = model.memo(PREFIX_READS_A if word.threes else ())
-    key = (word.gammas, word.threes, word.r)
-    prefix = memo.get(key)
-    if prefix is None:
-        elem = model.scalar(Fraction(-1, 4) ** word.r)
+    key = (word.gammas, word.threes, k)
+    forms = memo.get(key)
+    if forms is None:
+        elem = model.one()
         for i in word.gammas:
             elem = elem * model.theta(i)
         for j in word.threes:
             elem = elem * -e_zeta_beta(model, j)
-        prefix = memo[key] = elem._terms
-    return prefix
-
-
-def _odd_word_forms(model, word):
-    """c A_b of an l = 0 word with odd insertions as {b: ``integration_pairs``},
-    kept under the word in the model's ``WORD_READS`` slot (``WORD_READS_A`` for
-    a word with A-insertions); a new alpha power meets the kept prefix only."""
-    memo = model.memo(WORD_READS_A if word.threes else WORD_READS)
-    forms = memo.get(word)
-    if forms is None:
-        forms = {}
-        prefix = _odd_prefix(model, word)
-        if prefix:  # a vanishing odd product needs no alpha power
-            prefix = GradedElement(model, prefix)
-            for b, terms in _alpha_power(model, word.s)[0].items():
-                product = prefix * GradedElement(model, terms)
-                if product._terms:
-                    forms[b] = integration_pairs(model, product._terms)
-        memo[word] = forms
+        if elem._terms:  # a vanishing odd product needs no omega power
+            elem = elem * model.omega_pow(k)
+        forms = memo[key] = integration_pairs(model, elem._terms)
     return forms
 
 
-def _integrate_x(model, forms, table, shift, jacobian=False):
-    """sum_n of each X^n coefficient, ``forms[n]`` as ``integration_pairs``, integrated
-    against the substitute of X^(n + shift), as ``(num, den)``; an X-power with
-    no substitute adds nothing."""
-    num, den = 0, 1
-    for n, pairs in forms.items():
-        index = table.get(shift + n)
-        if index is not None:
-            num_n, den_n = integrate_forms(model, pairs, index, jacobian)
-            if num_n:
-                num, den = num * den_n + num_n * den, den * den_n
-    return num, den
+def _moment(model, wall, branch, word, k, n):
+    """m_c(k, n), the integral over J of c omega^k X^n with X^n replaced through the
+    wall's X-table, as a reduced ``(num, den)``; c is the word's odd part."""
+    forms = _odd_forms(model, word, k)
+    # a vanishing c omega^k needs no table
+    index = _x_table(model, wall, branch).get(n) if forms[1] else None
+    if index is None:
+        return 0, 1
+    num, den = integrate_forms(model, forms, index, jacobian=True)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
@@ -239,15 +207,25 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
             raise RegimeError("component branch requires h(zeta) + q = 0")
     elif branch != "unified":
         raise PreconditionError(f"unknown branch {branch!r}")
-    if a_cnt + b_cnt:
-        forms, scale = _odd_word_forms(model, word), 1
-    else:
-        # x^r alpha^s is (-1/4)^r X^(2r) times the alpha power: its own forms
-        forms, scale = _alpha_power(model, word.s)[1], (-4) ** word.r
+    # the word is (-1/4)^r c X^(|gamma| + 2r) (-e_alpha + aX)^s, whose X^b term,
+    # C(s, b) a^b t^(s - b) with a = zeta.alpha / 2 and t = 2 Sigma.alpha, is
+    # x^b y^(s - b) / (2 zd sd)^s over the pairings' denominators zd and sd
+    za, sa = model.pair("zeta", "alpha"), model.pair(SIGMA, "alpha")
+    x, y = za.numerator * sa.denominator, 4 * sa.numerator * za.denominator
+    # by k: the word's degree fixes k + N = s + |gamma| + 2r
+    moments = model.memo(TABLE_READS).setdefault((branch, wall, word.gammas, word.threes), {})
+    s, top = word.s, word.s + a_cnt + 2 * word.r
     num, den = 0, 1
-    if forms:  # a vanishing odd product needs no table
-        num, den = _integrate_x(model, forms, _x_table(model, wall, branch),
-                                a_cnt + 2 * word.r, jacobian=True)
+    for b in range(max(s - model.q, 0), s + 1):  # omega^k = 0 for k > q
+        k = s - b
+        weight = math.comb(s, b) * x ** b * y ** k
+        if weight:
+            moment = moments.get(k)
+            if moment is None:
+                moment = moments[k] = _moment(model, wall, branch, word, k, top - k)
+            if moment[0]:
+                num, den = num * moment[1] + weight * moment[0] * den, den * moment[1]
+    scale = (-4) ** word.r * (2 * za.denominator * sa.denominator) ** s
     return DeltaValue(Fraction(wall.sign_complex() * num, den * scale), "ring-oracle")
 
 
@@ -256,32 +234,39 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
 
     The point insertion becomes [S] - X^2/4 and the alpha insertion alpha_S + A,
     with A = -e_alpha + aX the l = 0 alpha insertion, so the word is
-    sum_(i, j) C(r, i) C(s, j) (-1/4)^(r - i) [S]^i alpha_S^j X^(2r - 2i) A^(s - j):
+    sum_(i, j, b) C(r, i) C(s, j) C(s - j, b) (-1/4)^(r - i) a^b t^(s - j - b)
+    [S]^i alpha_S^j omega^(s - j - b) X^(2r - 2i + b), with t = 2 Sigma.alpha:
     each surface class [S]^i alpha_S^j is a ring product, taken until the ring
-    returns zero, and each A^m is the alpha power the l = 0 words keep.  The
+    returns zero, and each omega power is the model's cached one.  The
     X-table sums the Segre classes of the k = 0 and k = 1 stratum pairs, so
     the K-odd couplings cancel exactly.
     """
+    r = exact_count(r, "the multiplicity r")
     if wall.l_zeta != 1:
         raise RegimeError(f"l1 oracle needs l_zeta = 1, got {wall.l_zeta}")
     s = wall.d - 2 * r
     if s < 0:
         return DeltaValue(Fraction(0), "ring-oracle")
     table = _x_table(model, wall)
+    a, t = model.pair("zeta", "alpha") / 2, 2 * model.pair(SIGMA, "alpha")
     alpha_powers = _powers(model.even("alpha"), s)
-    coeffs = {}  # X-power -> its coefficient, summed over (i, j)
+    surfaces = {}  # (X-power, omega-power) -> its surface class, summed over (i, j, b)
     for i, point_i in enumerate(_powers(model.point(), r)):
         for j, alpha_j in enumerate(alpha_powers):
             surface = point_i * alpha_j
             if surface.is_zero():  # and so is every later one
                 break
             surface = surface * (math.comb(r, i) * math.comb(s, j) * Fraction(-1, 4) ** (r - i))
-            for b, terms in _alpha_power(model, s - j)[0].items():
-                n = 2 * (r - i) + b
-                if n in table:
-                    term = surface * GradedElement(model, terms)
-                    coeffs[n] = coeffs[n] + term if n in coeffs else term
-    forms = {n: integration_pairs(model, coeff._terms)
-             for n, coeff in coeffs.items() if coeff._terms}
-    num, den = _integrate_x(model, forms, table, 0)
+            m = s - j
+            for b in range(max(m - model.q, 0), m + 1):  # omega^k = 0 for k > q
+                n, c = 2 * (r - i) + b, math.comb(m, b) * a ** b * t ** (m - b)
+                if c and n in table:
+                    key, term = (n, m - b), surface * c
+                    surfaces[key] = surfaces[key] + term if key in surfaces else term
+    num, den = 0, 1
+    for (n, k), surface in surfaces.items():
+        term = (surface * model.omega_pow(k))._terms
+        if term:
+            num_n, den_n = integrate_forms(model, integration_pairs(model, term), table[n])
+            num, den = num * den_n + num_n * den, den * den_n
     return DeltaValue(Fraction(wall.sign_complex() * num, den), "ring-oracle")

@@ -17,7 +17,8 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from wallcross import ModelSpec, PairingInput, Pairings, build_model
+from wallcross import PairingInput, Pairings, build_model
+from wallcross.graded import ModelSpec
 
 
 def make_model(q=1, blocks=None, matrix=None, **pairings) -> ModelSpec:

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross import (ChernData, PreconditionError, chern_from_ch, ch_direct_sum,
-                       ch_dual, chern_data_from_element, e_divisor, e_zeta,
-                       inverse_unit_series, segre_from_ch, total_chern)
-from wallcross.chern import hessenberg_det
+from wallcross import PreconditionError
+from wallcross.chern import (ChernData, chern_from_ch, ch_direct_sum, ch_dual,
+                             chern_data_from_element, hessenberg_det, segre_from_ch, total_chern)
+from wallcross.graded import inverse_unit_series
+from wallcross.jacobian import e_divisor, e_zeta
 from wallcross.verify import random_even_element
 
 from conftest import make_model
@@ -131,7 +132,7 @@ def test_direct_sum_with_zero_is_identity(rng):
     zero = ChernData(model, 0, ())
     summed = ch_direct_sum(data, zero)
     assert summed.rank == data.rank and summed.a == data.a
-    from wallcross import ModelMismatchError
+    from wallcross.errors import ModelMismatchError
     with pytest.raises(ModelMismatchError):
         ch_direct_sum(data, ChernData(make_model(q=1), 0, ()))
 

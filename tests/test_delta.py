@@ -1,9 +1,13 @@
 """delta.evaluate: the one entry point that picks the route pricing a word."""
 
+from fractions import Fraction
+
 import pytest
 
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, RegimeError,
-                       WallGeometry, build_model, delta, evaluate)
+                       WallGeometry, build_model, delta, delta_l0, delta_l1, delta_leading,
+                       delta_oracle_l1, evaluate, volume)
+from wallcross.verify import valid_zeta_k
 
 PAIRINGS = dict(zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1, K2=8, alpha2=-1)
 
@@ -61,3 +65,42 @@ def test_volume_only_on_closed_and_leading_paths(monkeypatch):
     evaluate(*L0, word, "closed")
     evaluate(*L0, word, "leading")
     assert len(calls) == 2
+
+
+def test_the_routes_taking_r_refuse_a_bad_r():
+    # on q = 1, zeta^2 = -4 walls r = -1 used to be priced as a word that does not
+    # exist (delta_l1 gave -3008, delta_l0 and delta_leading -80), and "1" or 1.5
+    # raised a bare TypeError; an integral r given as text is that r
+    l0, l1 = (_case(p1=p1, q=1, zeta2=-4, zetaK=2) for p1 in (-4, -8))
+    routes = [lambda r: delta_l0(l0[1], l0[2], r, volume(l0[0])),
+              lambda r: delta_leading(l0[1], l0[2], r, volume(l0[0])),
+              lambda r: delta_l1(l1[1], l1[2], r, volume(l1[0])),
+              lambda r: delta_oracle_l1(l1[0], l1[1], r)]
+    for route in routes:
+        for bad, message in ((-1, "must be non-negative, got -1"),
+                             (1.5, "must be an integer, got 3/2"),
+                             ("x", "must be an integer, got 'x'")):
+            with pytest.raises(PreconditionError, match=f"the multiplicity r {message}"):
+                route(bad)
+        assert route("1") == route(Fraction(1)) == route(1)
+
+
+def test_closed_and_oracle_agree_at_large_q():
+    # every other tier-1 test prices at q <= 3: l = 0 at q = 8 and 12 on words
+    # x^r alpha^s and gamma_1 A_1 (F != 0), and l = 1 at q = 6
+    cases = 0
+    for q, zeta2, l in ((8, -1, 0), (12, -1, 0), (6, -4, 1)):
+        zeta_k = valid_zeta_k(q, zeta2, l)[0]
+        pr = Pairings(zeta2=zeta2, zetaK=zeta_k, zetaAlpha=Fraction(3, 2), sigmaZeta=2,
+                      sigmaAlpha=-1, sigmaK=1, K2=8, Kalpha=1, alpha2=-1)
+        wall = WallGeometry.build(p1=zeta2 - 4 * l, q=q, zeta2=zeta2, zetaK=zeta_k)
+        blocks = tuple(1 + i % 3 for i in range(q))
+        model = build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks))
+        words = [InsertionWord(r=r, s=wall.d - 2 * r) for r in range(3)]
+        if l == 0:
+            words.append(InsertionWord(s=wall.d - 2, gammas=(0,), threes=(0,)))
+        for word in words:
+            closed, oracle = evaluate(model, wall, pr, word)
+            assert closed.value == oracle.value != 0, (q, word)
+            cases += 1
+    assert cases == 11

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallcross import (GradedElement, ModelMismatchError, PreconditionError, SIGMA,
-                       exp_truncated, integrate, integrate_jacobian,
-                       inverse_unit_series, term_list, to_json)
-from wallcross.graded import integrate_forms, integrate_product, integration_index, integration_pairs
+from wallcross import PreconditionError
+from wallcross.errors import ModelMismatchError
+from wallcross.graded import (SIGMA, GradedElement, exp_truncated, integrate, integrate_forms,
+                              integrate_jacobian, integrate_product, integration_index,
+                              integration_pairs, inverse_unit_series, term_list, to_json)
 from wallcross.verify import monomial_basis, random_even_element
 
 from conftest import make_model

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross import (InsertionWord, ModelSpec, PairingInput, Pairings, PreconditionError,
-                       SchemaError, build_model, e_alpha, e_gamma, e_zeta_beta,
-                       jacobian_odd_integral, volume)
-from wallcross.jacobian import pairing_input_from_json
+from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, SchemaError,
+                       build_model, volume)
+from wallcross.graded import ModelSpec
+from wallcross.jacobian import (e_alpha, e_gamma, e_zeta_beta, jacobian_odd_integral,
+                                pairing_input_from_json)
 
 from conftest import make_model
 

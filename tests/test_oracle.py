@@ -6,14 +6,14 @@ import pytest
 
 from fractions import Fraction
 
-from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
-                       RegimeError, WallGeometry, build_model, ch_direct_sum,
-                       ch_dual, ch_extension_bundles, delta_l0, delta_l0_odd, delta_oracle_l0,
-                       delta_oracle_l1, e_alpha, e_zeta, e_zeta_beta, exp_truncated,
-                       jacobian_odd_integral, segre_from_ch, volume)
+from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, RegimeError,
+                       WallGeometry, build_model, delta_l0, delta_oracle_l1, volume)
+from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
+from wallcross.closed import delta_l0_odd
 from wallcross import jacobian, oracle
-from wallcross.graded import integrate_product, integration_pairs
-from wallcross.oracle import PREFIX_READS_A, TABLE_READS, WORD_READS, WORD_READS_A, _alpha_power
+from wallcross.graded import SIGMA, exp_truncated, integrate_product
+from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
+from wallcross.oracle import PREFIX_READS_A, TABLE_READS, ch_extension_bundles, delta_oracle_l0
 
 from conftest import make_model
 
@@ -155,7 +155,7 @@ def test_oracle_independent_of_k_couplings():
 def test_odd_words_over_full_matrix_model():
     # closed form and oracle agree for odd insertions over a non-block a_ij
     pf6 = ((0, 1, 1, 0), (-1, 0, 0, -5), (-1, 0, 0, 1), (0, 5, -1, 0))
-    from wallcross import delta_l0_odd
+    from wallcross.closed import delta_l0_odd
     from wallcross.verify import valid_zeta_k
     checked = 0
     for r, s, gam, thr in ((0, 3, (0,), (2,)), (0, 2, (1, 3), ()),
@@ -212,24 +212,27 @@ def _sequential_expand(model, factors):
 
 
 def test_the_alpha_power_is_the_sequential_expansion():
-    # A^s = (-e_alpha + aX)^s, built as sum_b C(s, b) a^b (-e_alpha)^(s - b) X^b,
-    # equals s multiplies of the binomial, with zeta.alpha rational, zero or not
-    for za in (Fraction(3, 2), 0):
-        _, model = _wall_and_model(q=2, zetaAlpha=za)
-        binomial = {0: -e_alpha(model), 1: model.scalar(model.pair("zeta", "alpha") / 2)}
+    # A^s = (-e_alpha + aX)^s, which both oracles price as
+    # sum_b C(s, b) a^b t^(s - b) omega^(s - b) X^b with t = 2 Sigma.alpha, equals s
+    # multiplies of the binomial, with zeta.alpha and Sigma.alpha rational, zero or not
+    for za, sa in ((Fraction(3, 2), Fraction(-1, 3)), (0, 2), (3, 0)):
+        _, model = _wall_and_model(q=2, zetaAlpha=za, sigmaAlpha=sa)
+        a, t = model.pair("zeta", "alpha") / 2, 2 * model.pair(SIGMA, "alpha")
+        binomial = {0: -e_alpha(model), 1: model.scalar(a)}
         for s in range(7):
-            terms, pairs = _alpha_power(model, s)
             expanded = _sequential_expand(model, [(binomial, s)])
-            assert terms == {b: c._terms for b, c in expanded.items()}, (za, s)
-            assert pairs == {b: integration_pairs(model, t) for b, t in terms.items()}
-            # omega^3 = 0 at q = 2: A^s has at most three terms, and a = 0 one
-            assert len(terms) == (min(s, 2) + 1 if za else int(s <= 2))
+            terms = {b: model.omega_pow(s - b) * (math.comb(s, b) * a ** b * t ** (s - b))
+                     for b in range(s + 1)}
+            assert expanded == {b: c for b, c in terms.items() if not c.is_zero()}, (za, sa, s)
+            # omega^3 = 0 at q = 2: A^s has at most three terms, and a = 0 or t = 0 one
+            assert len(expanded) == (min(s, 2) + 1 if za and sa else int(s <= 2 or not sa))
 
 
 def test_direct_l0_extension_data_equals_the_split_character():
     # at l = 0 the Chern data is built as (h + q, (e,)) directly; it must equal
     # splitting the character h + q + e in rank and in every a_i, e = 0 and q = 0 included
-    from wallcross import chern_data_from_element, e_divisor
+    from wallcross.chern import chern_data_from_element
+    from wallcross.jacobian import e_divisor
     cases = 0
     for q, blocks in ((0, None), (1, (3,)), (2, (1, 2))):
         zeta2 = -4
@@ -279,11 +282,6 @@ def _counting(monkeypatch, name, module=oracle):
         return real(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def _alpha_powers(model):
-    """The alpha powers kept in the model's WORD_READS slot, by s."""
-    return sorted(key for key in model.memo(WORD_READS) if type(key) is int)
 
 
 def test_words_priced_on_one_model_equal_fresh_models(monkeypatch):
@@ -359,16 +357,16 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         price(model)
-        d = wall0.d
-        assert len(model.memo(TABLE_READS)) == 2
-        # four alpha powers for the l = 0 words and A^(s - j), j <= 2, for the
-        # l = 1 words, and no entry for the words x^r alpha^s; the words with
-        # A-insertions read Sigma.zeta, and so do their prefixes, one per r
-        alpha_powers = sorted({d - 6, d - 4, d - 2, d, *range(wall1.d - 4, wall1.d + 1)})
-        assert len(alpha_powers) == 8 and len(model.memo(WORD_READS_A)) == 2
-        assert _alpha_powers(model) == alpha_powers == sorted(model.memo(WORD_READS))
-        assert set(model.memo(PREFIX_READS_A)) == {((0, 1), (2, 3), 0), ((0, 1), (2, 3), 1)}
-        assert set(model.memo(())) == {"volume", ((0, 1), (2, 3))}
+        # two X-tables, and beside the l = 0 one the moments of each odd part by
+        # k <= q, shared by both r: a word's degree fixes k + N
+        tables = model.memo(TABLE_READS)
+        assert len(tables) == 4
+        assert {key[2:]: set(moments) for key, moments in tables.items() if len(key) == 4} == {
+            ((), ()): {0, 1, 2}, ((0, 1), (2, 3)): {0, 1, 2}}
+        # the forms of c omega^k by the odd indices and k <= q; only those with
+        # A-insertions read Sigma.zeta
+        assert set(model.memo(PREFIX_READS_A)) == {((0, 1), (2, 3), k) for k in range(3)}
+        assert set(model.memo(())) == {"volume", ((0, 1), (2, 3)), *(((), (), k) for k in range(3))}
         ref = weakref.ref(model)
         del model
         assert ref() is None
@@ -378,9 +376,10 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
                   for za, sz in ((3, 1), (3, -2), (-1, 1))]
         for model in models:
             price(model)
-        assert len(j_side.memo(TABLE_READS)) == 0 and len(models[0].memo(TABLE_READS)) == 2
-        # vol and F read no pairing: the J-side itself holds the models' entries
-        assert len(j_side.memo(())) == 2
+        assert len(j_side.memo(TABLE_READS)) == 0 and len(models[0].memo(TABLE_READS)) == 4
+        # vol, F and the forms of omega^k read no pairing: the J-side itself holds
+        # the models' entries
+        assert len(j_side.memo(())) == 5
         refs = [weakref.ref(m) for m in (j_side, *models)]
         del j_side, models, model
         assert [ref() for ref in refs] == [None] * 4
@@ -388,19 +387,19 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-# pairing -> (read by an X-table, by the prefix of an l = 0 word with A-insertions,
-# by an odd word without them, by one with them, by an alpha power), written out
-# here rather than taken from the oracle's read sets; vol and F read none, and
-# neither does the prefix of a word without A-insertions
-READS = {"sigmaZeta": (True, True, False, True, False),
-         "sigmaK": (True, False, False, False, False),
-         "zeta2": (True, False, False, False, False),
-         "zetaK": (True, False, False, False, False),
-         "K2": (True, False, False, False, False),
-         "sigmaAlpha": (False, False, True, True, True),
-         "zetaAlpha": (False, False, True, True, True),
-         "Kalpha": (False, False, False, False, False),
-         "alpha2": (False, False, False, False, False)}
+# pairing -> (read by an X-table and the moments kept beside it, by the forms of
+# an odd part with A-insertions), written out here rather than taken from the
+# oracle's read sets; vol, F and the forms of an odd part without A-insertions
+# read none, and no kept entry reads an alpha pairing
+READS = {"sigmaZeta": (True, True),
+         "sigmaK": (True, False),
+         "zeta2": (True, False),
+         "zetaK": (True, False),
+         "K2": (True, False),
+         "sigmaAlpha": (False, False),
+         "zetaAlpha": (False, False),
+         "Kalpha": (False, False),
+         "alpha2": (False, False)}
 BASE = dict(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
             K2=8, Kalpha=-1, alpha2=-1)
 OTHER = dict(zeta2=-8, zetaK=0, zetaAlpha=-1, sigmaZeta=-2, sigmaAlpha=2, sigmaK=3,
@@ -413,10 +412,10 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
     # entry that reads it is built again, every other one is shared, and both
     # models price as fresh models do
     builds = _counting(monkeypatch, "_table_datas")
-    alphas = _counting(monkeypatch, "e_alpha")
-    # an odd word's entry is built on a miss only, and so is the prefix that
-    # e_zeta_beta enters; the prefix of gamma_1 gamma_2 never reads a pairing
-    words = _counting(monkeypatch, "_odd_prefix")
+    # a moment and the forms of c omega^k are built on a miss only, and so are
+    # the forms that e_zeta_beta enters; those of gamma_1 gamma_2 read no pairing
+    moments = _counting(monkeypatch, "_moment")
+    forms = _counting(monkeypatch, "integration_pairs")
     prefixes = _counting(monkeypatch, "e_zeta_beta")
     vols = _counting(monkeypatch, "integrate_jacobian", jacobian)
     odds = _counting(monkeypatch, "integrate_product", jacobian)
@@ -428,24 +427,24 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
               InsertionWord(s=wall0.d - 3, gammas=(0, 1))]
     words1 = [InsertionWord(r=r, s=wall1.d - 2 * r) for r in (0, 1)]
     changed = set()
-    for key, (table, prefix_a, plain, with_a, alpha) in READS.items():
+    for key, (table, with_a) in READS.items():
         j_side = _j_side(q, blocks)
         values = []
         for pairs in (BASE, dict(BASE, **{key: OTHER[key]})):
             pr = Pairings(**pairs)
             model = j_side.with_gram(pr.gram())
-            del builds[:], alphas[:], words[:], prefixes[:], vols[:], odds[:]
+            del builds[:], moments[:], forms[:], prefixes[:], vols[:], odds[:]
             priced = [_priced(model, wall0, word) for word in words0]
-            # the l = 0 words raise two alpha powers, A and A^2
-            built = [len(alphas), len(words), len(prefixes)]
+            # each l = 0 word misses its q + 1 = 2 moments; the forms of c omega^k,
+            # k <= q, come for c = 1, gamma_2 A_2 and gamma_1 gamma_2, and the one
+            # A-insertion enters once per k
+            built = [len(moments), len(forms), len(prefixes)]
             priced += [_priced(model, wall1, word) for word in words1]
             priced += [volume(model), delta_l0_odd(wall0, model, words0[1]).value]
-            # the first model builds both tables, both odd words and their two
-            # prefixes, vol and F, and seven alpha powers: the l = 1 words at
-            # d = 8 raise A^4 .. A^8 as well
-            built += [len(builds), len(alphas), len(vols), len(odds)]
-            expect = ([2, 2, 1, 2, 7, 1, 1] if pairs is BASE
-                      else [2 * alpha, plain + with_a, prefix_a, 2 * table, 7 * alpha, 0, 0])
+            # the first model builds both tables, vol and F
+            built += [len(builds), len(vols), len(odds)]
+            expect = ([6, 6, 2, 2, 1, 1] if pairs is BASE
+                      else [6 * table, 2 * with_a, 2 * with_a, 2 * table, 0, 0])
             assert built == expect, key
             fresh = build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks))
             assert priced == [_priced(fresh, wall, word)
@@ -462,8 +461,7 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
 
 def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     builds = _counting(monkeypatch, "_table_datas")
-    words = _counting(monkeypatch, "_odd_prefix")
-    alphas = _counting(monkeypatch, "e_alpha")
+    moments = _counting(monkeypatch, "_moment")
     # four walls of one model: l = 0 and l = 1, two zeta.K each
     q, blocks, zeta2 = 1, (2,), -4
     pr = Pairings(zeta2=zeta2, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
@@ -489,65 +487,60 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
         assert len(builds) == 1, branch
         assert value == _fresh(q, (3,), pr, wall, word, branch)
     assert _table(model, wall, "unified") is not _table(model, wall, "component")
-    # words of one degree on one model and wall: an entry per odd word, none
-    # for a word x^r alpha^s, which is priced from its alpha power
+    # words of one degree on one model and wall: moments per odd part, which the
+    # words x^r alpha^s share as the odd part 1; a word misses only the moments
+    # that no earlier word with its odd part read
     q, blocks, zeta2 = 2, (1, 2), -1
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
     pr = Pairings(zeta2=zeta2, zetaK=1, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2,
                   sigmaK=-1, K2=8, Kalpha=1, alpha2=-1)
     model = _j_side(q, blocks).with_gram(pr.gram())
     values = []
-    # one alpha power per s: the last two words raise the ones of earlier words
-    for word, entry, alpha in ((InsertionWord(r=2), 0, 1), (InsertionWord(r=1, s=2), 0, 1),
-                               (InsertionWord(s=4), 0, 1),
-                               (InsertionWord(s=1, gammas=(0, 1)), 1, 1),
-                               (InsertionWord(s=3, threes=(1, 2)), 1, 1),
-                               (InsertionWord(s=2, gammas=(0,), threes=(0,)), 1, 0),
-                               (InsertionWord(s=3, threes=(2, 3)), 1, 0)):
+    for word, missed in ((InsertionWord(r=2), 1), (InsertionWord(r=1, s=2), 2),
+                         (InsertionWord(s=4), 0), (InsertionWord(s=1, gammas=(0, 1)), 2),
+                         (InsertionWord(s=3, threes=(1, 2)), 3),
+                         (InsertionWord(s=2, gammas=(0,), threes=(0,)), 3),
+                         (InsertionWord(s=3, threes=(2, 3)), 3)):
         for _ in range(2):  # the second pricing builds nothing
-            del words[:], alphas[:]
+            del moments[:]
             values.append(_priced(model, wall, word))
-            assert (len(words), len(alphas)) == (entry, alpha), word
-            entry = alpha = 0
+            assert len(moments) == missed, word
+            missed = 0
         assert values[-1] == values[-2] == _fresh(q, blocks, pr, wall, word)
     assert len(set(values)) == len(values) // 2
-    assert _alpha_powers(model) == [0, 1, 2, 3, 4]
-    assert [len(model.memo(slot)) for slot in (WORD_READS, WORD_READS_A)] == [6, 3]
-    # th_1 . i_{be_2} omega vanishes, and a vanishing odd product raises no alpha power
+    assert {key[2:] for key in model.memo(TABLE_READS) if len(key) == 4} == {
+        ((), ()), ((0, 1), ()), ((), (1, 2)), ((0,), (0,)), ((), (2, 3))}
+    # th_1 . i_{be_2} omega vanishes, and a vanishing odd product integrates nothing
     other = model.with_gram(Pairings(**dict(vars(pr), sigmaAlpha=5)).gram())
-    del alphas[:]
+    integrals = _counting(monkeypatch, "integrate_forms")
     assert _priced(other, wall, InsertionWord(s=2, gammas=(0,), threes=(1,))) == 0
-    assert not alphas and _alpha_powers(other) == []
-    assert other.memo(PREFIX_READS_A)[((0,), (1,), 0)] == {}
+    assert not integrals and other.memo(PREFIX_READS_A)[((0,), (1,), 0)] == (1, {})
+    assert set(other.memo(TABLE_READS)["unified", wall, (0,), (1,)].values()) == {(0, 1)}
 
 
-def test_alpha_powers_are_kept_by_s_sigma_alpha_and_zeta_alpha(monkeypatch):
-    # (-e_alpha + aX)^s reads s, Sigma.alpha and zeta.alpha only: a model that
-    # differs in either pairing raises its own, one that differs in any other
-    # pairing shares the first model's, and every model prices as a fresh one
-    alphas = _counting(monkeypatch, "e_alpha")
+def test_an_alpha_sweep_integrates_only_the_first_models_misses(monkeypatch):
+    # the moments read no alpha pairing: over one J-side and fixed table pairings,
+    # a sweep of Sigma.alpha x zeta.alpha integrates on the first model's misses
+    # only, one integral per moment, and every model prices as a fresh one
+    moments = _counting(monkeypatch, "_moment")
+    integrals = _counting(monkeypatch, "integrate_forms")
     q, blocks, zeta2 = 2, (1, 2), -1
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
     words = [InsertionWord(s=4), InsertionWord(r=1, s=2), InsertionWord(s=1, gammas=(0, 1)),
              InsertionWord(s=2, gammas=(0,), threes=(0,)), InsertionWord(s=3, threes=(2, 3))]
-    base = dict(BASE, zeta2=zeta2, zetaK=1)
-    changed = set()
-    for key in ("sigmaAlpha", "zetaAlpha", "sigmaZeta", "sigmaK", "zeta2", "zetaK", "K2",
-                "Kalpha", "alpha2"):
-        j_side = _j_side(q, blocks)
-        values = []
-        for pairs in (base, dict(base, **{key: OTHER[key]})):
-            pr = Pairings(**pairs)
-            model = j_side.with_gram(pr.gram())
-            del alphas[:]
-            values.append([delta_oracle_l0(model, wall, word).value for word in words])
-            # four values of s among the five words
-            assert len(alphas) == (4 if pairs is base or READS[key][4] else 0), key
-            assert _alpha_powers(model) == [1, 2, 3, 4]
-            assert values[-1] == [_fresh(q, blocks, pr, wall, word) for word in words], key
-        if values[0] != values[1]:
-            changed.add(key)
-    assert {"sigmaAlpha", "zetaAlpha"} <= changed
+    j_side = _j_side(q, blocks)
+    values = []
+    for sa, za in itertools.product((1, Fraction(-1, 3), 0), (3, Fraction(1, 2), 0)):
+        pr = Pairings(**dict(BASE, zeta2=zeta2, zetaK=1, sigmaAlpha=sa, zetaAlpha=za))
+        model = j_side.with_gram(pr.gram())
+        del moments[:], integrals[:]
+        values.append([delta_oracle_l0(model, wall, word).value for word in words])
+        # the words x^r alpha^s share three moments, gamma_1 gamma_2 reads two and
+        # gamma_1 A_1 and A_3 A_4 three each, but c omega^2 vanishes for those two
+        first = not values[1:]
+        assert (len(moments), len(integrals)) == ((11, 9) if first else (0, 0)), (sa, za)
+        assert values[-1] == [_fresh(q, blocks, pr, wall, word) for word in words], (sa, za)
+    assert len({tuple(v) for v in values}) == len(values) == 9
 
 
 def _expanded_value(model, wall, word):
@@ -575,9 +568,9 @@ def _expanded_value(model, wall, word):
 
 
 def test_a_word_is_its_prefix_times_the_alpha_power():
-    # x^r alpha^s is priced from the alpha power alone, scaled by (-1/4)^r and
-    # shifted by X^(2r); an odd word from its prefix c X^(|gamma| + 2r) times each
-    # alpha-power term.  Both equal the whole X-polynomial expanded, for every r
+    # a word is (-1/4)^r c X^(|gamma| + 2r) times the alpha power, priced from the
+    # moments of its odd part c (c = 1 for x^r alpha^s) times the scalars of the
+    # alpha power's terms; it equals the whole X-polynomial expanded, for every r
     q, blocks = 2, (1, 2)
     j_side = _j_side(q, blocks)
     cases = nonzero = 0
@@ -595,9 +588,8 @@ def test_a_word_is_its_prefix_times_the_alpha_power():
             assert value == _expanded_value(model, wall, word), (wall, word)
             cases += 1
             nonzero += value != 0
-        # the words x^r alpha^s keep no entry of their own
-        assert not [key for key in model.memo(WORD_READS) if type(key) is not int
-                    and not key.odd_count()]
+        # every word x^r alpha^s reads the same q + 1 moments of c = 1
+        assert len(model.memo(TABLE_READS)["unified", wall, (), ()]) == q + 1
     assert (cases, nonzero) == (168, 130)
 
 
@@ -623,33 +615,38 @@ def test_an_l1_word_is_surface_classes_times_alpha_powers():
     assert cases == nonzero == 68
 
 
-def test_an_odd_prefix_is_kept_by_its_indices_r_and_sigma_zeta():
-    # words with one odd part and different r keep one prefix each: (-1/4)^r is
-    # part of it.  A prefix with A-insertions reads Sigma.zeta, so a model that
-    # differs there keeps its own; one without them is shared by every model
+def test_odd_word_moments_are_shared_across_r(monkeypatch):
+    # a word's degree fixes k + N, so words with one odd part and different r read
+    # the same moments on one wall, and the forms of c omega^k are kept by the odd
+    # indices and k, without r.  Forms with A-insertions read Sigma.zeta, so a model
+    # that differs there keeps its own; those without are shared by every model
+    moments = _counting(monkeypatch, "_moment")
     q, blocks = 2, (1, 2)
     j_side = _j_side(q, blocks)
-    walls = [WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1) for zeta2 in (-1, -3)]
-    words = [(walls[0], InsertionWord(s=1, gammas=(0, 1))),
-             (walls[1], InsertionWord(r=1, s=1, gammas=(0, 1))),
-             (walls[0], InsertionWord(s=3, threes=(2, 3))),
-             (walls[0], InsertionWord(r=1, s=1, threes=(2, 3))),
-             (walls[1], InsertionWord(r=2, s=1, threes=(2, 3)))]
+    wall = WallGeometry.build(p1=-3, q=q, zeta2=-3, zetaK=1)  # d = 6
+    parts = [[InsertionWord(r=r, s=3 - 2 * r, gammas=(0, 1)) for r in range(2)],
+             [InsertionWord(r=r, s=5 - 2 * r, threes=(2, 3)) for r in range(3)]]
     models, values = [], []
     for sz in (1, -2):
-        pr = Pairings(zeta2=-1, zetaK=1, zetaAlpha=3, sigmaZeta=sz, sigmaAlpha=2, sigmaK=-1)
+        pr = Pairings(zeta2=-3, zetaK=1, zetaAlpha=3, sigmaZeta=sz, sigmaAlpha=2, sigmaK=-1)
         model = j_side.with_gram(pr.gram())
         models.append(model)
-        for wall, word in words:
-            pairs = Pairings(**dict(vars(pr), zeta2=wall.zeta2))
-            values.append(delta_oracle_l0(model, wall, word).value)
-            assert values[-1] == _fresh(q, blocks, pairs, wall, word) != 0, word
-    plain = {((0, 1), (), 0), ((0, 1), (), 1)}
-    with_a = {((), (2, 3), r) for r in range(3)}
+        for words in parts:
+            missed = []
+            for word in words:
+                del moments[:]
+                values.append(delta_oracle_l0(model, wall, word).value)
+                missed.append(len(moments))
+                assert values[-1] == _fresh(q, blocks, pr, wall, word) != 0, word
+            # r = 0 misses k = 0, 1, 2; every later r reads among them
+            assert missed == [q + 1] + [0] * (len(words) - 1), words
+    plain = {((0, 1), (), k) for k in range(q + 1)}
+    with_a = {((), (2, 3), k) for k in range(q + 1)}
     assert plain <= set(j_side.memo(())) and not plain & set(j_side.memo(PREFIX_READS_A))
     assert [set(model.memo(PREFIX_READS_A)) for model in models] == [with_a, with_a]
     assert models[0].memo(PREFIX_READS_A) is not models[1].memo(PREFIX_READS_A)
-    assert len(set(values)) == len(values)
+    # Sigma.zeta enters every value through the table, and the A-insertions too
+    assert all(v != w for v, w in zip(values[:5], values[5:]))
 
 
 def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
@@ -712,28 +709,23 @@ def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
 
 
 def _memo_parts(j_side):
-    """The J-side memo split by layout: (term dicts, integration forms, scalars)."""
-    dicts, forms, scalars = [], [], []
+    """The J-side memo split by layout: (integration forms, moments, scalars)."""
+    forms, moments, scalars = [], [], []
     for (reads, *_), slot in j_side._memo.items():
         for key, entry in slot.items():
-            if reads == TABLE_READS:  # an X-table: a form by N
+            if reads == TABLE_READS and len(key) == 2:  # an X-table: a form by N
                 forms += entry.values()
-            elif reads in (WORD_READS, WORD_READS_A):
-                if type(key) is int:  # the alpha power: term dicts and forms by b
-                    terms, pairs = entry
-                    dicts += terms.values()
-                    forms += pairs.values()
-                else:  # an odd word's integration pairs by b
-                    assert reads == WORD_READS_A or not key.threes, key
-                    forms += entry.values()
-            elif reads == PREFIX_READS_A or len(key) == 3:
-                # an odd prefix, under its gamma and A indices and r
+            elif reads == TABLE_READS:  # one odd part's moments on one wall, by k
+                assert len(key) == 4, key
+                moments += entry.values()
+            elif len(key) == 3:
+                # the forms of c omega^k, under the gamma and A indices and k
                 assert bool(key[1]) == (reads == PREFIX_READS_A), key
-                dicts.append(entry)
+                forms.append(entry)
             else:
                 assert reads == () and (key == "volume" or len(key) == 2), key
                 scalars.append(entry)
-    return dicts, forms, scalars
+    return forms, moments, scalars
 
 
 def _form_ints(form):
@@ -743,21 +735,24 @@ def _form_ints(form):
 
 
 def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
-    # exactness guard: int / int is a float in Python, so every coefficient the
-    # memo keeps and every value priced from it must be a Fraction, every
-    # integration form int numerators over a positive int denominator, reduced,
-    # and every integral the oracles sum an int numerator over an int denominator
+    # exactness guard: int / int is a float in Python, so every scalar the memo
+    # keeps and every value priced from it must be a Fraction, every integration
+    # form int numerators over a positive int denominator, reduced, every moment
+    # a reduced int pair, and every integral the oracles sum an int numerator
+    # over an int denominator
     from wallcross.verify import _words_with_odd, valid_zeta_k
     integrals = []
     real = oracle.integrate_forms
 
-    def recorded(model, pairs, index, jacobian):
+    def recorded(model, pairs, index, jacobian=False):
         integrals.append((model.q, jacobian, real(model, pairs, index, jacobian)))
         return integrals[-1][2]
     monkeypatch.setattr(oracle, "integrate_forms", recorded)
     values = []
     j_sides = []
-    for q, blocks in ((1, (3,)), (2, (2, 3)), (3, (1, 2, 3))):
+    # rational blocks (Sigma rescaled) put denominators into omega, so into the
+    # forms and the moments
+    for q, blocks in ((1, (3,)), (2, (2, 3)), (2, (Fraction(1, 2), 3)), (3, (1, 2, 3))):
         j_side = _j_side(q, blocks)
         j_sides.append(j_side)
         by_degree = {}
@@ -784,18 +779,20 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
                                           K2=8, Kalpha=2, alpha2=Fraction(-1, 3)).gram())
         values += [delta_oracle_l1(model, wall, r).value for r in (0, 1)]
         values.append(volume(model))
-    dicts, forms, scalars = (sum(parts, []) for parts in zip(*map(_memo_parts, j_sides)))
+    forms, moments, scalars = (sum(parts, []) for parts in zip(*map(_memo_parts, j_sides)))
     # a slot is keyed by its read pairings as (numerator, denominator) ints
     assert {type(x) for j_side in j_sides for key in j_side._memo for pair in key[1:]
             for x in pair} == {int}
-    coeffs = [c for terms in dicts for c in terms.values()]
-    assert {type(v) for v in values + coeffs + scalars} == {Fraction}
+    assert {type(v) for v in values + scalars} == {Fraction}
+    assert {type(x) for moment in moments for x in moment} == {int}
+    assert all(den > 0 and math.gcd(num, den) == 1 for num, den in moments)
     dens = [den for den, _ in forms]
     nums = [num for form in forms for num in _form_ints(form)]
     assert {type(n) for n in dens + nums} == {int} and min(dens) > 0
     assert all(math.gcd(den, *_form_ints(form)) == 1 for den, form in zip(dens, forms))
     assert max(dens) > 1 and any(len(form[1]) > 1 for form in forms)
-    assert len(values) > 4000 and len(coeffs) > 300 and len(nums) > 1000 and any(values)
+    assert len(values) > 4000 and len(nums) > 500 and any(values)
+    assert len(moments) > 1000 and sum(den > 1 for _, den in moments) > 10
     # the q = 2, l = 1 integrals over Sigma.alpha = alpha^2 = -1/3 included
     assert {type(x) for *_, integral in integrals for x in integral} == {int}
     assert sum(q == 2 and not jacobian for q, jacobian, _ in integrals) >= 5

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross import (PreconditionError, SchemaError, custom_surface, enumerate_walls,
-                       odd_ruled, product_ruled, wall_params)
-from wallcross.surfaces import surface_from_json_dict
+from wallcross import PreconditionError, SchemaError
+from wallcross.surfaces import (custom_surface, enumerate_walls, odd_ruled, product_ruled,
+                                surface_from_json_dict)
+from wallcross.walls import wall_params
 
 
 def test_product_ruled_intersection_data():

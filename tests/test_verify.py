@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from wallcross import SIGMA, delta, verify
+from wallcross import delta, verify
+from wallcross.graded import SIGMA
 
 SMALL = verify.Grid(q_max=1, d_max=5, r_max=1, pair_bound=1, sweep_bound=6)
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from wallcross import (InvalidWallError, WallGeometry, complex_orientation_sign,
-                       wall_params, wall_sign)
+from wallcross import InvalidWallError, WallGeometry
+from wallcross.walls import complex_orientation_sign, wall_params, wall_sign
 
 
 def test_wall_params_examples():

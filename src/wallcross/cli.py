@@ -120,8 +120,13 @@ def cmd_delta(opts) -> int:
     inp, wall_doc = pairing_input_from_json(_load_input(opts.input))
     wall = _wall_from_doc(inp, wall_doc)
     model = build_model(inp)
-    word = InsertionWord(r=opts.r, s=opts.s if opts.s is not None else max(wall.d - 2 * opts.r, 0),
-                         gammas=_parse_int_list(opts.gammas), threes=_parse_int_list(opts.threes))
+    gammas, threes = _parse_int_list(opts.gammas), _parse_int_list(opts.threes)
+    # by default the s >= 0 that gives the word degree 4r + 2s + 3|gammas| + |threes| = 2d
+    twice_s = 2 * (wall.d - 2 * opts.r) - 3 * len(gammas) - len(threes)
+    if opts.s is None and (twice_s < 0 or twice_s % 2):
+        raise PreconditionError(f"no s >= 0 gives the word degree 2d = {2 * wall.d}; pass --s")
+    word = InsertionWord(r=opts.r, s=twice_s // 2 if opts.s is None else opts.s,
+                         gammas=gammas, threes=threes)
     values = evaluate(model, wall, inp.pairings, word, opts.path)
     if opts.path == "auto" and values[0].value != values[1].value:
         print(f"error: closed-form and oracle disagree: "
@@ -227,7 +232,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=["json", "csv"], default="json")
     parser.add_argument("--r", type=int, default=0, help="multiplicity of the point class x")
     parser.add_argument("--s", type=int, default=None,
-                        help="multiplicity of alpha (default: d - 2r)")
+                        help="multiplicity of alpha (default: d - 2r - (3|gammas| + |threes|)/2)")
     parser.add_argument("--gammas", default="", help="H_1 insertion indices, e.g. '0,1'")
     parser.add_argument("--threes", default="", help="H_3 insertion indices, e.g. '0'")
     parser.add_argument("--path", choices=PATHS, default="auto",

@@ -1,39 +1,25 @@
 """Ring evaluation of the general wall-crossing expression for l_zeta <= 1.
 
 This is the brute-force side of every closed form: the insertion word is
-expanded as a polynomial in the formal variable X with ring coefficients,
-each power X^N is replaced through the Segre substitution table of the
-extension-bundle data, and each product of an X^N coefficient with its
-substitute is integrated without being formed.  Alpha enters only through
-a = zeta.alpha/2 and e_alpha = -2 (Sigma.alpha) omega, so with t = 2 Sigma.alpha
-the alpha insertion A = -e_alpha + aX is raised as
-A^s = sum_b C(s, b) a^b t^(s - b) omega^(s - b) X^b: every coefficient is a
-scalar times a power of omega, which the J-side caches (the reduction of
-Jacobian integrals to powers of theta, after Macdonald).
-
-A wall's X-table is built whole, every nonzero X^N substitute for N = 0..d
-in one Newton pass, once per J-side, wall and the pairings that it reads
-(``TABLE_READS``), whatever the word, from the Chern characters of the
-extension bundles:
+expanded as a polynomial in the formal variable X, each power X^N is
+replaced through the Segre classes of the extension bundles,
 
     l = 0:  ch E_{+-zeta} = (h(+-zeta) + q) + e_{K -+ 2 zeta}
     l = 1:  ch E(k-th stratum) = ch M_{+-zeta} + exp(line class) exp(+-2E)
 
-with duals through ch_dual and the two strata summed inside the table.
-Hilbert schemes of >= 2 points would require their full cohomology, so
-l_zeta >= 2 is rejected.  An l = 0 word with odd part c (c = 1 for
-x^r alpha^s) is (-1/4)^r c X^(|gamma| + 2r) A^s, so its value is
-sign (-1/4)^r sum_(b >= s - q) C(s, b) a^b t^(s - b) m_c(s - b, |gamma| + 2r + b)
-in the moments m_c(k, N), the integral over J of c omega^k X^N.  The word's
-degree 2d fixes k + N = d - (|gamma| + |A|)/2, so every r reads the same
-moments.  A moment reads the J-side, the wall and ``TABLE_READS`` only, so
-it is kept beside the table, under (branch, wall, gamma, A) and k, as a
-reduced int pair filled on first use; the forms of c omega^k are kept by
-the odd indices and k in ``memo(())``, or in the ``PREFIX_READS_A`` slot
-for a word with A-insertions.  A sweep over the alpha pairings thus prices
-each point from at most q + 1 kept moments with int arithmetic and one
-Fraction.  An l = 1 word's X^n coefficient is a sum of scalars times
-[S]^i alpha_S^j omega^k, integrated against the table.
+(duals through ch_dual, the two strata summed inside the table), and the
+result is integrated.  Hilbert schemes of >= 2 points would require their
+full cohomology, so l_zeta >= 2 is rejected.  Alpha enters only through
+a = zeta.alpha/2 and e_alpha = -2 (Sigma.alpha) omega, so with t = 2 Sigma.alpha
+A = -e_alpha + aX is raised as A^s = sum_b C(s, b) a^b t^(s - b) omega^(s - b) X^b
+(the reduction of Jacobian integrals to powers of theta, after Macdonald).
+
+At l = 0 every e_D is a multiple of omega, so the X-table lives in the
+omega-subring, X^N becoming (num/den) omega^m, and a word is priced from the
+table's scalars and the Jacobian moments I_c(j) = integral over J of
+c omega^j of its odd part c, which read no wall.  At l = 1 the table is
+built in the full kernel, and a word's X^n coefficient, a sum of scalars
+times [S]^i alpha_S^j omega^k, is integrated against it.
 """
 
 from __future__ import annotations
@@ -45,12 +31,12 @@ from .chern import ChernData, ch_direct_sum, ch_dual, chern_data_from_element, s
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
 from .graded import (SIGMA, ModelSpec, exact_count, exp_truncated, integrate_forms,
-                     integration_index, integration_pairs)
+                     integrate_product, integration_index, integration_pairs)
 from .jacobian import InsertionWord, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
 
-# The pairings an X-table reads.  ch_extension_bundles builds it from Sigma,
+# The pairings an l = 1 X-table reads.  ch_extension_bundles builds it from Sigma,
 # zeta, K, the universal class E and omega, whose products pair only Sigma,
 # zeta and K (E.E = -2 Sigma omega); no product reads an alpha pairing.
 TABLE_READS = ((SIGMA, "zeta"), (SIGMA, "K"), ("zeta", "zeta"), ("zeta", "K"), ("K", "K"))
@@ -93,52 +79,74 @@ def ch_extension_bundles(model: ModelSpec, wall: WallGeometry, l_zeta, k):
     return (chern_data_from_element(ch_plus), chern_data_from_element(ch_minus))
 
 
-def _table_datas(model, wall, branch):
-    """The Chern data a wall's X-table takes its Segre classes from."""
-    if wall.l_zeta == 1:
-        pairs = [ch_extension_bundles(model, wall, 1, k) for k in (0, 1)]
-    else:
-        pairs = [ch_extension_bundles(model, wall, 0, 0)]
-        if branch == "component":
-            return (pairs[0][1],)
-    return tuple(ch_direct_sum(ch_plus, ch_dual(ch_minus)) for ch_plus, ch_minus in pairs)
+def _x_table(model, wall):
+    """Every nonzero X^N substitute of an l = 1 wall as ``{N: integration_index}``.
 
-
-def _x_table(model, wall, branch="unified"):
-    """Every nonzero X^N substitute of one wall as ``{N: integration_index}``.
-
-    X^N becomes (-1)^(N - N_-) s_(N - 1 - N_+ - N_-) of the table's Chern data,
-    or s_(N - N_-)(E_{-zeta}) on the component branch.  A word of degree 2d
-    reaches X^N for N <= d only, so N_+ + N_- + q + 2l = d - 1 leaves at most
-    q + 2l + 1 substitutes, and the table is built whole, in one Newton pass,
-    on its first miss.  The substitutes read the J-side, the wall and
-    ``TABLE_READS``, never the word, so the table lives in the model's
-    ``memo(TABLE_READS)`` slot under (branch, wall), shared by every word and
-    every model over the J-side that agrees there.
+    X^N becomes (-1)^(N - N_-) s_(N - 1 - N_+ - N_-), summed over the k = 0 and
+    k = 1 stratum pairs; N <= d and N_+ + N_- + q + 2 = d - 1 leave at most q + 3
+    of them, built in one Newton pass.  They read the J-side, the wall and
+    ``TABLE_READS``, never the word, so the table is kept under the wall in the
+    model's ``memo(TABLE_READS)`` slot.
     """
-    key, memo = (branch, wall), model.memo(TABLE_READS)
-    table = memo.get(key)
+    memo = model.memo(TABLE_READS)
+    table = memo.get(wall)
     if table is None:
-        component = branch == "component"
-        low = wall.n_minus if component else wall.n_plus + wall.n_minus + 1
-        datas = _table_datas(model, wall, branch)
+        low = wall.n_plus + wall.n_minus + 1
+        pairs = [ch_extension_bundles(model, wall, 1, k) for k in (0, 1)]
+        datas = [ch_direct_sum(ch_plus, ch_dual(ch_minus)) for ch_plus, ch_minus in pairs]
         table = {}
         for n in range(max(low, 0), wall.d + 1):
             out = model.zero()
             for data in datas:
                 out = out + segre_from_ch(data, n - low)
             if out._terms:
-                if not component and (n - wall.n_minus) % 2:
+                if (n - wall.n_minus) % 2:
                     out = -out
                 table[n] = integration_index(out._terms)
+        memo[wall] = table
+    return table
+
+
+# The pairings an l = 0 X-table reads: its Chern data is built from
+# e_{K -+ 2 zeta} = -2 (Sigma.K -+ 2 Sigma.zeta) omega alone.
+L0_TABLE_READS = ((SIGMA, "zeta"), (SIGMA, "K"))
+
+
+def _l0_table(model, wall, branch):
+    """Every nonzero X^N substitute of an l = 0 wall as ``{N: (num, den, m)}``:
+    X^N becomes (num/den) omega^m, the table's sign in num.
+
+    The substitute is (-1)^(N - N_-) s_(N - 1 - N_+ - N_-) of E_zeta (+)
+    E_{-zeta}^dual, or s_(N - N_-)(E_{-zeta}) on the component branch.  Its Chern
+    data is a_1 = alpha_1 omega alone, so Newton's identities
+    m s_m = sum_k (-1)^k a_k s_(m - k) run on the scalar alpha_1, in ints, for
+    m <= q.  The table reads N_+, N_-, d and ``L0_TABLE_READS``, and is kept
+    under (branch, N_+, N_-, d) in that slot.
+    """
+    memo, key = model.memo(L0_TABLE_READS), (branch, wall.n_plus, wall.n_minus, wall.d)
+    table = memo.get(key)
+    if table is None:
+        component = branch == "component"
+        sigma_k, sigma_z = model.pair(SIGMA, "K"), model.pair(SIGMA, "zeta")
+        # a_1 / omega of E_{+-zeta}, e_{K -+ 2 zeta}; a dual flips a_1, a direct sum adds
+        e_plus, e_minus = -2 * (sigma_k - 2 * sigma_z), -2 * (sigma_k + 2 * sigma_z)
+        alpha_1 = e_minus if component else e_plus - e_minus
+        low = wall.n_minus if component else wall.n_plus + wall.n_minus + 1
+        table, num, den = {}, 1, 1
+        for m in range(min(model.q, wall.d - low) + 1):
+            if m:  # m s_m = -a_1 s_(m - 1)
+                num, den = -alpha_1.numerator * num, m * alpha_1.denominator * den
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+            if num and low + m >= 0:
+                odd = not component and (low + m - wall.n_minus) % 2
+                table[low + m] = (-num if odd else num, den, m)
         memo[key] = table
     return table
 
 
-# The pairings the forms of c omega^k read, c the odd part of an l = 0 word: each
-# gamma_i is X th_i and each A_j is -e_{zeta,beta_j}, so c reads Sigma.zeta
-# through e_zeta_beta when the word has A-insertions and no pairing otherwise.
-# c and omega^k are Jacobian classes, so their product reads no pairing either.
+# The pairings I_c reads, c the odd part of an l = 0 word: th_i for gamma_i and
+# omega^j read none, and -e_{zeta,beta_j} for A_j reads Sigma.zeta.
 PREFIX_READS_A = ((SIGMA, "zeta"),)
 
 
@@ -150,36 +158,22 @@ def _powers(elem, top):
     return powers
 
 
-def _odd_forms(model, word, k):
-    """c omega^k as ``integration_pairs``, c the word's odd factors in its order.
-    Kept under (gamma, A, k) in the model's ``memo(())``, or its ``PREFIX_READS_A``
-    slot for a word with A-insertions."""
+def _jacobian_moment(model, word, j):
+    """I_c(j), the integral over J of c omega^j with c the word's odd factors in
+    order, as a reduced ``(num, den)`` kept under (gamma, A, j) in ``memo(())``, or
+    in ``PREFIX_READS_A`` for a word with A-insertions; it reads no wall."""
     memo = model.memo(PREFIX_READS_A if word.threes else ())
-    key = (word.gammas, word.threes, k)
-    forms = memo.get(key)
-    if forms is None:
-        elem = model.one()
+    key = (word.gammas, word.threes, j)
+    moment = memo.get(key)
+    if moment is None:
+        c = model.one()
         for i in word.gammas:
-            elem = elem * model.theta(i)
-        for j in word.threes:
-            elem = elem * -e_zeta_beta(model, j)
-        if elem._terms:  # a vanishing odd product needs no omega power
-            elem = elem * model.omega_pow(k)
-        forms = memo[key] = integration_pairs(model, elem._terms)
-    return forms
-
-
-def _moment(model, wall, branch, word, k, n):
-    """m_c(k, n), the integral over J of c omega^k X^n with X^n replaced through the
-    wall's X-table, as a reduced ``(num, den)``; c is the word's odd part."""
-    forms = _odd_forms(model, word, k)
-    # a vanishing c omega^k needs no table
-    index = _x_table(model, wall, branch).get(n) if forms[1] else None
-    if index is None:
-        return 0, 1
-    num, den = integrate_forms(model, forms, index, jacobian=True)
-    g = math.gcd(num, den)
-    return num // g, den // g
+            c = c * model.theta(i)
+        for i in word.threes:
+            c = c * -e_zeta_beta(model, i)
+        value = integrate_product(c, model.omega_pow(j), jacobian=True)
+        moment = memo[key] = (value.numerator, value.denominator)
+    return moment
 
 
 def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
@@ -212,19 +206,20 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     # x^b y^(s - b) / (2 zd sd)^s over the pairings' denominators zd and sd
     za, sa = model.pair("zeta", "alpha"), model.pair(SIGMA, "alpha")
     x, y = za.numerator * sa.denominator, 4 * sa.numerator * za.denominator
-    # by k: the word's degree fixes k + N = s + |gamma| + 2r
-    moments = model.memo(TABLE_READS).setdefault((branch, wall, word.gammas, word.threes), {})
+    table = _l0_table(model, wall, branch)
+    # the word's degree fixes k + N = s + |gamma| + 2r, and X^N's entry
+    # (num, den, m) gives m_c(k, N) = (num/den) I_c(k + m)
     s, top = word.s, word.s + a_cnt + 2 * word.r
     num, den = 0, 1
     for b in range(max(s - model.q, 0), s + 1):  # omega^k = 0 for k > q
         k = s - b
-        weight = math.comb(s, b) * x ** b * y ** k
-        if weight:
-            moment = moments.get(k)
-            if moment is None:
-                moment = moments[k] = _moment(model, wall, branch, word, k, top - k)
-            if moment[0]:
-                num, den = num * moment[1] + weight * moment[0] * den, den * moment[1]
+        entry = table.get(top - k)
+        if entry:
+            t_num, t_den, m = entry
+            i_num, i_den = _jacobian_moment(model, word, k + m)
+            term = math.comb(s, b) * x ** b * y ** k * t_num * i_num
+            if term:
+                num, den = num * t_den * i_den + term * den, den * t_den * i_den
     scale = (-4) ** word.r * (2 * za.denominator * sa.denominator) ** s
     return DeltaValue(Fraction(wall.sign_complex() * num, den * scale), "ring-oracle")
 

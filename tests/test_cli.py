@@ -108,6 +108,25 @@ def test_delta_rejects_word_of_wrong_degree(tmp_path, capsys):
     assert (code, out) == (2, "")
 
 
+def test_delta_defaults_s_to_the_degree_of_the_odd_insertions(tmp_path, capsys):
+    # d = 5: s defaults to d - 2r - (3|gammas| + |threes|)/2, so gamma_1 A_1 without
+    # --s is priced as alpha^3 d1 B1 (it was alpha^5 d1 B1, refused for its degree)
+    doc = dict(L0_DOC, pairings=dict(L0_DOC["pairings"], zeta2=-5), wall={"p1": -5})
+    path = _write(tmp_path, "m.json", doc)
+    code, out, err = _run(capsys, "--command", "delta", "--input", path,
+                          "--gammas", "0", "--threes", "0")
+    assert (code, err) == (0, "") and json.loads(out)["word"] == "alpha^3 d1 B1"
+    values = {v["path"]: v["value"] for v in json.loads(out)["values"]}
+    assert values["closed-form"] == values["ring-oracle"] != "0/1"
+    assert _run(capsys, "--command", "delta", "--input", path, "--gammas", "0",
+                "--threes", "0", "--s", "3") == (code, out, err)
+    # no s gives degree 10 to gamma_1 (3 + 2s), x^3 (12 + 2s) or x^2 gamma_1 gamma_2 (14 + 2s)
+    for extra in (["--gammas", "0"], ["--r", "3"], ["--gammas", "0,1", "--r", "2"]):
+        code, out, err = _run(capsys, "--command", "delta", "--input", path, *extra)
+        assert (code, out) == (1, "") and "pass --s" in err, extra
+        assert err.count("error:") == 1
+
+
 def test_non_integral_lattice_pairing_is_rejected(tmp_path, capsys):
     doc = dict(L0_DOC, pairings=dict(L0_DOC["pairings"], zeta2="-5/4"))
     code, out, err = _run(capsys, "--command", "params", "--input",

@@ -13,7 +13,8 @@ from wallcross.closed import delta_l0_odd
 from wallcross import jacobian, oracle
 from wallcross.graded import SIGMA, exp_truncated, integrate_product
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
-from wallcross.oracle import PREFIX_READS_A, TABLE_READS, ch_extension_bundles, delta_oracle_l0
+from wallcross.oracle import (L0_TABLE_READS, PREFIX_READS_A, TABLE_READS,
+                              ch_extension_bundles, delta_oracle_l0)
 
 from conftest import make_model
 
@@ -269,7 +270,10 @@ def _j_side(q, blocks):
 
 
 def _table(model, wall, branch="unified"):
-    return model.memo(TABLE_READS).get((branch, wall))
+    """A wall's kept X-table: at l = 1 under the wall, at l = 0 under the ints it reads."""
+    if wall.l_zeta == 1:
+        return model.memo(TABLE_READS).get(wall)
+    return model.memo(L0_TABLE_READS).get((branch, wall.n_plus, wall.n_minus, wall.d))
 
 
 def _counting(monkeypatch, name, module=oracle):
@@ -282,6 +286,26 @@ def _counting(monkeypatch, name, module=oracle):
         return real(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _recording_reads(monkeypatch):
+    """The set of X-powers that the oracles read from their tables from here on."""
+    reads = set()
+
+    class Recorded(dict):
+        def get(self, n, default=None):
+            if n in self:
+                reads.add(n)
+            return dict.get(self, n, default)
+
+        def __getitem__(self, n):
+            reads.add(n)
+            return dict.__getitem__(self, n)
+
+    for name in ("_x_table", "_l0_table"):
+        monkeypatch.setattr(oracle, name,
+                            lambda *args, real=getattr(oracle, name): Recorded(real(*args)))
+    return reads
 
 
 def test_words_priced_on_one_model_equal_fresh_models(monkeypatch):
@@ -313,19 +337,18 @@ def test_words_priced_on_one_model_equal_fresh_models(monkeypatch):
     cases.append((q, None, pr, wall, "unified", [InsertionWord(r=1), InsertionWord(s=2)]))
     # a word reads the substitutes its X-powers meet; the table holds them all
     # from its first word on and never changes
-    reads = _counting(monkeypatch, "integrate_forms")
+    reads = _recording_reads(monkeypatch)
     models, tables, read = {}, {}, {}
     nonzero = extended = 0
     for q, blocks, pr, wall, branch, words in cases:
         model = models.setdefault((q, pr), build_model(
             PairingInput(q=q, pairings=pr, a_blocks=blocks)))
         for word in words:
-            del reads[:]
+            reads.clear()
             value = _priced(model, wall, word, branch)
             table = _table(model, wall, branch)
-            by_index = {id(index): n for n, index in table.items()}
             before = read.setdefault(id(table), set())
-            after = before | {by_index[id(args[2])] for args in reads}
+            after = before | reads
             assert value == _fresh(q, blocks, pr, wall, word, branch), (word, branch)
             kept = tables.setdefault(id(table), (table, dict(table)))
             assert kept[0] is table and kept[1] == table
@@ -336,9 +359,9 @@ def test_words_priced_on_one_model_equal_fresh_models(monkeypatch):
 
 
 def test_a_priced_model_is_freed_without_the_cycle_collector():
-    # the memo holds term dicts, never elements, so no reference cycle keeps a
-    # model, or a J-side and the with_gram models sharing its memo, alive once
-    # the last reference is dropped
+    # the memo holds term dicts and ints, never elements, so no reference cycle
+    # keeps a model, or a J-side and the with_gram models sharing its memo, alive
+    # once the last reference is dropped
     import gc
     import weakref
     wall0, model = _wall_and_model(q=2, zeta2=-4, zetaK=2, l=0)
@@ -357,16 +380,14 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         price(model)
-        # two X-tables, and beside the l = 0 one the moments of each odd part by
-        # k <= q, shared by both r: a word's degree fixes k + N
-        tables = model.memo(TABLE_READS)
-        assert len(tables) == 4
-        assert {key[2:]: set(moments) for key, moments in tables.items() if len(key) == 4} == {
-            ((), ()): {0, 1, 2}, ((0, 1), (2, 3)): {0, 1, 2}}
-        # the forms of c omega^k by the odd indices and k <= q; only those with
-        # A-insertions read Sigma.zeta
-        assert set(model.memo(PREFIX_READS_A)) == {((0, 1), (2, 3), k) for k in range(3)}
-        assert set(model.memo(())) == {"volume", ((0, 1), (2, 3)), *(((), (), k) for k in range(3))}
+        # an l = 1 X-table under its wall, an l = 0 one under (branch, N_+, N_-, d)
+        assert list(model.memo(TABLE_READS)) == [wall1]
+        assert list(model.memo(L0_TABLE_READS)) == [
+            ("unified", wall0.n_plus, wall0.n_minus, wall0.d)]
+        # one I_c per odd part, at the j = q - (|gamma| + |A|)/2 that the word's
+        # degree leaves, shared by both r; only those with A-insertions read Sigma.zeta
+        assert set(model.memo(PREFIX_READS_A)) == {((0, 1), (2, 3), 0)}
+        assert set(model.memo(())) == {"volume", ((0, 1), (2, 3)), ((), (), 2)}
         ref = weakref.ref(model)
         del model
         assert ref() is None
@@ -376,10 +397,10 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
                   for za, sz in ((3, 1), (3, -2), (-1, 1))]
         for model in models:
             price(model)
-        assert len(j_side.memo(TABLE_READS)) == 0 and len(models[0].memo(TABLE_READS)) == 4
-        # vol, F and the forms of omega^k read no pairing: the J-side itself holds
-        # the models' entries
-        assert len(j_side.memo(())) == 5
+        assert len(j_side.memo(TABLE_READS)) == 0 and len(models[0].memo(TABLE_READS)) == 1
+        # vol, F and I_c of c = 1 read no pairing: the J-side itself holds the
+        # models' entries
+        assert len(j_side.memo(())) == 3
         refs = [weakref.ref(m) for m in (j_side, *models)]
         del j_side, models, model
         assert [ref() for ref in refs] == [None] * 4
@@ -387,19 +408,19 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-# pairing -> (read by an X-table and the moments kept beside it, by the forms of
-# an odd part with A-insertions), written out here rather than taken from the
-# oracle's read sets; vol, F and the forms of an odd part without A-insertions
-# read none, and no kept entry reads an alpha pairing
-READS = {"sigmaZeta": (True, True),
-         "sigmaK": (True, False),
-         "zeta2": (True, False),
-         "zetaK": (True, False),
-         "K2": (True, False),
-         "sigmaAlpha": (False, False),
-         "zetaAlpha": (False, False),
-         "Kalpha": (False, False),
-         "alpha2": (False, False)}
+# pairing -> (read by an l = 1 X-table, by an l = 0 X-table, by I_c of an odd
+# part with A-insertions), written out here rather than taken from the oracle's
+# read sets; vol, F and I_c of an odd part without A-insertions read none, and
+# no kept entry reads an alpha pairing
+READS = {"sigmaZeta": (True, True, True),
+         "sigmaK": (True, True, False),
+         "zeta2": (True, False, False),
+         "zetaK": (True, False, False),
+         "K2": (True, False, False),
+         "sigmaAlpha": (False, False, False),
+         "zetaAlpha": (False, False, False),
+         "Kalpha": (False, False, False),
+         "alpha2": (False, False, False)}
 BASE = dict(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
             K2=8, Kalpha=-1, alpha2=-1)
 OTHER = dict(zeta2=-8, zetaK=0, zetaAlpha=-1, sigmaZeta=-2, sigmaAlpha=2, sigmaK=3,
@@ -411,11 +432,10 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
     # two with_gram models over one J-side that differ in one pairing: each
     # entry that reads it is built again, every other one is shared, and both
     # models price as fresh models do
-    builds = _counting(monkeypatch, "_table_datas")
-    # a moment and the forms of c omega^k are built on a miss only, and so are
-    # the forms that e_zeta_beta enters; those of gamma_1 gamma_2 read no pairing
-    moments = _counting(monkeypatch, "_moment")
-    forms = _counting(monkeypatch, "integration_pairs")
+    strata = _counting(monkeypatch, "ch_extension_bundles")  # two per l = 1 table
+    # an I_c is integrated on a miss only, and e_zeta_beta enters it for an odd
+    # part with A-insertions; that of gamma_1 gamma_2 reads no pairing
+    moments = _counting(monkeypatch, "integrate_product")
     prefixes = _counting(monkeypatch, "e_zeta_beta")
     vols = _counting(monkeypatch, "integrate_jacobian", jacobian)
     odds = _counting(monkeypatch, "integrate_product", jacobian)
@@ -427,24 +447,24 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
               InsertionWord(s=wall0.d - 3, gammas=(0, 1))]
     words1 = [InsertionWord(r=r, s=wall1.d - 2 * r) for r in (0, 1)]
     changed = set()
-    for key, (table, with_a) in READS.items():
+    for key, (l1_table, l0_table, with_a) in READS.items():
         j_side = _j_side(q, blocks)
-        values = []
+        values, models = [], []
         for pairs in (BASE, dict(BASE, **{key: OTHER[key]})):
             pr = Pairings(**pairs)
             model = j_side.with_gram(pr.gram())
-            del builds[:], moments[:], forms[:], prefixes[:], vols[:], odds[:]
+            models.append(model)
+            del strata[:], moments[:], prefixes[:], vols[:], odds[:]
             priced = [_priced(model, wall0, word) for word in words0]
-            # each l = 0 word misses its q + 1 = 2 moments; the forms of c omega^k,
-            # k <= q, come for c = 1, gamma_2 A_2 and gamma_1 gamma_2, and the one
-            # A-insertion enters once per k
-            built = [len(moments), len(forms), len(prefixes)]
+            # the l = 0 words have the odd parts 1, gamma_2 A_2 and gamma_1 gamma_2,
+            # one I_c each, and the one A-insertion enters once
+            built = [len(moments), len(prefixes)]
             priced += [_priced(model, wall1, word) for word in words1]
             priced += [volume(model), delta_l0_odd(wall0, model, words0[1]).value]
-            # the first model builds both tables, vol and F
-            built += [len(builds), len(vols), len(odds)]
-            expect = ([6, 6, 2, 2, 1, 1] if pairs is BASE
-                      else [6 * table, 2 * with_a, 2 * with_a, 2 * table, 0, 0])
+            # the first model builds the l = 1 table (both strata), vol and F
+            built += [len(strata), len(vols), len(odds)]
+            expect = ([3, 1, 2, 1, 1] if pairs is BASE
+                      else [with_a, with_a, 2 * l1_table, 0, 0])
             assert built == expect, key
             fresh = build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks))
             assert priced == [_priced(fresh, wall, word)
@@ -452,6 +472,9 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
                               for word in words] + [
                 volume(fresh), delta_l0_odd(wall0, fresh, words0[1]).value], key
             values.append(priced)
+        # the l = 0 table is kept once for both models unless it reads the pairing
+        tables = [_table(model, wall0) for model in models]
+        assert None not in tables and (tables[0] is tables[1]) != l0_table, key
         if values[0] != values[1]:
             changed.add(key)
     # Sigma.K cancels from the unified l = 0 table and zeta.K from the l = 1
@@ -460,20 +483,20 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
 
 
 def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
-    builds = _counting(monkeypatch, "_table_datas")
-    moments = _counting(monkeypatch, "_moment")
+    moments = _counting(monkeypatch, "integrate_product")
     # four walls of one model: l = 0 and l = 1, two zeta.K each
     q, blocks, zeta2 = 1, (2,), -4
     pr = Pairings(zeta2=zeta2, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
                   K2=8, Kalpha=-1, alpha2=-1)
     model = _j_side(q, blocks).with_gram(pr.gram())
+    tables = []
     for p1, zetaK in ((zeta2, 2), (zeta2, -4), (zeta2 - 4, 2), (zeta2 - 4, 0)):
         wall = WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK)
         word = InsertionWord(r=1, s=wall.d - 2)
-        del builds[:]
-        value = _priced(model, wall, word)
-        assert len(builds) == 1, wall
-        assert value == _fresh(q, blocks, pr, wall, word)
+        assert _priced(model, wall, word) == _fresh(q, blocks, pr, wall, word)
+        tables.append(_table(model, wall))
+    assert len({id(table) for table in tables}) == 4
+    assert len(model.memo(L0_TABLE_READS)) == len(model.memo(TABLE_READS)) == 2
     # the two l = 0 branches of an empty-side wall on one model
     q, zeta2 = 1, -2
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta2)
@@ -482,25 +505,23 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     model = _j_side(q, (3,)).with_gram(pr.gram())
     word = InsertionWord(r=1)
     for branch in ("unified", "component"):
-        del builds[:]
-        value = _priced(model, wall, word, branch)
-        assert len(builds) == 1, branch
-        assert value == _fresh(q, (3,), pr, wall, word, branch)
+        assert _priced(model, wall, word, branch) == _fresh(q, (3,), pr, wall, word, branch)
     assert _table(model, wall, "unified") is not _table(model, wall, "component")
-    # words of one degree on one model and wall: moments per odd part, which the
-    # words x^r alpha^s share as the odd part 1; a word misses only the moments
-    # that no earlier word with its odd part read
+    assert len(model.memo(L0_TABLE_READS)) == 2
+    # words of one degree on one model and wall: one I_c per odd part, which the
+    # words x^r alpha^s share as the odd part 1; a word misses it only when no
+    # earlier word with its odd part read it
     q, blocks, zeta2 = 2, (1, 2), -1
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
     pr = Pairings(zeta2=zeta2, zetaK=1, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2,
                   sigmaK=-1, K2=8, Kalpha=1, alpha2=-1)
     model = _j_side(q, blocks).with_gram(pr.gram())
     values = []
-    for word, missed in ((InsertionWord(r=2), 1), (InsertionWord(r=1, s=2), 2),
-                         (InsertionWord(s=4), 0), (InsertionWord(s=1, gammas=(0, 1)), 2),
-                         (InsertionWord(s=3, threes=(1, 2)), 3),
-                         (InsertionWord(s=2, gammas=(0,), threes=(0,)), 3),
-                         (InsertionWord(s=3, threes=(2, 3)), 3)):
+    for word, missed in ((InsertionWord(r=2), 1), (InsertionWord(r=1, s=2), 0),
+                         (InsertionWord(s=4), 0), (InsertionWord(s=1, gammas=(0, 1)), 1),
+                         (InsertionWord(s=3, threes=(1, 2)), 1),
+                         (InsertionWord(s=2, gammas=(0,), threes=(0,)), 1),
+                         (InsertionWord(s=3, threes=(2, 3)), 1)):
         for _ in range(2):  # the second pricing builds nothing
             del moments[:]
             values.append(_priced(model, wall, word))
@@ -508,38 +529,39 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
             missed = 0
         assert values[-1] == values[-2] == _fresh(q, blocks, pr, wall, word)
     assert len(set(values)) == len(values) // 2
-    assert {key[2:] for key in model.memo(TABLE_READS) if len(key) == 4} == {
-        ((), ()), ((0, 1), ()), ((), (1, 2)), ((0,), (0,)), ((), (2, 3))}
-    # th_1 . i_{be_2} omega vanishes, and a vanishing odd product integrates nothing
+    # each at the j = q - (|gamma| + |A|)/2 that its degree leaves
+    assert set(model.memo(())) == {((), (), 2), ((0, 1), (), 1)}
+    assert set(model.memo(PREFIX_READS_A)) == {((), (1, 2), 1), ((0,), (0,), 1), ((), (2, 3), 1)}
+    # th_1 . i_{be_2} omega vanishes, and so does its I_c
     other = model.with_gram(Pairings(**dict(vars(pr), sigmaAlpha=5)).gram())
-    integrals = _counting(monkeypatch, "integrate_forms")
     assert _priced(other, wall, InsertionWord(s=2, gammas=(0,), threes=(1,))) == 0
-    assert not integrals and other.memo(PREFIX_READS_A)[((0,), (1,), 0)] == (1, {})
-    assert set(other.memo(TABLE_READS)["unified", wall, (0,), (1,)].values()) == {(0, 1)}
+    assert other.memo(PREFIX_READS_A)[((0,), (1,), 1)] == (0, 1)
 
 
 def test_an_alpha_sweep_integrates_only_the_first_models_misses(monkeypatch):
-    # the moments read no alpha pairing: over one J-side and fixed table pairings,
-    # a sweep of Sigma.alpha x zeta.alpha integrates on the first model's misses
-    # only, one integral per moment, and every model prices as a fresh one
-    moments = _counting(monkeypatch, "_moment")
-    integrals = _counting(monkeypatch, "integrate_forms")
+    # neither I_c nor the l = 0 table reads an alpha pairing: over one J-side and
+    # fixed table pairings, a sweep of Sigma.alpha x zeta.alpha integrates on the
+    # first model's misses only, one integral per odd part, on one table, and
+    # every model prices as a fresh one
+    moments = _counting(monkeypatch, "integrate_product")
     q, blocks, zeta2 = 2, (1, 2), -1
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
     words = [InsertionWord(s=4), InsertionWord(r=1, s=2), InsertionWord(s=1, gammas=(0, 1)),
              InsertionWord(s=2, gammas=(0,), threes=(0,)), InsertionWord(s=3, threes=(2, 3))]
     j_side = _j_side(q, blocks)
-    values = []
+    values, tables = [], set()
     for sa, za in itertools.product((1, Fraction(-1, 3), 0), (3, Fraction(1, 2), 0)):
         pr = Pairings(**dict(BASE, zeta2=zeta2, zetaK=1, sigmaAlpha=sa, zetaAlpha=za))
         model = j_side.with_gram(pr.gram())
-        del moments[:], integrals[:]
+        del moments[:]
         values.append([delta_oracle_l0(model, wall, word).value for word in words])
-        # the words x^r alpha^s share three moments, gamma_1 gamma_2 reads two and
-        # gamma_1 A_1 and A_3 A_4 three each, but c omega^2 vanishes for those two
+        tables.add(id(_table(model, wall)))
+        # the words x^r alpha^s share the odd part 1, and gamma_1 gamma_2,
+        # gamma_1 A_1 and A_3 A_4 are one odd part each
         first = not values[1:]
-        assert (len(moments), len(integrals)) == ((11, 9) if first else (0, 0)), (sa, za)
+        assert len(moments) == (4 if first else 0), (sa, za)
         assert values[-1] == [_fresh(q, blocks, pr, wall, word) for word in words], (sa, za)
+    assert len(tables) == 1
     assert len({tuple(v) for v in values}) == len(values) == 9
 
 
@@ -549,9 +571,11 @@ def _expanded_value(model, wall, word):
     (-1)^(N - N_-) s_(N - 1 - N_+ - N_-), summed over the wall's Chern data here
     rather than read from the X-table.  At l = 1 the point insertion is
     [S] - X^2/4 and the alpha insertion alpha_S - e_alpha + aX."""
-    datas = oracle._table_datas(model, wall, "unified")
-    low = wall.n_plus + wall.n_minus + 1
     l1 = wall.l_zeta == 1
+    datas = [ch_direct_sum(ch_plus, ch_dual(ch_minus))
+             for ch_plus, ch_minus in (ch_extension_bundles(model, wall, wall.l_zeta, k)
+                                       for k in range(wall.l_zeta + 1))]
+    low = wall.n_plus + wall.n_minus + 1
     surface_point, surface_alpha = ((model.point(), model.even("alpha")) if l1
                                     else (model.zero(), model.zero()))
     factors = [({1: model.theta(i)}, 1) for i in word.gammas]
@@ -569,8 +593,9 @@ def _expanded_value(model, wall, word):
 
 def test_a_word_is_its_prefix_times_the_alpha_power():
     # a word is (-1/4)^r c X^(|gamma| + 2r) times the alpha power, priced from the
-    # moments of its odd part c (c = 1 for x^r alpha^s) times the scalars of the
-    # alpha power's terms; it equals the whole X-polynomial expanded, for every r
+    # scalar X-table and I_c of its odd part c (c = 1 for x^r alpha^s) times the
+    # scalars of the alpha power's terms; it equals the whole X-polynomial
+    # expanded in the full kernel, for every r
     q, blocks = 2, (1, 2)
     j_side = _j_side(q, blocks)
     cases = nonzero = 0
@@ -588,8 +613,8 @@ def test_a_word_is_its_prefix_times_the_alpha_power():
             assert value == _expanded_value(model, wall, word), (wall, word)
             cases += 1
             nonzero += value != 0
-        # every word x^r alpha^s reads the same q + 1 moments of c = 1
-        assert len(model.memo(TABLE_READS)["unified", wall, (), ()]) == q + 1
+    # every word x^r alpha^s, on every wall, reads the one I_c(q) of c = 1
+    assert {key for key in j_side.memo(()) if key[:2] == ((), ())} == {((), (), q)}
     assert (cases, nonzero) == (168, 130)
 
 
@@ -615,15 +640,97 @@ def test_an_l1_word_is_surface_classes_times_alpha_powers():
     assert cases == nonzero == 68
 
 
+def test_an_l0_table_entry_is_its_full_kernel_segre_class():
+    # the l = 0 X-table lives in the omega-subring: on both branches, at q <= 4,
+    # on random walls with their w-variants and rational Sigma.zeta and Sigma.K,
+    # each entry (num, den, m) times omega^m equals the full-kernel substitute
+    # (-1)^(N - N_-) s_(N - 1 - N_+ - N_-)(E_zeta (+) E_{-zeta}^dual), or
+    # s_(N - N_-)(E_{-zeta}) on the component branch, and the table keeps exactly
+    # the nonzero ones; w changes no substitute, so the w-variants share the table
+    import random
+    from wallcross.errors import InvalidWallError
+    from wallcross.verify import W_VARIANTS, valid_zeta_k, wall_with_variant
+    rng = random.Random(141)
+    entries = shared = 0
+    for q in range(5):
+        j_side = _j_side(q, tuple(rng.choice((1, 2, -3, Fraction(1, 2))) for _ in range(q)))
+        for _ in range(6):
+            zeta2 = -rng.randint(1, 9)
+            if not valid_zeta_k(q, zeta2, 0):
+                continue
+            zeta_k = rng.choice(valid_zeta_k(q, zeta2, 0))
+            sz, sk = (Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for _ in range(2))
+            model = j_side.with_gram(Pairings(zeta2=zeta2, zetaK=zeta_k, sigmaZeta=sz,
+                                              sigmaK=sk).gram())
+            walls = []
+            for variant in W_VARIANTS:
+                try:
+                    walls.append(wall_with_variant(zeta2, q, zeta2, zeta_k, variant))
+                except InvalidWallError:
+                    pass
+            wall = walls[0]
+            ch_plus, ch_minus = ch_extension_bundles(model, wall, 0, 0)
+            for branch, data, low in (
+                    ("unified", ch_direct_sum(ch_plus, ch_dual(ch_minus)),
+                     wall.n_plus + wall.n_minus + 1),
+                    ("component", ch_minus, wall.n_minus)):
+                expect = {}
+                for n in range(max(low, 0), wall.d + 1):
+                    segre = segre_from_ch(data, n - low)
+                    if branch == "unified" and (n - wall.n_minus) % 2:
+                        segre = -segre
+                    if not segre.is_zero():
+                        expect[n] = segre
+                tables = [oracle._l0_table(model, w, branch) for w in walls]
+                assert {n: model.omega_pow(m) * Fraction(num, den)
+                        for n, (num, den, m) in tables[0].items()} == expect, (q, wall, branch)
+                assert all(table is tables[0] for table in tables)
+                entries += len(expect)
+                shared += len(tables) - 1
+    assert entries > 150 and shared > 20
+
+
+def test_each_jacobian_moment_is_the_integral_of_c_omega_j():
+    # I_c(j) == integrate_jacobian(c omega^j), c the word's odd factors in their
+    # order (th_i for gamma_i, -e_{zeta,beta_j} for A_j), for every j <= q + 1
+    import random
+    from wallcross.graded import integrate_jacobian
+    rng = random.Random(1962)
+    pf6 = ((0, 1, 1, 0), (-1, 0, 0, -5), (-1, 0, 0, 1), (0, 5, -1, 0))
+    cases = nonzero = 0
+    for q, shape in ((1, dict(blocks=(3,))), (2, dict(blocks=(Fraction(1, 2), 3))),
+                     (2, dict(matrix=pf6)), (3, dict(blocks=(1, -2, 3)))):
+        model = make_model(q=q, sigmaZeta=Fraction(-3, 2), **shape)
+        for _ in range(25):
+            gammas, threes = (tuple(rng.sample(range(2 * q), rng.randint(0, 2)))
+                              for _ in range(2))
+            c = model.one()
+            for i in gammas:
+                c = c * model.theta(i)
+            for i in threes:
+                c = c * -e_zeta_beta(model, i)
+            word = InsertionWord(gammas=gammas, threes=threes)
+            for j in range(q + 2):
+                want = integrate_jacobian(c * model.omega_pow(j))
+                assert oracle._jacobian_moment(model, word, j) == (
+                    want.numerator, want.denominator), (q, word, j)
+                # only c omega^j of the top degree 2q can integrate to nonzero
+                assert not want or 2 * j + len(gammas) + len(threes) == 2 * q
+                cases += 1
+                nonzero += want != 0
+    assert cases == 25 * 16 and nonzero > 15
+
+
 def test_odd_word_moments_are_shared_across_r(monkeypatch):
-    # a word's degree fixes k + N, so words with one odd part and different r read
-    # the same moments on one wall, and the forms of c omega^k are kept by the odd
-    # indices and k, without r.  Forms with A-insertions read Sigma.zeta, so a model
-    # that differs there keeps its own; those without are shared by every model
-    moments = _counting(monkeypatch, "_moment")
+    # a word's degree leaves j = q - (|gamma| + |A|)/2, so words with one odd part
+    # read one I_c whatever their r and wall: it is kept by the odd indices and j.
+    # I_c with A-insertions reads Sigma.zeta, so a model that differs there keeps
+    # its own; those without are shared by every model
+    moments = _counting(monkeypatch, "integrate_product")
     q, blocks = 2, (1, 2)
     j_side = _j_side(q, blocks)
     wall = WallGeometry.build(p1=-3, q=q, zeta2=-3, zetaK=1)  # d = 6
+    other = WallGeometry.build(p1=-5, q=q, zeta2=-5, zetaK=1)  # d = 8
     parts = [[InsertionWord(r=r, s=3 - 2 * r, gammas=(0, 1)) for r in range(2)],
              [InsertionWord(r=r, s=5 - 2 * r, threes=(2, 3)) for r in range(3)]]
     models, values = [], []
@@ -638,10 +745,19 @@ def test_odd_word_moments_are_shared_across_r(monkeypatch):
                 values.append(delta_oracle_l0(model, wall, word).value)
                 missed.append(len(moments))
                 assert values[-1] == _fresh(q, blocks, pr, wall, word) != 0, word
-            # r = 0 misses k = 0, 1, 2; every later r reads among them
-            assert missed == [q + 1] + [0] * (len(words) - 1), words
-    plain = {((0, 1), (), k) for k in range(q + 1)}
-    with_a = {((), (2, 3), k) for k in range(q + 1)}
+            # r = 0 misses I_c unless an earlier model kept it; every later r, and
+            # the same odd part on another wall, reads it
+            del moments[:]
+            longer = InsertionWord(r=1, s=words[0].s, gammas=words[0].gammas,
+                                   threes=words[0].threes)
+            pr_other = Pairings(**dict(vars(pr), zeta2=-5))
+            value = delta_oracle_l0(j_side.with_gram(pr_other.gram()), other, longer).value
+            missed.append(len(moments))
+            assert value == _fresh(q, blocks, pr_other, other, longer) != 0, longer
+            first = model is models[0] or bool(words[0].threes)
+            assert missed == [int(first)] + [0] * len(words), words
+    plain = {((0, 1), (), 1)}
+    with_a = {((), (2, 3), 1)}
     assert plain <= set(j_side.memo(())) and not plain & set(j_side.memo(PREFIX_READS_A))
     assert [set(model.memo(PREFIX_READS_A)) for model in models] == [with_a, with_a]
     assert models[0].memo(PREFIX_READS_A) is not models[1].memo(PREFIX_READS_A)
@@ -673,10 +789,11 @@ def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
 
 
 def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
-    # however many words and with_gram models over one J-side price a wall, the
-    # extension data is built once per (branch, wall, TABLE_READS), and the table
-    # holds at most q + 2l + 1 substitutes, all with N <= d
-    builds = _counting(monkeypatch, "_table_datas")
+    # however many words and with_gram models over one J-side price a wall, its
+    # table is built once per wall and the pairings it reads: TABLE_READS at l = 1
+    # (from both strata), Sigma.zeta and Sigma.K at l = 0.  An l = 1 table holds
+    # at most q + 3 substitutes and an l = 0 table at most q + 1, all with N <= d
+    strata = _counting(monkeypatch, "ch_extension_bundles")
     q, blocks = 2, (1, 2)
     j_side = _j_side(q, blocks)
     l0 = WallGeometry.build(p1=-1, q=q, zeta2=-1, zetaK=1)
@@ -685,7 +802,7 @@ def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
                   InsertionWord(s=1, gammas=(0, 1)), InsertionWord(gammas=(2, 3), threes=(0, 1))],
              l1: [InsertionWord(r=r, s=l1.d - 2 * r) for r in (0, 2, l1.d // 2)]}
     priced, tables = [], {}
-    # the alpha pairings are read by no table; Sigma.zeta and K^2 are
+    # the alpha pairings are read by no table; Sigma.zeta by both and K^2 at l = 1
     for sz, k2 in ((1, 8), (-2, 8), (1, -4)):
         for za, sa, a2 in ((3, 2, -1), (Fraction(1, 2), -1, 5)):
             pr = Pairings(zeta2=-1, zetaK=1, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
@@ -694,52 +811,51 @@ def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
             for wall, wall_words in words.items():
                 priced += [(pr, wall, word, _priced(model, wall, word)) for word in wall_words]
                 table = _table(model, wall)
-                tables.setdefault((wall, sz, k2), set()).add(id(table))
+                reads = (sz, k2) if wall.l_zeta else (sz,)
+                tables.setdefault((wall, reads), set()).add(id(table))
                 assert 0 < len(table) <= q + 2 * wall.l_zeta + 1
                 assert set(table) <= set(range(wall.d + 1))
-    assert len(builds) == len(tables) == 6
+    assert len(strata) == 2 * 3 and len(tables) == 3 + 2
     assert all(len(ids) == 1 for ids in tables.values())
+    assert len(set().union(*tables.values())) == 5
     assert all(value == _fresh(q, blocks, pr, wall, word) for pr, wall, word, value in priced)
     assert len(priced) == 48 and sum(value != 0 for *_, value in priced) == 45
-    # a vanishing odd product builds no table
-    model = j_side.with_gram(Pairings(zeta2=-1, zetaK=1, zetaAlpha=3, sigmaZeta=5).gram())
-    del builds[:]
-    assert _priced(model, l0, InsertionWord(s=2, gammas=(0,), threes=(1,))) == 0
-    assert not builds and _table(model, l0) is None
 
 
 def _memo_parts(j_side):
-    """The J-side memo split by layout: (integration forms, moments, scalars)."""
-    forms, moments, scalars = [], [], []
+    """The J-side memo split by layout: (integration forms, l = 0 table scalars,
+    I_c pairs, Fraction scalars)."""
+    forms, scalars, moments, fractions = [], [], [], []
     for (reads, *_), slot in j_side._memo.items():
         for key, entry in slot.items():
-            if reads == TABLE_READS and len(key) == 2:  # an X-table: a form by N
+            if reads == TABLE_READS:  # an l = 1 X-table under its wall: a form by N
+                assert isinstance(key, WallGeometry) and key.l_zeta == 1, key
                 forms += entry.values()
-            elif reads == TABLE_READS:  # one odd part's moments on one wall, by k
-                assert len(key) == 4, key
-                moments += entry.values()
-            elif len(key) == 3:
-                # the forms of c omega^k, under the gamma and A indices and k
+            elif reads == L0_TABLE_READS:  # an l = 0 X-table: (num, den, m) by N
+                assert len(key) == 4 and all(type(n) is int for n in key[1:]), key
+                assert all(0 <= m <= j_side.q for *_, m in entry.values())
+                scalars += [(num, den) for num, den, _ in entry.values()]
+            elif len(key) == 3:  # I_c under the gamma and A indices and j
                 assert bool(key[1]) == (reads == PREFIX_READS_A), key
-                forms.append(entry)
+                moments.append(entry)
             else:
                 assert reads == () and (key == "volume" or len(key) == 2), key
-                scalars.append(entry)
-    return forms, moments, scalars
+                fractions.append(entry)
+    return forms, scalars, moments, fractions
 
 
 def _form_ints(form):
-    """A form's numerators: an index {s: {j: num}} or pairs {s: ((j, num), ...)}."""
+    """A form's numerators: an index {s: {j: num}}."""
     for part in form[1].values():
-        yield from (part.values() if isinstance(part, dict) else (num for _, num in part))
+        yield from part.values()
 
 
 def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     # exactness guard: int / int is a float in Python, so every scalar the memo
     # keeps and every value priced from it must be a Fraction, every integration
-    # form int numerators over a positive int denominator, reduced, every moment
-    # a reduced int pair, and every integral the oracles sum an int numerator
-    # over an int denominator
+    # form int numerators over a positive int denominator, reduced, every l = 0
+    # table scalar and every I_c a reduced int pair, and every integral the
+    # l = 1 oracle sums an int numerator over an int denominator
     from wallcross.verify import _words_with_odd, valid_zeta_k
     integrals = []
     real = oracle.integrate_forms
@@ -751,7 +867,7 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     values = []
     j_sides = []
     # rational blocks (Sigma rescaled) put denominators into omega, so into the
-    # forms and the moments
+    # forms and I_c; rational Sigma.zeta puts them into the l = 0 tables
     for q, blocks in ((1, (3,)), (2, (2, 3)), (2, (Fraction(1, 2), 3)), (3, (1, 2, 3))):
         j_side = _j_side(q, blocks)
         j_sides.append(j_side)
@@ -765,34 +881,40 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
                 continue
             for zetaK in valid_zeta_k(q, zeta2, 0)[:2]:
                 wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK)
-                for sz, sa, za in itertools.product((1, -2), (Fraction(1, 2), 3), (2, -3)):
+                for sz, sa, za in itertools.product((1, Fraction(-2, 3)), (Fraction(1, 2), 3),
+                                                    (2, -3)):
                     pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
                                   sigmaAlpha=sa, sigmaK=1, K2=-4, Kalpha=2, alpha2=-1)
                     model = j_side.with_gram(pr.gram())
                     values += [delta_oracle_l0(model, wall, word).value for word in words]
                     values += [delta_l0_odd(wall, model, word).value for word in words]
         # an l = 1 table indexes S-words other than 1, over non-integral pairings,
-        # so S-products with Fraction coefficients meet in its integrals
+        # so S-products with Fraction coefficients meet in its integrals, and
+        # rational Sigma.zeta and Sigma.K put denominators into its forms
         wall = WallGeometry.build(p1=-8, q=q, zeta2=-4, zetaK=2)
         model = j_side.with_gram(Pairings(zeta2=-4, zetaK=2, zetaAlpha=Fraction(3, 2),
-                                          sigmaZeta=1, sigmaAlpha=Fraction(-1, 3), sigmaK=3,
+                                          sigmaZeta=Fraction(1, 3), sigmaAlpha=Fraction(-1, 3),
+                                          sigmaK=Fraction(1, 2),
                                           K2=8, Kalpha=2, alpha2=Fraction(-1, 3)).gram())
         values += [delta_oracle_l1(model, wall, r).value for r in (0, 1)]
         values.append(volume(model))
-    forms, moments, scalars = (sum(parts, []) for parts in zip(*map(_memo_parts, j_sides)))
+    forms, scalars, moments, fractions = (sum(parts, [])
+                                          for parts in zip(*map(_memo_parts, j_sides)))
     # a slot is keyed by its read pairings as (numerator, denominator) ints
     assert {type(x) for j_side in j_sides for key in j_side._memo for pair in key[1:]
             for x in pair} == {int}
-    assert {type(v) for v in values + scalars} == {Fraction}
-    assert {type(x) for moment in moments for x in moment} == {int}
-    assert all(den > 0 and math.gcd(num, den) == 1 for num, den in moments)
+    assert {type(v) for v in values + fractions} == {Fraction}
+    for pairs in (scalars, moments):
+        assert {type(x) for pair in pairs for x in pair} == {int}
+        assert all(den > 0 and math.gcd(num, den) == 1 for num, den in pairs)
+        assert sum(den > 1 for _, den in pairs) > 10
     dens = [den for den, _ in forms]
     nums = [num for form in forms for num in _form_ints(form)]
     assert {type(n) for n in dens + nums} == {int} and min(dens) > 0
     assert all(math.gcd(den, *_form_ints(form)) == 1 for den, form in zip(dens, forms))
     assert max(dens) > 1 and any(len(form[1]) > 1 for form in forms)
-    assert len(values) > 4000 and len(nums) > 500 and any(values)
-    assert len(moments) > 1000 and sum(den > 1 for _, den in moments) > 10
+    assert len(values) > 4000 and any(values)
+    assert len(nums) > 100 and len(scalars) > 200 and len(moments) > 200
     # the q = 2, l = 1 integrals over Sigma.alpha = alpha^2 = -1/3 included
     assert {type(x) for *_, integral in integrals for x in integral} == {int}
     assert sum(q == 2 and not jacobian for q, jacobian, _ in integrals) >= 5

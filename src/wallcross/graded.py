@@ -144,9 +144,10 @@ class ModelSpec:
         a = tuple(tuple(frac(x) for x in row) for row in a_matrix)
         if len(a) != n or any(len(row) != n for row in a):
             raise PreconditionError(f"a_matrix must be {n}x{n} for q={q}")
-        for i in range(n):
+        for i, row in enumerate(a):
             for j in range(i, n):
-                if a[i][j] != -a[j][i]:
+                x, y = row[j], a[j][i]  # reduced, so x = -y exactly when these agree
+                if x.numerator != -y.numerator or x.denominator != y.denominator:
                     raise PreconditionError("a_matrix must be antisymmetric")
         self.a_matrix = a
         self.j_top = (1 << n) - 1
@@ -279,13 +280,24 @@ class ModelSpec:
         return GradedElement(self, terms)
 
     def omega_pow(self, p) -> "GradedElement":
-        """Cached p-th power of omega."""
+        """Cached p-th power of omega, a wedge power in ints: omega^k's numerators, over
+        one more D (the a_ij's lcm) than omega^(k-1)'s, come by the kernel's bitmask rule."""
         if p < 0:
             raise PreconditionError("negative omega power")
         powers = self._omega_powers
-        while len(powers) <= p:
-            prev = GradedElement(self, powers[-1]) * GradedElement(self, powers[1])
-            powers.append(prev._terms)
+        if len(powers) <= p:
+            (d, omega), (scale, prev) = integration_index(powers[1]), integration_index(powers[-1])
+            omega, prev = omega.get(S_ONE, {}).items(), prev.get(S_ONE, {})
+            while len(powers) <= p:
+                acc = {}
+                for j1, n1 in prev.items():
+                    koszul = _above_parity(j1)
+                    for j2, n2 in omega:
+                        if not j1 & j2:
+                            n = -n1 * n2 if (koszul & j2).bit_count() & 1 else n1 * n2
+                            acc[j1 | j2] = acc.get(j1 | j2, 0) + n
+                prev, scale = {j: n for j, n in acc.items() if n}, scale * d
+                powers.append({(j, S_ONE): Fraction(n, scale) for j, n in prev.items()})
         return GradedElement(self, powers[p])
 
     def universal_class(self) -> "GradedElement":

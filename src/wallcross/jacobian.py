@@ -103,7 +103,9 @@ class PairingInput:
             unknown = set(raw) - set(PAIRING_KEYS)
             if unknown:
                 raise SchemaError(f"unknown pairing keys: {sorted(unknown)}")
-            pairings = Pairings(**{k: Fraction(str(v)) for k, v in raw.items()})
+            # an int as it is, anything else through its text: 0.1 is 1/10, true is refused
+            pairings = Pairings(**{k: v if type(v) is int else Fraction(str(v))
+                                   for k, v in raw.items()})
             blocks = doc.get("a_blocks")
             matrix = doc.get("a_matrix")
             return cls(q=q, pairings=pairings,
@@ -124,10 +126,10 @@ def build_model(inp: PairingInput) -> ModelSpec:
             raise PreconditionError(f"a_matrix size {len(matrix)} != 2q = {n}")
     else:
         blocks = inp.a_blocks if inp.a_blocks is not None else (Fraction(1),) * inp.q
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[_ZERO] * n for _ in range(n)]
         for r, b in enumerate(blocks):
-            rows[2 * r][2 * r + 1] = frac(b)
-            rows[2 * r + 1][2 * r] = -frac(b)
+            rows[2 * r][2 * r + 1] = b
+            rows[2 * r + 1][2 * r] = -b
         matrix = tuple(tuple(row) for row in rows)
     return ModelSpec(inp.q, matrix, inp.pairings.gram())
 

@@ -13,6 +13,7 @@ constructor as plain intersection data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -53,6 +54,9 @@ class SurfaceData:
                 if gram[i][j] != gram[j][i]:
                     raise PreconditionError("gram must be symmetric")
         object.__setattr__(self, "gram", gram)
+        den = math.lcm(*(g.denominator for row in gram for g in row))
+        object.__setattr__(self, "_gram_ints", (den, tuple(
+            tuple(g.numerator * (den // g.denominator) for g in row) for row in gram)))
         for name in ("K", "Sigma"):
             vec = tuple(exact_int(x, name) for x in getattr(self, name))
             if len(vec) != n:
@@ -67,8 +71,14 @@ class SurfaceData:
                     f"K is not characteristic: e{i}^2 - e{i}.K = {wu} is odd")
 
     def pairing(self, u, v) -> Fraction:
-        return sum((Fraction(ui) * self.gram[i][j] * Fraction(vj)
-                    for i, ui in enumerate(u) for j, vj in enumerate(v)), Fraction(0))
+        """u.v for int or Fraction entries, summed in ints over one common denominator."""
+        den, gram = self._gram_ints
+        du, dv = math.lcm(*[x.denominator for x in u]), math.lcm(*[y.denominator for y in v])
+        total = 0
+        for x, row in zip(u, gram, strict=True):
+            for g, y in zip(row, v, strict=True):
+                total += x.numerator * (du // x.denominator) * g * y.numerator * (dv // y.denominator)
+        return Fraction(total, den * du * dv)
 
     def to_json_dict(self):
         return {

@@ -345,6 +345,9 @@ def _model_text(**changes):
                  "bad PairingInput document", id="pairing-n/0"),
     pytest.param(_model_text(wall={"p1": -1, "zetaW": "1/0"}), "delta", "bad wall data",
                  id="wall-n/0"),
+    # a JSON true is no int: it is read through its text, "True", and refused
+    pytest.param(_model_text(pairings=dict(L0_DOC["pairings"], zetaAlpha=True)), "delta",
+                 "bad PairingInput document", id="pairing-true"),
     pytest.param(json.dumps({"schema_version": 1,
                              "surface": {"name": "product_ruled", "q": "1/0"}}),
                  "walls", "bad surface document", id="surface-q-n/0"),

@@ -114,3 +114,26 @@ def test_closed_and_oracle_agree_at_large_q(monkeypatch):
         # q = 12 includes x^1 alpha^32 and alpha^32 gamma_1 A_1 (d = 34)
         assert (len(segre_calls) == 0) == (l == 0), (q, len(segre_calls))
     assert cases == 11
+
+
+def test_a_fresh_large_q_model_prices_l0_without_ring_products(monkeypatch):
+    # omega^q is raised in ints, so neither vol nor an l = 0 word at q = 12
+    # multiplies ring elements, whether vol is asked first or by evaluate
+    from wallcross.graded import GradedElement
+    calls = []
+    real = GradedElement.__mul__
+    monkeypatch.setattr(GradedElement, "__mul__",
+                        lambda self, other: calls.append(1) or real(self, other))
+    q, zeta2 = 12, -1
+    zeta_k = valid_zeta_k(q, zeta2, 0)[0]
+    pr = Pairings(zeta2=zeta2, zetaK=zeta_k, zetaAlpha=Fraction(3, 2), sigmaZeta=2,
+                  sigmaAlpha=-1, sigmaK=1, K2=8, Kalpha=1, alpha2=-1)
+    wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta_k)
+    inp = PairingInput(q=q, pairings=pr, a_blocks=tuple(1 + i % 3 for i in range(q)))
+    word = InsertionWord(r=1, s=wall.d - 2)  # x^1 alpha^32
+    model = build_model(inp)
+    assert volume(model) == 6 ** 4 and calls == []
+    closed_value, oracle_value = evaluate(model, wall, pr, word)
+    assert closed_value.value == oracle_value.value != 0 and calls == []
+    assert evaluate(build_model(inp), wall, pr, word) == (closed_value, oracle_value)
+    assert calls == []

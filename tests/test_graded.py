@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from wallcross import PreconditionError
 from wallcross.errors import ModelMismatchError
-from wallcross.graded import (SIGMA, GradedElement, exp_truncated, integrate, integrate_forms,
-                              integrate_jacobian, integrate_product, integration_index,
-                              integration_pairs, inverse_unit_series, term_list, to_json)
+from wallcross.graded import (SIGMA, GradedElement, ModelSpec, exp_truncated, integrate,
+                              integrate_forms, integrate_jacobian, integrate_product,
+                              integration_index, integration_pairs, inverse_unit_series,
+                              term_list, to_json)
 from wallcross.verify import monomial_basis, random_even_element
 
 from conftest import make_model
@@ -366,6 +367,73 @@ def test_with_gram_matches_a_fresh_model():
         base.with_gram({(SIGMA, SIGMA): 1})
     with pytest.raises(PreconditionError):
         base.with_gram({("zeta", "nope"): 1})
+
+
+def _random_a_matrix(rng, q, kind):
+    """A random antisymmetric 2q x 2q matrix: "blocks" (nonzero a_(2i, 2i+1)
+    only), "full" int entries, "rational" entries, or "zero"."""
+    n = 2 * q
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kind == "zero" or (kind == "blocks" and (i % 2 or j != i + 1)):
+                continue
+            if kind == "blocks":
+                v = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+            else:
+                den = rng.choice((1, 2, 3, 4, 6)) if kind == "rational" else 1
+                v = Fraction(rng.randint(-3, 3), den)
+            a[i][j], a[j][i] = v, -v
+    return a
+
+
+def test_omega_powers_are_the_sequential_kernel_products():
+    # omega^k is raised in ints over the a_ij's common denominator; it must be
+    # omega * ... * omega from the ring kernel, term for term and as Fractions
+    rng = random.Random(2024)
+    nonzero = 0
+    for q in range(5):
+        for kind in ("blocks", "full", "rational", "zero"):
+            for _ in range(3 if q <= 3 else 1):
+                model = ModelSpec(q, _random_a_matrix(rng, q, kind), {})
+                omega = model.omega_class()
+                for k in range(q + 2):
+                    power = model.omega_pow(k)
+                    assert power == omega ** k, (q, kind, k)
+                    assert {type(c) for c in power.terms.values()} <= {Fraction}
+                    nonzero += k == q and not power.is_zero()
+                assert model.omega_pow(q + 1).is_zero()
+    assert nonzero >= 30
+
+
+def test_with_gram_models_share_one_omega_power_cache_filled_in_either_order():
+    rng = random.Random(77)
+    for q in (2, 3, 4):
+        for kind in ("blocks", "rational"):
+            for first in range(2):
+                base = ModelSpec(q, _random_a_matrix(rng, q, kind), {})
+                sibling = base.with_gram({("zeta", "zeta"): -1, (SIGMA, "zeta"): 2})
+                assert sibling._omega_powers is base._omega_powers
+                early, late = (base, sibling) if first == 0 else (sibling, base)
+                early.omega_pow(rng.randint(2, q))
+                late.omega_pow(q + 1)
+                assert len(base._omega_powers) == q + 2
+                for model in (base, sibling):
+                    omega = model.omega_class()
+                    for k in range(q + 2):
+                        power = model.omega_pow(k)
+                        assert power.model is model and power == omega ** k, (q, kind, first, k)
+
+
+def test_a_matrix_antisymmetry_is_exact():
+    for matrix in (((0, Fraction(1, 2)), (Fraction(-1, 3), 0)),  # -a_10 differs from a_01
+                   ((1, 0), (0, 0)),  # a nonzero diagonal
+                   ((0, 1), (-1, Fraction(-1, 2)))):
+        with pytest.raises(PreconditionError, match="antisymmetric"):
+            ModelSpec(1, matrix, {})
+    model = ModelSpec(1, ((0, Fraction(2, 4)), ("-1/2", 0)), {})
+    assert model.a_matrix == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
+    assert model.omega_pow(1) == model.theta(0) * model.theta(1) * Fraction(1, 2)
 
 
 def test_a_gram_is_validated_entry_by_entry():

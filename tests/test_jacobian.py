@@ -1,6 +1,7 @@
 """Model construction, distinguished classes, the odd functional, volumes."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,20 @@ def test_json_parsing():
         pairing_input_from_json('{"q": 1, "pairings": {"bogus": 1}}')
     with pytest.raises(SchemaError):
         pairing_input_from_json('{"q": 1, "schema_version": 99}')
+
+
+def test_json_pairings_read_an_int_as_it_is_and_anything_else_through_its_text():
+    def read(value):
+        doc = {"q": 1, "pairings": {"zetaAlpha": value}}
+        return pairing_input_from_json(json.dumps(doc))[0].pairings.zetaAlpha
+
+    assert read(5) == 5 and type(read(5)) is Fraction
+    assert read(-10**40) == -10**40
+    assert read(0.1) == Fraction(1, 10)  # not the binary double nearest 0.1
+    assert read("3/2") == Fraction(3, 2)
+    for value in (True, False, None, "x"):
+        with pytest.raises(SchemaError, match="bad PairingInput document"):
+            read(value)
 
 
 # a value that is no finite number at all used to end in Fraction's own

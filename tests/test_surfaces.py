@@ -1,5 +1,6 @@
 """Ruled-surface data and wall enumeration."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,38 @@ def test_custom_surface_and_json_round_trip():
     assert back == product_ruled(2)
     doc2 = odd_ruled(3).to_json_dict()
     assert surface_from_json_dict(doc2) == odd_ruled(3)
+
+
+def test_pairing_in_ints_is_the_fraction_sum():
+    rng = random.Random(31)
+
+    def reference(surface, u, v):
+        return sum((Fraction(ui) * surface.gram[i][j] * Fraction(vj)
+                    for i, ui in enumerate(u) for j, vj in enumerate(v)), Fraction(0))
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    rational = custom_surface("rational", 1, ((Fraction(1, 2), Fraction(-2, 3), 0),
+                                              (Fraction(-2, 3), Fraction(5, 4), 1),
+                                              (0, 1, -3)),
+                              K=(1, 0, 1), Sigma=(1, 0, 0))
+    surfaces = [make(g) for make in (product_ruled, odd_ruled) for g in (1, 2, 3)]
+    for surface in surfaces + [rational]:
+        n = len(surface.basis)
+        for _ in range(60):
+            u, v = tuple(entry() for _ in range(n)), tuple(entry() for _ in range(n))
+            if rng.random() < 0.3:
+                u = tuple(int(x) for x in u)
+            value = surface.pairing(u, v)
+            assert type(value) is Fraction and value == reference(surface, u, v)
+        assert surface.pairing(surface.K, surface.K) == reference(surface, surface.K, surface.K)
+        # a vector of another length is refused, not cut to the lattice's rank
+        for u, v in ((surface.K[:-1], surface.K), (surface.K, surface.K + (1,))):
+            with pytest.raises(ValueError):
+                surface.pairing(u, v)
 
 
 def test_vectors_of_the_wrong_length_are_refused():

@@ -37,7 +37,6 @@ flips every bit of P(j1).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -603,75 +602,31 @@ def integration_index(terms) -> tuple:
 
 
 def integration_pairs(model, terms) -> tuple:
-    """Terms ``{(j, s): c}`` as the left factor of an integral, ``(den, {s:
-    ((j_top ^ j, num), ...)})``: each int numerator, over the lcm of their
-    denominators, carries the Koszul sign of (th_j s) th_{j_top ^ j}."""
+    """The J-part of terms ``{(j, s): c}``, their part over the S-word 1, as the left
+    factor of a Jacobian integral, ``(den, ((j_top ^ j, num), ...))``: each int
+    numerator, over the lcm of their denominators, carries the Koszul sign of
+    th_j th_{j_top ^ j}."""
     full = model.j_top
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    pairs = {}
-    for (j, s), c in terms.items():
-        jc = full ^ j
+    part = [(j, c) for (j, s), c in terms.items() if s == S_ONE]
+    den = math.lcm(*(c.denominator for _, c in part))
+    pairs = []
+    for j, c in part:
         num = c.numerator * (den // c.denominator)
-        if ((_above_parity(j) & jc).bit_count() + (jc.bit_count() if s[0] & 1 else 0)) & 1:
-            num = -num
-        pairs.setdefault(s, []).append((jc, num))
-    return den, {s: tuple(p) for s, p in pairs.items()}
+        pairs.append((full ^ j, -num if (_above_parity(j) & (full ^ j)).bit_count() & 1 else num))
+    return den, tuple(pairs)
 
 
-def integrate_forms(model, pairs, index, jacobian=False) -> tuple:
-    """integrate(a * b), or integrate_jacobian(a * b) when ``jacobian``, as
-    ``(num, den)`` from ``integration_pairs`` of a and ``integration_index`` of b.
-
-    Only complementary J-monomials reach the top class, and their S-words
-    must multiply to [S]: each pair of S-words costs one product from
-    ``model`` and one dot product of ints, and the product's coefficient
-    enters as its int numerator and denominator, so both results are ints.
-    When ``jacobian`` they must multiply to 1, so only the two parts over the
-    S-word 1 meet.
-    """
-    (den_a, pairs), (den_b, index) = pairs, index
-    total = 0
-    if jacobian:
-        # the only S-word of degree 0 is 1, and 1 . 1 = 1
-        right = index.get(S_ONE)
-        if right:
-            for j, num in pairs.get(S_ONE, ()):
-                total += num * right.get(j, 0)
-        return total, den_a * den_b
-    den = 1  # total / den is the sum so far over den_a * den_b
-    smul = model._smul
-    for s1, left in pairs.items():
-        for s2, right in index.items():
-            # the only S-word of degree 4 is [S]
-            if s1[0] + s2[0] != S_PT[0]:
-                continue
-            sp = smul(s1, s2)
-            if sp is None:
-                continue
-            acc = 0
-            for j, num in left:
-                acc += num * right.get(j, 0)
-            if acc:
-                c = sp[0]
-                total, den = total * c.denominator + acc * c.numerator * den, den * c.denominator
-    return total, den_a * den_b * den
+def integrate_forms(pairs, index, s=S_ONE) -> tuple:
+    """The integral over J of a times b's J-part at the S-word ``s``, as ``(num, den)``
+    from ``integration_pairs`` of a and ``integration_index`` of b: only
+    complementary J-monomials reach th_1...th_2q, so it is one dot product of ints."""
+    (den_a, left), (den_b, index) = pairs, index
+    right = index.get(s, {})
+    return sum(num * right.get(j, 0) for j, num in left), den_a * den_b
 
 
-def integrate_product(a: GradedElement, b: GradedElement, jacobian=False) -> Fraction:
-    """integrate(a * b), or integrate_jacobian(a * b) when ``jacobian``, without a * b."""
+def integrate_product(a: GradedElement, b: GradedElement) -> Fraction:
+    """integrate_jacobian(a * b) without a * b."""
     a._require_same_model(b)
-    return Fraction(*integrate_forms(a.model, integration_pairs(a.model, a._terms),
-                                     integration_index(b._terms), jacobian))
-
-
-def term_list(a: GradedElement):
-    """Canonical JSON-ready term list (sorted monomials, "num/den" coefficients)."""
-    out = []
-    for key in sorted(a._terms, key=_mono_sort_key):
-        c = a._terms[key]
-        out.append({"monomial": monomial_str(key), "coeff": f"{c.numerator}/{c.denominator}"})
-    return out
-
-
-def to_json(a: GradedElement) -> str:
-    return json.dumps({"terms": term_list(a)}, sort_keys=True)
+    return Fraction(*integrate_forms(integration_pairs(a.model, a._terms),
+                                     integration_index(b._terms)))

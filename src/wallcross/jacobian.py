@@ -198,7 +198,7 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
             elem = elem * model.interior_omega(j)
         # a vanishing product needs no omega power
         value = memo[key] = (Fraction(0) if elem.is_zero()
-                             else integrate_product(elem, model.omega_pow(p), jacobian=True))
+                             else integrate_product(elem, model.omega_pow(p)))
     return value
 
 

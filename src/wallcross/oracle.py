@@ -18,8 +18,9 @@ At l = 0 every e_D is a multiple of omega, so the X-table lives in the
 omega-subring, X^N becoming (num/den) omega^m, and a word is priced from the
 table's scalars and the Jacobian moments I_c(j) = integral over J of
 c omega^j of its odd part c, which read no wall.  At l = 1 the table is
-built in the full kernel, and a word's X^n coefficient, a sum of scalars
-times [S]^i alpha_S^j omega^k, is integrated against it.
+built in the full kernel, and a word is priced as scalars times Jacobian
+integrals: each surface class [S]^i alpha_S^j meets a table entry's S-words
+through the S-product alone.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from fractions import Fraction
 from .chern import ChernData, ch_direct_sum, ch_dual, chern_data_from_element, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
-from .graded import (SIGMA, ModelSpec, exact_count, exp_truncated, integrate_forms,
-                     integrate_product, integration_index, integration_pairs)
+from .graded import (S_ONE, S_PT, SIGMA, ModelSpec, exact_count, exp_truncated,
+                     integrate_forms, integrate_product, integration_index, integration_pairs,
+                     s_even)
 from .jacobian import InsertionWord, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
@@ -150,14 +152,6 @@ def _l0_table(model, wall, branch):
 PREFIX_READS_A = ((SIGMA, "zeta"),)
 
 
-def _powers(elem, top):
-    """[elem^0, elem^1, ...] up to elem^top, cut before the first zero power."""
-    powers = [elem.model.one()]
-    while len(powers) <= top and not (power := powers[-1] * elem).is_zero():
-        powers.append(power)
-    return powers
-
-
 def _jacobian_moment(model, word, j):
     """I_c(j), the integral over J of c omega^j with c the word's odd factors in
     order, as a reduced ``(num, den)`` kept under (gamma, A, j) in ``memo(())``, or
@@ -171,7 +165,7 @@ def _jacobian_moment(model, word, j):
             c = c * model.theta(i)
         for i in word.threes:
             c = c * -e_zeta_beta(model, i)
-        value = integrate_product(c, model.omega_pow(j), jacobian=True)
+        value = integrate_product(c, model.omega_pow(j))
         moment = memo[key] = (value.numerator, value.denominator)
     return moment
 
@@ -224,17 +218,28 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     return DeltaValue(Fraction(wall.sign_complex() * num, den * scale), "ring-oracle")
 
 
+def _s_powers(model, word, top):
+    """[(c, w), ...], c w the p-th power of the S-word ``word`` for p = 0..top by the
+    ring's S-product, cut before the first zero power."""
+    powers = [(1, S_ONE)]
+    while len(powers) <= top and (sp := model._smul(powers[-1][1], word)):
+        powers.append((powers[-1][0] * sp[0], sp[1]))
+    return powers
+
+
 def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     """Ring evaluation of the wall-crossing term for l_zeta = 1 on x^r alpha^(d-2r).
 
     The point insertion becomes [S] - X^2/4 and the alpha insertion alpha_S + A,
     with A = -e_alpha + aX the l = 0 alpha insertion, so the word is
     sum_(i, j, b) C(r, i) C(s, j) C(s - j, b) (-1/4)^(r - i) a^b t^(s - j - b)
-    [S]^i alpha_S^j omega^(s - j - b) X^(2r - 2i + b), with t = 2 Sigma.alpha:
-    each surface class [S]^i alpha_S^j is a ring product, taken until the ring
-    returns zero, and each omega power is the model's cached one.  The
-    X-table sums the Segre classes of the k = 0 and k = 1 stratum pairs, so
-    the K-odd couplings cancel exactly.
+    sigma_ij omega^(s - j - b) X^(2r - 2i + b), with t = 2 Sigma.alpha and the
+    surface class sigma_ij = [S]^i alpha_S^j one S-word times a scalar by the
+    ring's S-product, taken until it returns zero.  Against the table entry
+    T_N = sum_w T_N[w] w, sigma omega^k integrates to the sum over the S-words w
+    with sigma w = c [S] of c times the integral over J of omega^k T_N[w], so no
+    ring product is built.  The X-table sums the Segre classes of the k = 0 and
+    k = 1 stratum pairs, so the K-odd couplings cancel exactly.
     """
     r = exact_count(r, "the multiplicity r")
     if wall.l_zeta != 1:
@@ -244,24 +249,28 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
         return DeltaValue(Fraction(0), "ring-oracle")
     table = _x_table(model, wall)
     a, t = model.pair("zeta", "alpha") / 2, 2 * model.pair(SIGMA, "alpha")
-    alpha_powers = _powers(model.even("alpha"), s)
-    surfaces = {}  # (X-power, omega-power) -> its surface class, summed over (i, j, b)
-    for i, point_i in enumerate(_powers(model.point(), r)):
-        for j, alpha_j in enumerate(alpha_powers):
-            surface = point_i * alpha_j
-            if surface.is_zero():  # and so is every later one
+    smul, alpha_powers = model._smul, _s_powers(model, s_even("alpha"), s)
+    surfaces = {}  # (X-power, omega-power, S-word of sigma) -> its scalar, summed over (i, j, b)
+    for i, (c_i, point_i) in enumerate(_s_powers(model, S_PT, r)):
+        for j, (c_j, alpha_j) in enumerate(alpha_powers):
+            sigma = smul(point_i, alpha_j)
+            if sigma is None:  # and so is every later one
                 break
-            surface = surface * (math.comb(r, i) * math.comb(s, j) * Fraction(-1, 4) ** (r - i))
+            c_ij = (math.comb(r, i) * math.comb(s, j) * Fraction(-1, 4) ** (r - i)
+                    * c_i * c_j * sigma[0])
             m = s - j
             for b in range(max(m - model.q, 0), m + 1):  # omega^k = 0 for k > q
                 n, c = 2 * (r - i) + b, math.comb(m, b) * a ** b * t ** (m - b)
                 if c and n in table:
-                    key, term = (n, m - b), surface * c
-                    surfaces[key] = surfaces[key] + term if key in surfaces else term
-    num, den = 0, 1
-    for (n, k), surface in surfaces.items():
-        term = (surface * model.omega_pow(k))._terms
-        if term:
-            num_n, den_n = integrate_forms(model, integration_pairs(model, term), table[n])
-            num, den = num * den_n + num_n * den, den * den_n
-    return DeltaValue(Fraction(wall.sign_complex() * num, den), "ring-oracle")
+                    key = (n, m - b, sigma[1])
+                    surfaces[key] = surfaces.get(key, 0) + c_ij * c
+    value, omega_pairs = Fraction(0), {}
+    for (n, k, sigma), c in surfaces.items():
+        for w in table[n][1]:
+            # only an S-word of the complementary degree can reach [S]
+            sp = w[0] + sigma[0] == S_PT[0] and smul(sigma, w)
+            if sp:
+                if k not in omega_pairs:
+                    omega_pairs[k] = integration_pairs(model, model.omega_pow(k)._terms)
+                value += c * sp[0] * Fraction(*integrate_forms(omega_pairs[k], table[n], w))
+    return DeltaValue(wall.sign_complex() * value, "ring-oracle")

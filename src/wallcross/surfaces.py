@@ -25,6 +25,10 @@ from .walls import WallGeometry
 
 Vec = tuple
 
+# The largest wall-enumeration bound: the candidates grow as bound^2, so a
+# larger bound is refused rather than left to run.
+MAX_BOUND = 1000
+
 
 @dataclass(frozen=True)
 class SurfaceData:
@@ -167,8 +171,8 @@ def enumerate_walls(surface: SurfaceData, w: Vec, p1, bound, alpha: Vec = None):
     delta evaluations; it defaults to w.  Both vectors need the lattice's rank,
     two entries each.
     """
-    if bound <= 0:
-        raise PreconditionError("bound must be positive")
+    if not 0 < bound <= MAX_BOUND:
+        raise PreconditionError(f"bound must be between 1 and {MAX_BOUND}, got {bound}")
     if len(surface.basis) != 2:
         raise PreconditionError("wall enumeration supports rank-2 lattices only")
     if alpha is None:

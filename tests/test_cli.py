@@ -13,6 +13,7 @@ import pytest
 import wallcross
 from wallcross import SchemaError, verify
 from wallcross.cli import main
+from wallcross.surfaces import MAX_BOUND
 from wallcross.verify import parse_grid
 
 L0_DOC = {
@@ -410,6 +411,16 @@ def test_walls_vectors_need_the_lattice_rank(tmp_path, capsys, flags, needle):
                           "--bound", "4", *flags)
     assert (code, out) == (1, "")
     assert _one_error_line(err) and needle in err
+
+
+@pytest.mark.parametrize("bound", [MAX_BOUND + 1, 10**9])
+def test_walls_refuse_a_bound_above_the_cap(tmp_path, capsys, bound):
+    # the candidates grow as bound^2, so --bound 10^9 used to run without end
+    path = _write(tmp_path, "s.json", SURFACE_DOC)
+    code, out, err = _run(capsys, "--command", "walls", "--input", path, "--w", "1,1",
+                          "--p1", "-2", "--bound", str(bound))
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) and f"bound must be between 1 and {MAX_BOUND}, got {bound}" in err
 
 
 CUSTOM_SURFACE = {"name": "blown-up", "q": 1, "basis": ["e0", "e1"],

@@ -2,10 +2,11 @@
 argv give exit code 0, 1, 2 or 3 through ``cli.main``, with exactly one
 ``error:`` line on a non-zero code and never a traceback.
 
-q stays small (at most 3): the ring has 2^(2q) J-monomials, and the exact
-paths have no q limit of their own yet.  Wall-enumeration bounds and p1 stay
-small for the same reason, and verify runs cheap properties only, so the
-test costs a few seconds.  selftest reads no input and runs a fixed grid, so
+q stays small (at most 3): the ring has 2^(2q) J-monomials, and a q up to
+the ring's limit ``MAX_Q`` = 12 is accepted but can take seconds at l = 1.
+Wall-enumeration bounds and p1 stay small for the same reason, apart from
+one bound above ``MAX_BOUND``, which is refused before any work, and verify
+runs cheap properties only, so the test costs a few seconds.  selftest reads no input and runs a fixed grid, so
 it is left to its own tests.
 """
 
@@ -86,7 +87,7 @@ OPTIONS = {
     "--alpha": ["1,1", "1,3", "0,0", "1", "1,1,1", "", "a,b"],
     "--w": ["1,1", "1,0", "0,1", "1", "1,1,1", "", "x"],
     "--p1": ["-2", "-5", "-8", "-12", "0", "3", "x"],
-    "--bound": ["4", "1", "0", "-1", "x"],
+    "--bound": ["4", "1", "0", "-1", "x", "1000000000"],
     "--meta": None,
 }
 # verify always names cheap properties: without --property it runs every grid

@@ -1,6 +1,5 @@
 """Ring kernel: canonical products, Koszul signs, truncation, series ops."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -13,8 +12,7 @@ from wallcross import PreconditionError
 from wallcross.errors import ModelMismatchError
 from wallcross.graded import (SIGMA, GradedElement, ModelSpec, exp_truncated, integrate,
                               integrate_forms, integrate_jacobian, integrate_product,
-                              integration_index, integration_pairs, inverse_unit_series,
-                              term_list, to_json)
+                              integration_index, integration_pairs, inverse_unit_series)
 from wallcross.verify import monomial_basis, random_even_element
 
 from conftest import make_model
@@ -117,18 +115,13 @@ def test_integrate_omega_examples():
     assert integrate(m2.omega_pow(2) * m2.point()) == 2
 
 
-def test_serialization_round_trip_format():
+def test_repr_orders_monomials_by_degree_then_generator_indices():
     m = make_model(q=1)
     elem = m.omega_class() * Fraction(3, 2) - m.even("K")
-    terms = term_list(elem)
-    assert terms == [{"monomial": "K", "coeff": "-1/1"},
-                     {"monomial": "th1*th2", "coeff": "3/2"}]
-    doc = json.loads(to_json(elem))
-    assert doc["terms"] == terms
+    assert repr(elem) == "(-1)*K + (3/2)*th1*th2"
     # monomials of one degree sort by their generator indices, not by bitmask
     m2 = make_model(q=2)
     elem = m2.theta(1) * m2.theta(2) + m2.theta(0) * m2.theta(3)
-    assert [t["monomial"] for t in term_list(elem)] == ["th1*th4", "th2*th3"]
     assert repr(elem) == "(1)*th1*th4 + (1)*th2*th3"
 
 
@@ -303,14 +296,13 @@ def _integrable_pair(model, rng):
 def test_integrate_product_matches_integrating_the_product():
     rng = random.Random(77)
     for model in _kernel_models():
-        hits = {False: 0, True: 0}
+        hits = 0
         for _ in range(30):
             a, b = _integrable_pair(model, rng)
-            for jacobian, whole in ((False, integrate), (True, integrate_jacobian)):
-                value = integrate_product(a, b, jacobian=jacobian)
-                assert value == whole(a * b)
-                hits[jacobian] += value != 0
-        assert min(hits.values()) >= 20
+            value = integrate_product(a, b)
+            assert value == integrate_jacobian(a * b)
+            hits += value != 0
+        assert hits >= 20
     m1, m2 = make_model(q=1), make_model(q=1)
     with pytest.raises(ModelMismatchError):
         integrate_product(m1.one(), m2.one())
@@ -318,25 +310,25 @@ def test_integrate_product_matches_integrating_the_product():
 
 def test_the_integration_forms_are_reduced_and_integrate_the_product():
     # the one integration loop over int forms, on the kernel models and on one
-    # whose a_ij and pairings are not integral, so S-products carry fractions
+    # whose a_ij and pairings are not integral
     rng = random.Random(78)
     rational = make_model(q=2, blocks=(Fraction(1, 2), 3), alpha2=Fraction(-1, 3),
                           zetaK=Fraction(2, 5), Kalpha=Fraction(-3, 2), K2=8, sigmaK=3,
                           sigmaZeta=1, sigmaAlpha=Fraction(2, 3))
     for model in _kernel_models() + [rational]:
-        hits = {False: 0, True: 0}
+        hits = 0
         for _ in range(20):
             a, b = _integrable_pair(model, rng)
             pairs, index = integration_pairs(model, a._terms), integration_index(b._terms)
-            for den, nums in ((pairs[0], [n for p in pairs[1].values() for _, n in p]),
+            # a's J-part is empty when its scalar terms cancel, and then so are its pairs
+            for den, nums in ((pairs[0], [n for _, n in pairs[1]]),
                               (index[0], [n for i in index[1].values() for n in i.values()])):
-                assert type(den) is int and den > 0 and {type(n) for n in nums} == {int}
+                assert type(den) is int and den > 0 and {type(n) for n in nums} <= {int}
                 assert math.gcd(den, *nums) == 1
-            for jacobian, whole in ((False, integrate), (True, integrate_jacobian)):
-                value = Fraction(*integrate_forms(model, pairs, index, jacobian))
-                assert value == whole(a * b)
-                hits[jacobian] += value != 0
-        assert min(hits.values()) >= 12, model
+            value = Fraction(*integrate_forms(pairs, index))
+            assert value == integrate_jacobian(a * b)
+            hits += value != 0
+        assert hits >= 12, model
     assert rational.a_matrix[0][1] == Fraction(1, 2)
 
 

@@ -11,7 +11,7 @@ from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
 from wallcross.closed import delta_l0_odd
 from wallcross import jacobian, oracle
-from wallcross.graded import SIGMA, exp_truncated, integrate_product
+from wallcross.graded import S_ONE, SIGMA, exp_truncated, integrate, integrate_jacobian
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
 from wallcross.oracle import (L0_TABLE_READS, PREFIX_READS_A, TABLE_READS,
                               ch_extension_bundles, delta_oracle_l0)
@@ -569,8 +569,9 @@ def _expanded_value(model, wall, word):
     """The oracle's value of ``word`` from its whole X-polynomial, expanded one
     multiply at a time, each X^N term integrated against its substitute
     (-1)^(N - N_-) s_(N - 1 - N_+ - N_-), summed over the wall's Chern data here
-    rather than read from the X-table.  At l = 1 the point insertion is
-    [S] - X^2/4 and the alpha insertion alpha_S - e_alpha + aX."""
+    rather than read from the X-table, as the ring product c * substitute.  At
+    l = 1 the point insertion is [S] - X^2/4 and the alpha insertion
+    alpha_S - e_alpha + aX."""
     l1 = wall.l_zeta == 1
     datas = [ch_direct_sum(ch_plus, ch_dual(ch_minus))
              for ch_plus, ch_minus in (ch_extension_bundles(model, wall, wall.l_zeta, k)
@@ -587,7 +588,8 @@ def _expanded_value(model, wall, word):
     for n, c in _sequential_expand(model, factors).items():
         if n >= low:
             substitute = sum((segre_from_ch(data, n - low) for data in datas), model.zero())
-            total += (-1) ** (n - wall.n_minus) * integrate_product(c, substitute, jacobian=not l1)
+            total += (-1) ** (n - wall.n_minus) * (integrate if l1 else integrate_jacobian)(
+                c * substitute)
     return wall.sign_complex() * total
 
 
@@ -638,6 +640,19 @@ def test_an_l1_word_is_surface_classes_times_alpha_powers():
                     cases += 1
                     nonzero += value != 0
     assert cases == nonzero == 68
+
+
+def test_an_l1_word_on_a_built_table_takes_no_ring_product(monkeypatch):
+    # each surface class meets the X-table through the S-product and one Jacobian
+    # dot product per S-word, so once a wall's table is built, pricing the words
+    # x^r alpha^(d - 2r) multiplies no ring elements
+    from wallcross.graded import GradedElement
+    wall, model = _wall_and_model(q=2, zeta2=-8, zetaAlpha=Fraction(3, 2),
+                                  sigmaAlpha=Fraction(-1, 3), alpha2=Fraction(-1, 3))
+    oracle._x_table(model, wall)
+    products = _counting(monkeypatch, "__mul__", GradedElement)
+    values = [delta_oracle_l1(model, wall, r).value for r in range(4)]
+    assert products == [] and wall.d >= 6 and all(values)
 
 
 def test_an_l0_table_entry_is_its_full_kernel_segre_class():
@@ -694,7 +709,6 @@ def test_each_jacobian_moment_is_the_integral_of_c_omega_j():
     # I_c(j) == integrate_jacobian(c omega^j), c the word's odd factors in their
     # order (th_i for gamma_i, -e_{zeta,beta_j} for A_j), for every j <= q + 1
     import random
-    from wallcross.graded import integrate_jacobian
     rng = random.Random(1962)
     pf6 = ((0, 1, 1, 0), (-1, 0, 0, -5), (-1, 0, 0, 1), (0, 5, -1, 0))
     cases = nonzero = 0
@@ -860,8 +874,8 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     integrals = []
     real = oracle.integrate_forms
 
-    def recorded(model, pairs, index, jacobian=False):
-        integrals.append((model.q, jacobian, real(model, pairs, index, jacobian)))
+    def recorded(pairs, index, s=S_ONE):  # q is the loop's, read at the call
+        integrals.append((q, s, real(pairs, index, s)))
         return integrals[-1][2]
     monkeypatch.setattr(oracle, "integrate_forms", recorded)
     values = []
@@ -888,9 +902,9 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
                     model = j_side.with_gram(pr.gram())
                     values += [delta_oracle_l0(model, wall, word).value for word in words]
                     values += [delta_l0_odd(wall, model, word).value for word in words]
-        # an l = 1 table indexes S-words other than 1, over non-integral pairings,
-        # so S-products with Fraction coefficients meet in its integrals, and
-        # rational Sigma.zeta and Sigma.K put denominators into its forms
+        # an l = 1 table indexes S-words other than 1, and over non-integral
+        # pairings a word reads their parts through S-products with Fraction
+        # coefficients; rational Sigma.zeta and Sigma.K put denominators into its forms
         wall = WallGeometry.build(p1=-8, q=q, zeta2=-4, zetaK=2)
         model = j_side.with_gram(Pairings(zeta2=-4, zetaK=2, zetaAlpha=Fraction(3, 2),
                                           sigmaZeta=Fraction(1, 3), sigmaAlpha=Fraction(-1, 3),
@@ -917,4 +931,4 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     assert len(nums) > 100 and len(scalars) > 200 and len(moments) > 200
     # the q = 2, l = 1 integrals over Sigma.alpha = alpha^2 = -1/3 included
     assert {type(x) for *_, integral in integrals for x in integral} == {int}
-    assert sum(q == 2 and not jacobian for q, jacobian, _ in integrals) >= 5
+    assert sum(q == 2 and s != S_ONE for q, s, _ in integrals) >= 5

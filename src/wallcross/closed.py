@@ -30,15 +30,13 @@ class DeltaValue:
     path: str
     modulus_exponent: int = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", frac(self.value))
-
-
-def pow0(base: Fraction, n) -> Fraction:
-    """base**n with the convention that negative exponents give zero terms."""
-    if n < 0:
-        return Fraction(0)
-    return frac(base) ** n
+    def __init__(self, value, path, modulus_exponent=None):
+        # a frozen instance's fields go straight into its __dict__: the generated
+        # __init__ would call object.__setattr__ once per field
+        fields = self.__dict__
+        fields["value"] = value if type(value) is Fraction else frac(value)
+        fields["path"] = path
+        fields["modulus_exponent"] = modulus_exponent
 
 
 def _l0_sum(s, p, e, za, sa, sz):
@@ -62,13 +60,13 @@ def _l0_sum(s, p, e, za, sa, sz):
     return num, zd ** s * two_ad ** top * sd ** e
 
 
-def _closed_value(num, den, shift) -> DeltaValue:
+def _closed_value(num, den, shift, path="closed-form", modulus_exponent=None) -> DeltaValue:
     """num/den * 2^shift as the one Fraction of a closed-form sum."""
     if shift >= 0:
         num <<= shift
     else:
         den <<= -shift
-    return DeltaValue(Fraction(num, den), "closed-form")
+    return DeltaValue(Fraction(num, den), path, modulus_exponent)
 
 
 def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
@@ -129,13 +127,20 @@ def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
         raise RegimeError(f"delta_l1 needs l_zeta = 1, got {wall.l_zeta}")
     d, q = wall.d, wall.q
     s = d - 2 * r
-    za = pairings.zetaAlpha
-    sums = [Fraction(*_l0_sum(s - k, q, q, za, pairings.sigmaAlpha, pairings.sigmaZeta))
-            for k in range(3)]
-    bracket = ((6 * pairings.zeta2 + 2 * pairings.K2 - 24 * q - 8 * r) * sums[0]
-               + 8 * s * za * sums[1] + 4 * s * (s - 1) * pairings.alpha2 * sums[2])
-    value = (-1 if (r + d + 1) % 2 else 1) * wall.sign_wall() * bracket * frac(vol)
-    return _closed_value(value.numerator, value.denominator, 3 * q - d)
+    za, sa, sz = pairings.zetaAlpha, pairings.sigmaAlpha, pairings.sigmaZeta
+    z2, k2, a2 = pairings.zeta2, pairings.K2, pairings.alpha2
+    # the bracket's three terms as int fractions, summed over the lcm of their denominators
+    b_den = z2.denominator * k2.denominator
+    b_num = (6 * z2.numerator * k2.denominator + 2 * k2.numerator * z2.denominator
+             - (24 * q + 8 * r) * b_den)
+    (n0, d0), (n1, d1), (n2, d2) = (_l0_sum(s - k, q, q, za, sa, sz) for k in range(3))
+    terms = ((b_num * n0, b_den * d0), (8 * s * za.numerator * n1, za.denominator * d1),
+             (4 * s * (s - 1) * a2.numerator * n2, a2.denominator * d2))
+    den = math.lcm(*(t_den for _, t_den in terms))
+    num = sum(t_num * (den // t_den) for t_num, t_den in terms)
+    sign = -wall.sign_wall() if (r + d + 1) % 2 else wall.sign_wall()
+    vol = frac(vol)
+    return _closed_value(sign * num * vol.numerator, den * vol.denominator, 3 * q - d)
 
 
 # -- the summed Segre classes of the two extension strata (l_zeta = 1) ----
@@ -243,13 +248,15 @@ def leading_insertion_class(model: ModelSpec, l_zeta, which) -> GradedElement:
     lead = Fraction(math.factorial(2 * l_zeta), math.factorial(l_zeta))
     ea = e_alpha(model)
     if which == "2l,q":
-        return lead * pow0(a2, l_zeta) * ea ** q
+        return lead * a2 ** l_zeta * ea ** q
     if which == "2l-1,q":
-        return -4 * lead * pow0(a2, l_zeta - 1) * a * ea ** q
+        if l_zeta == 0:  # there is no (2l - 1)-th insertion moment
+            return model.zero()
+        return -4 * lead * a2 ** (l_zeta - 1) * a * ea ** q
     if which == "2l,q-1":
         if q < 1:
             raise PreconditionError("index pair (2l, q-1) needs q >= 1")
-        return 4 * lead * pow0(a2, l_zeta) * ea ** (q - 1) * e_zeta(model)
+        return 4 * lead * a2 ** l_zeta * ea ** (q - 1) * e_zeta(model)
     raise PreconditionError(f"unknown leading index pair {which!r}")
 
 
@@ -265,13 +272,20 @@ def delta_leading(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValu
     if m < 0:
         raise PreconditionError(
             f"delta_leading needs d - 2r >= 2 l_zeta + q, got d={d}, r={r}, l={l}, q={q}")
-    a = pairings.zetaAlpha / 2
-    a2, sa, sz = pairings.alpha2, pairings.sigmaAlpha, pairings.sigmaZeta
-    sign = -1 if (d + l + r) % 2 else 1
-    scale = sign * Fraction(2) ** (q - 2 * r)
-    fact = Fraction(math.factorial(d - 2 * r), math.factorial(l))
-    first = pow0(a, m) * fact / math.factorial(m) * pow0(a2, l) * pow0(sa, q)
-    second = (4 * pow0(a, m + 1) * fact * q / math.factorial(m + 1)
-              * pow0(a2, l) * pow0(sa, q - 1) * sz) if q >= 1 else Fraction(0)
-    value = wall.sign_wall() * scale * (first + second) * frac(vol)
-    return DeltaValue(value, "leading-term", modulus_exponent=m + 2)
+    # with a = zn / (2 zd), alpha^2 = an / ad, Sigma.alpha = sn / sd and Sigma.zeta = tn / td:
+    # first = a^m (d - 2r)! / (l! m!) (alpha^2)^l (Sigma.alpha)^q and, for q >= 1,
+    # second = 4 a^(m + 1) (d - 2r)! q / (l! (m + 1)!) (alpha^2)^l (Sigma.alpha)^(q - 1) Sigma.zeta,
+    # both over (2 zd)^(m + 1) l! (m + 1)! ad^l sd^q td
+    za, a2, sa, sz = pairings.zetaAlpha, pairings.alpha2, pairings.sigmaAlpha, pairings.sigmaZeta
+    zn, zd, sn, sd, tn, td = (za.numerator, za.denominator, sa.numerator, sa.denominator,
+                              sz.numerator, sz.denominator)
+    inner = 2 * zd * (m + 1) * sn ** q * td
+    if q >= 1:
+        inner += 4 * zn * q * sd * tn * sn ** (q - 1)
+    num = math.factorial(d - 2 * r) * a2.numerator ** l * zn ** m * inner
+    den = ((2 * zd) ** (m + 1) * math.factorial(l) * math.factorial(m + 1)
+           * a2.denominator ** l * sd ** q * td)
+    sign = -wall.sign_wall() if (d + l + r) % 2 else wall.sign_wall()
+    vol = frac(vol)
+    return _closed_value(sign * num * vol.numerator, den * vol.denominator, q - 2 * r,
+                         "leading-term", m + 2)

@@ -32,32 +32,32 @@ def evaluate(model: ModelSpec, wall: WallGeometry, pairings: Pairings, word: Ins
     """
     if path not in PATHS:
         raise PreconditionError(f"unknown evaluation path {path!r}; known: {', '.join(PATHS)}")
-    if wall.d > MAX_DEGREE:
-        raise PreconditionError(f"d = {wall.d} exceeds the largest priced d, {MAX_DEGREE}")
+    d, l_zeta = wall.d, wall.l_zeta
+    if d > MAX_DEGREE:
+        raise PreconditionError(f"d = {d} exceeds the largest priced d, {MAX_DEGREE}")
     # every route prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,
     # so any other word must be refused here rather than answered for r alone
-    if word.degree() != 2 * wall.d:
+    if word.degree() != 2 * d:
         raise PreconditionError(
-            f"word {word.describe()} has degree {word.degree()}, not 2d = {2 * wall.d}")
-    odd = word.odd_count()
+            f"word {word.describe()} has degree {word.degree()}, not 2d = {2 * d}")
+    odd = word.gammas or word.threes
     if path == "leading":
         if odd:
             raise PreconditionError("the leading terms cover words x^r alpha^s only")
         return (delta_leading(wall, pairings, word.r, volume(model)),)
-    if odd and wall.l_zeta != 0:
+    if l_zeta == 0:
+        if path == "oracle":
+            return (delta_oracle_l0(model, wall, word),)
+        closed = (delta_l0_odd(wall, model, word) if odd
+                  else delta_l0(wall, pairings, word.r, volume(model)))
+        return (closed,) if path == "closed" else (closed, delta_oracle_l0(model, wall, word))
+    if odd:
         raise RegimeError("odd insertions are only evaluated exactly at l_zeta = 0")
-    if wall.l_zeta >= 2:
+    if l_zeta >= 2:
         raise RegimeError(
-            f"no exact evaluation for l_zeta = {wall.l_zeta} >= 2 (Hilbert-scheme "
+            f"no exact evaluation for l_zeta = {l_zeta} >= 2 (Hilbert-scheme "
             'cohomology not modeled); the "leading" path gives the two leading terms')
-    values = []
-    if path in ("auto", "closed"):
-        if odd:
-            values.append(delta_l0_odd(wall, model, word))
-        else:
-            closed = delta_l0 if wall.l_zeta == 0 else delta_l1
-            values.append(closed(wall, pairings, word.r, volume(model)))
-    if path in ("auto", "oracle"):
-        values.append(delta_oracle_l0(model, wall, word) if wall.l_zeta == 0
-                      else delta_oracle_l1(model, wall, word.r))
-    return tuple(values)
+    if path == "oracle":
+        return (delta_oracle_l1(model, wall, word.r),)
+    closed = delta_l1(wall, pairings, word.r, volume(model))
+    return (closed,) if path == "closed" else (closed, delta_oracle_l1(model, wall, word.r))

@@ -59,6 +59,9 @@ _SCALAR = (0, S_ONE)
 
 # The even degree-2 surface symbols every model carries
 EVEN_SYMBOLS = (SIGMA, "zeta", "K", "alpha")
+# Each Gram key, a pair of them, to the same pair in the other order
+_FLIPPED = {(s1, s2): (s2, s1) for s1 in EVEN_SYMBOLS for s2 in EVEN_SYMBOLS}
+_FRACTION = {Fraction}
 
 
 def s_odd(i):
@@ -140,13 +143,18 @@ class ModelSpec:
             raise PreconditionError(f"q must be between 0 and {MAX_Q}, got {q}")
         self.q = q
         n = 2 * q
-        a = tuple(tuple(frac(x) for x in row) for row in a_matrix)
+        # a matrix of Fractions is kept as it is, so a shared zero stays one object
+        a = tuple(map(tuple, a_matrix))
+        if not set(map(type, itertools.chain.from_iterable(a))) <= _FRACTION:
+            a = tuple(tuple(map(frac, row)) for row in a)
         if len(a) != n or any(len(row) != n for row in a):
             raise PreconditionError(f"a_matrix must be {n}x{n} for q={q}")
-        for i, row in enumerate(a):
-            for j in range(i, n):
-                x, y = row[j], a[j][i]  # reduced, so x = -y exactly when these agree
-                if x.numerator != -y.numerator or x.denominator != y.denominator:
+        for i, (row, column) in enumerate(zip(a, zip(*a))):
+            for x, y in zip(row[i:], column[i:]):
+                # reduced, so x = -y exactly when these agree; the shared zero of a
+                # built matrix is passed by identity
+                if (x is not _ZERO or y is not _ZERO) and (
+                        x.numerator != -y.numerator or x.denominator != y.denominator):
                     raise PreconditionError("a_matrix must be antisymmetric")
         self.a_matrix = a
         self.j_top = (1 << n) - 1
@@ -172,20 +180,22 @@ class ModelSpec:
 
     def _set_gram(self, gram):
         table = self._gram = {}
-        for (s1, s2), val in dict(gram).items():
-            if s1 not in EVEN_SYMBOLS or s2 not in EVEN_SYMBOLS:
-                raise PreconditionError(f"gram entry for unregistered symbol ({s1},{s2})")
-            v = frac(val)
-            old = table.setdefault((s1, s2), v)
+        for pair, val in dict(gram).items():
+            flipped = _FLIPPED.get(pair)
+            if flipped is None:
+                raise PreconditionError(f"gram entry for unregistered symbol pair {pair!r}")
+            v = val if type(val) is Fraction else frac(val)
+            old = table.setdefault(pair, v)
             if old is not v and old != v:
-                raise PreconditionError(f"conflicting gram entries for ({s1},{s2})")
-            table[(s2, s1)] = v
+                raise PreconditionError(f"conflicting gram entries for {pair!r}")
+            table[flipped] = v
         if table.get((SIGMA, SIGMA)):
             raise PreconditionError("Sigma.Sigma must be 0")
         # S-side products read every Gram pairing, so each model has its own
-        # table; its slots in the J-side memo are looked up on first use
+        # table; its slots in the J-side memo are looked up on first use, but
+        # the slot that reads no pairing is one for the whole J-side
         self._s_table = {}
-        self._slots = {}
+        self._slots = {(): self._memo.setdefault(((),), {})}
 
     # -- pairings -------------------------------------------------------
 
@@ -271,10 +281,10 @@ class ModelSpec:
         """omega = sum_{i<j} a_ij th_i th_j on the Jacobian factor."""
         terms = {}
         n = 2 * self.q
-        for i in range(n):
+        for i, row in enumerate(self.a_matrix):
             for j in range(i + 1, n):
-                c = self.a_matrix[i][j]
-                if c:
+                c = row[j]
+                if c is not _ZERO and c:
                     terms[(1 << i | 1 << j, S_ONE)] = c
         return GradedElement(self, terms)
 

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .graded import (MAX_Q, SIGMA, GradedElement, ModelSpec, exact_count, exact_int, frac,
+from .graded import (_ZERO, MAX_Q, SIGMA, GradedElement, ModelSpec, exact_count, exact_int, frac,
                      integrate_jacobian, integrate_product)
-
-_ZERO = Fraction(0)
 
 PAIRING_KEYS = ("zeta2", "zetaK", "zetaAlpha", "sigmaZeta", "sigmaAlpha",
                 "sigmaK", "K2", "Kalpha", "alpha2")
@@ -30,22 +28,31 @@ PAIRING_KEYS = ("zeta2", "zetaK", "zetaAlpha", "sigmaZeta", "sigmaAlpha",
 class Pairings:
     """The nine intersection pairings among Sigma, zeta, K, alpha."""
 
-    zeta2: Fraction = Fraction(0)
-    zetaK: Fraction = Fraction(0)
-    zetaAlpha: Fraction = Fraction(0)
-    sigmaZeta: Fraction = Fraction(0)
-    sigmaAlpha: Fraction = Fraction(0)
-    sigmaK: Fraction = Fraction(0)
-    K2: Fraction = Fraction(0)
-    Kalpha: Fraction = Fraction(0)
-    alpha2: Fraction = Fraction(0)
+    zeta2: Fraction = _ZERO
+    zetaK: Fraction = _ZERO
+    zetaAlpha: Fraction = _ZERO
+    sigmaZeta: Fraction = _ZERO
+    sigmaAlpha: Fraction = _ZERO
+    sigmaK: Fraction = _ZERO
+    K2: Fraction = _ZERO
+    Kalpha: Fraction = _ZERO
+    alpha2: Fraction = _ZERO
 
-    def __post_init__(self):
-        # the fields of a frozen instance are set in its __dict__, as
-        # object.__setattr__ would, without a call per field
-        fields = vars(self)
-        for key in PAIRING_KEYS:
-            fields[key] = frac(fields[key])
+    def __init__(self, zeta2=_ZERO, zetaK=_ZERO, zetaAlpha=_ZERO, sigmaZeta=_ZERO,
+                 sigmaAlpha=_ZERO, sigmaK=_ZERO, K2=_ZERO, Kalpha=_ZERO, alpha2=_ZERO):
+        # a frozen instance's fields go straight into its __dict__, and a Fraction
+        # is kept without a call: the generated __init__ and a __post_init__ would
+        # call object.__setattr__ and frac once per field
+        fields = self.__dict__
+        fields["zeta2"] = zeta2 if type(zeta2) is Fraction else frac(zeta2)
+        fields["zetaK"] = zetaK if type(zetaK) is Fraction else frac(zetaK)
+        fields["zetaAlpha"] = zetaAlpha if type(zetaAlpha) is Fraction else frac(zetaAlpha)
+        fields["sigmaZeta"] = sigmaZeta if type(sigmaZeta) is Fraction else frac(sigmaZeta)
+        fields["sigmaAlpha"] = sigmaAlpha if type(sigmaAlpha) is Fraction else frac(sigmaAlpha)
+        fields["sigmaK"] = sigmaK if type(sigmaK) is Fraction else frac(sigmaK)
+        fields["K2"] = K2 if type(K2) is Fraction else frac(K2)
+        fields["Kalpha"] = Kalpha if type(Kalpha) is Fraction else frac(Kalpha)
+        fields["alpha2"] = alpha2 if type(alpha2) is Fraction else frac(alpha2)
 
     def gram(self):
         """Symmetric Gram dictionary over {Sigma, zeta, K, alpha}; Sigma.Sigma = 0."""

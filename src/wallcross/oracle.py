@@ -248,29 +248,42 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     if s < 0:
         return DeltaValue(Fraction(0), "ring-oracle")
     table = _x_table(model, wall)
-    a, t = model.pair("zeta", "alpha") / 2, 2 * model.pair(SIGMA, "alpha")
+    # a^b t^(m - b) = x^b y^(m - b) / e^m over the pairings' denominators zd and sd
+    za, sa = model.pair("zeta", "alpha"), model.pair(SIGMA, "alpha")
+    x, y = za.numerator * sa.denominator, 4 * sa.numerator * za.denominator
+    e = 2 * za.denominator * sa.denominator
     smul, alpha_powers = model._smul, _s_powers(model, s_even("alpha"), s)
-    surfaces = {}  # (X-power, omega-power, S-word of sigma) -> its scalar, summed over (i, j, b)
+    # (X-power, omega-power, S-word of sigma, denominator of sigma's scalar) -> the int
+    # numerator over that denominator times 4^r e^s, summed over (i, j, b)
+    surfaces = {}
     for i, (c_i, point_i) in enumerate(_s_powers(model, S_PT, r)):
         for j, (c_j, alpha_j) in enumerate(alpha_powers):
             sigma = smul(point_i, alpha_j)
             if sigma is None:  # and so is every later one
                 break
-            c_ij = (math.comb(r, i) * math.comb(s, j) * Fraction(-1, 4) ** (r - i)
-                    * c_i * c_j * sigma[0])
+            c = c_i * c_j * sigma[0]
+            # (-1/4)^(r - i) is (-1)^(r - i) 4^i over 4^r, and e^j lifts e^(s - j) to e^s
+            c_ij = (math.comb(r, i) * math.comb(s, j) * (-1) ** (r - i) * 4 ** i * e ** j
+                    * c.numerator)
             m = s - j
             for b in range(max(m - model.q, 0), m + 1):  # omega^k = 0 for k > q
-                n, c = 2 * (r - i) + b, math.comb(m, b) * a ** b * t ** (m - b)
-                if c and n in table:
-                    key = (n, m - b, sigma[1])
-                    surfaces[key] = surfaces.get(key, 0) + c_ij * c
-    value, omega_pairs = Fraction(0), {}
-    for (n, k, sigma), c in surfaces.items():
-        for w in table[n][1]:
+                n = 2 * (r - i) + b
+                if n in table:
+                    key = (n, m - b, sigma[1], c.denominator)
+                    surfaces[key] = (surfaces.get(key, 0)
+                                     + c_ij * math.comb(m, b) * x ** b * y ** (m - b))
+    sums, omega_pairs = {}, {}  # the int numerators of the terms by their denominator
+    for (n, k, sigma, c_den), c in surfaces.items():
+        entry = table[n]
+        for w in entry[1]:
             # only an S-word of the complementary degree can reach [S]
-            sp = w[0] + sigma[0] == S_PT[0] and smul(sigma, w)
+            sp = c and w[0] + sigma[0] == S_PT[0] and smul(sigma, w)
             if sp:
                 if k not in omega_pairs:
                     omega_pairs[k] = integration_pairs(model, model.omega_pow(k)._terms)
-                value += c * sp[0] * Fraction(*integrate_forms(omega_pairs[k], table[n], w))
-    return DeltaValue(wall.sign_complex() * value, "ring-oracle")
+                num, den = integrate_forms(omega_pairs[k], entry, w)
+                den *= c_den * sp[0].denominator
+                sums[den] = sums.get(den, 0) + c * sp[0].numerator * num
+    den = math.lcm(*sums)
+    num = sum(part * (den // part_den) for part_den, part in sums.items())
+    return DeltaValue(Fraction(wall.sign_complex() * num, den * 4 ** r * e ** s), "ring-oracle")

@@ -181,15 +181,30 @@ def enumerate_walls(surface: SurfaceData, w: Vec, p1, bound, alpha: Vec = None):
         if len(vec) != 2:
             raise PreconditionError(
                 f"{name} has {len(vec)} entries; the lattice has rank 2, so it needs 2")
+    # zeta^2 = g00 a^2 - 2 g01 a b + g11 b^2.  With g11 <= 0 it is concave in b, so
+    # once it is below p1 and not rising, no larger b of the row reaches p1; with
+    # g00 <= 0 <= g01 it does not rise with a either, so a row stopped at its first
+    # in-cone b stops every later row.  Only an integral form stops: a skipped
+    # candidate could otherwise be one whose non-integral zeta^2 is refused
+    (g00, g01), (_, g11) = surface.gram
+    b_stops = g11 <= 0 and all(g.denominator == 1 for g in (g00, g01, g11))
+    a_stops = b_stops and g00 <= 0 <= g01
     out = []
     for a in range(1, bound + 1):
+        if (a - w[0]) % 2:
+            continue
+        first = None
         for b in range(1, bound + 1):
             zeta = (a, -b)
-            if (zeta[0] - w[0]) % 2 or (zeta[1] - w[1]) % 2:
+            if (zeta[1] - w[1]) % 2:
                 continue
             if surface.cone_slope is not None and not a > surface.cone_slope * b:
                 continue
+            if first is None:
+                first = b
             z2 = exact_int(surface.pairing(zeta, zeta), f"zeta^2 for zeta = {zeta}")
+            if b_stops and z2 < p1 and g11 * (2 * b + 1) <= 2 * g01 * a:
+                break
             if not p1 <= z2 < 0:
                 continue
             if (z2 - p1) % 4:
@@ -205,6 +220,10 @@ def enumerate_walls(surface: SurfaceData, w: Vec, p1, bound, alpha: Vec = None):
             except InvalidWallError:
                 continue
             out.append(WallRecord(a=a, b=b, zeta=zeta, wall=wall, pairings=pair))
+        else:
+            continue
+        if a_stops and b == first:
+            break
     out.sort(key=lambda rec: (-rec.wall.zeta2, rec.a, rec.b))
     return out
 

@@ -191,7 +191,8 @@ def _fixed(**pairings):
 
 def _closed_and_oracle(model, wall, pairings, word):
     """The closed form's and the ring oracle's value of ``word``, in that order."""
-    return tuple(v.value for v in evaluate(model, wall, pairings, word))
+    closed, oracle = evaluate(model, wall, pairings, word)
+    return closed.value, oracle.value
 
 
 def _show(value) -> str:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from wallcross import (InsertionWord, InvariantError, Pairings, PreconditionError, RegimeError,
                        WallGeometry, delta_l0, delta_l1, delta_leading)
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
-from wallcross.closed import (_l0_sum, delta_l0_odd, leading_insertion_class, pow0,
+from wallcross.closed import (DeltaValue, _l0_sum, delta_l0_odd, leading_insertion_class,
                               segre_det_closed, segre_det_determinant, segre_det_recursive,
                               segre_sum_closed)
 from wallcross.jacobian import e_alpha, e_zeta, jacobian_odd_integral
@@ -18,14 +19,17 @@ from wallcross.oracle import ch_extension_bundles
 from conftest import make_model
 
 
+def pow0(base, n):
+    """base**n, zero for a negative exponent."""
+    return Fraction(base) ** n if n >= 0 else Fraction(0)
+
+
 def comb0(n, k):
     """Binomial coefficient, zero whenever the arguments fall out of range."""
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def test_binomial_and_power_conventions():
-    assert pow0(Fraction(2), -1) == 0
-    assert pow0(Fraction(0), 0) == 1
     # a sum over a negative number of alpha insertions is empty, so a word
     # x^r alpha^(d-2r) with 2r > d prices to zero
     assert _l0_sum(-1, 2, 2, Fraction(3), Fraction(1), Fraction(1)) == (0, 1)
@@ -34,6 +38,21 @@ def test_binomial_and_power_conventions():
     pr = Pairings(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2, alpha2=-1)
     assert delta_l1(wall, pr, wall.d // 2 + 1).value == 0
     assert delta_l1(wall, pr, wall.d // 2).value != 0
+
+
+def test_a_delta_value_holds_a_fraction_and_replace_keeps_it_one():
+    value = DeltaValue(3, "closed-form")
+    assert type(value.value) is Fraction and value.value == 3 and value.modulus_exponent is None
+    half = Fraction(1, 2)
+    assert DeltaValue(half, "ring-oracle").value is half
+    assert (DeltaValue("-7/4", "leading-term", 5)
+            == DeltaValue(Fraction(-7, 4), "leading-term", modulus_exponent=5))
+    moved = replace(DeltaValue(half, "leading-term", 3), value=2)
+    assert moved == DeltaValue(Fraction(2), "leading-term", 3) and type(moved.value) is Fraction
+    with pytest.raises(FrozenInstanceError):
+        value.value = Fraction(1)
+    with pytest.raises(PreconditionError, match="not an exact rational"):
+        DeltaValue(None, "closed-form")
 
 
 def test_delta_l0_spec_values():
@@ -350,6 +369,20 @@ def _fraction_delta_l1(wall, pairings, r, vol):
     return wall.sign_wall() * total * Fraction(vol)
 
 
+
+def _fraction_delta_leading(wall, pairings, r, vol):
+    """delta_leading as it was written before it summed in ints: one Fraction per factor."""
+    d, q, l = wall.d, wall.q, wall.l_zeta
+    m = d - 2 * r - 2 * l - q
+    a = pairings.zetaAlpha / 2
+    a2, sa, sz = pairings.alpha2, pairings.sigmaAlpha, pairings.sigmaZeta
+    sign = -1 if (d + l + r) % 2 else 1
+    fact = Fraction(math.factorial(d - 2 * r), math.factorial(l))
+    first = pow0(a, m) * fact / math.factorial(m) * pow0(a2, l) * pow0(sa, q)
+    second = (4 * pow0(a, m + 1) * fact * q / math.factorial(m + 1)
+              * pow0(a2, l) * pow0(sa, q - 1) * sz) if q >= 1 else Fraction(0)
+    return wall.sign_wall() * sign * Fraction(2) ** (q - 2 * r) * (first + second) * Fraction(vol)
+
 # non-integral pairings, zeros and both signs of each
 ZA = (Fraction(3, 2), -2, 0)
 SA = (Fraction(-1, 3), 2, 0)
@@ -397,6 +430,23 @@ def test_delta_l1_three_sums_equal_fraction_form():
                     assert type(value) is Fraction
                     assert value == _fraction_delta_l1(wall, pr, r, Fraction(2, 3)), (q, d, r)
                     compared += value != 0
+    assert compared > 1000, compared
+
+
+def test_delta_leading_integer_sum_equals_fraction_form():
+    compared = 0
+    for q, d, l in itertools.product(range(4), range(1, 9), range(3)):
+        for wall in _walls(q, d, l):
+            for r in range((d - 2 * l - q) // 2 + 1):
+                for za, sa, sz, a2 in itertools.product(ZA, SA, SZ, (Fraction(-1, 3), 2, 0)):
+                    pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za,
+                                  sigmaAlpha=sa, sigmaZeta=sz, alpha2=a2)
+                    lead = delta_leading(wall, pr, r, Fraction(2, 3))
+                    assert type(lead.value) is Fraction and lead.path == "leading-term"
+                    assert lead.modulus_exponent == d - 2 * r - 2 * l - q + 2
+                    assert lead.value == _fraction_delta_leading(wall, pr, r, Fraction(2, 3)), (
+                        q, d, l, r, za, sa, sz, a2)
+                    compared += lead.value != 0
     assert compared > 1000, compared
 
 

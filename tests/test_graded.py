@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wallcross import PreconditionError
 from wallcross.errors import ModelMismatchError
-from wallcross.graded import (SIGMA, GradedElement, ModelSpec, exp_truncated, integrate,
+from wallcross.graded import (_ZERO, SIGMA, GradedElement, ModelSpec, exp_truncated, integrate,
                               integrate_forms, integrate_jacobian, integrate_product,
                               integration_index, integration_pairs, inverse_unit_series)
 from wallcross.verify import monomial_basis, random_even_element
@@ -426,6 +426,18 @@ def test_a_matrix_antisymmetry_is_exact():
     model = ModelSpec(1, ((0, Fraction(2, 4)), ("-1/2", 0)), {})
     assert model.a_matrix == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
     assert model.omega_pow(1) == model.theta(0) * model.theta(1) * Fraction(1, 2)
+    # a matrix of Fractions is kept as it is, so its shared zero passes by identity;
+    # one nonzero object at a_ij and a_ji, or on the diagonal, is still refused
+    half = Fraction(1, 2)
+    for matrix in (((_ZERO, half), (half, _ZERO)), ((half, _ZERO), (_ZERO, -half)),
+                   ((_ZERO, _ZERO, half, _ZERO), (_ZERO, _ZERO, _ZERO, _ZERO),
+                    (-half, _ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO, half))):
+        with pytest.raises(PreconditionError, match="antisymmetric"):
+            ModelSpec(len(matrix) // 2, matrix, {})
+    shared = ((_ZERO, half), (-half, _ZERO))
+    model = ModelSpec(1, shared, {})
+    assert model.a_matrix == shared and model.a_matrix[0][0] is _ZERO
+    assert model.omega_pow(1) == model.theta(0) * model.theta(1) * half
 
 
 def test_a_gram_is_validated_entry_by_entry():
@@ -441,9 +453,14 @@ def test_a_gram_is_validated_entry_by_entry():
                         ({(SIGMA, SIGMA): Fraction(1, 2)}, "Sigma.Sigma"),
                         ({("zeta", "zeta"): "a"}, "not an exact rational"),
                         ({("zeta", "zeta"): None}, "not an exact rational"),
-                        ({("zeta", "w"): 1}, "unregistered")):
+                        ({("zeta", "zeta"): float("nan")}, "not an exact rational"),
+                        ({("zeta", "w"): 1}, "unregistered"),
+                        ({("zeta",): 1}, "unregistered"),
+                        ({("zeta", "K", "K"): 1}, "unregistered")):
         with pytest.raises(PreconditionError, match=match):
             base.with_gram(gram)
+    # any mapping or list of pairs dict() takes is a gram
+    assert base.with_gram([((SIGMA, "zeta"), 2)]).pair("zeta", SIGMA) == 2
 
 
 # a non-integral generator index is a typed error; an integral one of another

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,26 @@ def test_the_json_reader_and_the_operators_keep_their_errors_for_no_number():
     assert one.__mul__("x") is NotImplemented and one.__rmul__(None) is NotImplemented
     with pytest.raises(TypeError):
         one * None
+
+
+def test_pairings_keep_a_fraction_coerce_the_rest_and_replace_alike():
+    # each field is set without a call for a Fraction and through frac otherwise,
+    # positionally or by name, and dataclasses.replace goes through the same check
+    third = Fraction(1, 3)
+    pr = Pairings(-4, "2", 1.5, sigmaAlpha=third, alpha2=Fraction(-2, 4))
+    assert vars(pr) == {"zeta2": -4, "zetaK": 2, "zetaAlpha": Fraction(3, 2), "sigmaZeta": 0,
+                        "sigmaAlpha": third, "sigmaK": 0, "K2": 0, "Kalpha": 0,
+                        "alpha2": Fraction(-1, 2)}
+    assert {type(v) for v in vars(pr).values()} == {Fraction} and pr.sigmaAlpha is third
+    moved = replace(pr, zeta2=-8, K2="5/2")
+    assert (moved.zeta2, moved.K2, moved.zetaAlpha) == (-8, Fraction(5, 2), Fraction(3, 2))
+    assert {type(v) for v in vars(moved).values()} == {Fraction}
+    assert Pairings(zeta2=-4) == Pairings(zeta2=Fraction(-4))
+    assert hash(Pairings(zeta2=-4)) == hash(Pairings(zeta2=Fraction(-4)))
+    with pytest.raises(FrozenInstanceError):
+        pr.zeta2 = Fraction(1)
+    for bad in (None, "a", float("nan"), float("inf"), object()):
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            Pairings(K2=bad)
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            replace(pr, sigmaK=bad)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import pytest
 
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, RegimeError,
                        WallGeometry, build_model, delta_l0, delta_oracle_l1, volume)
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
-from wallcross.closed import delta_l0_odd
+from wallcross.closed import delta_l0_odd, delta_l1
 from wallcross import jacobian, oracle
 from wallcross.graded import S_ONE, SIGMA, exp_truncated, integrate, integrate_jacobian
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
@@ -640,6 +641,35 @@ def test_an_l1_word_is_surface_classes_times_alpha_powers():
                     cases += 1
                     nonzero += value != 0
     assert cases == nonzero == 68
+
+
+def test_an_l1_word_in_ints_is_the_ring_expansion_and_the_closed_form():
+    # the l = 1 word loop sums int numerators over one denominator; on random walls
+    # whose zeta.alpha, Sigma.alpha, alpha^2 and K^2 have denominators 2, 3, 4 or 6
+    # (with rational blocks, Sigma.zeta and Sigma.K) it must equal the whole word
+    # expanded one ring multiply at a time, and the closed form
+    rng = random.Random(1717)
+
+    def rational():
+        return Fraction(rng.choice((-5, -3, -1, 1, 2, 5)), rng.choice((2, 3, 4, 6)))
+    cases = nonzero = 0
+    for _ in range(14):
+        q = rng.randint(0, 2)
+        zeta2 = rng.choice((-4, -8))
+        wall = WallGeometry.build(p1=zeta2 - 4, q=q, zeta2=zeta2, zetaK=rng.choice((0, 2)))
+        pr = Pairings(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=rational(),
+                      sigmaZeta=rational(), sigmaAlpha=rational(), sigmaK=rational(),
+                      K2=rational(), Kalpha=rational(), alpha2=rational())
+        model = build_model(PairingInput(q=q, pairings=pr,
+                                         a_blocks=tuple(rational() for _ in range(q))))
+        for r in range(min(2, wall.d // 2) + 1):
+            value = delta_oracle_l1(model, wall, r).value
+            assert type(value) is Fraction
+            assert value == _expanded_value(model, wall, InsertionWord(r=r, s=wall.d - 2 * r))
+            assert value == delta_l1(wall, pr, r, volume(model)).value, (wall, pr, r)
+            cases += 1
+            nonzero += value != 0
+    assert cases >= 35 and nonzero >= 30, (cases, nonzero)
 
 
 def test_an_l1_word_on_a_built_table_takes_no_ring_product(monkeypatch):

@@ -1,14 +1,15 @@
 """Ruled-surface data and wall enumeration."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from wallcross import PreconditionError, SchemaError
-from wallcross.surfaces import (custom_surface, enumerate_walls, odd_ruled, product_ruled,
-                                surface_from_json_dict)
-from wallcross.walls import wall_params
+from wallcross import InvalidWallError, PreconditionError, SchemaError
+from wallcross.surfaces import (SurfaceData, WallRecord, _pairings_for, custom_surface,
+                                enumerate_walls, odd_ruled, product_ruled, surface_from_json_dict)
+from wallcross.walls import WallGeometry, wall_params
 
 
 def test_product_ruled_intersection_data():
@@ -77,6 +78,12 @@ def test_enumeration_rejects_non_integral_pairings():
     half = custom_surface("half", 0, ((Fraction(1, 2), 1), (1, 0)), K=(0, -2), Sigma=(1, 0))
     with pytest.raises(PreconditionError, match="must be an integer"):
         enumerate_walls(half, (1, 1), -20, 4)
+    # zeta^2 is integral at a = 4 (the first in-cone row) and below p1 there, but
+    # -36/8 - 12 at a = 6: a sweep that stopped at a = 4 would list no walls
+    eighth = custom_surface("eighth", 0, ((Fraction(-1, 8), 1), (1, 0)), K=(0, -2),
+                            Sigma=(1, 0), cone_slope=2)
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        enumerate_walls(eighth, (0, 1), -9, 10)
 
 
 def test_custom_surface_and_json_round_trip():
@@ -160,3 +167,67 @@ def test_k_must_be_characteristic():
         surface_from_json_dict({"surface": {"name": "x", "q": 1, "basis": ["a", "b"],
                                             "gram": [[0, 1], [1, 0]], "K": [1, -2],
                                             "Sigma": [1, 0]}})
+
+
+def _every_candidate(surface, w, p1, bound, alpha):
+    """enumerate_walls as a sweep over every (a, b) <= bound, without early stops."""
+    out = []
+    for a in range(1, bound + 1):
+        for b in range(1, bound + 1):
+            zeta = (a, -b)
+            if (a - w[0]) % 2 or (-b - w[1]) % 2:
+                continue
+            if surface.cone_slope is not None and not a > surface.cone_slope * b:
+                continue
+            z2 = surface.pairing(zeta, zeta)
+            if not p1 <= z2 < 0 or (z2 - p1) % 4:
+                continue
+            pair = _pairings_for(surface, zeta, alpha)
+            try:
+                wall = WallGeometry.build(p1=p1, q=surface.q, zeta2=int(z2), zetaK=int(pair.zetaK),
+                                          zetaW=int(surface.pairing(zeta, w)),
+                                          w2=int(surface.pairing(w, w)),
+                                          wK=int(surface.pairing(w, surface.K)))
+            except InvalidWallError:
+                continue
+            out.append(WallRecord(a=a, b=b, zeta=zeta, wall=wall, pairings=pair))
+    out.sort(key=lambda rec: (-rec.wall.zeta2, rec.a, rec.b))
+    return out
+
+
+def test_early_stops_list_every_wall_of_the_full_sweep():
+    # the sweep stops a row once zeta^2 < p1 cannot rise again, and every later row
+    # when a row stops at its first in-cone b; the listing must be the full sweep's,
+    # also where g11 > 0 (no stop), g00 > 0 or g01 < 0 (no stop over rows; on the
+    # last two a row stopped at its first b is followed by a row with a wall, and
+    # with g01 < 0 zeta^2 < p1 at one b rises to a wall at a larger b)
+    surfaces = [make(g) for make in (product_ruled, odd_ruled) for g in (1, 2, 3)]
+    surfaces += [custom_surface("g11>0", 1, ((0, 1), (1, 2)), K=(2, -2), Sigma=(1, 0)),
+                 custom_surface("g00>0", 1, ((1, 0), (0, -1)), K=(1, 1), Sigma=(1, 0)),
+                 custom_surface("g01<0", 2, ((-2, -1), (-1, -2)), K=(0, 0), Sigma=(1, 0)),
+                 custom_surface("g00>0 rising", 1, ((1, 2), (2, -1)), K=(-5, 1), Sigma=(1, 0)),
+                 custom_surface("g01<0 rising", 1, ((-2, -1), (-1, -1)), K=(-3, -2),
+                                Sigma=(1, 0))]
+    listed = {}
+    for surface in surfaces:
+        for w, p1, bound in itertools.product(((1, 1), (0, 1), (1, 0), (0, 0), (3, -1)),
+                                              (-1, -2, -7, -9, -20, -41), (1, 9, 40)):
+            walls = enumerate_walls(surface, w, p1, bound, alpha=(1, 2))
+            assert walls == _every_candidate(surface, w, p1, bound, (1, 2)), (surface.name, w, p1)
+            listed[surface.name] = listed.get(surface.name, 0) + len(walls)
+    assert min(listed.values()) >= 8 and sum(listed.values()) >= 200
+
+
+def test_a_large_bound_reads_few_candidates(monkeypatch):
+    # on product_ruled(1) with p1 = -2 the one wall is a = b = 1; at bound 1000 the
+    # stops leave a handful of zeta^2 evaluations, not ~bound^2 / 4
+    calls = []
+    real = SurfaceData.pairing
+
+    def counted(self, u, v):
+        calls.append(u)
+        return real(self, u, v)
+    monkeypatch.setattr(SurfaceData, "pairing", counted)
+    walls = enumerate_walls(product_ruled(1), (1, 1), -2, 1000)
+    assert [(rec.a, rec.b) for rec in walls] == [(1, 1)]
+    assert len(calls) < 20

@@ -22,7 +22,7 @@ from .delta import PATHS, evaluate
 from .errors import InvariantError, PreconditionError, RegimeError, SchemaError, WallCrossError
 from .graded import exact_int, frac
 from .jacobian import (InsertionWord, PairingInput, build_model, pairing_input_from_json,
-                       volume)
+                       read_document, volume)
 from .surfaces import enumerate_walls, surface_from_json_dict
 from .walls import WallGeometry
 
@@ -127,7 +127,7 @@ def cmd_delta(opts) -> int:
         raise PreconditionError(f"no s >= 0 gives the word degree 2d = {2 * wall.d}; pass --s")
     word = InsertionWord(r=opts.r, s=twice_s // 2 if opts.s is None else opts.s,
                          gammas=gammas, threes=threes)
-    values = evaluate(model, wall, inp.pairings, word, opts.path)
+    values = evaluate(model, wall, word, opts.path)
     if opts.path == "auto" and values[0].value != values[1].value:
         print(f"error: closed-form and oracle disagree: "
               f"{_rat(values[0].value)} vs {_rat(values[1].value)}", file=sys.stderr)
@@ -151,12 +151,7 @@ def cmd_delta(opts) -> int:
 
 
 def cmd_walls(opts) -> int:
-    text = _load_input(opts.input)
-    try:
-        doc_in = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    surface = surface_from_json_dict(doc_in)
+    surface = surface_from_json_dict(read_document(_load_input(opts.input)))
     if opts.w is None:
         raise SchemaError("--w v1,v2 is required for the walls command")
     if opts.p1 is None:
@@ -170,8 +165,7 @@ def cmd_walls(opts) -> int:
         delta_str = ""
         if rec.wall.l_zeta <= 1 and alpha is not None:
             model = build_model(PairingInput(q=surface.q, pairings=rec.pairings))
-            (closed,) = evaluate(model, rec.wall, rec.pairings, InsertionWord(s=rec.wall.d),
-                                 "closed")
+            (closed,) = evaluate(model, rec.wall, InsertionWord(s=rec.wall.d), "closed")
             delta_str = _rat(closed.value)
         entry = {"a": rec.a, "b": rec.b, "zeta2": rec.wall.zeta2,
                  "l_zeta": rec.wall.l_zeta, "h_plus": rec.wall.h_plus,

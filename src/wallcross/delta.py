@@ -11,7 +11,7 @@ from __future__ import annotations
 from .closed import DeltaValue, delta_l0, delta_l0_odd, delta_l1, delta_leading
 from .errors import PreconditionError, RegimeError
 from .graded import ModelSpec
-from .jacobian import InsertionWord, Pairings, volume
+from .jacobian import InsertionWord, volume
 from .oracle import delta_oracle_l0, delta_oracle_l1
 from .walls import WallGeometry
 
@@ -22,9 +22,10 @@ PATHS = ("auto", "closed", "oracle", "leading")
 MAX_DEGREE = 10_000
 
 
-def evaluate(model: ModelSpec, wall: WallGeometry, pairings: Pairings, word: InsertionWord,
+def evaluate(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
              path="auto") -> tuple[DeltaValue, ...]:
-    """The value of ``word`` on ``wall`` by ``path``.
+    """The value of ``word`` on ``wall`` by ``path``, for the pairings ``model``
+    was built from (``model.pairings``).
 
     "closed" gives the closed form and "oracle" the ring oracle, both for
     l_zeta <= 1; "auto" gives both, the closed form first; "leading" gives
@@ -44,12 +45,12 @@ def evaluate(model: ModelSpec, wall: WallGeometry, pairings: Pairings, word: Ins
     if path == "leading":
         if odd:
             raise PreconditionError("the leading terms cover words x^r alpha^s only")
-        return (delta_leading(wall, pairings, word.r, volume(model)),)
+        return (delta_leading(wall, model.pairings, word.r, volume(model)),)
     if l_zeta == 0:
         if path == "oracle":
             return (delta_oracle_l0(model, wall, word),)
         closed = (delta_l0_odd(wall, model, word) if odd
-                  else delta_l0(wall, pairings, word.r, volume(model)))
+                  else delta_l0(wall, model.pairings, word.r, volume(model)))
         return (closed,) if path == "closed" else (closed, delta_oracle_l0(model, wall, word))
     if odd:
         raise RegimeError("odd insertions are only evaluated exactly at l_zeta = 0")
@@ -59,5 +60,5 @@ def evaluate(model: ModelSpec, wall: WallGeometry, pairings: Pairings, word: Ins
             'cohomology not modeled); the "leading" path gives the two leading terms')
     if path == "oracle":
         return (delta_oracle_l1(model, wall, word.r),)
-    closed = delta_l1(wall, pairings, word.r, volume(model))
+    closed = delta_l1(wall, model.pairings, word.r, volume(model))
     return (closed,) if path == "closed" else (closed, delta_oracle_l1(model, wall, word.r))

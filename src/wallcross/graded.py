@@ -59,9 +59,6 @@ _SCALAR = (0, S_ONE)
 
 # The even degree-2 surface symbols every model carries
 EVEN_SYMBOLS = (SIGMA, "zeta", "K", "alpha")
-# Each Gram key, a pair of them, to the same pair in the other order
-_FLIPPED = {(s1, s2): (s2, s1) for s1 in EVEN_SYMBOLS for s2 in EVEN_SYMBOLS}
-_FRACTION = {Fraction}
 
 
 def s_odd(i):
@@ -132,65 +129,36 @@ class ModelSpec:
     """Presentation of H*(J) (x) H*(S): generators, a_ij data, Gram pairings.
 
     Models are immutable after construction and safe to share; identity is
-    object identity.  ``a_matrix`` is the antisymmetric matrix with
-    be_i.be_j = a_ij Sigma; ``gram`` holds the symmetric pairings among the
-    even degree-2 symbols (Sigma.Sigma = 0 always).
+    object identity.  ``a_matrix`` holds the a_ij (be_i.be_j = a_ij Sigma) and
+    ``pairings`` the pairings of the even symbols, whose ``gram()`` gives every
+    ordered pair.  Both are taken as given: ``jacobian.build_model`` makes a
+    model from a ``PairingInput``, which checks them once.
     """
 
-    def __init__(self, q, a_matrix, gram):
-        q = exact_int(q, "q")
-        if not 0 <= q <= MAX_Q:
-            raise PreconditionError(f"q must be between 0 and {MAX_Q}, got {q}")
-        self.q = q
-        n = 2 * q
-        # a matrix of Fractions is kept as it is, so a shared zero stays one object
-        a = tuple(map(tuple, a_matrix))
-        if not set(map(type, itertools.chain.from_iterable(a))) <= _FRACTION:
-            a = tuple(tuple(map(frac, row)) for row in a)
-        if len(a) != n or any(len(row) != n for row in a):
-            raise PreconditionError(f"a_matrix must be {n}x{n} for q={q}")
-        for i, (row, column) in enumerate(zip(a, zip(*a))):
-            for x, y in zip(row[i:], column[i:]):
-                # reduced, so x = -y exactly when these agree; the shared zero of a
-                # built matrix is passed by identity
-                if (x is not _ZERO or y is not _ZERO) and (
-                        x.numerator != -y.numerator or x.denominator != y.denominator):
-                    raise PreconditionError("a_matrix must be antisymmetric")
-        self.a_matrix = a
-        self.j_top = (1 << n) - 1
+    def __init__(self, q, a_matrix, pairings):
+        self.q, self.a_matrix, self.j_top = q, a_matrix, (1 << 2 * q) - 1
         # both caches hold term dicts, not elements: an element refers to its
         # model, and a cycle would keep a dead model alive until a full
         # garbage collection
         self._omega_powers = [{_SCALAR: _ONE}, self.omega_class()._terms]
         self._memo = {}
-        self._set_gram(gram)
+        self._set_pairings(pairings)
 
-    def with_gram(self, gram) -> "ModelSpec":
+    def with_pairings(self, pairings) -> "ModelSpec":
         """The model over this J-side (q, a_ij, the omega-power cache and the
-        memo behind ``memo``) with new Gram pairings.
+        memo behind ``memo``) with new pairings.
 
-        The a_ij are not validated again and the caches are shared, so a sweep
-        over pairings at fixed a_ij builds its J-side once.
+        The caches are shared, so a sweep over pairings at fixed a_ij builds
+        its J-side once.
         """
         model = object.__new__(ModelSpec)
         model.q, model.a_matrix, model.j_top = self.q, self.a_matrix, self.j_top
         model._omega_powers, model._memo = self._omega_powers, self._memo
-        model._set_gram(gram)
+        model._set_pairings(pairings)
         return model
 
-    def _set_gram(self, gram):
-        table = self._gram = {}
-        for pair, val in dict(gram).items():
-            flipped = _FLIPPED.get(pair)
-            if flipped is None:
-                raise PreconditionError(f"gram entry for unregistered symbol pair {pair!r}")
-            v = val if type(val) is Fraction else frac(val)
-            old = table.setdefault(pair, v)
-            if old is not v and old != v:
-                raise PreconditionError(f"conflicting gram entries for {pair!r}")
-            table[flipped] = v
-        if table.get((SIGMA, SIGMA)):
-            raise PreconditionError("Sigma.Sigma must be 0")
+    def _set_pairings(self, pairings):
+        self.pairings, self._gram = pairings, pairings.gram()
         # S-side products read every Gram pairing, so each model has its own
         # table; its slots in the J-side memo are looked up on first use, but
         # the slot that reads no pairing is one for the whole J-side
@@ -200,13 +168,13 @@ class ModelSpec:
     # -- pairings -------------------------------------------------------
 
     def pair(self, s1, s2) -> Fraction:
-        """Gram pairing of two even symbols (0 when unset)."""
-        return self._gram.get((s1, s2), _ZERO)
+        """Gram pairing of two even symbols."""
+        return self._gram[(s1, s2)]
 
     def memo(self, reads) -> dict:
         """The J-side memo's slot for the pairings ``reads``, pairs of symbols.
 
-        Every model over this J-side (``with_gram``) whose pairings agree on
+        Every model over this J-side (``with_pairings``) whose pairings agree on
         ``reads`` gets the same dict, so a value that reads the J-side and no
         other pairing is computed once for all of them.  A model finds each
         slot once and keeps it.  Store term dicts, never elements: an element
@@ -218,7 +186,7 @@ class ModelSpec:
             # __hash__ would otherwise dominate the first lookup of a slot
             gram, key = self._gram, [reads]
             for pair in reads:
-                v = gram.get(pair, _ZERO)
+                v = gram[pair]
                 key.append((v.numerator, v.denominator))
             slot = self._slots[reads] = self._memo.setdefault(tuple(key), {})
         return slot
@@ -284,7 +252,7 @@ class ModelSpec:
         for i, row in enumerate(self.a_matrix):
             for j in range(i + 1, n):
                 c = row[j]
-                if c is not _ZERO and c:
+                if c:
                     terms[(1 << i | 1 << j, S_ONE)] = c
         return GradedElement(self, terms)
 

@@ -55,17 +55,16 @@ class Pairings:
         fields["alpha2"] = alpha2 if type(alpha2) is Fraction else frac(alpha2)
 
     def gram(self):
-        """Symmetric Gram dictionary over {Sigma, zeta, K, alpha}; Sigma.Sigma = 0."""
+        """The pairing of each ordered pair of Sigma, zeta, K and alpha, both orders
+        alike: 16 entries, with Sigma.Sigma = 0."""
+        sz, sk, sa = self.sigmaZeta, self.sigmaK, self.sigmaAlpha
+        zk, za, ka = self.zetaK, self.zetaAlpha, self.Kalpha
         return {
-            (SIGMA, SIGMA): _ZERO,
-            (SIGMA, "zeta"): self.sigmaZeta,
-            (SIGMA, "K"): self.sigmaK,
-            (SIGMA, "alpha"): self.sigmaAlpha,
-            ("zeta", "zeta"): self.zeta2,
-            ("zeta", "K"): self.zetaK,
-            ("zeta", "alpha"): self.zetaAlpha,
-            ("K", "K"): self.K2,
-            ("K", "alpha"): self.Kalpha,
+            (SIGMA, SIGMA): _ZERO, (SIGMA, "zeta"): sz, (SIGMA, "K"): sk, (SIGMA, "alpha"): sa,
+            ("zeta", SIGMA): sz, ("zeta", "zeta"): self.zeta2, ("zeta", "K"): zk,
+            ("zeta", "alpha"): za,
+            ("K", SIGMA): sk, ("K", "zeta"): zk, ("K", "K"): self.K2, ("K", "alpha"): ka,
+            ("alpha", SIGMA): sa, ("alpha", "zeta"): za, ("alpha", "K"): ka,
             ("alpha", "alpha"): self.alpha2,
         }
 
@@ -84,21 +83,30 @@ class PairingInput:
     a_matrix: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q", exact_int(self.q, "q"))
-        if not 0 <= self.q <= MAX_Q:
-            raise PreconditionError(f"q must be between 0 and {MAX_Q}, got {self.q}")
+        q = exact_int(self.q, "q")
+        if not 0 <= q <= MAX_Q:
+            raise PreconditionError(f"q must be between 0 and {MAX_Q}, got {q}")
+        object.__setattr__(self, "q", q)
         if self.a_blocks is not None and self.a_matrix is not None:
             raise PreconditionError("give a_blocks or a_matrix, not both")
         if self.a_blocks is not None:
             blocks = tuple(frac(b) for b in self.a_blocks)
-            if len(blocks) > self.q:
-                raise PreconditionError(f"at most q={self.q} block coefficients allowed")
+            if len(blocks) > q:
+                raise PreconditionError(f"at most q={q} block coefficients allowed")
             if any(b == 0 for b in blocks):
                 raise PreconditionError("block coefficients must be nonzero")
             object.__setattr__(self, "a_blocks", blocks)
         if self.a_matrix is not None:
-            object.__setattr__(
-                self, "a_matrix", tuple(tuple(frac(x) for x in row) for row in self.a_matrix))
+            a = tuple(tuple(frac(x) for x in row) for row in self.a_matrix)
+            n = 2 * q
+            if len(a) != n or any(len(row) != n for row in a):
+                raise PreconditionError(f"a_matrix must be {n}x{n} for q={q}")
+            for i, (row, column) in enumerate(zip(a, zip(*a))):
+                for x, y in zip(row[i:], column[i:]):
+                    # reduced, so x = -y exactly when these agree
+                    if x.numerator != -y.numerator or x.denominator != y.denominator:
+                        raise PreconditionError("a_matrix must be antisymmetric")
+            object.__setattr__(self, "a_matrix", a)
 
     @classmethod
     def from_json_dict(cls, doc) -> "PairingInput":
@@ -126,19 +134,16 @@ class PairingInput:
 
 def build_model(inp: PairingInput) -> ModelSpec:
     """Realize a PairingInput as a concrete ring model."""
-    n = 2 * inp.q
-    if inp.a_matrix is not None:
-        matrix = inp.a_matrix
-        if len(matrix) != n:
-            raise PreconditionError(f"a_matrix size {len(matrix)} != 2q = {n}")
-    else:
+    matrix = inp.a_matrix
+    if matrix is None:
+        n = 2 * inp.q
         blocks = inp.a_blocks if inp.a_blocks is not None else (Fraction(1),) * inp.q
         rows = [[_ZERO] * n for _ in range(n)]
         for r, b in enumerate(blocks):
             rows[2 * r][2 * r + 1] = b
             rows[2 * r + 1][2 * r] = -b
         matrix = tuple(tuple(row) for row in rows)
-    return ModelSpec(inp.q, matrix, inp.pairings.gram())
+    return ModelSpec(inp.q, matrix, inp.pairings)
 
 
 def volume(model: ModelSpec) -> Fraction:
@@ -249,8 +254,8 @@ class InsertionWord:
         return " ".join(bits) if bits else "1"
 
 
-def pairing_input_from_json(text: str) -> tuple:
-    """Parse a JSON document into (PairingInput, wall_section_or_None)."""
+def read_document(text: str) -> dict:
+    """Parse a JSON document, model or surface: a top-level object of schema version 1."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -260,6 +265,12 @@ def pairing_input_from_json(text: str) -> tuple:
     version = doc.get("schema_version", 1)
     if version != 1:
         raise SchemaError(f"unsupported schema_version {version}")
+    return doc
+
+
+def pairing_input_from_json(text: str) -> tuple:
+    """Parse a JSON document into (PairingInput, wall_section_or_None)."""
+    doc = read_document(text)
     inp = PairingInput.from_json_dict(doc)
     wall = doc.get("wall")
     if wall is not None and not isinstance(wall, dict):

@@ -137,10 +137,12 @@ def surface_from_json_dict(doc) -> SurfaceData:
         raise SchemaError(f"the surface name must be a string, got {name!r}")
     try:
         q = exact_int(surf["q"], "q")
-        if name.startswith("product_ruled"):
-            return product_ruled(q)
-        if name.startswith("odd_ruled"):
-            return odd_ruled(q)
+        # a document that gives its data is read as it is, whatever its name says
+        if "gram" not in surf:
+            if name.startswith("product_ruled"):
+                return product_ruled(q)
+            if name.startswith("odd_ruled"):
+                return odd_ruled(q)
         slope = surf.get("cone_slope")
         return SurfaceData(
             name=name or "custom", q=q, basis=tuple(surf["basis"]),
@@ -166,66 +168,82 @@ def enumerate_walls(surface: SurfaceData, w: Vec, p1, bound, alpha: Vec = None):
 
     A candidate is kept when zeta = w (mod 2) in the lattice, p1 <= zeta^2 < 0
     with 4 | (zeta^2 - p1), the cone inequality a > slope * b holds, and the
-    derived wall quantities are valid.  One representative per +-zeta pair is
-    produced (all have a > 0).  ``alpha`` supplies the pairing column used by
-    delta evaluations; it defaults to w.  Both vectors need the lattice's rank,
-    two entries each.
+    derived wall quantities are valid; each row of fixed a reads only its b-window.
+    One representative per +-zeta pair is produced (all have a > 0).  ``alpha``
+    supplies the pairing column of delta evaluations; it defaults to w.  Both
+    vectors need the lattice's rank, two entries each.
     """
     if not 0 < bound <= MAX_BOUND:
         raise PreconditionError(f"bound must be between 1 and {MAX_BOUND}, got {bound}")
     if len(surface.basis) != 2:
         raise PreconditionError("wall enumeration supports rank-2 lattices only")
+    p1 = exact_int(p1, "p1")
     if alpha is None:
         alpha = w
     for name, vec in (("w", w), ("alpha", alpha)):
         if len(vec) != 2:
             raise PreconditionError(
                 f"{name} has {len(vec)} entries; the lattice has rank 2, so it needs 2")
-    # zeta^2 = g00 a^2 - 2 g01 a b + g11 b^2.  With g11 <= 0 it is concave in b, so
-    # once it is below p1 and not rising, no larger b of the row reaches p1; with
-    # g00 <= 0 <= g01 it does not rise with a either, so a row stopped at its first
-    # in-cone b stops every later row.  Only an integral form stops: a skipped
-    # candidate could otherwise be one whose non-integral zeta^2 is refused
-    (g00, g01), (_, g11) = surface.gram
-    b_stops = g11 <= 0 and all(g.denominator == 1 for g in (g00, g01, g11))
-    a_stops = b_stops and g00 <= 0 <= g01
+    den, ((g00, g01), (_, g11)) = surface._gram_ints
+    if den != 1:
+        # zeta^2 is a quadratic in (s, t) on the classes zeta = (a0 + 2s, -(b0 + 2t)) = w
+        # (mod 2), integral on all of them when it is at the six with s, t >= 0, s + t <= 2:
+        # a form that is not is refused whatever the bound, as no window may skip it
+        for s, t in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)):
+            zeta = (w[0] % 2 + 2 * s, -(w[1] % 2 + 2 * t))
+            exact_int(surface.pairing(zeta, zeta), f"zeta^2 for zeta = {zeta}")
     out = []
-    for a in range(1, bound + 1):
-        if (a - w[0]) % 2:
-            continue
-        first = None
-        for b in range(1, bound + 1):
-            zeta = (a, -b)
-            if (zeta[1] - w[1]) % 2:
-                continue
-            if surface.cone_slope is not None and not a > surface.cone_slope * b:
-                continue
-            if first is None:
-                first = b
-            z2 = exact_int(surface.pairing(zeta, zeta), f"zeta^2 for zeta = {zeta}")
-            if b_stops and z2 < p1 and g11 * (2 * b + 1) <= 2 * g01 * a:
-                break
-            if not p1 <= z2 < 0:
-                continue
-            if (z2 - p1) % 4:
-                continue
-            pair = _pairings_for(surface, zeta, alpha)
-            try:
-                wall = WallGeometry.build(
-                    p1=p1, q=surface.q, zeta2=z2,
-                    zetaK=exact_int(pair.zetaK, f"zeta.K for zeta = {zeta}"),
-                    zetaW=exact_int(surface.pairing(zeta, w), f"zeta.w for zeta = {zeta}"),
-                    w2=exact_int(surface.pairing(w, w), "w^2"),
-                    wK=exact_int(surface.pairing(w, surface.K), "w.K"))
-            except InvalidWallError:
-                continue
-            out.append(WallRecord(a=a, b=b, zeta=zeta, wall=wall, pairings=pair))
-        else:
-            continue
-        if a_stops and b == first:
-            break
+    for a in range(2 - w[0] % 2, bound + 1, 2):
+        # den * zeta^2 = g11 b^2 - 2 g01 a b + g00 a^2 in ints, and p1 <= zeta^2 < 0
+        for lo, hi in _b_window(g11, -2 * g01 * a, g00 * a * a, den * p1, -1, bound):
+            for b in range(lo + (lo - w[1]) % 2, hi + 1, 2):
+                zeta = (a, -b)
+                if surface.cone_slope is not None and not a > surface.cone_slope * b:
+                    continue
+                z2 = exact_int(surface.pairing(zeta, zeta), f"zeta^2 for zeta = {zeta}")
+                if not p1 <= z2 < 0:
+                    continue
+                if (z2 - p1) % 4:
+                    continue
+                pair = _pairings_for(surface, zeta, alpha)
+                try:
+                    wall = WallGeometry.build(
+                        p1=p1, q=surface.q, zeta2=z2,
+                        zetaK=exact_int(pair.zetaK, f"zeta.K for zeta = {zeta}"),
+                        zetaW=exact_int(surface.pairing(zeta, w), f"zeta.w for zeta = {zeta}"),
+                        w2=exact_int(surface.pairing(w, w), "w^2"),
+                        wK=exact_int(surface.pairing(w, surface.K), "w.K"))
+                except InvalidWallError:
+                    continue
+                out.append(WallRecord(a=a, b=b, zeta=zeta, wall=wall, pairings=pair))
     out.sort(key=lambda rec: (-rec.wall.zeta2, rec.a, rec.b))
     return out
+
+
+def _b_window(c2, c1, c0, low, high, bound):
+    """The b in 1..bound with low <= f(b) = c2 b^2 + c1 b + c0 <= high, all ints, as at
+    most two ranges ``(lo, hi)``.  With c2 > 0 (the others are negated into it) this is
+    {f <= high} less {f <= low - 1}, and f(b) <= c exactly when |2 c2 b + c1|, an int,
+    is at most math.isqrt(c1^2 - 4 c2 (c0 - c)), so each end is exact.
+    """
+    if c2 < 0 or (c2 == 0 and c1 < 0):
+        c2, c1, c0, low, high = -c2, -c1, -c0, -high, -low
+
+    def below(c):
+        """(lo, hi) such that the b >= 1 with f(b) <= c are lo..hi, or None for no b."""
+        if c2 == 0:
+            return (1, (c - c0) // c1) if c1 else (1, bound) if c0 <= c else None
+        disc = c1 * c1 - 4 * c2 * (c0 - c)
+        if disc < 0:
+            return None
+        r = math.isqrt(disc)
+        return -((c1 + r) // (2 * c2)), (r - c1) // (2 * c2)
+
+    outer, inner = below(high), below(low - 1)
+    if outer is None:
+        return []
+    ranges = [outer] if inner is None else [(outer[0], inner[0] - 1), (inner[1] + 1, outer[1])]
+    return [(max(lo, 1), min(hi, bound)) for lo, hi in ranges if max(lo, 1) <= min(hi, bound)]
 
 
 def _pairings_for(surface, zeta, alpha) -> Pairings:

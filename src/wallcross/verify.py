@@ -108,8 +108,8 @@ def parse_grid(text) -> Grid:
 
 def _j_side(q, blocks=None) -> ModelSpec:
     """The model of q and the block a_ij with every pairing zero, for a sweep
-    to share: each point takes ``with_gram`` of it, so the a_ij are validated
-    and the omega powers built once per (q, blocks), not once per point."""
+    to share: each point takes ``with_pairings`` of it, so the a_ij are
+    validated and the omega powers built once per (q, blocks), not once per point."""
     return build_model(PairingInput(q=q, pairings=Pairings(), a_blocks=blocks))
 
 
@@ -189,9 +189,9 @@ def _fixed(**pairings):
     return {key: Fraction(v) for key, v in pairings.items()}
 
 
-def _closed_and_oracle(model, wall, pairings, word):
+def _closed_and_oracle(model, wall, word):
     """The closed form's and the ring oracle's value of ``word``, in that order."""
-    closed, oracle = evaluate(model, wall, pairings, word)
+    closed, oracle = evaluate(model, wall, word)
     return closed.value, oracle.value
 
 
@@ -336,9 +336,9 @@ def check_oracle_l0(grid):
                     for sz, sa, za in itertools.product(pairs, pairs, pairs):
                         pr = Pairings(zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa, **fixed)
                         # every r on one model and wall shares its X-table
-                        model = j_sides[blocks].with_gram(pr.gram())
+                        model = j_sides[blocks].with_pairings(pr)
                         for word in words:
-                            closed, oracle = _closed_and_oracle(model, wall, pr, word)
+                            closed, oracle = _closed_and_oracle(model, wall, word)
                             yield (closed, oracle,
                                    lambda: f"q={q} d={d} r={word.r} blocks={blocks} "
                                            f"zetaK={zetaK} (za,sa,sz)=({za},{sa},{sz}): "
@@ -354,8 +354,7 @@ def check_oracle_l0(grid):
         for za, sa, sz in itertools.product((-2, 1, 3), (-1, 2), (1, -2)):
             pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
                           sigmaAlpha=sa, sigmaK=-2, K2=0, Kalpha=1, alpha2=2)
-            closed, oracle = _closed_and_oracle(j_side.with_gram(pr.gram()), wall, pr,
-                                                InsertionWord(s=d))
+            closed, oracle = _closed_and_oracle(j_side.with_pairings(pr), wall, InsertionWord(s=d))
             yield (closed, oracle,
                    lambda: f"w-variant {variant}, q={q}, d={d}, (za,sa,sz)=({za},{sa},{sz}): "
                            f"closed vs oracle")
@@ -388,9 +387,9 @@ def check_oracle_l1(grid):
                 pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za,
                               sigmaZeta=sz, sigmaAlpha=sa, sigmaK=2,
                               K2=k2, Kalpha=-1, alpha2=a2)
-                model = j_sides[blocks].with_gram(pr.gram())
+                model = j_sides[blocks].with_pairings(pr)
                 for word in words:
-                    closed, oracle = _closed_and_oracle(model, wall, pr, word)
+                    closed, oracle = _closed_and_oracle(model, wall, word)
                     yield (closed, oracle,
                            lambda: f"q={q} d={d} r={word.r} zetaK={zetaK} blocks={blocks} "
                                    f"(za,sa,sz,K2,a2)=({za},{sa},{sz},{k2},{a2}): closed vs oracle")
@@ -402,10 +401,10 @@ def check_oracle_l1(grid):
         for za, sa, sz in itertools.product((-1, 2), (1, -2), (1, 2)):
             pr = Pairings(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=za, sigmaZeta=sz,
                           sigmaAlpha=sa, sigmaK=1, K2=8, Kalpha=3, alpha2=-1)
-            model = j_side.with_gram(pr.gram())
+            model = j_side.with_pairings(pr)
             for r in (0, 1):
-                closed, oracle = _closed_and_oracle(model, wall, pr,
-                                                    InsertionWord(r=r, s=wall.d - 2 * r))
+                word = InsertionWord(r=r, s=wall.d - 2 * r)
+                closed, oracle = _closed_and_oracle(model, wall, word)
                 yield (closed, oracle,
                        lambda: f"q=2 d=11 r={r} (za,sa,sz)=({za},{sa},{sz}): closed vs oracle")
     # w-variants at l=1
@@ -417,7 +416,7 @@ def check_oracle_l1(grid):
         for za in (-2, 3):
             pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=1,
                           sigmaAlpha=-1, sigmaK=2, K2=8, Kalpha=0, alpha2=1)
-            closed, oracle = _closed_and_oracle(j_side.with_gram(pr.gram()), wall, pr,
+            closed, oracle = _closed_and_oracle(j_side.with_pairings(pr), wall,
                                                 InsertionWord(r=1, s=wall.d - 2))
             yield closed, oracle, lambda: f"w-variant {variant} at l=1, za={za}: closed vs oracle"
 
@@ -456,7 +455,7 @@ def check_odd_words(grid):
         zetaK = valid_zeta_k(q, zeta2, 0)[0]
         odd_wall = wall_with_variant(zeta2, q, zeta2, zetaK)
         odd_pr = Pairings(zeta2=zeta2, zetaK=zetaK, **pair_sets[0])
-        odd_model = j_sides[blocks_list[0]].with_gram(odd_pr.gram())
+        odd_model = j_sides[blocks_list[0]].with_pairings(odd_pr)
         by_degree = {}
         for word in _words_with_odd(q):
             if word.odd_count() % 2:
@@ -475,9 +474,9 @@ def check_odd_words(grid):
                 wall = wall_with_variant(zeta2, q, zeta2, zetaK)
                 for base, blocks in itertools.product(pair_sets, blocks_list):
                     pr = Pairings(zeta2=zeta2, zetaK=zetaK, **base)
-                    model = j_sides[blocks].with_gram(pr.gram())
+                    model = j_sides[blocks].with_pairings(pr)
                     for word in words:
-                        closed, oracle = _closed_and_oracle(model, wall, pr, word)
+                        closed, oracle = _closed_and_oracle(model, wall, word)
                         yield (closed, oracle,
                                lambda: f"q={q} word={word.describe()} blocks={blocks} "
                                        f"zetaK={zetaK} pairs={base}: closed vs oracle")
@@ -601,7 +600,7 @@ def check_hidden_data(grid):
         pr = Pairings(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=za, sigmaZeta=1,
                       sigmaAlpha=sa, sigmaK=1, K2=8, Kalpha=2, alpha2=-1)
         models = [build_model(PairingInput(q=q, pairings=pr, **var)) for var in a_variants]
-        vals = [(volume(model), evaluate(model, wall, pr, word, "oracle")[0].value)
+        vals = [(volume(model), evaluate(model, wall, word, "oracle")[0].value)
                 for model in models]
         yield (vals, [(6, vals[0][1])] * len(vals),
                lambda: f"a_ij dependence at fixed vol (l={l}, d={wall.d}), (vol, delta)")
@@ -620,7 +619,7 @@ def check_hidden_data(grid):
             for pairings in (pr, _k_flipped(pr)):
                 model = build_model(PairingInput(q=q, pairings=pairings,
                                                  a_blocks=_blocks_for_q(q)[0]))
-                vals.append(evaluate(model, wall, pairings, word, "oracle")[0].value)
+                vals.append(evaluate(model, wall, word, "oracle")[0].value)
         yield vals, vals[:1] * len(vals), lambda: f"hidden-data dependence at q={q}, l={l}"
 
 
@@ -650,7 +649,7 @@ def check_scale_invariance(grid):
             model = build_model(PairingInput(q=q, pairings=pr,
                                              a_blocks=tuple(Fraction(b, scale) for b in blocks)))
             rows.append(tuple(v for word in words
-                              for v in _closed_and_oracle(model, wall, pr, word)))
+                              for v in _closed_and_oracle(model, wall, word)))
             yield (rows[-1], rows[0],
                    lambda: f"scale dependence at q={q}, l={l}, scale {scale} vs 1 (closed, oracle)")
 
@@ -664,7 +663,7 @@ def check_simple_type(grid):
     wall = wall_with_variant(-8, 0, -4, 0)
     pr = Pairings(zeta2=-4, zetaK=0, zetaAlpha=2, K2=8, alpha2=-1)
     model = build_model(PairingInput(q=0, pairings=pr))
-    (d0, o0), (d1, o1) = (_closed_and_oracle(model, wall, pr, InsertionWord(r=r, s=wall.d - 2 * r))
+    (d0, o0), (d1, o1) = (_closed_and_oracle(model, wall, InsertionWord(r=r, s=wall.d - 2 * r))
                           for r in (0, 1))
     yield ((d0, d1, d1 == 4 * d0), (o0, o1, False),
            lambda: "closed (delta(a^5), delta(x a^3)) vs oracle, and the simple-type relation")
@@ -695,8 +694,8 @@ def check_component_branch(grid):
             for za, sa, sz in itertools.product((-2, 1, 3), (-1, 2), (1, -2)):
                 pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
                               sigmaAlpha=sa, sigmaK=2 * sz, K2=0, Kalpha=0, alpha2=1)
-                model = j_side.with_gram(pr.gram())
-                closed, unified = _closed_and_oracle(model, wall, pr, word)
+                model = j_side.with_pairings(pr)
+                closed, unified = _closed_and_oracle(model, wall, word)
                 component = delta_oracle_l0(model, wall, word, branch="component").value
                 yield ((unified, component), (closed, closed),
                        lambda: f"branch mismatch at q={q}, d={d}, (za,sa,sz)=({za},{sa},{sz}): "

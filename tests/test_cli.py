@@ -352,6 +352,11 @@ def _model_text(**changes):
     pytest.param(json.dumps({"schema_version": 1,
                              "surface": {"name": "product_ruled", "q": "1/0"}}),
                  "walls", "bad surface document", id="surface-q-n/0"),
+    # a surface document skipped the version check that a model document gets
+    pytest.param(json.dumps(dict(SURFACE_DOC, schema_version=7)), "walls",
+                 "unsupported schema_version 7", id="surface-schema-7"),
+    pytest.param(_model_text(schema_version=7), "params", "unsupported schema_version 7",
+                 id="model-schema-7"),
     # q = 1.5 used to be read as q = 1
     pytest.param(_model_text(q=1.5), "params", "q must be an integer, got 3/2", id="q-1.5"),
     # K = (1.5, -2) used to be read as K = (1, -2), and walls exited 0

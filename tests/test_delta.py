@@ -15,7 +15,7 @@ PAIRINGS = dict(zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1, K2=8, alpha2=-1)
 def _case(p1, q, zeta2, zetaK):
     pr = Pairings(zeta2=zeta2, zetaK=zetaK, **PAIRINGS)
     wall = WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK)
-    return build_model(PairingInput(q=q, pairings=pr)), wall, pr
+    return build_model(PairingInput(q=q, pairings=pr)), wall
 
 
 L0 = _case(p1=-2, q=1, zeta2=-2, zetaK=0)    # d = 2
@@ -24,34 +24,63 @@ L2 = _case(p1=-12, q=0, zeta2=-4, zetaK=0)   # d = 9
 
 
 def test_each_path_prices_the_word_closed_form_first():
-    for (model, wall, pr), word in ((L0, InsertionWord(r=1)), (L0, InsertionWord(s=2)),
-                                    (L0, InsertionWord(gammas=(0,), threes=(1,))),
-                                    (L1, InsertionWord(r=1, s=6))):
-        closed, oracle = evaluate(model, wall, pr, word)
+    for (model, wall), word in ((L0, InsertionWord(r=1)), (L0, InsertionWord(s=2)),
+                                (L0, InsertionWord(gammas=(0,), threes=(1,))),
+                                (L1, InsertionWord(r=1, s=6))):
+        closed, oracle = evaluate(model, wall, word)
         assert (closed.path, oracle.path) == ("closed-form", "ring-oracle")
         assert closed.value == oracle.value
-        assert evaluate(model, wall, pr, word, "closed") == (closed,)
-        assert evaluate(model, wall, pr, word, "oracle") == (oracle,)
+        assert evaluate(model, wall, word, "closed") == (closed,)
+        assert evaluate(model, wall, word, "oracle") == (oracle,)
     (lead,) = evaluate(*L2, InsertionWord(s=9), "leading")
     assert (lead.path, lead.modulus_exponent) == ("leading-term", 7)  # d - 2r - 2l - q + 2
 
 
 def test_guards():
-    model, wall, pr = L0
+    model, wall = L0
     with pytest.raises(PreconditionError, match="unknown evaluation path"):
-        evaluate(model, wall, pr, InsertionWord(s=2), "fast")
+        evaluate(model, wall, InsertionWord(s=2), "fast")
     for path in delta.PATHS:
         # alpha^4 used to be answered with the value of alpha^2
         with pytest.raises(PreconditionError, match="not 2d = 4"):
-            evaluate(model, wall, pr, InsertionWord(s=4), path)
+            evaluate(model, wall, InsertionWord(s=4), path)
     odd = InsertionWord(gammas=(0,), threes=(1,))
     with pytest.raises(PreconditionError, match="leading terms"):
-        evaluate(model, wall, pr, odd, "leading")
+        evaluate(model, wall, odd, "leading")
     for path in ("auto", "closed", "oracle"):
         with pytest.raises(RegimeError, match="odd insertions"):
             evaluate(*L1, InsertionWord(s=6, gammas=(0,), threes=(1,)), path)
         with pytest.raises(RegimeError, match='l_zeta = 2 .* the "leading" path gives'):
             evaluate(*L2, InsertionWord(s=9), path)
+
+
+def test_every_path_prices_the_pairings_of_its_model():
+    # evaluate reads the pairings off the model, so a J-side built from one set of
+    # pairings and moved to another prices the second on every path, as a model
+    # built fresh from it does; on the README's wall a second, disagreeing
+    # pairings argument once gave closed -14 against oracle -10
+    cases = [(WallGeometry.build(p1=-1, q=1, zeta2=-1, zetaK=1), InsertionWord(s=1), 1,
+              dict(zeta2=-1, zetaK=1, zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1),
+              dict(zeta2=-1, zetaK=1, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1))]
+    for q, p1, zeta2, l in ((1, -4, -4, 0), (2, -8, -4, 1), (2, -12, -4, 2)):
+        wall = WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=valid_zeta_k(q, zeta2, l)[0])
+        pairs = dict(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1,
+                     sigmaK=2, K2=8, Kalpha=-1, alpha2=-1)
+        cases.append((wall, InsertionWord(r=1, s=wall.d - 2), q, pairs,
+                      dict(pairs, zetaAlpha=Fraction(-3, 2), sigmaZeta=2, alpha2=3, K2=0)))
+    for wall, word, q, first, second in cases:
+        j_side = build_model(PairingInput(q=q, pairings=Pairings(**first), a_blocks=(2,) * q))
+        moved = j_side.with_pairings(Pairings(**second))
+        fresh = build_model(PairingInput(q=q, pairings=Pairings(**second), a_blocks=(2,) * q))
+        assert moved.pairings == fresh.pairings == Pairings(**second)
+        for path in delta.PATHS if wall.l_zeta <= 1 else ("leading",):
+            values = evaluate(moved, wall, word, path)
+            assert values == evaluate(fresh, wall, word, path), (wall, path)
+            assert values != evaluate(j_side, wall, word, path), (wall, path)
+    wall, word, q, first, second = cases[0]
+    moved = build_model(PairingInput(q=1, pairings=Pairings(**first))).with_pairings(
+        Pairings(**second))
+    assert [v.value for v in evaluate(moved, wall, word)] == [-14, -14]
 
 
 def test_volume_only_on_closed_and_leading_paths(monkeypatch):
@@ -72,9 +101,9 @@ def test_the_routes_taking_r_refuse_a_bad_r():
     # exist (delta_l1 gave -3008, delta_l0 and delta_leading -80), and "1" or 1.5
     # raised a bare TypeError; an integral r given as text is that r
     l0, l1 = (_case(p1=p1, q=1, zeta2=-4, zetaK=2) for p1 in (-4, -8))
-    routes = [lambda r: delta_l0(l0[1], l0[2], r, volume(l0[0])),
-              lambda r: delta_leading(l0[1], l0[2], r, volume(l0[0])),
-              lambda r: delta_l1(l1[1], l1[2], r, volume(l1[0])),
+    routes = [lambda r: delta_l0(l0[1], l0[0].pairings, r, volume(l0[0])),
+              lambda r: delta_leading(l0[1], l0[0].pairings, r, volume(l0[0])),
+              lambda r: delta_l1(l1[1], l1[0].pairings, r, volume(l1[0])),
               lambda r: delta_oracle_l1(l1[0], l1[1], r)]
     for route in routes:
         for bad, message in ((-1, "must be non-negative, got -1"),
@@ -108,7 +137,7 @@ def test_closed_and_oracle_agree_at_large_q(monkeypatch):
         if l == 0:
             words.append(InsertionWord(s=wall.d - 2, gammas=(0,), threes=(0,)))
         for word in words:
-            closed_value, oracle_value = evaluate(model, wall, pr, word)
+            closed_value, oracle_value = evaluate(model, wall, word)
             assert closed_value.value == oracle_value.value != 0, (q, word)
             cases += 1
         # q = 12 includes x^1 alpha^32 and alpha^32 gamma_1 A_1 (d = 34)
@@ -133,7 +162,7 @@ def test_a_fresh_large_q_model_prices_l0_without_ring_products(monkeypatch):
     word = InsertionWord(r=1, s=wall.d - 2)  # x^1 alpha^32
     model = build_model(inp)
     assert volume(model) == 6 ** 4 and calls == []
-    closed_value, oracle_value = evaluate(model, wall, pr, word)
+    closed_value, oracle_value = evaluate(model, wall, word)
     assert closed_value.value == oracle_value.value != 0 and calls == []
-    assert evaluate(build_model(inp), wall, pr, word) == (closed_value, oracle_value)
+    assert evaluate(build_model(inp), wall, word) == (closed_value, oracle_value)
     assert calls == []

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallcross import PreconditionError
+from wallcross import PairingInput, Pairings, PreconditionError, build_model
 from wallcross.errors import ModelMismatchError
-from wallcross.graded import (_ZERO, SIGMA, GradedElement, ModelSpec, exp_truncated, integrate,
+from wallcross.graded import (_ZERO, SIGMA, GradedElement, exp_truncated, integrate,
                               integrate_forms, integrate_jacobian, integrate_product,
                               integration_index, integration_pairs, inverse_unit_series)
 from wallcross.verify import monomial_basis, random_even_element
@@ -332,7 +332,7 @@ def test_the_integration_forms_are_reduced_and_integrate_the_product():
     assert rational.a_matrix[0][1] == Fraction(1, 2)
 
 
-def test_with_gram_matches_a_fresh_model():
+def test_with_pairings_matches_a_fresh_model():
     # a sweep shares one J-side and swaps only the pairings; every product and
     # omega power must be what a model built from scratch gives
     rng = random.Random(5)
@@ -341,7 +341,8 @@ def test_with_gram_matches_a_fresh_model():
     nonzero = 0
     for pairs in (dict(sigmaZeta=3, alpha2=Fraction(-1, 2)), dict(K2=-4, sigmaK=5)):
         fresh = make_model(q=2, blocks=(2, 3), **pairs)
-        swapped = base.with_gram(dict(fresh._gram))
+        swapped = base.with_pairings(fresh.pairings)
+        assert swapped.pairings is fresh.pairings and swapped._gram == fresh._gram
         assert swapped.omega_pow(1).model is swapped
         assert swapped.a_matrix is base.a_matrix and swapped._s_table is not base._s_table
         for p in range(3):
@@ -355,10 +356,11 @@ def test_with_gram_matches_a_fresh_model():
             assert dict((x * y).terms) == dict((fx * fy).terms)
             nonzero += not (x * y).is_zero()
     assert nonzero >= 10
-    with pytest.raises(PreconditionError):
-        base.with_gram({(SIGMA, SIGMA): 1})
-    with pytest.raises(PreconditionError):
-        base.with_gram({("zeta", "nope"): 1})
+    # the Gram a model reads is its pairings' own: both orders of each pair alike
+    gram = swapped._gram
+    assert len(gram) == 16 and gram[(SIGMA, SIGMA)] == 0
+    assert all(gram[(s2, s1)] is v for (s1, s2), v in gram.items())
+    assert swapped.pair("K", SIGMA) == 5 and swapped.pair("K", "K") == -4
 
 
 def _random_a_matrix(rng, q, kind):
@@ -387,7 +389,7 @@ def test_omega_powers_are_the_sequential_kernel_products():
     for q in range(5):
         for kind in ("blocks", "full", "rational", "zero"):
             for _ in range(3 if q <= 3 else 1):
-                model = ModelSpec(q, _random_a_matrix(rng, q, kind), {})
+                model = make_model(q, matrix=_random_a_matrix(rng, q, kind))
                 omega = model.omega_class()
                 for k in range(q + 2):
                     power = model.omega_pow(k)
@@ -398,13 +400,13 @@ def test_omega_powers_are_the_sequential_kernel_products():
     assert nonzero >= 30
 
 
-def test_with_gram_models_share_one_omega_power_cache_filled_in_either_order():
+def test_with_pairings_models_share_one_omega_power_cache_filled_in_either_order():
     rng = random.Random(77)
     for q in (2, 3, 4):
         for kind in ("blocks", "rational"):
             for first in range(2):
-                base = ModelSpec(q, _random_a_matrix(rng, q, kind), {})
-                sibling = base.with_gram({("zeta", "zeta"): -1, (SIGMA, "zeta"): 2})
+                base = make_model(q, matrix=_random_a_matrix(rng, q, kind))
+                sibling = base.with_pairings(Pairings(zeta2=-1, sigmaZeta=2))
                 assert sibling._omega_powers is base._omega_powers
                 early, late = (base, sibling) if first == 0 else (sibling, base)
                 early.omega_pow(rng.randint(2, q))
@@ -418,49 +420,30 @@ def test_with_gram_models_share_one_omega_power_cache_filled_in_either_order():
 
 
 def test_a_matrix_antisymmetry_is_exact():
-    for matrix in (((0, Fraction(1, 2)), (Fraction(-1, 3), 0)),  # -a_10 differs from a_01
-                   ((1, 0), (0, 0)),  # a nonzero diagonal
-                   ((0, 1), (-1, Fraction(-1, 2)))):
-        with pytest.raises(PreconditionError, match="antisymmetric"):
-            ModelSpec(1, matrix, {})
-    model = ModelSpec(1, ((0, Fraction(2, 4)), ("-1/2", 0)), {})
-    assert model.a_matrix == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
-    assert model.omega_pow(1) == model.theta(0) * model.theta(1) * Fraction(1, 2)
-    # a matrix of Fractions is kept as it is, so its shared zero passes by identity;
-    # one nonzero object at a_ij and a_ji, or on the diagonal, is still refused
+    # PairingInput checks the a_ij once, on reduced numerators and denominators;
+    # a model takes its matrix as given
+    def matrix_input(matrix):
+        return PairingInput(q=len(matrix) // 2, pairings=Pairings(), a_matrix=matrix)
+
     half = Fraction(1, 2)
-    for matrix in (((_ZERO, half), (half, _ZERO)), ((half, _ZERO), (_ZERO, -half)),
+    for matrix in (((0, half), (Fraction(-1, 3), 0)),  # -a_10 differs from a_01
+                   ((1, 0), (0, 0)),  # a nonzero diagonal
+                   ((0, 1), (-1, -half)),
+                   # one object at a_ij and a_ji, or on the diagonal, beside shared zeros
+                   ((_ZERO, half), (half, _ZERO)), ((half, _ZERO), (_ZERO, -half)),
                    ((_ZERO, _ZERO, half, _ZERO), (_ZERO, _ZERO, _ZERO, _ZERO),
                     (-half, _ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO, half))):
         with pytest.raises(PreconditionError, match="antisymmetric"):
-            ModelSpec(len(matrix) // 2, matrix, {})
-    shared = ((_ZERO, half), (-half, _ZERO))
-    model = ModelSpec(1, shared, {})
-    assert model.a_matrix == shared and model.a_matrix[0][0] is _ZERO
+            matrix_input(matrix)
+    inp = matrix_input(((0, Fraction(2, 4)), ("-1/2", 0)))
+    assert inp.a_matrix == ((0, half), (-half, 0))
+    assert {type(x) for row in inp.a_matrix for x in row} == {Fraction}
+    model = build_model(inp)
+    assert model.a_matrix is inp.a_matrix
     assert model.omega_pow(1) == model.theta(0) * model.theta(1) * half
-
-
-def test_a_gram_is_validated_entry_by_entry():
-    # every value goes through frac, both orders of a pair must agree, and
-    # Sigma.Sigma must vanish, however the values are spelled
-    base = make_model(q=1, blocks=(2,))
-    model = base.with_gram({("zeta", "K"): 3, ("K", "zeta"): Fraction(3), (SIGMA, SIGMA): 0,
-                            (SIGMA, "zeta"): "1/2", ("zeta", SIGMA): Fraction(1, 2)})
-    assert model.pair("K", "zeta") == 3 and model.pair("zeta", SIGMA) == Fraction(1, 2)
-    assert {type(v) for v in model._gram.values()} == {Fraction}
-    for gram, match in (({("zeta", "K"): 3, ("K", "zeta"): 2}, "conflicting"),
-                        ({(SIGMA, "zeta"): 1, ("zeta", SIGMA): Fraction(1, 2)}, "conflicting"),
-                        ({(SIGMA, SIGMA): Fraction(1, 2)}, "Sigma.Sigma"),
-                        ({("zeta", "zeta"): "a"}, "not an exact rational"),
-                        ({("zeta", "zeta"): None}, "not an exact rational"),
-                        ({("zeta", "zeta"): float("nan")}, "not an exact rational"),
-                        ({("zeta", "w"): 1}, "unregistered"),
-                        ({("zeta",): 1}, "unregistered"),
-                        ({("zeta", "K", "K"): 1}, "unregistered")):
-        with pytest.raises(PreconditionError, match=match):
-            base.with_gram(gram)
-    # any mapping or list of pairs dict() takes is a gram
-    assert base.with_gram([((SIGMA, "zeta"), 2)]).pair("zeta", SIGMA) == 2
+    for matrix in (((0, 1),), ((0, 1), (-1,)), ((0, 1, 0), (-1, 0, 0))):
+        with pytest.raises(PreconditionError, match="a_matrix must be 2x2 for q=1"):
+            PairingInput(q=1, pairings=Pairings(), a_matrix=matrix)
 
 
 # a non-integral generator index is a typed error; an integral one of another

@@ -9,7 +9,6 @@ import pytest
 
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, SchemaError,
                        build_model, volume)
-from wallcross.graded import ModelSpec
 from wallcross.jacobian import (e_alpha, e_gamma, e_zeta_beta, jacobian_odd_integral,
                                 pairing_input_from_json)
 
@@ -152,8 +151,6 @@ def test_pairing_input_refuses_a_non_integral_q():
     # q = 3/2 used to end in a TypeError inside build_model
     with pytest.raises(PreconditionError, match="q must be an integer, got 3/2"):
         PairingInput(q=1.5, pairings=Pairings())
-    with pytest.raises(PreconditionError, match="q must be an integer, got 3/2"):
-        ModelSpec(Fraction(3, 2), (), {})
     inp = PairingInput(q=Fraction(2), pairings=Pairings())
     assert inp.q == 2 and type(inp.q) is int and build_model(inp).q == 2
 

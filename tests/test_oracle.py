@@ -361,7 +361,7 @@ def test_words_priced_on_one_model_equal_fresh_models(monkeypatch):
 
 def test_a_priced_model_is_freed_without_the_cycle_collector():
     # the memo holds term dicts and ints, never elements, so no reference cycle
-    # keeps a model, or a J-side and the with_gram models sharing its memo, alive
+    # keeps a model, or a J-side and the with_pairings models sharing its memo, alive
     # once the last reference is dropped
     import gc
     import weakref
@@ -393,8 +393,8 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         del model
         assert ref() is None
         j_side = _j_side(2, (1, 2))
-        models = [j_side.with_gram(Pairings(zeta2=-4, zetaK=2, zetaAlpha=za, sigmaZeta=sz,
-                                            sigmaAlpha=1, sigmaK=2, K2=8).gram())
+        models = [j_side.with_pairings(Pairings(zeta2=-4, zetaK=2, zetaAlpha=za, sigmaZeta=sz,
+                                                sigmaAlpha=1, sigmaK=2, K2=8))
                   for za, sz in ((3, 1), (3, -2), (-1, 1))]
         for model in models:
             price(model)
@@ -430,7 +430,7 @@ OTHER = dict(zeta2=-8, zetaK=0, zetaAlpha=-1, sigmaZeta=-2, sigmaAlpha=2, sigmaK
 
 def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_read_it(
         monkeypatch):
-    # two with_gram models over one J-side that differ in one pairing: each
+    # two with_pairings models over one J-side that differ in one pairing: each
     # entry that reads it is built again, every other one is shared, and both
     # models price as fresh models do
     strata = _counting(monkeypatch, "ch_extension_bundles")  # two per l = 1 table
@@ -453,7 +453,7 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
         values, models = [], []
         for pairs in (BASE, dict(BASE, **{key: OTHER[key]})):
             pr = Pairings(**pairs)
-            model = j_side.with_gram(pr.gram())
+            model = j_side.with_pairings(pr)
             models.append(model)
             del strata[:], moments[:], prefixes[:], vols[:], odds[:]
             priced = [_priced(model, wall0, word) for word in words0]
@@ -489,7 +489,7 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     q, blocks, zeta2 = 1, (2,), -4
     pr = Pairings(zeta2=zeta2, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
                   K2=8, Kalpha=-1, alpha2=-1)
-    model = _j_side(q, blocks).with_gram(pr.gram())
+    model = _j_side(q, blocks).with_pairings(pr)
     tables = []
     for p1, zetaK in ((zeta2, 2), (zeta2, -4), (zeta2 - 4, 2), (zeta2 - 4, 0)):
         wall = WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK)
@@ -503,7 +503,7 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta2)
     pr = Pairings(zeta2=zeta2, zetaK=zeta2, zetaAlpha=3, sigmaZeta=2, sigmaAlpha=-1,
                   sigmaK=4, K2=0, Kalpha=0, alpha2=1)
-    model = _j_side(q, (3,)).with_gram(pr.gram())
+    model = _j_side(q, (3,)).with_pairings(pr)
     word = InsertionWord(r=1)
     for branch in ("unified", "component"):
         assert _priced(model, wall, word, branch) == _fresh(q, (3,), pr, wall, word, branch)
@@ -516,7 +516,7 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
     pr = Pairings(zeta2=zeta2, zetaK=1, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2,
                   sigmaK=-1, K2=8, Kalpha=1, alpha2=-1)
-    model = _j_side(q, blocks).with_gram(pr.gram())
+    model = _j_side(q, blocks).with_pairings(pr)
     values = []
     for word, missed in ((InsertionWord(r=2), 1), (InsertionWord(r=1, s=2), 0),
                          (InsertionWord(s=4), 0), (InsertionWord(s=1, gammas=(0, 1)), 1),
@@ -534,7 +534,7 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     assert set(model.memo(())) == {((), (), 2), ((0, 1), (), 1)}
     assert set(model.memo(PREFIX_READS_A)) == {((), (1, 2), 1), ((0,), (0,), 1), ((), (2, 3), 1)}
     # th_1 . i_{be_2} omega vanishes, and so does its I_c
-    other = model.with_gram(Pairings(**dict(vars(pr), sigmaAlpha=5)).gram())
+    other = model.with_pairings(Pairings(**dict(vars(pr), sigmaAlpha=5)))
     assert _priced(other, wall, InsertionWord(s=2, gammas=(0,), threes=(1,))) == 0
     assert other.memo(PREFIX_READS_A)[((0,), (1,), 1)] == (0, 1)
 
@@ -553,7 +553,7 @@ def test_an_alpha_sweep_integrates_only_the_first_models_misses(monkeypatch):
     values, tables = [], set()
     for sa, za in itertools.product((1, Fraction(-1, 3), 0), (3, Fraction(1, 2), 0)):
         pr = Pairings(**dict(BASE, zeta2=zeta2, zetaK=1, sigmaAlpha=sa, zetaAlpha=za))
-        model = j_side.with_gram(pr.gram())
+        model = j_side.with_pairings(pr)
         del moments[:]
         values.append([delta_oracle_l0(model, wall, word).value for word in words])
         tables.add(id(_table(model, wall)))
@@ -604,8 +604,8 @@ def test_a_word_is_its_prefix_times_the_alpha_power():
     cases = nonzero = 0
     for zeta2, zetaK, sz, za in itertools.product((-3, -5), (1, -1), (1, -2), (3, Fraction(1, 2))):
         wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK)
-        model = j_side.with_gram(Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
-                                          sigmaAlpha=2, sigmaK=-1, K2=8, Kalpha=1).gram())
+        model = j_side.with_pairings(Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
+                                              sigmaAlpha=2, sigmaK=-1, K2=8, Kalpha=1))
         d = wall.d
         words = [InsertionWord(r=r, s=d - 2 * r) for r in range(d // 2 + 1)]
         words += [InsertionWord(r=r, s=d - 3 - 2 * r, gammas=(0, 1)) for r in range(2)]
@@ -631,9 +631,9 @@ def test_an_l1_word_is_surface_classes_times_alpha_powers():
         for zeta2, zetaK in ((-4, 2), (-4, 0), (-8, 2)):
             wall = WallGeometry.build(p1=zeta2 - 4, q=q, zeta2=zeta2, zetaK=zetaK)
             for za, a2 in ((Fraction(3, 2), -1), (-2, 0)):
-                model = j_side.with_gram(Pairings(
+                model = j_side.with_pairings(Pairings(
                     zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=1,
-                    sigmaAlpha=Fraction(-1, 3), sigmaK=2, K2=8, Kalpha=1, alpha2=a2).gram())
+                    sigmaAlpha=Fraction(-1, 3), sigmaK=2, K2=8, Kalpha=1, alpha2=a2))
                 for r in range(min(3, wall.d // 2) + 1):
                     value = delta_oracle_l1(model, wall, r).value
                     assert value == _expanded_value(
@@ -705,8 +705,8 @@ def test_an_l0_table_entry_is_its_full_kernel_segre_class():
                 continue
             zeta_k = rng.choice(valid_zeta_k(q, zeta2, 0))
             sz, sk = (Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for _ in range(2))
-            model = j_side.with_gram(Pairings(zeta2=zeta2, zetaK=zeta_k, sigmaZeta=sz,
-                                              sigmaK=sk).gram())
+            model = j_side.with_pairings(Pairings(zeta2=zeta2, zetaK=zeta_k, sigmaZeta=sz,
+                                                  sigmaK=sk))
             walls = []
             for variant in W_VARIANTS:
                 try:
@@ -780,7 +780,7 @@ def test_odd_word_moments_are_shared_across_r(monkeypatch):
     models, values = [], []
     for sz in (1, -2):
         pr = Pairings(zeta2=-3, zetaK=1, zetaAlpha=3, sigmaZeta=sz, sigmaAlpha=2, sigmaK=-1)
-        model = j_side.with_gram(pr.gram())
+        model = j_side.with_pairings(pr)
         models.append(model)
         for words in parts:
             missed = []
@@ -795,7 +795,7 @@ def test_odd_word_moments_are_shared_across_r(monkeypatch):
             longer = InsertionWord(r=1, s=words[0].s, gammas=words[0].gammas,
                                    threes=words[0].threes)
             pr_other = Pairings(**dict(vars(pr), zeta2=-5))
-            value = delta_oracle_l0(j_side.with_gram(pr_other.gram()), other, longer).value
+            value = delta_oracle_l0(j_side.with_pairings(pr_other), other, longer).value
             missed.append(len(moments))
             assert value == _fresh(q, blocks, pr_other, other, longer) != 0, longer
             first = model is models[0] or bool(words[0].threes)
@@ -810,7 +810,7 @@ def test_odd_word_moments_are_shared_across_r(monkeypatch):
 
 
 def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
-    # neither reads a pairing: a second with_gram model computes neither
+    # neither reads a pairing: a second with_pairings model computes neither
     # again, a model over other blocks does; F is kept by both index lists
     vols = _counting(monkeypatch, "integrate_jacobian", jacobian)
     odds = _counting(monkeypatch, "integrate_product", jacobian)
@@ -821,7 +821,7 @@ def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
     for blocks in ((2, 3), (1, 5)):
         j_side = _j_side(2, blocks)
         for pairs in (BASE, OTHER):
-            model = j_side.with_gram(Pairings(**pairs).gram())
+            model = j_side.with_pairings(Pairings(**pairs))
             del vols[:], odds[:]
             got = [volume(model)] + [jacobian_odd_integral(model, *key) for key in lists]
             first = pairs is BASE
@@ -833,7 +833,7 @@ def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
 
 
 def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
-    # however many words and with_gram models over one J-side price a wall, its
+    # however many words and with_pairings models over one J-side price a wall, its
     # table is built once per wall and the pairings it reads: TABLE_READS at l = 1
     # (from both strata), Sigma.zeta and Sigma.K at l = 0.  An l = 1 table holds
     # at most q + 3 substitutes and an l = 0 table at most q + 1, all with N <= d
@@ -851,7 +851,7 @@ def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
         for za, sa, a2 in ((3, 2, -1), (Fraction(1, 2), -1, 5)):
             pr = Pairings(zeta2=-1, zetaK=1, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
                           sigmaK=-1, K2=k2, Kalpha=1, alpha2=a2)
-            model = j_side.with_gram(pr.gram())
+            model = j_side.with_pairings(pr)
             for wall, wall_words in words.items():
                 priced += [(pr, wall, word, _priced(model, wall, word)) for word in wall_words]
                 table = _table(model, wall)
@@ -929,17 +929,17 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
                                                     (2, -3)):
                     pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
                                   sigmaAlpha=sa, sigmaK=1, K2=-4, Kalpha=2, alpha2=-1)
-                    model = j_side.with_gram(pr.gram())
+                    model = j_side.with_pairings(pr)
                     values += [delta_oracle_l0(model, wall, word).value for word in words]
                     values += [delta_l0_odd(wall, model, word).value for word in words]
         # an l = 1 table indexes S-words other than 1, and over non-integral
         # pairings a word reads their parts through S-products with Fraction
         # coefficients; rational Sigma.zeta and Sigma.K put denominators into its forms
         wall = WallGeometry.build(p1=-8, q=q, zeta2=-4, zetaK=2)
-        model = j_side.with_gram(Pairings(zeta2=-4, zetaK=2, zetaAlpha=Fraction(3, 2),
-                                          sigmaZeta=Fraction(1, 3), sigmaAlpha=Fraction(-1, 3),
-                                          sigmaK=Fraction(1, 2),
-                                          K2=8, Kalpha=2, alpha2=Fraction(-1, 3)).gram())
+        model = j_side.with_pairings(Pairings(zeta2=-4, zetaK=2, zetaAlpha=Fraction(3, 2),
+                                              sigmaZeta=Fraction(1, 3), sigmaAlpha=Fraction(-1, 3),
+                                              sigmaK=Fraction(1, 2),
+                                              K2=8, Kalpha=2, alpha2=Fraction(-1, 3)))
         values += [delta_oracle_l1(model, wall, r).value for r in (0, 1)]
         values.append(volume(model))
     forms, scalars, moments, fractions = (sum(parts, [])

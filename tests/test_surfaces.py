@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wallcross import InvalidWallError, PreconditionError, SchemaError
+from wallcross.graded import exact_int
 from wallcross.surfaces import (SurfaceData, WallRecord, _pairings_for, custom_surface,
                                 enumerate_walls, odd_ruled, product_ruled, surface_from_json_dict)
 from wallcross.walls import WallGeometry, wall_params
@@ -95,6 +96,15 @@ def test_custom_surface_and_json_round_trip():
     assert back == product_ruled(2)
     doc2 = odd_ruled(3).to_json_dict()
     assert surface_from_json_dict(doc2) == odd_ruled(3)
+    # a document that carries its data is read as that data, whatever its name
+    # says: "product_ruled blown up" used to read back as product_ruled(1)
+    named = custom_surface("product_ruled blown up", 1, ((-1, 0), (0, 1)), K=(1, 1),
+                           Sigma=(0, 1))
+    for surface in (s, named, custom_surface("odd_ruled(2)", 2, ((0, 1), (1, 2)), K=(2, 0),
+                                             Sigma=(1, 0), cone_slope=Fraction(1, 2)),
+                    *(make(g) for make in (product_ruled, odd_ruled) for g in (1, 2, 3))):
+        assert surface_from_json_dict(surface.to_json_dict()) == surface, surface.name
+    assert surface_from_json_dict(named.to_json_dict()).gram == ((-1, 0), (0, 1))
 
 
 def test_pairing_in_ints_is_the_fraction_sum():
@@ -170,7 +180,7 @@ def test_k_must_be_characteristic():
 
 
 def _every_candidate(surface, w, p1, bound, alpha):
-    """enumerate_walls as a sweep over every (a, b) <= bound, without early stops."""
+    """enumerate_walls as a sweep over every (a, b) <= bound, without b-windows."""
     out = []
     for a in range(1, bound + 1):
         for b in range(1, bound + 1):
@@ -184,10 +194,11 @@ def _every_candidate(surface, w, p1, bound, alpha):
                 continue
             pair = _pairings_for(surface, zeta, alpha)
             try:
-                wall = WallGeometry.build(p1=p1, q=surface.q, zeta2=int(z2), zetaK=int(pair.zetaK),
-                                          zetaW=int(surface.pairing(zeta, w)),
-                                          w2=int(surface.pairing(w, w)),
-                                          wK=int(surface.pairing(w, surface.K)))
+                wall = WallGeometry.build(p1=p1, q=surface.q, zeta2=int(z2),
+                                          zetaK=exact_int(pair.zetaK, "zeta.K"),
+                                          zetaW=exact_int(surface.pairing(zeta, w), "zeta.w"),
+                                          w2=exact_int(surface.pairing(w, w), "w^2"),
+                                          wK=exact_int(surface.pairing(w, surface.K), "w.K"))
             except InvalidWallError:
                 continue
             out.append(WallRecord(a=a, b=b, zeta=zeta, wall=wall, pairings=pair))
@@ -196,11 +207,10 @@ def _every_candidate(surface, w, p1, bound, alpha):
 
 
 def test_early_stops_list_every_wall_of_the_full_sweep():
-    # the sweep stops a row once zeta^2 < p1 cannot rise again, and every later row
-    # when a row stops at its first in-cone b; the listing must be the full sweep's,
-    # also where g11 > 0 (no stop), g00 > 0 or g01 < 0 (no stop over rows; on the
-    # last two a row stopped at its first b is followed by a row with a wall, and
-    # with g01 < 0 zeta^2 < p1 at one b rises to a wall at a larger b)
+    # each row reads only its b-window where p1 <= zeta^2 < 0; the listing must be
+    # the full sweep's, also where g11 > 0 (two windows in a row), g00 > 0 or
+    # g01 < 0 (a row with no window is followed by a row with a wall, and with
+    # g01 < 0 zeta^2 < p1 at one b rises to a wall at a larger b)
     surfaces = [make(g) for make in (product_ruled, odd_ruled) for g in (1, 2, 3)]
     surfaces += [custom_surface("g11>0", 1, ((0, 1), (1, 2)), K=(2, -2), Sigma=(1, 0)),
                  custom_surface("g00>0", 1, ((1, 0), (0, -1)), K=(1, 1), Sigma=(1, 0)),
@@ -218,9 +228,63 @@ def test_early_stops_list_every_wall_of_the_full_sweep():
     assert min(listed.values()) >= 8 and sum(listed.values()) >= 200
 
 
+def test_the_b_windows_list_every_wall_of_the_full_sweep_on_random_forms():
+    # integral and rational forms with g11 < 0, = 0 and > 0, with and without a
+    # cone: the windows come from the roots of the integer-scaled quadratic, so
+    # they hold for every rank-2 form; a form that is not integral on the classes
+    # zeta = w (mod 2) is refused whatever the bound
+    rng = random.Random(2026)
+    listed, refused, compared = {True: 0, False: 0}, 0, set()
+    for _ in range(100):
+        den = rng.choice((1, 2, 2, 4))
+        g11 = Fraction(rng.choice((-1, 0, 1)) * rng.randint(1, 3), rng.choice((1, den)))
+        g00, g01 = (Fraction(rng.randint(-3, 3), rng.choice((1, den))) for _ in range(2))
+        gram = ((g00, g01), (g01, g11))
+        try:
+            surface = custom_surface("random", rng.randint(0, 2), gram,
+                                     K=(rng.randint(-3, 3), rng.randint(-3, 3)), Sigma=(1, 0),
+                                     cone_slope=rng.choice((None, None, 1, Fraction(1, 2))))
+        except PreconditionError:  # K is not characteristic
+            continue
+        for _ in range(6):
+            w, bound = rng.choice(((1, 1), (0, 1), (1, 0), (0, 0), (2, 0))), rng.choice((4, 12, 30))
+            # p1 a little below one candidate's zeta^2 when that is integral and negative,
+            # so that most sweeps have candidates in their windows
+            zeta = tuple(rng.randrange(v % 2 or 2, bound + 1, 2) * sign
+                         for v, sign in zip(w, (1, -1)))
+            z2 = surface.pairing(zeta, zeta)
+            p1 = (int(z2) - 4 * rng.randint(0, 3) if -60 < z2 < 0 and z2.denominator == 1
+                  else rng.randint(-40, -1))
+            zetas = [(a, -b) for a in range(1, 17) for b in range(1, 17)
+                     if (a - w[0]) % 2 == 0 and (b - w[1]) % 2 == 0]
+            if any(surface.pairing(z, z).denominator != 1 for z in zetas):
+                with pytest.raises(PreconditionError, match="zeta\\^2 for zeta = .* must be an"):
+                    enumerate_walls(surface, w, p1, bound, alpha=(1, 2))
+                refused += 1
+                continue
+            expected = _outcome(lambda: _every_candidate(surface, w, p1, bound, (1, 2)))
+            assert _outcome(lambda: enumerate_walls(surface, w, p1, bound, alpha=(1, 2))) \
+                == expected, (gram, surface.K, surface.cone_slope, w, p1, bound)
+            integral = surface._gram_ints[0] == 1
+            compared.add(((g11 > 0) - (g11 < 0), integral))
+            listed[integral] += len(expected) if expected != "refused" else 0
+    # integral and rational forms of each sign of g11, walls on both, and refused forms
+    assert len(compared) == 6 and listed[True] >= 40 and listed[False] >= 5 and refused >= 20, (
+        compared, listed, refused)
+
+
+def _outcome(sweep):
+    """A sweep's walls, or "refused" for a PreconditionError."""
+    try:
+        return sweep()
+    except PreconditionError:
+        return "refused"
+
+
 def test_a_large_bound_reads_few_candidates(monkeypatch):
-    # on product_ruled(1) with p1 = -2 the one wall is a = b = 1; at bound 1000 the
-    # stops leave a handful of zeta^2 evaluations, not ~bound^2 / 4
+    # on product_ruled(1) with p1 = -2 the one wall is a = b = 1, and a form with
+    # g11 > 0 has none there; at bound 1000 the b-windows leave a handful of zeta^2
+    # evaluations, not ~bound^2 / 4 (2.1 s of them on the second form)
     calls = []
     real = SurfaceData.pairing
 
@@ -231,3 +295,6 @@ def test_a_large_bound_reads_few_candidates(monkeypatch):
     walls = enumerate_walls(product_ruled(1), (1, 1), -2, 1000)
     assert [(rec.a, rec.b) for rec in walls] == [(1, 1)]
     assert len(calls) < 20
+    del calls[:]
+    g11 = custom_surface("g11>0", 1, ((0, 1), (1, 2)), K=(2, -2), Sigma=(1, 0))
+    assert enumerate_walls(g11, (1, 1), -2, 1000) == [] and len(calls) < 20

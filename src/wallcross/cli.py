@@ -73,8 +73,9 @@ def _wall_from_doc(inp, wall_doc):
         raise SchemaError(f"bad wall data: {exc}") from exc
 
 
-def _emit(doc, rows, columns, opts):
-    """Emit either the JSON document or the CSV rows, deterministically."""
+def _emit(doc, records, columns, opts):
+    """Emit either the JSON document or one CSV row per record, deterministically:
+    a record's value in each column, a missing one empty."""
     if opts.meta:
         doc = dict(doc)
         doc["meta"] = {"tool": "wallcross", "version": __version__}
@@ -84,8 +85,8 @@ def _emit(doc, rows, columns, opts):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
+        for rec in records:
+            writer.writerow([rec.get(c) for c in columns])
         sys.stdout.write(buf.getvalue())
 
 
@@ -106,13 +107,7 @@ def cmd_params(opts) -> int:
         },
         "vol": _rat(volume(model)),
     }
-    w = doc["wall"]
-    rows = [[w[c] for c in ("p1", "q", "zeta2", "zetaK", "d", "l_zeta", "h_plus",
-                            "h_minus", "n_plus", "n_minus", "empty_side",
-                            "sign_wall", "sign_complex")] + [doc["vol"]]]
-    _emit(doc, rows, ["p1", "q", "zeta2", "zetaK", "d", "l_zeta", "h_plus", "h_minus",
-                      "n_plus", "n_minus", "empty_side", "sign_wall", "sign_complex", "vol"],
-          opts)
+    _emit(doc, [dict(doc["wall"], vol=doc["vol"])], [*doc["wall"], "vol"], opts)
     return EXIT_OK
 
 
@@ -144,9 +139,8 @@ def cmd_delta(opts) -> int:
             for v in values
         ],
     }
-    rows = [[word.describe(), _rat(v.value), v.path,
-             "" if v.modulus_exponent is None else v.modulus_exponent] for v in values]
-    _emit(doc, rows, ["word", "value", "path", "modulus_exponent"], opts)
+    _emit(doc, [dict(v, word=doc["word"]) for v in doc["values"]],
+          ["word", "value", "path", "modulus_exponent"], opts)
     return EXIT_OK
 
 
@@ -159,25 +153,19 @@ def cmd_walls(opts) -> int:
     w = _parse_int_list(opts.w)
     alpha = _parse_int_list(opts.alpha) if opts.alpha else None
     records = enumerate_walls(surface, w, opts.p1, opts.bound, alpha=alpha)
-    rows = []
     entries = []
     for rec in records:
-        delta_str = ""
-        if rec.wall.l_zeta <= 1 and alpha is not None:
-            model = build_model(PairingInput(q=surface.q, pairings=rec.pairings))
-            (closed,) = evaluate(model, rec.wall, InsertionWord(s=rec.wall.d), "closed")
-            delta_str = _rat(closed.value)
         entry = {"a": rec.a, "b": rec.b, "zeta2": rec.wall.zeta2,
                  "l_zeta": rec.wall.l_zeta, "h_plus": rec.wall.h_plus,
                  "d": rec.wall.d}
-        if delta_str:
-            entry["delta_alpha_d"] = delta_str
+        if rec.wall.l_zeta <= 1 and alpha is not None:
+            model = build_model(PairingInput(q=surface.q, pairings=rec.pairings))
+            (closed,) = evaluate(model, rec.wall, InsertionWord(s=rec.wall.d), "closed")
+            entry["delta_alpha_d"] = _rat(closed.value)
         entries.append(entry)
-        rows.append([rec.a, rec.b, rec.wall.zeta2, rec.wall.l_zeta,
-                     rec.wall.h_plus, rec.wall.d, delta_str])
     doc = {"schema_version": 1, "command": "walls", "surface": surface.name,
            "p1": opts.p1, "w": list(w), "count": len(entries), "walls": entries}
-    _emit(doc, rows, ["a", "b", "zeta2", "l_zeta", "h_plus", "d", "delta_alpha_d"], opts)
+    _emit(doc, entries, ["a", "b", "zeta2", "l_zeta", "h_plus", "d", "delta_alpha_d"], opts)
     return EXIT_OK
 
 

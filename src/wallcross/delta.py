@@ -34,6 +34,9 @@ def evaluate(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     if path not in PATHS:
         raise PreconditionError(f"unknown evaluation path {path!r}; known: {', '.join(PATHS)}")
     d, l_zeta = wall.d, wall.l_zeta
+    # the routes read q from the wall and from the model, so both must have one q
+    if wall.q != model.q:
+        raise PreconditionError(f"a wall of q = {wall.q} on a model of q = {model.q}")
     if d > MAX_DEGREE:
         raise PreconditionError(f"d = {d} exceeds the largest priced d, {MAX_DEGREE}")
     # every route prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,

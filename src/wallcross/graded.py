@@ -133,63 +133,45 @@ class ModelSpec:
     ``pairings`` the pairings of the even symbols, whose ``gram()`` gives every
     ordered pair.  Both are taken as given: ``jacobian.build_model`` makes a
     model from a ``PairingInput``, which checks them once.
+
+    ``cache`` is one dict per J-side (q, a_ij), shared by ``with_pairings``.  A
+    value kept there is keyed by a tag for its kind and every pairing it reads,
+    each as its numerator and denominator ints (Fraction's pure-Python
+    ``__hash__`` would dominate a lookup), so every model over the J-side whose
+    pairings agree there shares it.  It holds ints and term dicts, never
+    elements: an element refers to its model, and a cycle would keep a dead
+    model alive until a full garbage collection.
     """
 
     def __init__(self, q, a_matrix, pairings):
         self.q, self.a_matrix, self.j_top = q, a_matrix, (1 << 2 * q) - 1
-        # both caches hold term dicts, not elements: an element refers to its
-        # model, and a cycle would keep a dead model alive until a full
-        # garbage collection
+        # term dicts, not elements, for the reason ``cache`` holds none
         self._omega_powers = [{_SCALAR: _ONE}, self.omega_class()._terms]
-        self._memo = {}
+        self.cache = {}
         self._set_pairings(pairings)
 
     def with_pairings(self, pairings) -> "ModelSpec":
-        """The model over this J-side (q, a_ij, the omega-power cache and the
-        memo behind ``memo``) with new pairings.
+        """The model over this J-side (q, a_ij, the omega-power cache and
+        ``cache``) with new pairings.
 
         The caches are shared, so a sweep over pairings at fixed a_ij builds
         its J-side once.
         """
         model = object.__new__(ModelSpec)
         model.q, model.a_matrix, model.j_top = self.q, self.a_matrix, self.j_top
-        model._omega_powers, model._memo = self._omega_powers, self._memo
+        model._omega_powers, model.cache = self._omega_powers, self.cache
         model._set_pairings(pairings)
         return model
 
     def _set_pairings(self, pairings):
-        self.pairings, self._gram = pairings, pairings.gram()
-        # S-side products read every Gram pairing, so each model has its own
-        # table; its slots in the J-side memo are looked up on first use, but
-        # the slot that reads no pairing is one for the whole J-side
-        self._s_table = {}
-        self._slots = {(): self._memo.setdefault(((),), {})}
+        # S-side products read every Gram pairing, so each model has its own table
+        self.pairings, self._gram, self._s_table = pairings, pairings.gram(), {}
 
     # -- pairings -------------------------------------------------------
 
     def pair(self, s1, s2) -> Fraction:
         """Gram pairing of two even symbols."""
         return self._gram[(s1, s2)]
-
-    def memo(self, reads) -> dict:
-        """The J-side memo's slot for the pairings ``reads``, pairs of symbols.
-
-        Every model over this J-side (``with_pairings``) whose pairings agree on
-        ``reads`` gets the same dict, so a value that reads the J-side and no
-        other pairing is computed once for all of them.  A model finds each
-        slot once and keeps it.  Store term dicts, never elements: an element
-        refers to its model, and a cycle would keep dead models alive.
-        """
-        slot = self._slots.get(reads)
-        if slot is None:
-            # a pairing enters the key as its two ints: Fraction's pure-Python
-            # __hash__ would otherwise dominate the first lookup of a slot
-            gram, key = self._gram, [reads]
-            for pair in reads:
-                v = gram[pair]
-                key.append((v.numerator, v.denominator))
-            slot = self._slots[reads] = self._memo.setdefault(tuple(key), {})
-        return slot
 
     # -- element constructors -------------------------------------------
 

@@ -83,6 +83,8 @@ class PairingInput:
     a_matrix: tuple = None
 
     def __post_init__(self):
+        if not isinstance(self.pairings, Pairings):
+            raise PreconditionError(f"pairings must be a Pairings, got {self.pairings!r}")
         q = exact_int(self.q, "q")
         if not 0 <= q <= MAX_Q:
             raise PreconditionError(f"q must be between 0 and {MAX_Q}, got {q}")
@@ -149,12 +151,12 @@ def build_model(inp: PairingInput) -> ModelSpec:
 def volume(model: ModelSpec) -> Fraction:
     """vol = (1/q!) integral over J of omega^q; equals 1 when q = 0.
 
-    It reads no pairing, so it is kept once per J-side, in ``model.memo(())``.
+    It reads no pairing, so it is kept once per J-side, under ``("volume",)``.
     """
-    memo = model.memo(())
-    vol = memo.get("volume")
+    cache, key = model.cache, ("volume",)
+    vol = cache.get(key)
     if vol is None:
-        vol = memo["volume"] = integrate_jacobian(model.omega_pow(model.q)) / math.factorial(model.q)
+        vol = cache[key] = integrate_jacobian(model.omega_pow(model.q)) / math.factorial(model.q)
     return vol
 
 
@@ -191,8 +193,7 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
     Zero when the odd count is odd or when q - (a+b)/2 < 0 (the omega power
     cannot fill the top degree); otherwise the integral over J of
     th_{g_1} ... th_{g_a} . i_{be_{j_1}} omega ... i_{be_{j_b}} omega . omega^{q-(a+b)/2}.
-    It reads no pairing, so it is kept once per J-side and index lists, in
-    ``model.memo(())``.
+    It reads no pairing, so it is kept once per J-side under ("F", gammas, threes).
     """
     a, b = len(gammas), len(threes)
     if (a + b) % 2:
@@ -200,8 +201,8 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
     p = model.q - (a + b) // 2
     if p < 0:
         return Fraction(0)
-    memo, key = model.memo(()), (tuple(gammas), tuple(threes))
-    value = memo.get(key)
+    cache, key = model.cache, ("F", tuple(gammas), tuple(threes))
+    value = cache.get(key)
     if value is None:
         elem = model.one()
         for i in gammas:
@@ -209,8 +210,8 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
         for j in threes:
             elem = elem * model.interior_omega(j)
         # a vanishing product needs no omega power
-        value = memo[key] = (Fraction(0) if elem.is_zero()
-                             else integrate_product(elem, model.omega_pow(p)))
+        value = cache[key] = (Fraction(0) if elem.is_zero()
+                              else integrate_product(elem, model.omega_pow(p)))
     return value
 
 

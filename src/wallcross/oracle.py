@@ -38,12 +38,6 @@ from .jacobian import InsertionWord, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
 
-# The pairings an l = 1 X-table reads.  ch_extension_bundles builds it from Sigma,
-# zeta, K, the universal class E and omega, whose products pair only Sigma,
-# zeta and K (E.E = -2 Sigma omega); no product reads an alpha pairing.
-TABLE_READS = ((SIGMA, "zeta"), (SIGMA, "K"), ("zeta", "zeta"), ("zeta", "K"), ("K", "K"))
-
-
 def ch_extension_bundles(model: ModelSpec, wall: WallGeometry, l_zeta, k):
     """Chern data of the stratum pair (E_zeta^{l-k,k}, E_{-zeta}^{k,l-k}).
 
@@ -86,12 +80,16 @@ def _x_table(model, wall):
 
     X^N becomes (-1)^(N - N_-) s_(N - 1 - N_+ - N_-), summed over the k = 0 and
     k = 1 stratum pairs; N <= d and N_+ + N_- + q + 2 = d - 1 leave at most q + 3
-    of them, built in one Newton pass.  They read the J-side, the wall and
-    ``TABLE_READS``, never the word, so the table is kept under the wall in the
-    model's ``memo(TABLE_READS)`` slot.
+    of them, built in one Newton pass.  At l = 1 the ranks h_+- + q are N_+-, so
+    the table reads N_+, N_-, d and the pairings below, never the word or the
+    rest of the wall, and is kept under them.
     """
-    memo = model.memo(TABLE_READS)
-    table = memo.get(wall)
+    key = ("l1 table", wall.n_plus, wall.n_minus, wall.d)
+    # ch_extension_bundles builds it from Sigma, zeta, K, the universal class E and
+    # omega, whose products pair only Sigma, zeta and K (E.E = -2 Sigma omega)
+    for pair in ((SIGMA, "zeta"), (SIGMA, "K"), ("zeta", "zeta"), ("zeta", "K"), ("K", "K")):
+        key += model.pair(*pair).as_integer_ratio()
+    table = model.cache.get(key)
     if table is None:
         low = wall.n_plus + wall.n_minus + 1
         pairs = [ch_extension_bundles(model, wall, 1, k) for k in (0, 1)]
@@ -105,13 +103,8 @@ def _x_table(model, wall):
                 if (n - wall.n_minus) % 2:
                     out = -out
                 table[n] = integration_index(out._terms)
-        memo[wall] = table
+        model.cache[key] = table
     return table
-
-
-# The pairings an l = 0 X-table reads: its Chern data is built from
-# e_{K -+ 2 zeta} = -2 (Sigma.K -+ 2 Sigma.zeta) omega alone.
-L0_TABLE_READS = ((SIGMA, "zeta"), (SIGMA, "K"))
 
 
 def _l0_table(model, wall, branch):
@@ -122,14 +115,15 @@ def _l0_table(model, wall, branch):
     E_{-zeta}^dual, or s_(N - N_-)(E_{-zeta}) on the component branch.  Its Chern
     data is a_1 = alpha_1 omega alone, so Newton's identities
     m s_m = sum_k (-1)^k a_k s_(m - k) run on the scalar alpha_1, in ints, for
-    m <= q.  The table reads N_+, N_-, d and ``L0_TABLE_READS``, and is kept
-    under (branch, N_+, N_-, d) in that slot.
+    m <= q.  The table reads the branch, N_+, N_-, d, Sigma.zeta and Sigma.K, and
+    is kept under them.
     """
-    memo, key = model.memo(L0_TABLE_READS), (branch, wall.n_plus, wall.n_minus, wall.d)
-    table = memo.get(key)
+    sigma_k, sigma_z = model.pair(SIGMA, "K"), model.pair(SIGMA, "zeta")
+    key = ("l0 table", branch, wall.n_plus, wall.n_minus, wall.d,
+           *sigma_z.as_integer_ratio(), *sigma_k.as_integer_ratio())
+    table = model.cache.get(key)
     if table is None:
         component = branch == "component"
-        sigma_k, sigma_z = model.pair(SIGMA, "K"), model.pair(SIGMA, "zeta")
         # a_1 / omega of E_{+-zeta}, e_{K -+ 2 zeta}; a dual flips a_1, a direct sum adds
         e_plus, e_minus = -2 * (sigma_k - 2 * sigma_z), -2 * (sigma_k + 2 * sigma_z)
         alpha_1 = e_minus if component else e_plus - e_minus
@@ -143,22 +137,17 @@ def _l0_table(model, wall, branch):
             if num and low + m >= 0:
                 odd = not component and (low + m - wall.n_minus) % 2
                 table[low + m] = (-num if odd else num, den, m)
-        memo[key] = table
+        model.cache[key] = table
     return table
-
-
-# The pairings I_c reads, c the odd part of an l = 0 word: th_i for gamma_i and
-# omega^j read none, and -e_{zeta,beta_j} for A_j reads Sigma.zeta.
-PREFIX_READS_A = ((SIGMA, "zeta"),)
 
 
 def _jacobian_moment(model, word, j):
     """I_c(j), the integral over J of c omega^j with c the word's odd factors in
-    order, as a reduced ``(num, den)`` kept under (gamma, A, j) in ``memo(())``, or
-    in ``PREFIX_READS_A`` for a word with A-insertions; it reads no wall."""
-    memo = model.memo(PREFIX_READS_A if word.threes else ())
-    key = (word.gammas, word.threes, j)
-    moment = memo.get(key)
+    order, as a reduced ``(num, den)`` kept under (gamma, A, j); it reads no wall."""
+    key = ("I_c", word.gammas, word.threes, j)
+    if word.threes:  # -e_{zeta,beta_j} for A_j reads Sigma.zeta; th_i and omega^j read none
+        key += model.pair(SIGMA, "zeta").as_integer_ratio()
+    moment = model.cache.get(key)
     if moment is None:
         c = model.one()
         for i in word.gammas:
@@ -166,7 +155,7 @@ def _jacobian_moment(model, word, j):
         for i in word.threes:
             c = c * -e_zeta_beta(model, i)
         value = integrate_product(c, model.omega_pow(j))
-        moment = memo[key] = (value.numerator, value.denominator)
+        moment = model.cache[key] = value.as_integer_ratio()
     return moment
 
 

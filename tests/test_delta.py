@@ -52,6 +52,14 @@ def test_guards():
             evaluate(*L1, InsertionWord(s=6, gammas=(0,), threes=(1,)), path)
         with pytest.raises(RegimeError, match='l_zeta = 2 .* the "leading" path gives'):
             evaluate(*L2, InsertionWord(s=9), path)
+    # a q = 1 wall on a q = 2 model: at l = 0 and l = 1 the closed form gave a
+    # nonzero value and the oracle 0, with no error
+    q2 = build_model(PairingInput(q=2, pairings=Pairings(zeta2=-4, zetaK=2, **PAIRINGS)))
+    for p1 in (-4, -8):
+        wall = WallGeometry.build(p1=p1, q=1, zeta2=-4, zetaK=2)
+        for path in delta.PATHS:
+            with pytest.raises(PreconditionError, match="a wall of q = 1 on a model of q = 2"):
+                evaluate(q2, wall, InsertionWord(s=wall.d), path)
 
 
 def test_every_path_prices_the_pairings_of_its_model():

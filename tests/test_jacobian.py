@@ -156,6 +156,10 @@ def test_pairing_input_refuses_a_non_integral_q():
 
 
 def test_pairing_input_validation():
+    # pairings that are no Pairings once ended in an AttributeError at build_model
+    for pairings in ({"zeta2": -4}, None):
+        with pytest.raises(PreconditionError, match="must be a Pairings"):
+            build_model(PairingInput(q=1, pairings=pairings))
     with pytest.raises(PreconditionError):
         PairingInput(q=1, pairings=Pairings(), a_blocks=(0,))
     with pytest.raises(PreconditionError):

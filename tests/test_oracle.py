@@ -14,8 +14,7 @@ from wallcross.closed import delta_l0_odd, delta_l1
 from wallcross import jacobian, oracle
 from wallcross.graded import S_ONE, SIGMA, exp_truncated, integrate, integrate_jacobian
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
-from wallcross.oracle import (L0_TABLE_READS, PREFIX_READS_A, TABLE_READS,
-                              ch_extension_bundles, delta_oracle_l0)
+from wallcross.oracle import ch_extension_bundles, delta_oracle_l0
 
 from conftest import make_model
 
@@ -253,7 +252,7 @@ def test_direct_l0_extension_data_equals_the_split_character():
     assert cases == 72
 
 
-# -- the J-side memo ------------------------------------------------------------
+# -- the J-side cache -----------------------------------------------------------
 
 def _priced(model, wall, word, branch="unified"):
     if wall.l_zeta == 1:
@@ -270,11 +269,30 @@ def _j_side(q, blocks):
     return build_model(PairingInput(q=q, pairings=Pairings(), a_blocks=blocks))
 
 
+# the pairings an l = 1 and an l = 0 X-table read, written out here rather than
+# taken from the oracle
+L1_TABLE_PAIRS = ((SIGMA, "zeta"), (SIGMA, "K"), ("zeta", "zeta"), ("zeta", "K"), ("K", "K"))
+L0_TABLE_PAIRS = ((SIGMA, "zeta"), (SIGMA, "K"))
+
+
+def _ints(model, pairs):
+    """The model's pairings of ``pairs`` as the numerator and denominator ints of a key."""
+    return tuple(x for pair in pairs for x in model.pair(*pair).as_integer_ratio())
+
+
 def _table(model, wall, branch="unified"):
-    """A wall's kept X-table: at l = 1 under the wall, at l = 0 under the ints it reads."""
+    """A wall's kept X-table, under its kind, N_+, N_-, d and the pairings it reads,
+    and at l = 0 its branch."""
     if wall.l_zeta == 1:
-        return model.memo(TABLE_READS).get(wall)
-    return model.memo(L0_TABLE_READS).get((branch, wall.n_plus, wall.n_minus, wall.d))
+        return model.cache.get(("l1 table", wall.n_plus, wall.n_minus, wall.d)
+                               + _ints(model, L1_TABLE_PAIRS))
+    return model.cache.get(("l0 table", branch, wall.n_plus, wall.n_minus, wall.d)
+                           + _ints(model, L0_TABLE_PAIRS))
+
+
+def _kept(model, kind):
+    """The keys of one kind of value in the model's cache."""
+    return {key for key in model.cache if key[0] == kind}
 
 
 def _counting(monkeypatch, name, module=oracle):
@@ -360,9 +378,9 @@ def test_words_priced_on_one_model_equal_fresh_models(monkeypatch):
 
 
 def test_a_priced_model_is_freed_without_the_cycle_collector():
-    # the memo holds term dicts and ints, never elements, so no reference cycle
-    # keeps a model, or a J-side and the with_pairings models sharing its memo, alive
-    # once the last reference is dropped
+    # the cache holds term dicts and ints, never elements, so no reference cycle
+    # keeps a model, or a J-side and the with_pairings models sharing its cache,
+    # alive once the last reference is dropped
     import gc
     import weakref
     wall0, model = _wall_and_model(q=2, zeta2=-4, zetaK=2, l=0)
@@ -381,14 +399,17 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         price(model)
-        # an l = 1 X-table under its wall, an l = 0 one under (branch, N_+, N_-, d)
-        assert list(model.memo(TABLE_READS)) == [wall1]
-        assert list(model.memo(L0_TABLE_READS)) == [
-            ("unified", wall0.n_plus, wall0.n_minus, wall0.d)]
-        # one I_c per odd part, at the j = q - (|gamma| + |A|)/2 that the word's
-        # degree leaves, shared by both r; only those with A-insertions read Sigma.zeta
-        assert set(model.memo(PREFIX_READS_A)) == {((0, 1), (2, 3), 0)}
-        assert set(model.memo(())) == {"volume", ((0, 1), (2, 3)), ((), (), 2)}
+        # an l = 1 X-table under (N_+, N_-, d), an l = 0 one under (branch, N_+, N_-, d),
+        # each with the pairings it reads: Sigma.zeta = 1, Sigma.K = 2, zeta^2 = -4,
+        # zeta.K = 2 and K^2 = 8.  One I_c per odd part, at the j = q - (|gamma| + |A|)/2
+        # that the word's degree leaves, shared by both r; only those with
+        # A-insertions read Sigma.zeta.  vol and F read no pairing
+        assert (wall1.n_plus, wall1.n_minus, wall1.d) == (4, 2, 11)
+        assert (wall0.n_plus, wall0.n_minus, wall0.d) == (3, 1, 7)
+        assert set(model.cache) == {("l1 table", 4, 2, 11, 1, 1, 2, 1, -4, 1, 2, 1, 8, 1),
+                                    ("l0 table", "unified", 3, 1, 7, 1, 1, 2, 1),
+                                    ("I_c", (0, 1), (2, 3), 0, 1, 1), ("I_c", (), (), 2),
+                                    ("volume",), ("F", (0, 1), (2, 3))}
         ref = weakref.ref(model)
         del model
         assert ref() is None
@@ -398,10 +419,14 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
                   for za, sz in ((3, 1), (3, -2), (-1, 1))]
         for model in models:
             price(model)
-        assert len(j_side.memo(TABLE_READS)) == 0 and len(models[0].memo(TABLE_READS)) == 1
-        # vol, F and I_c of c = 1 read no pairing: the J-side itself holds the
-        # models' entries
-        assert len(j_side.memo(())) == 3
+        # the models differ in Sigma.zeta, 1 or -2, so they keep two of each table
+        # and two I_c with A-insertions; vol, F and I_c of c = 1 read no pairing, and
+        # one entry each serves all three models
+        assert len(_kept(j_side, "l1 table")) == len(_kept(j_side, "l0 table")) == 2
+        assert _kept(j_side, "I_c") == {("I_c", (0, 1), (2, 3), 0, 1, 1),
+                                        ("I_c", (0, 1), (2, 3), 0, -2, 1), ("I_c", (), (), 2)}
+        assert _kept(j_side, "volume") | _kept(j_side, "F") == {("volume",),
+                                                                ("F", (0, 1), (2, 3))}
         refs = [weakref.ref(m) for m in (j_side, *models)]
         del j_side, models, model
         assert [ref() for ref in refs] == [None] * 4
@@ -497,7 +522,7 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
         assert _priced(model, wall, word) == _fresh(q, blocks, pr, wall, word)
         tables.append(_table(model, wall))
     assert len({id(table) for table in tables}) == 4
-    assert len(model.memo(L0_TABLE_READS)) == len(model.memo(TABLE_READS)) == 2
+    assert len(_kept(model, "l0 table")) == len(_kept(model, "l1 table")) == 2
     # the two l = 0 branches of an empty-side wall on one model
     q, zeta2 = 1, -2
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta2)
@@ -508,7 +533,7 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     for branch in ("unified", "component"):
         assert _priced(model, wall, word, branch) == _fresh(q, (3,), pr, wall, word, branch)
     assert _table(model, wall, "unified") is not _table(model, wall, "component")
-    assert len(model.memo(L0_TABLE_READS)) == 2
+    assert len(_kept(model, "l0 table")) == 2
     # words of one degree on one model and wall: one I_c per odd part, which the
     # words x^r alpha^s share as the odd part 1; a word misses it only when no
     # earlier word with its odd part read it
@@ -530,13 +555,35 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
             missed = 0
         assert values[-1] == values[-2] == _fresh(q, blocks, pr, wall, word)
     assert len(set(values)) == len(values) // 2
-    # each at the j = q - (|gamma| + |A|)/2 that its degree leaves
-    assert set(model.memo(())) == {((), (), 2), ((0, 1), (), 1)}
-    assert set(model.memo(PREFIX_READS_A)) == {((), (1, 2), 1), ((0,), (0,), 1), ((), (2, 3), 1)}
+    # each at the j = q - (|gamma| + |A|)/2 that its degree leaves, those with
+    # A-insertions under Sigma.zeta = 1 too
+    assert _kept(model, "I_c") == {("I_c", (), (), 2), ("I_c", (0, 1), (), 1),
+                                   ("I_c", (), (1, 2), 1, 1, 1), ("I_c", (0,), (0,), 1, 1, 1),
+                                   ("I_c", (), (2, 3), 1, 1, 1)}
     # th_1 . i_{be_2} omega vanishes, and so does its I_c
     other = model.with_pairings(Pairings(**dict(vars(pr), sigmaAlpha=5)))
     assert _priced(other, wall, InsertionWord(s=2, gammas=(0,), threes=(1,))) == 0
-    assert other.memo(PREFIX_READS_A)[((0,), (1,), 1)] == (0, 1)
+    assert other.cache[("I_c", (0,), (1,), 1, 1, 1)] == (0, 1)
+
+
+def test_w_variants_of_an_l1_wall_share_one_table(monkeypatch):
+    # an l = 1 table reads N_+, N_-, d and five pairings, never w: walls that differ
+    # in their w-variant alone build one table, whose sign they apply outside it,
+    # and each prices as on a fresh model
+    from wallcross.verify import W_VARIANTS, wall_with_variant
+    strata = _counting(monkeypatch, "ch_extension_bundles")  # two per l = 1 table
+    q, blocks, zeta2, zetaK = 2, (1, 2), -4, 2
+    pr = Pairings(**dict(BASE, zeta2=zeta2, zetaK=zetaK))
+    model = _j_side(q, blocks).with_pairings(pr)
+    walls = [wall_with_variant(zeta2 - 4, q, zeta2, zetaK, variant) for variant in W_VARIANTS]
+    assert len(set(walls)) == 3 and len({(w.n_plus, w.n_minus, w.d) for w in walls}) == 1
+    values = [delta_oracle_l1(model, wall, r).value for wall in walls for r in (0, 1)]
+    assert len(strata) == 2 and len(_kept(model, "l1 table")) == 1
+    assert all(_table(model, wall) is _table(model, walls[0]) for wall in walls)
+    assert values == [_fresh(q, blocks, pr, wall, InsertionWord(r=r, s=wall.d - 2 * r))
+                      for wall in walls for r in (0, 1)]
+    assert all(values) and len({wall.sign_complex() for wall in walls}) == 2
+    assert len(set(values)) == 4
 
 
 def test_an_alpha_sweep_integrates_only_the_first_models_misses(monkeypatch):
@@ -617,7 +664,7 @@ def test_a_word_is_its_prefix_times_the_alpha_power():
             cases += 1
             nonzero += value != 0
     # every word x^r alpha^s, on every wall, reads the one I_c(q) of c = 1
-    assert {key for key in j_side.memo(()) if key[:2] == ((), ())} == {((), (), q)}
+    assert {key for key in j_side.cache if key[:3] == ("I_c", (), ())} == {("I_c", (), (), q)}
     assert (cases, nonzero) == (168, 130)
 
 
@@ -800,11 +847,9 @@ def test_odd_word_moments_are_shared_across_r(monkeypatch):
             assert value == _fresh(q, blocks, pr_other, other, longer) != 0, longer
             first = model is models[0] or bool(words[0].threes)
             assert missed == [int(first)] + [0] * len(words), words
-    plain = {((0, 1), (), 1)}
-    with_a = {((), (2, 3), 1)}
-    assert plain <= set(j_side.memo(())) and not plain & set(j_side.memo(PREFIX_READS_A))
-    assert [set(model.memo(PREFIX_READS_A)) for model in models] == [with_a, with_a]
-    assert models[0].memo(PREFIX_READS_A) is not models[1].memo(PREFIX_READS_A)
+    # one I_c of gamma_1 gamma_2 for both models, one of A_3 A_4 per Sigma.zeta
+    assert _kept(j_side, "I_c") == {("I_c", (0, 1), (), 1), ("I_c", (), (2, 3), 1, 1, 1),
+                                    ("I_c", (), (2, 3), 1, -2, 1)}
     # Sigma.zeta enters every value through the table, and the A-insertions too
     assert all(v != w for v, w in zip(values[:5], values[5:]))
 
@@ -834,9 +879,10 @@ def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
 
 def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
     # however many words and with_pairings models over one J-side price a wall, its
-    # table is built once per wall and the pairings it reads: TABLE_READS at l = 1
-    # (from both strata), Sigma.zeta and Sigma.K at l = 0.  An l = 1 table holds
-    # at most q + 3 substitutes and an l = 0 table at most q + 1, all with N <= d
+    # table is built once per wall and the pairings it reads: Sigma.zeta, Sigma.K,
+    # zeta^2, zeta.K and K^2 at l = 1 (from both strata), Sigma.zeta and Sigma.K at
+    # l = 0.  An l = 1 table holds at most q + 3 substitutes and an l = 0 table at
+    # most q + 1, all with N <= d
     strata = _counting(monkeypatch, "ch_extension_bundles")
     q, blocks = 2, (1, 2)
     j_side = _j_side(q, blocks)
@@ -867,25 +913,33 @@ def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
 
 
 def _memo_parts(j_side):
-    """The J-side memo split by layout: (integration forms, l = 0 table scalars,
-    I_c pairs, Fraction scalars)."""
-    forms, scalars, moments, fractions = [], [], [], []
-    for (reads, *_), slot in j_side._memo.items():
-        for key, entry in slot.items():
-            if reads == TABLE_READS:  # an l = 1 X-table under its wall: a form by N
-                assert isinstance(key, WallGeometry) and key.l_zeta == 1, key
-                forms += entry.values()
-            elif reads == L0_TABLE_READS:  # an l = 0 X-table: (num, den, m) by N
-                assert len(key) == 4 and all(type(n) is int for n in key[1:]), key
-                assert all(0 <= m <= j_side.q for *_, m in entry.values())
-                scalars += [(num, den) for num, den, _ in entry.values()]
-            elif len(key) == 3:  # I_c under the gamma and A indices and j
-                assert bool(key[1]) == (reads == PREFIX_READS_A), key
-                moments.append(entry)
-            else:
-                assert reads == () and (key == "volume" or len(key) == 2), key
-                fractions.append(entry)
-    return forms, scalars, moments, fractions
+    """The J-side cache split by kind: (integration forms, l = 0 table scalars,
+    I_c pairs, Fraction scalars, the ints of the keys).  Each key is its kind's
+    tag, then ints, a branch or index tuples, then the pairings its value reads."""
+    forms, scalars, moments, fractions, ints = [], [], [], [], []
+    for key, entry in j_side.cache.items():
+        kind = key[0]
+        if kind == "l1 table":  # (N_+, N_-, d) and five pairings: a form by N
+            assert len(key) == 4 + 2 * len(L1_TABLE_PAIRS), key
+            ints += key[1:]
+            forms += entry.values()
+        elif kind == "l0 table":  # (branch, N_+, N_-, d) and two pairings: (num, den, m) by N
+            assert key[1] in ("unified", "component") and len(key) == 5 + 2 * len(L0_TABLE_PAIRS)
+            ints += key[2:]
+            assert all(0 <= m <= j_side.q for *_, m in entry.values())
+            scalars += [(num, den) for num, den, _ in entry.values()]
+        elif kind == "I_c":  # the gamma and A indices, j, and Sigma.zeta with A-insertions
+            assert len(key) == (6 if key[2] else 4), key
+            ints += [*key[1], *key[2], *key[3:]]
+            moments.append(entry)
+        elif kind == "F":  # the gamma and A indices
+            assert len(key) == 3, key
+            ints += [*key[1], *key[2]]
+            fractions.append(entry)
+        else:
+            assert key == ("volume",), key
+            fractions.append(entry)
+    return forms, scalars, moments, fractions, ints
 
 
 def _form_ints(form):
@@ -942,11 +996,11 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
                                               K2=8, Kalpha=2, alpha2=Fraction(-1, 3)))
         values += [delta_oracle_l1(model, wall, r).value for r in (0, 1)]
         values.append(volume(model))
-    forms, scalars, moments, fractions = (sum(parts, [])
-                                          for parts in zip(*map(_memo_parts, j_sides)))
-    # a slot is keyed by its read pairings as (numerator, denominator) ints
-    assert {type(x) for j_side in j_sides for key in j_side._memo for pair in key[1:]
-            for x in pair} == {int}
+    forms, scalars, moments, fractions, key_ints = (
+        sum(parts, []) for parts in zip(*map(_memo_parts, j_sides)))
+    # a key names the pairings its value reads by (numerator, denominator) ints,
+    # never a Fraction or a wall
+    assert {type(x) for x in key_ints} == {int}
     assert {type(v) for v in values + fractions} == {Fraction}
     for pairs in (scalars, moments):
         assert {type(x) for pair in pairs for x in pair} == {int}

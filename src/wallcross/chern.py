@@ -2,10 +2,11 @@
 
 ``ChernData`` stores the rank together with a_i = i! ch_i (even classes in
 the ring).  Chern and Segre classes come from Newton's recurrence in the
-a_i, n steps for the n-th class; each ``ChernData`` memoises its Segre
-classes, so s_0..s_n cost n steps in total.  The classical Hessenberg
-determinant, which the recurrence solves, is kept only for
-``closed.segre_det_determinant``, where the determinant is itself the claim.
+a_i, n steps for the n-th class; each ``ChernData`` memoises its Chern and
+its Segre classes, so c_0..c_n or s_0..s_n cost n steps in total.  The
+classical Hessenberg determinant, which the recurrence solves, is kept only
+for ``closed.segre_det_determinant``, where the determinant is itself the
+claim.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class ChernData:
     rank: Fraction
     a: tuple = field(default=())
     _segre_memo: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _chern_memo: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         object.__setattr__(self, "rank", frac(self.rank))
@@ -96,10 +98,11 @@ def _newton(data: ChernData, seq, segre, n) -> GradedElement:
 
 
 def chern_from_ch(data: ChernData, n) -> GradedElement:
-    """n-th Chern class by Newton's identities in the a_i."""
+    """n-th Chern class by Newton's identities in the a_i, memoised on ``data``
+    like the Segre classes."""
     if n < 0:
         raise PreconditionError("chern_from_ch needs n >= 0")
-    return _newton(data, [], False, n)
+    return _newton(data, data._chern_memo, False, n)
 
 
 def segre_from_ch(data: ChernData, n) -> GradedElement:

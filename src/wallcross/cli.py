@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .delta import PATHS, evaluate
 from .errors import InvariantError, PreconditionError, RegimeError, SchemaError, WallCrossError
-from .graded import exact_int, frac
+from .graded import frac
 from .jacobian import (InsertionWord, PairingInput, build_model, pairing_input_from_json,
                        read_document, volume)
 from .surfaces import enumerate_walls, surface_from_json_dict
@@ -62,14 +62,11 @@ def _load_input(path):
 def _wall_from_doc(inp, wall_doc):
     if not wall_doc or "p1" not in wall_doc:
         raise SchemaError("the input document needs a 'wall' object with at least 'p1'")
-    pr = inp.pairings
     try:
-        return WallGeometry.build(
-            p1=exact_int(wall_doc["p1"], "p1"), q=inp.q,
-            zeta2=exact_int(pr.zeta2, "zeta2"), zetaK=exact_int(pr.zetaK, "zetaK"),
-            **{key: exact_int(wall_doc[key], key)
-               for key in ("zetaW", "w2", "wK") if key in wall_doc})
-    except (ArithmeticError, TypeError, ValueError, PreconditionError) as exc:
+        return WallGeometry.build(q=inp.q, zeta2=inp.pairings.zeta2, zetaK=inp.pairings.zetaK,
+                                  **{key: wall_doc[key] for key in ("p1", "zetaW", "w2", "wK")
+                                     if key in wall_doc})
+    except PreconditionError as exc:
         raise SchemaError(f"bad wall data: {exc}") from exc
 
 

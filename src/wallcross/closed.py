@@ -18,7 +18,7 @@ from fractions import Fraction
 from .chern import ChernData, hessenberg_det, segre_from_ch
 from .errors import InvariantError, PreconditionError, RegimeError
 from .graded import SIGMA, GradedElement, ModelSpec, exact_count, frac
-from .jacobian import InsertionWord, Pairings, e_alpha, e_zeta, jacobian_odd_integral
+from .jacobian import InsertionWord, Pairings, e_zeta, jacobian_odd_integral
 from .walls import WallGeometry
 
 
@@ -96,6 +96,7 @@ def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> D
     """
     if wall.l_zeta != 0:
         raise RegimeError(f"delta_l0_odd needs l_zeta = 0, got {wall.l_zeta}")
+    wall.require_q(model.q)
     a_cnt, b_cnt = len(word.gammas), len(word.threes)
     if (a_cnt + b_cnt) % 2:
         return DeltaValue(Fraction(0), "closed-form")
@@ -232,32 +233,6 @@ def segre_det_determinant(model: ModelSpec, n) -> GradedElement:
     if det != segre_from_ch(data, n) * math.factorial(n):
         raise InvariantError(f"literal stratum determinant != n! s_n by recurrence at n={n}")
     return det
-
-
-def leading_insertion_class(model: ModelSpec, l_zeta, which) -> GradedElement:
-    """The three explicitly known insertion moments for any l_zeta.
-
-    ``which`` picks one of ("2l,q", "2l-1,q", "2l,q-1"); the returned class
-    is the literal right-hand side (numbers times e-class powers).
-    """
-    if l_zeta < 0:
-        raise PreconditionError("l_zeta must be non-negative")
-    q = model.q
-    a2 = model.pair("alpha", "alpha")
-    a = model.pair("zeta", "alpha") / 2
-    lead = Fraction(math.factorial(2 * l_zeta), math.factorial(l_zeta))
-    ea = e_alpha(model)
-    if which == "2l,q":
-        return lead * a2 ** l_zeta * ea ** q
-    if which == "2l-1,q":
-        if l_zeta == 0:  # there is no (2l - 1)-th insertion moment
-            return model.zero()
-        return -4 * lead * a2 ** (l_zeta - 1) * a * ea ** q
-    if which == "2l,q-1":
-        if q < 1:
-            raise PreconditionError("index pair (2l, q-1) needs q >= 1")
-        return 4 * lead * a2 ** l_zeta * ea ** (q - 1) * e_zeta(model)
-    raise PreconditionError(f"unknown leading index pair {which!r}")
 
 
 def delta_leading(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:

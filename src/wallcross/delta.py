@@ -31,12 +31,15 @@ def evaluate(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     l_zeta <= 1; "auto" gives both, the closed form first; "leading" gives
     the two leading terms for any l_zeta, on words x^r alpha^s only.
     """
+    if not (isinstance(model, ModelSpec) and isinstance(wall, WallGeometry)
+            and isinstance(word, InsertionWord)):
+        raise PreconditionError(
+            "evaluate needs (ModelSpec, WallGeometry, InsertionWord), got "
+            f"({type(model).__name__}, {type(wall).__name__}, {type(word).__name__})")
     if path not in PATHS:
         raise PreconditionError(f"unknown evaluation path {path!r}; known: {', '.join(PATHS)}")
     d, l_zeta = wall.d, wall.l_zeta
-    # the routes read q from the wall and from the model, so both must have one q
-    if wall.q != model.q:
-        raise PreconditionError(f"a wall of q = {wall.q} on a model of q = {model.q}")
+    wall.require_q(model.q)
     if d > MAX_DEGREE:
         raise PreconditionError(f"d = {d} exceeds the largest priced d, {MAX_DEGREE}")
     # every route prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,

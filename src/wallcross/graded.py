@@ -74,18 +74,25 @@ def s_mixed(i, sym):
 
 
 def frac(x) -> Fraction:
-    """Coerce an int / str / Fraction into an exact rational; a value that is
-    no finite number (None, "a", NaN, infinity) raises PreconditionError."""
+    """Coerce an int / str / Fraction / float into an exact rational: the
+    package's one number rule.
+
+    A float is read through its repr, as the JSON reader reads its text (0.1
+    is 1/10).  A bool, or a value that is no finite number (None, "a", "1/0",
+    NaN, infinity), raises PreconditionError.
+    """
     if type(x) is Fraction:  # the common case, before Fraction's ABC checks
         return x
+    if isinstance(x, bool):
+        raise PreconditionError(f"{x!r} is not an exact rational number")
     try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return Fraction(float.__repr__(x) if isinstance(x, float) else x)
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise PreconditionError(f"{x!r} is not an exact rational number") from exc
 
 
 def exact_int(x, what) -> int:
-    """Coerce an integral int / str / Fraction into an int; never truncates.
+    """Coerce an integral value into an int by ``frac``'s rule; never truncates.
 
     A value with a fractional part, or no number, raises PreconditionError.
     """
@@ -107,6 +114,14 @@ def exact_count(x, what) -> int:
     if n < 0:
         raise PreconditionError(f"{what} must be non-negative, got {n}")
     return n
+
+
+def exact_tuple(xs, coerce, what) -> tuple:
+    """``coerce`` of each entry of the sequence ``xs``, as a tuple; a value that
+    is no sequence (None, a number, a string) raises PreconditionError."""
+    if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
+        raise PreconditionError(f"{what} must be a sequence, got {xs!r}")
+    return tuple(coerce(x) for x in xs)
 
 
 def _above_parity(j):

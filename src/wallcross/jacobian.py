@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .graded import (_ZERO, MAX_Q, SIGMA, GradedElement, ModelSpec, exact_count, exact_int, frac,
-                     integrate_jacobian, integrate_product)
+from .graded import (_ZERO, MAX_Q, SIGMA, GradedElement, ModelSpec, exact_count, exact_int,
+                     exact_tuple, frac, integrate_jacobian, integrate_product)
 
 PAIRING_KEYS = ("zeta2", "zetaK", "zetaAlpha", "sigmaZeta", "sigmaAlpha",
                 "sigmaK", "K2", "Kalpha", "alpha2")
@@ -92,14 +92,14 @@ class PairingInput:
         if self.a_blocks is not None and self.a_matrix is not None:
             raise PreconditionError("give a_blocks or a_matrix, not both")
         if self.a_blocks is not None:
-            blocks = tuple(frac(b) for b in self.a_blocks)
+            blocks = exact_tuple(self.a_blocks, frac, "a_blocks")
             if len(blocks) > q:
                 raise PreconditionError(f"at most q={q} block coefficients allowed")
             if any(b == 0 for b in blocks):
                 raise PreconditionError("block coefficients must be nonzero")
             object.__setattr__(self, "a_blocks", blocks)
         if self.a_matrix is not None:
-            a = tuple(tuple(frac(x) for x in row) for row in self.a_matrix)
+            a = exact_tuple(self.a_matrix, lambda row: exact_tuple(row, frac, "a row"), "a_matrix")
             n = 2 * q
             if len(a) != n or any(len(row) != n for row in a):
                 raise PreconditionError(f"a_matrix must be {n}x{n} for q={q}")
@@ -113,21 +113,14 @@ class PairingInput:
     @classmethod
     def from_json_dict(cls, doc) -> "PairingInput":
         try:
-            q = exact_int(doc["q"], "q")
             raw = doc.get("pairings", {})
             if not isinstance(raw, dict):
                 raise SchemaError("'pairings' must be an object")
             unknown = set(raw) - set(PAIRING_KEYS)
             if unknown:
                 raise SchemaError(f"unknown pairing keys: {sorted(unknown)}")
-            # an int as it is, anything else through its text: 0.1 is 1/10, true is refused
-            pairings = Pairings(**{k: v if type(v) is int else Fraction(str(v))
-                                   for k, v in raw.items()})
-            blocks = doc.get("a_blocks")
-            matrix = doc.get("a_matrix")
-            return cls(q=q, pairings=pairings,
-                       a_blocks=tuple(blocks) if blocks is not None else None,
-                       a_matrix=tuple(map(tuple, matrix)) if matrix is not None else None)
+            return cls(q=doc["q"], pairings=Pairings(**raw), a_blocks=doc.get("a_blocks"),
+                       a_matrix=doc.get("a_matrix"))
         except SchemaError:
             raise
         except (ArithmeticError, KeyError, TypeError, ValueError, PreconditionError) as exc:
@@ -136,6 +129,8 @@ class PairingInput:
 
 def build_model(inp: PairingInput) -> ModelSpec:
     """Realize a PairingInput as a concrete ring model."""
+    if not isinstance(inp, PairingInput):
+        raise PreconditionError(f"build_model needs a PairingInput, got {inp!r}")
     matrix = inp.a_matrix
     if matrix is None:
         n = 2 * inp.q
@@ -153,6 +148,8 @@ def volume(model: ModelSpec) -> Fraction:
 
     It reads no pairing, so it is kept once per J-side, under ``("volume",)``.
     """
+    if not isinstance(model, ModelSpec):
+        raise PreconditionError(f"volume needs a ModelSpec, got {model!r}")
     cache, key = model.cache, ("volume",)
     vol = cache.get(key)
     if vol is None:
@@ -233,8 +230,10 @@ class InsertionWord:
     def __post_init__(self):
         object.__setattr__(self, "r", exact_count(self.r, "the multiplicity r"))
         object.__setattr__(self, "s", exact_count(self.s, "the multiplicity s"))
-        object.__setattr__(self, "gammas", tuple(exact_int(i, "a gamma index") for i in self.gammas))
-        object.__setattr__(self, "threes", tuple(exact_int(j, "an A index") for j in self.threes))
+        object.__setattr__(self, "gammas", exact_tuple(
+            self.gammas, lambda i: exact_int(i, "a gamma index"), "gammas"))
+        object.__setattr__(self, "threes", exact_tuple(
+            self.threes, lambda j: exact_int(j, "an A index"), "threes"))
         if len(set(self.gammas)) != len(self.gammas) or len(set(self.threes)) != len(self.threes):
             raise PreconditionError("odd insertions may appear at most once each")
 

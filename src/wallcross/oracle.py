@@ -172,6 +172,7 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     """
     if wall.l_zeta != 0:
         raise RegimeError(f"l0 oracle needs l_zeta = 0, got {wall.l_zeta}")
+    wall.require_q(model.q)
     a_cnt, b_cnt = len(word.gammas), len(word.threes)
     if (a_cnt + b_cnt) % 2:
         # the Jacobian integral of an odd-degree class vanishes
@@ -233,6 +234,7 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     r = exact_count(r, "the multiplicity r")
     if wall.l_zeta != 1:
         raise RegimeError(f"l1 oracle needs l_zeta = 1, got {wall.l_zeta}")
+    wall.require_q(model.q)
     s = wall.d - 2 * r
     if s < 0:
         return DeltaValue(Fraction(0), "ring-oracle")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidWallError, PreconditionError, SchemaError
-from .graded import exact_int
+from .graded import exact_int, exact_tuple, frac
 from .jacobian import Pairings
 from .walls import WallGeometry
 
@@ -47,10 +47,11 @@ class SurfaceData:
     cone_slope: Fraction = None
 
     def __post_init__(self):
+        object.__setattr__(self, "q", exact_int(self.q, "q"))
         if self.q < 0:
             raise PreconditionError(f"q must be non-negative, got {self.q}")
         n = len(self.basis)
-        gram = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
+        gram = exact_tuple(self.gram, lambda row: exact_tuple(row, frac, "a gram row"), "gram")
         if len(gram) != n or any(len(row) != n for row in gram):
             raise PreconditionError("gram size does not match basis")
         for i in range(n):
@@ -62,7 +63,7 @@ class SurfaceData:
         object.__setattr__(self, "_gram_ints", (den, tuple(
             tuple(g.numerator * (den // g.denominator) for g in row) for row in gram)))
         for name in ("K", "Sigma"):
-            vec = tuple(exact_int(x, name) for x in getattr(self, name))
+            vec = exact_tuple(getattr(self, name), lambda x: exact_int(x, name), name)
             if len(vec) != n:
                 raise PreconditionError(f"{name} has {len(vec)} entries, the basis {n}")
             object.__setattr__(self, name, vec)
@@ -123,9 +124,8 @@ def odd_ruled(g) -> SurfaceData:
 def custom_surface(name, q, gram, K, Sigma, cone_slope=None) -> SurfaceData:
     """Arbitrary intersection data (blow-ups etc.); no wall-cone filter by default."""
     basis = tuple(f"e{i}" for i in range(len(gram)))
-    return SurfaceData(name=name, q=q, basis=basis, gram=tuple(map(tuple, gram)),
-                       K=tuple(K), Sigma=tuple(Sigma),
-                       cone_slope=None if cone_slope is None else Fraction(cone_slope))
+    return SurfaceData(name=name, q=q, basis=basis, gram=gram, K=K, Sigma=Sigma,
+                       cone_slope=None if cone_slope is None else frac(cone_slope))
 
 
 def surface_from_json_dict(doc) -> SurfaceData:
@@ -146,9 +146,8 @@ def surface_from_json_dict(doc) -> SurfaceData:
         slope = surf.get("cone_slope")
         return SurfaceData(
             name=name or "custom", q=q, basis=tuple(surf["basis"]),
-            gram=tuple(tuple(Fraction(str(x)) for x in row) for row in surf["gram"]),
-            K=tuple(surf["K"]), Sigma=tuple(surf["Sigma"]),
-            cone_slope=None if slope is None else Fraction(str(slope)))
+            gram=surf["gram"], K=surf["K"], Sigma=surf["Sigma"],
+            cone_slope=None if slope is None else frac(slope))
     except KeyError as exc:
         raise SchemaError(f"surface document lacks {exc}") from exc
     except (ArithmeticError, TypeError, ValueError, PreconditionError) as exc:
@@ -201,18 +200,13 @@ def enumerate_walls(surface: SurfaceData, w: Vec, p1, bound, alpha: Vec = None):
                 if surface.cone_slope is not None and not a > surface.cone_slope * b:
                     continue
                 z2 = exact_int(surface.pairing(zeta, zeta), f"zeta^2 for zeta = {zeta}")
-                if not p1 <= z2 < 0:
-                    continue
                 if (z2 - p1) % 4:
                     continue
                 pair = _pairings_for(surface, zeta, alpha)
                 try:
                     wall = WallGeometry.build(
-                        p1=p1, q=surface.q, zeta2=z2,
-                        zetaK=exact_int(pair.zetaK, f"zeta.K for zeta = {zeta}"),
-                        zetaW=exact_int(surface.pairing(zeta, w), f"zeta.w for zeta = {zeta}"),
-                        w2=exact_int(surface.pairing(w, w), "w^2"),
-                        wK=exact_int(surface.pairing(w, surface.K), "w.K"))
+                        p1, surface.q, z2, pair.zetaK, surface.pairing(zeta, w),
+                        surface.pairing(w, w), surface.pairing(w, surface.K))
                 except InvalidWallError:
                     continue
                 out.append(WallRecord(a=a, b=b, zeta=zeta, wall=wall, pairings=pair))

@@ -507,20 +507,19 @@ def check_segre(grid):
         for _ in range(4):
             a = tuple(random_even_element(model, 2 * i, rng) for i in range(1, top + 1))
             data = ChernData(model, rng.randint(1, 5), a)
-            cs = [chern_from_ch(data, i) for i in range(n_max + 1)]
             inv = inverse_unit_series(total_chern(data)).components()
             for n in range(n_max + 1):
                 sn = segre_from_ch(data, n)
-                conv = sum((cs[i] * segre_from_ch(data, n - i) for i in range(n + 1)), zero)
+                conv = sum((chern_from_ch(data, i) * segre_from_ch(data, n - i)
+                            for i in range(n + 1)), zero)
                 # s_n against series inversion, and sum c_i s_(n-i) = 0, for n >= 1
                 yield ((sn, conv),
                        (inv.get(2 * n, zero) if 0 < n <= top else sn, zero if n else conv),
                        lambda: f"s_{n} and sum c_i s_(n-i) (q={model.q})")
         # stratum sums against the closed forms, on a matching l=1 wall
-        zeta2 = int(model.pair("zeta", "zeta"))
-        zetaK = int(model.pair("zeta", "K"))
+        zeta2 = model.pair("zeta", "zeta")
         try:
-            wall = wall_with_variant(zeta2 - 4, model.q, zeta2, zetaK)
+            wall = wall_with_variant(zeta2 - 4, model.q, zeta2, model.pair("zeta", "K"))
         except InvalidWallError:
             continue
         datas = []

@@ -12,10 +12,11 @@ a numeric condition and is not checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .errors import InvalidWallError
+from .errors import InvalidWallError, PreconditionError
+from .graded import exact_int
 
 
 class WallParams(NamedTuple):
@@ -75,46 +76,54 @@ def complex_orientation_sign(wK, w2) -> int:
 
 @dataclass(frozen=True)
 class WallGeometry:
-    """All pairings of (zeta, w, K) plus the derived wall quantities."""
+    """A wall from its seven inputs: p1, q and the pairings of zeta, w and K, the
+    w-data defaulting to w = zeta.
+
+    Each input is coerced once through ``exact_int``.  The derived fields (d,
+    l_zeta, h, N and empty_side) come from ``wall_params`` here, never from a
+    caller, so neither ``WallGeometry(...)`` nor ``replace`` can set one.
+    """
 
     p1: int
     q: int
     zeta2: int
     zetaK: int
-    zetaW: int
-    w2: int
-    wK: int
-    d: int
-    l_zeta: int
-    h_plus: int
-    h_minus: int
-    n_plus: int
-    n_minus: int
-    empty_side: bool
+    zetaW: int = None
+    w2: int = None
+    wK: int = None
+    d: int = field(init=False, compare=False)
+    l_zeta: int = field(init=False, compare=False)
+    h_plus: int = field(init=False, compare=False)
+    h_minus: int = field(init=False, compare=False)
+    n_plus: int = field(init=False, compare=False)
+    n_minus: int = field(init=False, compare=False)
+    empty_side: bool = field(init=False, compare=False)
 
-    @classmethod
-    def build(cls, p1, q, zeta2, zetaK, zetaW=None, w2=None, wK=None) -> "WallGeometry":
-        """Validate and derive; w-data defaults to w = zeta."""
-        if zetaW is None:
-            zetaW = zeta2
-        if w2 is None:
-            w2 = zeta2
-        if wK is None:
-            wK = zetaK
-        params = wall_params(p1, q, zeta2, zetaK)
-        if (zeta2 - 2 * zetaW + w2) % 4:
-            raise InvalidWallError("zeta and w are not congruent mod 2: ((zeta-w)/2)^2 not integral")
-        if (wK + w2) % 2:
-            raise InvalidWallError("K.w + w^2 must be even")
+    def __post_init__(self):
+        # object.__setattr__, not __dict__: a written __dict__ slows every attribute read
+        put = object.__setattr__
+        for key in ("p1", "q", "zeta2", "zetaK"):
+            put(self, key, exact_int(getattr(self, key), key))
+        for key, default in (("zetaW", "zeta2"), ("w2", "zeta2"), ("wK", "zetaK")):
+            value = getattr(self, key)
+            put(self, key, getattr(self, default) if value is None else exact_int(value, key))
+        for key, value in wall_params(self.p1, self.q, self.zeta2, self.zetaK)._asdict().items():
+            put(self, key, value)
+        # both signs are defined: (zeta - w)/2 is a class and K.w + w^2 is even
+        self.sign_wall()
+        self.sign_complex()
         # u = (zeta - w)/2 is a class, so u.w is an integer, and K is characteristic
         # (Wu's formula), so u^2 = u.K mod 2; the two sign conventions agree only
         # on such data
-        if (zetaW - w2) % 2:
+        if (self.zetaW - self.w2) % 2:
             raise InvalidWallError("zeta.w and w^2 must have equal parity: u.w not integral")
-        if ((zeta2 - 2 * zetaW + w2) // 4 + (zetaK - wK) // 2) % 2:
+        if ((self.zeta2 - 2 * self.zetaW + self.w2) // 4 + (self.zetaK - self.wK) // 2) % 2:
             raise InvalidWallError("u = (zeta - w)/2 must have u^2 = u.K mod 2 (Wu's formula)")
-        return cls(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK, zetaW=zetaW, w2=w2, wK=wK,
-                   **params._asdict())
+
+    @classmethod
+    def build(cls, *args, **kwargs) -> "WallGeometry":
+        """``WallGeometry(...)``, under the name the benchmark traces."""
+        return cls(*args, **kwargs)
 
     def sign_wall(self) -> int:
         return wall_sign(self.zeta2, self.zetaW, self.w2)
@@ -122,7 +131,11 @@ class WallGeometry:
     def sign_complex(self) -> int:
         return complex_orientation_sign(self.wK, self.w2)
 
+    def require_q(self, q):
+        """Refuse a model of another q: the routes read q from both."""
+        if self.q != q:
+            raise PreconditionError(f"a wall of q = {self.q} on a model of q = {q}")
+
     def reversed(self) -> "WallGeometry":
         """The wall for -zeta (exchanges the (h, N) pairs; d and l fixed)."""
-        return WallGeometry.build(self.p1, self.q, self.zeta2, -self.zetaK,
-                                  -self.zetaW, self.w2, self.wK)
+        return replace(self, zetaK=-self.zetaK, zetaW=-self.zetaW)

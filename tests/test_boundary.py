@@ -1,0 +1,300 @@
+"""The library boundary: every public constructor and ``evaluate`` returns the
+exact value for the coerced input or raises a ``WallCrossError``.
+
+The number rule (``graded.frac``) says what a number is: an int, a ``Fraction``,
+a numeric string, or a finite float read through its repr, as the JSON reader
+reads its text (0.1 is 1/10).  A bool, None, a non-finite float and any other
+value are no number.  A wall input must be an integral number.
+
+Each hypothesis test is derandomized and small, so the module costs well under
+a second.
+"""
+
+import inspect
+import json
+import math
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import wallcross
+from wallcross import (DeltaValue, InsertionWord, PairingInput, Pairings, PreconditionError,
+                       WallCrossError, WallGeometry, build_model, evaluate, volume)
+from wallcross.delta import MAX_DEGREE, PATHS
+from wallcross.graded import MAX_Q
+from wallcross.jacobian import PAIRING_KEYS, pairing_input_from_json
+from wallcross.walls import wall_params
+
+FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# values that are no number under the rule, and numbers no wall input may take
+NO_NUMBER = [None, True, False, "x", "", "1/0", float("nan"), float("inf"), object()]
+NUMBER = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=8),
+                   st.floats(-1e6, 1e6), st.fractions(max_denominator=8).map(str),
+                   st.integers(-99, 99).map(str), st.sampled_from(NO_NUMBER))
+
+
+def exact(raw):
+    """The number ``raw`` stands for under the rule, or None for no number."""
+    if raw is None or isinstance(raw, bool):
+        return None
+    if isinstance(raw, float):
+        return Fraction(repr(raw)) if math.isfinite(raw) else None
+    try:
+        return Fraction(raw)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def exact_ints(raws):
+    """The ints ``raws`` stand for, or None when one of them is no integer."""
+    values = [exact(raw) for raw in raws]
+    if any(v is None or v.denominator != 1 for v in values):
+        return None
+    return [int(v) for v in values]
+
+
+def forms(n, far, hostile=True):
+    """``n`` as a caller might hand it in: one of its integral forms, or with
+    ``hostile`` also a non-integral or non-numeric value, a negative, or ``far``,
+    a value past the package's limits."""
+    exact_forms = st.sampled_from([n, float(n), Fraction(n), str(n), f"{2 * n}/2"])
+    if not hostile:
+        return exact_forms
+    return st.one_of(exact_forms, exact_forms, exact_forms, st.sampled_from(
+        [n + 0.5, Fraction(2 * n + 1, 2), f"{2 * n + 1}/2", -abs(n) - 1, far, *NO_NUMBER]))
+
+
+@st.composite
+def wall_inputs(draw, hostile=True):
+    """Seven wall inputs around valid data of q <= 2 and l <= 1, in drawn forms."""
+    q, zeta2, l_zeta = draw(st.integers(0, 2)), draw(st.integers(-6, -1)), draw(st.integers(0, 1))
+    zeta_k = zeta2 % 2 + 2 * draw(st.integers(-2, 2))
+    ints = [zeta2 - 4 * l_zeta, q, zeta2, zeta_k]
+    if draw(st.booleans()):  # w = zeta - 2u with u.zeta, u^2 and u.K of Wu's parity
+        zu, u2 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        uk = u2 + 2 * draw(st.integers(-1, 1))
+        ints += [zeta2 - 2 * zu, zeta2 - 4 * zu + 4 * u2, zeta_k - 2 * uk]
+    far = (-MAX_DEGREE - 8, MAX_Q + 1) + (10**6,) * 5
+    return [draw(forms(n, f, hostile)) for n, f in zip(ints, far)]
+
+
+def _pairings_for(wall_ints):
+    return Pairings(zeta2=wall_ints[2], zetaK=wall_ints[3], zetaAlpha=2, sigmaZeta=1,
+                    sigmaAlpha=-1, sigmaK=1, K2=8, alpha2=-1)
+
+
+@settings(FAST, max_examples=30)
+@given(st.lists(NUMBER, min_size=9, max_size=9))
+def test_pairings_hold_the_exact_number_or_refuse(raws):
+    expected = [exact(raw) for raw in raws]
+    try:
+        pairings = Pairings(*raws)
+    except WallCrossError:
+        assert None in expected
+        return
+    assert [getattr(pairings, key) for key in PAIRING_KEYS] == expected
+
+
+@FAST
+@given(NUMBER)
+def test_a_delta_value_holds_the_exact_number_or_refuses(raw):
+    try:
+        value = DeltaValue(raw, "closed-form").value
+    except WallCrossError:
+        assert exact(raw) is None
+        return
+    assert value == exact(raw) and type(value) is Fraction
+
+
+@FAST
+@given(wall_inputs())
+def test_a_wall_is_built_from_integral_numbers_only(raws):
+    ints = exact_ints(raws)
+    try:
+        wall = WallGeometry(*raws)
+    except WallCrossError:
+        if ints is not None:  # the same data as ints is no wall either
+            with pytest.raises(WallCrossError):
+                WallGeometry(*ints)
+        return
+    assert ints is not None
+    assert wall == WallGeometry(*ints) == WallGeometry.build(*raws)
+    assert all(type(getattr(wall, key)) is int
+               for key in ("p1", "q", "zeta2", "zetaK", "zetaW", "w2", "wK", "d", "l_zeta"))
+    assert (wall.d, wall.l_zeta, wall.h_plus, wall.h_minus, wall.n_plus, wall.n_minus,
+            wall.empty_side) == tuple(wall_params(*ints[:4]))
+
+
+@FAST
+@given(q=st.one_of(st.integers(0, 2).flatmap(lambda q: forms(q, MAX_Q + 1)), NUMBER),
+       blocks=st.one_of(st.none(), st.lists(NUMBER, max_size=2), st.sampled_from(NO_NUMBER[1:])))
+def test_a_model_is_built_from_exact_numbers_only(q, blocks):
+    q_int = exact_ints([q])
+    block_values = None if blocks is None else (
+        [exact(b) for b in blocks] if isinstance(blocks, list) else [None])
+    try:
+        model = build_model(PairingInput(q=q, pairings=Pairings(), a_blocks=blocks))
+    except WallCrossError:
+        if q_int is not None and 0 <= q_int[0] <= MAX_Q and (
+                block_values is None or None not in block_values):
+            with pytest.raises(WallCrossError):  # the exact data is refused too
+                PairingInput(q=q_int[0], pairings=Pairings(), a_blocks=block_values)
+        return
+    assert q_int is not None and model.q == q_int[0]
+    exact_input = PairingInput(q=q_int[0], pairings=Pairings(), a_blocks=block_values)
+    assert volume(model) == volume(build_model(exact_input))
+
+
+@FAST
+@given(raws=wall_inputs(hostile=False),
+       r=st.integers(0, 2).flatmap(lambda r: forms(r, None, hostile=False)),
+       path=st.sampled_from(PATHS + ("fast", None)), data=st.data())
+def test_evaluate_prices_the_coerced_input_or_refuses(raws, r, path, data):
+    # the hostile values are the constructors' to refuse, above: here the wall and
+    # the word come from integral numbers of any form, and evaluate gets them or
+    # other objects
+    ints, r_int = exact_ints(raws), exact_ints([r])
+    try:
+        wall = WallGeometry(*raws)
+        word = InsertionWord(r=r, s=wall.d - 2 * r_int[0])
+    except WallCrossError:
+        return
+    q = data.draw(st.sampled_from([min(wall.q, 2), (wall.q + 1) % 3]))  # sometimes another q
+    model = build_model(PairingInput(q=q, pairings=_pairings_for(ints)))
+    # another object in any of the three places is refused
+    bad = data.draw(st.sampled_from([None, 1, "x", (), PairingInput(q=q, pairings=Pairings())]))
+    for args in ((bad, wall, word), (model, bad, word), (model, wall, bad)):
+        with pytest.raises(PreconditionError, match="evaluate needs .ModelSpec, WallGeometry"):
+            evaluate(*args, path)
+    try:
+        values = evaluate(model, wall, word, path)
+    except WallCrossError:
+        return
+    assert values == evaluate(model, WallGeometry(*ints), InsertionWord(r=r_int[0], s=word.s),
+                              path)
+    assert all(type(v.value) is Fraction for v in values)
+
+
+# -- the probes that found the gaps, pinned ----------------------------------
+
+def test_the_boundary_names():
+    assert sorted(wallcross.__all__) == sorted(
+        ["DeltaValue", "InsertionWord", "InvalidWallError", "InvariantError", "PairingInput",
+         "Pairings", "PreconditionError", "RegimeError", "SchemaError", "WallCrossError",
+         "WallGeometry", "build_model", "evaluate", "volume"])
+    # the route functions stay importable from their modules
+    from wallcross.closed import delta_l0, delta_l1, delta_leading  # noqa: F401
+    from wallcross.oracle import delta_oracle_l1  # noqa: F401
+    assert list(inspect.signature(WallGeometry).parameters) == [
+        "p1", "q", "zeta2", "zetaK", "zetaW", "w2", "wK"]
+
+
+def test_a_float_p1_is_the_int_it_equals():
+    # it built a wall with d = 4.0, and evaluate on it ended in a TypeError traceback
+    wall = WallGeometry.build(-1.0, 2, -1, 1)
+    assert wall == WallGeometry.build(-1, 2, -1, 1) and wall.d == 4 and type(wall.d) is int
+    model = build_model(PairingInput(q=2, pairings=_pairings_for([-1, 2, -1, 1])))
+    word = InsertionWord(s=4)
+    assert evaluate(model, wall, word) == evaluate(model, WallGeometry(-1, 2, -1, 1), word)
+    assert WallGeometry(p1=Fraction(-1), q=2, zeta2=-1, zetaK=1) == wall
+
+
+@pytest.mark.parametrize("kwargs, needle", [
+    (dict(p1=-1, q=1.5, zeta2=-1, zetaK=1), "q must be an integer, got 3/2"),  # was d = 9.5
+    (dict(p1=None, q=1, zeta2=-4, zetaK=2), "p1 must be an integer, got None"),
+    (dict(p1=True, q=1, zeta2=-1, zetaK=1), "p1 must be an integer, got True"),
+    (dict(p1=-8, q=1, zeta2=-4, zetaK=2, wK="1/2"), "wK must be an integer, got 1/2"),
+])
+def test_a_wall_input_that_is_no_integer_is_refused(kwargs, needle):
+    with pytest.raises(PreconditionError, match=needle):
+        WallGeometry(**kwargs)
+
+
+def test_a_numeric_string_p1_is_the_int_it_reads():
+    # "-8" ended in a TypeError inside build
+    assert WallGeometry("-8", 1, -4, 2) == WallGeometry(-8, 1, -4, 2)
+
+
+def test_no_caller_sets_a_derived_field():
+    # replace(wall, d=99) was priced by delta_l1 as 154976
+    wall = WallGeometry(-8, 1, -4, 2)
+    for key in ("d", "l_zeta", "h_plus", "h_minus", "n_plus", "n_minus", "empty_side"):
+        with pytest.raises(ValueError, match="init=False"):
+            replace(wall, **{key: 99})
+        with pytest.raises(TypeError):
+            WallGeometry(-8, 1, -4, 2, **{key: 99})
+    moved = replace(wall, p1=-12)  # an input moves every field derived from it
+    assert (moved.d, moved.l_zeta) == (12, 2) and moved == WallGeometry(-12, 1, -4, 2)
+    assert wall.reversed().reversed() == wall
+
+
+def test_evaluate_refuses_what_is_no_model_or_word():
+    # both ended in an AttributeError
+    wall = WallGeometry(-1, 1, -1, 1)
+    model = build_model(PairingInput(q=1, pairings=_pairings_for([-1, 1, -1, 1])))
+    with pytest.raises(PreconditionError, match=r"got \(ModelSpec, WallGeometry, NoneType\)"):
+        evaluate(model, wall, None)
+    with pytest.raises(PreconditionError, match=r"got \(NoneType, WallGeometry, InsertionWord\)"):
+        evaluate(None, wall, InsertionWord(s=1))
+    with pytest.raises(PreconditionError, match="needs a PairingInput"):
+        build_model(None)
+    with pytest.raises(PreconditionError, match="needs a ModelSpec"):
+        volume(None)
+
+
+def test_values_past_the_limits_are_refused():
+    wall = WallGeometry(-MAX_DEGREE - 1, 1, -1, 1)  # d = MAX_DEGREE + 1
+    model = build_model(PairingInput(q=1, pairings=_pairings_for([0, 1, -1, 1])))
+    with pytest.raises(PreconditionError, match="exceeds the largest priced d"):
+        evaluate(model, wall, InsertionWord(s=wall.d), "closed")
+    assert WallGeometry(-1, MAX_Q + 1, -1, 1).q == MAX_Q + 1  # a wall, but no model has it
+    with pytest.raises(PreconditionError, match=f"q must be between 0 and {MAX_Q}"):
+        PairingInput(q=MAX_Q + 1, pairings=Pairings())
+
+
+def test_the_library_and_the_json_reader_share_one_number_rule():
+    # Pairings(zeta2=True) gave 1 and Pairings(zeta2=0.1) the binary double, where
+    # the JSON reader refused true and read 0.1 as 1/10
+    def read(value):
+        doc = {"q": 1, "pairings": {"zetaAlpha": value}}
+        return pairing_input_from_json(json.dumps(doc))[0].pairings.zetaAlpha
+
+    assert Pairings(zetaAlpha=0.1).zetaAlpha == read(0.1) == Fraction(1, 10)
+    assert Pairings(zetaAlpha=-2.5).zetaAlpha == read(-2.5) == Fraction(-5, 2)
+    for value in (True, False):
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            Pairings(zetaAlpha=value)
+        with pytest.raises(wallcross.SchemaError):
+            read(value)
+    for value in ("1/0", float("nan")):
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            Pairings(K2=value)
+
+
+def test_a_surface_takes_an_integral_q_only():
+    # q = 1.5 and True built a surface, and only a sweep that reached a wall refused them
+    from wallcross.surfaces import custom_surface
+
+    def surface(q):
+        return custom_surface("s", q, ((0, 1), (1, 0)), K=(0, -2), Sigma=(1, 0))
+
+    assert surface(1.0).q == 1 and type(surface("1").q) is int
+    for q in (1.5, True, None):
+        with pytest.raises(PreconditionError, match="q must be an integer"):
+            surface(q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: InsertionWord(gammas=None),
+    lambda: InsertionWord(threes=0),
+    lambda: PairingInput(q=1, pairings=Pairings(), a_blocks=1),
+    lambda: PairingInput(q=1, pairings=Pairings(), a_matrix=[0, 1]),
+], ids=["gammas-None", "threes-int", "blocks-int", "matrix-row-int"])
+def test_a_sequence_input_that_is_no_sequence_is_refused(call):
+    with pytest.raises(PreconditionError, match="must be a sequence"):
+        call()

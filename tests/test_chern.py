@@ -84,6 +84,18 @@ def test_segre_cache_is_invisible(rng):
         segre_from_ch(data, -1)
 
 
+def test_chern_classes_are_kept_like_the_segre_classes(rng):
+    # chern_from_ch restarted Newton's recurrence from c_0 on every call
+    model = make_model(q=2, blocks=(1, 1))
+    data = _random_data(model, rng)
+    fresh = [chern_from_ch(ChernData(model, data.rank, data.a), n) for n in range(5)]
+    assert chern_from_ch(data, 4) == fresh[4] and len(data._chern_memo) == 5
+    kept = data._chern_memo[2]
+    assert [chern_from_ch(data, n) for n in range(5)] == fresh
+    assert chern_from_ch(data, 2) is kept and len(data._chern_memo) == 5
+    assert total_chern(data) == sum(fresh, model.zero())  # c_0..c_(q+2), all kept
+
+
 def test_segre_matches_series_inversion(rng):
     for q in (0, 1, 2):
         model = make_model(q=q)

@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from wallcross import (InsertionWord, InvariantError, Pairings, PreconditionError, RegimeError,
-                       WallGeometry, delta_l0, delta_l1, delta_leading)
+                       WallGeometry)
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
-from wallcross.closed import (DeltaValue, _l0_sum, delta_l0_odd, leading_insertion_class,
-                              segre_det_closed, segre_det_determinant, segre_det_recursive,
-                              segre_sum_closed)
+from wallcross.closed import (DeltaValue, _l0_sum, delta_l0, delta_l0_odd, delta_l1,
+                              delta_leading, segre_det_closed, segre_det_determinant,
+                              segre_det_recursive, segre_sum_closed)
 from wallcross.jacobian import e_alpha, e_zeta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles
 
@@ -216,6 +216,30 @@ def test_segre_sum_matches_extension_determinants():
         assert det_sum == segre_sum_closed(m, n)
 
 
+def leading_insertion_class(model, l_zeta, which):
+    """The paper's three explicitly known insertion moments for any l_zeta, as the
+    literal right-hand side (numbers times e-class powers): the local reference
+    for the two tests below.  ``which`` is one of "2l,q", "2l-1,q" and "2l,q-1"."""
+    if l_zeta < 0:
+        raise PreconditionError("l_zeta must be non-negative")
+    q = model.q
+    a2 = model.pair("alpha", "alpha")
+    a = model.pair("zeta", "alpha") / 2
+    lead = Fraction(math.factorial(2 * l_zeta), math.factorial(l_zeta))
+    ea = e_alpha(model)
+    if which == "2l,q":
+        return lead * a2 ** l_zeta * ea ** q
+    if which == "2l-1,q":
+        if l_zeta == 0:  # there is no (2l - 1)-th insertion moment
+            return model.zero()
+        return -4 * lead * a2 ** (l_zeta - 1) * a * ea ** q
+    if which == "2l,q-1":
+        if q < 1:
+            raise PreconditionError("index pair (2l, q-1) needs q >= 1")
+        return 4 * lead * a2 ** l_zeta * ea ** (q - 1) * e_zeta(model)
+    raise PreconditionError(f"unknown leading index pair {which!r}")
+
+
 def test_leading_insertion_classes_l1_against_ring():
     # S_{2,1}, S_{1,1}, S_{2,0} for l = 1, q = 1 computed from the stratum data
     m = _l1_model(q=1)
@@ -272,8 +296,8 @@ def test_delta_leading_matches_l0_tail_terms():
 def test_antisymmetry_under_zeta_reversal():
     # pricing the same wall from the other side flips the sign exactly
     from dataclasses import replace
-    from wallcross import InsertionWord, PairingInput, build_model, delta_oracle_l1
-    from wallcross.oracle import delta_oracle_l0
+    from wallcross import InsertionWord, PairingInput, build_model
+    from wallcross.oracle import delta_oracle_l0, delta_oracle_l1
 
     def flip_zeta(pr):
         return replace(pr, zetaK=-pr.zetaK, zetaAlpha=-pr.zetaAlpha,

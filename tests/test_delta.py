@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, RegimeError,
-                       WallGeometry, build_model, delta, delta_l0, delta_l1, delta_leading,
-                       delta_oracle_l1, evaluate, volume)
+                       WallGeometry, build_model, delta, evaluate, volume)
+from wallcross.closed import delta_l0, delta_l0_odd, delta_l1, delta_leading
+from wallcross.oracle import delta_oracle_l0, delta_oracle_l1
 from wallcross.verify import valid_zeta_k
 
 PAIRINGS = dict(zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1, K2=8, alpha2=-1)
@@ -60,6 +61,19 @@ def test_guards():
         for path in delta.PATHS:
             with pytest.raises(PreconditionError, match="a wall of q = 1 on a model of q = 2"):
                 evaluate(q2, wall, InsertionWord(s=wall.d), path)
+
+
+def test_the_routes_taking_a_model_refuse_a_wall_of_another_q():
+    # on a q = 2 model the q = 1, l = 1 wall p1 = -8 was priced 0 by the oracle
+    # (delta_l1 gives -640), and the l = 0 wall p1 = -4 was priced 0 too
+    q2 = build_model(PairingInput(q=2, pairings=Pairings(zeta2=-4, zetaK=2, **PAIRINGS)))
+    l0, l1 = (WallGeometry(p1=p1, q=1, zeta2=-4, zetaK=2) for p1 in (-4, -8))
+    calls = [lambda: delta_oracle_l1(q2, l1, 0),
+             lambda: delta_oracle_l0(q2, l0, InsertionWord(s=l0.d)),
+             lambda: delta_l0_odd(l0, q2, InsertionWord(s=l0.d - 2, gammas=(0,), threes=(1,)))]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="a wall of q = 1 on a model of q = 2"):
+            call()
 
 
 def test_every_path_prices_the_pairings_of_its_model():

@@ -8,13 +8,13 @@ import pytest
 from fractions import Fraction
 
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, RegimeError,
-                       WallGeometry, build_model, delta_l0, delta_oracle_l1, volume)
+                       WallGeometry, build_model, volume)
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
-from wallcross.closed import delta_l0_odd, delta_l1
+from wallcross.closed import delta_l0, delta_l0_odd, delta_l1
 from wallcross import jacobian, oracle
 from wallcross.graded import S_ONE, SIGMA, exp_truncated, integrate, integrate_jacobian
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
-from wallcross.oracle import ch_extension_bundles, delta_oracle_l0
+from wallcross.oracle import ch_extension_bundles, delta_oracle_l0, delta_oracle_l1
 
 from conftest import make_model
 
@@ -179,7 +179,6 @@ def test_odd_words_over_full_matrix_model():
 
 def test_oracle_agreement_with_negative_volume():
     # negative block coefficients give negative vol; both routes track it
-    from wallcross import delta_l1
     from wallcross.verify import valid_zeta_k
     q, blocks, d = 2, (-1, 3), 6
     zeta2 = -(d + 3 * (1 - q))

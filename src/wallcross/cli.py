@@ -31,6 +31,10 @@ EXIT_INPUT = 1
 EXIT_REGIME = 2
 EXIT_VERIFY = 3
 
+# the WallGeometry fields that ``params`` prints, in its CSV column order
+PARAMS_FIELDS = ("p1", "q", "zeta2", "zetaK", "d", "l_zeta", "h_plus", "h_minus", "n_plus",
+                 "n_minus", "empty_side", "sign_wall", "sign_complex")
+
 
 def _rat(x) -> str:
     f = frac(x)
@@ -94,14 +98,7 @@ def cmd_params(opts) -> int:
     doc = {
         "schema_version": 1,
         "command": "params",
-        "wall": {
-            "p1": wall.p1, "q": wall.q, "zeta2": wall.zeta2, "zetaK": wall.zetaK,
-            "d": wall.d, "l_zeta": wall.l_zeta,
-            "h_plus": wall.h_plus, "h_minus": wall.h_minus,
-            "n_plus": wall.n_plus, "n_minus": wall.n_minus,
-            "empty_side": wall.empty_side,
-            "sign_wall": wall.sign_wall(), "sign_complex": wall.sign_complex(),
-        },
+        "wall": {key: getattr(wall, key) for key in PARAMS_FIELDS},
         "vol": _rat(volume(model)),
     }
     _emit(doc, [dict(doc["wall"], vol=doc["vol"])], [*doc["wall"], "vol"], opts)

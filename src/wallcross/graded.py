@@ -52,6 +52,10 @@ _ONE = Fraction(1)
 # alone C(q, k) terms, so a larger q is refused rather than left to run.
 MAX_Q = 12
 
+# The largest decimal exponent a number string may carry: Fraction expands "1e<n>"
+# in full, and 4,300 digits is the default int-string limit that printing meets
+MAX_EXPONENT = 4300
+
 # S-side monomial encodings: (s_degree, payload)
 S_ONE = (0, ())
 S_PT = (4, ())
@@ -59,6 +63,15 @@ _SCALAR = (0, S_ONE)
 
 # The even degree-2 surface symbols every model carries
 EVEN_SYMBOLS = (SIGMA, "zeta", "K", "alpha")
+
+# The ``jacobian.Pairings`` field of each ordered pair of even symbols, both
+# orders alike; Sigma.Sigma = 0 has none
+PAIRING_FIELDS = {(SIGMA, SIGMA): None, **{
+    pair: name for (s1, s2), name in (
+        ((SIGMA, "zeta"), "sigmaZeta"), ((SIGMA, "K"), "sigmaK"), ((SIGMA, "alpha"), "sigmaAlpha"),
+        (("zeta", "zeta"), "zeta2"), (("zeta", "K"), "zetaK"), (("zeta", "alpha"), "zetaAlpha"),
+        (("K", "K"), "K2"), (("K", "alpha"), "Kalpha"), (("alpha", "alpha"), "alpha2"))
+    for pair in ((s1, s2), (s2, s1))}}
 
 
 def s_odd(i):
@@ -78,14 +91,18 @@ def frac(x) -> Fraction:
     package's one number rule.
 
     A float is read through its repr, as the JSON reader reads its text (0.1
-    is 1/10).  A bool, or a value that is no finite number (None, "a", "1/0",
-    NaN, infinity), raises PreconditionError.
+    is 1/10).  A bool, a value that is no finite number (None, "a", "1/0", NaN,
+    infinity), or a string whose exponent exceeds ``MAX_EXPONENT`` in magnitude
+    raises PreconditionError.
     """
     if type(x) is Fraction:  # the common case, before Fraction's ABC checks
         return x
     if isinstance(x, bool):
         raise PreconditionError(f"{x!r} is not an exact rational number")
     try:
+        if isinstance(x, str) and "e" in x.lower():  # its exponent, before Fraction expands it
+            if abs(int(x.lower().rpartition("e")[2])) > MAX_EXPONENT:
+                raise PreconditionError(f"the exponent of {x!r} exceeds {MAX_EXPONENT} in size")
         return Fraction(float.__repr__(x) if isinstance(x, float) else x)
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise PreconditionError(f"{x!r} is not an exact rational number") from exc
@@ -145,8 +162,8 @@ class ModelSpec:
 
     Models are immutable after construction and safe to share; identity is
     object identity.  ``a_matrix`` holds the a_ij (be_i.be_j = a_ij Sigma) and
-    ``pairings`` the pairings of the even symbols, whose ``gram()`` gives every
-    ordered pair.  Both are taken as given: ``jacobian.build_model`` makes a
+    ``pairings`` the ``jacobian.Pairings`` record of the even symbols, which
+    ``pair`` reads.  Both are taken as given: ``jacobian.build_model`` makes a
     model from a ``PairingInput``, which checks them once.
 
     ``cache`` is one dict per J-side (q, a_ij), shared by ``with_pairings``.  A
@@ -163,7 +180,8 @@ class ModelSpec:
         # term dicts, not elements, for the reason ``cache`` holds none
         self._omega_powers = [{_SCALAR: _ONE}, self.omega_class()._terms]
         self.cache = {}
-        self._set_pairings(pairings)
+        # S-side products read the pairings, so each model has its own table
+        self.pairings, self._s_table = pairings, {}
 
     def with_pairings(self, pairings) -> "ModelSpec":
         """The model over this J-side (q, a_ij, the omega-power cache and
@@ -175,18 +193,15 @@ class ModelSpec:
         model = object.__new__(ModelSpec)
         model.q, model.a_matrix, model.j_top = self.q, self.a_matrix, self.j_top
         model._omega_powers, model.cache = self._omega_powers, self.cache
-        model._set_pairings(pairings)
+        model.pairings, model._s_table = pairings, {}
         return model
-
-    def _set_pairings(self, pairings):
-        # S-side products read every Gram pairing, so each model has its own table
-        self.pairings, self._gram, self._s_table = pairings, pairings.gram(), {}
 
     # -- pairings -------------------------------------------------------
 
     def pair(self, s1, s2) -> Fraction:
-        """Gram pairing of two even symbols."""
-        return self._gram[(s1, s2)]
+        """The pairing of two even symbols, read from ``pairings``."""
+        name = PAIRING_FIELDS[s1, s2]
+        return _ZERO if name is None else getattr(self.pairings, name)
 
     # -- element constructors -------------------------------------------
 

@@ -205,7 +205,7 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
             if term:
                 num, den = num * t_den * i_den + term * den, den * t_den * i_den
     scale = (-4) ** word.r * (2 * za.denominator * sa.denominator) ** s
-    return DeltaValue(Fraction(wall.sign_complex() * num, den * scale), "ring-oracle")
+    return DeltaValue(Fraction(wall.sign_complex * num, den * scale), "ring-oracle")
 
 
 def _s_powers(model, word, top):
@@ -277,4 +277,4 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
                 sums[den] = sums.get(den, 0) + c * sp[0].numerator * num
     den = math.lcm(*sums)
     num = sum(part * (den // part_den) for part_den, part in sums.items())
-    return DeltaValue(Fraction(wall.sign_complex() * num, den * 4 ** r * e ** s), "ring-oracle")
+    return DeltaValue(Fraction(wall.sign_complex * num, den * 4 ** r * e ** s), "ring-oracle")

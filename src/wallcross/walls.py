@@ -80,8 +80,9 @@ class WallGeometry:
     w-data defaulting to w = zeta.
 
     Each input is coerced once through ``exact_int``.  The derived fields (d,
-    l_zeta, h, N and empty_side) come from ``wall_params`` here, never from a
-    caller, so neither ``WallGeometry(...)`` nor ``replace`` can set one.
+    l_zeta, h, N and empty_side from ``wall_params``, and the two signs of the
+    wall-crossing terms) are set here, never by a caller, so neither
+    ``WallGeometry(...)`` nor ``replace`` can set one.
     """
 
     p1: int
@@ -98,6 +99,8 @@ class WallGeometry:
     n_plus: int = field(init=False, compare=False)
     n_minus: int = field(init=False, compare=False)
     empty_side: bool = field(init=False, compare=False)
+    sign_wall: int = field(init=False, compare=False)
+    sign_complex: int = field(init=False, compare=False)
 
     def __post_init__(self):
         # object.__setattr__, not __dict__: a written __dict__ slows every attribute read
@@ -109,9 +112,9 @@ class WallGeometry:
             put(self, key, getattr(self, default) if value is None else exact_int(value, key))
         for key, value in wall_params(self.p1, self.q, self.zeta2, self.zetaK)._asdict().items():
             put(self, key, value)
-        # both signs are defined: (zeta - w)/2 is a class and K.w + w^2 is even
-        self.sign_wall()
-        self.sign_complex()
+        # each raises unless its sign is defined: (zeta - w)/2 a class, K.w + w^2 even
+        put(self, "sign_wall", wall_sign(self.zeta2, self.zetaW, self.w2))
+        put(self, "sign_complex", complex_orientation_sign(self.wK, self.w2))
         # u = (zeta - w)/2 is a class, so u.w is an integer, and K is characteristic
         # (Wu's formula), so u^2 = u.K mod 2; the two sign conventions agree only
         # on such data
@@ -124,12 +127,6 @@ class WallGeometry:
     def build(cls, *args, **kwargs) -> "WallGeometry":
         """``WallGeometry(...)``, under the name the benchmark traces."""
         return cls(*args, **kwargs)
-
-    def sign_wall(self) -> int:
-        return wall_sign(self.zeta2, self.zetaW, self.w2)
-
-    def sign_complex(self) -> int:
-        return complex_orientation_sign(self.wK, self.w2)
 
     def require_q(self, q):
         """Refuse a model of another q: the routes read q from both."""

@@ -13,6 +13,7 @@ a second.
 import inspect
 import json
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ import wallcross
 from wallcross import (DeltaValue, InsertionWord, PairingInput, Pairings, PreconditionError,
                        WallCrossError, WallGeometry, build_model, evaluate, volume)
 from wallcross.delta import MAX_DEGREE, PATHS
-from wallcross.graded import MAX_Q
+from wallcross.graded import MAX_EXPONENT, MAX_Q, frac
 from wallcross.jacobian import PAIRING_KEYS, pairing_input_from_json
 from wallcross.walls import wall_params
 
@@ -223,7 +224,8 @@ def test_a_numeric_string_p1_is_the_int_it_reads():
 def test_no_caller_sets_a_derived_field():
     # replace(wall, d=99) was priced by delta_l1 as 154976
     wall = WallGeometry(-8, 1, -4, 2)
-    for key in ("d", "l_zeta", "h_plus", "h_minus", "n_plus", "n_minus", "empty_side"):
+    for key in ("d", "l_zeta", "h_plus", "h_minus", "n_plus", "n_minus", "empty_side",
+                "sign_wall", "sign_complex"):
         with pytest.raises(ValueError, match="init=False"):
             replace(wall, **{key: 99})
         with pytest.raises(TypeError):
@@ -274,6 +276,25 @@ def test_the_library_and_the_json_reader_share_one_number_rule():
     for value in ("1/0", float("nan")):
         with pytest.raises(PreconditionError, match="not an exact rational"):
             Pairings(K2=value)
+
+
+def test_a_decimal_exponent_past_the_cap_is_refused_before_it_is_expanded():
+    # Fraction("1e10000000") expanded the exponent in full before any check: 7.5 s,
+    # and about 17 times that per decade of exponent
+    doc = {"q": 1, "pairings": {"zetaAlpha": "1e100000000"}}
+    for call in (lambda: frac("1e100000000"), lambda: frac("-1E-100000000"),
+                 lambda: frac(f"1e{MAX_EXPONENT + 1}"),
+                 lambda: pairing_input_from_json(json.dumps(doc))):
+        start = time.perf_counter()
+        with pytest.raises(WallCrossError, match="exponent"):
+            call()
+        assert time.perf_counter() - start < 0.1
+    # an int literal past Python's int-string limit ended in a ValueError traceback
+    with pytest.raises(wallcross.SchemaError, match="invalid JSON"):
+        pairing_input_from_json(json.dumps(doc).replace('"1e100000000"', "1" * 5000))
+    assert frac(f"1e{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
+    assert frac("1e-3") == Fraction(1, 1000) and frac("3/2") == Fraction(3, 2)
+    assert frac(0.1) == Fraction(1, 10)
 
 
 def test_a_surface_takes_an_integral_q_only():

@@ -72,7 +72,7 @@ def test_delta_l0_q0_single_term_shape():
         wall = WallGeometry.build(p1=-(d + 3), q=0, zeta2=-(d + 3),
                                   zetaK=(d + 3) % 2)
         pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za)
-        expected = (wall.sign_wall() * (-1) ** ((r + d) % 2)
+        expected = (wall.sign_wall * (-1) ** ((r + d) % 2)
                     * Fraction(2) ** (-d) * Fraction(za) ** (d - 2 * r))
         assert delta_l0(wall, pr, r, 1).value == expected
 
@@ -130,7 +130,7 @@ def test_delta_sign_oddness_and_polynomial_degree():
     flipped = WallGeometry.build(p1=-1, q=1, zeta2=-1, zetaK=1,
                                  zetaW=-1, w2=-5, wK=3)  # u2 = -1 -> eps flips
     pr = Pairings(zeta2=-1, zetaK=1, zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1)
-    assert wall.sign_wall() == -flipped.sign_wall()
+    assert wall.sign_wall == -flipped.sign_wall
     assert delta_l0(wall, pr, 0, 1).value == -delta_l0(flipped, pr, 0, 1).value
     # finite differences: degree in zeta.alpha is at most d - 2r
     wall5 = WallGeometry.build(p1=-8, q=0, zeta2=-8, zetaK=0)
@@ -145,7 +145,7 @@ def test_delta_sign_oddness_and_polynomial_degree():
     wall_l1 = WallGeometry.build(p1=-8, q=0, zeta2=-4, zetaK=0)
     flip_l1 = WallGeometry.build(p1=-8, q=0, zeta2=-4, zetaK=0,
                                  zetaW=-4, w2=-8, wK=2)
-    assert wall_l1.sign_wall() == -flip_l1.sign_wall()
+    assert wall_l1.sign_wall == -flip_l1.sign_wall
     vals1 = []
     for za in range(0, wall_l1.d + 3):
         pr1 = Pairings(zeta2=-4, zetaK=0, zetaAlpha=za, K2=8, alpha2=-1)
@@ -289,7 +289,7 @@ def test_delta_leading_matches_l0_tail_terms():
                              * comb0(s, b) * pow0(Fraction(za), s - b)
                              * pow0(Fraction(3), b) * pow0(Fraction(2), q - b))
                 lead = delta_leading(wall, pr, r)
-                assert lead.value == wall.sign_wall() * tail
+                assert lead.value == wall.sign_wall * tail
                 assert lead.modulus_exponent == d - 2 * r - q + 2
 
 
@@ -349,7 +349,7 @@ def _fraction_delta_l0(wall, pairings, r, vol):
             continue
         total += (sign * Fraction(2) ** (3 * q - b - d) * math.perm(q, b) * c
                   * pow0(za, s - b) * pow0(sa, b) * pow0(sz, q - b))
-    return wall.sign_wall() * total * Fraction(vol)
+    return wall.sign_wall * total * Fraction(vol)
 
 
 def _fraction_delta_l0_odd(wall, model, word):
@@ -372,7 +372,7 @@ def _fraction_delta_l0_odd(wall, model, word):
                   * fz / math.factorial(idx)
                   * pow0(za, s - j) * pow0(sa, j)
                   * pow0(sz, q + (b_cnt - a_cnt) // 2 - j))
-    return wall.sign_wall() * total
+    return wall.sign_wall * total
 
 
 def _fraction_delta_l1(wall, pairings, r, vol):
@@ -390,7 +390,7 @@ def _fraction_delta_l1(wall, pairings, r, vol):
                  + 8 * pow0(za, s - b - 2) * pairings.alpha2 * comb0(s, b + 2) * comb0(b + 2, 2))
         total += (sign * Fraction(2) ** (3 * q - b - d) * group
                   * pow0(sa, b) * pow0(sz, q - b) * math.perm(q, b))
-    return wall.sign_wall() * total * Fraction(vol)
+    return wall.sign_wall * total * Fraction(vol)
 
 
 
@@ -405,7 +405,7 @@ def _fraction_delta_leading(wall, pairings, r, vol):
     first = pow0(a, m) * fact / math.factorial(m) * pow0(a2, l) * pow0(sa, q)
     second = (4 * pow0(a, m + 1) * fact * q / math.factorial(m + 1)
               * pow0(a2, l) * pow0(sa, q - 1) * sz) if q >= 1 else Fraction(0)
-    return wall.sign_wall() * sign * Fraction(2) ** (q - 2 * r) * (first + second) * Fraction(vol)
+    return wall.sign_wall * sign * Fraction(2) ** (q - 2 * r) * (first + second) * Fraction(vol)
 
 # non-integral pairings, zeros and both signs of each
 ZA = (Fraction(3, 2), -2, 0)
@@ -423,7 +423,7 @@ def _walls(q, d, l=0):
     walls = [WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK),
              WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK,
                                 zetaW=zeta2, w2=zeta2 - 4, wK=zetaK - 2)]
-    assert {w.sign_wall() for w in walls} == {1, -1}
+    assert {w.sign_wall for w in walls} == {1, -1}
     return walls
 
 

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from wallcross import PairingInput, Pairings, PreconditionError, build_model
 from wallcross.errors import ModelMismatchError
-from wallcross.graded import (_ZERO, SIGMA, GradedElement, exp_truncated, integrate,
-                              integrate_forms, integrate_jacobian, integrate_product,
-                              integration_index, integration_pairs, inverse_unit_series)
+from wallcross.graded import (_ZERO, EVEN_SYMBOLS, PAIRING_FIELDS, SIGMA, GradedElement,
+                              exp_truncated, integrate, integrate_forms, integrate_jacobian,
+                              integrate_product, integration_index, integration_pairs,
+                              inverse_unit_series)
+from wallcross.jacobian import PAIRING_KEYS
 from wallcross.verify import monomial_basis, random_even_element
 
 from conftest import make_model
@@ -342,7 +344,7 @@ def test_with_pairings_matches_a_fresh_model():
     for pairs in (dict(sigmaZeta=3, alpha2=Fraction(-1, 2)), dict(K2=-4, sigmaK=5)):
         fresh = make_model(q=2, blocks=(2, 3), **pairs)
         swapped = base.with_pairings(fresh.pairings)
-        assert swapped.pairings is fresh.pairings and swapped._gram == fresh._gram
+        assert swapped.pairings is fresh.pairings
         assert swapped.omega_pow(1).model is swapped
         assert swapped.a_matrix is base.a_matrix and swapped._s_table is not base._s_table
         for p in range(3):
@@ -356,10 +358,14 @@ def test_with_pairings_matches_a_fresh_model():
             assert dict((x * y).terms) == dict((fx * fy).terms)
             nonzero += not (x * y).is_zero()
     assert nonzero >= 10
-    # the Gram a model reads is its pairings' own: both orders of each pair alike
-    gram = swapped._gram
-    assert len(gram) == 16 and gram[(SIGMA, SIGMA)] == 0
-    assert all(gram[(s2, s1)] is v for (s1, s2), v in gram.items())
+    # a model reads its pairings' own fields: both orders of each pair alike, each
+    # of the nine fields once, and Sigma.Sigma = 0
+    pairs = [(s1, s2) for s1 in EVEN_SYMBOLS for s2 in EVEN_SYMBOLS]
+    assert set(PAIRING_FIELDS) == set(pairs) and PAIRING_FIELDS[SIGMA, SIGMA] is None
+    assert {PAIRING_FIELDS[p] for p in pairs} - {None} == set(PAIRING_KEYS)
+    for s1, s2 in pairs:
+        assert swapped.pair(s1, s2) is swapped.pair(s2, s1)
+    assert swapped.pair(SIGMA, SIGMA) == 0
     assert swapped.pair("K", SIGMA) == 5 and swapped.pair("K", "K") == -4
 
 

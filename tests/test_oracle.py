@@ -581,7 +581,7 @@ def test_w_variants_of_an_l1_wall_share_one_table(monkeypatch):
     assert all(_table(model, wall) is _table(model, walls[0]) for wall in walls)
     assert values == [_fresh(q, blocks, pr, wall, InsertionWord(r=r, s=wall.d - 2 * r))
                       for wall in walls for r in (0, 1)]
-    assert all(values) and len({wall.sign_complex() for wall in walls}) == 2
+    assert all(values) and len({wall.sign_complex for wall in walls}) == 2
     assert len(set(values)) == 4
 
 
@@ -637,7 +637,7 @@ def _expanded_value(model, wall, word):
             substitute = sum((segre_from_ch(data, n - low) for data in datas), model.zero())
             total += (-1) ** (n - wall.n_minus) * (integrate if l1 else integrate_jacobian)(
                 c * substitute)
-    return wall.sign_complex() * total
+    return wall.sign_complex * total
 
 
 def test_a_word_is_its_prefix_times_the_alpha_power():

@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from wallcross import delta, verify
-from wallcross.graded import SIGMA
+from wallcross import delta, verify, walls
+from wallcross.graded import SIGMA, ModelSpec
 
 SMALL = verify.Grid(q_max=1, d_max=5, r_max=1, pair_bound=1, sweep_bound=6)
 
@@ -50,7 +50,15 @@ def _doubled(fn):
     return lambda *args: fn(*args) * 2
 
 
-# (check, module the check looks the name up in, that name, mutant of it)
+def _sigma_zeta_for_sigma_k(fn):
+    def mutant(model, s1, s2):
+        return fn(model, SIGMA, "zeta") if {s1, s2} == {SIGMA, "K"} else fn(model, s1, s2)
+    return mutant
+
+
+# (check, module or class the name is looked up in, that name, mutant of it); the
+# last two fault a fact at its one source: the pairing field ``ModelSpec.pair``
+# reads, and the complex-orientation sign that a wall keeps in its field
 MUTANTS = [
     ("identities", verify, "wall_sign", _negated),
     ("identities", verify, "wall_params", _n_plus_off_by_one),
@@ -64,6 +72,8 @@ MUTANTS = [
     ("scale", delta, "delta_oracle_l0", _shifted(_sigma_k)),
     ("simple-type", delta, "delta_l1", _shifted(_one)),
     ("component-branch", verify, "delta_oracle_l0", _shifted(_sigma_k)),
+    ("component-branch", ModelSpec, "pair", _sigma_zeta_for_sigma_k),
+    ("oracle-l0", walls, "complex_orientation_sign", _negated),
 ]
 
 

@@ -110,4 +110,4 @@ def test_wall_geometry_w_validation():
         zu, u2, uk = variant
         wall = WallGeometry.build(p1=-4, q=2, zeta2=-4, zetaK=4, zetaW=-4 - 2 * zu,
                                   w2=-4 - 4 * zu + 4 * u2, wK=4 - 2 * uk)
-        assert wall.sign_wall() == (-1) ** (u2 % 2)
+        assert wall.sign_wall == (-1) ** (u2 % 2)

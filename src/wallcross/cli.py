@@ -172,11 +172,9 @@ def _report(results, meta) -> int:
 # the verification grids are imported only by the two commands that run them,
 # so params, delta and walls neither compile nor load them
 def cmd_verify(opts) -> int:
-    from .verify import Grid, parse_grid, run_checks
-    grid = parse_grid(opts.grid) if opts.grid else Grid(q_max=2, d_max=6, r_max=1,
-                                                        pair_bound=2, sweep_bound=12)
+    from .verify import parse_grid, run_checks
     properties = opts.property.split(",") if opts.property else None
-    return _report(run_checks(grid, properties=properties), opts.meta)
+    return _report(run_checks(parse_grid(opts.grid), properties=properties), opts.meta)
 
 
 def cmd_selftest(opts) -> int:

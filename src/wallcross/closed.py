@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chern import ChernData, hessenberg_det, segre_from_ch
 from .errors import InvariantError, PreconditionError, RegimeError
-from .graded import SIGMA, GradedElement, ModelSpec, exact_count, frac
+from .graded import GradedElement, ModelSpec, exact_count, frac
 from .jacobian import InsertionWord, Pairings, e_zeta, jacobian_odd_integral
 from .walls import WallGeometry
 
@@ -70,51 +70,44 @@ def _closed_value(num, den, shift, path="closed-form", modulus_exponent=None) ->
     return DeltaValue(Fraction(num, den), path, modulus_exponent)
 
 
-def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
-    """Wall-crossing term for l_zeta = 0 on the word x^r alpha^(d-2r):
+def _l0_closed(wall, pairings, r, s, p, b, fz) -> DeltaValue:
+    """The l_zeta = 0 term of x^r alpha^s c, c an odd part of b degree-1 insertions with
+    functional F = fz and p = q - (odd count)/2: eps (-1)^(r+d+b) 2^(3q-d-b) F/p!
+    sum_j 2^(-j) C(s, j) p!/(p-j)! (zeta.alpha)^(s-j) (Sigma.alpha)^j (Sigma.zeta)^(p+b-j)."""
+    if not fz:
+        return DeltaValue(Fraction(0), "closed-form")
+    num, den = _l0_sum(s, p, p + b, pairings.zetaAlpha, pairings.sigmaAlpha, pairings.sigmaZeta)
+    sign = -wall.sign_wall if (r + wall.d + b) % 2 else wall.sign_wall
+    return _closed_value(sign * num * fz.numerator, den * fz.denominator * math.factorial(p),
+                         3 * wall.q - wall.d - b)
 
-    eps (-1)^(r+d) vol sum_b 2^(3q-b-d) q!/(q-b)! C(d-2r, b)
-    (zeta.alpha)^(d-2r-b) (Sigma.alpha)^b (Sigma.zeta)^(q-b).
-    """
+
+def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
+    """Wall-crossing term for l_zeta = 0 on the word x^r alpha^(d-2r): the l = 0 sum
+    with F = q! vol.  ``evaluate`` prices every l = 0 word through ``delta_l0_odd``."""
     r = exact_count(r, "the multiplicity r")
     if wall.l_zeta != 0:
         raise RegimeError(f"delta_l0 needs l_zeta = 0, got {wall.l_zeta}")
-    d, q = wall.d, wall.q
-    num, den = _l0_sum(d - 2 * r, q, q, pairings.zetaAlpha, pairings.sigmaAlpha,
-                       pairings.sigmaZeta)
-    sign = -wall.sign_wall if (r + d) % 2 else wall.sign_wall
-    vol = frac(vol)
-    return _closed_value(sign * num * vol.numerator, den * vol.denominator, 3 * q - d)
+    return _l0_closed(wall, pairings, r, wall.d - 2 * r, wall.q, 0,
+                      frac(vol) * math.factorial(wall.q))
 
 
 def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> DeltaValue:
-    """Wall-crossing term for l_zeta = 0 on a word with odd-degree insertions.
-
-    The sum over j of the degree-3/degree-1 insertion formula, with the
-    functional F evaluated in the ring.  Terms whose factorial argument
-    q - (a+b)/2 - j is negative are zero.  Words of odd total odd-count
-    give zero (F kills them).
-    """
+    """Wall-crossing term for l_zeta = 0 on any word: the l = 0 sum with F, the
+    functional on the word's odd part, evaluated in the ring (F = q! vol for
+    x^r alpha^s).  Terms with q - (a+b)/2 - j < 0 are zero, and so are words
+    of odd odd-count (F kills them)."""
     if wall.l_zeta != 0:
         raise RegimeError(f"delta_l0_odd needs l_zeta = 0, got {wall.l_zeta}")
     wall.require_q(model.q)
-    a_cnt, b_cnt = len(word.gammas), len(word.threes)
-    if (a_cnt + b_cnt) % 2:
+    odd_count, b_cnt = word.odd_count(), len(word.threes)
+    if odd_count % 2:
         return DeltaValue(Fraction(0), "closed-form")
-    d, q = wall.d, wall.q
-    if word.degree() != 2 * d:
+    if word.degree() != 2 * wall.d:
         raise PreconditionError(
-            f"word degree {word.degree()} does not match 2d = {2 * d}")
-    fz = jacobian_odd_integral(model, word.gammas, word.threes)
-    if fz == 0:
-        return DeltaValue(Fraction(0), "closed-form")
-    # with p = q - (a+b)/2: 2^(3q-d-b-j) C(s, j) F / (p-j)! za^(s-j) sa^j sz^(p+b-j)
-    p = q - (a_cnt + b_cnt) // 2
-    num, den = _l0_sum(word.s, p, p + b_cnt, model.pair("zeta", "alpha"),
-                       model.pair(SIGMA, "alpha"), model.pair(SIGMA, "zeta"))
-    sign = -wall.sign_wall if (word.r + d + b_cnt) % 2 else wall.sign_wall
-    return _closed_value(sign * num * fz.numerator,
-                         den * fz.denominator * math.factorial(p), 3 * q - d - b_cnt)
+            f"word degree {word.degree()} does not match 2d = {2 * wall.d}")
+    return _l0_closed(wall, model.pairings, word.r, word.s, wall.q - odd_count // 2, b_cnt,
+                      jacobian_odd_integral(model, word.gammas, word.threes))
 
 
 def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:

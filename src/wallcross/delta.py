@@ -8,7 +8,7 @@ independent routes; this module only chooses between them.
 
 from __future__ import annotations
 
-from .closed import DeltaValue, delta_l0, delta_l0_odd, delta_l1, delta_leading
+from .closed import DeltaValue, delta_l0_odd, delta_l1, delta_leading
 from .errors import PreconditionError, RegimeError
 from .graded import ModelSpec
 from .jacobian import InsertionWord, volume
@@ -53,18 +53,13 @@ def evaluate(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
             raise PreconditionError("the leading terms cover words x^r alpha^s only")
         return (delta_leading(wall, model.pairings, word.r, volume(model)),)
     if l_zeta == 0:
-        if path == "oracle":
-            return (delta_oracle_l0(model, wall, word),)
-        closed = (delta_l0_odd(wall, model, word) if odd
-                  else delta_l0(wall, model.pairings, word.r, volume(model)))
-        return (closed,) if path == "closed" else (closed, delta_oracle_l0(model, wall, word))
+        closed = () if path == "oracle" else (delta_l0_odd(wall, model, word),)
+        return closed if path == "closed" else (*closed, delta_oracle_l0(model, wall, word))
     if odd:
         raise RegimeError("odd insertions are only evaluated exactly at l_zeta = 0")
     if l_zeta >= 2:
         raise RegimeError(
             f"no exact evaluation for l_zeta = {l_zeta} >= 2 (Hilbert-scheme "
             'cohomology not modeled); the "leading" path gives the two leading terms')
-    if path == "oracle":
-        return (delta_oracle_l1(model, wall, word.r),)
-    closed = delta_l1(wall, model.pairings, word.r, volume(model))
-    return (closed,) if path == "closed" else (closed, delta_oracle_l1(model, wall, word.r))
+    closed = () if path == "oracle" else (delta_l1(wall, model.pairings, word.r, volume(model)),)
+    return closed if path == "closed" else (*closed, delta_oracle_l1(model, wall, word.r))

@@ -86,6 +86,15 @@ def s_mixed(i, sym):
     return (3, (i, sym))
 
 
+def _shown(x) -> str:
+    """``x`` for an error message: its repr (a Fraction num/den), past 48 characters cut."""
+    try:
+        text = str(x) if isinstance(x, Fraction) else repr(x)
+    except ValueError:  # an int past Python's limit on the digits of an int as text
+        return f"a {type(x).__name__} too long to print"
+    return text if len(text) <= 48 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def frac(x) -> Fraction:
     """Coerce an int / str / Fraction / float into an exact rational: the
     package's one number rule.
@@ -98,14 +107,15 @@ def frac(x) -> Fraction:
     if type(x) is Fraction:  # the common case, before Fraction's ABC checks
         return x
     if isinstance(x, bool):
-        raise PreconditionError(f"{x!r} is not an exact rational number")
+        raise PreconditionError(f"{_shown(x)} is not an exact rational number")
     try:
         if isinstance(x, str) and "e" in x.lower():  # its exponent, before Fraction expands it
             if abs(int(x.lower().rpartition("e")[2])) > MAX_EXPONENT:
-                raise PreconditionError(f"the exponent of {x!r} exceeds {MAX_EXPONENT} in size")
+                raise PreconditionError(
+                    f"the exponent of {_shown(x)} exceeds {MAX_EXPONENT} in size")
         return Fraction(float.__repr__(x) if isinstance(x, float) else x)
     except (ArithmeticError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"{x!r} is not an exact rational number") from exc
+        raise PreconditionError(f"{_shown(x)} is not an exact rational number") from exc
 
 
 def exact_int(x, what) -> int:
@@ -118,9 +128,9 @@ def exact_int(x, what) -> int:
     try:
         f = frac(x)
     except PreconditionError:
-        raise PreconditionError(f"{what} must be an integer, got {x!r}") from None
+        raise PreconditionError(f"{what} must be an integer, got {_shown(x)}") from None
     if f.denominator != 1:
-        raise PreconditionError(f"{what} must be an integer, got {f}")
+        raise PreconditionError(f"{what} must be an integer, got {_shown(f)}")
     return f.numerator
 
 
@@ -137,7 +147,7 @@ def exact_tuple(xs, coerce, what) -> tuple:
     """``coerce`` of each entry of the sequence ``xs``, as a tuple; a value that
     is no sequence (None, a number, a string) raises PreconditionError."""
     if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
-        raise PreconditionError(f"{what} must be a sequence, got {xs!r}")
+        raise PreconditionError(f"{what} must be a sequence, got {_shown(xs)}")
     return tuple(coerce(x) for x in xs)
 
 

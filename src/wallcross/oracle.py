@@ -38,13 +38,14 @@ from .jacobian import InsertionWord, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
 
-def ch_extension_bundles(model: ModelSpec, wall: WallGeometry, l_zeta, k):
-    """Chern data of the stratum pair (E_zeta^{l-k,k}, E_{-zeta}^{k,l-k}).
+def ch_extension_bundles(model: ModelSpec, wall: WallGeometry, k):
+    """Chern data of the stratum pair (E_zeta^{l-k,k}, E_{-zeta}^{k,l-k}), l the wall's l_zeta.
 
     Returned un-dualized; ranks follow the wall's h-values.  Only
     l_zeta in {0, 1} is supported: the larger strata live over Hilbert
     schemes of >= 2 points, whose cohomology this model does not carry.
     """
+    l_zeta = wall.l_zeta
     if l_zeta not in (0, 1):
         raise RegimeError(
             "extension-bundle Chern data requires l_zeta in {0, 1}: larger strata "
@@ -92,7 +93,7 @@ def _x_table(model, wall):
     table = model.cache.get(key)
     if table is None:
         low = wall.n_plus + wall.n_minus + 1
-        pairs = [ch_extension_bundles(model, wall, 1, k) for k in (0, 1)]
+        pairs = [ch_extension_bundles(model, wall, k) for k in (0, 1)]
         datas = [ch_direct_sum(ch_plus, ch_dual(ch_minus)) for ch_plus, ch_minus in pairs]
         table = {}
         for n in range(max(low, 0), wall.d + 1):

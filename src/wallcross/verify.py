@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .chern import (ChernData, ch_direct_sum, ch_dual, chern_from_ch,
                     segre_from_ch, total_chern)
-from .closed import (delta_l0, delta_l0_odd, delta_l1, delta_leading,
-                     segre_det_closed, segre_det_determinant,
+from .closed import (delta_l0_odd, segre_det_closed, segre_det_determinant,
                      segre_det_recursive, segre_sum_closed)
 from .delta import evaluate
 from .errors import InvalidWallError, SchemaError
@@ -54,13 +53,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Grid:
-    """Bounds for the verification grids (CLI --grid syntax: "q=0..3,d<=8,r<=2,pair<=3,sweep<=20")."""
+    """The verification grids' bounds, by default the CLI's: "q<=2,d<=6,r<=1,pair<=2,sweep<=12"."""
 
-    q_max: int = 3
-    d_max: int = 8
-    r_max: int = 2
-    pair_bound: int = 3
-    sweep_bound: int = 20
+    q_max: int = 2
+    d_max: int = 6
+    r_max: int = 1
+    pair_bound: int = 2
+    sweep_bound: int = 12
 
 
 def parse_grid(text) -> Grid:
@@ -71,7 +70,8 @@ def parse_grid(text) -> Grid:
               "sweep": "sweep_bound"}
     starts = {"q": 0, "d": 1, "r": 0}  # where each grid begins; pair and sweep run from -bound
     least = dict(starts, pair=0, sweep=1)  # the smallest bound whose grid holds a point
-    most = {"q": 3}  # the sweeps know the a_ij blocks of q <= 3 only
+    # the sweeps know the a_ij blocks of q <= 3 only; all keys at their caps take ~30 s
+    most = {"q": 3, "d": 16, "pair": 5, "sweep": 40}
     for clause in text.split(","):
         clause = clause.strip()
         if not clause:
@@ -317,7 +317,7 @@ def check_model_axioms(grid):
 
 @_check("oracle-l0")
 def check_oracle_l0(grid):
-    """delta_oracle_l0 == delta_l0 on the full l=0 verification grid."""
+    """delta_oracle_l0 == delta_l0_odd on the full l=0 verification grid."""
     pairs = _pair_range(grid.pair_bound)
     for q in range(grid.q_max + 1):
         j_sides = {blocks: _j_side(q, blocks) for blocks in _blocks_for_q(q)}
@@ -522,10 +522,8 @@ def check_segre(grid):
             wall = wall_with_variant(zeta2 - 4, model.q, zeta2, model.pair("zeta", "K"))
         except InvalidWallError:
             continue
-        datas = []
-        for k in (0, 1):
-            ch_p, ch_m = ch_extension_bundles(model, wall, 1, k)
-            datas.append(ch_direct_sum(ch_p, ch_dual(ch_m)))
+        datas = [ch_direct_sum(ch_p, ch_dual(ch_m))
+                 for ch_p, ch_m in (ch_extension_bundles(model, wall, k) for k in (0, 1))]
         ks = model.even("K")
         four_ez = -2 * model.pair(SIGMA, "zeta") * 4 * model.omega_class()
         for n in range(n_max + 1):
@@ -547,6 +545,7 @@ def check_segre(grid):
 @_check("leading-congruence")
 def check_leading(grid):
     """delta minus delta_leading is divisible by a^(d-2r-2l-q+2), by interpolation."""
+    j_sides = {q: _j_side(q) for q in (0, 1, 2)}  # vol = 1
     for q, l, r, extra in itertools.product((0, 1, 2), (0, 1), (0, 1), (0, 1, 2)):
         d = 2 * r + 2 * l + q + extra
         zeta2 = -(d + 3 * (1 - q)) + 4 * l
@@ -557,21 +556,22 @@ def check_leading(grid):
         except IndexError:
             continue
         wall = wall_with_variant(zeta2 - 4 * l, q, zeta2, zetaK)
+        word = InsertionWord(r=r, s=d - 2 * r)
         base = dict(zeta2=zeta2, zetaK=zetaK, sigmaZeta=2, sigmaAlpha=1,
                     sigmaK=0, K2=8, Kalpha=0, alpha2=-2)
         xs = [Fraction(k) for k in range(1, d - 2 * r + 3)]
         ys = []
         for a_val in xs:
-            pr = Pairings(zetaAlpha=2 * a_val, **base)
-            exact = delta_l0(wall, pr, r) if l == 0 else delta_l1(wall, pr, r)
-            lead = delta_leading(wall, pr, r)
+            model = j_sides[q].with_pairings(Pairings(zetaAlpha=2 * a_val, **base))
+            exact, lead = (evaluate(model, wall, word, path)[0] for path in ("closed", "leading"))
             ys.append(exact.value - lead.value)
         low = poly_coeffs(xs, ys)[:lead.modulus_exponent]
         yield (low, [0] * len(low),
                lambda: f"q={q} l={l} r={r} d={d}: the coefficients of a^0..a^"
                        f"{lead.modulus_exponent - 1} should vanish")
         if d - 2 * r - 2 * l - q > 0:
-            yield (delta_leading(wall, Pairings(zetaAlpha=0, **base), r).value, 0,
+            at_zero = j_sides[q].with_pairings(Pairings(zetaAlpha=0, **base))
+            yield (evaluate(at_zero, wall, word, "leading")[0].value, 0,
                    lambda: f"leading value at a=0 not zero (q={q} l={l} r={r} d={d})")
 
 

@@ -150,11 +150,39 @@ def test_surface_document_without_q(tmp_path, capsys):
 def test_grid_lower_bounds():
     grid = parse_grid("q=0..2,d=1..5,r=0..1,pair=-2..2")
     assert (grid.q_max, grid.d_max, grid.r_max, grid.pair_bound) == (2, 5, 1, 2)
-    # the sweeps know a_ij blocks for q <= 3 only: q<=4 ended in a KeyError traceback
+    # the sweeps know a_ij blocks for q <= 3 only: q<=4 ended in a KeyError traceback;
+    # sweep<=60 ran for a minute and sweep<=1000 never returned
     for text in ("q=2..1", "q=1..3", "d=2..8", "r=1..2", "pair=1..3", "q=x..3",
-                 "q<=-1", "d<=0", "r<=-1", "pair<=-1", "sweep<=0", "sweep<=-3", "q<=4"):
+                 "q<=-1", "d<=0", "r<=-1", "pair<=-1", "sweep<=0", "sweep<=-3", "q<=4",
+                 "d<=17", "pair<=6", "sweep<=41", "sweep<=1000", "pair=-10..10"):
         with pytest.raises(SchemaError):
             parse_grid(text)
+    at_caps = parse_grid("q<=3,d<=16,r<=8,pair<=5,sweep<=40")
+    assert at_caps == verify.Grid(3, 16, 8, 5, 40)
+
+
+def test_one_default_grid():
+    # a clause adjusts only the key it names: "q<=2" restates the default q, and
+    # ran 465,875 points where no --grid ran 86,399
+    assert parse_grid("q<=2") == parse_grid("") == parse_grid(None) == verify.Grid()
+    assert parse_grid("d<=4") == verify.Grid(d_max=4)
+
+
+def test_a_long_number_makes_a_short_error_line(tmp_path, capsys):
+    # the whole 5,000-digit value was printed: a 5,068-character error line
+    doc = dict(L0_DOC, pairings=dict(L0_DOC["pairings"], zetaAlpha="1" * 4999 + "x"))
+    path = _write(tmp_path, "long.json", doc)
+    code, out, err = _run(capsys, "--command", "params", "--input", path)
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (1, "", 1)
+    assert lines[0].startswith("error: ") and len(lines[0]) < 200, lines[0]
+    assert "(5002 characters)" in lines[0]
+    # a wall input whose exact value has more digits than an int may print as
+    # text ended in a ValueError traceback
+    path = _write(tmp_path, "p1.json", dict(L0_DOC, wall={"p1": "1.5e-4300"}))
+    code, out, err = _run(capsys, "--command", "params", "--input", path)
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith("error: ") and "too long to print" in err
 
 
 def test_output_determinism_and_format_parity(tmp_path, capsys):

@@ -6,15 +6,18 @@ from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from wallcross import (InsertionWord, InvariantError, Pairings, PreconditionError, RegimeError,
-                       WallGeometry)
+                       WallGeometry, volume)
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
 from wallcross.closed import (DeltaValue, _l0_sum, delta_l0, delta_l0_odd, delta_l1,
                               delta_leading, segre_det_closed, segre_det_determinant,
                               segre_det_recursive, segre_sum_closed)
 from wallcross.jacobian import e_alpha, e_zeta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles
+from wallcross.verify import valid_zeta_k
 
 from conftest import make_model
 
@@ -83,6 +86,43 @@ def test_delta_l0_odd_reduces_to_plain_word():
     pr = Pairings(zeta2=-1, zetaK=1, zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1)
     word = InsertionWord(r=0, s=wall.d)
     assert delta_l0_odd(wall, model, word).value == delta_l0(wall, pr, 0, 1).value
+
+
+# small rationals, zero twice as likely as any other value
+SMALL = st.sampled_from((0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+
+
+@st.composite
+def l0_walls_and_models(draw):
+    """An l = 0 wall of q <= 4 and a model over it: block or a_matrix J-side, either
+    possibly degenerate (fewer blocks than q, zero matrix entries), rational pairings."""
+    q, zeta2 = draw(st.integers(0, 4)), draw(st.integers(-10, -1))
+    zeta_ks = valid_zeta_k(q, zeta2, 0)
+    assume(zeta_ks)
+    wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=draw(st.sampled_from(zeta_ks)))
+    pairings = dict(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=draw(SMALL), sigmaZeta=draw(SMALL),
+                    sigmaAlpha=draw(SMALL), sigmaK=draw(SMALL))
+    if draw(st.booleans()):
+        blocks = tuple(draw(st.lists(SMALL.filter(bool), max_size=q)))
+        return wall, make_model(q=q, blocks=blocks, **pairings)
+    n = 2 * q
+    upper = draw(st.lists(SMALL, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    entries = {(i, j): upper.pop() for i in range(n) for j in range(i + 1, n)}
+    matrix = tuple(tuple(entries[i, j] if i < j else -entries[j, i] if i > j else 0
+                         for j in range(n)) for i in range(n))
+    return wall, make_model(q=q, matrix=matrix, **pairings)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(l0_walls_and_models())
+def test_delta_l0_is_the_plain_word_case_of_delta_l0_odd(wall_and_model):
+    # x^r alpha^s is the word whose odd part has F = q! vol
+    wall, model = wall_and_model
+    for r in range(wall.d // 2 + 1):
+        word = InsertionWord(r=r, s=wall.d - 2 * r)
+        assert (delta_l0(wall, model.pairings, r, volume(model))
+                == delta_l0_odd(wall, model, word)), (wall, r)
 
 
 def test_delta_l0_odd_parity_and_pin():
@@ -209,7 +249,7 @@ def test_segre_sum_matches_extension_determinants():
     wall = WallGeometry.build(p1=-8, q=1, zeta2=-4, zetaK=2)
     datas = []
     for k in (0, 1):
-        ch_p, ch_m = ch_extension_bundles(m, wall, 1, k)
+        ch_p, ch_m = ch_extension_bundles(m, wall, k)
         datas.append(ch_direct_sum(ch_p, ch_dual(ch_m)))
     for n in range(6):
         det_sum = segre_from_ch(datas[0], n) + segre_from_ch(datas[1], n)
@@ -251,7 +291,7 @@ def test_leading_insertion_classes_l1_against_ring():
     def ring_sjb(j, b):
         total = m.zero()
         for k in (0, 1):
-            ch_p, ch_m = ch_extension_bundles(m, wall, 1, k)
+            ch_p, ch_m = ch_extension_bundles(m, wall, k)
             data = ch_direct_sum(ch_p, ch_dual(ch_m))
             total = total + alpha_s ** j * ea ** b * segre_from_ch(data, 2 - j + 1 - b)
         return total

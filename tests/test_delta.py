@@ -105,16 +105,21 @@ def test_every_path_prices_the_pairings_of_its_model():
     assert [v.value for v in evaluate(moved, wall, word)] == [-14, -14]
 
 
-def test_volume_only_on_closed_and_leading_paths(monkeypatch):
+def test_volume_only_on_the_leading_and_l1_closed_paths(monkeypatch):
+    # every l = 0 word goes through delta_l0_odd, whose F reads no volume, and
+    # evaluate has no delta_l0 to call
+    assert not hasattr(delta, "delta_l0")
     calls = []
     volume = delta.volume
     monkeypatch.setattr(delta, "volume", lambda model: calls.append(1) or volume(model))
-    word = InsertionWord(s=2)
-    evaluate(*L0, word, "oracle")
-    evaluate(*L0, InsertionWord(gammas=(0,), threes=(1,)), "closed")
+    for word in (InsertionWord(s=2), InsertionWord(r=1),
+                 InsertionWord(gammas=(0,), threes=(1,))):
+        for path in ("auto", "closed", "oracle"):
+            evaluate(*L0, word, path)
     assert calls == []
-    evaluate(*L0, word, "closed")
-    evaluate(*L0, word, "leading")
+    evaluate(*L0, InsertionWord(s=2), "leading")
+    assert len(calls) == 1
+    evaluate(*L1, InsertionWord(r=1, s=6), "closed")
     assert len(calls) == 2
 
 

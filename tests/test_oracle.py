@@ -38,22 +38,27 @@ def _data_element(data):
 def test_extension_rank_bookkeeping():
     wall, model = _wall_and_model()
     for k in (0, 1):
-        ch_p, ch_m = ch_extension_bundles(model, wall, 1, k)
+        ch_p, ch_m = ch_extension_bundles(model, wall, k)
         assert ch_p.rank == 1 + wall.h_plus + wall.q
         assert ch_m.rank == 1 + wall.h_minus + wall.q
     wall0, model0 = _wall_and_model(l=0)
-    ch_p, ch_m = ch_extension_bundles(model0, wall0, 0, 0)
+    ch_p, ch_m = ch_extension_bundles(model0, wall0, 0)
     assert ch_p.rank == wall0.h_plus + wall0.q
     assert ch_m.rank == wall0.h_minus + wall0.q
+    # l is the wall's own: an l = 2 wall is refused, and k runs over 0..l
+    wall2, model2 = _wall_and_model(l=2)
+    assert wall2.l_zeta == 2
     with pytest.raises(RegimeError):
-        ch_extension_bundles(model, wall, 2, 0)
+        ch_extension_bundles(model2, wall2, 0)
     with pytest.raises(PreconditionError):
-        ch_extension_bundles(model, wall, 1, 2)
+        ch_extension_bundles(model, wall, 2)
+    with pytest.raises(PreconditionError):
+        ch_extension_bundles(model0, wall0, 1)
 
 
 def test_l0_pair_chern_character():
     wall, model = _wall_and_model(l=0)
-    ch_p, ch_m = ch_extension_bundles(model, wall, 0, 0)
+    ch_p, ch_m = ch_extension_bundles(model, wall, 0)
     pair = ch_direct_sum(ch_p, ch_dual(ch_m))
     assert pair.rank == -wall.zeta2 + 2 * wall.q - 2
     assert pair.a_i(1) == -4 * e_zeta(model)
@@ -68,7 +73,7 @@ def test_l1_pair_matches_displayed_character():
         wall, model = _wall_and_model(q=q)
         zs, ks = model.even("zeta"), model.even("K")
         uni = model.universal_class()
-        ch_p, ch_m = ch_extension_bundles(model, wall, 1, 0)
+        ch_p, ch_m = ch_extension_bundles(model, wall, 0)
         lhs = _data_element(ch_direct_sum(ch_p, ch_dual(ch_m)))
         two_e = 2 * uni
         rhs = (model.scalar(-wall.zeta2 + 2 * q - 2) - 4 * e_zeta(model)
@@ -77,7 +82,7 @@ def test_l1_pair_matches_displayed_character():
                + ks * (model.one() + two_e + 2 * uni * uni))
         assert lhs == rhs
         # the k = 1 pair is the K -> -K mirror
-        ch_p1, ch_m1 = ch_extension_bundles(model, wall, 1, 1)
+        ch_p1, ch_m1 = ch_extension_bundles(model, wall, 1)
         lhs1 = _data_element(ch_direct_sum(ch_p1, ch_dual(ch_m1)))
         rhs1 = (model.scalar(-wall.zeta2 + 2 * q - 2) - 4 * e_zeta(model)
                 + 2 * exp_truncated(zs) * exp_truncated(two_e)
@@ -93,9 +98,9 @@ def test_stratum_segre_sum_is_even_in_k():
     for n in range(0, 5):
         total, total_f = model.zero(), flipped.zero()
         for k in (0, 1):
-            ch_p, ch_m = ch_extension_bundles(model, wall, 1, k)
+            ch_p, ch_m = ch_extension_bundles(model, wall, k)
             total = total + segre_from_ch(ch_direct_sum(ch_p, ch_dual(ch_m)), n)
-            fh_p, fh_m = ch_extension_bundles(flipped, wall, 1, k)
+            fh_p, fh_m = ch_extension_bundles(flipped, wall, k)
             total_f = total_f + segre_from_ch(ch_direct_sum(fh_p, ch_dual(fh_m)), n)
         # compare coefficient dictionaries across the two models
         assert dict(total.terms) == dict(total_f.terms)
@@ -240,7 +245,7 @@ def test_direct_l0_extension_data_equals_the_split_character():
             wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zetaK)
             model = make_model(q=q, blocks=blocks, zeta2=zeta2, zetaK=zetaK,
                                sigmaZeta=sigma_z, sigmaK=sigma_k)
-            direct = ch_extension_bundles(model, wall, 0, 0)
+            direct = ch_extension_bundles(model, wall, 0)
             for data, h, d_dot in ((direct[0], wall.h_plus, sigma_k - 2 * sigma_z),
                                    (direct[1], wall.h_minus, sigma_k + 2 * sigma_z)):
                 split = chern_data_from_element(model.scalar(h + q) + e_divisor(model, d_dot))
@@ -621,7 +626,7 @@ def _expanded_value(model, wall, word):
     alpha_S - e_alpha + aX."""
     l1 = wall.l_zeta == 1
     datas = [ch_direct_sum(ch_plus, ch_dual(ch_minus))
-             for ch_plus, ch_minus in (ch_extension_bundles(model, wall, wall.l_zeta, k)
+             for ch_plus, ch_minus in (ch_extension_bundles(model, wall, k)
                                        for k in range(wall.l_zeta + 1))]
     low = wall.n_plus + wall.n_minus + 1
     surface_point, surface_alpha = ((model.point(), model.even("alpha")) if l1
@@ -760,7 +765,7 @@ def test_an_l0_table_entry_is_its_full_kernel_segre_class():
                 except InvalidWallError:
                     pass
             wall = walls[0]
-            ch_plus, ch_minus = ch_extension_bundles(model, wall, 0, 0)
+            ch_plus, ch_minus = ch_extension_bundles(model, wall, 0)
             for branch, data, low in (
                     ("unified", ch_direct_sum(ch_plus, ch_dual(ch_minus)),
                      wall.n_plus + wall.n_minus + 1),

@@ -64,10 +64,11 @@ MUTANTS = [
     ("identities", verify, "wall_params", _n_plus_off_by_one),
     ("axioms", verify, "e_alpha", _with_omega),
     ("oracle-l0", delta, "delta_oracle_l0", _shifted(_sigma_k)),
+    ("oracle-l0", delta, "delta_l0_odd", _shifted(_one)),
     ("oracle-l1", delta, "delta_oracle_l1", _shifted(_sigma_k)),
     ("odd-words", verify, "delta_l0_odd", _shifted(_one)),
     ("segre", verify, "segre_det_recursive", _doubled),
-    ("leading", verify, "delta_leading", _shifted(_one)),
+    ("leading", delta, "delta_leading", _shifted(_one)),
     ("hidden-data", delta, "delta_oracle_l0", _shifted(_sigma_k)),
     ("scale", delta, "delta_oracle_l0", _shifted(_sigma_k)),
     ("simple-type", delta, "delta_l1", _shifted(_one)),

@@ -47,14 +47,16 @@ def evaluate(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     if word.degree() != 2 * d:
         raise PreconditionError(
             f"word {word.describe()} has degree {word.degree()}, not 2d = {2 * d}")
+    if l_zeta == 0 and path == "auto":
+        return delta_l0_odd(wall, model, word), delta_oracle_l0(model, wall, word)
     odd = word.gammas or word.threes
     if path == "leading":
         if odd:
             raise PreconditionError("the leading terms cover words x^r alpha^s only")
         return (delta_leading(wall, model.pairings, word.r, volume(model)),)
     if l_zeta == 0:
-        closed = () if path == "oracle" else (delta_l0_odd(wall, model, word),)
-        return closed if path == "closed" else (*closed, delta_oracle_l0(model, wall, word))
+        return (delta_oracle_l0(model, wall, word) if path == "oracle"
+                else delta_l0_odd(wall, model, word),)
     if odd:
         raise RegimeError("odd insertions are only evaluated exactly at l_zeta = 0")
     if l_zeta >= 2:

@@ -52,6 +52,10 @@ _ONE = Fraction(1)
 # alone C(q, k) terms, so a larger q is refused rather than left to run.
 MAX_Q = 12
 
+# The largest magnitude of a wall input (p1, q and the pairings of zeta, w and K),
+# 10^100: far past any priced wall, far below the 4,300 digits that printing meets
+MAX_WALL_INPUT = 10 ** 100
+
 # The largest decimal exponent a number string may carry: Fraction expands "1e<n>"
 # in full, and 4,300 digits is the default int-string limit that printing meets
 MAX_EXPONENT = 4300

@@ -223,9 +223,12 @@ class InsertionWord:
             self.threes, lambda j: exact_int(j, "an A index"), "threes"))
         if len(set(self.gammas)) != len(self.gammas) or len(set(self.threes)) != len(self.threes):
             raise PreconditionError("odd insertions may appear at most once each")
+        # kept: evaluate and both l = 0 routes check it at every point
+        object.__setattr__(self, "_degree", 4 * self.r + 2 * self.s + 3 * len(self.gammas)
+                           + len(self.threes))
 
     def degree(self) -> int:
-        return 4 * self.r + 2 * self.s + 3 * len(self.gammas) + len(self.threes)
+        return self._degree
 
     def odd_count(self) -> int:
         return len(self.gammas) + len(self.threes)

@@ -189,24 +189,29 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     # the word is (-1/4)^r c X^(|gamma| + 2r) (-e_alpha + aX)^s, whose X^b term,
     # C(s, b) a^b t^(s - b) with a = zeta.alpha / 2 and t = 2 Sigma.alpha, is
     # x^b y^(s - b) / (2 zd sd)^s over the pairings' denominators zd and sd
-    za, sa = model.pair("zeta", "alpha"), model.pair(SIGMA, "alpha")
+    pairings = model.pairings
+    za, sa = pairings.zetaAlpha, pairings.sigmaAlpha
     x, y = za.numerator * sa.denominator, 4 * sa.numerator * za.denominator
     table = _l0_table(model, wall, branch)
     # the word's degree fixes k + N = s + |gamma| + 2r, and X^N's entry
-    # (num, den, m) gives m_c(k, N) = (num/den) I_c(k + m)
+    # (num, den, m) gives m_c(k, N) = (num/den) I_c(k + m); as m = N - low,
+    # k + m = top - low for every entry, so the terms share one moment I_c,
+    # read at the first entry so that a word no entry meets keeps none
     s, top = word.s, word.s + a_cnt + 2 * word.r
-    num, den = 0, 1
+    num, den, moment = 0, 1, None
     for b in range(max(s - model.q, 0), s + 1):  # omega^k = 0 for k > q
         k = s - b
         entry = table.get(top - k)
         if entry:
             t_num, t_den, m = entry
-            i_num, i_den = _jacobian_moment(model, word, k + m)
-            term = math.comb(s, b) * x ** b * y ** k * t_num * i_num
+            if moment is None:
+                moment = _jacobian_moment(model, word, k + m)
+            term = math.comb(s, b) * x ** b * y ** k * t_num
             if term:
-                num, den = num * t_den * i_den + term * den, den * t_den * i_den
-    scale = (-4) ** word.r * (2 * za.denominator * sa.denominator) ** s
-    return DeltaValue(Fraction(wall.sign_complex * num, den * scale), "ring-oracle")
+                num, den = num * t_den + term * den, den * t_den
+    i_num, i_den = moment or (0, 1)
+    scale = (-4) ** word.r * (2 * za.denominator * sa.denominator) ** s * i_den
+    return DeltaValue(Fraction(wall.sign_complex * num * i_num, den * scale), "ring-oracle")
 
 
 def _s_powers(model, word, top):

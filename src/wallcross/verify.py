@@ -6,7 +6,8 @@ counts; a point that covers several comparisons compares tuples.  The
 ``_check`` driver counts the cases, compares each with ``==`` and stops at
 the first mismatch.  ``where`` is a callable that describes the point, and
 the driver calls it only on that mismatch, so a passing sweep formats no
-text.  All comparisons are exact.
+text.  A long sweep hands one ``where`` to all its points: it reads the loop
+variables where the sweep stopped.  All comparisons are exact.
 """
 
 from __future__ import annotations
@@ -158,20 +159,17 @@ def random_even_element(model, degree, rng):
 
 
 def poly_coeffs(xs, ys):
-    """Exact coefficients of the polynomial through (xs, ys) (Vandermonde solve)."""
-    n = len(xs)
-    rows = [[Fraction(x) ** j for j in range(n)] + [Fraction(ys[i])]
-            for i, x in enumerate(xs)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
+    """Exact coefficients, lowest first, of the polynomial through (xs, ys):
+    Newton's divided differences, then the Newton form expanded, O(n^2)."""
+    diffs = [Fraction(y) for y in ys]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    # c_k + (x - x_k) p(x), from the innermost k = n - 1 outwards
+    poly = []
+    for c, x in zip(reversed(diffs), reversed(xs)):
+        poly = [a - x * b for a, b in zip([c, *poly], [*poly, 0])]
+    return poly
 
 
 def _blocks_for_q(q):
@@ -210,8 +208,7 @@ def _check(name):
         @functools.wraps(cases)
         def check(grid=Grid()) -> CheckResult:
             points, detail, start = 0, "", time.perf_counter()
-            for lhs, rhs, where in cases(grid):
-                points += 1
+            for points, (lhs, rhs, where) in enumerate(cases(grid), 1):
                 if lhs != rhs:
                     detail = f"{where()}: {_show(lhs)} != {_show(rhs)}"
                     break
@@ -232,6 +229,13 @@ def check_structural_identities(grid):
     """Dimension identity and the two-sign identity over an exhaustive sweep."""
     bound = grid.sweep_bound
     qs = range(min(4, grid.q_max + 1) + 1)
+
+    def where_dimension():
+        return (f"dimension identity or zeta -> -zeta exchange at "
+                f"q={q}, zeta2={zeta2}, zetaK={zetaK}, l={l}")
+
+    def where_sign():
+        return f"sign identity fails at w2={w2}, wK={wK}, u2={u2}, uK={uK}, wu={wu}, q={q}, l={l}"
     # dimension identity N+ + N- + q + 2l = d - 1, and zeta -> -zeta exchanges the sides
     for q in qs:
         for zeta2 in range(-bound, 0):
@@ -245,29 +249,24 @@ def check_structural_identities(grid):
                         continue
                     rev = wall_params(zeta2 - 4 * l, q, zeta2, -zetaK)
                     yield ((p.n_plus + p.n_minus + q + 2 * p.l_zeta, rev.h_plus, rev.n_plus, rev.d),
-                           (p.d - 1, p.h_minus, p.n_minus, p.d),
-                           lambda: f"dimension identity or zeta -> -zeta exchange at "
-                                   f"q={q}, zeta2={zeta2}, zetaK={zetaK}, l={l}")
+                           (p.d - 1, p.h_minus, p.n_minus, p.d), where_dimension)
     # sign identity eps_S(w) (-1)^h = (-1)^(d+q) eps(zeta, w), Wu-consistent sweep
     half = max(4, bound // 4)
-    u_range = range(-half, half + 1)
+    l_q = list(itertools.product((0, 1), qs))
     for w2, wK in _same_parity_pairs(range(-bound // 2, bound // 2 + 1)):
-        for u2, uK in _same_parity_pairs(u_range):
-            for wu in u_range:
+        for u2, uK in _same_parity_pairs(range(-half, half + 1)):
+            # zeta^2 = w^2 + 4 u.w + 4 u^2 runs over [-bound, 0) exactly on this window of u.w
+            for wu in range(max(-half, -((bound + w2 + 4 * u2) // 4)),
+                            min(half, (-1 - w2 - 4 * u2) // 4) + 1):
                 zeta2 = w2 + 4 * wu + 4 * u2
-                if not -bound <= zeta2 < 0:
-                    continue
                 zetaW = w2 + 2 * wu
                 zetaK = wK + 2 * uK
                 h = (zetaK - zeta2) // 2 - 1
                 eps = wall_sign(zeta2, zetaW, w2)
                 lhs = complex_orientation_sign(wK, w2) * (-1) ** (h % 2)
-                for l in (0, 1):
-                    for q in qs:
-                        d = -(zeta2 - 4 * l) - 3 * (1 - q)
-                        yield (lhs, (-1) ** ((d + q) % 2) * eps,
-                               lambda: f"sign identity fails at w2={w2}, wK={wK}, u2={u2}, "
-                                       f"uK={uK}, wu={wu}, q={q}, l={l}")
+                for l, q in l_q:
+                    d = -(zeta2 - 4 * l) - 3 * (1 - q)
+                    yield lhs, -eps if (d + q) % 2 else eps, where_sign
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +318,10 @@ def check_model_axioms(grid):
 def check_oracle_l0(grid):
     """delta_oracle_l0 == delta_l0_odd on the full l=0 verification grid."""
     pairs = _pair_range(grid.pair_bound)
+
+    def where():
+        return (f"q={q} d={d} r={word.r} blocks={blocks} zetaK={zetaK} "
+                f"(za,sa,sz)=({za},{sa},{sz}): closed vs oracle")
     for q in range(grid.q_max + 1):
         j_sides = {blocks: _j_side(q, blocks) for blocks in _blocks_for_q(q)}
         for d in range(1, grid.d_max + 1):
@@ -339,10 +342,7 @@ def check_oracle_l0(grid):
                         model = j_sides[blocks].with_pairings(pr)
                         for word in words:
                             closed, oracle = _closed_and_oracle(model, wall, word)
-                            yield (closed, oracle,
-                                   lambda: f"q={q} d={d} r={word.r} blocks={blocks} "
-                                           f"zetaK={zetaK} (za,sa,sz)=({za},{sa},{sz}): "
-                                           f"closed vs oracle")
+                            yield closed, oracle, where
     # a non-trivial w-variant slice
     for q, d, variant in itertools.product((0, 1, 2), (3, 5), W_VARIANTS[1:]):
         zeta2 = -(d + 3 * (1 - q))
@@ -443,6 +443,13 @@ def check_odd_words(grid):
         dict(zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1, sigmaK=0, K2=0, Kalpha=0, alpha2=-1),
         dict(zetaAlpha=-3, sigmaZeta=-2, sigmaAlpha=3, sigmaK=1, K2=8, Kalpha=2, alpha2=2),
     ]
+
+    def where_odd():
+        return f"odd-parity word {word.describe()} (closed, oracle)"
+
+    def where():
+        return (f"q={q} word={word.describe()} blocks={blocks} zetaK={zetaK} pairs={base}: "
+                f"closed vs oracle")
     for q in (1, 2):
         if q > grid.q_max:
             continue
@@ -460,8 +467,7 @@ def check_odd_words(grid):
         for word in _words_with_odd(q):
             if word.odd_count() % 2:
                 yield ((delta_l0_odd(odd_wall, odd_model, word).value,
-                        delta_oracle_l0(odd_model, odd_wall, word).value), (0, 0),
-                       lambda: f"odd-parity word {word.describe()} (closed, oracle)")
+                        delta_oracle_l0(odd_model, odd_wall, word).value), (0, 0), where_odd)
             else:
                 by_degree.setdefault(word.degree() // 2, []).append(word)
         # the even words of one degree are priced on one model and wall each,
@@ -477,9 +483,7 @@ def check_odd_words(grid):
                     model = j_sides[blocks].with_pairings(pr)
                     for word in words:
                         closed, oracle = _closed_and_oracle(model, wall, word)
-                        yield (closed, oracle,
-                               lambda: f"q={q} word={word.describe()} blocks={blocks} "
-                                       f"zetaK={zetaK} pairs={base}: closed vs oracle")
+                        yield closed, oracle, where
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .errors import InvalidWallError, PreconditionError
-from .graded import exact_int
+from .graded import MAX_WALL_INPUT, exact_int
 
 
 class WallParams(NamedTuple):
@@ -105,11 +105,15 @@ class WallGeometry:
     def __post_init__(self):
         # object.__setattr__, not __dict__: a written __dict__ slows every attribute read
         put = object.__setattr__
-        for key in ("p1", "q", "zeta2", "zetaK"):
-            put(self, key, exact_int(getattr(self, key), key))
-        for key, default in (("zetaW", "zeta2"), ("w2", "zeta2"), ("wK", "zetaK")):
+        for key, default in (("p1", None), ("q", None), ("zeta2", None), ("zetaK", None),
+                             ("zetaW", "zeta2"), ("w2", "zeta2"), ("wK", "zetaK")):
             value = getattr(self, key)
-            put(self, key, getattr(self, default) if value is None else exact_int(value, key))
+            if value is None and default:
+                value = getattr(self, default)
+            elif abs(value := exact_int(value, key)) > MAX_WALL_INPUT:
+                raise PreconditionError(
+                    f"{key} exceeds the largest wall input, 10^100, in magnitude")
+            put(self, key, value)
         for key, value in wall_params(self.p1, self.q, self.zeta2, self.zetaK)._asdict().items():
             put(self, key, value)
         # each raises unless its sign is defined: (zeta - w)/2 a class, K.w + w^2 even

@@ -25,7 +25,8 @@ import wallcross
 from wallcross import (DeltaValue, InsertionWord, PairingInput, Pairings, PreconditionError,
                        WallCrossError, WallGeometry, build_model, evaluate, volume)
 from wallcross.delta import MAX_DEGREE, PATHS
-from wallcross.graded import MAX_EXPONENT, MAX_Q, frac
+from wallcross.cli import main
+from wallcross.graded import MAX_EXPONENT, MAX_Q, MAX_WALL_INPUT, frac
 from wallcross.jacobian import PAIRING_KEYS, pairing_input_from_json
 from wallcross.walls import wall_params
 
@@ -257,6 +258,33 @@ def test_values_past_the_limits_are_refused():
     assert WallGeometry(-1, MAX_Q + 1, -1, 1).q == MAX_Q + 1  # a wall, but no model has it
     with pytest.raises(PreconditionError, match=f"q must be between 0 and {MAX_Q}"):
         PairingInput(q=MAX_Q + 1, pairings=Pairings())
+
+
+@pytest.mark.parametrize("pairings, wall", [
+    ({"zeta2": -1, "zetaK": 1}, {"p1": "1e4300"}),
+    ({"zeta2": "-1e4300", "zetaK": 0}, {"p1": "-1e4300"}),
+], ids=["p1", "a-valid-wall"])
+def test_a_wall_input_past_the_cap_is_refused(tmp_path, capsys, pairings, wall):
+    # both ended params and delta in a ValueError traceback: wall_params formatted the
+    # 4,301-digit p1 into its InvalidWallError message, and the second wall is valid
+    # but json.dumps could not print it
+    path = tmp_path / "wall.json"
+    path.write_text(json.dumps({"schema_version": 1, "q": 1, "wall": wall,
+                                "pairings": dict(pairings, zetaAlpha=2, sigmaZeta=1)}))
+    for command in ("params", "delta"):
+        assert main(["--command", command, "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error: ") == 1 and "largest wall input" in err
+
+
+def test_the_wall_input_cap_is_inclusive():
+    assert MAX_WALL_INPUT == 10 ** 100  # as the refusal names it
+    at_cap = WallGeometry(-MAX_WALL_INPUT, 1, -MAX_WALL_INPUT, 0)
+    assert (at_cap.d, at_cap.l_zeta) == (MAX_WALL_INPUT, 0)
+    for key in ("p1", "q", "zeta2", "zetaK", "zetaW", "w2", "wK"):
+        inputs = {"p1": -8, "q": 1, "zeta2": -4, "zetaK": 2, key: -MAX_WALL_INPUT - 1}
+        with pytest.raises(PreconditionError, match=f"{key} exceeds the largest wall input"):
+            WallGeometry(**inputs)
 
 
 def test_the_library_and_the_json_reader_share_one_number_rule():

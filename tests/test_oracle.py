@@ -7,6 +7,9 @@ import pytest
 
 from fractions import Fraction
 
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, RegimeError,
                        WallGeometry, build_model, volume)
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
@@ -15,6 +18,7 @@ from wallcross import jacobian, oracle
 from wallcross.graded import S_ONE, SIGMA, exp_truncated, integrate, integrate_jacobian
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles, delta_oracle_l0, delta_oracle_l1
+from wallcross.verify import valid_zeta_k
 
 from conftest import make_model
 
@@ -814,6 +818,81 @@ def test_each_jacobian_moment_is_the_integral_of_c_omega_j():
                 cases += 1
                 nonzero += want != 0
     assert cases == 25 * 16 and nonzero > 15
+
+
+def _l0_per_term(model, wall, word, branch):
+    """The l = 0 oracle's sum with I_c read at every term: the reference for
+    ``delta_oracle_l0``, which reads it once per word."""
+    a_cnt = len(word.gammas)
+    if (a_cnt + len(word.threes)) % 2:
+        return Fraction(0)
+    za, sa = model.pair("zeta", "alpha"), model.pair(SIGMA, "alpha")
+    x, y = za.numerator * sa.denominator, 4 * sa.numerator * za.denominator
+    table = oracle._l0_table(model, wall, branch)
+    s, top = word.s, word.s + a_cnt + 2 * word.r
+    num, den = 0, 1
+    for b in range(max(s - model.q, 0), s + 1):
+        k = s - b
+        entry = table.get(top - k)
+        if entry:
+            t_num, t_den, m = entry
+            i_num, i_den = oracle._jacobian_moment(model, word, k + m)
+            term = math.comb(s, b) * x ** b * y ** k * t_num * i_num
+            if term:
+                num, den = num * t_den * i_den + term * den, den * t_den * i_den
+    scale = (-4) ** word.r * (2 * za.denominator * sa.denominator) ** s
+    return Fraction(wall.sign_complex * num, den * scale)
+
+
+# small rationals, zero twice as likely as any other value
+SMALL = st.sampled_from((0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+
+
+@st.composite
+def l0_points(draw):
+    """(q, blocks, pairings, wall, word): an l = 0 wall of q <= 4, its empty-side wall
+    drawn often enough for the component branch, rational pairings and blocks, and
+    a word of degree 2d with gamma- and A-insertions, or of odd odd-count."""
+    q, zeta2 = draw(st.integers(0, 4)), draw(st.integers(-10, -1))
+    zeta_ks = valid_zeta_k(q, zeta2, 0)
+    empty_side = zeta2 + 2 - 2 * q  # h(zeta) + q = 0
+    assume(zeta_ks)
+    zeta_k = draw(st.sampled_from(zeta_ks + [empty_side] * (empty_side in zeta_ks)))
+    wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta_k)
+    indices = st.lists(st.integers(0, 2 * q - 1), unique=True, max_size=min(2 * q, 3))
+    gammas, threes = (tuple(draw(indices)) if q else () for _ in range(2))
+    r = draw(st.integers(0, max(wall.d, 0) // 2))  # s < q too, where the first entry has m > 0
+    if (len(gammas) + len(threes)) % 2:
+        s = draw(st.integers(0, 3))
+    else:
+        s = wall.d - 2 * r - (3 * len(gammas) + len(threes)) // 2
+        assume(s >= 0)
+    pairings = Pairings(zeta2=zeta2, zetaK=zeta_k, zetaAlpha=draw(SMALL), sigmaZeta=draw(SMALL),
+                        sigmaAlpha=draw(SMALL), sigmaK=draw(SMALL))
+    blocks = tuple(draw(st.lists(SMALL.filter(bool), max_size=q)))
+    return q, blocks, pairings, wall, InsertionWord(r=r, s=s, gammas=gammas, threes=threes)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(l0_points())
+# Sigma.zeta = 0 leaves one entry, X^(d - q), and x^2 on d = 4 reads X^4 alone: no I_c
+@example((2, (1, 2), Pairings(zeta2=-1, zetaK=1, zetaAlpha=1, sigmaAlpha=1, sigmaK=1),
+          WallGeometry(-1, 2, -1, 1), InsertionWord(r=2, s=0)))
+def test_the_l0_terms_share_one_moment(point):
+    # k + m = top - low for every table entry, so the terms read one I_c: the sum
+    # with I_c factored out is the per-term sum, one call reads at most one I_c,
+    # and the cache gains the same keys, none for a word that no entry meets
+    q, blocks, pairings, wall, word = point
+    for branch in ("unified", "component") if wall.empty_side else ("unified",):
+        reference, model = (build_model(PairingInput(q=q, pairings=pairings, a_blocks=blocks))
+                            for _ in range(2))
+        want = _l0_per_term(reference, wall, word, branch)
+        with pytest.MonkeyPatch.context() as patch:
+            moments = _counting(patch, "_jacobian_moment")
+            assert delta_oracle_l0(model, wall, word, branch).value == want, (word, branch)
+        assert len(moments) <= 1
+        assert set(model.cache) == set(reference.cache), (word, branch)
 
 
 def test_odd_word_moments_are_shared_across_r(monkeypatch):

@@ -4,8 +4,11 @@ that prices words through ``delta.evaluate`` is mutated where ``evaluate``
 looks the route function up."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wallcross import delta, verify, walls
 from wallcross.graded import SIGMA, ModelSpec
@@ -102,3 +105,35 @@ def test_oracle_l1_fails_on_a_grid_with_only_the_w_variant_slice(monkeypatch):
     tiny = verify.Grid(q_max=1, d_max=3, r_max=1, pair_bound=1, sweep_bound=6)
     assert verify.check_oracle_l1(tiny).points == 4
     _fails_under("oracle-l1", delta, "delta_oracle_l1", _shifted(_sigma_k), tiny, monkeypatch)
+
+
+def _vandermonde_coeffs(xs, ys):
+    """The coefficients of the polynomial through (xs, ys), lowest first, by
+    Gauss-Jordan elimination on the Vandermonde system: the O(n^3) reference."""
+    n = len(xs)
+    rows = [[Fraction(x) ** j for j in range(n)] + [Fraction(y)] for x, y in zip(xs, ys)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [rows[i][n] for i in range(n)]
+
+
+RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.one_of(st.integers(-20, 20), RATIONAL), unique=True, max_size=12)
+       .flatmap(lambda xs: st.tuples(st.just(xs), st.lists(RATIONAL, min_size=len(xs),
+                                                            max_size=len(xs)))))
+def test_poly_coeffs_is_the_vandermonde_solve(points):
+    xs, ys = points
+    coeffs = verify.poly_coeffs(xs, ys)
+    assert coeffs == _vandermonde_coeffs(xs, ys)
+    assert all(type(c) is Fraction for c in coeffs)

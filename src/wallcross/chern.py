@@ -119,31 +119,32 @@ def segre_from_ch(data: ChernData, n) -> GradedElement:
 def _det(model, rows) -> GradedElement:
     """Determinant of a square matrix of commuting (even) ring elements.
 
-    Cofactor expansion along the first row; structural zeros are skipped,
-    and the Hessenberg matrices used below have at most two nonzero entries
-    per first row.
+    Cofactor expansion along the first row, structural zeros skipped.  The
+    minor below row k is the determinant of rows k.. on the columns left,
+    so it is kept by those columns and expanded once: on the Hessenberg
+    matrices used below, which have at most two nonzero entries per first
+    row, that leaves O(n^2) minors, not 2^n expansions.
     """
-    n = len(rows)
-    if n == 0:
-        return model.one()
-    if n == 1:
-        return rows[0][0]
-    total = model.zero()
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = entry * _det(model, minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    minors = {(): model.one()}
+
+    def minor(cols):
+        if cols not in minors:
+            row, total = rows[len(rows) - len(cols)], model.zero()
+            for i, j in enumerate(cols):
+                if not row[j].is_zero():
+                    term = row[j] * minor(cols[:i] + cols[i + 1:])
+                    total = total - term if i % 2 else total + term
+            minors[cols] = total
+        return minors[cols]
+    return minor(tuple(range(len(rows))))
 
 
 def hessenberg_det(data: ChernData, n, signed) -> GradedElement:
     """The literal n x n Hessenberg determinant in the a_i.
 
-    It equals n! c_n, or n! s_n when ``signed``.  Its cost grows
-    exponentially in n, so only ``closed.segre_det_determinant``, where the
-    determinant is itself the claim, evaluates it.
+    It equals n! c_n, or n! s_n when ``signed``.  Newton's recurrence gives
+    the same class in n steps, so only ``closed.segre_det_determinant``,
+    where the determinant is itself the claim, evaluates it.
     """
     model = data.model
     zero = model.zero()

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chern import ChernData, hessenberg_det, segre_from_ch
 from .errors import InvariantError, PreconditionError, RegimeError
-from .graded import GradedElement, ModelSpec, exact_count, frac
+from .graded import _ZERO, GradedElement, ModelSpec, exact_count, frac
 from .jacobian import InsertionWord, Pairings, e_zeta, jacobian_odd_integral
 from .walls import WallGeometry
 
@@ -44,25 +44,28 @@ def _l0_sum(s, p, e, za, sa, sz):
     """sum_{j=0..min(s,p)} C(s,j) p!/(p-j)! 2^(-j) za^(s-j) sa^j sz^(e-j), needing e >= p,
     as an int numerator over the int denominator zd^s (2 ad)^min(s,p) sd^e.
 
-    zd, ad and sd are the denominators of za, sa and sz; every term is an
-    integer over that one denominator, so no Fraction is built here.
+    zd, ad and sd are the denominators of za, sa and sz.  Over that one
+    denominator the j-th term is C(s,j) p!/(p-j)! x^j y^(top-j) zn^(s-top) sn^(e-top),
+    with x = zd an sd and y = 2 ad zn sn, so one Horner pass in ints sums them
+    and no Fraction is built here.
     """
     top = min(s, p)
     if top < 0:
         return 0, 1
-    zn, zd = za.numerator, za.denominator
-    an, two_ad = sa.numerator, 2 * sa.denominator
-    sn, sd = sz.numerator, sz.denominator
-    x = zd * an * sd
-    num = 0
+    (zn, zd), (an, ad), (sn, sd) = (za.as_integer_ratio(), sa.as_integer_ratio(),
+                                    sz.as_integer_ratio())
+    x, y = zd * an * sd, 2 * ad * zn * sn
+    num, c, x_j = 0, 1, 1  # c = C(s, j) p!/(p-j)!
     for j in range(top + 1):
-        num += (math.comb(s, j) * math.perm(p, j) * two_ad ** (top - j)
-                * zn ** (s - j) * sn ** (e - j) * x ** j)
-    return num, zd ** s * two_ad ** top * sd ** e
+        num = num * y + c * x_j
+        c, x_j = c * (s - j) * (p - j) // (j + 1), x_j * x
+    return num * zn ** (s - top) * sn ** (e - top), zd ** s * (2 * ad) ** top * sd ** e
 
 
 def _closed_value(num, den, shift, path="closed-form", modulus_exponent=None) -> DeltaValue:
     """num/den * 2^shift as the one Fraction of a closed-form sum."""
+    if not num:
+        return DeltaValue(_ZERO, path, modulus_exponent)
     if shift >= 0:
         num <<= shift
     else:
@@ -75,7 +78,7 @@ def _l0_closed(wall, pairings, r, s, p, b, fz) -> DeltaValue:
     functional F = fz and p = q - (odd count)/2: eps (-1)^(r+d+b) 2^(3q-d-b) F/p!
     sum_j 2^(-j) C(s, j) p!/(p-j)! (zeta.alpha)^(s-j) (Sigma.alpha)^j (Sigma.zeta)^(p+b-j)."""
     if not fz:
-        return DeltaValue(Fraction(0), "closed-form")
+        return DeltaValue(_ZERO, "closed-form")
     num, den = _l0_sum(s, p, p + b, pairings.zetaAlpha, pairings.sigmaAlpha, pairings.sigmaZeta)
     sign = -wall.sign_wall if (r + wall.d + b) % 2 else wall.sign_wall
     return _closed_value(sign * num * fz.numerator, den * fz.denominator * math.factorial(p),
@@ -102,7 +105,7 @@ def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> D
     wall.require_q(model.q)
     odd_count, b_cnt = word.odd_count(), len(word.threes)
     if odd_count % 2:
-        return DeltaValue(Fraction(0), "closed-form")
+        return DeltaValue(_ZERO, "closed-form")
     if word.degree() != 2 * wall.d:
         raise PreconditionError(
             f"word degree {word.degree()} does not match 2d = {2 * wall.d}")
@@ -140,89 +143,106 @@ def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
 
 # -- the summed Segre classes of the two extension strata (l_zeta = 1) ----
 
-def _wall_classes(model):
-    zs = model.even("zeta")
-    ks = model.even("K")
-    ez = e_zeta(model)
-    uni = model.universal_class()
-    return zs, ks, ez, uni
+class StratumClasses:
+    """The classes the stratum sums of a model are written in: zeta, K, E, the
+    point, 4 e_zeta, the K-even determinant entries a_1, a_2, a_3 (as
+    ``ChernData``) and the recursion's head, built once.
+
+    The closed forms below take a model or its ``StratumClasses``.  A caller
+    that asks for n = 0, 1, ... on one model passes one instance, so each power
+    of 4 e_zeta and of base = 4 e_zeta - 2 zeta - 4 E, each recursion step and
+    each Newton step is multiplied once, not once per n.  It holds elements of
+    its model, so it lives as long as its caller keeps it.
+    """
+
+    def __init__(self, model: ModelSpec):
+        self.model = model
+        zs, ks, uni = model.even("zeta"), model.even("K"), model.universal_class()
+        zz, kk, uz, uu = zs * zs, ks * ks, uni * zs, uni * uni
+        self.point = model.point()
+        self.four_ez = 4 * e_zeta(model)
+        self.base = self.four_ez - 2 * zs - 4 * uni
+        self.line = 4 * zs + 8 * uni
+        self.quad = 6 * zz + 2 * kk + 24 * uz + 24 * uu
+        self.head = 2 * zz + kk + 8 * uz + 8 * uu
+        a1 = -self.four_ez + 2 * zs + 4 * uni
+        self.data = ChernData(model, 0, (a1, 2 * zz + 8 * uu + kk + 8 * uz, 24 * (uu * zs)))
+        self._powers = {"four_ez": [model.one()], "base": [model.one()]}
+        self._steps, self._recursion = {}, [model.one(), -a1]
+
+    def power(self, name, n) -> GradedElement:
+        """The n-th power of the class ``name``, "four_ez" or "base", kept."""
+        powers = self._powers[name]
+        while len(powers) <= n:
+            powers.append(powers[-1] * getattr(self, name))
+        return powers[n]
+
+    def step(self, m) -> GradedElement:
+        """(m - 1) (4 e_zeta)^(m - 2) (head - 18 (m - 2) [S]), the recursion's m-th addend, kept."""
+        if m not in self._steps:
+            self._steps[m] = ((m - 1) * self.power("four_ez", m - 2)
+                              * (self.head - 18 * (m - 2) * self.point))
+        return self._steps[m]
 
 
-def segre_sum_closed(model: ModelSpec, n) -> GradedElement:
-    """Closed form for the k-summed Segre class s_n of the two extension pairs.
+def _stratum(model) -> StratumClasses:
+    return model if isinstance(model, StratumClasses) else StratumClasses(model)
+
+
+def segre_sum_closed(model, n) -> GradedElement:
+    """Closed form for the k-summed Segre class s_n of the two extension pairs,
+    ``model`` a ModelSpec or its StratumClasses.
 
     s_0 = 2; s_1 = 8 e_zeta - 4 zeta - 8 E; for n >= 2 the four-term
     expression with the (n-3)! term dropped when n < 3.
     """
     if n < 0:
         raise PreconditionError("segre_sum_closed needs n >= 0")
-    zs, ks, ez, uni = _wall_classes(model)
-    four_ez = 4 * ez
-    out = 2 * four_ez ** n / math.factorial(n)
+    st = _stratum(model)
+    out = 2 * st.power("four_ez", n) / math.factorial(n)
     if n >= 1:
-        out = out - (4 * zs + 8 * uni) * four_ez ** (n - 1) / math.factorial(n - 1)
+        out = out - st.line * st.power("four_ez", n - 1) / math.factorial(n - 1)
     if n >= 2:
-        quad = 6 * (zs * zs) + 2 * (ks * ks) + 24 * (uni * zs) + 24 * (uni * uni)
-        out = out + quad * four_ez ** (n - 2) / math.factorial(n - 2)
+        out = out + st.quad * st.power("four_ez", n - 2) / math.factorial(n - 2)
     if n >= 3:
-        out = out - 24 * model.point() * four_ez ** (n - 2) / math.factorial(n - 3)
+        out = out - 24 * st.point * st.power("four_ez", n - 2) / math.factorial(n - 3)
     return out
 
 
-def segre_det_entries(model):
-    """The K-even determinant entries a_1, a_2, a_3 of the stratum data."""
-    zs, ks, ez, uni = _wall_classes(model)
-    a1 = -4 * ez + 2 * zs + 4 * uni
-    a2 = 2 * (zs * zs) + 8 * (uni * uni) + (ks * ks) + 8 * (uni * zs)
-    a3 = 24 * (uni * uni * zs)
-    return a1, a2, a3
-
-
-def _recursion_head(model):
-    zs, ks, _, uni = _wall_classes(model)
-    return 2 * (zs * zs) + (ks * ks) + 8 * (uni * zs) + 8 * (uni * uni)
-
-
-def segre_det_recursive(model: ModelSpec, n) -> GradedElement:
-    """The stratum determinant by its two-term recursion (bases n = 0, 1)."""
+def segre_det_recursive(model, n) -> GradedElement:
+    """The stratum determinant by its two-term recursion (bases n = 0, 1),
+    ``model`` a ModelSpec or its StratumClasses, which keeps the steps."""
     if n < 0:
         raise PreconditionError("segre_det needs n >= 0")
-    a1, _, _ = segre_det_entries(model)
-    if n == 0:
-        return model.one()
-    four_ez = 4 * e_zeta(model)
-    head = _recursion_head(model)
-    cur = -a1
-    for m in range(2, n + 1):
-        cur = (-a1 * cur
-               + (m - 1) * four_ez ** (m - 2) * (head - 18 * (m - 2) * model.point()))
-    return cur
+    st = _stratum(model)
+    seq, minus_a1 = st._recursion, st._recursion[1]
+    for m in range(len(seq), n + 1):
+        seq.append(minus_a1 * seq[-1] + st.step(m))
+    return seq[n]
 
 
-def segre_det_closed(model: ModelSpec, n) -> GradedElement:
-    """The stratum determinant by its resolved closed form."""
+def segre_det_closed(model, n) -> GradedElement:
+    """The stratum determinant by its resolved closed form, ``model`` a ModelSpec
+    or its StratumClasses."""
     if n < 0:
         raise PreconditionError("segre_det needs n >= 0")
-    zs, _, ez, uni = _wall_classes(model)
-    four_ez = 4 * ez
-    base = four_ez - 2 * zs - 4 * uni
-    out = base ** n
-    head = _recursion_head(model)
+    st = _stratum(model)
+    out = st.power("base", n)
     for i in range(2, n + 1):
-        out = out + (base ** (n - i) * (i - 1) * four_ez ** (i - 2)
-                     * (head - 18 * (i - 2) * model.point()))
+        out = out + st.power("base", n - i) * st.step(i)
     return out
 
 
-def segre_det_determinant(model: ModelSpec, n) -> GradedElement:
-    """The stratum determinant evaluated literally as a determinant.
+def segre_det_determinant(model, n) -> GradedElement:
+    """The stratum determinant evaluated literally as a determinant, ``model`` a
+    ModelSpec or its StratumClasses.
 
     The determinant is n! s_n of the stratum data, so it also cross-checks
     Newton's recurrence in ``segre_from_ch``; a mismatch raises.
     """
     if n < 0:
         raise PreconditionError("segre_det needs n >= 0")
-    data = ChernData(model, 0, segre_det_entries(model))
+    data = _stratum(model).data
     det = hessenberg_det(data, n, signed=True)
     if det != segre_from_ch(data, n) * math.factorial(n):
         raise InvariantError(f"literal stratum determinant != n! s_n by recurrence at n={n}")

@@ -52,8 +52,9 @@ _ONE = Fraction(1)
 # alone C(q, k) terms, so a larger q is refused rather than left to run.
 MAX_Q = 12
 
-# The largest magnitude of a wall input (p1, q and the pairings of zeta, w and K),
-# 10^100: far past any priced wall, far below the 4,300 digits that printing meets
+# The largest magnitude of a wall input (p1, q and the pairings of zeta, w and K) and
+# of a multiplicity r or s, 10^100: far past any priced wall or word, far below the
+# 4,300 digits that printing meets
 MAX_WALL_INPUT = 10 ** 100
 
 # The largest decimal exponent a number string may carry: Fraction expands "1e<n>"
@@ -138,12 +139,14 @@ def exact_int(x, what) -> int:
     return f.numerator
 
 
-def exact_count(x, what) -> int:
-    """``exact_int`` of a count, such as a multiplicity: a negative value raises
-    PreconditionError too."""
+def exact_count(x, what, most=MAX_WALL_INPUT) -> int:
+    """``exact_int`` of a count, by default a multiplicity r or s: a value below 0
+    or above ``most`` raises PreconditionError too, before any message prints it."""
     n = exact_int(x, what)
     if n < 0:
-        raise PreconditionError(f"{what} must be non-negative, got {n}")
+        raise PreconditionError(f"{what} must be non-negative, got {_shown(n)}")
+    if n > most:
+        raise PreconditionError(f"{what} must be at most {_shown(most)}, got {_shown(n)}")
     return n
 
 

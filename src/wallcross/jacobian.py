@@ -217,10 +217,11 @@ class InsertionWord:
     def __post_init__(self):
         object.__setattr__(self, "r", exact_count(self.r, "the multiplicity r"))
         object.__setattr__(self, "s", exact_count(self.s, "the multiplicity s"))
+        # no model has an index of 2 MAX_Q or more
         object.__setattr__(self, "gammas", exact_tuple(
-            self.gammas, lambda i: exact_int(i, "a gamma index"), "gammas"))
+            self.gammas, lambda i: exact_count(i, "a gamma index", 2 * MAX_Q - 1), "gammas"))
         object.__setattr__(self, "threes", exact_tuple(
-            self.threes, lambda j: exact_int(j, "an A index"), "threes"))
+            self.threes, lambda j: exact_count(j, "an A index", 2 * MAX_Q - 1), "threes"))
         if len(set(self.gammas)) != len(self.gammas) or len(set(self.threes)) != len(self.threes):
             raise PreconditionError("odd insertions may appear at most once each")
         # kept: evaluate and both l = 0 routes check it at every point

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .chern import ChernData, ch_direct_sum, ch_dual, chern_data_from_element, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
-from .graded import (S_ONE, S_PT, SIGMA, ModelSpec, exact_count, exp_truncated,
+from .graded import (_ZERO, S_ONE, S_PT, SIGMA, ModelSpec, exact_count, exp_truncated,
                      integrate_forms, integrate_product, integration_index, integration_pairs,
                      s_even)
 from .jacobian import InsertionWord, e_divisor, e_zeta_beta
@@ -116,18 +116,20 @@ def _l0_table(model, wall, branch):
     E_{-zeta}^dual, or s_(N - N_-)(E_{-zeta}) on the component branch.  Its Chern
     data is a_1 = alpha_1 omega alone, so Newton's identities
     m s_m = sum_k (-1)^k a_k s_(m - k) run on the scalar alpha_1, in ints, for
-    m <= q.  The table reads the branch, N_+, N_-, d, Sigma.zeta and Sigma.K, and
-    is kept under them.
+    m <= q.  The table reads the branch, N_+, N_-, d and Sigma.zeta, and on the
+    component branch Sigma.K, and is kept under them: the unified alpha_1 is
+    8 Sigma.zeta, as Sigma.K cancels between E_zeta and the dual E_{-zeta}.
     """
-    sigma_k, sigma_z = model.pair(SIGMA, "K"), model.pair(SIGMA, "zeta")
-    key = ("l0 table", branch, wall.n_plus, wall.n_minus, wall.d,
-           *sigma_z.as_integer_ratio(), *sigma_k.as_integer_ratio())
+    sigma_z = model.pairings.sigmaZeta
+    key = ("l0 table", branch, wall.n_plus, wall.n_minus, wall.d, *sigma_z.as_integer_ratio())
+    component = branch == "component"
+    if component:
+        sigma_k = model.pair(SIGMA, "K")
+        key += sigma_k.as_integer_ratio()
     table = model.cache.get(key)
     if table is None:
-        component = branch == "component"
-        # a_1 / omega of E_{+-zeta}, e_{K -+ 2 zeta}; a dual flips a_1, a direct sum adds
-        e_plus, e_minus = -2 * (sigma_k - 2 * sigma_z), -2 * (sigma_k + 2 * sigma_z)
-        alpha_1 = e_minus if component else e_plus - e_minus
+        # a_1 / omega of E_{+-zeta} is e_{K -+ 2 zeta}; a dual flips a_1, a direct sum adds
+        alpha_1 = -2 * (sigma_k + 2 * sigma_z) if component else 8 * sigma_z
         low = wall.n_minus if component else wall.n_plus + wall.n_minus + 1
         table, num, den = {}, 1, 1
         for m in range(min(model.q, wall.d - low) + 1):
@@ -177,7 +179,7 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     a_cnt, b_cnt = len(word.gammas), len(word.threes)
     if (a_cnt + b_cnt) % 2:
         # the Jacobian integral of an odd-degree class vanishes
-        return DeltaValue(Fraction(0), "ring-oracle")
+        return DeltaValue(_ZERO, "ring-oracle")
     if word.degree() != 2 * wall.d:
         raise PreconditionError(
             f"word degree {word.degree()} does not match 2d = {2 * wall.d}")
@@ -190,8 +192,8 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     # C(s, b) a^b t^(s - b) with a = zeta.alpha / 2 and t = 2 Sigma.alpha, is
     # x^b y^(s - b) / (2 zd sd)^s over the pairings' denominators zd and sd
     pairings = model.pairings
-    za, sa = pairings.zetaAlpha, pairings.sigmaAlpha
-    x, y = za.numerator * sa.denominator, 4 * sa.numerator * za.denominator
+    (zn, zd), (an, ad) = pairings.zetaAlpha.as_integer_ratio(), pairings.sigmaAlpha.as_integer_ratio()
+    x, y = zn * ad, 4 * an * zd
     table = _l0_table(model, wall, branch)
     # the word's degree fixes k + N = s + |gamma| + 2r, and X^N's entry
     # (num, den, m) gives m_c(k, N) = (num/den) I_c(k + m); as m = N - low,
@@ -199,18 +201,19 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     # read at the first entry so that a word no entry meets keeps none
     s, top = word.s, word.s + a_cnt + 2 * word.r
     num, den, moment = 0, 1, None
-    for b in range(max(s - model.q, 0), s + 1):  # omega^k = 0 for k > q
-        k = s - b
+    for k in range(min(s, model.q) + 1):  # omega^k = 0 for k > q
         entry = table.get(top - k)
         if entry:
             t_num, t_den, m = entry
             if moment is None:
                 moment = _jacobian_moment(model, word, k + m)
-            term = math.comb(s, b) * x ** b * y ** k * t_num
+            term = math.comb(s, k) * x ** (s - k) * y ** k * t_num
             if term:
                 num, den = num * t_den + term * den, den * t_den
-    i_num, i_den = moment or (0, 1)
-    scale = (-4) ** word.r * (2 * za.denominator * sa.denominator) ** s * i_den
+    if not (num and moment[0]):
+        return DeltaValue(_ZERO, "ring-oracle")
+    i_num, i_den = moment
+    scale = (-4) ** word.r * (2 * zd * ad) ** s * i_den
     return DeltaValue(Fraction(wall.sign_complex * num * i_num, den * scale), "ring-oracle")
 
 

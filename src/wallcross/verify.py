@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .chern import (ChernData, ch_direct_sum, ch_dual, chern_from_ch,
                     segre_from_ch, total_chern)
-from .closed import (delta_l0_odd, segre_det_closed, segre_det_determinant,
+from .closed import (StratumClasses, delta_l0_odd, segre_det_closed, segre_det_determinant,
                      segre_det_recursive, segre_sum_closed)
 from .delta import evaluate
 from .errors import InvalidWallError, SchemaError
@@ -528,17 +528,20 @@ def check_segre(grid):
             continue
         datas = [ch_direct_sum(ch_p, ch_dual(ch_m))
                  for ch_p, ch_m in (ch_extension_bundles(model, wall, k) for k in (0, 1))]
-        ks = model.even("K")
+        # one StratumClasses for all n, so the closed forms build each power once
+        classes = StratumClasses(model)
         four_ez = -2 * model.pair(SIGMA, "zeta") * 4 * model.omega_class()
+        kk_four_ez = model.even("K") * model.even("K")  # K^2 (4 e_zeta)^(n - 2) from n = 2
         for n in range(n_max + 1):
             det_sum = segre_from_ch(datas[0], n) + segre_from_ch(datas[1], n)
-            closed = segre_det_closed(model, n)
+            closed = segre_det_closed(classes, n)
             factorial_rhs = 2 * closed
             if n >= 2:
-                factorial_rhs = factorial_rhs + 2 * math.comb(n, 2) * (ks * ks) * four_ez ** (n - 2)
-            yield ((det_sum, det_sum * math.factorial(n), segre_det_recursive(model, n),
-                    segre_det_determinant(model, n)),
-                   (segre_sum_closed(model, n), factorial_rhs, closed, closed),
+                factorial_rhs = factorial_rhs + 2 * math.comb(n, 2) * kk_four_ez
+                kk_four_ez = kk_four_ez * four_ez
+            yield ((det_sum, det_sum * math.factorial(n), segre_det_recursive(classes, n),
+                    segre_det_determinant(classes, n)),
+                   (segre_sum_closed(classes, n), factorial_rhs, closed, closed),
                    lambda: f"stratum sum, n! s_n identity, determinant recursion and literal "
                            f"determinant at n={n} (q={model.q})")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .errors import InvalidWallError, PreconditionError
-from .graded import MAX_WALL_INPUT, exact_int
+from .graded import MAX_WALL_INPUT, _shown, exact_int
 
 
 class WallParams(NamedTuple):
@@ -36,11 +36,11 @@ def wall_params(p1, q, zeta2, zetaK) -> WallParams:
     (range, divisibility, integrality of h, non-negative extension ranks).
     """
     if q < 0:
-        raise InvalidWallError(f"need q >= 0, got {q}")
+        raise InvalidWallError(f"need q >= 0, got {_shown(q)}")
     if not zeta2 < 0:
-        raise InvalidWallError(f"need zeta^2 < 0, got {zeta2}")
+        raise InvalidWallError(f"need zeta^2 < 0, got {_shown(zeta2)}")
     if not p1 <= zeta2:
-        raise InvalidWallError(f"need p1 <= zeta^2, got p1={p1}, zeta^2={zeta2}")
+        raise InvalidWallError(f"need p1 <= zeta^2, got p1={_shown(p1)}, zeta^2={_shown(zeta2)}")
     if (zeta2 - p1) % 4:
         raise InvalidWallError("zeta^2 - p1 must be divisible by 4")
     if (zetaK - zeta2) % 2:

@@ -287,6 +287,32 @@ def test_the_wall_input_cap_is_inclusive():
             WallGeometry(**inputs)
 
 
+def test_a_word_past_its_caps_is_refused_before_a_message_prints_it():
+    # both built, and evaluate then formatted the word into its refusal and ended in
+    # "ValueError: Exceeds the limit (4300 digits)"; r and s are capped at 10^100 and
+    # an odd index at 2 MAX_Q - 1, the largest any model has
+    huge = 10 ** 5000
+    for call, needle in ((lambda: InsertionWord(r=huge), "the multiplicity r must be at most"),
+                         (lambda: InsertionWord(s=1, gammas=(huge,)), "a gamma index must be at"),
+                         (lambda: InsertionWord(s=-huge), "the multiplicity s must be non-neg"),
+                         (lambda: InsertionWord(threes=(-huge,)), "an A index must be non-neg"),
+                         (lambda: InsertionWord(s=MAX_WALL_INPUT + 1), "multiplicity s must"),
+                         (lambda: InsertionWord(gammas=(2 * MAX_Q,)), "at most 23, got 24")):
+        with pytest.raises(PreconditionError, match=needle):
+            call()
+    at_caps = InsertionWord(r=MAX_WALL_INPUT, gammas=(2 * MAX_Q - 1,))
+    model = build_model(PairingInput(q=1, pairings=_pairings_for([-1, 1, -1, 1])))
+    with pytest.raises(PreconditionError, match="has degree"):
+        evaluate(model, WallGeometry(-1, 1, -1, 1), at_caps)
+
+
+def test_wall_params_names_an_int_too_long_to_print():
+    # it formatted the int into its InvalidWallError message: a ValueError
+    for args in ((10 ** 5000, 1, -1, 1), (-1, -10 ** 5000, -1, 1), (-1, 1, 10 ** 5000, 1)):
+        with pytest.raises(WallCrossError, match="too long to print"):
+            wall_params(*args)
+
+
 def test_the_library_and_the_json_reader_share_one_number_rule():
     # Pairings(zeta2=True) gave 1 and Pairings(zeta2=0.1) the binary double, where
     # the JSON reader refused true and read 0.1 as 1/10

@@ -278,9 +278,9 @@ def _j_side(q, blocks):
 
 
 # the pairings an l = 1 and an l = 0 X-table read, written out here rather than
-# taken from the oracle
+# taken from the oracle; Sigma.K cancels from the unified l = 0 table's alpha_1
 L1_TABLE_PAIRS = ((SIGMA, "zeta"), (SIGMA, "K"), ("zeta", "zeta"), ("zeta", "K"), ("K", "K"))
-L0_TABLE_PAIRS = ((SIGMA, "zeta"), (SIGMA, "K"))
+L0_TABLE_PAIRS = {"unified": ((SIGMA, "zeta"),), "component": ((SIGMA, "zeta"), (SIGMA, "K"))}
 
 
 def _ints(model, pairs):
@@ -295,7 +295,7 @@ def _table(model, wall, branch="unified"):
         return model.cache.get(("l1 table", wall.n_plus, wall.n_minus, wall.d)
                                + _ints(model, L1_TABLE_PAIRS))
     return model.cache.get(("l0 table", branch, wall.n_plus, wall.n_minus, wall.d)
-                           + _ints(model, L0_TABLE_PAIRS))
+                           + _ints(model, L0_TABLE_PAIRS[branch]))
 
 
 def _kept(model, kind):
@@ -409,13 +409,13 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         price(model)
         # an l = 1 X-table under (N_+, N_-, d), an l = 0 one under (branch, N_+, N_-, d),
         # each with the pairings it reads: Sigma.zeta = 1, Sigma.K = 2, zeta^2 = -4,
-        # zeta.K = 2 and K^2 = 8.  One I_c per odd part, at the j = q - (|gamma| + |A|)/2
+        # zeta.K = 2 and K^2 = 8, the unified l = 0 one Sigma.zeta alone.  One I_c per odd part, at the j = q - (|gamma| + |A|)/2
         # that the word's degree leaves, shared by both r; only those with
         # A-insertions read Sigma.zeta.  vol and F read no pairing
         assert (wall1.n_plus, wall1.n_minus, wall1.d) == (4, 2, 11)
         assert (wall0.n_plus, wall0.n_minus, wall0.d) == (3, 1, 7)
         assert set(model.cache) == {("l1 table", 4, 2, 11, 1, 1, 2, 1, -4, 1, 2, 1, 8, 1),
-                                    ("l0 table", "unified", 3, 1, 7, 1, 1, 2, 1),
+                                    ("l0 table", "unified", 3, 1, 7, 1, 1),
                                     ("I_c", (0, 1), (2, 3), 0, 1, 1), ("I_c", (), (), 2),
                                     ("volume",), ("F", (0, 1), (2, 3))}
         ref = weakref.ref(model)
@@ -447,7 +447,7 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
 # read sets; vol, F and I_c of an odd part without A-insertions read none, and
 # no kept entry reads an alpha pairing
 READS = {"sigmaZeta": (True, True, True),
-         "sigmaK": (True, True, False),
+         "sigmaK": (True, False, False),  # read by the component l = 0 table only
          "zeta2": (True, False, False),
          "zetaK": (True, False, False),
          "K2": (True, False, False),
@@ -937,6 +937,39 @@ def test_odd_word_moments_are_shared_across_r(monkeypatch):
     assert all(v != w for v, w in zip(values[:5], values[5:]))
 
 
+def test_a_fresh_model_prices_an_l0_word_without_ring_work(monkeypatch):
+    # once a J-side has priced a word, both routes price an l = 0 word on a fresh
+    # with_pairings model of it with no ring product and no integral: vol, F and the
+    # I_c of an odd part read no pairing (with A-insertions, Sigma.zeta alone) and
+    # the X-table is built in ints; counted by call, not by time
+    from wallcross.delta import evaluate
+    from wallcross.graded import GradedElement
+    q, blocks = 2, (1, 2)
+    j_side = _j_side(q, blocks)
+    wall = WallGeometry.build(p1=-3, q=q, zeta2=-3, zetaK=1)  # d = 6
+    words = [InsertionWord(r=1, s=4), InsertionWord(s=3, gammas=(0, 1)),
+             InsertionWord(s=5, threes=(2, 3)), InsertionWord(s=4, gammas=(0,), threes=(0,))]
+    base = dict(zeta2=-3, zetaK=1, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2, sigmaK=-1)
+    for word in words:
+        evaluate(j_side.with_pairings(Pairings(**base)), wall, word)
+    # every pairing moves; Sigma.zeta too for the words without A-insertions
+    others = [dict(base, zetaAlpha=-1, sigmaAlpha=5, sigmaK=3, K2=8, Kalpha=2, alpha2=-1),
+              dict(base, sigmaZeta=-2, zetaAlpha=Fraction(1, 2), sigmaK=7)]
+    expect = [[evaluate(build_model(PairingInput(q=q, pairings=Pairings(**pairs),
+                                                  a_blocks=blocks)), wall, word)
+               for word in words] for pairs in others]
+    products = _counting(monkeypatch, "__mul__", GradedElement)
+    integrals = (_counting(monkeypatch, "integrate_product"),
+                 _counting(monkeypatch, "integrate_product", jacobian))
+    for pairs, want in zip(others, expect):
+        for word, values in zip(words, want):
+            if pairs["sigmaZeta"] != base["sigmaZeta"] and word.threes:
+                continue
+            assert evaluate(j_side.with_pairings(Pairings(**pairs)), wall, word) == values
+            assert values[0].value == values[1].value != 0, word
+    assert products == [] and integrals == ([], [])
+
+
 def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
     # neither reads a pairing: a second with_pairings model computes neither
     # again, a model over other blocks does; F is kept by both index lists
@@ -963,8 +996,8 @@ def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
 def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
     # however many words and with_pairings models over one J-side price a wall, its
     # table is built once per wall and the pairings it reads: Sigma.zeta, Sigma.K,
-    # zeta^2, zeta.K and K^2 at l = 1 (from both strata), Sigma.zeta and Sigma.K at
-    # l = 0.  An l = 1 table holds at most q + 3 substitutes and an l = 0 table at
+    # zeta^2, zeta.K and K^2 at l = 1 (from both strata), Sigma.zeta at l = 0 (and
+    # Sigma.K on the component branch).  An l = 1 table holds at most q + 3 substitutes and an l = 0 table at
     # most q + 1, all with N <= d
     strata = _counting(monkeypatch, "ch_extension_bundles")
     q, blocks = 2, (1, 2)
@@ -1006,8 +1039,8 @@ def _memo_parts(j_side):
             assert len(key) == 4 + 2 * len(L1_TABLE_PAIRS), key
             ints += key[1:]
             forms += entry.values()
-        elif kind == "l0 table":  # (branch, N_+, N_-, d) and two pairings: (num, den, m) by N
-            assert key[1] in ("unified", "component") and len(key) == 5 + 2 * len(L0_TABLE_PAIRS)
+        elif kind == "l0 table":  # (branch, N_+, N_-, d) and its pairings: (num, den, m) by N
+            assert len(key) == 5 + 2 * len(L0_TABLE_PAIRS[key[1]]), key
             ints += key[2:]
             assert all(0 <= m <= j_side.q for *_, m in entry.values())
             scalars += [(num, den) for num, den, _ in entry.values()]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wallcross import delta, verify, walls
-from wallcross.graded import SIGMA, ModelSpec
+from wallcross.graded import SIGMA, GradedElement, ModelSpec
 
 SMALL = verify.Grid(q_max=1, d_max=5, r_max=1, pair_bound=1, sweep_bound=6)
 
@@ -105,6 +105,21 @@ def test_oracle_l1_fails_on_a_grid_with_only_the_w_variant_slice(monkeypatch):
     tiny = verify.Grid(q_max=1, d_max=3, r_max=1, pair_bound=1, sweep_bound=6)
     assert verify.check_oracle_l1(tiny).points == 4
     _fails_under("oracle-l1", delta, "delta_oracle_l1", _shifted(_sigma_k), tiny, monkeypatch)
+
+
+def test_segre_machinery_makes_a_pinned_number_of_ring_products(monkeypatch):
+    # each closed form takes one StratumClasses per model, so every power of 4 e_zeta
+    # and base, every recursion step and every Newton step of the stratum data is
+    # multiplied once, not once per n (2,648 products before); counted by call
+    calls = []
+    real = GradedElement.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return real(self, other)
+    monkeypatch.setattr(GradedElement, "__mul__", counted)
+    result = verify.check_segre(verify.Grid())
+    assert (result.passed, result.points, len(calls)) == (True, 105, 1470)
 
 
 def _vandermonde_coeffs(xs, ys):

@@ -148,15 +148,14 @@ class StratumClasses:
     point, 4 e_zeta, the K-even determinant entries a_1, a_2, a_3 (as
     ``ChernData``) and the recursion's head, built once.
 
-    The closed forms below take a model or its ``StratumClasses``.  A caller
-    that asks for n = 0, 1, ... on one model passes one instance, so each power
-    of 4 e_zeta and of base = 4 e_zeta - 2 zeta - 4 E, each recursion step and
-    each Newton step is multiplied once, not once per n.  It holds elements of
-    its model, so it lives as long as its caller keeps it.
+    The closed forms below take them, so a caller that asks for n = 0, 1, ...
+    on one model passes one instance, and each power of 4 e_zeta and of
+    base = 4 e_zeta - 2 zeta - 4 E, each recursion step and each Newton step
+    is multiplied once, not once per n.  They hold elements of their model,
+    so they live as long as their caller keeps them.
     """
 
     def __init__(self, model: ModelSpec):
-        self.model = model
         zs, ks, uni = model.even("zeta"), model.even("K"), model.universal_class()
         zz, kk, uz, uu = zs * zs, ks * ks, uni * zs, uni * uni
         self.point = model.point()
@@ -185,20 +184,14 @@ class StratumClasses:
         return self._steps[m]
 
 
-def _stratum(model) -> StratumClasses:
-    return model if isinstance(model, StratumClasses) else StratumClasses(model)
-
-
-def segre_sum_closed(model, n) -> GradedElement:
-    """Closed form for the k-summed Segre class s_n of the two extension pairs,
-    ``model`` a ModelSpec or its StratumClasses.
+def segre_sum_closed(st: StratumClasses, n) -> GradedElement:
+    """Closed form for the k-summed Segre class s_n of the two extension pairs.
 
     s_0 = 2; s_1 = 8 e_zeta - 4 zeta - 8 E; for n >= 2 the four-term
     expression with the (n-3)! term dropped when n < 3.
     """
     if n < 0:
         raise PreconditionError("segre_sum_closed needs n >= 0")
-    st = _stratum(model)
     out = 2 * st.power("four_ez", n) / math.factorial(n)
     if n >= 1:
         out = out - st.line * st.power("four_ez", n - 1) / math.factorial(n - 1)
@@ -209,40 +202,36 @@ def segre_sum_closed(model, n) -> GradedElement:
     return out
 
 
-def segre_det_recursive(model, n) -> GradedElement:
-    """The stratum determinant by its two-term recursion (bases n = 0, 1),
-    ``model`` a ModelSpec or its StratumClasses, which keeps the steps."""
+def segre_det_recursive(st: StratumClasses, n) -> GradedElement:
+    """The stratum determinant by its two-term recursion (bases n = 0, 1), whose
+    steps ``st`` keeps."""
     if n < 0:
         raise PreconditionError("segre_det needs n >= 0")
-    st = _stratum(model)
     seq, minus_a1 = st._recursion, st._recursion[1]
     for m in range(len(seq), n + 1):
         seq.append(minus_a1 * seq[-1] + st.step(m))
     return seq[n]
 
 
-def segre_det_closed(model, n) -> GradedElement:
-    """The stratum determinant by its resolved closed form, ``model`` a ModelSpec
-    or its StratumClasses."""
+def segre_det_closed(st: StratumClasses, n) -> GradedElement:
+    """The stratum determinant by its resolved closed form."""
     if n < 0:
         raise PreconditionError("segre_det needs n >= 0")
-    st = _stratum(model)
     out = st.power("base", n)
     for i in range(2, n + 1):
         out = out + st.power("base", n - i) * st.step(i)
     return out
 
 
-def segre_det_determinant(model, n) -> GradedElement:
-    """The stratum determinant evaluated literally as a determinant, ``model`` a
-    ModelSpec or its StratumClasses.
+def segre_det_determinant(st: StratumClasses, n) -> GradedElement:
+    """The stratum determinant evaluated literally as a determinant.
 
     The determinant is n! s_n of the stratum data, so it also cross-checks
     Newton's recurrence in ``segre_from_ch``; a mismatch raises.
     """
     if n < 0:
         raise PreconditionError("segre_det needs n >= 0")
-    data = _stratum(model).data
+    data = st.data
     det = hessenberg_det(data, n, signed=True)
     if det != segre_from_ch(data, n) * math.factorial(n):
         raise InvariantError(f"literal stratum determinant != n! s_n by recurrence at n={n}")

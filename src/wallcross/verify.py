@@ -528,8 +528,7 @@ def check_segre(grid):
             continue
         datas = [ch_direct_sum(ch_p, ch_dual(ch_m))
                  for ch_p, ch_m in (ch_extension_bundles(model, wall, k) for k in (0, 1))]
-        # one StratumClasses for all n, so the closed forms build each power once
-        classes = StratumClasses(model)
+        classes = StratumClasses(model)  # shared by the closed forms for every n
         four_ez = -2 * model.pair(SIGMA, "zeta") * 4 * model.omega_class()
         kk_four_ez = model.even("K") * model.even("K")  # K^2 (4 e_zeta)^(n - 2) from n = 2
         for n in range(n_max + 1):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from wallcross import (InsertionWord, InvariantError, Pairings, PreconditionError, RegimeError,
                        WallGeometry, volume)
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
-from wallcross.closed import (DeltaValue, _l0_sum, delta_l0, delta_l0_odd, delta_l1,
-                              delta_leading, segre_det_closed, segre_det_determinant,
+from wallcross.closed import (DeltaValue, StratumClasses, _l0_sum, delta_l0, delta_l0_odd,
+                              delta_l1, delta_leading, segre_det_closed, segre_det_determinant,
                               segre_det_recursive, segre_sum_closed)
 from wallcross.jacobian import e_alpha, e_zeta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles
@@ -203,31 +203,38 @@ def _l1_model(q=1):
 
 def test_segre_sum_closed_small_n():
     m = _l1_model()
-    assert segre_sum_closed(m, 0) == 2 * m.one()
+    st = StratumClasses(m)
+    assert segre_sum_closed(st, 0) == 2 * m.one()
     expected = 8 * e_zeta(m) - 4 * m.even("zeta") - 8 * m.universal_class()
-    assert segre_sum_closed(m, 1) == expected
+    assert segre_sum_closed(st, 1) == expected
 
 
 def test_segre_det_routes_agree():
     for q in (0, 1, 2):
         m = _l1_model(q=q)
+        # a fresh StratumClasses for each n, and one shared by all n in both orders
+        shared, backwards = StratumClasses(m), StratumClasses(m)
         for n in range(0, 7):
-            closed = segre_det_closed(m, n)
-            assert closed == segre_det_recursive(m, n)
-            assert closed == segre_det_determinant(m, n)
-        assert segre_det_closed(m, 1) == (4 * e_zeta(m) - 2 * m.even("zeta")
-                                          - 4 * m.universal_class())
+            closed = segre_det_closed(StratumClasses(m), n)
+            for st in (StratumClasses(m), shared):
+                assert closed == segre_det_recursive(st, n)
+                assert closed == segre_det_determinant(st, n)
+                assert closed == segre_det_closed(st, n)
+        for n in range(6, -1, -1):
+            assert segre_det_closed(backwards, n) == segre_det_recursive(backwards, n)
+        assert segre_det_closed(shared, 1) == (4 * e_zeta(m) - 2 * m.even("zeta")
+                                               - 4 * m.universal_class())
 
 
 def test_literal_determinant_cross_checks_recurrence(monkeypatch):
     import wallcross.closed as closed
     m = _l1_model(q=1)
     with pytest.raises(PreconditionError):
-        segre_det_determinant(m, -1)
+        segre_det_determinant(StratumClasses(m), -1)
     real = closed.segre_from_ch
     monkeypatch.setattr(closed, "segre_from_ch", lambda data, n: -real(data, n))
     with pytest.raises(InvariantError):
-        segre_det_determinant(m, 3)
+        segre_det_determinant(StratumClasses(m), 3)
 
 
 def test_factorial_segre_identity():
@@ -236,9 +243,10 @@ def test_factorial_segre_identity():
         m = _l1_model(q=q)
         ks = m.even("K")
         four_ez = 4 * e_zeta(m)
+        st = StratumClasses(m)
         for n in range(0, 7):
-            lhs = segre_sum_closed(m, n) * math.factorial(n)
-            rhs = 2 * segre_det_closed(m, n)
+            lhs = segre_sum_closed(st, n) * math.factorial(n)
+            rhs = 2 * segre_det_closed(st, n)
             if n >= 2:
                 rhs = rhs + 2 * comb0(n, 2) * (ks * ks) * four_ez ** (n - 2)
             assert lhs == rhs
@@ -253,7 +261,7 @@ def test_segre_sum_matches_extension_determinants():
         datas.append(ch_direct_sum(ch_p, ch_dual(ch_m)))
     for n in range(6):
         det_sum = segre_from_ch(datas[0], n) + segre_from_ch(datas[1], n)
-        assert det_sum == segre_sum_closed(m, n)
+        assert det_sum == segre_sum_closed(StratumClasses(m), n)
 
 
 def leading_insertion_class(model, l_zeta, which):

@@ -192,7 +192,8 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     # C(s, b) a^b t^(s - b) with a = zeta.alpha / 2 and t = 2 Sigma.alpha, is
     # x^b y^(s - b) / (2 zd sd)^s over the pairings' denominators zd and sd
     pairings = model.pairings
-    (zn, zd), (an, ad) = pairings.zetaAlpha.as_integer_ratio(), pairings.sigmaAlpha.as_integer_ratio()
+    (zn, zd), (an, ad) = (pairings.zetaAlpha.as_integer_ratio(),
+                          pairings.sigmaAlpha.as_integer_ratio())
     x, y = zn * ad, 4 * an * zd
     table = _l0_table(model, wall, branch)
     # the word's degree fixes k + N = s + |gamma| + 2r, and X^N's entry

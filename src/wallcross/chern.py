@@ -52,7 +52,9 @@ class ChernData:
 
 
 def chern_data_from_element(ch: GradedElement) -> ChernData:
-    """Split a total Chern character into (rank, a_1, a_2, ...)."""
+    """Split a total Chern character into (rank, a_1, a_2, ...).  Nothing in the
+    package calls it (the l = 1 extension data is powers of the line classes); it stays
+    for the benchmark's traced span and the tests until ROADMAP items 1 and 3."""
     model = ch.model
     parts = ch.components()
     a = [parts[2 * i] * math.factorial(i) if 2 * i in parts else model.zero()

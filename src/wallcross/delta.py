@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .closed import DeltaValue, delta_l0_odd, delta_l1, delta_leading
 from .errors import PreconditionError, RegimeError
-from .graded import ModelSpec
+from .graded import ModelSpec, _shown
 from .jacobian import InsertionWord, volume
 from .oracle import delta_oracle_l0, delta_oracle_l1
 from .walls import WallGeometry
@@ -40,6 +40,14 @@ def evaluate(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
         raise PreconditionError(f"unknown evaluation path {path!r}; known: {', '.join(PATHS)}")
     d, l_zeta = wall.d, wall.l_zeta
     wall.require_q(model.q)
+    # zeta^2 and zeta.K are one fact: the l = 1 routes read the model's, d and the
+    # signs the wall's, so a model of other values would price a wall that is not this one
+    zeta2, zeta_k = model.pairings.zeta2, model.pairings.zetaK
+    if (zeta2.denominator != 1 or zeta2.numerator != wall.zeta2
+            or zeta_k.denominator != 1 or zeta_k.numerator != wall.zetaK):
+        raise PreconditionError(
+            f"the model's zeta^2 = {_shown(zeta2)} and zeta.K = {_shown(zeta_k)} are not "
+            f"the wall's {wall.zeta2} and {wall.zetaK}")
     if d > MAX_DEGREE:
         raise PreconditionError(f"d = {d} exceeds the largest priced d, {MAX_DEGREE}")
     # every route prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,

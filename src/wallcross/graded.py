@@ -551,21 +551,6 @@ def monomial_str(key) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def exp_truncated(a: GradedElement) -> GradedElement:
-    """exp(a) = sum a^n / n!, truncated by the ring; requires no degree-0 part."""
-    if a.scalar_part() != 0:
-        raise PreconditionError("exp_truncated requires a vanishing degree-0 component")
-    out = a.model.one()
-    term = a.model.one()
-    n = 0
-    while True:
-        n += 1
-        term = term * a / n
-        if term.is_zero():
-            return out
-        out = out + term
-
-
 def inverse_unit_series(a: GradedElement) -> GradedElement:
     """Multiplicative inverse of a unit series 1 + (positive-degree part)."""
     if a.scalar_part() != 1:

@@ -8,7 +8,9 @@ replaced through the Segre classes of the extension bundles,
     l = 1:  ch E(k-th stratum) = ch M_{+-zeta} + exp(line class) exp(+-2E)
 
 (duals through ch_dual, the two strata summed inside the table), and the
-result is integrated.  Hilbert schemes of >= 2 points would require their
+result is integrated.  At l = 1 each bundle's exponentials are one exp(x), x the
+line class +- 2E, and a_i = i! ch_i(exp x) = x^i: its data is built as powers of x,
+with no series summed.  Hilbert schemes of >= 2 points would require their
 full cohomology, so l_zeta >= 2 is rejected.  Alpha enters only through
 a = zeta.alpha/2 and e_alpha = -2 (Sigma.alpha) omega, so with t = 2 Sigma.alpha
 A = -e_alpha + aX is raised as A^s = sum_b C(s, b) a^b t^(s - b) omega^(s - b) X^b
@@ -28,12 +30,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chern import ChernData, ch_direct_sum, ch_dual, chern_data_from_element, segre_from_ch
+from .chern import ChernData, ch_direct_sum, ch_dual, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
-from .graded import (_ZERO, S_ONE, S_PT, SIGMA, ModelSpec, exact_count, exp_truncated,
-                     integrate_forms, integrate_product, integration_index, integration_pairs,
-                     s_even)
+from .graded import (_ZERO, S_ONE, S_PT, SIGMA, ModelSpec, exact_count, integrate_forms,
+                     integrate_product, integration_index, integration_pairs, s_even)
 from .jacobian import InsertionWord, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
@@ -62,18 +63,19 @@ def ch_extension_bundles(model: ModelSpec, wall: WallGeometry, k):
         # nothing above degree 2: the data is (rank, a_1 = e), a_1 dropped when zero
         return tuple(ChernData(model, rank, () if e.is_zero() else (e,))
                      for rank, e in ((rank_plus, e_plus), (rank_minus, e_minus)))
-    m_plus = model.scalar(rank_plus) + e_plus
-    m_minus = model.scalar(rank_minus) + e_minus
     zs = model.even("zeta")
     ks = model.even("K")
     two_e = 2 * model.universal_class()
-    if k == 0:
-        ch_plus = m_plus + exp_truncated(zs + two_e)
-        ch_minus = m_minus + exp_truncated(-zs - ks - two_e)
-    else:
-        ch_plus = m_plus + exp_truncated(zs - ks + two_e)
-        ch_minus = m_minus + exp_truncated(-zs - two_e)
-    return (chern_data_from_element(ch_plus), chern_data_from_element(ch_minus))
+    # ch = rank + e + exp(x) for each side's line class x, and i! ch_i(exp(x)) = x^i:
+    # the data is (rank + 1, e + x, x^2, x^3, ...) up to the first zero power, i <= q + 2
+    lines = (zs + two_e, -zs - ks - two_e) if k == 0 else (zs - ks + two_e, -zs - two_e)
+    datas = []
+    for rank, e, x in zip((rank_plus, rank_minus), (e_plus, e_minus), lines):
+        a, power = [e + x], x
+        while len(a) < model.q + 2 and not (power := power * x).is_zero():
+            a.append(power)
+        datas.append(ChernData(model, rank + 1, a))
+    return tuple(datas)
 
 
 def _x_table(model, wall):

@@ -610,7 +610,9 @@ def check_hidden_data(grid):
         yield (vals, [(6, vals[0][1])] * len(vals),
                lambda: f"a_ij dependence at fixed vol (l={l}, d={wall.d}), (vol, delta)")
 
-    # (ii) Sigma.K and K.alpha changes; (iii) K -> -K with wall data fixed
+    # (ii) Sigma.K and K.alpha changes; (iii) K -> -K with wall data fixed.  K -> -K
+    # flips zeta.K too, and evaluate refuses a model whose zeta.K is not the wall's:
+    # the flip stays legal only because the wall's zeta.K is 0 for every (q, l) here
     hidden_variants = [dict(sigmaK=0, Kalpha=0), dict(sigmaK=3, Kalpha=-2),
                        dict(sigmaK=-1, Kalpha=5)]
     for q, l in itertools.product((0, 1, 2), (0, 1)):

@@ -17,8 +17,8 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from wallcross import PairingInput, Pairings, build_model
-from wallcross.graded import ModelSpec
+from wallcross import PairingInput, Pairings, PreconditionError, build_model
+from wallcross.graded import GradedElement, ModelSpec
 
 
 def make_model(q=1, blocks=None, matrix=None, **pairings) -> ModelSpec:
@@ -27,6 +27,24 @@ def make_model(q=1, blocks=None, matrix=None, **pairings) -> ModelSpec:
     base.update(pairings)
     return build_model(PairingInput(q=q, pairings=Pairings(**base),
                                     a_blocks=blocks, a_matrix=matrix))
+
+
+def exp_truncated(a: GradedElement) -> GradedElement:
+    """exp(a) = sum a^n / n!, truncated by the ring; requires no degree-0 part.
+
+    The series itself, term by term: the reference that the l = 1 extension
+    data, built as powers of each line class, is checked against."""
+    if a.scalar_part() != 0:
+        raise PreconditionError("exp_truncated requires a vanishing degree-0 component")
+    out = a.model.one()
+    term = a.model.one()
+    n = 0
+    while True:
+        n += 1
+        term = term * a / n
+        if term.is_zero():
+            return out
+        out = out + term
 
 
 @pytest.fixture

@@ -373,3 +373,33 @@ def test_a_surface_takes_an_integral_q_only():
 def test_a_sequence_input_that_is_no_sequence_is_refused(call):
     with pytest.raises(PreconditionError, match="must be a sequence"):
         call()
+
+
+def test_a_model_whose_zeta_pairings_are_not_the_wall_s_is_refused():
+    # the l = 1 routes read zeta^2 and zeta.K off the model, d and the signs off the
+    # wall: handed a model with zeta^2 = 0 on a zeta^2 = -4 wall, both priced
+    # another wall alike, -143/4 against -32, and evaluate gave that value
+    from wallcross.closed import delta_l1
+    from wallcross.oracle import delta_oracle_l1
+    wall = WallGeometry(-8, 1, -4, 2)
+    word = InsertionWord(s=wall.d)
+    assert (wall.l_zeta, word.describe()) == (1, "alpha^8")
+
+    def model(zeta2=-4, zetaK=2):
+        return build_model(PairingInput(q=1, pairings=Pairings(
+            zeta2=zeta2, zetaK=zetaK, zetaAlpha=1, sigmaZeta=1, sigmaAlpha=1, K2=8, alpha2=1)))
+    values = evaluate(model(), wall, word)
+    assert [(v.value.numerator, v.value.denominator) for v in values] == [(-32, 1)] * 2
+    stray = model(zeta2=0)
+    routes = (delta_l1(wall, stray.pairings, 0, volume(stray)).value,
+              delta_oracle_l1(stray, wall, 0).value)
+    assert [(v.numerator, v.denominator) for v in routes] == [(-143, 4)] * 2
+    for stray in (stray, model(zetaK=0), model(zeta2=Fraction(-7, 2))):
+        for path in PATHS:
+            with pytest.raises(PreconditionError, match="are not the wall's -4 and 2"):
+                evaluate(stray, wall, word, path)
+    # at l = 0 neither field moves the value, but the record is one fact there too
+    wall0 = WallGeometry(-4, 1, -4, 2)
+    assert evaluate(model(), wall0, InsertionWord(s=wall0.d))
+    with pytest.raises(PreconditionError, match="zeta.K = 0 are not"):
+        evaluate(model(zetaK=0), wall0, InsertionWord(s=wall0.d))

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from wallcross import PairingInput, Pairings, PreconditionError, build_model
 from wallcross.errors import ModelMismatchError
 from wallcross.graded import (_ZERO, EVEN_SYMBOLS, PAIRING_FIELDS, SIGMA, GradedElement,
-                              exp_truncated, integrate, integrate_forms, integrate_jacobian,
-                              integrate_product, integration_index, integration_pairs,
-                              inverse_unit_series)
+                              integrate, integrate_forms, integrate_jacobian, integrate_product,
+                              integration_index, integration_pairs, inverse_unit_series)
 from wallcross.jacobian import PAIRING_KEYS
 from wallcross.verify import monomial_basis, random_even_element
 
-from conftest import make_model
+from conftest import exp_truncated, make_model
 
 
 def test_odd_squares_vanish(model_q2):

@@ -15,12 +15,12 @@ from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
 from wallcross.closed import delta_l0, delta_l0_odd, delta_l1
 from wallcross import jacobian, oracle
-from wallcross.graded import S_ONE, SIGMA, exp_truncated, integrate, integrate_jacobian
+from wallcross.graded import S_ONE, SIGMA, integrate, integrate_jacobian
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles, delta_oracle_l0, delta_oracle_l1
 from wallcross.verify import valid_zeta_k
 
-from conftest import make_model
+from conftest import exp_truncated, make_model
 
 
 def _wall_and_model(q=1, zeta2=-4, zetaK=2, l=1, **pairs):
@@ -258,6 +258,72 @@ def test_direct_l0_extension_data_equals_the_split_character():
                 assert data == split
                 cases += 1
     assert cases == 72
+
+
+# small rationals, zero twice as likely as any other value
+SMALL = st.sampled_from((0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+
+
+@st.composite
+def l1_walls_and_models(draw):
+    """An l = 1 wall of q <= 4 and a model whose nine pairings are any small rationals,
+    zeros included, over nonzero rational blocks or a dense rational a_matrix."""
+    q, zeta2 = draw(st.sampled_from((4, 3, 2, 1, 0))), draw(st.integers(-10, -1))
+    zeta_ks = valid_zeta_k(q, zeta2, 1)
+    assume(zeta_ks)
+    wall = WallGeometry.build(p1=zeta2 - 4, q=q, zeta2=zeta2, zetaK=draw(st.sampled_from(zeta_ks)))
+    pairings = {key: draw(SMALL) for key in ("zeta2", "zetaK", "zetaAlpha", "sigmaZeta",
+                                             "sigmaAlpha", "sigmaK", "K2", "Kalpha", "alpha2")}
+    if draw(st.booleans()):
+        blocks = tuple(draw(st.lists(SMALL.filter(bool), min_size=q, max_size=q)))
+        return wall, make_model(q=q, blocks=blocks, **pairings)
+    n = 2 * q
+    upper = draw(st.lists(SMALL.filter(bool), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))
+    entries = {(i, j): upper.pop() for i in range(n) for j in range(i + 1, n)}
+    matrix = tuple(tuple(entries[i, j] if i < j else -entries[j, i] if i > j else 0
+                         for j in range(n)) for i in range(n))
+    return wall, make_model(q=q, matrix=matrix, **pairings)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(l1_walls_and_models())
+def test_l1_extension_data_equals_the_split_character(wall_and_model):
+    # at l = 1 each bundle's data is built as (h + q + 1, e + x, x^2, x^3, ...) for
+    # its line class x; it must equal splitting the character h + q + e + exp(x),
+    # with the exponential summed as a series, in rank and in every a_i
+    from wallcross.chern import chern_data_from_element
+    from wallcross.jacobian import e_divisor
+    wall, model = wall_and_model
+    q, zs, ks = model.q, model.even("zeta"), model.even("K")
+    two_e = 2 * model.universal_class()
+    sigma_k, sigma_z = model.pair(SIGMA, "K"), model.pair(SIGMA, "zeta")
+    sides = ((wall.h_plus, sigma_k - 2 * sigma_z), (wall.h_minus, sigma_k + 2 * sigma_z))
+    lines = {0: (zs + two_e, -zs - ks - two_e), 1: (zs - ks + two_e, -zs - two_e)}
+    for k, xs in lines.items():
+        for data, (h, d_dot), x in zip(ch_extension_bundles(model, wall, k), sides, xs):
+            split = chern_data_from_element(
+                model.scalar(h + q) + e_divisor(model, d_dot) + exp_truncated(x))
+            assert data.rank == split.rank == h + q + 1
+            assert [data.a_i(i) for i in range(q + 4)] == [split.a_i(i) for i in range(q + 4)]
+            assert data == split
+
+
+def test_an_l1_table_takes_its_data_from_the_line_classes_not_a_split(monkeypatch):
+    # one l = 1 X-table build makes the data of both strata, two bundles each, and
+    # splits no Chern character; the other words on the wall build nothing
+    from wallcross import chern
+    strata = _counting(monkeypatch, "ch_extension_bundles")
+    splits = _counting(monkeypatch, "chern_data_from_element", chern)
+    monkeypatch.setattr(oracle, "chern_data_from_element", chern.chern_data_from_element,
+                        raising=False)
+    wall, model = _wall_and_model(q=2)
+    assert wall.l_zeta == 1
+    values = [delta_oracle_l1(model, wall, r).value for r in range(wall.d // 2 + 1)]
+    assert (len(strata), len(splits)) == (2, 0)
+    assert values == [delta_l1(wall, model.pairings, r, volume(model)).value
+                      for r in range(wall.d // 2 + 1)]
 
 
 # -- the J-side cache -----------------------------------------------------------
@@ -842,10 +908,6 @@ def _l0_per_term(model, wall, word, branch):
                 num, den = num * t_den * i_den + term * den, den * t_den * i_den
     scale = (-4) ** word.r * (2 * za.denominator * sa.denominator) ** s
     return Fraction(wall.sign_complex * num, den * scale)
-
-
-# small rationals, zero twice as likely as any other value
-SMALL = st.sampled_from((0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
 
 
 @st.composite

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ChernData, hessenberg_det, segre_from_ch
-from .errors import InvariantError, PreconditionError, RegimeError
-from .graded import _ZERO, GradedElement, ModelSpec, exact_count, frac
+from .errors import InvariantError, PreconditionError
+from .graded import _ZERO, GradedElement, ModelSpec, frac
 from .jacobian import InsertionWord, Pairings, e_zeta, jacobian_odd_integral
 from .walls import WallGeometry
 
@@ -87,28 +87,25 @@ def _l0_closed(wall, pairings, r, s, p, b, fz) -> DeltaValue:
 
 def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
     """Wall-crossing term for l_zeta = 0 on the word x^r alpha^(d-2r): the l = 0 sum
-    with F = q! vol.  ``evaluate`` prices every l = 0 word through ``delta_l0_odd``."""
-    r = exact_count(r, "the multiplicity r")
-    if wall.l_zeta != 0:
-        raise RegimeError(f"delta_l0 needs l_zeta = 0, got {wall.l_zeta}")
-    return _l0_closed(wall, pairings, r, wall.d - 2 * r, wall.q, 0,
+    with F = q! vol.  ``evaluate`` prices every l = 0 word through ``delta_l0_odd``.
+    ``WallGeometry.admit`` refuses what ``evaluate`` does, and an l = 1 wall, but
+    with no model it cannot compare q; r > d/2 names no word."""
+    word = InsertionWord.plain(r, wall.d)
+    wall.admit(pairings, word, 0)
+    return _l0_closed(wall, pairings, word.r, word.s, wall.q, 0,
                       frac(vol) * math.factorial(wall.q))
 
 
 def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> DeltaValue:
     """Wall-crossing term for l_zeta = 0 on any word: the l = 0 sum with F, the
     functional on the word's odd part, evaluated in the ring (F = q! vol for
-    x^r alpha^s).  Terms with q - (a+b)/2 - j < 0 are zero, and so are words
-    of odd odd-count (F kills them)."""
-    if wall.l_zeta != 0:
-        raise RegimeError(f"delta_l0_odd needs l_zeta = 0, got {wall.l_zeta}")
-    wall.require_q(model.q)
+    x^r alpha^s).  Terms with q - (a+b)/2 - j < 0 are zero.  ``WallGeometry.admit``
+    refuses what ``evaluate`` does, and an l = 1 wall; past the wall and model
+    checks a word of odd odd-count is 0 (F kills it) at any degree."""
     odd_count, b_cnt = word.odd_count(), len(word.threes)
+    wall.admit(model.pairings, None if odd_count % 2 else word, 0, model.q)
     if odd_count % 2:
         return DeltaValue(_ZERO, "closed-form")
-    if word.degree() != 2 * wall.d:
-        raise PreconditionError(
-            f"word degree {word.degree()} does not match 2d = {2 * wall.d}")
     return _l0_closed(wall, model.pairings, word.r, word.s, wall.q - odd_count // 2, b_cnt,
                       jacobian_odd_integral(model, word.gammas, word.threes))
 
@@ -119,12 +116,12 @@ def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
     eps (-1)^(r+d+1) vol 2^(3q-d) [B S(s) + 8 s (zeta.alpha) S(s-1)
     + 8 alpha^2 C(s,2) S(s-2)], with s = d - 2r, B = 6 zeta^2 + 2 K^2 - 24q - 8r
     and S(m) = ``_l0_sum(m, q, q, zeta.alpha, Sigma.alpha, Sigma.zeta)``.
+    ``WallGeometry.admit`` refuses what ``evaluate`` does, and an l = 0 wall, but
+    with no model it cannot compare q; r > d/2 names no word.
     """
-    r = exact_count(r, "the multiplicity r")
-    if wall.l_zeta != 1:
-        raise RegimeError(f"delta_l1 needs l_zeta = 1, got {wall.l_zeta}")
-    d, q = wall.d, wall.q
-    s = d - 2 * r
+    word = InsertionWord.plain(r, wall.d)
+    wall.admit(pairings, word, 1)
+    d, q, r, s = wall.d, wall.q, word.r, word.s
     za, sa, sz = pairings.zetaAlpha, pairings.sigmaAlpha, pairings.sigmaZeta
     z2, k2, a2 = pairings.zeta2, pairings.K2, pairings.alpha2
     # the bracket's three terms as int fractions, summed over the lcm of their denominators
@@ -242,10 +239,12 @@ def delta_leading(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValu
     """Two lowest-order terms of delta in a = (zeta.alpha)/2, any l_zeta.
 
     Valid modulo a^(d - 2r - 2 l_zeta - q + 2); the returned value carries
-    that exponent.  Requires d - 2r >= 2 l_zeta + q.
+    that exponent.  Requires d - 2r >= 2 l_zeta + q.  ``WallGeometry.admit``
+    refuses what ``evaluate`` does, but with no model it cannot compare q.
     """
-    r = exact_count(r, "the multiplicity r")
-    d, q, l = wall.d, wall.q, wall.l_zeta
+    word = InsertionWord.plain(r, wall.d)
+    wall.admit(pairings, word)
+    d, q, l, r = wall.d, wall.q, wall.l_zeta, word.r
     m = d - 2 * r - 2 * l - q
     if m < 0:
         raise PreconditionError(

@@ -228,6 +228,15 @@ class InsertionWord:
         object.__setattr__(self, "_degree", 4 * self.r + 2 * self.s + 3 * len(self.gammas)
                            + len(self.threes))
 
+    @classmethod
+    def plain(cls, r, d) -> "InsertionWord":
+        """x^r alpha^(d - 2r), the word a route taking r prices: r is checked
+        before d - 2r is formed, and r > d/2, which names no word, is refused."""
+        r = exact_count(r, "the multiplicity r")
+        if 2 * r > d:
+            raise PreconditionError(f"x^r alpha^(d - 2r) needs 2r <= d, got r = {r}, d = {d}")
+        return cls(r=r, s=d - 2 * r)
+
     def degree(self) -> int:
         return self._degree
 

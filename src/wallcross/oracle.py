@@ -33,8 +33,8 @@ from fractions import Fraction
 from .chern import ChernData, ch_direct_sum, ch_dual, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
-from .graded import (_ZERO, S_ONE, S_PT, SIGMA, ModelSpec, exact_count, integrate_forms,
-                     integrate_product, integration_index, integration_pairs, s_even)
+from .graded import (_ZERO, S_ONE, S_PT, SIGMA, ModelSpec, integrate_forms, integrate_product,
+                     integration_index, integration_pairs, s_even)
 from .jacobian import InsertionWord, e_divisor, e_zeta_beta
 from .walls import WallGeometry
 
@@ -173,18 +173,15 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     extra-component regime.  ``branch="component"`` substitutes
     s_{N - N_{-zeta}}(E_{-zeta}) directly, as on a moduli space gaining a
     whole component; it requires h(zeta) + q = 0 and Chern data consistent
-    with a rank-zero E_zeta (Sigma.K = 2 Sigma.zeta).
+    with a rank-zero E_zeta (Sigma.K = 2 Sigma.zeta).  ``WallGeometry.admit``
+    refuses what ``evaluate`` does, and an l = 1 wall; past the wall and model
+    checks a word of odd odd-count is 0 at any degree.
     """
-    if wall.l_zeta != 0:
-        raise RegimeError(f"l0 oracle needs l_zeta = 0, got {wall.l_zeta}")
-    wall.require_q(model.q)
     a_cnt, b_cnt = len(word.gammas), len(word.threes)
+    wall.admit(model.pairings, None if (a_cnt + b_cnt) % 2 else word, 0, model.q)
     if (a_cnt + b_cnt) % 2:
-        # the Jacobian integral of an odd-degree class vanishes
+        # the Jacobian integral of an odd-degree class vanishes, at any degree
         return DeltaValue(_ZERO, "ring-oracle")
-    if word.degree() != 2 * wall.d:
-        raise PreconditionError(
-            f"word degree {word.degree()} does not match 2d = {2 * wall.d}")
     if branch == "component":
         if wall.h_plus + wall.q != 0:
             raise RegimeError("component branch requires h(zeta) + q = 0")
@@ -242,14 +239,11 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
     with sigma w = c [S] of c times the integral over J of omega^k T_N[w], so no
     ring product is built.  The X-table sums the Segre classes of the k = 0 and
     k = 1 stratum pairs, so the K-odd couplings cancel exactly.
+    ``WallGeometry.admit`` refuses what ``evaluate`` does, and an l = 0 wall.
     """
-    r = exact_count(r, "the multiplicity r")
-    if wall.l_zeta != 1:
-        raise RegimeError(f"l1 oracle needs l_zeta = 1, got {wall.l_zeta}")
-    wall.require_q(model.q)
-    s = wall.d - 2 * r
-    if s < 0:
-        return DeltaValue(Fraction(0), "ring-oracle")
+    word = InsertionWord.plain(r, wall.d)
+    wall.admit(model.pairings, word, 1, model.q)
+    r, s = word.r, word.s
     table = _x_table(model, wall)
     # a^b t^(m - b) = x^b y^(m - b) / e^m over the pairings' denominators zd and sd
     za, sa = model.pair("zeta", "alpha"), model.pair(SIGMA, "alpha")

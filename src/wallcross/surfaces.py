@@ -7,8 +7,8 @@ K = -2C + (2g-2) f, so K^2 = 8(1-g) and K.f = -2 in both cases.
 
 Walls are enumerated as zeta = a f - b (C or s) with a, b > 0 inside the
 stated subcone (a > b (g-1) for the product type, a > b (2g-1)/2 for the
-twisted type); blow-ups and other surfaces enter through the custom
-constructor as plain intersection data.
+twisted type); blow-ups and other surfaces enter as plain intersection data,
+a ``SurfaceData`` or a surface document read by ``surface_from_json_dict``.
 """
 
 from __future__ import annotations
@@ -85,20 +85,6 @@ class SurfaceData:
                 total += x.numerator * (du // x.denominator) * g * y.numerator * (dv // y.denominator)
         return Fraction(total, den * du * dv)
 
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "surface": {
-                "name": self.name,
-                "q": self.q,
-                "basis": list(self.basis),
-                "gram": [[str(x) for x in row] for row in self.gram],
-                "K": list(self.K),
-                "Sigma": list(self.Sigma),
-                "cone_slope": None if self.cone_slope is None else str(self.cone_slope),
-            },
-        }
-
 
 def product_ruled(g) -> SurfaceData:
     """CP^1 x C_g: basis {f, C}, f^2 = C^2 = 0, f.C = 1, K = -2C + (2g-2) f."""
@@ -119,13 +105,6 @@ def odd_ruled(g) -> SurfaceData:
         name=f"odd_ruled({g})", q=g, basis=("f", "s"),
         gram=((0, 1), (1, s2)), K=(s2 + 2 * g - 2, -2), Sigma=(1, 0),
         cone_slope=Fraction(2 * g - 1, 2))
-
-
-def custom_surface(name, q, gram, K, Sigma, cone_slope=None) -> SurfaceData:
-    """Arbitrary intersection data (blow-ups etc.); no wall-cone filter by default."""
-    basis = tuple(f"e{i}" for i in range(len(gram)))
-    return SurfaceData(name=name, q=q, basis=basis, gram=gram, K=K, Sigma=Sigma,
-                       cone_slope=None if cone_slope is None else frac(cone_slope))
 
 
 def surface_from_json_dict(doc) -> SurfaceData:

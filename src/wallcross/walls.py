@@ -15,8 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .errors import InvalidWallError, PreconditionError
+from .errors import InvalidWallError, PreconditionError, RegimeError
 from .graded import MAX_WALL_INPUT, _shown, exact_int
+
+# The largest d priced: the X-tables and the leading terms' factorials grow
+# with d, so a larger wall is refused rather than left to run.
+MAX_DEGREE = 10_000
 
 
 class WallParams(NamedTuple):
@@ -132,10 +136,31 @@ class WallGeometry:
         """``WallGeometry(...)``, under the name the benchmark traces."""
         return cls(*args, **kwargs)
 
-    def require_q(self, q):
-        """Refuse a model of another q: the routes read q from both."""
-        if self.q != q:
+    def admit(self, pairings, word=None, l=None, q=None):
+        """Refuse what no route prices on this wall, the one rule ``evaluate`` and
+        every route apply, in this order: a route's l_zeta ``l`` that is not the
+        wall's (RegimeError); a model of another ``q``; ``pairings`` whose zeta^2
+        or zeta.K is not the wall's; d past ``MAX_DEGREE``; and a ``word`` whose
+        degree is not 2d.  A check whose argument is None is not made."""
+        if l is not None and l != self.l_zeta:
+            raise RegimeError(f"this route needs l_zeta = {l}, got {self.l_zeta}")
+        if q is not None and q != self.q:
             raise PreconditionError(f"a wall of q = {self.q} on a model of q = {q}")
+        # zeta^2 and zeta.K are one fact: the l = 1 routes read the pairings', d and the
+        # signs the wall's, so pairings of other values would price a wall that is not this one
+        zeta2, zeta_k = pairings.zeta2, pairings.zetaK
+        if (zeta2.as_integer_ratio() != (self.zeta2, 1)
+                or zeta_k.as_integer_ratio() != (self.zetaK, 1)):
+            raise PreconditionError(
+                f"the model's zeta^2 = {_shown(zeta2)} and zeta.K = {_shown(zeta_k)} are not "
+                f"the wall's {self.zeta2} and {self.zetaK}")
+        if self.d > MAX_DEGREE:
+            raise PreconditionError(f"d = {self.d} exceeds the largest priced d, {MAX_DEGREE}")
+        # every route prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,
+        # so any other word is refused rather than answered for r alone
+        if word is not None and word.degree() != 2 * self.d:
+            raise PreconditionError(
+                f"word {word.describe()} has degree {word.degree()}, not 2d = {2 * self.d}")
 
     def reversed(self) -> "WallGeometry":
         """The wall for -zeta (exchanges the (h, N) pairs; d and l fixed)."""

@@ -18,7 +18,8 @@ with warnings.catch_warnings():
         pass
 
 from wallcross import PairingInput, Pairings, PreconditionError, build_model
-from wallcross.graded import GradedElement, ModelSpec
+from wallcross.graded import GradedElement, ModelSpec, frac
+from wallcross.surfaces import SurfaceData
 
 
 def make_model(q=1, blocks=None, matrix=None, **pairings) -> ModelSpec:
@@ -45,6 +46,30 @@ def exp_truncated(a: GradedElement) -> GradedElement:
         if term.is_zero():
             return out
         out = out + term
+
+
+def custom_surface(name, q, gram, K, Sigma, cone_slope=None) -> SurfaceData:
+    """Arbitrary intersection data (blow-ups etc.) on the basis e0, e1, ...; no
+    wall-cone filter by default."""
+    basis = tuple(f"e{i}" for i in range(len(gram)))
+    return SurfaceData(name=name, q=q, basis=basis, gram=gram, K=K, Sigma=Sigma,
+                       cone_slope=None if cone_slope is None else frac(cone_slope))
+
+
+def surface_document(surface: SurfaceData) -> dict:
+    """The surface document that carries ``surface``'s data, as the CLI reads it."""
+    return {
+        "schema_version": 1,
+        "surface": {
+            "name": surface.name,
+            "q": surface.q,
+            "basis": list(surface.basis),
+            "gram": [[str(x) for x in row] for row in surface.gram],
+            "K": list(surface.K),
+            "Sigma": list(surface.Sigma),
+            "cone_slope": None if surface.cone_slope is None else str(surface.cone_slope),
+        },
+    }
 
 
 @pytest.fixture

@@ -23,12 +23,13 @@ from hypothesis import strategies as st
 
 import wallcross
 from wallcross import (DeltaValue, InsertionWord, PairingInput, Pairings, PreconditionError,
-                       WallCrossError, WallGeometry, build_model, evaluate, volume)
-from wallcross.delta import MAX_DEGREE, PATHS
+                       RegimeError, WallCrossError, WallGeometry, build_model, evaluate,
+                       volume)
+from wallcross.delta import PATHS
 from wallcross.cli import main
 from wallcross.graded import MAX_EXPONENT, MAX_Q, MAX_WALL_INPUT, frac
 from wallcross.jacobian import PAIRING_KEYS, pairing_input_from_json
-from wallcross.walls import wall_params
+from wallcross.walls import MAX_DEGREE, wall_params
 
 FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -353,7 +354,7 @@ def test_a_decimal_exponent_past_the_cap_is_refused_before_it_is_expanded():
 
 def test_a_surface_takes_an_integral_q_only():
     # q = 1.5 and True built a surface, and only a sweep that reached a wall refused them
-    from wallcross.surfaces import custom_surface
+    from conftest import custom_surface
 
     def surface(q):
         return custom_surface("s", q, ((0, 1), (1, 0)), K=(0, -2), Sigma=(1, 0))
@@ -378,7 +379,8 @@ def test_a_sequence_input_that_is_no_sequence_is_refused(call):
 def test_a_model_whose_zeta_pairings_are_not_the_wall_s_is_refused():
     # the l = 1 routes read zeta^2 and zeta.K off the model, d and the signs off the
     # wall: handed a model with zeta^2 = 0 on a zeta^2 = -4 wall, both priced
-    # another wall alike, -143/4 against -32, and evaluate gave that value
+    # another wall alike, -143/4 against -32, and evaluate gave that value; the
+    # bare routes gave it until they took evaluate's rule
     from wallcross.closed import delta_l1
     from wallcross.oracle import delta_oracle_l1
     wall = WallGeometry(-8, 1, -4, 2)
@@ -390,16 +392,74 @@ def test_a_model_whose_zeta_pairings_are_not_the_wall_s_is_refused():
             zeta2=zeta2, zetaK=zetaK, zetaAlpha=1, sigmaZeta=1, sigmaAlpha=1, K2=8, alpha2=1)))
     values = evaluate(model(), wall, word)
     assert [(v.value.numerator, v.value.denominator) for v in values] == [(-32, 1)] * 2
-    stray = model(zeta2=0)
-    routes = (delta_l1(wall, stray.pairings, 0, volume(stray)).value,
-              delta_oracle_l1(stray, wall, 0).value)
-    assert [(v.numerator, v.denominator) for v in routes] == [(-143, 4)] * 2
-    for stray in (stray, model(zetaK=0), model(zeta2=Fraction(-7, 2))):
-        for path in PATHS:
+    for stray in (model(zeta2=0), model(zetaK=0), model(zeta2=Fraction(-7, 2))):
+        for call in [lambda: delta_l1(wall, stray.pairings, 0, volume(stray)),
+                     lambda: delta_oracle_l1(stray, wall, 0)] + [
+                         lambda path=path: evaluate(stray, wall, word, path) for path in PATHS]:
             with pytest.raises(PreconditionError, match="are not the wall's -4 and 2"):
-                evaluate(stray, wall, word, path)
+                call()
     # at l = 0 neither field moves the value, but the record is one fact there too
     wall0 = WallGeometry(-4, 1, -4, 2)
     assert evaluate(model(), wall0, InsertionWord(s=wall0.d))
     with pytest.raises(PreconditionError, match="zeta.K = 0 are not"):
         evaluate(model(zetaK=0), wall0, InsertionWord(s=wall0.d))
+
+
+# -- one admission rule: WallGeometry.admit, in evaluate and in every route ----
+
+def _rule_model(q=1, zeta2=-4, zetaK=2):
+    return build_model(PairingInput(q=q, pairings=Pairings(
+        zeta2=zeta2, zetaK=zetaK, zetaAlpha=1, sigmaZeta=1, sigmaAlpha=1, K2=8, alpha2=1)))
+
+
+def _route(name):
+    """The route ``name`` as call(model, wall, word), and the l_zeta it prices
+    (None for any); a route taking r gets the word's r."""
+    from wallcross.closed import delta_l0, delta_l0_odd, delta_l1, delta_leading
+    from wallcross.oracle import delta_oracle_l0, delta_oracle_l1
+    return {
+        "delta_l0": (0, lambda m, w, word: delta_l0(w, m.pairings, word.r, volume(m))),
+        "delta_l0_odd": (0, lambda m, w, word: delta_l0_odd(w, m, word)),
+        "delta_oracle_l0": (0, lambda m, w, word: delta_oracle_l0(m, w, word)),
+        "delta_l1": (1, lambda m, w, word: delta_l1(w, m.pairings, word.r, volume(m))),
+        "delta_oracle_l1": (1, lambda m, w, word: delta_oracle_l1(m, w, word.r)),
+        "delta_leading": (None, lambda m, w, word: delta_leading(w, m.pairings, word.r,
+                                                                 volume(m))),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["delta_l0", "delta_l0_odd", "delta_oracle_l0", "delta_l1",
+                                  "delta_oracle_l1", "delta_leading"])
+def test_every_route_refuses_what_evaluate_refuses(name):
+    l, call = _route(name)
+    takes_r = name in ("delta_l0", "delta_l1", "delta_oracle_l1", "delta_leading")
+    takes_model = name in ("delta_l0_odd", "delta_oracle_l0", "delta_oracle_l1")
+    own_l = 1 if l is None else l
+
+    def wall_of(l_zeta, zeta2=-4, zetaK=2):
+        return WallGeometry(zeta2 - 4 * l_zeta, 1, zeta2, zetaK)
+
+    # the Baseline wall p1 = -8, q = 1, zeta^2 = -4, zeta.K = 2, or at l = 0 its p1 = -4
+    wall = wall_of(own_l)
+    assert call(_rule_model(), wall, InsertionWord(s=wall.d)).value  # admitted
+    big = wall_of(own_l, zeta2=4 * own_l - MAX_DEGREE - 1, zetaK=1)
+    assert big.d == MAX_DEGREE + 1
+    points = [(_rule_model(zeta2=0), wall, InsertionWord(s=wall.d)),
+              (_rule_model(zetaK=0), wall, InsertionWord(s=wall.d)),
+              (_rule_model(zeta2=big.zeta2, zetaK=1), big, InsertionWord(s=big.d)),
+              (_rule_model(), wall, InsertionWord(r=wall.d // 2 + 1) if takes_r
+               else InsertionWord(s=wall.d + 1))]
+    if takes_model:
+        points.append((_rule_model(q=2), wall, InsertionWord(s=wall.d)))
+    for model, at, word in points:
+        with pytest.raises(WallCrossError) as by_evaluate:
+            evaluate(model, at, word, "leading" if l is None else "auto")
+        with pytest.raises(by_evaluate.type) as by_route:
+            call(model, at, word)
+        assert by_route.type is by_evaluate.type is PreconditionError, (model.pairings, at, word)
+        # each is refused before any X-table or moment is built, d past MAX_DEGREE too
+        assert not [key for key in model.cache if key[0] in ("l0 table", "l1 table", "I_c")]
+    if l is not None:  # delta_leading takes any l_zeta
+        other = wall_of(1 - l)
+        with pytest.raises(RegimeError, match=f"needs l_zeta = {l}, got {1 - l}"):
+            call(_rule_model(), other, InsertionWord(s=other.d))

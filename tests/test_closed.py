@@ -33,14 +33,17 @@ def comb0(n, k):
 
 
 def test_binomial_and_power_conventions():
-    # a sum over a negative number of alpha insertions is empty, so a word
-    # x^r alpha^(d-2r) with 2r > d prices to zero
+    # a sum over a negative number of alpha insertions is empty: delta_l1's
+    # S(s - 1) and S(s - 2) read it at s = 0 and 1
     assert _l0_sum(-1, 2, 2, Fraction(3), Fraction(1), Fraction(1)) == (0, 1)
+    assert _l0_sum(-2, 0, 0, Fraction(3), Fraction(1), Fraction(1)) == (0, 1)
     assert _l0_sum(0, 2, 2, Fraction(0), Fraction(1), Fraction(2)) == (4, 1)
     wall = WallGeometry.build(p1=-8, q=1, zeta2=-4, zetaK=2)
     pr = Pairings(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2, alpha2=-1)
-    assert delta_l1(wall, pr, wall.d // 2 + 1).value == 0
     assert delta_l1(wall, pr, wall.d // 2).value != 0
+    # x^r alpha^(d - 2r) with 2r > d is no word: it was priced 0
+    with pytest.raises(PreconditionError, match="needs 2r <= d, got r = 5, d = 8"):
+        delta_l1(wall, pr, wall.d // 2 + 1)
 
 
 def test_a_delta_value_holds_a_fraction_and_replace_keeps_it_one():
@@ -479,7 +482,9 @@ def test_delta_l0_integer_sum_equals_fraction_form():
     compared = 0
     for q, d in itertools.product(range(4), range(1, 8)):
         for wall in _walls(q, d):
-            for r in range(d // 2 + 2):  # the last r has d - 2r < 0
+            with pytest.raises(PreconditionError, match="needs 2r <= d"):
+                delta_l0(wall, Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK), d // 2 + 1)
+            for r in range(d // 2 + 1):
                 for za, sa, sz, vol in itertools.product(ZA, SA, SZ, (1, Fraction(2, 3), 6)):
                     pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za,
                                   sigmaAlpha=sa, sigmaZeta=sz)
@@ -494,7 +499,9 @@ def test_delta_l1_three_sums_equal_fraction_form():
     compared = 0
     for q, d in itertools.product(range(4), range(1, 8)):
         for wall in _walls(q, d, l=1):
-            for r in range(d // 2 + 2):  # the last r has d - 2r < 0
+            with pytest.raises(PreconditionError, match="needs 2r <= d"):
+                delta_l1(wall, Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK), d // 2 + 1)
+            for r in range(d // 2 + 1):
                 for za, sa, sz, a2 in itertools.product(ZA, SA, SZ, (Fraction(-1, 3), 2)):
                     pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za,
                                   sigmaAlpha=sa, sigmaZeta=sz, alpha2=a2, K2=Fraction(5, 2))

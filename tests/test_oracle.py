@@ -127,8 +127,10 @@ def test_oracle_zero_cases():
     wall, model = _wall_and_model(q=1, l=0)
     odd_parity = InsertionWord(r=0, s=1, gammas=(0,))
     assert delta_oracle_l0(model, wall, odd_parity).value == 0
+    # x^r alpha^(d - 2r) with 2r > d is no word: it was priced 0
     wall1, model1 = _wall_and_model(q=0, zetaK=0, l=1)
-    assert delta_oracle_l1(model1, wall1, (wall1.d + 2) // 2).value == 0  # 2r > d
+    with pytest.raises(PreconditionError, match="needs 2r <= d"):
+        delta_oracle_l1(model1, wall1, (wall1.d + 2) // 2)
 
 
 def test_component_branch_agreement_when_rank_zero_consistent():
@@ -531,7 +533,9 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
         monkeypatch):
     # two with_pairings models over one J-side that differ in one pairing: each
     # entry that reads it is built again, every other one is shared, and both
-    # models price as fresh models do
+    # models price as fresh models do.  A model is priced on the walls of its own
+    # zeta^2 and zeta.K, so those two pairings move the walls, and the X-tables
+    # with them, while I_c, F and vol stay shared
     strata = _counting(monkeypatch, "ch_extension_bundles")  # two per l = 1 table
     # an I_c is integrated on a miss only, and e_zeta_beta enters it for an odd
     # part with A-insertions; that of gamma_1 gamma_2 reads no pairing
@@ -540,20 +544,23 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
     vols = _counting(monkeypatch, "integrate_jacobian", jacobian)
     odds = _counting(monkeypatch, "integrate_product", jacobian)
     q, blocks = 1, (2,)
-    wall0 = WallGeometry.build(p1=-4, q=q, zeta2=-4, zetaK=2)
-    wall1 = WallGeometry.build(p1=-8, q=q, zeta2=-4, zetaK=2)
-    words0 = [InsertionWord(r=1, s=wall0.d - 2),
-              InsertionWord(s=wall0.d - 2, gammas=(1,), threes=(1,)),
-              InsertionWord(s=wall0.d - 3, gammas=(0, 1))]
-    words1 = [InsertionWord(r=r, s=wall1.d - 2 * r) for r in (0, 1)]
     changed = set()
     for key, (l1_table, l0_table, with_a) in READS.items():
+        moves_wall = key in ("zeta2", "zetaK")
         j_side = _j_side(q, blocks)
-        values, models = [], []
+        values, models, walls = [], [], []
         for pairs in (BASE, dict(BASE, **{key: OTHER[key]})):
             pr = Pairings(**pairs)
             model = j_side.with_pairings(pr)
             models.append(model)
+            wall0, wall1 = (WallGeometry.build(p1=pairs["zeta2"] - 4 * l, q=q,
+                                               zeta2=pairs["zeta2"], zetaK=pairs["zetaK"])
+                            for l in (0, 1))
+            walls.append(wall0)
+            words0 = [InsertionWord(r=1, s=wall0.d - 2),
+                      InsertionWord(s=wall0.d - 2, gammas=(1,), threes=(1,)),
+                      InsertionWord(s=wall0.d - 3, gammas=(0, 1))]
+            words1 = [InsertionWord(r=r, s=wall1.d - 2 * r) for r in (0, 1)]
             del strata[:], moments[:], prefixes[:], vols[:], odds[:]
             priced = [_priced(model, wall0, word) for word in words0]
             # the l = 0 words have the odd parts 1, gamma_2 A_2 and gamma_1 gamma_2,
@@ -573,30 +580,33 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
                 volume(fresh), delta_l0_odd(wall0, fresh, words0[1]).value], key
             values.append(priced)
         # the l = 0 table is kept once for both models unless it reads the pairing
-        tables = [_table(model, wall0) for model in models]
-        assert None not in tables and (tables[0] is tables[1]) != l0_table, key
+        # or the wall moved
+        tables = [_table(model, wall) for model, wall in zip(models, walls)]
+        assert None not in tables and (tables[0] is tables[1]) != (l0_table or moves_wall), key
         if values[0] != values[1]:
             changed.add(key)
-    # Sigma.K cancels from the unified l = 0 table and zeta.K from the l = 1
-    # strata sum; K.alpha is paired by neither route here
+    # Sigma.K cancels from the unified l = 0 table, the walls of zeta.K = 0 price
+    # these words as those of zeta.K = 2 do, and K.alpha is paired by neither route
     assert changed == {"sigmaZeta", "zeta2", "K2", "sigmaAlpha", "zetaAlpha", "alpha2"}
 
 
 def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
     moments = _counting(monkeypatch, "integrate_product")
-    # four walls of one model: l = 0 and l = 1, two zeta.K each
+    # four walls over one J-side: l = 0 and l = 1, two zeta.K each, each priced on
+    # the model of its own zeta.K
     q, blocks, zeta2 = 1, (2,), -4
-    pr = Pairings(zeta2=zeta2, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
-                  K2=8, Kalpha=-1, alpha2=-1)
-    model = _j_side(q, blocks).with_pairings(pr)
+    j_side = _j_side(q, blocks)
     tables = []
     for p1, zetaK in ((zeta2, 2), (zeta2, -4), (zeta2 - 4, 2), (zeta2 - 4, 0)):
+        pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1,
+                      sigmaK=2, K2=8, Kalpha=-1, alpha2=-1)
+        model = j_side.with_pairings(pr)
         wall = WallGeometry.build(p1=p1, q=q, zeta2=zeta2, zetaK=zetaK)
         word = InsertionWord(r=1, s=wall.d - 2)
         assert _priced(model, wall, word) == _fresh(q, blocks, pr, wall, word)
         tables.append(_table(model, wall))
     assert len({id(table) for table in tables}) == 4
-    assert len(_kept(model, "l0 table")) == len(_kept(model, "l1 table")) == 2
+    assert len(_kept(j_side, "l0 table")) == len(_kept(j_side, "l1 table")) == 2
     # the two l = 0 branches of an empty-side wall on one model
     q, zeta2 = 1, -2
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta2)

@@ -8,9 +8,11 @@ import pytest
 
 from wallcross import InvalidWallError, PreconditionError, SchemaError
 from wallcross.graded import exact_int
-from wallcross.surfaces import (SurfaceData, WallRecord, _pairings_for, custom_surface,
-                                enumerate_walls, odd_ruled, product_ruled, surface_from_json_dict)
+from wallcross.surfaces import (SurfaceData, WallRecord, _pairings_for, enumerate_walls,
+                                odd_ruled, product_ruled, surface_from_json_dict)
 from wallcross.walls import WallGeometry, wall_params
+
+from conftest import custom_surface, surface_document
 
 
 def test_product_ruled_intersection_data():
@@ -91,10 +93,10 @@ def test_custom_surface_and_json_round_trip():
     s = custom_surface("blowup", 1, ((0, 1, 0), (1, 0, 0), (0, 0, -1)),
                        K=(0, -2, 1), Sigma=(1, 0, 0))
     assert s.pairing(s.K, s.K) == -1  # 8(1-1) - 1 blown-up point
-    doc = product_ruled(2).to_json_dict()
+    doc = surface_document(product_ruled(2))
     back = surface_from_json_dict(doc)
     assert back == product_ruled(2)
-    doc2 = odd_ruled(3).to_json_dict()
+    doc2 = surface_document(odd_ruled(3))
     assert surface_from_json_dict(doc2) == odd_ruled(3)
     # a document that carries its data is read as that data, whatever its name
     # says: "product_ruled blown up" used to read back as product_ruled(1)
@@ -103,8 +105,8 @@ def test_custom_surface_and_json_round_trip():
     for surface in (s, named, custom_surface("odd_ruled(2)", 2, ((0, 1), (1, 2)), K=(2, 0),
                                              Sigma=(1, 0), cone_slope=Fraction(1, 2)),
                     *(make(g) for make in (product_ruled, odd_ruled) for g in (1, 2, 3))):
-        assert surface_from_json_dict(surface.to_json_dict()) == surface, surface.name
-    assert surface_from_json_dict(named.to_json_dict()).gram == ((-1, 0), (0, 1))
+        assert surface_from_json_dict(surface_document(surface)) == surface, surface.name
+    assert surface_from_json_dict(surface_document(named)).gram == ((-1, 0), (0, 1))
 
 
 def test_pairing_in_ints_is_the_fraction_sum():

@@ -100,14 +100,10 @@ def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> D
     """Wall-crossing term for l_zeta = 0 on any word: the l = 0 sum with F, the
     functional on the word's odd part, evaluated in the ring (F = q! vol for
     x^r alpha^s).  Terms with q - (a+b)/2 - j < 0 are zero.  ``WallGeometry.admit``
-    refuses what ``evaluate`` does, and an l = 1 wall; past the wall and model
-    checks a word of odd odd-count is 0 (F kills it) at any degree."""
-    odd_count, b_cnt = word.odd_count(), len(word.threes)
-    wall.admit(model.pairings, None if odd_count % 2 else word, 0, model.q)
-    if odd_count % 2:
-        return DeltaValue(_ZERO, "closed-form")
-    return _l0_closed(wall, model.pairings, word.r, word.s, wall.q - odd_count // 2, b_cnt,
-                      jacobian_odd_integral(model, word.gammas, word.threes))
+    refuses what ``evaluate`` does, and an l = 1 wall."""
+    wall.admit(model.pairings, word, 0, model.q)
+    return _l0_closed(wall, model.pairings, word.r, word.s, wall.q - word.odd_count() // 2,
+                      len(word.threes), jacobian_odd_integral(model, word.gammas, word.threes))
 
 
 def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:

@@ -3,9 +3,10 @@
 ``evaluate`` picks the function pricing a word: by l_zeta 0 or 1, odd
 insertions only at l_zeta = 0, and which path was asked for.  What may be
 priced at all (the model's q, zeta^2 and zeta.K, d and the word's degree) is
-``WallGeometry.admit``'s rule, which every route applies too.  The closed
-forms and the ring oracle stay independent routes; this module only chooses
-between them.
+``WallGeometry.admit``'s rule, which every route applies.  ``evaluate``
+applies it too only on the leading path and at l_zeta != 0, whose routes take
+r and pairings, so cannot see q or the word asked for.  The closed forms and
+the ring oracle stay independent routes; this module only chooses between them.
 """
 
 from __future__ import annotations
@@ -36,18 +37,17 @@ def evaluate(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
             f"({type(model).__name__}, {type(wall).__name__}, {type(word).__name__})")
     if path not in PATHS:
         raise PreconditionError(f"unknown evaluation path {path!r}; known: {', '.join(PATHS)}")
-    wall.admit(model.pairings, word, q=model.q)
     l_zeta = wall.l_zeta
-    if l_zeta == 0 and path == "auto":
-        return delta_l0_odd(wall, model, word), delta_oracle_l0(model, wall, word)
+    if l_zeta == 0 and path != "leading":
+        # both l = 0 routes take the model and the word, and admit them
+        closed = () if path == "oracle" else (delta_l0_odd(wall, model, word),)
+        return closed if path == "closed" else (*closed, delta_oracle_l0(model, wall, word))
+    wall.admit(model.pairings, word, q=model.q)
     odd = word.gammas or word.threes
     if path == "leading":
         if odd:
             raise PreconditionError("the leading terms cover words x^r alpha^s only")
         return (delta_leading(wall, model.pairings, word.r, volume(model)),)
-    if l_zeta == 0:
-        return (delta_oracle_l0(model, wall, word) if path == "oracle"
-                else delta_l0_odd(wall, model, word),)
     if odd:
         raise RegimeError("odd insertions are only evaluated exactly at l_zeta = 0")
     if l_zeta >= 2:

@@ -174,14 +174,9 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     s_{N - N_{-zeta}}(E_{-zeta}) directly, as on a moduli space gaining a
     whole component; it requires h(zeta) + q = 0 and Chern data consistent
     with a rank-zero E_zeta (Sigma.K = 2 Sigma.zeta).  ``WallGeometry.admit``
-    refuses what ``evaluate`` does, and an l = 1 wall; past the wall and model
-    checks a word of odd odd-count is 0 at any degree.
+    refuses what ``evaluate`` does, and an l = 1 wall.
     """
-    a_cnt, b_cnt = len(word.gammas), len(word.threes)
-    wall.admit(model.pairings, None if (a_cnt + b_cnt) % 2 else word, 0, model.q)
-    if (a_cnt + b_cnt) % 2:
-        # the Jacobian integral of an odd-degree class vanishes, at any degree
-        return DeltaValue(_ZERO, "ring-oracle")
+    wall.admit(model.pairings, word, 0, model.q)
     if branch == "component":
         if wall.h_plus + wall.q != 0:
             raise RegimeError("component branch requires h(zeta) + q = 0")
@@ -199,7 +194,7 @@ def delta_oracle_l0(model: ModelSpec, wall: WallGeometry, word: InsertionWord,
     # (num, den, m) gives m_c(k, N) = (num/den) I_c(k + m); as m = N - low,
     # k + m = top - low for every entry, so the terms share one moment I_c,
     # read at the first entry so that a word no entry meets keeps none
-    s, top = word.s, word.s + a_cnt + 2 * word.r
+    s, top = word.s, word.s + len(word.gammas) + 2 * word.r
     num, den, moment = 0, 1, None
     for k in range(min(s, model.q) + 1):  # omega^k = 0 for k > q
         entry = table.get(top - k)

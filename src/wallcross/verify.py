@@ -25,7 +25,7 @@ from .chern import (ChernData, ch_direct_sum, ch_dual, chern_from_ch,
 from .closed import (StratumClasses, delta_l0_odd, segre_det_closed, segre_det_determinant,
                      segre_det_recursive, segre_sum_closed)
 from .delta import evaluate
-from .errors import InvalidWallError, SchemaError
+from .errors import InvalidWallError, SchemaError, WallCrossError
 from .graded import SIGMA, ModelSpec, inverse_unit_series
 from .jacobian import (InsertionWord, PairingInput, Pairings, build_model,
                        e_alpha, volume)
@@ -107,11 +107,11 @@ def parse_grid(text) -> Grid:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _j_side(q, blocks=None) -> ModelSpec:
-    """The model of q and the block a_ij with every pairing zero, for a sweep
-    to share: each point takes ``with_pairings`` of it, so the a_ij are
-    validated and the omega powers built once per (q, blocks), not once per point."""
-    return build_model(PairingInput(q=q, pairings=Pairings(), a_blocks=blocks))
+def _j_side(q, blocks=None, matrix=None) -> ModelSpec:
+    """The model of q and the a_ij (``blocks`` or ``matrix``) with every pairing
+    zero, for a sweep to share: each point takes ``with_pairings`` of it, so the
+    a_ij are validated and the omega powers built once per J-side, not once per point."""
+    return build_model(PairingInput(q=q, pairings=Pairings(), a_blocks=blocks, a_matrix=matrix))
 
 
 def valid_zeta_k(q, zeta2, l_zeta):
@@ -132,10 +132,14 @@ def valid_zeta_k(q, zeta2, l_zeta):
 W_VARIANTS = ((0, 0, 0), (1, -1, 1), (-1, 1, -1))  # (zeta.u, u^2, u.K), w = zeta - 2u
 
 
-def wall_with_variant(p1, q, zeta2, zetaK, variant=(0, 0, 0)) -> WallGeometry:
+def wall_with_variant(q, zeta2, l=0, zetaK=None, variant=(0, 0, 0)) -> WallGeometry:
+    """The wall p1 = zeta^2 - 4l, its zeta.K by default the first of ``valid_zeta_k``,
+    with w = zeta - 2u for the ``variant`` (zeta.u, u^2, u.K)."""
+    if zetaK is None:
+        zetaK = valid_zeta_k(q, zeta2, l)[0]
     zu, u2, uk = variant
     return WallGeometry.build(
-        p1=p1, q=q, zeta2=zeta2, zetaK=zetaK,
+        p1=zeta2 - 4 * l, q=q, zeta2=zeta2, zetaK=zetaK,
         zetaW=zeta2 - 2 * zu, w2=zeta2 - 4 * zu + 4 * u2, wK=zetaK - 2 * uk)
 
 
@@ -182,9 +186,17 @@ def _pair_range(bound):
     return [Fraction(v) for v in range(-bound, bound + 1)]
 
 
-def _fixed(**pairings):
-    """The pairings a sweep holds fixed, as Fractions for the same reason."""
+def _fixed(wall, **pairings):
+    """The pairings a sweep holds fixed with the wall's zeta^2 and zeta.K, as
+    Fractions for the same reason."""
+    pairings.update(zeta2=wall.zeta2, zetaK=wall.zetaK)
     return {key: Fraction(v) for key, v in pairings.items()}
+
+
+def _on(j_side, wall, **free):
+    """The model over ``j_side`` with the pairings ``free`` and the wall's zeta^2
+    and zeta.K, the one fact that a wall and its model share."""
+    return j_side.with_pairings(Pairings(**free, **_fixed(wall)))
 
 
 def _closed_and_oracle(model, wall, word):
@@ -334,8 +346,8 @@ def check_oracle_l0(grid):
                      for r in range(0, min(grid.r_max, d // 2) + 1)]
             for blocks in _blocks_for_q(q):
                 for zetaK in zks:
-                    wall = wall_with_variant(zeta2, q, zeta2, zetaK)
-                    fixed = _fixed(zeta2=zeta2, zetaK=zetaK, sigmaK=1, K2=-4, Kalpha=2, alpha2=-1)
+                    wall = wall_with_variant(q, zeta2, 0, zetaK)
+                    fixed = _fixed(wall, sigmaK=1, K2=-4, Kalpha=2, alpha2=-1)
                     for sz, sa, za in itertools.product(pairs, pairs, pairs):
                         pr = Pairings(zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa, **fixed)
                         # every r on one model and wall shares its X-table
@@ -349,12 +361,11 @@ def check_oracle_l0(grid):
         if zeta2 >= 0:
             continue
         j_side = _j_side(q)
-        zetaK = valid_zeta_k(q, zeta2, 0)[0]
-        wall = wall_with_variant(zeta2, q, zeta2, zetaK, variant)
+        wall = wall_with_variant(q, zeta2, variant=variant)
         for za, sa, sz in itertools.product((-2, 1, 3), (-1, 2), (1, -2)):
-            pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
-                          sigmaAlpha=sa, sigmaK=-2, K2=0, Kalpha=1, alpha2=2)
-            closed, oracle = _closed_and_oracle(j_side.with_pairings(pr), wall, InsertionWord(s=d))
+            model = _on(j_side, wall, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
+                        sigmaK=-2, K2=0, Kalpha=1, alpha2=2)
+            closed, oracle = _closed_and_oracle(model, wall, InsertionWord(s=d))
             yield (closed, oracle,
                    lambda: f"w-variant {variant}, q={q}, d={d}, (za,sa,sz)=({za},{sa},{sz}): "
                            f"closed vs oracle")
@@ -381,13 +392,11 @@ def check_oracle_l1(grid):
         words = [InsertionWord(r=r, s=d - 2 * r)
                  for r in (0, 1) if 2 * r <= d and r <= grid.r_max]
         for zetaK in zks:
-            wall = wall_with_variant(zeta2 - 4, q, zeta2, zetaK)
+            wall = wall_with_variant(q, zeta2, 1, zetaK)
             for blocks, (sa, sz), k2, a2, za in itertools.product(
                     blocks_list, sa_sz, (-4, 0, 8), (-2, 0, 1), _pair_range(grid.pair_bound)):
-                pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za,
-                              sigmaZeta=sz, sigmaAlpha=sa, sigmaK=2,
-                              K2=k2, Kalpha=-1, alpha2=a2)
-                model = j_sides[blocks].with_pairings(pr)
+                model = _on(j_sides[blocks], wall, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
+                            sigmaK=2, K2=k2, Kalpha=-1, alpha2=a2)
                 for word in words:
                     closed, oracle = _closed_and_oracle(model, wall, word)
                     yield (closed, oracle,
@@ -395,29 +404,24 @@ def check_oracle_l1(grid):
                                    f"(za,sa,sz,K2,a2)=({za},{sa},{sz},{k2},{a2}): closed vs oracle")
     if grid.q_max >= 2:
         # beyond the stated d-bound: one q=2 slice (d = 11)
-        q, zeta2 = 2, -4
-        wall = wall_with_variant(zeta2 - 4, q, zeta2, valid_zeta_k(q, zeta2, 1)[0])
-        j_side = _j_side(q, (1, 2))
+        wall = wall_with_variant(2, -4, 1)
+        j_side = _j_side(2, (1, 2))
         for za, sa, sz in itertools.product((-1, 2), (1, -2), (1, 2)):
-            pr = Pairings(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=za, sigmaZeta=sz,
-                          sigmaAlpha=sa, sigmaK=1, K2=8, Kalpha=3, alpha2=-1)
-            model = j_side.with_pairings(pr)
+            model = _on(j_side, wall, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
+                        sigmaK=1, K2=8, Kalpha=3, alpha2=-1)
             for r in (0, 1):
                 word = InsertionWord(r=r, s=wall.d - 2 * r)
                 closed, oracle = _closed_and_oracle(model, wall, word)
                 yield (closed, oracle,
                        lambda: f"q=2 d=11 r={r} (za,sa,sz)=({za},{sa},{sz}): closed vs oracle")
     # w-variants at l=1
-    q, zeta2 = 1, -4
-    zetaK = valid_zeta_k(q, zeta2, 1)[0]
-    j_side = _j_side(q)
+    j_side = _j_side(1)
     for variant in W_VARIANTS[1:]:
-        wall = wall_with_variant(zeta2 - 4, q, zeta2, zetaK, variant)
+        wall = wall_with_variant(1, -4, 1, variant=variant)
         for za in (-2, 3):
-            pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=1,
-                          sigmaAlpha=-1, sigmaK=2, K2=8, Kalpha=0, alpha2=1)
-            closed, oracle = _closed_and_oracle(j_side.with_pairings(pr), wall,
-                                                InsertionWord(r=1, s=wall.d - 2))
+            model = _on(j_side, wall, zetaAlpha=za, sigmaZeta=1, sigmaAlpha=-1,
+                        sigmaK=2, K2=8, Kalpha=0, alpha2=1)
+            closed, oracle = _closed_and_oracle(model, wall, InsertionWord(r=1, s=wall.d - 2))
             yield closed, oracle, lambda: f"w-variant {variant} at l=1, za={za}: closed vs oracle"
 
 
@@ -436,16 +440,26 @@ def _words_with_odd(q, r_max=1, s_max=3, odd_max=4):
                         yield InsertionWord(r=r, s=s, gammas=gammas, threes=threes)
 
 
+def _refusal(route, *args) -> str:
+    """The name of the error ``route(*args)`` raises, or "priced" if it prices."""
+    try:
+        route(*args)
+    except WallCrossError as exc:
+        return type(exc).__name__
+    return "priced"
+
+
 @_check("odd-words")
 def check_odd_words(grid):
-    """delta_l0_odd == ring oracle for all words of total odd count <= 4."""
+    """delta_l0_odd == ring oracle for all words of total odd count <= 4; a word of
+    odd odd-count has odd degree, so evaluate and both l = 0 routes refuse it."""
     pair_sets = [
         dict(zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1, sigmaK=0, K2=0, Kalpha=0, alpha2=-1),
         dict(zetaAlpha=-3, sigmaZeta=-2, sigmaAlpha=3, sigmaK=1, K2=8, Kalpha=2, alpha2=2),
     ]
 
     def where_odd():
-        return f"odd-parity word {word.describe()} (closed, oracle)"
+        return f"odd-parity word {word.describe()} (evaluate, closed, oracle)"
 
     def where():
         return (f"q={q} word={word.describe()} blocks={blocks} zetaK={zetaK} pairs={base}: "
@@ -455,19 +469,16 @@ def check_odd_words(grid):
             continue
         blocks_list = _blocks_for_q(q)
         j_sides = {blocks: _j_side(q, blocks) for blocks in blocks_list}
-        # both sides return 0 for odd parity; that is checked on one fixed wall
-        # for words of every degree, so the routes are called directly here:
-        # evaluate refuses a word whose degree is not 2d
-        zeta2 = -4 if q == 1 else -1
-        zetaK = valid_zeta_k(q, zeta2, 0)[0]
-        odd_wall = wall_with_variant(zeta2, q, zeta2, zetaK)
-        odd_pr = Pairings(zeta2=zeta2, zetaK=zetaK, **pair_sets[0])
-        odd_model = j_sides[blocks_list[0]].with_pairings(odd_pr)
+        # no wall admits a word of odd odd-count: each is refused on one wall
+        odd_wall = wall_with_variant(q, -4 if q == 1 else -1)
+        odd_model = _on(j_sides[blocks_list[0]], odd_wall, **pair_sets[0])
         by_degree = {}
         for word in _words_with_odd(q):
             if word.odd_count() % 2:
-                yield ((delta_l0_odd(odd_wall, odd_model, word).value,
-                        delta_oracle_l0(odd_model, odd_wall, word).value), (0, 0), where_odd)
+                yield ((_refusal(evaluate, odd_model, odd_wall, word),
+                        _refusal(delta_l0_odd, odd_wall, odd_model, word),
+                        _refusal(delta_oracle_l0, odd_model, odd_wall, word)),
+                       ("PreconditionError",) * 3, where_odd)
             else:
                 by_degree.setdefault(word.degree() // 2, []).append(word)
         # the even words of one degree are priced on one model and wall each,
@@ -477,10 +488,9 @@ def check_odd_words(grid):
             if zeta2 >= 0:
                 continue
             for zetaK in valid_zeta_k(q, zeta2, 0)[:2]:
-                wall = wall_with_variant(zeta2, q, zeta2, zetaK)
+                wall = wall_with_variant(q, zeta2, 0, zetaK)
                 for base, blocks in itertools.product(pair_sets, blocks_list):
-                    pr = Pairings(zeta2=zeta2, zetaK=zetaK, **base)
-                    model = j_sides[blocks].with_pairings(pr)
+                    model = _on(j_sides[blocks], wall, **base)
                     for word in words:
                         closed, oracle = _closed_and_oracle(model, wall, word)
                         yield closed, oracle, where
@@ -523,7 +533,7 @@ def check_segre(grid):
         # stratum sums against the closed forms, on a matching l=1 wall
         zeta2 = model.pair("zeta", "zeta")
         try:
-            wall = wall_with_variant(zeta2 - 4, model.q, zeta2, model.pair("zeta", "K"))
+            wall = wall_with_variant(model.q, zeta2, 1, model.pair("zeta", "K"))
         except InvalidWallError:
             continue
         datas = [ch_direct_sum(ch_p, ch_dual(ch_m))
@@ -558,17 +568,15 @@ def check_leading(grid):
         if zeta2 >= 0 or d > grid.d_max + 2:
             continue
         try:
-            zetaK = valid_zeta_k(q, zeta2, l)[0]
-        except IndexError:
+            wall = wall_with_variant(q, zeta2, l)
+        except IndexError:  # no valid zeta.K
             continue
-        wall = wall_with_variant(zeta2 - 4 * l, q, zeta2, zetaK)
         word = InsertionWord(r=r, s=d - 2 * r)
-        base = dict(zeta2=zeta2, zetaK=zetaK, sigmaZeta=2, sigmaAlpha=1,
-                    sigmaK=0, K2=8, Kalpha=0, alpha2=-2)
+        base = dict(sigmaZeta=2, sigmaAlpha=1, sigmaK=0, K2=8, Kalpha=0, alpha2=-2)
         xs = [Fraction(k) for k in range(1, d - 2 * r + 3)]
         ys = []
         for a_val in xs:
-            model = j_sides[q].with_pairings(Pairings(zetaAlpha=2 * a_val, **base))
+            model = _on(j_sides[q], wall, zetaAlpha=2 * a_val, **base)
             exact, lead = (evaluate(model, wall, word, path)[0] for path in ("closed", "leading"))
             ys.append(exact.value - lead.value)
         low = poly_coeffs(xs, ys)[:lead.modulus_exponent]
@@ -576,7 +584,7 @@ def check_leading(grid):
                lambda: f"q={q} l={l} r={r} d={d}: the coefficients of a^0..a^"
                        f"{lead.modulus_exponent - 1} should vanish")
         if d - 2 * r - 2 * l - q > 0:
-            at_zero = j_sides[q].with_pairings(Pairings(zetaAlpha=0, **base))
+            at_zero = _on(j_sides[q], wall, zetaAlpha=0, **base)
             yield (evaluate(at_zero, wall, word, "leading")[0].value, 0,
                    lambda: f"leading value at a=0 not zero (q={q} l={l} r={r} d={d})")
 
@@ -584,48 +592,38 @@ def check_leading(grid):
 # ---------------------------------------------------------------------------
 # criterion 7: hidden-data independence (testable fragment of the conjecture)
 
-def _k_flipped(pairings: Pairings) -> Pairings:
-    return replace(pairings, zetaK=-pairings.zetaK, sigmaK=-pairings.sigmaK,
-                   Kalpha=-pairings.Kalpha)
-
-
 @_check("hidden-data")
 def check_hidden_data(grid):
     """Oracle values do not move under a_ij changes at fixed vol, changes of
     Sigma.K / K.alpha, or K -> -K in the ring data (wall data held fixed)."""
     pf6_matrix = ((0, 1, 1, 0), (-1, 0, 0, -5), (-1, 0, 0, 1), (0, 5, -1, 0))
-    a_variants = [dict(a_blocks=(2, 3)), dict(a_blocks=(6, 1)), dict(a_blocks=(1, 6)),
-                  dict(a_matrix=pf6_matrix)]
+    a_variants = [dict(blocks=(2, 3)), dict(blocks=(6, 1)), dict(blocks=(1, 6)),
+                  dict(matrix=pf6_matrix)]
 
     # (i) a_ij at fixed vol = 6, on q=2 walls: (zeta2, l, r, zeta.alpha, Sigma.alpha)
     q = 2
     for zeta2, l, r, za, sa in ((-3, 0, 1, 3, -2), (-1, 0, 0, 3, -2), (-4, 1, 1, 2, 1)):
-        wall = wall_with_variant(zeta2 - 4 * l, q, zeta2, valid_zeta_k(q, zeta2, l)[0])
+        wall = wall_with_variant(q, zeta2, l)
         word = InsertionWord(r=r, s=wall.d - 2 * r)
-        pr = Pairings(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=za, sigmaZeta=1,
-                      sigmaAlpha=sa, sigmaK=1, K2=8, Kalpha=2, alpha2=-1)
-        models = [build_model(PairingInput(q=q, pairings=pr, **var)) for var in a_variants]
+        models = [_on(_j_side(q, **var), wall, zetaAlpha=za, sigmaZeta=1, sigmaAlpha=sa,
+                      sigmaK=1, K2=8, Kalpha=2, alpha2=-1) for var in a_variants]
         vals = [(volume(model), evaluate(model, wall, word, "oracle")[0].value)
                 for model in models]
         yield (vals, [(6, vals[0][1])] * len(vals),
                lambda: f"a_ij dependence at fixed vol (l={l}, d={wall.d}), (vol, delta)")
 
-    # (ii) Sigma.K and K.alpha changes; (iii) K -> -K with wall data fixed.  K -> -K
-    # flips zeta.K too, and evaluate refuses a model whose zeta.K is not the wall's:
-    # the flip stays legal only because the wall's zeta.K is 0 for every (q, l) here
-    hidden_variants = [dict(sigmaK=0, Kalpha=0), dict(sigmaK=3, Kalpha=-2),
-                       dict(sigmaK=-1, Kalpha=5)]
+    # (ii) Sigma.K and K.alpha changes; (iii) K -> -K with wall data fixed.  Every
+    # model takes the wall's zeta.K, which K -> -K leaves fixed only because it is 0
+    # for every (q, l) here
     for q, l in itertools.product((0, 1, 2), (0, 1)):
-        zeta2 = -8
-        wall = wall_with_variant(zeta2 - 4 * l, q, zeta2, valid_zeta_k(q, zeta2, l)[0])
+        wall = wall_with_variant(q, -8, l)
         word = InsertionWord(r=1, s=wall.d - 2)
         vals = []
-        for hv in hidden_variants:
-            pr = Pairings(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=3, sigmaZeta=2,
-                          sigmaAlpha=1, K2=8, alpha2=-1, **hv)
-            for pairings in (pr, _k_flipped(pr)):
-                model = build_model(PairingInput(q=q, pairings=pairings,
-                                                 a_blocks=_blocks_for_q(q)[0]))
+        for sigma_k, k_alpha in ((0, 0), (3, -2), (-1, 5)):
+            for flip in (1, -1):
+                model = _on(_j_side(q, _blocks_for_q(q)[0]), wall, zetaAlpha=3, sigmaZeta=2,
+                            sigmaAlpha=1, sigmaK=flip * sigma_k, K2=8, Kalpha=flip * k_alpha,
+                            alpha2=-1)
                 vals.append(evaluate(model, wall, word, "oracle")[0].value)
         yield vals, vals[:1] * len(vals), lambda: f"hidden-data dependence at q={q}, l={l}"
 
@@ -639,22 +637,17 @@ def check_scale_invariance(grid):
     for q, blocks, l in ((1, (2,), 0), (2, (2, 3), 0), (1, (1,), 1), (2, (1, 2), 1)):
         d = 4 + 2 * q + 4 * l
         zeta2 = -(d + 3 * (1 - q)) + 4 * l
-        wall = wall_with_variant(zeta2 - 4 * l, q, zeta2, valid_zeta_k(q, zeta2, l)[0])
+        wall = wall_with_variant(q, zeta2, l)
         if l == 0:
             words = (InsertionWord(r=1, s=d - 2),
                      InsertionWord(r=0, s=d - 2, gammas=(0,), threes=(1,)))
         else:
             words = (InsertionWord(r=0, s=d),)
-        base = Pairings(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=3, sigmaZeta=1,
-                        sigmaAlpha=2, sigmaK=1, K2=8, Kalpha=-1, alpha2=-2)
         rows = []
         for scale in (1, 2, 3):
-            pr = replace(base,
-                         sigmaZeta=base.sigmaZeta * scale,
-                         sigmaAlpha=base.sigmaAlpha * scale,
-                         sigmaK=base.sigmaK * scale)
-            model = build_model(PairingInput(q=q, pairings=pr,
-                                             a_blocks=tuple(Fraction(b, scale) for b in blocks)))
+            model = _on(_j_side(q, tuple(Fraction(b, scale) for b in blocks)), wall,
+                        zetaAlpha=3, sigmaZeta=scale, sigmaAlpha=2 * scale, sigmaK=scale,
+                        K2=8, Kalpha=-1, alpha2=-2)
             rows.append(tuple(v for word in words
                               for v in _closed_and_oracle(model, wall, word)))
             yield (rows[-1], rows[0],
@@ -667,9 +660,8 @@ def check_scale_invariance(grid):
 @_check("simple-type-failure")
 def check_simple_type(grid):
     """One concrete l=1 wall with delta(x alpha^(d-2)) != 4 delta(alpha^d)."""
-    wall = wall_with_variant(-8, 0, -4, 0)
-    pr = Pairings(zeta2=-4, zetaK=0, zetaAlpha=2, K2=8, alpha2=-1)
-    model = build_model(PairingInput(q=0, pairings=pr))
+    wall = wall_with_variant(0, -4, 1, 0)
+    model = _on(_j_side(0), wall, zetaAlpha=2, K2=8, alpha2=-1)
     (d0, o0), (d1, o1) = (_closed_and_oracle(model, wall, InsertionWord(r=r, s=wall.d - 2 * r))
                           for r in (0, 1))
     yield ((d0, d1, d1 == 4 * d0), (o0, o1, False),
@@ -692,16 +684,15 @@ def check_component_branch(grid):
             # h(zeta) + q = 0 pins zeta.K
             zetaK = zeta2 + 2 - 2 * q
             try:
-                wall = wall_with_variant(zeta2, q, zeta2, zetaK)
+                wall = wall_with_variant(q, zeta2, 0, zetaK)
             except InvalidWallError:
                 continue
             if not wall.empty_side:
                 continue
             word = InsertionWord(s=d)
             for za, sa, sz in itertools.product((-2, 1, 3), (-1, 2), (1, -2)):
-                pr = Pairings(zeta2=zeta2, zetaK=zetaK, zetaAlpha=za, sigmaZeta=sz,
-                              sigmaAlpha=sa, sigmaK=2 * sz, K2=0, Kalpha=0, alpha2=1)
-                model = j_side.with_pairings(pr)
+                model = _on(j_side, wall, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
+                            sigmaK=2 * sz, K2=0, Kalpha=0, alpha2=1)
                 closed, unified = _closed_and_oracle(model, wall, word)
                 component = delta_oracle_l0(model, wall, word, branch="component").value
                 yield ((unified, component), (closed, closed),

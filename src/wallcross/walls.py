@@ -12,7 +12,7 @@ a numeric condition and is not checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidWallError, PreconditionError, RegimeError
@@ -137,11 +137,12 @@ class WallGeometry:
         return cls(*args, **kwargs)
 
     def admit(self, pairings, word=None, l=None, q=None):
-        """Refuse what no route prices on this wall, the one rule ``evaluate`` and
-        every route apply, in this order: a route's l_zeta ``l`` that is not the
-        wall's (RegimeError); a model of another ``q``; ``pairings`` whose zeta^2
-        or zeta.K is not the wall's; d past ``MAX_DEGREE``; and a ``word`` whose
-        degree is not 2d.  A check whose argument is None is not made."""
+        """Refuse what no route prices on this wall, the one rule every route (and
+        ``evaluate``, for the routes taking r) applies, in this order: a route's
+        l_zeta ``l`` that is not the wall's (RegimeError); a model of another ``q``;
+        ``pairings`` whose zeta^2 or zeta.K is not the wall's; d past ``MAX_DEGREE``;
+        and a ``word`` whose degree is not 2d.  A check whose argument is None is
+        not made."""
         if l is not None and l != self.l_zeta:
             raise RegimeError(f"this route needs l_zeta = {l}, got {self.l_zeta}")
         if q is not None and q != self.q:
@@ -161,7 +162,3 @@ class WallGeometry:
         if word is not None and word.degree() != 2 * self.d:
             raise PreconditionError(
                 f"word {word.describe()} has degree {word.degree()}, not 2d = {2 * self.d}")
-
-    def reversed(self) -> "WallGeometry":
-        """The wall for -zeta (exchanges the (h, N) pairs; d and l fixed)."""
-        return replace(self, zetaK=-self.zetaK, zetaW=-self.zetaW)

@@ -1,5 +1,6 @@
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from wallcross import PairingInput, Pairings, PreconditionError, build_model
+from wallcross import PairingInput, Pairings, PreconditionError, WallGeometry, build_model
 from wallcross.graded import GradedElement, ModelSpec, frac
 from wallcross.surfaces import SurfaceData
 
@@ -28,6 +29,11 @@ def make_model(q=1, blocks=None, matrix=None, **pairings) -> ModelSpec:
     base.update(pairings)
     return build_model(PairingInput(q=q, pairings=Pairings(**base),
                                     a_blocks=blocks, a_matrix=matrix))
+
+
+def reversed_wall(wall: WallGeometry) -> WallGeometry:
+    """The wall for -zeta (exchanges the (h, N) pairs; d and l fixed)."""
+    return replace(wall, zetaK=-wall.zetaK, zetaW=-wall.zetaW)
 
 
 def exp_truncated(a: GradedElement) -> GradedElement:

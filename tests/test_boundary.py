@@ -31,6 +31,8 @@ from wallcross.graded import MAX_EXPONENT, MAX_Q, MAX_WALL_INPUT, frac
 from wallcross.jacobian import PAIRING_KEYS, pairing_input_from_json
 from wallcross.walls import MAX_DEGREE, wall_params
 
+from conftest import reversed_wall
+
 FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -234,7 +236,7 @@ def test_no_caller_sets_a_derived_field():
             WallGeometry(-8, 1, -4, 2, **{key: 99})
     moved = replace(wall, p1=-12)  # an input moves every field derived from it
     assert (moved.d, moved.l_zeta) == (12, 2) and moved == WallGeometry(-12, 1, -4, 2)
-    assert wall.reversed().reversed() == wall
+    assert reversed_wall(reversed_wall(wall)) == wall
 
 
 def test_evaluate_refuses_what_is_no_model_or_word():
@@ -451,6 +453,9 @@ def test_every_route_refuses_what_evaluate_refuses(name):
                else InsertionWord(s=wall.d + 1))]
     if takes_model:
         points.append((_rule_model(q=2), wall, InsertionWord(s=wall.d)))
+    if name in ("delta_l0_odd", "delta_oracle_l0"):
+        # a word of odd odd-count has odd degree, so no wall admits it: both gave 0
+        points.append((_rule_model(), wall, InsertionWord(s=1, gammas=(0,))))
     for model, at, word in points:
         with pytest.raises(WallCrossError) as by_evaluate:
             evaluate(model, at, word, "leading" if l is None else "auto")

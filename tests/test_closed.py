@@ -19,7 +19,7 @@ from wallcross.jacobian import e_alpha, e_zeta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles
 from wallcross.verify import valid_zeta_k
 
-from conftest import make_model
+from conftest import make_model, reversed_wall
 
 
 def pow0(base, n):
@@ -132,8 +132,10 @@ def test_delta_l0_odd_parity_and_pin():
     wall = WallGeometry.build(p1=-3, q=1, zeta2=-3, zetaK=1)
     model = make_model(q=1, zeta2=-3, zetaK=1, zetaAlpha=3, sigmaZeta=1,
                        sigmaAlpha=2, sigmaK=1, K2=0, Kalpha=2, alpha2=1)
+    # a word of odd odd-count has odd degree, so no wall admits it: it was priced 0
     odd_parity = InsertionWord(r=0, s=1, gammas=(0,))
-    assert delta_l0_odd(wall, model, odd_parity).value == 0
+    with pytest.raises(PreconditionError, match=r"alpha\^1 d1 has degree 5, not 2d = 6"):
+        delta_l0_odd(wall, model, odd_parity)
     word = InsertionWord(r=0, s=1, gammas=(0,), threes=(0,))
     assert delta_l0_odd(wall, model, word).value == Fraction(3, 2)
     with pytest.raises(PreconditionError):
@@ -357,7 +359,7 @@ def test_antisymmetry_under_zeta_reversal():
     wall = WallGeometry.build(p1=-1, q=1, zeta2=-1, zetaK=1)
     pr = Pairings(zeta2=-1, zetaK=1, zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1,
                   sigmaK=2, K2=8, Kalpha=1, alpha2=-1)
-    rev = wall.reversed()
+    rev = reversed_wall(wall)
     assert delta_l0(rev, flip_zeta(pr), 0, 1).value == -delta_l0(wall, pr, 0, 1).value
     model = build_model(PairingInput(q=1, pairings=pr))
     model_rev = build_model(PairingInput(q=1, pairings=flip_zeta(pr)))
@@ -366,7 +368,7 @@ def test_antisymmetry_under_zeta_reversal():
     wall1 = WallGeometry.build(p1=-8, q=1, zeta2=-4, zetaK=0)
     pr1 = Pairings(zeta2=-4, zetaK=0, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2,
                    sigmaK=1, K2=0, Kalpha=2, alpha2=1)
-    rev1 = wall1.reversed()
+    rev1 = reversed_wall(wall1)
     m1 = build_model(PairingInput(q=1, pairings=pr1))
     m1rev = build_model(PairingInput(q=1, pairings=flip_zeta(pr1)))
     for r in (0, 1):

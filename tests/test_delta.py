@@ -63,6 +63,28 @@ def test_guards():
                 evaluate(q2, wall, InsertionWord(s=wall.d), path)
 
 
+def test_how_many_times_each_path_admits_a_point(monkeypatch):
+    # the l = 0 routes take the model and the word and admit them, so evaluate
+    # leaves an l = 0 point to them; on the leading path and at l = 1 the routes
+    # take r and pairings, so evaluate admits the point too (an auto l = 0 point
+    # was admitted three times, evaluate's and one per route)
+    calls = []
+    real = WallGeometry.admit
+    monkeypatch.setattr(WallGeometry, "admit",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+
+    def admits(case, word, path):
+        calls.clear()
+        evaluate(*case, word, path)
+        return len(calls)
+    odd = InsertionWord(gammas=(0,), threes=(1,))
+    assert [admits(L0, word, path) for word in (InsertionWord(r=1), odd)
+            for path in ("auto", "closed", "oracle")] == [2, 1, 1] * 2
+    assert [admits(L1, InsertionWord(r=1, s=6), path)
+            for path in ("auto", "closed", "oracle")] == [3, 2, 2]
+    assert [admits(case, InsertionWord(s=case[1].d), "leading") for case in (L0, L1, L2)] == [2] * 3
+
+
 def test_the_routes_taking_a_model_refuse_a_wall_of_another_q():
     # on a q = 2 model the q = 1, l = 1 wall p1 = -8 was priced 0 by the oracle
     # (delta_l1 gives -640), and the l = 0 wall p1 = -4 was priced 0 too

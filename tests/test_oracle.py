@@ -125,8 +125,10 @@ def test_oracle_word_and_regime_errors():
 
 def test_oracle_zero_cases():
     wall, model = _wall_and_model(q=1, l=0)
+    # a word of odd odd-count has odd degree, so no wall admits it: it was priced 0
     odd_parity = InsertionWord(r=0, s=1, gammas=(0,))
-    assert delta_oracle_l0(model, wall, odd_parity).value == 0
+    with pytest.raises(PreconditionError, match=r"alpha\^1 d1 has degree 5, not 2d = 8"):
+        delta_oracle_l0(model, wall, odd_parity)
     # x^r alpha^(d - 2r) with 2r > d is no word: it was priced 0
     wall1, model1 = _wall_and_model(q=0, zetaK=0, l=1)
     with pytest.raises(PreconditionError, match="needs 2r <= d"):
@@ -659,7 +661,7 @@ def test_w_variants_of_an_l1_wall_share_one_table(monkeypatch):
     q, blocks, zeta2, zetaK = 2, (1, 2), -4, 2
     pr = Pairings(**dict(BASE, zeta2=zeta2, zetaK=zetaK))
     model = _j_side(q, blocks).with_pairings(pr)
-    walls = [wall_with_variant(zeta2 - 4, q, zeta2, zetaK, variant) for variant in W_VARIANTS]
+    walls = [wall_with_variant(q, zeta2, 1, zetaK, variant) for variant in W_VARIANTS]
     assert len(set(walls)) == 3 and len({(w.n_plus, w.n_minus, w.d) for w in walls}) == 1
     values = [delta_oracle_l1(model, wall, r).value for wall in walls for r in (0, 1)]
     assert len(strata) == 2 and len(_kept(model, "l1 table")) == 1
@@ -841,7 +843,7 @@ def test_an_l0_table_entry_is_its_full_kernel_segre_class():
             walls = []
             for variant in W_VARIANTS:
                 try:
-                    walls.append(wall_with_variant(zeta2, q, zeta2, zeta_k, variant))
+                    walls.append(wall_with_variant(q, zeta2, 0, zeta_k, variant))
                 except InvalidWallError:
                     pass
             wall = walls[0]
@@ -900,8 +902,6 @@ def _l0_per_term(model, wall, word, branch):
     """The l = 0 oracle's sum with I_c read at every term: the reference for
     ``delta_oracle_l0``, which reads it once per word."""
     a_cnt = len(word.gammas)
-    if (a_cnt + len(word.threes)) % 2:
-        return Fraction(0)
     za, sa = model.pair("zeta", "alpha"), model.pair(SIGMA, "alpha")
     x, y = za.numerator * sa.denominator, 4 * sa.numerator * za.denominator
     table = oracle._l0_table(model, wall, branch)
@@ -924,7 +924,7 @@ def _l0_per_term(model, wall, word, branch):
 def l0_points(draw):
     """(q, blocks, pairings, wall, word): an l = 0 wall of q <= 4, its empty-side wall
     drawn often enough for the component branch, rational pairings and blocks, and
-    a word of degree 2d with gamma- and A-insertions, or of odd odd-count."""
+    a word of degree 2d with gamma- and A-insertions."""
     q, zeta2 = draw(st.integers(0, 4)), draw(st.integers(-10, -1))
     zeta_ks = valid_zeta_k(q, zeta2, 0)
     empty_side = zeta2 + 2 - 2 * q  # h(zeta) + q = 0
@@ -933,12 +933,10 @@ def l0_points(draw):
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta_k)
     indices = st.lists(st.integers(0, 2 * q - 1), unique=True, max_size=min(2 * q, 3))
     gammas, threes = (tuple(draw(indices)) if q else () for _ in range(2))
+    assume((len(gammas) + len(threes)) % 2 == 0)  # an odd count has odd degree
     r = draw(st.integers(0, max(wall.d, 0) // 2))  # s < q too, where the first entry has m > 0
-    if (len(gammas) + len(threes)) % 2:
-        s = draw(st.integers(0, 3))
-    else:
-        s = wall.d - 2 * r - (3 * len(gammas) + len(threes)) // 2
-        assume(s >= 0)
+    s = wall.d - 2 * r - (3 * len(gammas) + len(threes)) // 2
+    assume(s >= 0)
     pairings = Pairings(zeta2=zeta2, zetaK=zeta_k, zetaAlpha=draw(SMALL), sigmaZeta=draw(SMALL),
                         sigmaAlpha=draw(SMALL), sigmaK=draw(SMALL))
     blocks = tuple(draw(st.lists(SMALL.filter(bool), max_size=q)))

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wallcross import delta, verify, walls
+from wallcross.closed import DeltaValue
 from wallcross.graded import SIGMA, GradedElement, ModelSpec
 
 SMALL = verify.Grid(q_max=1, d_max=5, r_max=1, pair_bound=1, sweep_bound=6)
@@ -53,6 +54,15 @@ def _doubled(fn):
     return lambda *args: fn(*args) * 2
 
 
+def _zero_for_odd_parity(fn):
+    """Mutant of the l = 0 oracle: 0 for a word of odd odd-count, at any degree."""
+    def mutant(model, wall, word, *rest):
+        if word.odd_count() % 2:
+            return DeltaValue(0, "ring-oracle")
+        return fn(model, wall, word, *rest)
+    return mutant
+
+
 def _sigma_zeta_for_sigma_k(fn):
     def mutant(model, s1, s2):
         return fn(model, SIGMA, "zeta") if {s1, s2} == {SIGMA, "K"} else fn(model, s1, s2)
@@ -69,7 +79,8 @@ MUTANTS = [
     ("oracle-l0", delta, "delta_oracle_l0", _shifted(_sigma_k)),
     ("oracle-l0", delta, "delta_l0_odd", _shifted(_one)),
     ("oracle-l1", delta, "delta_oracle_l1", _shifted(_sigma_k)),
-    ("odd-words", verify, "delta_l0_odd", _shifted(_one)),
+    ("odd-words", delta, "delta_l0_odd", _shifted(_one)),
+    ("odd-words", verify, "delta_oracle_l0", _zero_for_odd_parity),
     ("segre", verify, "segre_det_recursive", _doubled),
     ("leading", delta, "delta_leading", _shifted(_one)),
     ("hidden-data", delta, "delta_oracle_l0", _shifted(_sigma_k)),

@@ -5,6 +5,8 @@ import pytest
 from wallcross import InvalidWallError, WallGeometry
 from wallcross.walls import complex_orientation_sign, wall_params, wall_sign
 
+from conftest import reversed_wall
+
 
 def test_wall_params_examples():
     p = wall_params(-4, 0, -4, 0)
@@ -86,7 +88,7 @@ def test_sign_identity_on_consistent_sweep():
 def test_wall_geometry_build_and_reverse():
     wall = WallGeometry.build(p1=-8, q=2, zeta2=-4, zetaK=2)
     assert (wall.zetaW, wall.w2, wall.wK) == (-4, -4, 2)  # defaults to w = zeta
-    rev = wall.reversed()
+    rev = reversed_wall(wall)
     assert (rev.h_plus, rev.n_plus) == (wall.h_minus, wall.n_minus)
     assert (rev.h_minus, rev.n_minus) == (wall.h_plus, wall.n_plus)
     assert (rev.d, rev.l_zeta) == (wall.d, wall.l_zeta)

@@ -118,9 +118,8 @@ def cmd_delta(opts) -> int:
                          gammas=gammas, threes=threes)
     values = evaluate(model, wall, word, opts.path)
     if opts.path == "auto" and values[0].value != values[1].value:
-        print(f"error: closed-form and oracle disagree: "
-              f"{_rat(values[0].value)} vs {_rat(values[1].value)}", file=sys.stderr)
-        return EXIT_VERIFY
+        raise InvariantError(f"closed-form and oracle disagree: "
+                             f"{_rat(values[0].value)} vs {_rat(values[1].value)}")
     doc = {
         "schema_version": 1,
         "command": "delta",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .chern import ChernData, hessenberg_det, segre_from_ch
 from .errors import InvariantError, PreconditionError
 from .graded import _ZERO, GradedElement, ModelSpec, frac
-from .jacobian import InsertionWord, Pairings, e_zeta, jacobian_odd_integral
+from .jacobian import InsertionWord, Pairings, e_zeta, jacobian_odd_integral, volume
 from .walls import WallGeometry
 
 
@@ -85,7 +85,7 @@ def _l0_closed(wall, pairings, r, s, p, b, fz) -> DeltaValue:
                          3 * wall.q - wall.d - b)
 
 
-def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
+def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol) -> DeltaValue:
     """Wall-crossing term for l_zeta = 0 on the word x^r alpha^(d-2r): the l = 0 sum
     with F = q! vol.  ``evaluate`` prices every l = 0 word through ``delta_l0_odd``.
     ``WallGeometry.admit`` refuses what ``evaluate`` does, and an l = 1 wall, but
@@ -106,7 +106,7 @@ def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> D
                       len(word.threes), jacobian_odd_integral(model, word.gammas, word.threes))
 
 
-def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
+def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol) -> DeltaValue:
     """Wall-crossing term for l_zeta = 1 on the word x^r alpha^(d-2r):
 
     eps (-1)^(r+d+1) vol 2^(3q-d) [B S(s) + 8 s (zeta.alpha) S(s-1)
@@ -231,15 +231,17 @@ def segre_det_determinant(st: StratumClasses, n) -> GradedElement:
     return det
 
 
-def delta_leading(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValue:
-    """Two lowest-order terms of delta in a = (zeta.alpha)/2, any l_zeta.
+def delta_leading(model: ModelSpec, wall: WallGeometry, word: InsertionWord) -> DeltaValue:
+    """Two lowest-order terms of delta in a = (zeta.alpha)/2 on x^r alpha^s, any l_zeta.
 
     Valid modulo a^(d - 2r - 2 l_zeta - q + 2); the returned value carries
     that exponent.  Requires d - 2r >= 2 l_zeta + q.  ``WallGeometry.admit``
-    refuses what ``evaluate`` does, but with no model it cannot compare q.
+    refuses what ``evaluate`` does, and the leading terms take no odd insertion.
     """
-    word = InsertionWord.plain(r, wall.d)
-    wall.admit(pairings, word)
+    pairings = model.pairings
+    wall.admit(pairings, word, q=model.q)
+    if word.gammas or word.threes:
+        raise PreconditionError("the leading terms cover words x^r alpha^s only")
     d, q, l, r = wall.d, wall.q, wall.l_zeta, word.r
     m = d - 2 * r - 2 * l - q
     if m < 0:
@@ -259,6 +261,6 @@ def delta_leading(wall: WallGeometry, pairings: Pairings, r, vol=1) -> DeltaValu
     den = ((2 * zd) ** (m + 1) * math.factorial(l) * math.factorial(m + 1)
            * a2.denominator ** l * sd ** q * td)
     sign = -wall.sign_wall if (d + l + r) % 2 else wall.sign_wall
-    vol = frac(vol)
+    vol = volume(model)
     return _closed_value(sign * num * vol.numerator, den * vol.denominator, q - 2 * r,
                          "leading-term", m + 2)

@@ -172,19 +172,11 @@ def e_zeta_beta(model: ModelSpec, i) -> GradedElement:
 
 
 def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
-    """The functional F on the odd part of an insertion word.
-
-    Zero when the odd count is odd or when q - (a+b)/2 < 0 (the omega power
-    cannot fill the top degree); otherwise the integral over J of
+    """The functional F on the odd part of an insertion word: the integral over J of
     th_{g_1} ... th_{g_a} . i_{be_{j_1}} omega ... i_{be_{j_b}} omega . omega^{q-(a+b)/2}.
-    It reads no pairing, so it is kept once per J-side under ("F", gammas, threes).
+    An index naming no class of the model raises.  It reads no pairing, so it is
+    kept once per J-side under ("F", gammas, threes).
     """
-    a, b = len(gammas), len(threes)
-    if (a + b) % 2:
-        return Fraction(0)
-    p = model.q - (a + b) // 2
-    if p < 0:
-        return Fraction(0)
     cache, key = model.cache, ("F", tuple(gammas), tuple(threes))
     value = cache.get(key)
     if value is None:
@@ -193,9 +185,9 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
             elem = elem * model.theta(i)
         for j in threes:
             elem = elem * model.interior_omega(j)
-        # a vanishing product needs no omega power
-        value = cache[key] = (Fraction(0) if elem.is_zero()
-                              else integrate_product(elem, model.omega_pow(p)))
+        # a vanishing product, as any of more than 2q degree-one classes, needs no omega power
+        value = cache[key] = (Fraction(0) if elem.is_zero() else integrate_product(
+            elem, model.omega_pow(model.q - (len(gammas) + len(threes)) // 2)))
     return value
 
 

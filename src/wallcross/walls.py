@@ -136,13 +136,14 @@ class WallGeometry:
         """``WallGeometry(...)``, under the name the benchmark traces."""
         return cls(*args, **kwargs)
 
-    def admit(self, pairings, word=None, l=None, q=None):
+    def admit(self, pairings, word, l=None, q=None):
         """Refuse what no route prices on this wall, the one rule every route (and
-        ``evaluate``, for the routes taking r) applies, in this order: a route's
-        l_zeta ``l`` that is not the wall's (RegimeError); a model of another ``q``;
-        ``pairings`` whose zeta^2 or zeta.K is not the wall's; d past ``MAX_DEGREE``;
-        and a ``word`` whose degree is not 2d.  A check whose argument is None is
-        not made."""
+        ``evaluate``, at l_zeta != 0) applies, in this order: a route's l_zeta ``l``
+        that is not the wall's (RegimeError); a model of another ``q``; ``pairings``
+        whose zeta^2 or zeta.K is not the wall's; d past ``MAX_DEGREE``; a ``word``
+        whose degree is not 2d; and, given ``q``, a word naming an odd class the
+        model does not have, an index of 2q or more.  A check whose argument is
+        None is not made."""
         if l is not None and l != self.l_zeta:
             raise RegimeError(f"this route needs l_zeta = {l}, got {self.l_zeta}")
         if q is not None and q != self.q:
@@ -159,6 +160,12 @@ class WallGeometry:
             raise PreconditionError(f"d = {self.d} exceeds the largest priced d, {MAX_DEGREE}")
         # every route prices x^r alpha^(d-2r), or at l_zeta = 0 the odd word,
         # so any other word is refused rather than answered for r alone
-        if word is not None and word.degree() != 2 * self.d:
+        if word.degree() != 2 * self.d:
             raise PreconditionError(
                 f"word {word.describe()} has degree {word.degree()}, not 2d = {2 * self.d}")
+        # last, so the refusals above keep their messages; a zero product reads no index,
+        # and a word with no odd insertion costs two reads
+        if q is not None and (word.gammas or word.threes):
+            for i in word.gammas + word.threes:
+                if i >= 2 * q:
+                    raise PreconditionError(f"generator index {i} out of range for q={q}")

@@ -1,6 +1,8 @@
+import itertools
 import random
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -18,9 +20,11 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from wallcross import PairingInput, Pairings, PreconditionError, WallGeometry, build_model
+from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, WallGeometry,
+                       build_model, evaluate)
 from wallcross.graded import GradedElement, ModelSpec, frac
 from wallcross.surfaces import SurfaceData
+from wallcross.verify import valid_zeta_k
 
 
 def make_model(q=1, blocks=None, matrix=None, **pairings) -> ModelSpec:
@@ -52,6 +56,28 @@ def exp_truncated(a: GradedElement) -> GradedElement:
         if term.is_zero():
             return out
         out = out + term
+
+
+def odd_zeta_k_values():
+    """[(closed, oracle, where), ...]: both routes' values of x^r alpha^(d - 2r), r = 0
+    and 1, on l = 1 walls of zeta^2 = -5 and -7, q <= 2, three zeta.K each and two
+    sets of pairings.  N_+ - N_- = zeta.K is odd on these walls; verify's l = 1 grids
+    and the benchmark take zeta^2 = -4 and -8, where it is even."""
+    pairing_sets = (dict(zetaAlpha=3, sigmaZeta=2, sigmaAlpha=-1, sigmaK=1, K2=8, Kalpha=1,
+                         alpha2=-1),
+                    dict(zetaAlpha=Fraction(3, 2), sigmaZeta=Fraction(-1, 2), sigmaAlpha=2,
+                         sigmaK=Fraction(1, 3), K2=Fraction(5, 2), Kalpha=-1,
+                         alpha2=Fraction(2, 3)))
+    out = []
+    for q, zeta2 in itertools.product(range(3), (-5, -7)):
+        for zeta_k, pairings in itertools.product(valid_zeta_k(q, zeta2, 1)[:3], pairing_sets):
+            wall = WallGeometry(zeta2 - 4, q, zeta2, zeta_k)
+            model = build_model(PairingInput(q=q, a_blocks=(2, 3)[:q], pairings=Pairings(
+                zeta2=zeta2, zetaK=zeta_k, **pairings)))
+            for r in (0, 1):
+                closed, oracle = evaluate(model, wall, InsertionWord(r=r, s=wall.d - 2 * r))
+                out.append((closed.value, oracle.value, (q, zeta2, zeta_k, pairings, r)))
+    return out
 
 
 def custom_surface(name, q, gram, K, Sigma, cone_slope=None) -> SurfaceData:

@@ -425,8 +425,7 @@ def _route(name):
         "delta_oracle_l0": (0, lambda m, w, word: delta_oracle_l0(m, w, word)),
         "delta_l1": (1, lambda m, w, word: delta_l1(w, m.pairings, word.r, volume(m))),
         "delta_oracle_l1": (1, lambda m, w, word: delta_oracle_l1(m, w, word.r)),
-        "delta_leading": (None, lambda m, w, word: delta_leading(w, m.pairings, word.r,
-                                                                 volume(m))),
+        "delta_leading": (None, lambda m, w, word: delta_leading(m, w, word)),
     }[name]
 
 
@@ -434,8 +433,8 @@ def _route(name):
                                   "delta_oracle_l1", "delta_leading"])
 def test_every_route_refuses_what_evaluate_refuses(name):
     l, call = _route(name)
-    takes_r = name in ("delta_l0", "delta_l1", "delta_oracle_l1", "delta_leading")
-    takes_model = name in ("delta_l0_odd", "delta_oracle_l0", "delta_oracle_l1")
+    takes_r = name in ("delta_l0", "delta_l1", "delta_oracle_l1")
+    takes_model = name in ("delta_l0_odd", "delta_oracle_l0", "delta_oracle_l1", "delta_leading")
     own_l = 1 if l is None else l
 
     def wall_of(l_zeta, zeta2=-4, zetaK=2):
@@ -468,3 +467,43 @@ def test_every_route_refuses_what_evaluate_refuses(name):
         other = wall_of(1 - l)
         with pytest.raises(RegimeError, match=f"needs l_zeta = {l}, got {1 - l}"):
             call(_rule_model(), other, InsertionWord(s=other.d))
+
+
+def test_a_word_naming_an_odd_class_the_model_lacks_is_refused(tmp_path, capsys):
+    # an odd index runs over 0..2q - 1; a word of more than 2q odd insertions is 0
+    # in the ring before an index is read, so gamma_1 gamma_2 at q = 0 and
+    # d1 d2 d6 B1 at q = 1 were priced 0/1 on every path, where d6 alone raised
+    from wallcross.closed import delta_l0_odd
+    from wallcross.jacobian import jacobian_odd_integral
+    from wallcross.oracle import delta_oracle_l0
+    cases = [(0, -9, 1, ((0, 1), ()), 0), (1, -12, 0, ((0, 1, 5), (0,)), 5),
+             (1, -12, 0, ((5,), (0,)), 5), (1, -12, 0, ((0,), (2,)), 2)]
+    for q, zeta2, zeta_k, (gammas, threes), bad in cases:
+        wall = WallGeometry(zeta2, q, zeta2, zeta_k)  # l_zeta = 0
+        model = _rule_model(q, zeta2, zeta_k)
+        odd = 3 * len(gammas) + len(threes)
+        word = InsertionWord(s=wall.d - odd // 2, gammas=gammas, threes=threes)
+        assert word.degree() == 2 * wall.d
+        refused = f"generator index {bad} out of range for q={q}"
+        calls = [lambda path=path: evaluate(model, wall, word, path) for path in PATHS] + [
+            lambda: delta_l0_odd(wall, model, word), lambda: delta_oracle_l0(model, wall, word),
+            lambda: jacobian_odd_integral(model, gammas, threes)]
+        for call in calls:
+            with pytest.raises(PreconditionError, match=refused):
+                call()
+        doc = {"schema_version": 1, "q": q, "wall": {"p1": zeta2},
+               "pairings": {"zeta2": zeta2, "zetaK": zeta_k, "zetaAlpha": 1, "sigmaZeta": 1}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        for route in PATHS:
+            code = main(["--command", "delta", "--input", str(path), "--path", route,
+                         "--gammas", ",".join(map(str, gammas)),
+                         "--threes", ",".join(map(str, threes))])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (1, "", f"error: {refused}\n"), (q, gammas, route)
+    # off l = 0 too: on an l = 1 wall the index is refused before the regime is
+    wall = WallGeometry(-8, 1, -4, 2)
+    for path in PATHS:
+        with pytest.raises(PreconditionError, match="generator index 2 out of range for q=1"):
+            evaluate(_rule_model(), wall, InsertionWord(s=wall.d - 2, gammas=(0,), threes=(2,)),
+                     path)

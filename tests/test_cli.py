@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -103,10 +104,29 @@ def test_delta_rejects_word_of_wrong_degree(tmp_path, capsys):
         code, out, _ = _run(capsys, "--command", "delta", "--input", path,
                             "--path", route, "--r", "1", "--s", "1")
         assert (code, out) == (1, "")
+    # at q = 0 the index 0 names no class, an input error whatever the regime
+    code, out, err = _run(capsys, "--command", "delta", "--input", path, "--path", "oracle",
+                          "--s", "3", "--gammas", "0", "--threes", "1")
+    assert (code, out, err) == (1, "", "error: generator index 0 out of range for q=0\n")
     # odd insertions are priced only at l_zeta = 0, never by dropping them
-    code, out, _ = _run(capsys, "--command", "delta", "--input", path, "--path", "oracle",
-                        "--s", "3", "--gammas", "0", "--threes", "1")
-    assert (code, out) == (2, "")
+    path = _write(tmp_path, "m2.json", dict(L1_DOC, q=1))  # d = 8
+    code, out, err = _run(capsys, "--command", "delta", "--input", path, "--path", "oracle",
+                          "--s", "6", "--gammas", "0", "--threes", "1")
+    assert (code, out) == (2, "") and "only evaluated exactly at l_zeta = 0" in err
+
+
+def test_delta_exits_3_when_the_routes_disagree(tmp_path, capsys, monkeypatch):
+    # main prints the one error line of the InvariantError, and nothing on stdout
+    from wallcross import delta
+    real = delta.delta_oracle_l0
+
+    def shifted(*args):
+        out = real(*args)
+        return replace(out, value=out.value + 1)
+    monkeypatch.setattr(delta, "delta_oracle_l0", shifted)
+    path = _write(tmp_path, "m.json", L0_DOC)
+    assert _run(capsys, "--command", "delta", "--input", path) == (
+        3, "", "error: closed-form and oracle disagree: -10/1 vs -9/1\n")
 
 
 def test_delta_defaults_s_to_the_degree_of_the_odd_insertions(tmp_path, capsys):

@@ -40,10 +40,10 @@ def test_binomial_and_power_conventions():
     assert _l0_sum(0, 2, 2, Fraction(0), Fraction(1), Fraction(2)) == (4, 1)
     wall = WallGeometry.build(p1=-8, q=1, zeta2=-4, zetaK=2)
     pr = Pairings(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=2, alpha2=-1)
-    assert delta_l1(wall, pr, wall.d // 2).value != 0
+    assert delta_l1(wall, pr, wall.d // 2, 1).value != 0
     # x^r alpha^(d - 2r) with 2r > d is no word: it was priced 0
     with pytest.raises(PreconditionError, match="needs 2r <= d, got r = 5, d = 8"):
-        delta_l1(wall, pr, wall.d // 2 + 1)
+        delta_l1(wall, pr, wall.d // 2 + 1, 1)
 
 
 def test_a_delta_value_holds_a_fraction_and_replace_keeps_it_one():
@@ -332,8 +332,8 @@ def test_delta_leading_matches_l0_tail_terms():
                 continue
             wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=zeta2 % 2)
             for za in (1, 2, 3, -4):
-                pr = Pairings(zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=za,
-                              sigmaZeta=2, sigmaAlpha=3, alpha2=-1)
+                model = make_model(q=q, zeta2=zeta2, zetaK=wall.zetaK, zetaAlpha=za,
+                                   sigmaZeta=2, sigmaAlpha=3, alpha2=-1)  # vol = 1
                 s = d - 2 * r
                 tail = Fraction(0)
                 sign = -1 if (r + d) % 2 else 1
@@ -341,7 +341,7 @@ def test_delta_leading_matches_l0_tail_terms():
                     tail += (sign * Fraction(2) ** (3 * q - b - d) * math.perm(q, b)
                              * comb0(s, b) * pow0(Fraction(za), s - b)
                              * pow0(Fraction(3), b) * pow0(Fraction(2), q - b))
-                lead = delta_leading(wall, pr, r)
+                lead = delta_leading(model, wall, InsertionWord(r=r, s=s))
                 assert lead.value == wall.sign_wall * tail
                 assert lead.modulus_exponent == d - 2 * r - q + 2
 
@@ -380,11 +380,14 @@ def test_antisymmetry_under_zeta_reversal():
 
 def test_delta_leading_preconditions_and_zero_at_origin():
     wall = WallGeometry.build(p1=-12, q=0, zeta2=-4, zetaK=0)  # l = 2, d = 9
-    pr = Pairings(zeta2=-4, zetaK=0, zetaAlpha=0, alpha2=-1)
-    assert delta_leading(wall, pr, 0).value == 0
-    assert delta_leading(wall, pr, 0).modulus_exponent == 9 - 4 - 0 + 2
-    with pytest.raises(PreconditionError):
-        delta_leading(wall, pr, 3)  # d - 2r < 2l + q
+    model = make_model(q=0, zeta2=-4, zetaK=0, zetaAlpha=0, alpha2=-1)
+    assert delta_leading(model, wall, InsertionWord(s=9)).value == 0
+    assert delta_leading(model, wall, InsertionWord(s=9)).modulus_exponent == 9 - 4 - 0 + 2
+    with pytest.raises(PreconditionError, match="needs d - 2r >= 2 l_zeta"):
+        delta_leading(model, wall, InsertionWord(r=3, s=3))  # d - 2r < 2l + q
+    with pytest.raises(PreconditionError, match="x\\^r alpha\\^s only"):
+        delta_leading(make_model(q=1, zeta2=-4, zetaK=0), WallGeometry(-8, 1, -4, 0),
+                      InsertionWord(s=6, gammas=(0,), threes=(1,)))
 
 
 # -- the integer sums of delta_l0 / delta_l0_odd against their Fraction forms --
@@ -485,7 +488,7 @@ def test_delta_l0_integer_sum_equals_fraction_form():
     for q, d in itertools.product(range(4), range(1, 8)):
         for wall in _walls(q, d):
             with pytest.raises(PreconditionError, match="needs 2r <= d"):
-                delta_l0(wall, Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK), d // 2 + 1)
+                delta_l0(wall, Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK), d // 2 + 1, 1)
             for r in range(d // 2 + 1):
                 for za, sa, sz, vol in itertools.product(ZA, SA, SZ, (1, Fraction(2, 3), 6)):
                     pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za,
@@ -502,7 +505,7 @@ def test_delta_l1_three_sums_equal_fraction_form():
     for q, d in itertools.product(range(4), range(1, 8)):
         for wall in _walls(q, d, l=1):
             with pytest.raises(PreconditionError, match="needs 2r <= d"):
-                delta_l1(wall, Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK), d // 2 + 1)
+                delta_l1(wall, Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK), d // 2 + 1, 1)
             for r in range(d // 2 + 1):
                 for za, sa, sz, a2 in itertools.product(ZA, SA, SZ, (Fraction(-1, 3), 2)):
                     pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za,
@@ -517,15 +520,18 @@ def test_delta_l1_three_sums_equal_fraction_form():
 def test_delta_leading_integer_sum_equals_fraction_form():
     compared = 0
     for q, d, l in itertools.product(range(4), range(1, 9), range(3)):
+        # vol = 2/3, or 1 at q = 0
+        j_side = make_model(q=q, blocks=((Fraction(2, 3),) + (1,) * (q - 1))[:q])
         for wall in _walls(q, d, l):
             for r in range((d - 2 * l - q) // 2 + 1):
                 for za, sa, sz, a2 in itertools.product(ZA, SA, SZ, (Fraction(-1, 3), 2, 0)):
                     pr = Pairings(zeta2=wall.zeta2, zetaK=wall.zetaK, zetaAlpha=za,
                                   sigmaAlpha=sa, sigmaZeta=sz, alpha2=a2)
-                    lead = delta_leading(wall, pr, r, Fraction(2, 3))
+                    model = j_side.with_pairings(pr)
+                    lead = delta_leading(model, wall, InsertionWord(r=r, s=d - 2 * r))
                     assert type(lead.value) is Fraction and lead.path == "leading-term"
                     assert lead.modulus_exponent == d - 2 * r - 2 * l - q + 2
-                    assert lead.value == _fraction_delta_leading(wall, pr, r, Fraction(2, 3)), (
+                    assert lead.value == _fraction_delta_leading(wall, pr, r, volume(model)), (
                         q, d, l, r, za, sa, sz, a2)
                     compared += lead.value != 0
     assert compared > 1000, compared

@@ -6,7 +6,7 @@ import pytest
 
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, RegimeError,
                        WallGeometry, build_model, delta, evaluate, volume)
-from wallcross.closed import delta_l0, delta_l0_odd, delta_l1, delta_leading
+from wallcross.closed import delta_l0, delta_l0_odd, delta_l1
 from wallcross.oracle import delta_oracle_l0, delta_oracle_l1
 from wallcross.verify import valid_zeta_k
 
@@ -64,10 +64,10 @@ def test_guards():
 
 
 def test_how_many_times_each_path_admits_a_point(monkeypatch):
-    # the l = 0 routes take the model and the word and admit them, so evaluate
-    # leaves an l = 0 point to them; on the leading path and at l = 1 the routes
-    # take r and pairings, so evaluate admits the point too (an auto l = 0 point
-    # was admitted three times, evaluate's and one per route)
+    # the l = 0 routes and delta_leading take the model and the word and admit
+    # them, so evaluate leaves those points to them; at l = 1 the routes take r,
+    # so evaluate admits the point too (an auto l = 0 point was admitted three
+    # times, evaluate's and one per route, and a leading point twice)
     calls = []
     real = WallGeometry.admit
     monkeypatch.setattr(WallGeometry, "admit",
@@ -82,7 +82,7 @@ def test_how_many_times_each_path_admits_a_point(monkeypatch):
             for path in ("auto", "closed", "oracle")] == [2, 1, 1] * 2
     assert [admits(L1, InsertionWord(r=1, s=6), path)
             for path in ("auto", "closed", "oracle")] == [3, 2, 2]
-    assert [admits(case, InsertionWord(s=case[1].d), "leading") for case in (L0, L1, L2)] == [2] * 3
+    assert [admits(case, InsertionWord(s=case[1].d), "leading") for case in (L0, L1, L2)] == [1] * 3
 
 
 def test_the_routes_taking_a_model_refuse_a_wall_of_another_q():
@@ -129,11 +129,13 @@ def test_every_path_prices_the_pairings_of_its_model():
 
 def test_volume_only_on_the_leading_and_l1_closed_paths(monkeypatch):
     # every l = 0 word goes through delta_l0_odd, whose F reads no volume, and
-    # evaluate has no delta_l0 to call
+    # evaluate has no delta_l0 to call; delta_leading reads the volume itself
+    from wallcross import closed
     assert not hasattr(delta, "delta_l0")
     calls = []
     volume = delta.volume
-    monkeypatch.setattr(delta, "volume", lambda model: calls.append(1) or volume(model))
+    for module in (delta, closed):
+        monkeypatch.setattr(module, "volume", lambda model: calls.append(1) or volume(model))
     for word in (InsertionWord(s=2), InsertionWord(r=1),
                  InsertionWord(gammas=(0,), threes=(1,))):
         for path in ("auto", "closed", "oracle"):
@@ -147,11 +149,10 @@ def test_volume_only_on_the_leading_and_l1_closed_paths(monkeypatch):
 
 def test_the_routes_taking_r_refuse_a_bad_r():
     # on q = 1, zeta^2 = -4 walls r = -1 used to be priced as a word that does not
-    # exist (delta_l1 gave -3008, delta_l0 and delta_leading -80), and "1" or 1.5
-    # raised a bare TypeError; an integral r given as text is that r
+    # exist (delta_l1 gave -3008, delta_l0 and delta_leading, which took r, -80),
+    # and "1" or 1.5 raised a bare TypeError; an integral r given as text is that r
     l0, l1 = (_case(p1=p1, q=1, zeta2=-4, zetaK=2) for p1 in (-4, -8))
     routes = [lambda r: delta_l0(l0[1], l0[0].pairings, r, volume(l0[0])),
-              lambda r: delta_leading(l0[1], l0[0].pairings, r, volume(l0[0])),
               lambda r: delta_l1(l1[1], l1[0].pairings, r, volume(l1[0])),
               lambda r: delta_oracle_l1(l1[0], l1[1], r)]
     for route in routes:

@@ -1,8 +1,12 @@
 """Every verification check can fail: with one name that it looks up
 replaced by a wrong version, it reports FAIL with a counterexample.  A check
 that prices words through ``delta.evaluate`` is mutated where ``evaluate``
-looks the route function up."""
+looks the route function up.  The kill list shows the converse: a fault in the
+code both routes share makes a named check fail."""
 
+import inspect
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,9 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wallcross import delta, verify, walls
+from wallcross import chern, delta, graded, oracle, verify, walls
 from wallcross.closed import DeltaValue
 from wallcross.graded import SIGMA, GradedElement, ModelSpec
+
+from conftest import odd_zeta_k_values
 
 SMALL = verify.Grid(q_max=1, d_max=5, r_max=1, pair_bound=1, sweep_bound=6)
 
@@ -94,6 +100,10 @@ MUTANTS = [
 
 def _fails_under(check, module, name, mutate, grid, monkeypatch):
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    _fails(check, grid)
+
+
+def _fails(check, grid):
     result = verify.ALL_CHECKS[check](grid)
     assert not result.passed
     assert result.points >= 1 and result.detail
@@ -116,6 +126,81 @@ def test_oracle_l1_fails_on_a_grid_with_only_the_w_variant_slice(monkeypatch):
     tiny = verify.Grid(q_max=1, d_max=3, r_max=1, pair_bound=1, sweep_bound=6)
     assert verify.check_oracle_l1(tiny).points == 4
     _fails_under("oracle-l1", delta, "delta_oracle_l1", _shifted(_sigma_k), tiny, monkeypatch)
+
+
+# -- the kill list: a fault in the code both routes share fails some check ----
+
+def _edited(owner, name, old, new):
+    """``owner.name`` compiled from its source with the one ``old`` in it replaced by
+    ``new``, over its module's globals: a mutant made in process, no file touched."""
+    fn = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, (name, old)
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         vars(inspect.getmodule(fn)), namespace)
+    return namespace[fn.__name__]
+
+
+def _install(monkeypatch, owner, name, old, new):
+    """Put the mutant of ``owner.name`` in its place: on the class for a method, in
+    every package module that imported it for a function."""
+    original, mutant = getattr(owner, name), _edited(owner, name, old, new)
+    holders = [owner] if isinstance(owner, type) else [
+        module for key, module in sys.modules.items()
+        if key.split(".")[0] == "wallcross" and vars(module).get(name) is original]
+    for holder in holders:
+        monkeypatch.setattr(holder, name, mutant)
+
+
+# (mutant, the edit in shared code, the checks that catch it on SMALL)
+KILL_LIST = [
+    ("koszul-sign", (graded, "integration_pairs",
+                     "-num if (_above_parity(j) & (full ^ j)).bit_count() & 1 else num", "num"),
+     ["hidden-data"]),
+    ("wedge-sign", (ModelSpec, "omega_pow",
+                    "-n1 * n2 if (koszul & j2).bit_count() & 1 else n1 * n2", "n1 * n2"),
+     ["hidden-data"]),
+    ("newton-divisor", (chern, "_newton", "seq.append(acc / m)", "seq.append(acc / (m + 1))"),
+     ["oracle-l1", "segre", "simple-type"]),
+    ("beta-beta-sign", (ModelSpec, "_s_product", "return (c, s_even(SIGMA))",
+                        "return (-c, s_even(SIGMA))"),
+     ["axioms", "oracle-l1", "segre"]),
+    ("component-low", (oracle, "_l0_table", "low = wall.n_minus if component",
+                       "low = wall.n_minus + 1 if component"),
+     ["component-branch"]),
+    # Sigma.zeta for Sigma.K would be equivalent: no value reads Sigma.K (hidden-data)
+    ("sigma-k-for-sigma-zeta", (oracle, "ch_extension_bundles",
+                                'sigma_z = model.pair(SIGMA, "zeta")',
+                                'sigma_z = model.pair(SIGMA, "K")'),
+     ["oracle-l1", "segre", "hidden-data"]),
+]
+
+
+@pytest.mark.parametrize("edit, catchers", [entry[1:] for entry in KILL_LIST],
+                         ids=[entry[0] for entry in KILL_LIST])
+def test_a_fault_in_shared_code_fails_the_checks_named(edit, catchers, monkeypatch):
+    _install(monkeypatch, *edit)
+    for check in catchers:
+        _fails(check, SMALL)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: both routes read F from the ring, so "
+                   "an A-insertion fault moves both; only tier-1's pinned F values catch it")
+def test_a_transposed_interior_omega_fails_a_check(monkeypatch):
+    # mutant B: i_{be_i} omega read off a_ji, so every A-insertion is negated
+    _install(monkeypatch, ModelSpec, "interior_omega", "S_ONE): self.a_matrix[i][j]",
+             "S_ONE): self.a_matrix[j][i]")
+    assert not all(check(SMALL).passed for check in verify.ALL_CHECKS.values())
+
+
+def test_the_x_table_sign_read_off_n_plus_is_caught_on_odd_zeta_k_walls(monkeypatch):
+    # on every verify grid zeta.K is even at l = 1, so N_+ and N_- share a parity
+    # and this mutant passes all 11 checks; the odd-zeta.K walls negate each value
+    _install(monkeypatch, oracle, "_x_table", "if (n - wall.n_minus) % 2:",
+             "if (n - wall.n_plus) % 2:")
+    values = odd_zeta_k_values()
+    assert all(closed == -oracle_value != 0 for closed, oracle_value, _ in values)
 
 
 def test_segre_machinery_makes_a_pinned_number_of_ring_products(monkeypatch):

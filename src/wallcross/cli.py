@@ -20,10 +20,9 @@ import sys
 from . import __version__
 from .delta import PATHS, evaluate
 from .errors import InvariantError, PreconditionError, RegimeError, SchemaError, WallCrossError
-from .graded import frac
-from .jacobian import (InsertionWord, PairingInput, build_model, pairing_input_from_json,
-                       read_document, volume)
-from .surfaces import enumerate_walls, surface_from_json_dict
+from .graded import exact_int, frac
+from .jacobian import PAIRING_KEYS, InsertionWord, PairingInput, Pairings, build_model, volume
+from .surfaces import SurfaceData, enumerate_walls, odd_ruled, product_ruled
 from .walls import WallGeometry
 
 EXIT_OK = 0
@@ -63,15 +62,74 @@ def _load_input(path):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _wall_from_doc(inp, wall_doc):
-    if not wall_doc or "p1" not in wall_doc:
+def _document(text) -> dict:
+    """A JSON document, model or surface: a top-level object of schema version 1."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int literal past the int-string limit
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("top-level JSON value must be an object")
+    version = doc.get("schema_version", 1)
+    if version != 1:
+        raise SchemaError(f"unsupported schema_version {version}")
+    return doc
+
+
+def read_model_document(text) -> tuple:
+    """(PairingInput, WallGeometry) of a model document: the model part is read
+    first, then the 'wall' object, whose zeta^2 and zeta.K are the pairings'."""
+    doc = _document(text)
+    raw = doc.get("pairings", {})
+    if not isinstance(raw, dict):
+        raise SchemaError("'pairings' must be an object")
+    unknown = set(raw) - set(PAIRING_KEYS)
+    if unknown:
+        raise SchemaError(f"unknown pairing keys: {sorted(unknown)}")
+    try:
+        inp = PairingInput(q=doc["q"], pairings=Pairings(**raw), a_blocks=doc.get("a_blocks"),
+                           a_matrix=doc.get("a_matrix"))
+    except (ArithmeticError, KeyError, TypeError, ValueError, PreconditionError) as exc:
+        raise SchemaError(f"bad PairingInput document: {exc}") from exc
+    wall = doc.get("wall")
+    if wall is not None and not isinstance(wall, dict):
+        raise SchemaError("'wall' must be an object")
+    if not wall or "p1" not in wall:
         raise SchemaError("the input document needs a 'wall' object with at least 'p1'")
     try:
-        return WallGeometry.build(q=inp.q, zeta2=inp.pairings.zeta2, zetaK=inp.pairings.zetaK,
-                                  **{key: wall_doc[key] for key in ("p1", "zetaW", "w2", "wK")
-                                     if key in wall_doc})
+        return inp, WallGeometry.build(q=inp.q, zeta2=inp.pairings.zeta2,
+                                       zetaK=inp.pairings.zetaK,
+                                       **{key: wall[key] for key in ("p1", "zetaW", "w2", "wK")
+                                          if key in wall})
     except PreconditionError as exc:
         raise SchemaError(f"bad wall data: {exc}") from exc
+
+
+def read_surface_document(text) -> SurfaceData:
+    """The surface of a surface document: a named ruled surface, or the data it
+    carries, which is read as it is whatever its name says."""
+    surf = _document(text).get("surface")
+    if not isinstance(surf, dict):
+        raise SchemaError("missing 'surface' object")
+    name = surf.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"the surface name must be a string, got {name!r}")
+    try:
+        q = exact_int(surf["q"], "q")
+        if "gram" not in surf:
+            if name.startswith("product_ruled"):
+                return product_ruled(q)
+            if name.startswith("odd_ruled"):
+                return odd_ruled(q)
+        slope = surf.get("cone_slope")
+        return SurfaceData(
+            name=name or "custom", q=q, basis=tuple(surf["basis"]),
+            gram=surf["gram"], K=surf["K"], Sigma=surf["Sigma"],
+            cone_slope=None if slope is None else frac(slope))
+    except KeyError as exc:
+        raise SchemaError(f"surface document lacks {exc}") from exc
+    except (ArithmeticError, TypeError, ValueError, PreconditionError) as exc:
+        raise SchemaError(f"bad surface document: {exc}") from exc
 
 
 def _emit(doc, records, columns, opts):
@@ -92,8 +150,7 @@ def _emit(doc, records, columns, opts):
 
 
 def cmd_params(opts) -> int:
-    inp, wall_doc = pairing_input_from_json(_load_input(opts.input))
-    wall = _wall_from_doc(inp, wall_doc)
+    inp, wall = read_model_document(_load_input(opts.input))
     model = build_model(inp)
     doc = {
         "schema_version": 1,
@@ -106,8 +163,7 @@ def cmd_params(opts) -> int:
 
 
 def cmd_delta(opts) -> int:
-    inp, wall_doc = pairing_input_from_json(_load_input(opts.input))
-    wall = _wall_from_doc(inp, wall_doc)
+    inp, wall = read_model_document(_load_input(opts.input))
     model = build_model(inp)
     gammas, threes = _parse_int_list(opts.gammas), _parse_int_list(opts.threes)
     # by default the s >= 0 that gives the word degree 4r + 2s + 3|gammas| + |threes| = 2d
@@ -138,7 +194,7 @@ def cmd_delta(opts) -> int:
 
 
 def cmd_walls(opts) -> int:
-    surface = surface_from_json_dict(read_document(_load_input(opts.input)))
+    surface = read_surface_document(_load_input(opts.input))
     if opts.w is None:
         raise SchemaError("--w v1,v2 is required for the walls command")
     if opts.p1 is None:

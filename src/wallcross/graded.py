@@ -359,7 +359,6 @@ class ModelSpec:
             if d2 == 2:
                 g = self.pair(sym, p2[0])
                 return (g, S_PT) if g else None
-            return None  # 2 + 3 exceeds top degree
         if d1 == 3 and d2 == 1:
             j, sym = p1
             c = self.a_matrix[j][p2[0]] * self.pair(SIGMA, sym)

@@ -11,12 +11,11 @@ every a_ij by r) can be exercised exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PreconditionError, SchemaError
+from .errors import PreconditionError
 from .graded import (_ZERO, MAX_Q, SIGMA, GradedElement, ModelSpec, exact_count, exact_int,
                      exact_tuple, frac, integrate_jacobian, integrate_product)
 
@@ -96,22 +95,6 @@ class PairingInput:
                     if x.numerator != -y.numerator or x.denominator != y.denominator:
                         raise PreconditionError("a_matrix must be antisymmetric")
             object.__setattr__(self, "a_matrix", a)
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "PairingInput":
-        try:
-            raw = doc.get("pairings", {})
-            if not isinstance(raw, dict):
-                raise SchemaError("'pairings' must be an object")
-            unknown = set(raw) - set(PAIRING_KEYS)
-            if unknown:
-                raise SchemaError(f"unknown pairing keys: {sorted(unknown)}")
-            return cls(q=doc["q"], pairings=Pairings(**raw), a_blocks=doc.get("a_blocks"),
-                       a_matrix=doc.get("a_matrix"))
-        except SchemaError:
-            raise
-        except (ArithmeticError, KeyError, TypeError, ValueError, PreconditionError) as exc:
-            raise SchemaError(f"bad PairingInput document: {exc}") from exc
 
 
 def build_model(inp: PairingInput) -> ModelSpec:
@@ -244,27 +227,3 @@ class InsertionWord:
         bits += [f"d{i + 1}" for i in self.gammas]
         bits += [f"B{j + 1}" for j in self.threes]
         return " ".join(bits) if bits else "1"
-
-
-def read_document(text: str) -> dict:
-    """Parse a JSON document, model or surface: a top-level object of schema version 1."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int literal past the int-string limit
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level JSON value must be an object")
-    version = doc.get("schema_version", 1)
-    if version != 1:
-        raise SchemaError(f"unsupported schema_version {version}")
-    return doc
-
-
-def pairing_input_from_json(text: str) -> tuple:
-    """Parse a JSON document into (PairingInput, wall_section_or_None)."""
-    doc = read_document(text)
-    inp = PairingInput.from_json_dict(doc)
-    wall = doc.get("wall")
-    if wall is not None and not isinstance(wall, dict):
-        raise SchemaError("'wall' must be an object")
-    return inp, wall

@@ -8,7 +8,7 @@ K = -2C + (2g-2) f, so K^2 = 8(1-g) and K.f = -2 in both cases.
 Walls are enumerated as zeta = a f - b (C or s) with a, b > 0 inside the
 stated subcone (a > b (g-1) for the product type, a > b (2g-1)/2 for the
 twisted type); blow-ups and other surfaces enter as plain intersection data,
-a ``SurfaceData`` or a surface document read by ``surface_from_json_dict``.
+a ``SurfaceData``, as the CLI builds one from a surface document.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidWallError, PreconditionError, SchemaError
+from .errors import InvalidWallError, PreconditionError
 from .graded import exact_int, exact_tuple, frac
 from .jacobian import Pairings
 from .walls import WallGeometry
@@ -105,32 +105,6 @@ def odd_ruled(g) -> SurfaceData:
         name=f"odd_ruled({g})", q=g, basis=("f", "s"),
         gram=((0, 1), (1, s2)), K=(s2 + 2 * g - 2, -2), Sigma=(1, 0),
         cone_slope=Fraction(2 * g - 1, 2))
-
-
-def surface_from_json_dict(doc) -> SurfaceData:
-    surf = doc.get("surface") if isinstance(doc, dict) else None
-    if not isinstance(surf, dict):
-        raise SchemaError("missing 'surface' object")
-    name = surf.get("name", "")
-    if not isinstance(name, str):
-        raise SchemaError(f"the surface name must be a string, got {name!r}")
-    try:
-        q = exact_int(surf["q"], "q")
-        # a document that gives its data is read as it is, whatever its name says
-        if "gram" not in surf:
-            if name.startswith("product_ruled"):
-                return product_ruled(q)
-            if name.startswith("odd_ruled"):
-                return odd_ruled(q)
-        slope = surf.get("cone_slope")
-        return SurfaceData(
-            name=name or "custom", q=q, basis=tuple(surf["basis"]),
-            gram=surf["gram"], K=surf["K"], Sigma=surf["Sigma"],
-            cone_slope=None if slope is None else frac(slope))
-    except KeyError as exc:
-        raise SchemaError(f"surface document lacks {exc}") from exc
-    except (ArithmeticError, TypeError, ValueError, PreconditionError) as exc:
-        raise SchemaError(f"bad surface document: {exc}") from exc
 
 
 class WallRecord(NamedTuple):

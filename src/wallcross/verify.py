@@ -531,11 +531,7 @@ def check_segre(grid):
                        (inv.get(2 * n, zero) if 0 < n <= top else sn, zero if n else conv),
                        lambda: f"s_{n} and sum c_i s_(n-i) (q={model.q})")
         # stratum sums against the closed forms, on a matching l=1 wall
-        zeta2 = model.pair("zeta", "zeta")
-        try:
-            wall = wall_with_variant(model.q, zeta2, 1, model.pair("zeta", "K"))
-        except InvalidWallError:
-            continue
+        wall = wall_with_variant(model.q, model.pair("zeta", "zeta"), 1, model.pair("zeta", "K"))
         datas = [ch_direct_sum(ch_p, ch_dual(ch_m))
                  for ch_p, ch_m in (ch_extension_bundles(model, wall, k) for k in (0, 1))]
         classes = StratumClasses(model)  # shared by the closed forms for every n
@@ -567,10 +563,7 @@ def check_leading(grid):
         zeta2 = -(d + 3 * (1 - q)) + 4 * l
         if zeta2 >= 0 or d > grid.d_max + 2:
             continue
-        try:
-            wall = wall_with_variant(q, zeta2, l)
-        except IndexError:  # no valid zeta.K
-            continue
+        wall = wall_with_variant(q, zeta2, l)
         word = InsertionWord(r=r, s=d - 2 * r)
         base = dict(sigmaZeta=2, sigmaAlpha=1, sigmaK=0, K2=8, Kalpha=0, alpha2=-2)
         xs = [Fraction(k) for k in range(1, d - 2 * r + 3)]
@@ -681,14 +674,8 @@ def check_component_branch(grid):
             zeta2 = -(d + 3 * (1 - q))
             if zeta2 >= 0:
                 continue
-            # h(zeta) + q = 0 pins zeta.K
-            zetaK = zeta2 + 2 - 2 * q
-            try:
-                wall = wall_with_variant(q, zeta2, 0, zetaK)
-            except InvalidWallError:
-                continue
-            if not wall.empty_side:
-                continue
+            # h(zeta) + q = 0 pins zeta.K; for q <= 2, d <= 16 the wall is valid, +zeta side empty
+            wall = wall_with_variant(q, zeta2, 0, zeta2 + 2 - 2 * q)
             word = InsertionWord(s=d)
             for za, sa, sz in itertools.product((-2, 1, 3), (-1, 2), (1, -2)):
                 model = _on(j_side, wall, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import warnings
 from dataclasses import replace
@@ -23,6 +24,7 @@ with warnings.catch_warnings():
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, WallGeometry,
                        build_model, evaluate)
 from wallcross.graded import GradedElement, ModelSpec, frac
+from wallcross.jacobian import jacobian_odd_integral, volume
 from wallcross.surfaces import SurfaceData
 from wallcross.verify import valid_zeta_k
 
@@ -78,6 +80,78 @@ def odd_zeta_k_values():
                 closed, oracle = evaluate(model, wall, InsertionWord(r=r, s=wall.d - 2 * r))
                 out.append((closed.value, oracle.value, (q, zeta2, zeta_k, pairings, r)))
     return out
+
+
+def pfaffian(m) -> Fraction:
+    """Pf(m) of an antisymmetric matrix, in Fractions, by skew elimination.
+
+    With the pivot p = m_01, Pf(m) = p Pf(m'), where m'_ij = m_ij + (m_1i m_0j -
+    m_0i m_1j)/p on the indices past 1.  A zero m_01 first swaps a nonzero m_0k into
+    place (rows and columns 1 and k), which negates Pf; a zero row 0 gives 0."""
+    m = [[Fraction(x) for x in row] for row in m]
+    if len(m) % 2:
+        return Fraction(0)
+    out = Fraction(1)
+    while m:
+        k = next((k for k in range(1, len(m)) if m[0][k]), None)
+        if k is None:
+            return Fraction(0)
+        if k != 1:
+            m[1], m[k] = m[k], m[1]
+            for row in m:
+                row[1], row[k] = row[k], row[1]
+            out = -out
+        p, rest = m[0][1], range(2, len(m))
+        out *= p
+        m = [[m[i][j] + (m[1][i] * m[0][j] - m[0][i] * m[1][j]) / p for j in rest]
+             for i in rest]
+    return out
+
+
+def pfaffian_f(a, gammas, threes) -> Fraction:
+    """F(gammas, threes) = (-1)^((a+b)/2) p! Pf([[a, V^T], [-V, 0]]) for the a_ij
+    matrix ``a``, with p = q - (a+b)/2 and V one row per odd factor in word order:
+    th_i's unit vector for each of ``gammas``, row j of ``a`` for each i_{be_j} omega
+    of ``threes``.  It is 0 for p < 0, and vol = F((), ())/q!."""
+    n, k = len(a), len(gammas) + len(threes)
+    p = n // 2 - k // 2
+    if p < 0:
+        return Fraction(0)
+    rows = [[int(i == g) for i in range(n)] for g in gammas] + [list(a[j]) for j in threes]
+    bordered = ([list(a[i]) + [v[i] for v in rows] for i in range(n)]
+                + [[-x for x in v] + [0] * k for v in rows])
+    return (-1) ** (k // 2) * math.factorial(p) * pfaffian(bordered)
+
+
+def pfaffian_mismatches(sides=120, words=4, seed=8):
+    """(mismatches, nonzero): ``volume`` and ``jacobian_odd_integral`` against the
+    Pfaffian reference on ``sides`` seeded random J-sides, q <= 4, with ``words``
+    odd words of a, b <= 3 factors each.  Each a_ij is drawn from -3..3 over 1..2,
+    so zeros occur, and every fourth J-side is degenerate: its last row and column
+    are 0.  A mismatch is (q, a, gammas, threes, ring value, reference)."""
+    rng = random.Random(seed)
+    mismatches, nonzero = [], 0
+    for side in range(sides):
+        q = rng.randint(0, 4)
+        n = 2 * q
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            if not (side % 4 == 3 and j == n - 1):
+                a[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                a[j][i] = -a[i][j]
+        model = build_model(PairingInput(q=q, pairings=Pairings(),
+                                         a_matrix=tuple(map(tuple, a))))
+        checks = [((), (), volume(model), pfaffian(a))]
+        for _ in range(words):
+            gammas = tuple(rng.sample(range(n), min(n, rng.randint(0, 3))))
+            threes = tuple(rng.sample(range(n), min(n, rng.randint(0, 3))))
+            checks.append((gammas, threes, jacobian_odd_integral(model, gammas, threes),
+                           pfaffian_f(a, gammas, threes)))
+        for gammas, threes, value, reference in checks:
+            nonzero += reference != 0
+            if value != reference:
+                mismatches.append((q, a, gammas, threes, value, reference))
+    return mismatches, nonzero
 
 
 def custom_surface(name, q, gram, K, Sigma, cone_slope=None) -> SurfaceData:

@@ -26,9 +26,9 @@ from wallcross import (DeltaValue, InsertionWord, PairingInput, Pairings, Precon
                        RegimeError, WallCrossError, WallGeometry, build_model, evaluate,
                        volume)
 from wallcross.delta import PATHS
-from wallcross.cli import main
+from wallcross.cli import main, read_model_document
 from wallcross.graded import MAX_EXPONENT, MAX_Q, MAX_WALL_INPUT, frac
-from wallcross.jacobian import PAIRING_KEYS, pairing_input_from_json
+from wallcross.jacobian import PAIRING_KEYS
 from wallcross.walls import MAX_DEGREE, wall_params
 
 from conftest import reversed_wall
@@ -320,8 +320,8 @@ def test_the_library_and_the_json_reader_share_one_number_rule():
     # Pairings(zeta2=True) gave 1 and Pairings(zeta2=0.1) the binary double, where
     # the JSON reader refused true and read 0.1 as 1/10
     def read(value):
-        doc = {"q": 1, "pairings": {"zetaAlpha": value}}
-        return pairing_input_from_json(json.dumps(doc))[0].pairings.zetaAlpha
+        doc = {"q": 1, "pairings": {"zeta2": -4, "zetaAlpha": value}, "wall": {"p1": -4}}
+        return read_model_document(json.dumps(doc))[0].pairings.zetaAlpha
 
     assert Pairings(zetaAlpha=0.1).zetaAlpha == read(0.1) == Fraction(1, 10)
     assert Pairings(zetaAlpha=-2.5).zetaAlpha == read(-2.5) == Fraction(-5, 2)
@@ -338,17 +338,17 @@ def test_the_library_and_the_json_reader_share_one_number_rule():
 def test_a_decimal_exponent_past_the_cap_is_refused_before_it_is_expanded():
     # Fraction("1e10000000") expanded the exponent in full before any check: 7.5 s,
     # and about 17 times that per decade of exponent
-    doc = {"q": 1, "pairings": {"zetaAlpha": "1e100000000"}}
+    doc = {"q": 1, "pairings": {"zeta2": -4, "zetaAlpha": "1e100000000"}, "wall": {"p1": -4}}
     for call in (lambda: frac("1e100000000"), lambda: frac("-1E-100000000"),
                  lambda: frac(f"1e{MAX_EXPONENT + 1}"),
-                 lambda: pairing_input_from_json(json.dumps(doc))):
+                 lambda: read_model_document(json.dumps(doc))):
         start = time.perf_counter()
         with pytest.raises(WallCrossError, match="exponent"):
             call()
         assert time.perf_counter() - start < 0.1
     # an int literal past Python's int-string limit ended in a ValueError traceback
     with pytest.raises(wallcross.SchemaError, match="invalid JSON"):
-        pairing_input_from_json(json.dumps(doc).replace('"1e100000000"', "1" * 5000))
+        read_model_document(json.dumps(doc).replace('"1e100000000"', "1" * 5000))
     assert frac(f"1e{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
     assert frac("1e-3") == Fraction(1, 1000) and frac("3/2") == Fraction(3, 2)
     assert frac(0.1) == Fraction(1, 10)

@@ -500,3 +500,42 @@ def test_custom_surface_documents_are_checked(tmp_path, capsys, changes, needle)
     code, out, err = _run(capsys, "--command", "walls", "--input", path, "--w", "1,1",
                           "--p1", "-2", "--alpha", "1,3", "--bound", "4")
     assert (code, err) == (0, "") and json.loads(out)["surface"] == "blown-up"
+
+
+RANK3_SURFACE = {"name": "blown-up", "q": 1, "basis": ["e0", "e1", "e2"],
+                 "gram": [[0, 1, 0], [1, 0, 0], [0, 0, -1]], "K": [0, -2, 1],
+                 "Sigma": [1, 0, 0]}
+
+
+# the error paths of the document readers and of the flags that no other test reaches
+@pytest.mark.parametrize("doc, argv, message", [
+    ({key: value for key, value in L0_DOC.items() if key != "wall"}, ["--command", "params"],
+     "the input document needs a 'wall' object with at least 'p1'"),
+    (dict(L0_DOC, wall={"zetaW": -1}), ["--command", "delta"],
+     "the input document needs a 'wall' object with at least 'p1'"),
+    (dict(L0_DOC, wall=[-1]), ["--command", "params"], "'wall' must be an object"),
+    (dict(L0_DOC, pairings=[-1, 1]), ["--command", "params"], "'pairings' must be an object"),
+    ({"schema_version": 1, "surface": dict(CUSTOM_SURFACE, gram=[[0, 1]])},
+     ["--command", "walls", "--w", "1,1", "--p1", "-2"],
+     "bad surface document: gram size does not match basis"),
+    ({"schema_version": 1, "surface": dict(CUSTOM_SURFACE, gram=[[0, 1], [2, 0]])},
+     ["--command", "walls", "--w", "1,1", "--p1", "-2"],
+     "bad surface document: gram must be symmetric"),
+    ({"schema_version": 1, "surface": RANK3_SURFACE},
+     ["--command", "walls", "--w", "1,1", "--p1", "-2"],
+     "wall enumeration supports rank-2 lattices only"),
+    (SURFACE_DOC, ["--command", "walls", "--w", "1,1"],
+     "--p1 INT is required for the walls command"),
+    (L0_DOC, ["--command", "delta", "--gammas", "0,x"], "bad integer list '0,x'"),
+    (None, ["--command", "verify", "--grid", "x<=2"], "unknown grid key 'x'"),
+], ids=["model-no-wall", "wall-no-p1", "wall-list", "pairings-list", "gram-size",
+        "gram-asymmetric", "surface-rank-3", "walls-no-p1", "gammas-not-int", "grid-key-x"])
+def test_reader_and_flag_errors_print_one_line(tmp_path, capsys, doc, argv, message):
+    if doc is not None:
+        argv = [*argv, "--input", _write(tmp_path, "doc.json", doc)]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_an_empty_grid_clause_is_skipped():
+    assert parse_grid("q<=1,,d<=2") == parse_grid("q<=1,d<=2") == verify.Grid(q_max=1, d_max=2)

@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, SchemaError,
-                       build_model, volume)
-from wallcross.jacobian import (e_alpha, e_gamma, e_zeta_beta, jacobian_odd_integral,
-                                pairing_input_from_json)
+                       WallGeometry, build_model, volume)
+from wallcross.cli import read_model_document
+from wallcross.jacobian import e_alpha, e_gamma, e_zeta_beta, jacobian_odd_integral
 
-from conftest import make_model
+from conftest import make_model, pfaffian, pfaffian_f, pfaffian_mismatches
 
 
 def test_q0_model_collapses():
@@ -117,6 +117,25 @@ def test_odd_functional_vanishing_rule(q, blocks):
                 assert jacobian_odd_integral(m, gammas, threes) == 0, (gammas, threes)
 
 
+def test_pfaffian_reference_on_small_matrices():
+    # Pf of 2x2 and 4x4 forms, one with a zero pivot that swaps, and the bordered F
+    # of th_0 th_1 on the q = 1 block a_1 = 2, whose integral is 1
+    assert pfaffian([]) == 1 and pfaffian([[0, 5], [-5, 0]]) == 5
+    m = [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
+    assert pfaffian(m) == 1 * 6 - 2 * 5 + 3 * 4
+    assert pfaffian([[0, 0, 2, 0], [0, 0, 0, 3], [-2, 0, 0, 0], [0, -3, 0, 0]]) == -6
+    block = [[0, 2], [-2, 0]]
+    assert pfaffian_f(block, (0, 1), ()) == 1 == jacobian_odd_integral(
+        make_model(q=1, blocks=(2,)), (0, 1), ())
+
+
+def test_volume_and_f_are_the_pfaffian_reference_on_random_matrices():
+    # an elimination that shares no code with the ring: 120 J-sides and 480 words
+    mismatches, nonzero = pfaffian_mismatches()
+    assert mismatches == []
+    assert nonzero > 200
+
+
 def test_insertion_word_validation():
     w = InsertionWord(r=1, s=2, gammas=(0,), threes=(1,))
     assert w.degree() == 4 + 4 + 3 + 1
@@ -180,22 +199,23 @@ def test_json_parsing():
     text = """{"schema_version": 1, "q": 1, "a_blocks": [2],
                "pairings": {"zeta2": -4, "zetaAlpha": "3/2"},
                "wall": {"p1": -4}}"""
-    inp, wall = pairing_input_from_json(text)
+    inp, wall = read_model_document(text)
     assert inp.q == 1 and inp.a_blocks == (2,)
     assert inp.pairings.zetaAlpha == Fraction(3, 2)
-    assert wall == {"p1": -4}
+    assert wall == WallGeometry(p1=-4, q=1, zeta2=-4, zetaK=0)
     with pytest.raises(SchemaError):
-        pairing_input_from_json("not json")
-    with pytest.raises(SchemaError):
-        pairing_input_from_json('{"q": 1, "pairings": {"bogus": 1}}')
-    with pytest.raises(SchemaError):
-        pairing_input_from_json('{"q": 1, "schema_version": 99}')
+        read_model_document("not json")
+    with pytest.raises(SchemaError, match="unknown pairing keys"):
+        read_model_document('{"q": 1, "pairings": {"zeta2": -4, "bogus": 1}, "wall": {"p1": -4}}')
+    with pytest.raises(SchemaError, match="unsupported schema_version 99"):
+        read_model_document('{"q": 1, "schema_version": 99, "pairings": {"zeta2": -4}, '
+                            '"wall": {"p1": -4}}')
 
 
 def test_json_pairings_read_an_int_as_it_is_and_anything_else_through_its_text():
     def read(value):
-        doc = {"q": 1, "pairings": {"zetaAlpha": value}}
-        return pairing_input_from_json(json.dumps(doc))[0].pairings.zetaAlpha
+        doc = {"q": 1, "pairings": {"zeta2": -4, "zetaAlpha": value}, "wall": {"p1": -4}}
+        return read_model_document(json.dumps(doc))[0].pairings.zetaAlpha
 
     assert read(5) == 5 and type(read(5)) is Fraction
     assert read(-10**40) == -10**40
@@ -231,9 +251,10 @@ def test_the_json_reader_and_the_operators_keep_their_errors_for_no_number():
     # the document reader still wraps the error, and a ring element meets a
     # non-number with NotImplemented, so Python raises its own TypeError
     with pytest.raises(SchemaError, match="bad PairingInput document: 'x' is not an exact"):
-        pairing_input_from_json('{"q": 1, "a_blocks": ["x"]}')
+        read_model_document('{"q": 1, "a_blocks": ["x"], "pairings": {"zeta2": -4}, '
+                            '"wall": {"p1": -4}}')
     with pytest.raises(SchemaError, match="bad PairingInput document: q must be an integer"):
-        pairing_input_from_json('{"q": null}')
+        read_model_document('{"q": null, "pairings": {"zeta2": -4}, "wall": {"p1": -4}}')
     one = make_model(q=1).one()
     assert one.__mul__("x") is NotImplemented and one.__rmul__(None) is NotImplemented
     with pytest.raises(TypeError):

@@ -1,15 +1,17 @@
 """Ruled-surface data and wall enumeration."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from wallcross import InvalidWallError, PreconditionError, SchemaError
+from wallcross.cli import read_surface_document
 from wallcross.graded import exact_int
 from wallcross.surfaces import (SurfaceData, WallRecord, _pairings_for, enumerate_walls,
-                                odd_ruled, product_ruled, surface_from_json_dict)
+                                odd_ruled, product_ruled)
 from wallcross.walls import WallGeometry, wall_params
 
 from conftest import custom_surface, surface_document
@@ -94,10 +96,10 @@ def test_custom_surface_and_json_round_trip():
                        K=(0, -2, 1), Sigma=(1, 0, 0))
     assert s.pairing(s.K, s.K) == -1  # 8(1-1) - 1 blown-up point
     doc = surface_document(product_ruled(2))
-    back = surface_from_json_dict(doc)
+    back = read_surface_document(json.dumps(doc))
     assert back == product_ruled(2)
     doc2 = surface_document(odd_ruled(3))
-    assert surface_from_json_dict(doc2) == odd_ruled(3)
+    assert read_surface_document(json.dumps(doc2)) == odd_ruled(3)
     # a document that carries its data is read as that data, whatever its name
     # says: "product_ruled blown up" used to read back as product_ruled(1)
     named = custom_surface("product_ruled blown up", 1, ((-1, 0), (0, 1)), K=(1, 1),
@@ -105,8 +107,8 @@ def test_custom_surface_and_json_round_trip():
     for surface in (s, named, custom_surface("odd_ruled(2)", 2, ((0, 1), (1, 2)), K=(2, 0),
                                              Sigma=(1, 0), cone_slope=Fraction(1, 2)),
                     *(make(g) for make in (product_ruled, odd_ruled) for g in (1, 2, 3))):
-        assert surface_from_json_dict(surface_document(surface)) == surface, surface.name
-    assert surface_from_json_dict(surface_document(named)).gram == ((-1, 0), (0, 1))
+        assert read_surface_document(json.dumps(surface_document(surface))) == surface, surface.name
+    assert read_surface_document(json.dumps(surface_document(named))).gram == ((-1, 0), (0, 1))
 
 
 def test_pairing_in_ints_is_the_fraction_sum():
@@ -152,7 +154,7 @@ def test_vectors_of_the_wrong_length_are_refused():
         with pytest.raises(PreconditionError, match="entries, the basis 2"):
             custom_surface("short", 1, gram, K=K, Sigma=Sigma)
     with pytest.raises(SchemaError, match="surface name must be a string"):
-        surface_from_json_dict({"surface": {"name": 5, "q": 1}})
+        read_surface_document(json.dumps({"surface": {"name": 5, "q": 1}}))
 
 
 def test_a_negative_q_is_refused():
@@ -160,9 +162,9 @@ def test_a_negative_q_is_refused():
     with pytest.raises(PreconditionError, match="q must be non-negative, got -2"):
         custom_surface("negative q", -2, hyperbolic, K=(2, -2), Sigma=(1, 0))
     with pytest.raises(SchemaError, match="q must be non-negative, got -2"):
-        surface_from_json_dict({"surface": {"name": "x", "q": -2, "basis": ["a", "b"],
-                                            "gram": [[0, 1], [1, 0]], "K": [2, -2],
-                                            "Sigma": [1, 0]}})
+        read_surface_document(json.dumps({"surface": {"name": "x", "q": -2, "basis": ["a", "b"],
+                                                      "gram": [[0, 1], [1, 0]], "K": [2, -2],
+                                                      "Sigma": [1, 0]}}))
 
 
 def test_k_must_be_characteristic():
@@ -176,9 +178,9 @@ def test_k_must_be_characteristic():
         assert product_ruled(g).K and odd_ruled(g).K  # both built, so both characteristic
     assert custom_surface("even K", 1, hyperbolic, K=(2, -2), Sigma=(1, 0)).K == (2, -2)
     with pytest.raises(SchemaError, match="K is not characteristic"):
-        surface_from_json_dict({"surface": {"name": "x", "q": 1, "basis": ["a", "b"],
-                                            "gram": [[0, 1], [1, 0]], "K": [1, -2],
-                                            "Sigma": [1, 0]}})
+        read_surface_document(json.dumps({"surface": {"name": "x", "q": 1, "basis": ["a", "b"],
+                                                      "gram": [[0, 1], [1, 0]], "K": [1, -2],
+                                                      "Sigma": [1, 0]}}))
 
 
 def _every_candidate(surface, w, p1, bound, alpha):

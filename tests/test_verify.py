@@ -18,7 +18,7 @@ from wallcross import chern, delta, graded, oracle, verify, walls
 from wallcross.closed import DeltaValue
 from wallcross.graded import SIGMA, GradedElement, ModelSpec
 
-from conftest import odd_zeta_k_values
+from conftest import odd_zeta_k_values, pfaffian_mismatches
 
 SMALL = verify.Grid(q_max=1, d_max=5, r_max=1, pair_bound=1, sweep_bound=6)
 
@@ -185,13 +185,29 @@ def test_a_fault_in_shared_code_fails_the_checks_named(edit, catchers, monkeypat
         _fails(check, SMALL)
 
 
+# mutant B: i_{be_i} omega read off a_ji, so every A-insertion is negated
+TRANSPOSED_INTERIOR_OMEGA = (ModelSpec, "interior_omega", "S_ONE): self.a_matrix[i][j]",
+                             "S_ONE): self.a_matrix[j][i]")
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: both routes read F from the ring, so "
                    "an A-insertion fault moves both; only tier-1's pinned F values catch it")
 def test_a_transposed_interior_omega_fails_a_check(monkeypatch):
-    # mutant B: i_{be_i} omega read off a_ji, so every A-insertion is negated
-    _install(monkeypatch, ModelSpec, "interior_omega", "S_ONE): self.a_matrix[i][j]",
-             "S_ONE): self.a_matrix[j][i]")
+    _install(monkeypatch, *TRANSPOSED_INTERIOR_OMEGA)
     assert not all(check(SMALL).passed for check in verify.ALL_CHECKS.values())
+
+
+EDITS = dict({name: edit for name, edit, _ in KILL_LIST},
+             **{"transposed-interior-omega": TRANSPOSED_INTERIOR_OMEGA})
+
+
+# the faults in vol and F that both routes share: each moves some value off the
+# Pfaffian reference of tests/conftest.py, an elimination that uses no ring code
+@pytest.mark.parametrize("name", ["koszul-sign", "wedge-sign", "transposed-interior-omega"])
+def test_a_fault_in_vol_or_f_fails_the_pfaffian_reference(name, monkeypatch):
+    _install(monkeypatch, *EDITS[name])
+    mismatches, _ = pfaffian_mismatches()
+    assert mismatches
 
 
 def test_the_x_table_sign_read_off_n_plus_is_caught_on_odd_zeta_k_walls(monkeypatch):

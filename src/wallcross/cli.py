@@ -34,6 +34,12 @@ EXIT_VERIFY = 3
 PARAMS_FIELDS = ("p1", "q", "zeta2", "zetaK", "d", "l_zeta", "h_plus", "h_minus", "n_plus",
                  "n_minus", "empty_side", "sign_wall", "sign_complex")
 
+# the keys each document object may carry; any other is refused
+_MODEL_KEYS = frozenset({"schema_version", "q", "a_blocks", "a_matrix", "pairings", "wall"})
+_WALL_KEYS = frozenset({"p1", "zetaW", "w2", "wK"})
+_SURFACE_DOCUMENT_KEYS = frozenset({"schema_version", "surface"})
+_SURFACE_KEYS = frozenset({"name", "q", "basis", "gram", "K", "Sigma", "cone_slope"})
+
 
 def _rat(x) -> str:
     f = frac(x)
@@ -76,16 +82,23 @@ def _document(text) -> dict:
     return doc
 
 
+def _known(obj, keys, what) -> dict:
+    """``obj``, refused if it has a key outside ``keys``: a misspelt key would
+    be ignored, so its default would be priced."""
+    unknown = obj.keys() - keys
+    if unknown:
+        raise SchemaError(f"unknown {what} keys: {sorted(unknown)}")
+    return obj
+
+
 def read_model_document(text) -> tuple:
     """(PairingInput, WallGeometry) of a model document: the model part is read
     first, then the 'wall' object, whose zeta^2 and zeta.K are the pairings'."""
-    doc = _document(text)
+    doc = _known(_document(text), _MODEL_KEYS, "model document")
     raw = doc.get("pairings", {})
     if not isinstance(raw, dict):
         raise SchemaError("'pairings' must be an object")
-    unknown = set(raw) - set(PAIRING_KEYS)
-    if unknown:
-        raise SchemaError(f"unknown pairing keys: {sorted(unknown)}")
+    _known(raw, PAIRING_KEYS, "pairing")
     try:
         inp = PairingInput(q=doc["q"], pairings=Pairings(**raw), a_blocks=doc.get("a_blocks"),
                            a_matrix=doc.get("a_matrix"))
@@ -94,13 +107,11 @@ def read_model_document(text) -> tuple:
     wall = doc.get("wall")
     if wall is not None and not isinstance(wall, dict):
         raise SchemaError("'wall' must be an object")
-    if not wall or "p1" not in wall:
+    if not wall or "p1" not in _known(wall, _WALL_KEYS, "wall"):
         raise SchemaError("the input document needs a 'wall' object with at least 'p1'")
     try:
         return inp, WallGeometry.build(q=inp.q, zeta2=inp.pairings.zeta2,
-                                       zetaK=inp.pairings.zetaK,
-                                       **{key: wall[key] for key in ("p1", "zetaW", "w2", "wK")
-                                          if key in wall})
+                                       zetaK=inp.pairings.zetaK, **wall)
     except PreconditionError as exc:
         raise SchemaError(f"bad wall data: {exc}") from exc
 
@@ -108,9 +119,10 @@ def read_model_document(text) -> tuple:
 def read_surface_document(text) -> SurfaceData:
     """The surface of a surface document: a named ruled surface, or the data it
     carries, which is read as it is whatever its name says."""
-    surf = _document(text).get("surface")
+    surf = _known(_document(text), _SURFACE_DOCUMENT_KEYS, "surface document").get("surface")
     if not isinstance(surf, dict):
         raise SchemaError("missing 'surface' object")
+    _known(surf, _SURFACE_KEYS, "surface")
     name = surf.get("name", "")
     if not isinstance(name, str):
         raise SchemaError(f"the surface name must be a string, got {name!r}")

@@ -7,7 +7,8 @@ counts; a point that covers several comparisons compares tuples.  The
 the first mismatch.  ``where`` is a callable that describes the point, and
 the driver calls it only on that mismatch, so a passing sweep formats no
 text.  A long sweep hands one ``where`` to all its points: it reads the loop
-variables where the sweep stopped.  All comparisons are exact.
+variables where the sweep stopped, as ``_agree`` does for the sweeps of the
+closed form against the ring oracle.  All comparisons are exact.
 """
 
 from __future__ import annotations
@@ -180,10 +181,16 @@ def _blocks_for_q(q):
     return {0: [None], 1: [(1,), (3,)], 2: [(1, 1), (2, 3)], 3: [(1, 1, 1), (2, 3, 1)]}[q]
 
 
-def _pair_range(bound):
-    """-bound..bound as Fractions, built once for a sweep: Pairings keeps a
+def _box(**axes):
+    """Every combination of the values of each pairing in ``axes``, the first
+    outermost, as dicts of Fractions built once for a sweep: Pairings keeps a
     Fraction as it is and would build one from each int at every point."""
-    return [Fraction(v) for v in range(-bound, bound + 1)]
+    values = [[Fraction(v) for v in vals] for vals in axes.values()]
+    return [dict(zip(axes, point)) for point in itertools.product(*values)]
+
+
+# the (zeta.alpha, Sigma.alpha, Sigma.zeta) box of the l = 0 w-variants and branches
+_W_BOX = _box(zetaAlpha=(-2, 1, 3), sigmaAlpha=(-1, 2), sigmaZeta=(1, -2))
 
 
 def _fixed(wall, **pairings):
@@ -205,8 +212,26 @@ def _closed_and_oracle(model, wall, word):
     return closed.value, oracle.value
 
 
+def _agree(j_side, wall, words, points, label, **fixed):
+    """The cases (closed, oracle) of every word at each pairing point, a dict,
+    on the model over ``j_side`` with the point, the ``fixed`` pairings and the
+    wall's zeta^2 and zeta.K; the words of a point share its model and X-table."""
+    fixed = _fixed(wall, **fixed)
+
+    def where():
+        return (f"q={wall.q} d={wall.d} {label} zetaK={wall.zetaK} word={word.describe()} "
+                f"{_show(point)}: closed vs oracle")
+    for point in points:
+        model = j_side.with_pairings(Pairings(**point, **fixed))
+        for word in words:
+            closed, oracle = _closed_and_oracle(model, wall, word)
+            yield closed, oracle, where
+
+
 def _show(value) -> str:
-    """One side of a case as text, with rationals as num/den inside tuples too."""
+    """One side of a case, or a point's pairings, as text, rationals as num/den."""
+    if isinstance(value, dict):
+        return " ".join(f"{key}={_show(v)}" for key, v in value.items())
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(map(_show, value)) + ")"
     return str(value)
@@ -284,11 +309,13 @@ def check_structural_identities(grid):
 # ---------------------------------------------------------------------------
 # criterion 9: model axioms
 
+_PF6_MATRIX = ((0, 1, 1, 0), (-1, 0, 0, -5), (-1, 0, 0, 1), (0, 5, -1, 0))  # Pfaffian 6
+
+
 def _axiom_models():
     """(q, blocks, matrix, pairings) of each model the axioms are checked on."""
     base = dict(zeta2=-4, zetaK=0, zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1,
                 sigmaK=2, K2=8, Kalpha=-1, alpha2=-1)
-    matrix = ((0, 1, 1, 0), (-1, 0, 0, -5), (-1, 0, 0, 1), (0, 5, -1, 0))
     return [
         (0, None, None, Pairings(**base)),
         (1, (1,), None, Pairings(**base)),
@@ -297,7 +324,7 @@ def _axiom_models():
         (2, (1, 1), None, Pairings(**base)),
         (2, (2, 3), None, Pairings(**dict(base, sigmaZeta=-2))),
         (3, (1, 2, 3), None, Pairings(**base)),
-        (2, None, matrix, Pairings(**base)),
+        (2, None, _PF6_MATRIX, Pairings(**base)),
     ]
 
 
@@ -329,11 +356,8 @@ def check_model_axioms(grid):
 @_check("oracle-l0")
 def check_oracle_l0(grid):
     """delta_oracle_l0 == delta_l0_odd on the full l=0 verification grid."""
-    pairs = _pair_range(grid.pair_bound)
-
-    def where():
-        return (f"q={q} d={d} r={word.r} blocks={blocks} zetaK={zetaK} "
-                f"(za,sa,sz)=({za},{sa},{sz}): closed vs oracle")
+    pairs = range(-grid.pair_bound, grid.pair_bound + 1)
+    box = _box(sigmaZeta=pairs, sigmaAlpha=pairs, zetaAlpha=pairs)
     for q in range(grid.q_max + 1):
         j_sides = {blocks: _j_side(q, blocks) for blocks in _blocks_for_q(q)}
         for d in range(1, grid.d_max + 1):
@@ -344,85 +368,53 @@ def check_oracle_l0(grid):
             zks = zks[:2] if q <= 1 else zks[:1]
             words = [InsertionWord(r=r, s=d - 2 * r)
                      for r in range(0, min(grid.r_max, d // 2) + 1)]
-            for blocks in _blocks_for_q(q):
-                for zetaK in zks:
-                    wall = wall_with_variant(q, zeta2, 0, zetaK)
-                    fixed = _fixed(wall, sigmaK=1, K2=-4, Kalpha=2, alpha2=-1)
-                    for sz, sa, za in itertools.product(pairs, pairs, pairs):
-                        pr = Pairings(zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa, **fixed)
-                        # every r on one model and wall shares its X-table
-                        model = j_sides[blocks].with_pairings(pr)
-                        for word in words:
-                            closed, oracle = _closed_and_oracle(model, wall, word)
-                            yield closed, oracle, where
+            for (blocks, j_side), zetaK in itertools.product(j_sides.items(), zks):
+                yield from _agree(j_side, wall_with_variant(q, zeta2, 0, zetaK), words, box,
+                                  f"blocks={blocks}", sigmaK=1, K2=-4, Kalpha=2, alpha2=-1)
     # a non-trivial w-variant slice
     for q, d, variant in itertools.product((0, 1, 2), (3, 5), W_VARIANTS[1:]):
         zeta2 = -(d + 3 * (1 - q))
         if zeta2 >= 0:
             continue
-        j_side = _j_side(q)
-        wall = wall_with_variant(q, zeta2, variant=variant)
-        for za, sa, sz in itertools.product((-2, 1, 3), (-1, 2), (1, -2)):
-            model = _on(j_side, wall, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
-                        sigmaK=-2, K2=0, Kalpha=1, alpha2=2)
-            closed, oracle = _closed_and_oracle(model, wall, InsertionWord(s=d))
-            yield (closed, oracle,
-                   lambda: f"w-variant {variant}, q={q}, d={d}, (za,sa,sz)=({za},{sa},{sz}): "
-                           f"closed vs oracle")
-
-
-def _l1_configs(grid):
-    out = []
-    for q in range(min(grid.q_max, 2) + 1):
-        for zeta2 in (-4, -8):
-            d = -(zeta2 - 4) - 3 * (1 - q)
-            if d <= grid.d_max:
-                out.append((q, zeta2, d))
-    return out
+        yield from _agree(_j_side(q), wall_with_variant(q, zeta2, variant=variant),
+                          [InsertionWord(s=d)], _W_BOX, f"w-variant {variant}",
+                          sigmaK=-2, K2=0, Kalpha=1, alpha2=2)
 
 
 @_check("oracle-l1")
 def check_oracle_l1(grid):
     """delta_oracle_l1 == delta_l1 on the l=1 verification grid."""
-    for q, zeta2, d in _l1_configs(grid):
-        zks = valid_zeta_k(q, zeta2, 1)[:2]
-        blocks_list = _blocks_for_q(q)[:2 if q == 1 else 1]
-        j_sides = {blocks: _j_side(q, blocks) for blocks in blocks_list}
+    box = _box(K2=(-4, 0, 8), alpha2=(-2, 0, 1),
+               zetaAlpha=range(-grid.pair_bound, grid.pair_bound + 1))
+    for q, zeta2 in itertools.product(range(min(grid.q_max, 2) + 1), (-4, -8)):
+        d = -(zeta2 - 4) - 3 * (1 - q)
+        if d > grid.d_max:
+            continue
+        j_sides = {blocks: _j_side(q, blocks) for blocks in _blocks_for_q(q)[:2 if q == 1 else 1]}
         sa_sz = [(0, 0)] if q == 0 else [(-2, 1), (1, -1), (2, 2), (0, 1)]
+        points = [{"sigmaAlpha": Fraction(sa), "sigmaZeta": Fraction(sz), **point}
+                  for sa, sz in sa_sz for point in box]
         words = [InsertionWord(r=r, s=d - 2 * r)
                  for r in (0, 1) if 2 * r <= d and r <= grid.r_max]
-        for zetaK in zks:
+        for zetaK in valid_zeta_k(q, zeta2, 1)[:2]:
             wall = wall_with_variant(q, zeta2, 1, zetaK)
-            for blocks, (sa, sz), k2, a2, za in itertools.product(
-                    blocks_list, sa_sz, (-4, 0, 8), (-2, 0, 1), _pair_range(grid.pair_bound)):
-                model = _on(j_sides[blocks], wall, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
-                            sigmaK=2, K2=k2, Kalpha=-1, alpha2=a2)
-                for word in words:
-                    closed, oracle = _closed_and_oracle(model, wall, word)
-                    yield (closed, oracle,
-                           lambda: f"q={q} d={d} r={word.r} zetaK={zetaK} blocks={blocks} "
-                                   f"(za,sa,sz,K2,a2)=({za},{sa},{sz},{k2},{a2}): closed vs oracle")
+            for blocks, j_side in j_sides.items():
+                yield from _agree(j_side, wall, words, points, f"blocks={blocks}",
+                                  sigmaK=2, Kalpha=-1)
     if grid.q_max >= 2:
         # beyond the stated d-bound: one q=2 slice (d = 11)
         wall = wall_with_variant(2, -4, 1)
-        j_side = _j_side(2, (1, 2))
-        for za, sa, sz in itertools.product((-1, 2), (1, -2), (1, 2)):
-            model = _on(j_side, wall, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
-                        sigmaK=1, K2=8, Kalpha=3, alpha2=-1)
-            for r in (0, 1):
-                word = InsertionWord(r=r, s=wall.d - 2 * r)
-                closed, oracle = _closed_and_oracle(model, wall, word)
-                yield (closed, oracle,
-                       lambda: f"q=2 d=11 r={r} (za,sa,sz)=({za},{sa},{sz}): closed vs oracle")
+        yield from _agree(_j_side(2, (1, 2)), wall,
+                          [InsertionWord(r=r, s=wall.d - 2 * r) for r in (0, 1)],
+                          _box(zetaAlpha=(-1, 2), sigmaAlpha=(1, -2), sigmaZeta=(1, 2)),
+                          "blocks=(1, 2)", sigmaK=1, K2=8, Kalpha=3, alpha2=-1)
     # w-variants at l=1
     j_side = _j_side(1)
     for variant in W_VARIANTS[1:]:
         wall = wall_with_variant(1, -4, 1, variant=variant)
-        for za in (-2, 3):
-            model = _on(j_side, wall, zetaAlpha=za, sigmaZeta=1, sigmaAlpha=-1,
-                        sigmaK=2, K2=8, Kalpha=0, alpha2=1)
-            closed, oracle = _closed_and_oracle(model, wall, InsertionWord(r=1, s=wall.d - 2))
-            yield closed, oracle, lambda: f"w-variant {variant} at l=1, za={za}: closed vs oracle"
+        yield from _agree(j_side, wall, [InsertionWord(r=1, s=wall.d - 2)],
+                          _box(zetaAlpha=(-2, 3)), f"w-variant {variant}", sigmaZeta=1,
+                          sigmaAlpha=-1, sigmaK=2, K2=8, Kalpha=0, alpha2=1)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +452,6 @@ def check_odd_words(grid):
 
     def where_odd():
         return f"odd-parity word {word.describe()} (evaluate, closed, oracle)"
-
-    def where():
-        return (f"q={q} word={word.describe()} blocks={blocks} zetaK={zetaK} pairs={base}: "
-                f"closed vs oracle")
     for q in (1, 2):
         if q > grid.q_max:
             continue
@@ -490,10 +478,7 @@ def check_odd_words(grid):
             for zetaK in valid_zeta_k(q, zeta2, 0)[:2]:
                 wall = wall_with_variant(q, zeta2, 0, zetaK)
                 for base, blocks in itertools.product(pair_sets, blocks_list):
-                    model = _on(j_sides[blocks], wall, **base)
-                    for word in words:
-                        closed, oracle = _closed_and_oracle(model, wall, word)
-                        yield closed, oracle, where
+                    yield from _agree(j_sides[blocks], wall, words, [base], f"blocks={blocks}")
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +574,15 @@ def check_leading(grid):
 def check_hidden_data(grid):
     """Oracle values do not move under a_ij changes at fixed vol, changes of
     Sigma.K / K.alpha, or K -> -K in the ring data (wall data held fixed)."""
-    pf6_matrix = ((0, 1, 1, 0), (-1, 0, 0, -5), (-1, 0, 0, 1), (0, 5, -1, 0))
-    a_variants = [dict(blocks=(2, 3)), dict(blocks=(6, 1)), dict(blocks=(1, 6)),
-                  dict(matrix=pf6_matrix)]
-
     # (i) a_ij at fixed vol = 6, on q=2 walls: (zeta2, l, r, zeta.alpha, Sigma.alpha)
     q = 2
+    j_sides = [*(_j_side(q, blocks) for blocks in ((2, 3), (6, 1), (1, 6))),
+               _j_side(q, matrix=_PF6_MATRIX)]
     for zeta2, l, r, za, sa in ((-3, 0, 1, 3, -2), (-1, 0, 0, 3, -2), (-4, 1, 1, 2, 1)):
         wall = wall_with_variant(q, zeta2, l)
         word = InsertionWord(r=r, s=wall.d - 2 * r)
-        models = [_on(_j_side(q, **var), wall, zetaAlpha=za, sigmaZeta=1, sigmaAlpha=sa,
-                      sigmaK=1, K2=8, Kalpha=2, alpha2=-1) for var in a_variants]
+        models = [_on(j_side, wall, zetaAlpha=za, sigmaZeta=1, sigmaAlpha=sa,
+                      sigmaK=1, K2=8, Kalpha=2, alpha2=-1) for j_side in j_sides]
         vals = [(volume(model), evaluate(model, wall, word, "oracle")[0].value)
                 for model in models]
         yield (vals, [(6, vals[0][1])] * len(vals),
@@ -611,10 +594,11 @@ def check_hidden_data(grid):
     for q, l in itertools.product((0, 1, 2), (0, 1)):
         wall = wall_with_variant(q, -8, l)
         word = InsertionWord(r=1, s=wall.d - 2)
+        j_side = _j_side(q, _blocks_for_q(q)[0])
         vals = []
         for sigma_k, k_alpha in ((0, 0), (3, -2), (-1, 5)):
             for flip in (1, -1):
-                model = _on(_j_side(q, _blocks_for_q(q)[0]), wall, zetaAlpha=3, sigmaZeta=2,
+                model = _on(j_side, wall, zetaAlpha=3, sigmaZeta=2,
                             sigmaAlpha=1, sigmaK=flip * sigma_k, K2=8, Kalpha=flip * k_alpha,
                             alpha2=-1)
                 vals.append(evaluate(model, wall, word, "oracle")[0].value)
@@ -677,13 +661,13 @@ def check_component_branch(grid):
             # h(zeta) + q = 0 pins zeta.K; for q <= 2, d <= 16 the wall is valid, +zeta side empty
             wall = wall_with_variant(q, zeta2, 0, zeta2 + 2 - 2 * q)
             word = InsertionWord(s=d)
-            for za, sa, sz in itertools.product((-2, 1, 3), (-1, 2), (1, -2)):
-                model = _on(j_side, wall, zetaAlpha=za, sigmaZeta=sz, sigmaAlpha=sa,
-                            sigmaK=2 * sz, K2=0, Kalpha=0, alpha2=1)
+            for point in _W_BOX:
+                model = _on(j_side, wall, sigmaK=2 * point["sigmaZeta"], K2=0, Kalpha=0,
+                            alpha2=1, **point)
                 closed, unified = _closed_and_oracle(model, wall, word)
                 component = delta_oracle_l0(model, wall, word, branch="component").value
                 yield ((unified, component), (closed, closed),
-                       lambda: f"branch mismatch at q={q}, d={d}, (za,sa,sz)=({za},{sa},{sz}): "
+                       lambda: f"branch mismatch at q={q}, d={d}, {_show(point)}: "
                                f"(unified, component) vs closed")
 
 

@@ -528,8 +528,22 @@ RANK3_SURFACE = {"name": "blown-up", "q": 1, "basis": ["e0", "e1", "e2"],
      "--p1 INT is required for the walls command"),
     (L0_DOC, ["--command", "delta", "--gammas", "0,x"], "bad integer list '0,x'"),
     (None, ["--command", "verify", "--grid", "x<=2"], "unknown grid key 'x'"),
+    # each document object refuses a key it does not read: a misspelt key used to be
+    # ignored and its default priced, so "a_block" for "a_blocks" printed vol 1/1
+    (dict(L0_DOC, a_block=[2]), ["--command", "params"],
+     "unknown model document keys: ['a_block']"),
+    (dict(L0_DOC, pairings=dict(L0_DOC["pairings"], zetak=1)), ["--command", "params"],
+     "unknown pairing keys: ['zetak']"),
+    (dict(L0_DOC, wall={"p1": -1, "zetaw": -1}), ["--command", "delta"],
+     "unknown wall keys: ['zetaw']"),
+    (dict(SURFACE_DOC, surfaces={}), ["--command", "walls", "--w", "1,1", "--p1", "-2"],
+     "unknown surface document keys: ['surfaces']"),
+    ({"schema_version": 1, "surface": dict(CUSTOM_SURFACE, cone_slop="1/2")},
+     ["--command", "walls", "--w", "1,1", "--p1", "-2"], "unknown surface keys: ['cone_slop']"),
 ], ids=["model-no-wall", "wall-no-p1", "wall-list", "pairings-list", "gram-size",
-        "gram-asymmetric", "surface-rank-3", "walls-no-p1", "gammas-not-int", "grid-key-x"])
+        "gram-asymmetric", "surface-rank-3", "walls-no-p1", "gammas-not-int", "grid-key-x",
+        "model-a_block", "pairings-zetak", "wall-zetaw", "surface-document-surfaces",
+        "surface-cone_slop"])
 def test_reader_and_flag_errors_print_one_line(tmp_path, capsys, doc, argv, message):
     if doc is not None:
         argv = [*argv, "--input", _write(tmp_path, "doc.json", doc)]

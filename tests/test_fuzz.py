@@ -26,17 +26,25 @@ JUNK = st.sampled_from([None, True, "", "a", "1/0", "nan", 1.5, float("nan"), fl
 NUMBER = st.one_of(st.integers(-8, 8), st.sampled_from(["1/2", "-3/4", "2", 10**30, -10**30]),
                    JUNK)
 WALL_KEYS = ("p1", "zetaW", "w2", "wK")
+# a misspelt key of each document object: {key: the object's name, None at the top level}
+MODEL_TYPOS = {"a_block": None, "bogus": "pairings", "zetaw": "wall"}
+SURFACE_TYPOS = {"surfaces": None, "cone_slop": "surface"}
 
 
-def _spoil(draw, doc, top_keys, inner):
+def _spoil(draw, doc, top_keys, inner, typos):
     """Replace up to two places of ``doc`` by a drawn number or junk: a top-level
-    key, or a key of one of the ``inner`` objects (``{key: object name}``)."""
+    key, or a key of one of the ``inner`` objects (``{key: object name}``); then
+    now and then add one of the misspelt keys ``typos``."""
     for _ in range(draw(st.integers(0, 2))):
         key = draw(st.sampled_from(top_keys + tuple(inner)))
         value = draw(st.one_of(NUMBER, st.lists(NUMBER, max_size=3)))
         target = doc.get(inner[key]) if key in inner else doc
         if isinstance(target, dict):
             target[key] = value
+    typo = draw(st.sampled_from([None] * len(typos) + list(typos)))
+    target = doc.get(typos[typo]) if typos.get(typo) else doc
+    if typo and isinstance(target, dict):
+        target[typo] = draw(NUMBER)
     return doc
 
 
@@ -55,7 +63,7 @@ def model_docs(draw):
     inner = dict.fromkeys(PAIRING_KEYS + ("bogus",), "pairings")
     inner.update(dict.fromkeys(WALL_KEYS, "wall"))
     return _spoil(draw, doc, ("q", "a_blocks", "a_matrix", "pairings", "wall", "schema_version"),
-                  inner)
+                  inner, MODEL_TYPOS)
 
 
 @st.composite
@@ -73,7 +81,7 @@ def surface_docs(draw):
             surface["cone_slope"] = draw(st.sampled_from(["1/2", 1, "0"]))
     doc = {"schema_version": 1, "surface": surface}
     inner = dict.fromkeys(("name", "q", "basis", "gram", "K", "Sigma", "cone_slope"), "surface")
-    return _spoil(draw, doc, ("surface", "schema_version"), inner)
+    return _spoil(draw, doc, ("surface", "schema_version"), inner, SURFACE_TYPOS)
 
 
 # option values, the valid ones first; --w and --p1 go with every walls request
@@ -117,11 +125,13 @@ def test_any_document_and_argv_give_a_documented_exit_code(tmp_path, data, comma
     draw = data.draw
     # mostly a drawn document, sometimes a JSON value of another kind or no JSON
     kind = draw(st.sampled_from(["document"] * 4 + ["junk", "broken"]))
+    value = None
     if kind == "broken":
         text = draw(st.sampled_from(BROKEN_TEXT))
     else:
         doc = surface_docs() if command == "walls" else model_docs()
-        text = json.dumps(draw(JUNK if kind == "junk" else doc))
+        value = draw(JUNK if kind == "junk" else doc)
+        text = json.dumps(value)
     path = tmp_path / "doc.json"
     path.write_text(text)
     argv = ["--command", command]
@@ -138,6 +148,12 @@ def test_any_document_and_argv_give_a_documented_exit_code(tmp_path, data, comma
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, text, code)
     assert "Traceback" not in out + err, (argv, text)
+    # a misspelt key is refused: every command but verify reads its document or
+    # fails before it does
+    if command != "verify" and isinstance(value, dict) and any(
+            {*MODEL_TYPOS, *SURFACE_TYPOS} & obj.keys()
+            for obj in (value, *value.values()) if isinstance(obj, dict)):
+        assert code == 1, (argv, text)
     if code:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, text, err)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallcross import PairingInput, Pairings, PreconditionError, build_model
+from wallcross.chern import ChernData
+from wallcross.closed import (StratumClasses, segre_det_closed, segre_det_recursive,
+                              segre_sum_closed)
 from wallcross.errors import ModelMismatchError
 from wallcross.graded import (_ZERO, EVEN_SYMBOLS, PAIRING_FIELDS, SIGMA, GradedElement,
                               integrate, integrate_forms, integrate_jacobian, integrate_product,
@@ -83,6 +87,34 @@ def test_model_mismatch_raises():
         m1.one() * m2.one()
     with pytest.raises(ModelMismatchError):
         m1.one() + m2.one()
+
+
+# the guards on the ring and the closed forms that no other test reaches
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: segre_sum_closed(StratumClasses(m), -1), PreconditionError,
+     "segre_sum_closed needs n >= 0"),
+    (lambda m: segre_det_recursive(StratumClasses(m), -1), PreconditionError,
+     "segre_det needs n >= 0"),
+    (lambda m: segre_det_closed(StratumClasses(m), -1), PreconditionError,
+     "segre_det needs n >= 0"),
+    (lambda m: m.even("x"), PreconditionError, "unregistered even symbol 'x'"),
+    (lambda m: m.omega_pow(-1), PreconditionError, "negative omega power"),
+    (lambda m: m.omega_class() ** -1, PreconditionError, "powers must be non-negative integers"),
+    (lambda m: ChernData(m, 1, (make_model(q=2).even("zeta"),)), ModelMismatchError,
+     "ChernData entry over a different model"),
+    # an int is no element: + and - return NotImplemented, so Python raises
+    (lambda m: m.one() + 1, TypeError, "unsupported operand type(s) for +"),
+    (lambda m: m.one() - 1, TypeError, "unsupported operand type(s) for -"),
+], ids=["segre-sum-closed", "segre-det-recursive", "segre-det-closed", "even-x",
+        "omega-pow-negative", "pow-negative", "chern-data-other-model", "add-int", "sub-int"])
+def test_a_guard_raises_its_error(model_q2, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(model_q2)
+
+
+def test_an_element_never_equals_a_number(model_q2):
+    one = model_q2.one()
+    assert (one == 1) is False and (one != 1) is True
 
 
 def test_exp_truncated_examples():

@@ -251,6 +251,24 @@ def cmd_selftest(opts) -> int:
                                                 "simple-type", "scale"]), opts.meta)
 
 
+# the flags each command reads, by their dests; any other flag given is refused, as
+# an unknown document key is, since it would be ignored
+_COMMON_FLAGS = frozenset({"command", "meta"})
+COMMAND_FLAGS = {
+    "params": _COMMON_FLAGS | {"input", "output"},
+    "delta": _COMMON_FLAGS | {"input", "output", "r", "s", "gammas", "threes", "path"},
+    "walls": _COMMON_FLAGS | {"input", "output", "w", "p1", "alpha", "bound"},
+    "verify": _COMMON_FLAGS | {"grid", "property"},
+    "selftest": _COMMON_FLAGS,
+}
+
+# the value of each flag not given: the parser leaves it out of its namespace, so
+# that the flags given are the namespace's keys
+FLAG_DEFAULTS = {"input": None, "output": "json", "r": 0, "s": None, "gammas": "", "threes": "",
+                 "path": "auto", "alpha": None, "w": None, "p1": None, "bound": 10,
+                 "grid": None, "property": None, "meta": False}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are input errors (exit 1), not
     argparse's exit 2, which is the regime-error code here."""
@@ -266,25 +284,24 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wallcross",
         description="Exact wall-crossing difference terms for Donaldson invariants "
-                    "of surfaces with b+=1 and irregularity q >= 0.")
+                    "of surfaces with b+=1 and irregularity q >= 0.",
+        argument_default=argparse.SUPPRESS)
     parser.add_argument("--command", required=True,
                         choices=["params", "delta", "verify", "walls", "selftest"])
     parser.add_argument("--input", help="path to a JSON model/surface document")
-    parser.add_argument("--output", choices=["json", "csv"], default="json")
-    parser.add_argument("--r", type=int, default=0, help="multiplicity of the point class x")
-    parser.add_argument("--s", type=int, default=None,
+    parser.add_argument("--output", choices=["json", "csv"], help="default: json")
+    parser.add_argument("--r", type=int, help="multiplicity of the point class x (default: 0)")
+    parser.add_argument("--s", type=int,
                         help="multiplicity of alpha (default: d - 2r - (3|gammas| + |threes|)/2)")
-    parser.add_argument("--gammas", default="", help="H_1 insertion indices, e.g. '0,1'")
-    parser.add_argument("--threes", default="", help="H_3 insertion indices, e.g. '0'")
-    parser.add_argument("--path", choices=PATHS, default="auto",
-                        help="delta evaluation path")
-    parser.add_argument("--alpha", default=None, help="alpha vector in the surface basis")
-    parser.add_argument("--w", default=None, help="w vector in the surface basis")
-    parser.add_argument("--p1", type=int, default=None, help="first Pontryagin number")
-    parser.add_argument("--bound", type=int, default=10, help="wall enumeration bound")
-    parser.add_argument("--grid", default=None, help="verify bounds, e.g. 'q=0..3,d<=8'")
-    parser.add_argument("--property", default=None,
-                        help="comma-separated property filter for verify")
+    parser.add_argument("--gammas", help="H_1 insertion indices, e.g. '0,1'")
+    parser.add_argument("--threes", help="H_3 insertion indices, e.g. '0'")
+    parser.add_argument("--path", choices=PATHS, help="delta evaluation path (default: auto)")
+    parser.add_argument("--alpha", help="alpha vector in the surface basis")
+    parser.add_argument("--w", help="w vector in the surface basis")
+    parser.add_argument("--p1", type=int, help="first Pontryagin number")
+    parser.add_argument("--bound", type=int, help="wall enumeration bound (default: 10)")
+    parser.add_argument("--grid", help="verify bounds, e.g. 'q=0..3,d<=8'")
+    parser.add_argument("--property", help="comma-separated property filter for verify")
     parser.add_argument("--meta", action="store_true",
                         help="attach run metadata; verify and selftest add each check's "
                              "seconds and points/s")
@@ -296,6 +313,12 @@ def main(argv=None) -> int:
                 "verify": cmd_verify, "selftest": cmd_selftest}
     try:
         opts = make_parser().parse_args(argv)
+        given = vars(opts)
+        unread = given.keys() - COMMAND_FLAGS[opts.command]
+        if unread:
+            raise SchemaError(f"the {opts.command} command does not read "
+                              + ", ".join(f"--{name}" for name in sorted(unread)))
+        given.update(FLAG_DEFAULTS | given)  # a flag not given takes its default
         return handlers[opts.command](opts)
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,9 +98,10 @@ def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol) -> DeltaValue:
 
 def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> DeltaValue:
     """Wall-crossing term for l_zeta = 0 on any word: the l = 0 sum with F, the
-    functional on the word's odd part, evaluated in the ring (F = q! vol for
-    x^r alpha^s).  Terms with q - (a+b)/2 - j < 0 are zero.  ``WallGeometry.admit``
-    refuses what ``evaluate`` does, and an l = 1 wall."""
+    functional on the word's odd part (F = q! vol for x^r alpha^s), a product of the
+    blocks on a block J-side and a ring integral on a dense one.  Terms with
+    q - (a+b)/2 - j < 0 are zero.  ``WallGeometry.admit`` refuses what ``evaluate``
+    does, and an l = 1 wall."""
     wall.admit(model.pairings, word, 0, model.q)
     return _l0_closed(wall, model.pairings, word.r, word.s, wall.q - word.odd_count() // 2,
                       len(word.threes), jacobian_odd_integral(model, word.gammas, word.threes))

@@ -174,6 +174,16 @@ def _indices(j):
     return tuple(i for i in range(j.bit_length()) if j >> i & 1)
 
 
+def block_coefficients(a_matrix):
+    """(b_1, ..., b_q), b_k = a_(2k-1, 2k), when every nonzero a_ij lies in a 2x2
+    diagonal block, so that omega = sum_k b_k th_(2k-1) th_2k; None otherwise."""
+    for i, row in enumerate(a_matrix):
+        partner = i ^ 1
+        if any(c for j, c in enumerate(row) if j != partner):
+            return None
+    return tuple(a_matrix[2 * k][2 * k + 1] for k in range(len(a_matrix) // 2))
+
+
 class ModelSpec:
     """Presentation of H*(J) (x) H*(S): generators, a_ij data, Gram pairings.
 
@@ -181,7 +191,10 @@ class ModelSpec:
     object identity.  ``a_matrix`` holds the a_ij (be_i.be_j = a_ij Sigma) and
     ``pairings`` the ``jacobian.Pairings`` record of the even symbols, which
     ``pair`` reads.  Both are taken as given: ``jacobian.build_model`` makes a
-    model from a ``PairingInput``, which checks them once.
+    model from a ``PairingInput``, which checks them once.  ``blocks`` holds the
+    b_k of a block J-side, omega = sum_k b_k th_(2k-1) th_2k (0 for a zero block),
+    and is None for a dense one; ``block_coefficients`` reads it off a_ij when the
+    caller does not pass it.
 
     ``cache`` is one dict per J-side (q, a_ij), shared by ``with_pairings``.  A
     value kept there is keyed by a tag for its kind and every pairing it reads,
@@ -192,23 +205,27 @@ class ModelSpec:
     model alive until a full garbage collection.
     """
 
-    def __init__(self, q, a_matrix, pairings):
+    def __init__(self, q, a_matrix, pairings, blocks=None):
         self.q, self.a_matrix, self.j_top = q, a_matrix, (1 << 2 * q) - 1
-        # term dicts, not elements, for the reason ``cache`` holds none
-        self._omega_powers = [{_SCALAR: _ONE}, self.omega_class()._terms]
+        self.blocks = block_coefficients(a_matrix) if blocks is None else blocks
+        # omega's terms, which omega_pow(1) hands out, and each omega^k once as its
+        # int form (den, {j: num}), which omega_form extends; term dicts and ints, not
+        # elements, for the reason ``cache`` holds none
+        self._omega, self._omega_powers = self.omega_class()._terms, [(1, {0: 1})]
         self.cache = {}
         # S-side products read the pairings, so each model has its own table
         self.pairings, self._s_table = pairings, {}
 
     def with_pairings(self, pairings) -> "ModelSpec":
-        """The model over this J-side (q, a_ij, the omega-power cache and
-        ``cache``) with new pairings.
+        """The model over this J-side (q, a_ij, its blocks, omega, the omega-power
+        cache and ``cache``) with new pairings.
 
         The caches are shared, so a sweep over pairings at fixed a_ij builds
         its J-side once.
         """
         model = object.__new__(ModelSpec)
         model.q, model.a_matrix, model.j_top = self.q, self.a_matrix, self.j_top
+        model.blocks, model._omega = self.blocks, self._omega
         model._omega_powers, model.cache = self._omega_powers, self.cache
         model.pairings, model._s_table = pairings, {}
         return model
@@ -285,16 +302,20 @@ class ModelSpec:
                     terms[(1 << i | 1 << j, S_ONE)] = c
         return GradedElement(self, terms)
 
-    def omega_pow(self, p) -> "GradedElement":
-        """Cached p-th power of omega, a wedge power in ints: omega^k's numerators, over
-        one more D (the a_ij's lcm) than omega^(k-1)'s, come by the kernel's bitmask rule."""
-        if p < 0:
+    def omega_form(self, k) -> tuple:
+        """omega^k as the int form ``(den, {j: num})`` that Jacobian integrals read,
+        kept once per J-side: a wedge power in ints, omega^k's numerators, over one
+        more D (the a_ij's lcm) than omega^(k-1)'s, by the kernel's bitmask rule."""
+        if k < 0:
             raise PreconditionError("negative omega power")
         powers = self._omega_powers
-        if len(powers) <= p:
-            (d, omega), (scale, prev) = integration_index(powers[1]), integration_index(powers[-1])
-            omega, prev = omega.get(S_ONE, {}).items(), prev.get(S_ONE, {})
-            while len(powers) <= p:
+        if len(powers) <= k:
+            if len(powers) == 1:
+                d, index = integration_index(self._omega)
+                powers.append((d, index.get(S_ONE, {})))
+            (d, omega), (scale, prev) = powers[1], powers[-1]
+            omega = omega.items()
+            while len(powers) <= k:
                 acc = {}
                 for j1, n1 in prev.items():
                     koszul = _above_parity(j1)
@@ -303,8 +324,16 @@ class ModelSpec:
                             n = -n1 * n2 if (koszul & j2).bit_count() & 1 else n1 * n2
                             acc[j1 | j2] = acc.get(j1 | j2, 0) + n
                 prev, scale = {j: n for j, n in acc.items() if n}, scale * d
-                powers.append({(j, S_ONE): Fraction(n, scale) for j, n in prev.items()})
-        return GradedElement(self, powers[p])
+                powers.append((scale, prev))
+        return powers[k]
+
+    def omega_pow(self, p) -> "GradedElement":
+        """The p-th power of omega as an element, built from ``omega_form`` for a
+        caller that multiplies with it; omega itself is kept as terms."""
+        if p == 1:
+            return GradedElement(self, self._omega)
+        den, nums = self.omega_form(p)
+        return GradedElement(self, {(j, S_ONE): Fraction(n, den) for j, n in nums.items()})
 
     def universal_class(self) -> "GradedElement":
         """E = sum_i th_i be_i, the first Chern class of the universal bundle."""
@@ -594,17 +623,21 @@ def integration_index(terms) -> tuple:
 
 def integration_pairs(model, terms) -> tuple:
     """The J-part of terms ``{(j, s): c}``, their part over the S-word 1, as the left
-    factor of a Jacobian integral, ``(den, ((j_top ^ j, num), ...))``: each int
-    numerator, over the lcm of their denominators, carries the Koszul sign of
-    th_j th_{j_top ^ j}."""
-    full = model.j_top
+    factor of a Jacobian integral: ``form_pairs`` of its int form, int numerators
+    over the lcm of their denominators."""
     part = [(j, c) for (j, s), c in terms.items() if s == S_ONE]
     den = math.lcm(*(c.denominator for _, c in part))
-    pairs = []
-    for j, c in part:
-        num = c.numerator * (den // c.denominator)
-        pairs.append((full ^ j, -num if (_above_parity(j) & (full ^ j)).bit_count() & 1 else num))
-    return den, tuple(pairs)
+    return form_pairs(model, (den, {j: c.numerator * (den // c.denominator) for j, c in part}))
+
+
+def form_pairs(model, form) -> tuple:
+    """A J-form ``(den, {j: num})`` as the left factor of a Jacobian integral,
+    ``(den, ((j_top ^ j, num), ...))``: each numerator carries the Koszul sign of
+    th_j th_{j_top ^ j}."""
+    full, (den, nums) = model.j_top, form
+    return den, tuple(
+        (full ^ j, -num if (_above_parity(j) & (full ^ j)).bit_count() & 1 else num)
+        for j, num in nums.items())
 
 
 def integrate_forms(pairs, index, s=S_ONE) -> tuple:
@@ -616,8 +649,8 @@ def integrate_forms(pairs, index, s=S_ONE) -> tuple:
     return sum(num * right.get(j, 0) for j, num in left), den_a * den_b
 
 
-def integrate_product(a: GradedElement, b: GradedElement) -> Fraction:
-    """integrate_jacobian(a * b) without a * b."""
-    a._require_same_model(b)
-    return Fraction(*integrate_forms(integration_pairs(a.model, a._terms),
-                                     integration_index(b._terms)))
+def integrate_omega(a: GradedElement, k) -> tuple:
+    """The integral over J of a omega^k as ``(num, den)``, read against omega^k's kept
+    int form: integrate_jacobian(a * omega^k) with neither product nor omega^k built."""
+    den, nums = a.model.omega_form(k)
+    return integrate_forms(integration_pairs(a.model, a._terms), (den, {S_ONE: nums}))

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .graded import (_ZERO, MAX_Q, SIGMA, GradedElement, ModelSpec, exact_count, exact_int,
-                     exact_tuple, frac, integrate_jacobian, integrate_product)
+from .graded import (_ONE, _ZERO, MAX_Q, SIGMA, GradedElement, ModelSpec, exact_count,
+                     exact_int, exact_tuple, frac, integrate_omega)
 
 PAIRING_KEYS = ("zeta2", "zetaK", "zetaAlpha", "sigmaZeta", "sigmaAlpha",
                 "sigmaK", "K2", "Kalpha", "alpha2")
@@ -101,20 +101,23 @@ def build_model(inp: PairingInput) -> ModelSpec:
     """Realize a PairingInput as a concrete ring model."""
     if not isinstance(inp, PairingInput):
         raise PreconditionError(f"build_model needs a PairingInput, got {inp!r}")
-    matrix = inp.a_matrix
+    matrix, blocks = inp.a_matrix, None
     if matrix is None:
         n = 2 * inp.q
-        blocks = inp.a_blocks if inp.a_blocks is not None else (Fraction(1),) * inp.q
+        blocks = inp.a_blocks if inp.a_blocks is not None else (_ONE,) * inp.q
         rows = [[_ZERO] * n for _ in range(n)]
         for r, b in enumerate(blocks):
             rows[2 * r][2 * r + 1] = b
             rows[2 * r + 1][2 * r] = -b
         matrix = tuple(tuple(row) for row in rows)
-    return ModelSpec(inp.q, matrix, inp.pairings)
+        blocks += (_ZERO,) * (inp.q - len(blocks))  # a short a_blocks leaves zero blocks
+    # a block input passes the blocks its matrix was built from, so ModelSpec scans none
+    return ModelSpec(inp.q, matrix, inp.pairings, blocks)
 
 
 def volume(model: ModelSpec) -> Fraction:
-    """vol = (1/q!) integral over J of omega^q; equals 1 when q = 0.
+    """vol = (1/q!) integral over J of omega^q; equals 1 when q = 0.  On a block
+    J-side it is the product of the blocks, else it is read off omega^q's int form.
 
     It reads no pairing, so it is kept once per J-side, under ``("volume",)``.
     """
@@ -123,7 +126,12 @@ def volume(model: ModelSpec) -> Fraction:
     cache, key = model.cache, ("volume",)
     vol = cache.get(key)
     if vol is None:
-        vol = cache[key] = integrate_jacobian(model.omega_pow(model.q)) / math.factorial(model.q)
+        if model.blocks is not None:
+            vol = math.prod(model.blocks, start=_ONE)
+        else:
+            den, nums = model.omega_form(model.q)
+            vol = Fraction(nums.get(model.j_top, 0), den * math.factorial(model.q))
+        cache[key] = vol
     return vol
 
 
@@ -157,21 +165,53 @@ def e_zeta_beta(model: ModelSpec, i) -> GradedElement:
 def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
     """The functional F on the odd part of an insertion word: the integral over J of
     th_{g_1} ... th_{g_a} . i_{be_{j_1}} omega ... i_{be_{j_b}} omega . omega^{q-(a+b)/2}.
-    An index naming no class of the model raises.  It reads no pairing, so it is
-    kept once per J-side under ("F", gammas, threes).
+    An index naming no class of the model raises.  On a block J-side it is a product
+    of the blocks (``_block_odd_integral``), else a ring product read against omega's
+    power.  It reads no pairing, so it is kept once per J-side under
+    ("F", gammas, threes).
     """
     cache, key = model.cache, ("F", tuple(gammas), tuple(threes))
     value = cache.get(key)
     if value is None:
-        elem = model.one()
-        for i in gammas:
-            elem = elem * model.theta(i)
-        for j in threes:
-            elem = elem * model.interior_omega(j)
-        # a vanishing product, as any of more than 2q degree-one classes, needs no omega power
-        value = cache[key] = (Fraction(0) if elem.is_zero() else integrate_product(
-            elem, model.omega_pow(model.q - (len(gammas) + len(threes)) // 2)))
+        if model.blocks is not None:
+            value = _block_odd_integral(model, gammas, threes)
+        else:
+            elem = model.one()
+            for i in gammas:
+                elem = elem * model.theta(i)
+            for j in threes:
+                elem = elem * model.interior_omega(j)
+            # a vanishing product, as any of more than 2q degree-one classes, needs no
+            # omega power
+            value = (_ZERO if elem.is_zero() else Fraction(*integrate_omega(
+                elem, model.q - (len(gammas) + len(threes)) // 2)))
+        cache[key] = value
     return value
+
+
+def _block_odd_integral(model, gammas, threes) -> Fraction:
+    """F on a block J-side, omega = sum_k b_k th_2k th_(2k+1) (0-based): i_{be_j} omega
+    is the one term +-b_k th_(j^1) of j's block k, so the odd part is +-scale times
+    the th of its indices, and omega^p = p! sum over p-sets S of blocks of
+    prod_(k in S) b_k th_2k th_(2k+1).  The integral is 0 unless those indices are
+    distinct and fill whole blocks; then it is sign(sort) scale p! prod b_k over the
+    blocks the word does not touch (Macdonald, Symmetric products of an algebraic
+    curve, 1962).  It runs no ring code."""
+    blocks = model.blocks
+    indices = [model._index(i) for i in gammas]
+    scale = 1
+    for j in [model._index(j) for j in threes]:
+        b = blocks[j >> 1]
+        indices.append(j ^ 1)
+        scale *= -b if j & 1 else b
+    touched = set(indices)
+    if len(touched) < len(indices) or any(i ^ 1 not in touched for i in touched):
+        return _ZERO
+    # the pairs th_2k th_(2k+1) are even, so only sorting the odd part costs a sign
+    inversions = sum(x > y for n, x in enumerate(indices) for y in indices[n + 1:])
+    untouched = math.prod((b for k, b in enumerate(blocks) if 2 * k not in touched), start=_ONE)
+    value = scale * untouched * math.factorial(model.q - len(indices) // 2)
+    return -value if inversions & 1 else value
 
 
 @dataclass(frozen=True)

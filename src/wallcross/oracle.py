@@ -33,9 +33,9 @@ from fractions import Fraction
 from .chern import ChernData, ch_direct_sum, ch_dual, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
-from .graded import (_ZERO, S_ONE, S_PT, SIGMA, ModelSpec, integrate_forms, integrate_product,
-                     integration_index, integration_pairs, s_even)
-from .jacobian import InsertionWord, e_divisor, e_zeta_beta
+from .graded import (_ZERO, S_ONE, S_PT, SIGMA, ModelSpec, form_pairs, integrate_forms,
+                     integrate_omega, integration_index, s_even)
+from .jacobian import InsertionWord, e_divisor
 from .walls import WallGeometry
 
 
@@ -148,19 +148,27 @@ def _l0_table(model, wall, branch):
 
 def _jacobian_moment(model, word, j):
     """I_c(j), the integral over J of c omega^j with c the word's odd factors in
-    order, as a reduced ``(num, den)`` kept under (gamma, A, j); it reads no wall."""
+    order, as a reduced ``(num, den)``; it reads no wall.  The factor of A_j is
+    -e_{zeta,beta_j} = -(Sigma.zeta) i_{be_j} omega, so (-Sigma.zeta)^b, b the
+    number of A-insertions, comes out of the integral, which reads no pairing and
+    is kept under (gamma, A, j)."""
     key = ("I_c", word.gammas, word.threes, j)
-    if word.threes:  # -e_{zeta,beta_j} for A_j reads Sigma.zeta; th_i and omega^j read none
-        key += model.pair(SIGMA, "zeta").as_integer_ratio()
     moment = model.cache.get(key)
     if moment is None:
         c = model.one()
         for i in word.gammas:
             c = c * model.theta(i)
         for i in word.threes:
-            c = c * -e_zeta_beta(model, i)
-        value = integrate_product(c, model.omega_pow(j))
-        moment = model.cache[key] = value.as_integer_ratio()
+            c = c * model.interior_omega(i)
+        num, den = integrate_omega(c, j)
+        g = math.gcd(num, den)
+        moment = model.cache[key] = (num // g, den // g)
+    b = len(word.threes)
+    if b and moment[0]:
+        sz_num, sz_den = model.pair(SIGMA, "zeta").as_integer_ratio()
+        num, den = moment[0] * (-sz_num) ** b, moment[1] * sz_den ** b
+        g = math.gcd(num, den)
+        moment = (num // g, den // g)
     return moment
 
 
@@ -272,7 +280,7 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
             sp = c and w[0] + sigma[0] == S_PT[0] and smul(sigma, w)
             if sp:
                 if k not in omega_pairs:
-                    omega_pairs[k] = integration_pairs(model, model.omega_pow(k)._terms)
+                    omega_pairs[k] = form_pairs(model, model.omega_form(k))
                 num, den = integrate_forms(omega_pairs[k], entry, w)
                 den *= c_den * sp[0].denominator
                 sums[den] = sums.get(den, 0) + c * sp[0].numerator * num

@@ -540,10 +540,18 @@ RANK3_SURFACE = {"name": "blown-up", "q": 1, "basis": ["e0", "e1", "e2"],
      "unknown surface document keys: ['surfaces']"),
     ({"schema_version": 1, "surface": dict(CUSTOM_SURFACE, cone_slop="1/2")},
      ["--command", "walls", "--w", "1,1", "--p1", "-2"], "unknown surface keys: ['cone_slop']"),
+    # each command refuses a flag it does not read: it used to be ignored with exit 0
+    (None, ["--command", "selftest", "--grid", "q<=1"],
+     "the selftest command does not read --grid"),
+    (L0_DOC, ["--command", "params", "--grid", "q<=1", "--w", "5,5"],
+     "the params command does not read --grid, --w"),
+    (SURFACE_DOC, ["--command", "walls", "--w", "1,1", "--p1", "-2", "--r", "7"],
+     "the walls command does not read --r"),
+    (None, ["--command", "verify", "--input", "x"], "the verify command does not read --input"),
 ], ids=["model-no-wall", "wall-no-p1", "wall-list", "pairings-list", "gram-size",
         "gram-asymmetric", "surface-rank-3", "walls-no-p1", "gammas-not-int", "grid-key-x",
         "model-a_block", "pairings-zetak", "wall-zetaw", "surface-document-surfaces",
-        "surface-cone_slop"])
+        "surface-cone_slop", "selftest-grid", "params-grid-w", "walls-r", "verify-input"])
 def test_reader_and_flag_errors_print_one_line(tmp_path, capsys, doc, argv, message):
     if doc is not None:
         argv = [*argv, "--input", _write(tmp_path, "doc.json", doc)]

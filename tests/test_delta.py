@@ -216,3 +216,67 @@ def test_a_fresh_large_q_model_prices_l0_without_ring_products(monkeypatch):
     assert closed_value.value == oracle_value.value != 0 and calls == []
     assert evaluate(build_model(inp), wall, word) == (closed_value, oracle_value)
     assert calls == []
+
+
+def _graded_code_run(call):
+    """``call()`` and the names of the wallcross.graded functions it ran; a generator
+    or comprehension is named after the function that ran it."""
+    import sys
+    from wallcross import graded
+    ran = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == graded.__file__:
+            name = code.co_name
+            ran.add(f"{frame.f_back.f_code.co_name}.{name}" if name.startswith("<") else name)
+    sys.setprofile(profile)
+    try:
+        out = call()
+    finally:
+        sys.setprofile(None)
+    return out, ran
+
+
+def test_the_closed_route_on_a_fresh_block_model_runs_no_ring_code():
+    # vol and F of a block J-side are products of its blocks, so "closed" and "leading"
+    # price every admitted word on a fresh block model (zero blocks and a short
+    # a_blocks included) with the number rules and the index check alone: no ring
+    # product, no omega power and no ring integral; the oracle agrees on each
+    import random
+    rng = random.Random(32)
+    allowed = {"frac", "exact_int", "exact_count", "exact_tuple", "exact_tuple.<genexpr>",
+               "_index"}
+    cases = nonzero = 0
+    for q in range(5):
+        walls = [(l, zeta2, zeta_k) for l, zeta2 in ((0, -1), (0, -4), (0, -7), (1, -4))
+                 for zeta_k in valid_zeta_k(q, zeta2, l)[:1]]
+        for l, zeta2, zeta_k in walls:
+            pr = Pairings(zeta2=zeta2, zetaK=zeta_k, zetaAlpha=3, sigmaZeta=Fraction(-1, 2),
+                          sigmaAlpha=2, sigmaK=1, K2=8, Kalpha=1, alpha2=-1)
+            wall = WallGeometry.build(p1=zeta2 - 4 * l, q=q, zeta2=zeta2, zetaK=zeta_k)
+            blocks = tuple(Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+                           for _ in range(rng.choice((q, q, max(q - 1, 0)))))
+            shapes = [(r, (), ()) for r in range(2)]
+            if l == 0:
+                for _ in range(6):
+                    odd = rng.sample(range(2 * q), min(2 * q, 2))
+                    cut = rng.randint(0, len(odd))
+                    shapes.append((0, tuple(odd[:cut]), tuple(odd[cut:])))
+            for r, gammas, threes in shapes:
+                twice_s = 2 * (wall.d - 2 * r) - 3 * len(gammas) - len(threes)
+                if twice_s < 0 or twice_s % 2:
+                    continue
+                word = InsertionWord(r=r, s=twice_s // 2, gammas=gammas, threes=threes)
+                paths = ["closed"] + ["leading"] * (not word.gammas and not word.threes
+                                                    and word.s >= 2 * l + q)
+                for path in paths:
+                    model = build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks))
+                    (value,), ran = _graded_code_run(lambda: evaluate(model, wall, word, path))
+                    assert ran <= allowed, (q, l, word, path, ran - allowed)
+                    if path == "closed":
+                        (oracle,) = evaluate(model, wall, word, "oracle")
+                        assert value.value == oracle.value, (q, l, word)
+                        nonzero += value.value != 0
+                    cases += 1
+    assert cases > 150 and nonzero > 40

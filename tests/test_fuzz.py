@@ -17,7 +17,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wallcross.cli import main
+from wallcross.cli import COMMAND_FLAGS, main
 from wallcross.jacobian import PAIRING_KEYS
 
 # values of the wrong type, and numbers that are not finite or not exact
@@ -135,11 +135,18 @@ def test_any_document_and_argv_give_a_documented_exit_code(tmp_path, data, comma
     path = tmp_path / "doc.json"
     path.write_text(text)
     argv = ["--command", command]
-    if draw(st.sampled_from([True] * 5 + [False])):  # sometimes no --input at all
-        argv += ["--input", str(path)]
+    with_input = draw(st.sampled_from([True] * 5 + [False]))  # sometimes no --input at all
     if command == "walls":
         argv += _option(draw, "--w", OPTIONS["--w"]) + _option(draw, "--p1", OPTIONS["--p1"])
-    for name in draw(st.lists(st.sampled_from(sorted(OPTIONS)), max_size=4, unique=True)):
+    names = draw(st.lists(st.sampled_from(sorted(OPTIONS)), max_size=4, unique=True))
+    reads = COMMAND_FLAGS.get(command)
+    # mostly flags the command reads; now and then one it does not, which it refuses
+    if reads is not None and draw(st.sampled_from([True] * 4 + [False])):
+        with_input = with_input and "input" in reads
+        names = [name for name in names if name[2:] in reads]
+    if with_input:
+        argv += ["--input", str(path)]
+    for name in names:
         argv += _option(draw, name, OPTIONS[name])
     if command == "verify":
         for name, values in VERIFY_OPTIONS.items():
@@ -148,6 +155,9 @@ def test_any_document_and_argv_give_a_documented_exit_code(tmp_path, data, comma
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, text, code)
     assert "Traceback" not in out + err, (argv, text)
+    # a flag the command does not read is refused, if argparse has not refused a value
+    if reads is not None and {arg[2:] for arg in argv if arg.startswith("--")} - reads:
+        assert code == 1, (argv, err)
     # a misspelt key is refused: every command but verify reads its document or
     # fails before it does
     if command != "verify" and isinstance(value, dict) and any(

@@ -15,7 +15,7 @@ from wallcross.closed import (StratumClasses, segre_det_closed, segre_det_recurs
                               segre_sum_closed)
 from wallcross.errors import ModelMismatchError
 from wallcross.graded import (_ZERO, EVEN_SYMBOLS, PAIRING_FIELDS, SIGMA, GradedElement,
-                              integrate, integrate_forms, integrate_jacobian, integrate_product,
+                              integrate, integrate_forms, integrate_jacobian, integrate_omega,
                               integration_index, integration_pairs, inverse_unit_series)
 from wallcross.jacobian import PAIRING_KEYS
 from wallcross.verify import monomial_basis, random_even_element
@@ -326,19 +326,25 @@ def _integrable_pair(model, rng):
     return a, b
 
 
-def test_integrate_product_matches_integrating_the_product():
+def test_integrate_omega_matches_integrating_the_product():
+    # a omega^k integrated against omega^k's kept int form, with no product built,
+    # on the kernel models and on a J-side with rational blocks, for every k <= q + 1
     rng = random.Random(77)
-    for model in _kernel_models():
+    rational = make_model(q=2, blocks=(Fraction(1, 2), 3))
+    for model in _kernel_models() + [rational]:
         hits = 0
         for _ in range(30):
-            a, b = _integrable_pair(model, rng)
-            value = integrate_product(a, b)
-            assert value == integrate_jacobian(a * b)
-            hits += value != 0
-        assert hits >= 20
-    m1, m2 = make_model(q=1), make_model(q=1)
-    with pytest.raises(ModelMismatchError):
-        integrate_product(m1.one(), m2.one())
+            k = rng.randint(0, model.q)
+            a = _random_mixed(model, rng)
+            # terms of the complementary J-degree, over the S-word 1
+            monos = model.monomials(2 * (model.q - k), 0)
+            for mono in rng.sample(monos, min(3, len(monos))):
+                a = a + mono * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for j in (k, k + 1):
+                value = Fraction(*integrate_omega(a, j))
+                assert value == integrate_jacobian(a * model.omega_pow(j)), (model, j)
+                hits += value != 0
+        assert hits >= 15, model
 
 
 def test_the_integration_forms_are_reduced_and_integrate_the_product():

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import pytest
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, SchemaError,
                        WallGeometry, build_model, volume)
 from wallcross.cli import read_model_document
+from wallcross.graded import integrate_jacobian
 from wallcross.jacobian import e_alpha, e_gamma, e_zeta_beta, jacobian_odd_integral
 
 from conftest import make_model, pfaffian, pfaffian_f, pfaffian_mismatches
@@ -84,6 +87,10 @@ def test_odd_functional_scales_with_blocks():
     assert jacobian_odd_integral(m, (0,), (0,)) == 7
     assert jacobian_odd_integral(m, (1,), (1,)) == 7
     assert jacobian_odd_integral(m, (0,), (1,)) == 0  # mismatched pair content
+    # an index is read as an exact int, and th2 th1 = -th1 th2
+    assert jacobian_odd_integral(m, (1.0, 0), ()) == -1
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        jacobian_odd_integral(m, (0,), (0.5,))
 
 
 def _rule_allows(q, r_blk, gammas, threes):
@@ -134,6 +141,63 @@ def test_volume_and_f_are_the_pfaffian_reference_on_random_matrices():
     mismatches, nonzero = pfaffian_mismatches()
     assert mismatches == []
     assert nonzero > 200
+
+
+def _ring_f(model, gammas, threes):
+    """F by the ring: the odd factors' product against omega's power, integrated.
+    The reference for the block product, which runs none of this."""
+    elem = model.one()
+    for i in gammas:
+        elem = elem * model.theta(i)
+    for j in threes:
+        elem = elem * model.interior_omega(j)
+    p = model.q - (len(gammas) + len(threes)) // 2
+    # more than 2q degree-one factors vanish, and leave no omega power
+    return Fraction(0) if p < 0 else integrate_jacobian(elem * model.omega_pow(p))
+
+
+def _block_j_side(rng, side):
+    """A random block J-side of q <= 4 with rational blocks: from a_blocks, cut short
+    at random (zero blocks past its end), or from a block-form a_matrix with zeros."""
+    q = rng.randint(0, 4)
+    values = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(q)]
+    if side % 2:
+        a = [[Fraction(0)] * (2 * q) for _ in range(2 * q)]
+        for k, v in enumerate(values):
+            a[2 * k][2 * k + 1], a[2 * k + 1][2 * k] = v, -v
+        return make_model(q=q, matrix=a), values
+    blocks = [v for v in values if v][:rng.randint(0, q)]
+    return make_model(q=q, blocks=blocks), blocks + [0] * (q - len(blocks))
+
+
+def test_block_vol_and_f_are_the_ring_values():
+    # vol and F of a block J-side are products of its blocks; the ring's integrals
+    # are the reference.  Words fill whole blocks in random order half the time,
+    # split between gamma-insertions and A-insertions (i_{be_j} omega lies in j's
+    # block), else draw indices at random: repeated, out of block, odd in count
+    rng = random.Random(1962)
+    checked = nonzero = 0
+    for side in range(150):
+        model, blocks = _block_j_side(rng, side)
+        q, n = model.q, 2 * model.q
+        assert model.blocks == tuple(blocks)
+        assert volume(model) == math.prod(blocks) == integrate_jacobian(
+            model.omega_pow(q)) / math.factorial(q)
+        for word in range(8):
+            if word % 2:
+                chosen = rng.sample(range(q), rng.randint(0, q))
+                indices = [i for k in chosen for i in (2 * k, 2 * k + 1)]
+                rng.shuffle(indices)
+                cut = rng.randint(0, len(indices))
+                gammas, threes = indices[:cut], [i ^ 1 for i in indices[cut:]]
+            else:
+                gammas, threes = ([rng.randrange(n) for _ in range(rng.randint(0, 3))] if n
+                                  else [] for _ in range(2))
+            value = jacobian_odd_integral(model, tuple(gammas), tuple(threes))
+            assert value == _ring_f(model, gammas, threes), (q, blocks, gammas, threes)
+            checked += 1
+            nonzero += value != 0
+    assert checked == 1200 and nonzero > 300
 
 
 def test_insertion_word_validation():

@@ -15,7 +15,7 @@ from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
 from wallcross.closed import delta_l0, delta_l0_odd, delta_l1
 from wallcross import jacobian, oracle
-from wallcross.graded import S_ONE, SIGMA, integrate, integrate_jacobian
+from wallcross.graded import S_ONE, SIGMA, ModelSpec, integrate, integrate_jacobian
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles, delta_oracle_l0, delta_oracle_l1
 from wallcross.verify import valid_zeta_k
@@ -480,13 +480,13 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         # an l = 1 X-table under (N_+, N_-, d), an l = 0 one under (branch, N_+, N_-, d),
         # each with the pairings it reads: Sigma.zeta = 1, Sigma.K = 2, zeta^2 = -4,
         # zeta.K = 2 and K^2 = 8, the unified l = 0 one Sigma.zeta alone.  One I_c per odd part, at the j = q - (|gamma| + |A|)/2
-        # that the word's degree leaves, shared by both r; only those with
-        # A-insertions read Sigma.zeta.  vol and F read no pairing
+        # that the word's degree leaves, shared by both r; I_c, vol and F read no
+        # pairing
         assert (wall1.n_plus, wall1.n_minus, wall1.d) == (4, 2, 11)
         assert (wall0.n_plus, wall0.n_minus, wall0.d) == (3, 1, 7)
         assert set(model.cache) == {("l1 table", 4, 2, 11, 1, 1, 2, 1, -4, 1, 2, 1, 8, 1),
                                     ("l0 table", "unified", 3, 1, 7, 1, 1),
-                                    ("I_c", (0, 1), (2, 3), 0, 1, 1), ("I_c", (), (), 2),
+                                    ("I_c", (0, 1), (2, 3), 0), ("I_c", (), (), 2),
                                     ("volume",), ("F", (0, 1), (2, 3))}
         ref = weakref.ref(model)
         del model
@@ -497,12 +497,10 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
                   for za, sz in ((3, 1), (3, -2), (-1, 1))]
         for model in models:
             price(model)
-        # the models differ in Sigma.zeta, 1 or -2, so they keep two of each table
-        # and two I_c with A-insertions; vol, F and I_c of c = 1 read no pairing, and
-        # one entry each serves all three models
+        # the models differ in Sigma.zeta, 1 or -2, so they keep two of each table;
+        # vol, F and each I_c read no pairing, and one entry each serves all three models
         assert len(_kept(j_side, "l1 table")) == len(_kept(j_side, "l0 table")) == 2
-        assert _kept(j_side, "I_c") == {("I_c", (0, 1), (2, 3), 0, 1, 1),
-                                        ("I_c", (0, 1), (2, 3), 0, -2, 1), ("I_c", (), (), 2)}
+        assert _kept(j_side, "I_c") == {("I_c", (0, 1), (2, 3), 0), ("I_c", (), (), 2)}
         assert _kept(j_side, "volume") | _kept(j_side, "F") == {("volume",),
                                                                 ("F", (0, 1), (2, 3))}
         refs = [weakref.ref(m) for m in (j_side, *models)]
@@ -512,19 +510,18 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-# pairing -> (read by an l = 1 X-table, by an l = 0 X-table, by I_c of an odd
-# part with A-insertions), written out here rather than taken from the oracle's
-# read sets; vol, F and I_c of an odd part without A-insertions read none, and
+# pairing -> (read by an l = 1 X-table, by an l = 0 X-table), written out here
+# rather than taken from the oracle's read sets; vol, F and I_c read none, and
 # no kept entry reads an alpha pairing
-READS = {"sigmaZeta": (True, True, True),
-         "sigmaK": (True, False, False),  # read by the component l = 0 table only
-         "zeta2": (True, False, False),
-         "zetaK": (True, False, False),
-         "K2": (True, False, False),
-         "sigmaAlpha": (False, False, False),
-         "zetaAlpha": (False, False, False),
-         "Kalpha": (False, False, False),
-         "alpha2": (False, False, False)}
+READS = {"sigmaZeta": (True, True),
+         "sigmaK": (True, False),  # read by the component l = 0 table only
+         "zeta2": (True, False),
+         "zetaK": (True, False),
+         "K2": (True, False),
+         "sigmaAlpha": (False, False),
+         "zetaAlpha": (False, False),
+         "Kalpha": (False, False),
+         "alpha2": (False, False)}
 BASE = dict(zeta2=-4, zetaK=2, zetaAlpha=3, sigmaZeta=1, sigmaAlpha=1, sigmaK=2,
             K2=8, Kalpha=-1, alpha2=-1)
 OTHER = dict(zeta2=-8, zetaK=0, zetaAlpha=-1, sigmaZeta=-2, sigmaAlpha=2, sigmaK=3,
@@ -539,15 +536,13 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
     # zeta^2 and zeta.K, so those two pairings move the walls, and the X-tables
     # with them, while I_c, F and vol stay shared
     strata = _counting(monkeypatch, "ch_extension_bundles")  # two per l = 1 table
-    # an I_c is integrated on a miss only, and e_zeta_beta enters it for an odd
-    # part with A-insertions; that of gamma_1 gamma_2 reads no pairing
-    moments = _counting(monkeypatch, "integrate_product")
-    prefixes = _counting(monkeypatch, "e_zeta_beta")
-    vols = _counting(monkeypatch, "integrate_jacobian", jacobian)
-    odds = _counting(monkeypatch, "integrate_product", jacobian)
+    # an I_c is integrated on a miss only, and i_{be_j} omega enters it for an odd
+    # part with A-insertions
+    moments = _counting(monkeypatch, "integrate_omega")
+    prefixes = _counting(monkeypatch, "interior_omega", ModelSpec)
     q, blocks = 1, (2,)
     changed = set()
-    for key, (l1_table, l0_table, with_a) in READS.items():
+    for key, (l1_table, l0_table) in READS.items():
         moves_wall = key in ("zeta2", "zetaK")
         j_side = _j_side(q, blocks)
         values, models, walls = [], [], []
@@ -563,17 +558,17 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
                       InsertionWord(s=wall0.d - 2, gammas=(1,), threes=(1,)),
                       InsertionWord(s=wall0.d - 3, gammas=(0, 1))]
             words1 = [InsertionWord(r=r, s=wall1.d - 2 * r) for r in (0, 1)]
-            del strata[:], moments[:], prefixes[:], vols[:], odds[:]
+            del strata[:], moments[:], prefixes[:]
+            kept = set(j_side.cache)
             priced = [_priced(model, wall0, word) for word in words0]
             # the l = 0 words have the odd parts 1, gamma_2 A_2 and gamma_1 gamma_2,
             # one I_c each, and the one A-insertion enters once
             built = [len(moments), len(prefixes)]
             priced += [_priced(model, wall1, word) for word in words1]
             priced += [volume(model), delta_l0_odd(wall0, model, words0[1]).value]
-            # the first model builds the l = 1 table (both strata), vol and F
-            built += [len(strata), len(vols), len(odds)]
-            expect = ([3, 1, 2, 1, 1] if pairs is BASE
-                      else [with_a, with_a, 2 * l1_table, 0, 0])
+            # the first model builds the l = 1 table (both strata) and keeps vol and F
+            built += [len(strata)] + [len(_kept(j_side, kind) - kept) for kind in ("volume", "F")]
+            expect = [3, 1, 2, 1, 1] if pairs is BASE else [0, 0, 2 * l1_table, 0, 0]
             assert built == expect, key
             fresh = build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks))
             assert priced == [_priced(fresh, wall, word)
@@ -593,7 +588,7 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
 
 
 def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
-    moments = _counting(monkeypatch, "integrate_product")
+    moments = _counting(monkeypatch, "integrate_omega")
     # four walls over one J-side: l = 0 and l = 1, two zeta.K each, each priced on
     # the model of its own zeta.K
     q, blocks, zeta2 = 1, (2,), -4
@@ -641,15 +636,14 @@ def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
             missed = 0
         assert values[-1] == values[-2] == _fresh(q, blocks, pr, wall, word)
     assert len(set(values)) == len(values) // 2
-    # each at the j = q - (|gamma| + |A|)/2 that its degree leaves, those with
-    # A-insertions under Sigma.zeta = 1 too
+    # each at the j = q - (|gamma| + |A|)/2 that its degree leaves
     assert _kept(model, "I_c") == {("I_c", (), (), 2), ("I_c", (0, 1), (), 1),
-                                   ("I_c", (), (1, 2), 1, 1, 1), ("I_c", (0,), (0,), 1, 1, 1),
-                                   ("I_c", (), (2, 3), 1, 1, 1)}
+                                   ("I_c", (), (1, 2), 1), ("I_c", (0,), (0,), 1),
+                                   ("I_c", (), (2, 3), 1)}
     # th_1 . i_{be_2} omega vanishes, and so does its I_c
     other = model.with_pairings(Pairings(**dict(vars(pr), sigmaAlpha=5)))
     assert _priced(other, wall, InsertionWord(s=2, gammas=(0,), threes=(1,))) == 0
-    assert other.cache[("I_c", (0,), (1,), 1, 1, 1)] == (0, 1)
+    assert other.cache[("I_c", (0,), (1,), 1)] == (0, 1)
 
 
 def test_w_variants_of_an_l1_wall_share_one_table(monkeypatch):
@@ -677,7 +671,7 @@ def test_an_alpha_sweep_integrates_only_the_first_models_misses(monkeypatch):
     # fixed table pairings, a sweep of Sigma.alpha x zeta.alpha integrates on the
     # first model's misses only, one integral per odd part, on one table, and
     # every model prices as a fresh one
-    moments = _counting(monkeypatch, "integrate_product")
+    moments = _counting(monkeypatch, "integrate_omega")
     q, blocks, zeta2 = 2, (1, 2), -1
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
     words = [InsertionWord(s=4), InsertionWord(r=1, s=2), InsertionWord(s=1, gammas=(0, 1)),
@@ -977,9 +971,9 @@ def test_the_l0_terms_share_one_moment(point):
 def test_odd_word_moments_are_shared_across_r(monkeypatch):
     # a word's degree leaves j = q - (|gamma| + |A|)/2, so words with one odd part
     # read one I_c whatever their r and wall: it is kept by the odd indices and j.
-    # I_c with A-insertions reads Sigma.zeta, so a model that differs there keeps
-    # its own; those without are shared by every model
-    moments = _counting(monkeypatch, "integrate_product")
+    # It reads no pairing, (-Sigma.zeta)^|A| coming out of it, so every model
+    # shares it
+    moments = _counting(monkeypatch, "integrate_omega")
     q, blocks = 2, (1, 2)
     j_side = _j_side(q, blocks)
     wall = WallGeometry.build(p1=-3, q=q, zeta2=-3, zetaK=1)  # d = 6
@@ -1007,11 +1001,9 @@ def test_odd_word_moments_are_shared_across_r(monkeypatch):
             value = delta_oracle_l0(j_side.with_pairings(pr_other), other, longer).value
             missed.append(len(moments))
             assert value == _fresh(q, blocks, pr_other, other, longer) != 0, longer
-            first = model is models[0] or bool(words[0].threes)
-            assert missed == [int(first)] + [0] * len(words), words
-    # one I_c of gamma_1 gamma_2 for both models, one of A_3 A_4 per Sigma.zeta
-    assert _kept(j_side, "I_c") == {("I_c", (0, 1), (), 1), ("I_c", (), (2, 3), 1, 1, 1),
-                                    ("I_c", (), (2, 3), 1, -2, 1)}
+            assert missed == [int(model is models[0])] + [0] * len(words), words
+    # one I_c of gamma_1 gamma_2 and one of A_3 A_4 for both models
+    assert _kept(j_side, "I_c") == {("I_c", (0, 1), (), 1), ("I_c", (), (2, 3), 1)}
     # Sigma.zeta enters every value through the table, and the A-insertions too
     assert all(v != w for v, w in zip(values[:5], values[5:]))
 
@@ -1019,8 +1011,8 @@ def test_odd_word_moments_are_shared_across_r(monkeypatch):
 def test_a_fresh_model_prices_an_l0_word_without_ring_work(monkeypatch):
     # once a J-side has priced a word, both routes price an l = 0 word on a fresh
     # with_pairings model of it with no ring product and no integral: vol, F and the
-    # I_c of an odd part read no pairing (with A-insertions, Sigma.zeta alone) and
-    # the X-table is built in ints; counted by call, not by time
+    # I_c of an odd part read no pairing and the X-table is built in ints; counted
+    # by call, not by time
     from wallcross.delta import evaluate
     from wallcross.graded import GradedElement
     q, blocks = 2, (1, 2)
@@ -1038,22 +1030,18 @@ def test_a_fresh_model_prices_an_l0_word_without_ring_work(monkeypatch):
                                                   a_blocks=blocks)), wall, word)
                for word in words] for pairs in others]
     products = _counting(monkeypatch, "__mul__", GradedElement)
-    integrals = (_counting(monkeypatch, "integrate_product"),
-                 _counting(monkeypatch, "integrate_product", jacobian))
+    integrals = (_counting(monkeypatch, "integrate_omega"),
+                 _counting(monkeypatch, "integrate_omega", jacobian))
     for pairs, want in zip(others, expect):
         for word, values in zip(words, want):
-            if pairs["sigmaZeta"] != base["sigmaZeta"] and word.threes:
-                continue
             assert evaluate(j_side.with_pairings(Pairings(**pairs)), wall, word) == values
             assert values[0].value == values[1].value != 0, word
     assert products == [] and integrals == ([], [])
 
 
 def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
-    # neither reads a pairing: a second with_pairings model computes neither
+    # neither reads a pairing: a second with_pairings model keeps neither
     # again, a model over other blocks does; F is kept by both index lists
-    vols = _counting(monkeypatch, "integrate_jacobian", jacobian)
-    odds = _counting(monkeypatch, "integrate_product", jacobian)
     # consecutive lists share their gammas or their A indices; at blocks (2, 3)
     # no two share their F
     lists = [((0, 1), ()), ((0, 1), (2, 3)), ((), (2, 3)), ((2, 3), (0, 1)), ((), (0, 1))]
@@ -1062,10 +1050,11 @@ def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
         j_side = _j_side(2, blocks)
         for pairs in (BASE, OTHER):
             model = j_side.with_pairings(Pairings(**pairs))
-            del vols[:], odds[:]
+            kept = set(j_side.cache)
             got = [volume(model)] + [jacobian_odd_integral(model, *key) for key in lists]
             first = pairs is BASE
-            assert (len(vols), len(odds)) == ((1, len(lists)) if first else (0, 0)), blocks
+            added = tuple(len(_kept(j_side, kind) - kept) for kind in ("volume", "F"))
+            assert added == ((1, len(lists)) if first else (0, 0)), blocks
             fresh = build_model(PairingInput(q=2, pairings=Pairings(**pairs), a_blocks=blocks))
             assert got == [volume(fresh)] + [jacobian_odd_integral(fresh, *key) for key in lists]
             seen.append(got)
@@ -1123,8 +1112,8 @@ def _memo_parts(j_side):
             ints += key[2:]
             assert all(0 <= m <= j_side.q for *_, m in entry.values())
             scalars += [(num, den) for num, den, _ in entry.values()]
-        elif kind == "I_c":  # the gamma and A indices, j, and Sigma.zeta with A-insertions
-            assert len(key) == (6 if key[2] else 4), key
+        elif kind == "I_c":  # the gamma and A indices and j
+            assert len(key) == 4, key
             ints += [*key[1], *key[2], *key[3:]]
             moments.append(entry)
         elif kind == "F":  # the gamma and A indices
@@ -1161,7 +1150,8 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     j_sides = []
     # rational blocks (Sigma rescaled) put denominators into omega, so into the
     # forms and I_c; rational Sigma.zeta puts them into the l = 0 tables
-    for q, blocks in ((1, (3,)), (2, (2, 3)), (2, (Fraction(1, 2), 3)), (3, (1, 2, 3))):
+    for q, blocks in ((1, (3,)), (1, (Fraction(2, 3),)), (2, (2, 3)), (2, (Fraction(1, 2), 3)),
+                      (3, (1, 2, 3))):
         j_side = _j_side(q, blocks)
         j_sides.append(j_side)
         by_degree = {}
@@ -1207,7 +1197,7 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     assert all(math.gcd(den, *_form_ints(form)) == 1 for den, form in zip(dens, forms))
     assert max(dens) > 1 and any(len(form[1]) > 1 for form in forms)
     assert len(values) > 4000 and any(values)
-    assert len(nums) > 100 and len(scalars) > 200 and len(moments) > 200
+    assert len(nums) > 100 and len(scalars) > 200 and len(moments) > 100
     # the q = 2, l = 1 integrals over Sigma.alpha = alpha^2 = -1/3 included
     assert {type(x) for *_, integral in integrals for x in integral} == {int}
     assert sum(q == 2 and s != S_ONE for q, s, _ in integrals) >= 5

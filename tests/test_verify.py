@@ -2,7 +2,8 @@
 replaced by a wrong version, it reports FAIL with a counterexample.  A check
 that prices words through ``delta.evaluate`` is mutated where ``evaluate``
 looks the route function up.  The kill list shows the converse: a fault in the
-code both routes share makes a named check fail."""
+code both routes share, or in the closed route's block product, makes a named
+check fail."""
 
 import inspect
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wallcross import chern, delta, graded, oracle, verify, walls
+from wallcross import chern, delta, graded, jacobian, oracle, verify, walls
 from wallcross.closed import DeltaValue
 from wallcross.graded import SIGMA, GradedElement, ModelSpec
 
@@ -128,7 +129,8 @@ def test_oracle_l1_fails_on_a_grid_with_only_the_w_variant_slice(monkeypatch):
     _fails_under("oracle-l1", delta, "delta_oracle_l1", _shifted(_sigma_k), tiny, monkeypatch)
 
 
-# -- the kill list: a fault in the code both routes share fails some check ----
+# -- the kill list: a fault in the code both routes share, or in the block
+# product that the closed route reads in its place, fails some check ---------
 
 def _edited(owner, name, old, new):
     """``owner.name`` compiled from its source with the one ``old`` in it replaced by
@@ -153,12 +155,12 @@ def _install(monkeypatch, owner, name, old, new):
         monkeypatch.setattr(holder, name, mutant)
 
 
-# (mutant, the edit in shared code, the checks that catch it on SMALL)
+# (mutant, the edit, the checks that catch it on SMALL)
 KILL_LIST = [
-    ("koszul-sign", (graded, "integration_pairs",
+    ("koszul-sign", (graded, "form_pairs",
                      "-num if (_above_parity(j) & (full ^ j)).bit_count() & 1 else num", "num"),
      ["hidden-data"]),
-    ("wedge-sign", (ModelSpec, "omega_pow",
+    ("wedge-sign", (ModelSpec, "omega_form",
                     "-n1 * n2 if (koszul & j2).bit_count() & 1 else n1 * n2", "n1 * n2"),
      ["hidden-data"]),
     ("newton-divisor", (chern, "_newton", "seq.append(acc / m)", "seq.append(acc / (m + 1))"),
@@ -174,6 +176,18 @@ KILL_LIST = [
                                 'sigma_z = model.pair(SIGMA, "zeta")',
                                 'sigma_z = model.pair(SIGMA, "K")'),
      ["oracle-l1", "segre", "hidden-data"]),
+    # mutant B: i_{be_i} omega read off a_ji, so the oracle negates every A-insertion,
+    # while the closed route takes F of a block J-side from its blocks
+    ("transposed-interior-omega", (ModelSpec, "interior_omega", "S_ONE): self.a_matrix[i][j]",
+                                   "S_ONE): self.a_matrix[j][i]"),
+     ["odd-words"]),
+    # the block product's signs: i_{be_j} omega = -b th_(j-1) for odd j, and sorting
+    ("block-partner-sign", (jacobian, "_block_odd_integral", "scale *= -b if j & 1 else b",
+                            "scale *= b"),
+     ["odd-words"]),
+    ("block-sort-sign", (jacobian, "_block_odd_integral",
+                         "return -value if inversions & 1 else value", "return value"),
+     ["odd-words"]),
 ]
 
 
@@ -185,20 +199,14 @@ def test_a_fault_in_shared_code_fails_the_checks_named(edit, catchers, monkeypat
         _fails(check, SMALL)
 
 
-# mutant B: i_{be_i} omega read off a_ji, so every A-insertion is negated
-TRANSPOSED_INTERIOR_OMEGA = (ModelSpec, "interior_omega", "S_ONE): self.a_matrix[i][j]",
-                             "S_ONE): self.a_matrix[j][i]")
+EDITS = {name: edit for name, edit, _ in KILL_LIST}
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: both routes read F from the ring, so "
-                   "an A-insertion fault moves both; only tier-1's pinned F values catch it")
-def test_a_transposed_interior_omega_fails_a_check(monkeypatch):
-    _install(monkeypatch, *TRANSPOSED_INTERIOR_OMEGA)
-    assert not all(check(SMALL).passed for check in verify.ALL_CHECKS.values())
-
-
-EDITS = dict({name: edit for name, edit, _ in KILL_LIST},
-             **{"transposed-interior-omega": TRANSPOSED_INTERIOR_OMEGA})
+@pytest.mark.parametrize("name", ["transposed-interior-omega", "block-partner-sign"])
+def test_the_default_verify_grid_catches_an_a_insertion_fault(name, monkeypatch):
+    # users run verify, not tier-1: its default grid fails under each
+    _install(monkeypatch, *EDITS[name])
+    assert not verify.check_odd_words(verify.Grid()).passed
 
 
 # the faults in vol and F that both routes share: each moves some value off the

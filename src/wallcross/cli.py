@@ -212,7 +212,7 @@ def cmd_walls(opts) -> int:
     if opts.p1 is None:
         raise SchemaError("--p1 INT is required for the walls command")
     w = _parse_int_list(opts.w)
-    alpha = _parse_int_list(opts.alpha) if opts.alpha else None
+    alpha = _parse_int_list(opts.alpha) if opts.alpha is not None else None
     records = enumerate_walls(surface, w, opts.p1, opts.bound, alpha=alpha)
     entries = []
     for rec in records:
@@ -240,7 +240,7 @@ def _report(results, meta) -> int:
 # so params, delta and walls neither compile nor load them
 def cmd_verify(opts) -> int:
     from .verify import parse_grid, run_checks
-    properties = opts.property.split(",") if opts.property else None
+    properties = opts.property.split(",") if opts.property is not None else None
     return _report(run_checks(parse_grid(opts.grid), properties=properties), opts.meta)
 
 

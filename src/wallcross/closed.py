@@ -99,7 +99,7 @@ def delta_l0(wall: WallGeometry, pairings: Pairings, r, vol) -> DeltaValue:
 def delta_l0_odd(wall: WallGeometry, model: ModelSpec, word: InsertionWord) -> DeltaValue:
     """Wall-crossing term for l_zeta = 0 on any word: the l = 0 sum with F, the
     functional on the word's odd part (F = q! vol for x^r alpha^s), a product of the
-    blocks on a block J-side and a ring integral on a dense one.  Terms with
+    blocks on a block J-side and an int-form integral on a dense one.  Terms with
     q - (a+b)/2 - j < 0 are zero.  ``WallGeometry.admit`` refuses what ``evaluate``
     does, and an l = 1 wall."""
     wall.admit(model.pairings, word, 0, model.q)

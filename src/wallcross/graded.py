@@ -174,6 +174,20 @@ def _indices(j):
     return tuple(i for i in range(j.bit_length()) if j >> i & 1)
 
 
+def wedge(a, b) -> dict:
+    """The product of two int J-forms' numerators ``{j: num}``, by the kernel's
+    bitmask rule: a shared generator gives 0, and the sign is the parity of
+    ``popcount(P(j1) & j2)``."""
+    acc, b = {}, b.items()
+    for j1, n1 in a.items():
+        koszul = _above_parity(j1)
+        for j2, n2 in b:
+            if not j1 & j2:
+                n = -n1 * n2 if (koszul & j2).bit_count() & 1 else n1 * n2
+                acc[j1 | j2] = acc.get(j1 | j2, 0) + n
+    return {j: n for j, n in acc.items() if n}
+
+
 def block_coefficients(a_matrix):
     """(b_1, ..., b_q), b_k = a_(2k-1, 2k), when every nonzero a_ij lies in a 2x2
     diagonal block, so that omega = sum_k b_k th_(2k-1) th_2k; None otherwise."""
@@ -194,7 +208,8 @@ class ModelSpec:
     model from a ``PairingInput``, which checks them once.  ``blocks`` holds the
     b_k of a block J-side, omega = sum_k b_k th_(2k-1) th_2k (0 for a zero block),
     and is None for a dense one; ``block_coefficients`` reads it off a_ij when the
-    caller does not pass it.
+    caller does not pass it.  Jacobian classes outside the ring multiply are int
+    forms read off a_ij (``omega_form``, ``odd_form``), so a model builds no element.
 
     ``cache`` is one dict per J-side (q, a_ij), shared by ``with_pairings``.  A
     value kept there is keyed by a tag for its kind and every pairing it reads,
@@ -208,25 +223,24 @@ class ModelSpec:
     def __init__(self, q, a_matrix, pairings, blocks=None):
         self.q, self.a_matrix, self.j_top = q, a_matrix, (1 << 2 * q) - 1
         self.blocks = block_coefficients(a_matrix) if blocks is None else blocks
-        # omega's terms, which omega_pow(1) hands out, and each omega^k once as its
-        # int form (den, {j: num}), which omega_form extends; term dicts and ints, not
-        # elements, for the reason ``cache`` holds none
-        self._omega, self._omega_powers = self.omega_class()._terms, [(1, {0: 1})]
+        # each omega^k once as its int form (den, {j: num}), which omega_form extends;
+        # ints, not elements, for the reason ``cache`` holds none
+        self._omega_powers = [(1, {0: 1})]
         self.cache = {}
         # S-side products read the pairings, so each model has its own table
         self.pairings, self._s_table = pairings, {}
 
     def with_pairings(self, pairings) -> "ModelSpec":
-        """The model over this J-side (q, a_ij, its blocks, omega, the omega-power
-        cache and ``cache``) with new pairings.
+        """The model over this J-side (q, a_ij, its blocks, the omega-power cache
+        and ``cache``) with new pairings.
 
         The caches are shared, so a sweep over pairings at fixed a_ij builds
         its J-side once.
         """
         model = object.__new__(ModelSpec)
         model.q, model.a_matrix, model.j_top = self.q, self.a_matrix, self.j_top
-        model.blocks, model._omega = self.blocks, self._omega
-        model._omega_powers, model.cache = self._omega_powers, self.cache
+        model.blocks, model._omega_powers = self.blocks, self._omega_powers
+        model.cache = self.cache
         model.pairings, model._s_table = pairings, {}
         return model
 
@@ -291,49 +305,46 @@ class ModelSpec:
 
     # -- distinguished classes ------------------------------------------
 
-    def omega_class(self) -> "GradedElement":
-        """omega = sum_{i<j} a_ij th_i th_j on the Jacobian factor."""
-        terms = {}
-        n = 2 * self.q
-        for i, row in enumerate(self.a_matrix):
-            for j in range(i + 1, n):
-                c = row[j]
-                if c:
-                    terms[(1 << i | 1 << j, S_ONE)] = c
-        return GradedElement(self, terms)
-
     def omega_form(self, k) -> tuple:
         """omega^k as the int form ``(den, {j: num})`` that Jacobian integrals read,
-        kept once per J-side: a wedge power in ints, omega^k's numerators, over one
-        more D (the a_ij's lcm) than omega^(k-1)'s, by the kernel's bitmask rule."""
+        kept once per J-side: omega = sum_{i<j} a_ij th_i th_j over the lcm D of the
+        a_ij's denominators, read off ``a_matrix``, and omega^k its ``wedge`` power,
+        over one more D than omega^(k-1)."""
         if k < 0:
             raise PreconditionError("negative omega power")
         powers = self._omega_powers
         if len(powers) <= k:
             if len(powers) == 1:
-                d, index = integration_index(self._omega)
-                powers.append((d, index.get(S_ONE, {})))
+                d = math.lcm(*(c.denominator for row in self.a_matrix for c in row))
+                powers.append((d, {1 << i | 1 << j: c.numerator * (d // c.denominator)
+                                   for i, row in enumerate(self.a_matrix)
+                                   for j, c in enumerate(row[i + 1:], i + 1) if c}))
             (d, omega), (scale, prev) = powers[1], powers[-1]
-            omega = omega.items()
             while len(powers) <= k:
-                acc = {}
-                for j1, n1 in prev.items():
-                    koszul = _above_parity(j1)
-                    for j2, n2 in omega:
-                        if not j1 & j2:
-                            n = -n1 * n2 if (koszul & j2).bit_count() & 1 else n1 * n2
-                            acc[j1 | j2] = acc.get(j1 | j2, 0) + n
-                prev, scale = {j: n for j, n in acc.items() if n}, scale * d
+                prev, scale = wedge(prev, omega), scale * d
                 powers.append((scale, prev))
         return powers[k]
 
     def omega_pow(self, p) -> "GradedElement":
         """The p-th power of omega as an element, built from ``omega_form`` for a
-        caller that multiplies with it; omega itself is kept as terms."""
-        if p == 1:
-            return GradedElement(self, self._omega)
+        caller that multiplies with it."""
         den, nums = self.omega_form(p)
         return GradedElement(self, {(j, S_ONE): Fraction(n, den) for j, n in nums.items()})
+
+    def odd_form(self, gammas, threes) -> tuple:
+        """th_{g_1} ... th_{g_a} . i_{be_{j_1}} omega ... i_{be_{j_b}} omega, the odd part
+        of an insertion word, as an int form ``(den, {j: num})``: th_i is bit i, and
+        i_{be_j} omega = sum_i a_ji th_i is row j of a_ij over the lcm of that row's
+        denominators.  An index naming no class of the model raises."""
+        den, nums = 1, {0: 1}
+        for i in gammas:
+            nums = wedge(nums, {1 << self._index(i): 1})
+        for j in threes:
+            row = self.a_matrix[self._index(j)]
+            d = math.lcm(*(c.denominator for c in row))
+            nums, den = wedge(nums, {1 << i: c.numerator * (d // c.denominator)
+                                     for i, c in enumerate(row) if c}), den * d
+        return den, nums
 
     def universal_class(self) -> "GradedElement":
         """E = sum_i th_i be_i, the first Chern class of the universal bundle."""
@@ -621,15 +632,6 @@ def integration_index(terms) -> tuple:
     return den, index
 
 
-def integration_pairs(model, terms) -> tuple:
-    """The J-part of terms ``{(j, s): c}``, their part over the S-word 1, as the left
-    factor of a Jacobian integral: ``form_pairs`` of its int form, int numerators
-    over the lcm of their denominators."""
-    part = [(j, c) for (j, s), c in terms.items() if s == S_ONE]
-    den = math.lcm(*(c.denominator for _, c in part))
-    return form_pairs(model, (den, {j: c.numerator * (den // c.denominator) for j, c in part}))
-
-
 def form_pairs(model, form) -> tuple:
     """A J-form ``(den, {j: num})`` as the left factor of a Jacobian integral,
     ``(den, ((j_top ^ j, num), ...))``: each numerator carries the Koszul sign of
@@ -640,17 +642,9 @@ def form_pairs(model, form) -> tuple:
         for j, num in nums.items())
 
 
-def integrate_forms(pairs, index, s=S_ONE) -> tuple:
-    """The integral over J of a times b's J-part at the S-word ``s``, as ``(num, den)``
-    from ``integration_pairs`` of a and ``integration_index`` of b: only
-    complementary J-monomials reach th_1...th_2q, so it is one dot product of ints."""
-    (den_a, left), (den_b, index) = pairs, index
-    right = index.get(s, {})
+def integrate_forms(pairs, form) -> tuple:
+    """The integral over J of a times b as ``(num, den)``, from ``form_pairs`` of a
+    and b's int J-form ``(den, {j: num})``: only complementary J-monomials reach
+    th_1...th_2q, so it is one dot product of ints."""
+    (den_a, left), (den_b, right) = pairs, form
     return sum(num * right.get(j, 0) for j, num in left), den_a * den_b
-
-
-def integrate_omega(a: GradedElement, k) -> tuple:
-    """The integral over J of a omega^k as ``(num, den)``, read against omega^k's kept
-    int form: integrate_jacobian(a * omega^k) with neither product nor omega^k built."""
-    den, nums = a.model.omega_form(k)
-    return integrate_forms(integration_pairs(a.model, a._terms), (den, {S_ONE: nums}))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .graded import (_ONE, _ZERO, MAX_Q, SIGMA, GradedElement, ModelSpec, exact_count,
-                     exact_int, exact_tuple, frac, integrate_omega)
+                     exact_int, exact_tuple, form_pairs, frac, integrate_forms)
 
 PAIRING_KEYS = ("zeta2", "zetaK", "zetaAlpha", "sigmaZeta", "sigmaAlpha",
                 "sigmaK", "K2", "Kalpha", "alpha2")
@@ -117,7 +117,8 @@ def build_model(inp: PairingInput) -> ModelSpec:
 
 def volume(model: ModelSpec) -> Fraction:
     """vol = (1/q!) integral over J of omega^q; equals 1 when q = 0.  On a block
-    J-side it is the product of the blocks, else it is read off omega^q's int form.
+    J-side it is the product of the blocks, else it is read off omega^q's int form
+    (``ModelSpec.omega_form``), with no element built.
 
     It reads no pairing, so it is kept once per J-side, under ``("volume",)``.
     """
@@ -166,9 +167,9 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
     """The functional F on the odd part of an insertion word: the integral over J of
     th_{g_1} ... th_{g_a} . i_{be_{j_1}} omega ... i_{be_{j_b}} omega . omega^{q-(a+b)/2}.
     An index naming no class of the model raises.  On a block J-side it is a product
-    of the blocks (``_block_odd_integral``), else a ring product read against omega's
-    power.  It reads no pairing, so it is kept once per J-side under
-    ("F", gammas, threes).
+    of the blocks (``_block_odd_integral``), else the odd part's int form
+    (``ModelSpec.odd_form``) dotted with omega's power's.  It reads no pairing, so it
+    is kept once per J-side under ("F", gammas, threes).
     """
     cache, key = model.cache, ("F", tuple(gammas), tuple(threes))
     value = cache.get(key)
@@ -176,15 +177,14 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
         if model.blocks is not None:
             value = _block_odd_integral(model, gammas, threes)
         else:
-            elem = model.one()
-            for i in gammas:
-                elem = elem * model.theta(i)
-            for j in threes:
-                elem = elem * model.interior_omega(j)
-            # a vanishing product, as any of more than 2q degree-one classes, needs no
+            odd = model.odd_form(gammas, threes)
+            # a vanishing odd part, as any of more than 2q degree-one classes, needs no
             # omega power
-            value = (_ZERO if elem.is_zero() else Fraction(*integrate_omega(
-                elem, model.q - (len(gammas) + len(threes)) // 2)))
+            if not odd[1]:
+                value = _ZERO
+            else:
+                power = model.omega_form(model.q - (len(gammas) + len(threes)) // 2)
+                value = Fraction(*integrate_forms(form_pairs(model, odd), power))
         cache[key] = value
     return value
 

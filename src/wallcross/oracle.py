@@ -19,10 +19,11 @@ A = -e_alpha + aX is raised as A^s = sum_b C(s, b) a^b t^(s - b) omega^(s - b) X
 At l = 0 every e_D is a multiple of omega, so the X-table lives in the
 omega-subring, X^N becoming (num/den) omega^m, and a word is priced from the
 table's scalars and the Jacobian moments I_c(j) = integral over J of
-c omega^j of its odd part c, which read no wall.  At l = 1 the table is
-built in the full kernel, and a word is priced as scalars times Jacobian
-integrals: each surface class [S]^i alpha_S^j meets a table entry's S-words
-through the S-product alone.
+c omega^j of its odd part c, which read no wall: c and omega^j are int forms
+read off a_ij, dotted in ints, so no l = 0 price builds an element.  At l = 1
+the table is built in the full kernel, and a word is priced as scalars times
+Jacobian integrals: each surface class [S]^i alpha_S^j meets a table entry's
+S-words through the S-product alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .chern import ChernData, ch_direct_sum, ch_dual, segre_from_ch
 from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
 from .graded import (_ZERO, S_ONE, S_PT, SIGMA, ModelSpec, form_pairs, integrate_forms,
-                     integrate_omega, integration_index, s_even)
+                     integration_index, s_even)
 from .jacobian import InsertionWord, e_divisor
 from .walls import WallGeometry
 
@@ -148,19 +149,16 @@ def _l0_table(model, wall, branch):
 
 def _jacobian_moment(model, word, j):
     """I_c(j), the integral over J of c omega^j with c the word's odd factors in
-    order, as a reduced ``(num, den)``; it reads no wall.  The factor of A_j is
+    order, as a reduced ``(num, den)``: c's ``odd_form`` dotted with omega^j's
+    ``omega_form``.  It reads no wall.  The factor of A_j is
     -e_{zeta,beta_j} = -(Sigma.zeta) i_{be_j} omega, so (-Sigma.zeta)^b, b the
     number of A-insertions, comes out of the integral, which reads no pairing and
     is kept under (gamma, A, j)."""
     key = ("I_c", word.gammas, word.threes, j)
     moment = model.cache.get(key)
     if moment is None:
-        c = model.one()
-        for i in word.gammas:
-            c = c * model.theta(i)
-        for i in word.threes:
-            c = c * model.interior_omega(i)
-        num, den = integrate_omega(c, j)
+        c = model.odd_form(word.gammas, word.threes)
+        num, den = integrate_forms(form_pairs(model, c), model.omega_form(j))
         g = math.gcd(num, den)
         moment = model.cache[key] = (num // g, den // g)
     b = len(word.threes)
@@ -281,7 +279,7 @@ def delta_oracle_l1(model: ModelSpec, wall: WallGeometry, r) -> DeltaValue:
             if sp:
                 if k not in omega_pairs:
                     omega_pairs[k] = form_pairs(model, model.omega_form(k))
-                num, den = integrate_forms(omega_pairs[k], entry, w)
+                num, den = integrate_forms(omega_pairs[k], (entry[0], entry[1][w]))
                 den *= c_den * sp[0].denominator
                 sums[den] = sums.get(den, 0) + c * sp[0].numerator * num
     den = math.lcm(*sums)

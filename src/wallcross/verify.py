@@ -99,7 +99,7 @@ def parse_grid(text) -> Grid:
         if num > most.get(key, num):
             raise SchemaError(f"grid clause {clause!r}: the {key} bound must be at most {most[key]}")
         start = starts.get(key, -num)
-        if low is not None and low > start:
+        if low is not None and low != start:
             raise SchemaError(f"grid clause {clause!r}: the {key} grid starts at {start}")
         grid = replace(grid, **{keymap[key]: num})
     return grid
@@ -336,7 +336,7 @@ def check_model_axioms(grid):
                                          a_matrix=matrix))
         uni = model.universal_class()
         e2 = uni * uni
-        omega = model.omega_class()
+        omega = model.omega_pow(1)
         sigma = model.even(SIGMA)
         zero = model.zero()
         odd = []  # odd squares, and be_i * Sigma, all vanish
@@ -520,7 +520,7 @@ def check_segre(grid):
         datas = [ch_direct_sum(ch_p, ch_dual(ch_m))
                  for ch_p, ch_m in (ch_extension_bundles(model, wall, k) for k in (0, 1))]
         classes = StratumClasses(model)  # shared by the closed forms for every n
-        four_ez = -2 * model.pair(SIGMA, "zeta") * 4 * model.omega_class()
+        four_ez = -2 * model.pair(SIGMA, "zeta") * 4 * model.omega_pow(1)
         kk_four_ez = model.even("K") * model.even("K")  # K^2 (4 e_zeta)^(n - 2) from n = 2
         for n in range(n_max + 1):
             det_sum = segre_from_ch(datas[0], n) + segre_from_ch(datas[1], n)

@@ -37,6 +37,13 @@ def make_model(q=1, blocks=None, matrix=None, **pairings) -> ModelSpec:
                                     a_blocks=blocks, a_matrix=matrix))
 
 
+def omega_element(model) -> GradedElement:
+    """omega = sum_{i<j} a_ij th_i th_j, multiplied out in the ring from the model's
+    a_ij: the reference for the int forms that ``ModelSpec.omega_form`` reads."""
+    return sum((model.theta(i) * model.theta(j) * c for i, row in enumerate(model.a_matrix)
+                for j, c in enumerate(row) if j > i), model.zero())
+
+
 def reversed_wall(wall: WallGeometry) -> WallGeometry:
     """The wall for -zeta (exchanges the (h, N) pairs; d and l fixed)."""
     return replace(wall, zetaK=-wall.zetaK, zetaW=-wall.zetaW)

@@ -174,7 +174,9 @@ def test_grid_lower_bounds():
     # sweep<=60 ran for a minute and sweep<=1000 never returned
     for text in ("q=2..1", "q=1..3", "d=2..8", "r=1..2", "pair=1..3", "q=x..3",
                  "q<=-1", "d<=0", "r<=-1", "pair<=-1", "sweep<=0", "sweep<=-3", "q<=4",
-                 "d<=17", "pair<=6", "sweep<=41", "sweep<=1000", "pair=-10..10"):
+                 "d<=17", "pair<=6", "sweep<=41", "sweep<=1000", "pair=-10..10",
+                 # a start below the grid's own used to be narrowed to it, and exit 0
+                 "pair=-9..2", "sweep=-40..12", "d=0..6", "q=-1..2"):
         with pytest.raises(SchemaError):
             parse_grid(text)
     at_caps = parse_grid("q<=3,d<=16,r<=8,pair<=5,sweep<=40")
@@ -280,8 +282,11 @@ def test_verify_property_alias_and_unknown(tmp_path, capsys):
     code, out, _ = _run(capsys, "--command", "verify", "--grid", "sweep<=6",
                         "--property", "e_S")
     assert code == 0 and "model-axioms" in out
-    code, _, err = _run(capsys, "--command", "verify", "--property", "nope")
-    assert code == 1 and "unknown property" in err
+    # an empty --property used to be dropped, running all eleven checks
+    for name in ("nope", ""):
+        code, out, err = _run(capsys, "--command", "verify", "--property", name)
+        assert (code, out) == (1, "") and _one_error_line(err)
+        assert f"unknown property {name!r}" in err
 
 
 def test_selftest_command(capsys):
@@ -457,7 +462,9 @@ def test_bad_numbers_are_input_errors(tmp_path, capsys, text, command, needle):
     # these two used to end in IndexError tracebacks
     (["--w", "1"], "w has 1 entries"),
     (["--w", "1,1", "--alpha", "1,1,1"], "alpha has 3 entries"),
-], ids=["alpha-1", "w-1", "alpha-3"])
+    # an empty --alpha used to be dropped, printing an empty delta_alpha_d column
+    (["--w", "1,1", "--alpha", ""], "alpha has 0 entries"),
+], ids=["alpha-1", "w-1", "alpha-3", "alpha-empty"])
 def test_walls_vectors_need_the_lattice_rank(tmp_path, capsys, flags, needle):
     path = _write(tmp_path, "s.json", SURFACE_DOC)
     code, out, err = _run(capsys, "--command", "walls", "--input", path, "--p1", "-2",

@@ -14,13 +14,13 @@ from wallcross.chern import ChernData
 from wallcross.closed import (StratumClasses, segre_det_closed, segre_det_recursive,
                               segre_sum_closed)
 from wallcross.errors import ModelMismatchError
-from wallcross.graded import (_ZERO, EVEN_SYMBOLS, PAIRING_FIELDS, SIGMA, GradedElement,
-                              integrate, integrate_forms, integrate_jacobian, integrate_omega,
-                              integration_index, integration_pairs, inverse_unit_series)
+from wallcross.graded import (_ZERO, EVEN_SYMBOLS, PAIRING_FIELDS, S_ONE, SIGMA, GradedElement,
+                              form_pairs, integrate, integrate_forms, integrate_jacobian,
+                              integration_index, inverse_unit_series)
 from wallcross.jacobian import PAIRING_KEYS
 from wallcross.verify import monomial_basis, random_even_element
 
-from conftest import exp_truncated, make_model
+from conftest import exp_truncated, make_model, omega_element
 
 
 def test_odd_squares_vanish(model_q2):
@@ -39,7 +39,7 @@ def test_koszul_transposition_sign():
 def test_universal_class_square():
     m = make_model(q=1)
     e2 = m.universal_class() ** 2
-    assert e2 == -2 * m.even(SIGMA) * m.omega_class()
+    assert e2 == -2 * m.even(SIGMA) * omega_element(m)
 
 
 def test_structure_constant_products():
@@ -99,7 +99,7 @@ def test_model_mismatch_raises():
      "segre_det needs n >= 0"),
     (lambda m: m.even("x"), PreconditionError, "unregistered even symbol 'x'"),
     (lambda m: m.omega_pow(-1), PreconditionError, "negative omega power"),
-    (lambda m: m.omega_class() ** -1, PreconditionError, "powers must be non-negative integers"),
+    (lambda m: m.omega_pow(1) ** -1, PreconditionError, "powers must be non-negative integers"),
     (lambda m: ChernData(m, 1, (make_model(q=2).even("zeta"),)), ModelMismatchError,
      "ChernData entry over a different model"),
     # an int is no element: + and - return NotImplemented, so Python raises
@@ -143,14 +143,14 @@ def test_inverse_unit_series_examples():
 def test_integrate_omega_examples():
     m = make_model(q=1)
     assert integrate(m.one()) == 0  # wrong degree when q > 0
-    assert integrate(m.omega_class() * m.point()) == 1
+    assert integrate(omega_element(m) * m.point()) == 1
     m2 = make_model(q=2, blocks=(1, 1))
     assert integrate(m2.omega_pow(2) * m2.point()) == 2
 
 
 def test_repr_orders_monomials_by_degree_then_generator_indices():
     m = make_model(q=1)
-    elem = m.omega_class() * Fraction(3, 2) - m.even("K")
+    elem = omega_element(m) * Fraction(3, 2) - m.even("K")
     assert repr(elem) == "(-1)*K + (3/2)*th1*th2"
     # monomials of one degree sort by their generator indices, not by bitmask
     m2 = make_model(q=2)
@@ -297,7 +297,7 @@ def test_bitmask_kernel_matches_sorted_tuple_reference():
             nonzero += not (a * b).is_zero()
         assert nonzero >= 30
         # dense products of odd classes, where the Koszul signs pile up
-        u = model.universal_class() + model.omega_class()
+        u = model.universal_class() + omega_element(model)
         assert u * u * u == _reference_mul(_reference_mul(u, u), u)
 
 
@@ -326,25 +326,33 @@ def _integrable_pair(model, rng):
     return a, b
 
 
-def test_integrate_omega_matches_integrating_the_product():
-    # a omega^k integrated against omega^k's kept int form, with no product built,
-    # on the kernel models and on a J-side with rational blocks, for every k <= q + 1
+def test_the_odd_form_integral_is_the_ring_integral():
+    # the odd part th_g... i_{be_j} omega... as an int form, against omega^k's kept
+    # int form, with no product built: the ring's product and integral are the
+    # reference, on the kernel models, a J-side with rational blocks and a dense one
+    # whose rows have different denominators, for every k <= q + 1
     rng = random.Random(77)
     rational = make_model(q=2, blocks=(Fraction(1, 2), 3))
-    for model in _kernel_models() + [rational]:
-        hits = 0
+    dense = make_model(q=2, matrix=_random_a_matrix(random.Random(3), 2, "rational"))
+    for model in _kernel_models() + [rational, dense]:
+        n, hits = 2 * model.q, 0
         for _ in range(30):
-            k = rng.randint(0, model.q)
-            a = _random_mixed(model, rng)
-            # terms of the complementary J-degree, over the S-word 1
-            monos = model.monomials(2 * (model.q - k), 0)
-            for mono in rng.sample(monos, min(3, len(monos))):
-                a = a + mono * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-            for j in (k, k + 1):
-                value = Fraction(*integrate_omega(a, j))
-                assert value == integrate_jacobian(a * model.omega_pow(j)), (model, j)
+            gammas = rng.sample(range(n), rng.randint(0, min(n, 3)))
+            threes = rng.sample(range(n), rng.randint(0, min(n, 3)))
+            c = model.one()
+            for i in gammas:
+                c = c * model.theta(i)
+            for j in threes:
+                c = c * model.interior_omega(j)
+            den, nums = model.odd_form(gammas, threes)
+            assert {(j, S_ONE): Fraction(num, den) for j, num in nums.items()} == dict(c.terms)
+            k = model.q - (len(gammas) + len(threes)) // 2
+            for j in range(max(k, 0), k + 2):
+                value = Fraction(*integrate_forms(form_pairs(model, (den, nums)),
+                                                  model.omega_form(j)))
+                assert value == integrate_jacobian(c * model.omega_pow(j)), (model, j)
                 hits += value != 0
-        assert hits >= 15, model
+        assert hits >= 5, model
 
 
 def test_the_integration_forms_are_reduced_and_integrate_the_product():
@@ -358,13 +366,16 @@ def test_the_integration_forms_are_reduced_and_integrate_the_product():
         hits = 0
         for _ in range(20):
             a, b = _integrable_pair(model, rng)
-            pairs, index = integration_pairs(model, a._terms), integration_index(b._terms)
-            # a's J-part is empty when its scalar terms cancel, and then so are its pairs
+            # a's J-part, its part over the S-word 1, is empty when its scalar terms
+            # cancel, and then so are its pairs
+            den, part = integration_index({k: c for k, c in a._terms.items() if k[1] == S_ONE})
+            pairs = form_pairs(model, (den, part.get(S_ONE, {})))
+            index = integration_index(b._terms)
             for den, nums in ((pairs[0], [n for _, n in pairs[1]]),
                               (index[0], [n for i in index[1].values() for n in i.values()])):
                 assert type(den) is int and den > 0 and {type(n) for n in nums} <= {int}
                 assert math.gcd(den, *nums) == 1
-            value = Fraction(*integrate_forms(pairs, index))
+            value = Fraction(*integrate_forms(pairs, (index[0], index[1].get(S_ONE, {}))))
             assert value == integrate_jacobian(a * b)
             hits += value != 0
         assert hits >= 12, model
@@ -433,7 +444,7 @@ def test_omega_powers_are_the_sequential_kernel_products():
         for kind in ("blocks", "full", "rational", "zero"):
             for _ in range(3 if q <= 3 else 1):
                 model = make_model(q, matrix=_random_a_matrix(rng, q, kind))
-                omega = model.omega_class()
+                omega = omega_element(model)
                 for k in range(q + 2):
                     power = model.omega_pow(k)
                     assert power == omega ** k, (q, kind, k)
@@ -456,7 +467,7 @@ def test_with_pairings_models_share_one_omega_power_cache_filled_in_either_order
                 late.omega_pow(q + 1)
                 assert len(base._omega_powers) == q + 2
                 for model in (base, sibling):
-                    omega = model.omega_class()
+                    omega = omega_element(model)
                     for k in range(q + 2):
                         power = model.omega_pow(k)
                         assert power.model is model and power == omega ** k, (q, kind, first, k)

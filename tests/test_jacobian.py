@@ -10,17 +10,18 @@ from fractions import Fraction
 import pytest
 
 from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, SchemaError,
-                       WallGeometry, build_model, volume)
+                       WallGeometry, build_model, evaluate, volume)
 from wallcross.cli import read_model_document
+from wallcross.closed import _l0_closed
 from wallcross.graded import integrate_jacobian
 from wallcross.jacobian import e_alpha, e_gamma, e_zeta_beta, jacobian_odd_integral
 
-from conftest import make_model, pfaffian, pfaffian_f, pfaffian_mismatches
+from conftest import make_model, omega_element, pfaffian, pfaffian_f, pfaffian_mismatches
 
 
 def test_q0_model_collapses():
     m = make_model(q=0)
-    assert m.omega_class().is_zero()
+    assert m.omega_pow(1).is_zero()
     assert m.universal_class().is_zero()
     assert volume(m) == 1
     assert e_alpha(m).is_zero()
@@ -44,7 +45,7 @@ def test_default_blocks_are_principal():
 
 def test_e_classes():
     m = make_model(q=1, sigmaAlpha=3)
-    assert e_alpha(m) == -6 * m.omega_class()
+    assert e_alpha(m) == -6 * omega_element(m)
     m0 = make_model(q=1, sigmaAlpha=0)
     assert e_alpha(m0).is_zero()
     assert e_gamma(m, 1) == m.theta(1)
@@ -64,8 +65,8 @@ def test_e_alpha_agrees_with_slant_of_universal_square():
         m = make_model(q=q, blocks=blocks, sigmaAlpha=sa)
         e2 = m.universal_class() ** 2
         # extract the omega coefficient of E^2 = -2 omega Sigma
-        assert e2 == -2 * m.omega_class() * m.even("Sigma")
-        assert e_alpha(m) == -2 * sa * m.omega_class()
+        assert e2 == -2 * omega_element(m) * m.even("Sigma")
+        assert e_alpha(m) == -2 * sa * omega_element(m)
 
 
 def test_odd_functional_basics():
@@ -141,6 +142,29 @@ def test_volume_and_f_are_the_pfaffian_reference_on_random_matrices():
     mismatches, nonzero = pfaffian_mismatches()
     assert mismatches == []
     assert nonzero > 200
+
+
+# the rational q = 3 J-side of CI's dense step: its rows' denominators are 6, 6, 4,
+# 60, 6 and 10
+Q3_DENSE = ((0, "1/2", 1, 0, "1/3", 0), ("-1/2", 0, 0, "2/3", 0, 1),
+            (-1, 0, 0, "1/4", 1, 0), (0, "-2/3", "-1/4", 0, 0, "3/5"),
+            ("-1/3", 0, -1, 0, 0, "1/2"), (0, -1, 0, "-3/5", "-1/2", 0))
+
+
+def test_the_values_ci_pins_on_a_rational_dense_j_side_are_the_pfaffian_references():
+    # vol and the delta of alpha^3 d1 d2 B4 B6 as CI pins them: the closed form's sum
+    # on the Pfaffian reference F, and both routes, give them
+    pairings = Pairings(zeta2=-1, zetaK=1, zetaAlpha=3, sigmaZeta=2, sigmaAlpha=-1, sigmaK=1,
+                        K2=8, Kalpha=1, alpha2=-1)
+    inp = PairingInput(q=3, pairings=pairings, a_matrix=Q3_DENSE)
+    a = [list(row) for row in inp.a_matrix]
+    assert pfaffian(a) == volume(build_model(inp)) == Fraction(-157, 240)
+    wall = WallGeometry.build(p1=-1, q=3, zeta2=-1, zetaK=1)
+    word = InsertionWord(s=3, gammas=(0, 1), threes=(3, 5))
+    assert word.degree() == 2 * wall.d
+    reference = _l0_closed(wall, pairings, 0, 3, 1, 2, pfaffian_f(a, (0, 1), (3, 5))).value
+    values = [v.value for v in evaluate(build_model(inp), wall, word, "auto")]
+    assert values == [reference, reference] == [Fraction(4617, 100)] * 2
 
 
 def _ring_f(model, gammas, threes):

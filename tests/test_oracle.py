@@ -14,7 +14,7 @@ from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
                        WallGeometry, build_model, volume)
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
 from wallcross.closed import delta_l0, delta_l0_odd, delta_l1
-from wallcross import jacobian, oracle
+from wallcross import oracle
 from wallcross.graded import S_ONE, SIGMA, ModelSpec, integrate, integrate_jacobian
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles, delta_oracle_l0, delta_oracle_l1
@@ -536,10 +536,9 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
     # zeta^2 and zeta.K, so those two pairings move the walls, and the X-tables
     # with them, while I_c, F and vol stay shared
     strata = _counting(monkeypatch, "ch_extension_bundles")  # two per l = 1 table
-    # an I_c is integrated on a miss only, and i_{be_j} omega enters it for an odd
-    # part with A-insertions
-    moments = _counting(monkeypatch, "integrate_omega")
-    prefixes = _counting(monkeypatch, "interior_omega", ModelSpec)
+    # an I_c's odd part is built and integrated on a miss only, and i_{be_j} omega
+    # enters it for an odd part with A-insertions
+    moments = _counting(monkeypatch, "odd_form", ModelSpec)
     q, blocks = 1, (2,)
     changed = set()
     for key, (l1_table, l0_table) in READS.items():
@@ -558,12 +557,12 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
                       InsertionWord(s=wall0.d - 2, gammas=(1,), threes=(1,)),
                       InsertionWord(s=wall0.d - 3, gammas=(0, 1))]
             words1 = [InsertionWord(r=r, s=wall1.d - 2 * r) for r in (0, 1)]
-            del strata[:], moments[:], prefixes[:]
+            del strata[:], moments[:]
             kept = set(j_side.cache)
             priced = [_priced(model, wall0, word) for word in words0]
             # the l = 0 words have the odd parts 1, gamma_2 A_2 and gamma_1 gamma_2,
             # one I_c each, and the one A-insertion enters once
-            built = [len(moments), len(prefixes)]
+            built = [len(moments), sum(len(threes) for _, _, threes in moments)]
             priced += [_priced(model, wall1, word) for word in words1]
             priced += [volume(model), delta_l0_odd(wall0, model, words0[1]).value]
             # the first model builds the l = 1 table (both strata) and keeps vol and F
@@ -588,7 +587,7 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
 
 
 def test_walls_branches_and_words_keep_separate_entries(monkeypatch):
-    moments = _counting(monkeypatch, "integrate_omega")
+    moments = _counting(monkeypatch, "odd_form", ModelSpec)
     # four walls over one J-side: l = 0 and l = 1, two zeta.K each, each priced on
     # the model of its own zeta.K
     q, blocks, zeta2 = 1, (2,), -4
@@ -671,7 +670,7 @@ def test_an_alpha_sweep_integrates_only_the_first_models_misses(monkeypatch):
     # fixed table pairings, a sweep of Sigma.alpha x zeta.alpha integrates on the
     # first model's misses only, one integral per odd part, on one table, and
     # every model prices as a fresh one
-    moments = _counting(monkeypatch, "integrate_omega")
+    moments = _counting(monkeypatch, "odd_form", ModelSpec)
     q, blocks, zeta2 = 2, (1, 2), -1
     wall = WallGeometry.build(p1=zeta2, q=q, zeta2=zeta2, zetaK=1)
     words = [InsertionWord(s=4), InsertionWord(r=1, s=2), InsertionWord(s=1, gammas=(0, 1)),
@@ -973,7 +972,7 @@ def test_odd_word_moments_are_shared_across_r(monkeypatch):
     # read one I_c whatever their r and wall: it is kept by the odd indices and j.
     # It reads no pairing, (-Sigma.zeta)^|A| coming out of it, so every model
     # shares it
-    moments = _counting(monkeypatch, "integrate_omega")
+    moments = _counting(monkeypatch, "odd_form", ModelSpec)
     q, blocks = 2, (1, 2)
     j_side = _j_side(q, blocks)
     wall = WallGeometry.build(p1=-3, q=q, zeta2=-3, zetaK=1)  # d = 6
@@ -1030,13 +1029,36 @@ def test_a_fresh_model_prices_an_l0_word_without_ring_work(monkeypatch):
                                                   a_blocks=blocks)), wall, word)
                for word in words] for pairs in others]
     products = _counting(monkeypatch, "__mul__", GradedElement)
-    integrals = (_counting(monkeypatch, "integrate_omega"),
-                 _counting(monkeypatch, "integrate_omega", jacobian))
+    integrals = _counting(monkeypatch, "odd_form", ModelSpec)
     for pairs, want in zip(others, expect):
         for word, values in zip(words, want):
             assert evaluate(j_side.with_pairings(Pairings(**pairs)), wall, word) == values
             assert values[0].value == values[1].value != 0, word
-    assert products == [] and integrals == ([], [])
+    assert products == [] and integrals == []
+
+
+def test_no_model_build_and_no_l0_price_constructs_a_ring_element(monkeypatch):
+    # omega, its powers and a word's odd part are int forms read off a_ij, so building
+    # a model and pricing an l = 0 word by both routes, on a fresh block or dense
+    # J-side, constructs no GradedElement; counted on its __init__
+    from wallcross.delta import evaluate
+    from wallcross.graded import GradedElement
+    pr = Pairings(zeta2=-3, zetaK=1, zetaAlpha=3, sigmaZeta=2, sigmaAlpha=-1, sigmaK=1,
+                  K2=8, Kalpha=1, alpha2=-1)
+    wall = WallGeometry.build(p1=-3, q=2, zeta2=-3, zetaK=1)  # d = 6
+    words = [InsertionWord(r=1, s=4), InsertionWord(s=3, gammas=(0, 1)),
+             InsertionWord(s=5, threes=(2, 3)), InsertionWord(s=4, gammas=(0,), threes=(0,))]
+    pfaffian_6 = ((0, 1, 1, 0), (-1, 0, 0, -5), (-1, 0, 0, 1), (0, 5, -1, 0))
+    built = _counting(monkeypatch, "__init__", GradedElement)
+    nonzero = 0
+    for blocks, matrix in (((2, 3), None), (None, pfaffian_6)):
+        for word in words:
+            model = build_model(PairingInput(q=2, pairings=pr, a_blocks=blocks, a_matrix=matrix))
+            assert built == [], (blocks, word)
+            closed, ring = evaluate(model, wall, word, "auto")
+            assert built == [] and closed.value == ring.value, (blocks, word)
+            nonzero += closed.value != 0
+    assert nonzero == 8
 
 
 def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
@@ -1142,8 +1164,8 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     integrals = []
     real = oracle.integrate_forms
 
-    def recorded(pairs, index, s=S_ONE):  # q is the loop's, read at the call
-        integrals.append((q, s, real(pairs, index, s)))
+    def recorded(pairs, form):  # q is the loop's, read at the call
+        integrals.append((q, form[1], real(pairs, form)))
         return integrals[-1][2]
     monkeypatch.setattr(oracle, "integrate_forms", recorded)
     values = []
@@ -1200,4 +1222,6 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     assert len(nums) > 100 and len(scalars) > 200 and len(moments) > 100
     # the q = 2, l = 1 integrals over Sigma.alpha = alpha^2 = -1/3 included
     assert {type(x) for *_, integral in integrals for x in integral} == {int}
-    assert sum(q == 2 and s != S_ONE for q, s, _ in integrals) >= 5
+    # an l = 1 table entry's part at an S-word other than 1 is a dict kept in the cache
+    off_one = {id(part) for _, index in forms for s, part in index.items() if s != S_ONE}
+    assert sum(q == 2 and id(part) in off_one for q, part, _ in integrals) >= 5

@@ -19,7 +19,7 @@ from wallcross import chern, delta, graded, jacobian, oracle, verify, walls
 from wallcross.closed import DeltaValue
 from wallcross.graded import SIGMA, GradedElement, ModelSpec
 
-from conftest import odd_zeta_k_values, pfaffian_mismatches
+from conftest import odd_zeta_k_values, omega_element, pfaffian_mismatches
 
 SMALL = verify.Grid(q_max=1, d_max=5, r_max=1, pair_bound=1, sweep_bound=6)
 
@@ -54,7 +54,7 @@ def _n_plus_off_by_one(fn):
 
 
 def _with_omega(fn):
-    return lambda model: fn(model) + model.omega_class()
+    return lambda model: fn(model) + omega_element(model)
 
 
 def _doubled(fn):
@@ -160,9 +160,9 @@ KILL_LIST = [
     ("koszul-sign", (graded, "form_pairs",
                      "-num if (_above_parity(j) & (full ^ j)).bit_count() & 1 else num", "num"),
      ["hidden-data"]),
-    ("wedge-sign", (ModelSpec, "omega_form",
+    ("wedge-sign", (graded, "wedge",
                     "-n1 * n2 if (koszul & j2).bit_count() & 1 else n1 * n2", "n1 * n2"),
-     ["hidden-data"]),
+     ["odd-words", "hidden-data"]),
     ("newton-divisor", (chern, "_newton", "seq.append(acc / m)", "seq.append(acc / (m + 1))"),
      ["oracle-l1", "segre", "simple-type"]),
     ("beta-beta-sign", (ModelSpec, "_s_product", "return (c, s_even(SIGMA))",
@@ -176,10 +176,10 @@ KILL_LIST = [
                                 'sigma_z = model.pair(SIGMA, "zeta")',
                                 'sigma_z = model.pair(SIGMA, "K")'),
      ["oracle-l1", "segre", "hidden-data"]),
-    # mutant B: i_{be_i} omega read off a_ji, so the oracle negates every A-insertion,
-    # while the closed route takes F of a block J-side from its blocks
-    ("transposed-interior-omega", (ModelSpec, "interior_omega", "S_ONE): self.a_matrix[i][j]",
-                                   "S_ONE): self.a_matrix[j][i]"),
+    # mutant B: i_{be_j} omega read off column j of a_ij, so the oracle negates every
+    # A-insertion, while the closed route takes F of a block J-side from its blocks
+    ("transposed-interior-omega", (ModelSpec, "odd_form", "row = self.a_matrix[self._index(j)]",
+                                   "row = [a[self._index(j)] for a in self.a_matrix]"),
      ["odd-words"]),
     # the block product's signs: i_{be_j} omega = -b th_(j-1) for odd j, and sorting
     ("block-partner-sign", (jacobian, "_block_odd_integral", "scale *= -b if j & 1 else b",

@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .delta import PATHS, evaluate
@@ -62,10 +63,15 @@ def _load_input(path):
     if path is None:
         raise SchemaError("--input PATH is required for this command")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    try:  # a BOM is kept, and refused as invalid JSON
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") \
+            from exc
 
 
 def _document(text) -> dict:
@@ -144,6 +150,28 @@ def read_surface_document(text) -> SurfaceData:
         raise SchemaError(f"bad surface document: {exc}") from exc
 
 
+def _json_text(value, indent="\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it, for
+    the dicts (of str keys), lists, strings, ints, bools and None a command
+    prints.  Strings go through the C escaper ``json.dumps`` itself uses; unlike
+    its indent encoder, this makes no closures, so a request leaves no cycle."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return json.dumps(value)
+
+
 def _emit(doc, records, columns, opts):
     """Emit either the JSON document or one CSV row per record, deterministically:
     a record's value in each column, a missing one empty."""
@@ -151,7 +179,7 @@ def _emit(doc, records, columns, opts):
         doc = dict(doc)
         doc["meta"] = {"tool": "wallcross", "version": __version__}
     if opts.output == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(_json_text(doc))
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -181,7 +209,11 @@ def cmd_delta(opts) -> int:
     # by default the s >= 0 that gives the word degree 4r + 2s + 3|gammas| + |threes| = 2d
     twice_s = 2 * (wall.d - 2 * opts.r) - 3 * len(gammas) - len(threes)
     if opts.s is None and (twice_s < 0 or twice_s % 2):
-        raise PreconditionError(f"no s >= 0 gives the word degree 2d = {2 * wall.d}; pass --s")
+        # no --s helps either: the word's degree is odd, or past 2d at s = 0
+        raise PreconditionError(
+            f"no s >= 0 gives the word degree 2d = {2 * wall.d}: "
+            + ("an odd number of odd insertions gives odd degree" if twice_s % 2 else
+               f"x^r and the odd insertions alone have degree {2 * wall.d - twice_s} > 2d"))
     word = InsertionWord(r=opts.r, s=twice_s // 2 if opts.s is None else opts.s,
                          gammas=gammas, threes=threes)
     values = evaluate(model, wall, word, opts.path)

@@ -111,6 +111,8 @@ def frac(x) -> Fraction:
     """
     if type(x) is Fraction:  # the common case, before Fraction's ABC checks
         return x
+    if type(x) is int:  # a document's ints, before the bool, str and float tests
+        return Fraction(x)
     if isinstance(x, bool):
         raise PreconditionError(f"{_shown(x)} is not an exact rational number")
     try:
@@ -308,17 +310,18 @@ class ModelSpec:
     def omega_form(self, k) -> tuple:
         """omega^k as the int form ``(den, {j: num})`` that Jacobian integrals read,
         kept once per J-side: omega = sum_{i<j} a_ij th_i th_j over the lcm D of the
-        a_ij's denominators, read off ``a_matrix``, and omega^k its ``wedge`` power,
-        over one more D than omega^(k-1)."""
+        denominators of the non-zero a_ij (a zero's is 1), read off ``a_matrix``, and
+        omega^k its ``wedge`` power, over one more D than omega^(k-1)."""
         if k < 0:
             raise PreconditionError("negative omega power")
         powers = self._omega_powers
         if len(powers) <= k:
             if len(powers) == 1:
-                d = math.lcm(*(c.denominator for row in self.a_matrix for c in row))
-                powers.append((d, {1 << i | 1 << j: c.numerator * (d // c.denominator)
-                                   for i, row in enumerate(self.a_matrix)
-                                   for j, c in enumerate(row[i + 1:], i + 1) if c}))
+                terms = [(1 << i | 1 << j, c) for i, row in enumerate(self.a_matrix)
+                         for j, c in enumerate(row[i + 1:], i + 1) if c]
+                d = math.lcm(*{c.denominator for _, c in terms})
+                powers.append((d, {bit: c.numerator * (d // c.denominator)
+                                   for bit, c in terms}))
             (d, omega), (scale, prev) = powers[1], powers[-1]
             while len(powers) <= k:
                 prev, scale = wedge(prev, omega), scale * d

@@ -199,19 +199,21 @@ def _block_odd_integral(model, gammas, threes) -> Fraction:
     curve, 1962).  It runs no ring code."""
     blocks = model.blocks
     indices = [model._index(i) for i in gammas]
-    scale = 1
+    num = den = 1  # +-scale times the untouched blocks' product, as num/den in ints
     for j in [model._index(j) for j in threes]:
         b = blocks[j >> 1]
         indices.append(j ^ 1)
-        scale *= -b if j & 1 else b
+        num, den = num * (-b.numerator if j & 1 else b.numerator), den * b.denominator
     touched = set(indices)
     if len(touched) < len(indices) or any(i ^ 1 not in touched for i in touched):
         return _ZERO
+    for k, b in enumerate(blocks):
+        if 2 * k not in touched:
+            num, den = num * b.numerator, den * b.denominator
     # the pairs th_2k th_(2k+1) are even, so only sorting the odd part costs a sign
     inversions = sum(x > y for n, x in enumerate(indices) for y in indices[n + 1:])
-    untouched = math.prod((b for k, b in enumerate(blocks) if 2 * k not in touched), start=_ONE)
-    value = scale * untouched * math.factorial(model.q - len(indices) // 2)
-    return -value if inversions & 1 else value
+    num *= math.factorial(model.q - len(indices) // 2)
+    return Fraction(-num if inversions & 1 else num, den)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wallcross
 from wallcross import SchemaError, verify
-from wallcross.cli import main
+from wallcross.cli import _json_text, main
 from wallcross.surfaces import MAX_BOUND
 from wallcross.verify import parse_grid
 
@@ -141,11 +143,15 @@ def test_delta_defaults_s_to_the_degree_of_the_odd_insertions(tmp_path, capsys):
     assert values["closed-form"] == values["ring-oracle"] != "0/1"
     assert _run(capsys, "--command", "delta", "--input", path, "--gammas", "0",
                 "--threes", "0", "--s", "3") == (code, out, err)
-    # no s gives degree 10 to gamma_1 (3 + 2s), x^3 (12 + 2s) or x^2 gamma_1 gamma_2 (14 + 2s)
-    for extra in (["--gammas", "0"], ["--r", "3"], ["--gammas", "0,1", "--r", "2"]):
+    # no s gives degree 10 to gamma_1 (3 + 2s), x^3 (12 + 2s) or x^2 gamma_1 gamma_2 (14 + 2s),
+    # and the error says why, with no --s hint, since no --s helps
+    for extra, why in ((["--gammas", "0"], "an odd number of odd insertions gives odd degree"),
+                       (["--r", "3"], "x^r and the odd insertions alone have degree 12 > 2d"),
+                       (["--gammas", "0,1", "--r", "2"],
+                        "x^r and the odd insertions alone have degree 14 > 2d")):
         code, out, err = _run(capsys, "--command", "delta", "--input", path, *extra)
-        assert (code, out) == (1, "") and "pass --s" in err, extra
-        assert err.count("error:") == 1
+        assert (code, out, err) == (
+            1, "", f"error: no s >= 0 gives the word degree 2d = 10: {why}\n"), extra
 
 
 def test_non_integral_lattice_pairing_is_rejected(tmp_path, capsys):
@@ -568,3 +574,88 @@ def test_reader_and_flag_errors_print_one_line(tmp_path, capsys, doc, argv, mess
 
 def test_an_empty_grid_clause_is_skipped():
     assert parse_grid("q<=1,,d<=2") == parse_grid("q<=1,d<=2") == verify.Grid(q_max=1, d_max=2)
+
+
+# a document whose bytes are not UTF-8 (0xff at byte 10) used to end in a
+# UnicodeDecodeError traceback; a UTF-8 BOM is read, and refused as invalid JSON
+@pytest.mark.parametrize("command, flags", [
+    ("params", []), ("delta", ["--r", "1"]), ("walls", ["--w", "1,1", "--p1", "-2"]),
+])
+def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command, flags):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"q": 1, "\xff": 2}')
+    assert _run(capsys, "--command", command, "--input", str(path), *flags) == (
+        1, "", f"error: cannot read {path}: not UTF-8 (invalid start byte at byte 10)\n")
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(L0_DOC).encode())
+    code, out, err = _run(capsys, "--command", command, "--input", str(path), *flags)
+    assert (code, out) == (1, "") and err.startswith("error: invalid JSON: Unexpected UTF-8 BOM")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-2**80, max_value=2**80)
+    | st.text(alphabet=st.characters(codec="utf-8"), max_size=8)
+    | st.sampled_from(["", "\"", "\\", "\x00\x1f\n\t", "\u00e9\u2013\U0001f600"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(JSON_VALUES)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def _surface_request(tmp_path, name, doc):
+    return ["--command", "walls", "--input", _write(tmp_path, name, doc), "--w", "1,1",
+            "--p1", "-2", "--alpha", "1,3", "--bound", "6"]
+
+
+def _json_requests(tmp_path):
+    """A request of each command and of each kind of delta word, in JSON."""
+    model = _write(tmp_path, "m.json", dict(
+        L0_DOC, q=2, a_blocks=["3/2", -2], pairings=dict(L0_DOC["pairings"], zeta2=-5),
+        wall={"p1": -5}))
+    custom = {"schema_version": 1,
+              "surface": dict(CUSTOM_SURFACE, name="K\u00e4hler \u2013 \"blown\" up\t")}
+    return [["--command", "params", "--input", model],
+            ["--command", "delta", "--input", model, "--r", "1"],
+            ["--command", "delta", "--input", model, "--gammas", "1,0"],
+            ["--command", "delta", "--input", model, "--gammas", "2", "--threes", "3"],
+            ["--command", "delta", "--input", model, "--threes", "0,1", "--path", "closed"],
+            ["--command", "delta", "--input", model, "--path", "leading"],
+            _surface_request(tmp_path, "s.json", SURFACE_DOC),
+            _surface_request(tmp_path, "c.json", custom)]
+
+
+def test_every_command_prints_what_json_dumps_prints(tmp_path, capsys):
+    surfaces = set()
+    for argv in _json_requests(tmp_path):
+        for meta in ([], ["--meta"]):
+            code, out, err = _run(capsys, *argv, *meta)
+            doc = json.loads(out)
+            assert (code, err) == (0, "")
+            assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n", argv
+            surfaces.add(doc.get("surface"))
+    assert "K\u00e4hler \u2013 \"blown\" up\t" in surfaces
+
+
+def test_a_json_request_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # json.dumps' indent encoder is a closure cycle: each request left 33 objects
+    import gc
+    requests = _json_requests(tmp_path)
+    for argv in requests:  # the parser and the modules a command loads, once
+        assert _run(capsys, *argv)[0] == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in requests * 2:
+            assert _run(capsys, *argv)[0] == 0
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

@@ -195,8 +195,9 @@ def _block_j_side(rng, side):
 
 
 def test_block_vol_and_f_are_the_ring_values():
-    # vol and F of a block J-side are products of its blocks; the ring's integrals
-    # are the reference.  Words fill whole blocks in random order half the time,
+    # vol and F of a block J-side are products of its blocks, carried as one int
+    # numerator and denominator; the ring's integrals and the Pfaffian are the
+    # references.  Words fill whole blocks in random order half the time,
     # split between gamma-insertions and A-insertions (i_{be_j} omega lies in j's
     # block), else draw indices at random: repeated, out of block, odd in count
     rng = random.Random(1962)
@@ -206,7 +207,7 @@ def test_block_vol_and_f_are_the_ring_values():
         q, n = model.q, 2 * model.q
         assert model.blocks == tuple(blocks)
         assert volume(model) == math.prod(blocks) == integrate_jacobian(
-            model.omega_pow(q)) / math.factorial(q)
+            model.omega_pow(q)) / math.factorial(q) == pfaffian(model.a_matrix)
         for word in range(8):
             if word % 2:
                 chosen = rng.sample(range(q), rng.randint(0, q))
@@ -218,7 +219,8 @@ def test_block_vol_and_f_are_the_ring_values():
                 gammas, threes = ([rng.randrange(n) for _ in range(rng.randint(0, 3))] if n
                                   else [] for _ in range(2))
             value = jacobian_odd_integral(model, tuple(gammas), tuple(threes))
-            assert value == _ring_f(model, gammas, threes), (q, blocks, gammas, threes)
+            assert value == _ring_f(model, gammas, threes) == pfaffian_f(
+                model.a_matrix, gammas, threes), (q, blocks, gammas, threes)
             checked += 1
             nonzero += value != 0
     assert checked == 1200 and nonzero > 300

@@ -182,11 +182,12 @@ KILL_LIST = [
                                    "row = [a[self._index(j)] for a in self.a_matrix]"),
      ["odd-words"]),
     # the block product's signs: i_{be_j} omega = -b th_(j-1) for odd j, and sorting
-    ("block-partner-sign", (jacobian, "_block_odd_integral", "scale *= -b if j & 1 else b",
-                            "scale *= b"),
+    ("block-partner-sign", (jacobian, "_block_odd_integral",
+                            "num * (-b.numerator if j & 1 else b.numerator)",
+                            "num * b.numerator"),
      ["odd-words"]),
     ("block-sort-sign", (jacobian, "_block_odd_integral",
-                         "return -value if inversions & 1 else value", "return value"),
+                         "Fraction(-num if inversions & 1 else num, den)", "Fraction(num, den)"),
      ["odd-words"]),
 ]
 

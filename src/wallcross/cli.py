@@ -63,13 +63,11 @@ def _load_input(path):
     if path is None:
         raise SchemaError("--input PATH is required for this command")
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    try:  # a BOM is kept, and refused as invalid JSON
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # read() decodes all at once: start is the byte offset
         raise SchemaError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") \
             from exc
 

@@ -1,17 +1,21 @@
-"""The paired-run script's summary, on two canned ``perfbench/run.py`` outputs.
+"""The paired-run script's summary, on two canned ``perfbench/run.py`` outputs,
+and its refusal of a dirty work tree.
 
 ``tools/bench_pairs.py`` is loaded by its path; no benchmark runs.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("_bench_pairs", SCRIPT)
+def _bench_pairs(path=SCRIPT):
+    spec = importlib.util.spec_from_file_location("_bench_pairs", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -42,3 +46,15 @@ def test_the_summary_reads_each_side_and_counts_the_change_wins():
     # direction is summarized with no wins counted
     assert p50["change_wins"] == 1 and summary["points_per_s"]["change_wins"] == 0
     assert "change_wins" not in summary["trace.other"]
+
+
+def test_a_dirty_work_tree_is_refused(tmp_path, capsys):
+    # the change side is HEAD only if the work tree is clean; the script, copied
+    # into a fresh repository where it is itself untracked, refuses before running
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    (tools / "bench_pairs.py").write_text(SCRIPT.read_text())
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    with pytest.raises(SystemExit) as exit_:
+        _bench_pairs(tools / "bench_pairs.py").main(["HEAD"])
+    assert exit_.value.code == 2 and "work tree is not clean" in capsys.readouterr().err

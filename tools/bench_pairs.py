@@ -1,21 +1,24 @@
-"""Paired benchmark runs of a parent revision against the working tree.
+"""Paired benchmark runs of a parent revision against the committed working tree.
 
     python3 tools/bench_pairs.py PARENT_REV --out BENCH.json
-    python3 tools/bench_pairs.py HEAD~1 --pairs cli-requests=2 --seconds 5
 
-Run it from anywhere inside a git checkout.  The parent is exported with
-``git archive`` into a temporary directory (under ``$TMPDIR``), which is
-removed at the end.
-Each pair runs ``perfbench/run.py`` once on each side with seed = the pair
-index (1, 2, ...), the side that goes first alternating from pair to pair.
+Run it from anywhere inside a git checkout whose work tree is clean (``git
+status --porcelain`` prints nothing), so the change side is its HEAD commit;
+a dirty tree is refused.  The parent is checked out in a shared clone in a
+temporary directory (under ``$TMPDIR``), which is removed at the end, so both
+sides' ``perfbench-env`` lines name their commit.
+Each pair runs ``perfbench/run.py`` for BENCHMARK.json's ``run_seconds`` once
+on each side with seed = the pair index (1, 2, ...), the side that goes first
+alternating from pair to pair; ``PLAN`` fixes the pairs per workload.
 Every ``__pycache__`` under either side's ``src/`` is deleted first, and the
 runs write none, so neither side imports bytecode the other lacks.  Each side
 also makes one ``--trace 1`` run per workload for the per-layer metrics.
 
 The JSON written holds, per workload and metric, each side's median and
 quartiles, every run's value and the number of pairs the change won, and
-keeps each run's point count and ``perfbench-env`` line.  It reads BENCHMARK.json for the
-metrics' directions and imports nothing from ``perfbench/``.
+keeps each run's point count and ``perfbench-env`` line, beside both commits.
+It reads BENCHMARK.json for the run length and the metrics' directions and
+imports nothing from ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_PAIRS = "cli-requests=10,verify-default=3,oracle-l1-deep=3"
+PLAN = (("cli-requests", 10), ("verify-default", 3), ("oracle-l1-deep", 3))
 
 
 def parse_run(text) -> dict:
@@ -81,10 +84,14 @@ def _run(tree, workload, seed, seconds, trace) -> dict:
     return parse_run(proc.stdout)
 
 
-def _export(rev, into):
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-                             capture_output=True, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+def _git(*args, cwd=ROOT) -> str:
+    return subprocess.run(["git", "-C", str(cwd), *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def _checkout(rev, into):
+    _git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT), str(into))
+    _git("checkout", "--quiet", "--detach", rev, cwd=into)
 
 
 def _clear_bytecode(tree):
@@ -94,30 +101,28 @@ def _clear_bytecode(tree):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="the git revision to compare the working tree with")
+    parser.add_argument("parent", help="the git revision to compare HEAD with")
     parser.add_argument("--out", default="BENCH.json")
-    parser.add_argument("--pairs", default=DEFAULT_PAIRS,
-                        help=f"workload=pairs, comma-separated (default: {DEFAULT_PAIRS})")
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
-    plan = [(name, int(n)) for name, _, n in
-            (item.partition("=") for item in args.pairs.split(","))]
+    if _git("status", "--porcelain"):
+        parser.error("the work tree is not clean; commit the change to measure first")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    parent_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
-                                capture_output=True, text=True, check=True).stdout.strip()
+    parent_sha = _git("rev-parse", "--verify", args.parent + "^{commit}")
+    report = {"parent": parent_sha, "change": _git("rev-parse", "HEAD"),
+              "seconds": seconds, "workloads": {}}
     scratch = tempfile.mkdtemp(prefix="bench_pairs_")
-    report = {"parent": parent_sha, "seconds": args.seconds, "workloads": {}}
     try:
-        _export(parent_sha, scratch)
+        _checkout(parent_sha, scratch)
         trees = {"parent": scratch, "change": str(ROOT)}
         for tree in trees.values():
             _clear_bytecode(tree)
-        for workload, count in plan:
+        for workload, count in PLAN:
             pairs = []
             for seed in range(1, count + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
-                runs = {side: _run(trees[side], workload, seed, args.seconds, 0)
+                runs = {side: _run(trees[side], workload, seed, seconds, 0)
                         for side in order}
                 pairs.append((runs["parent"], runs["change"]))
                 print(f"{workload} pair {seed}: " + ", ".join(
@@ -128,7 +133,7 @@ def main(argv=None) -> int:
                      # completed requests per run, which peak_rss_mb grows with
                      "attempted": [[p["attempted"], c["attempted"]] for p, c in pairs],
                      "env": [[p["env"], c["env"]] for p, c in pairs]}
-            traced = {side: _run(trees[side], workload, 1, args.seconds, 1)
+            traced = {side: _run(trees[side], workload, 1, seconds, 1)
                       for side in ("parent", "change")}
             entry["trace"] = {side: run["metrics"] for side, run in traced.items()}
             entry["trace_env"] = {side: run["env"] for side, run in traced.items()}

@@ -10,13 +10,12 @@ Exit codes: 0 success, 1 input error, 2 regime error, 3 verification failure.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .delta import PATHS, evaluate
@@ -51,10 +50,12 @@ def _rat(x) -> str:
 
 
 def _parse_int_list(text):
-    if not text:
+    """The ints of a comma-separated list; blank text is the empty list, and an
+    empty item is refused, since dropping it would price a list nobody typed."""
+    if not text.strip():
         return ()
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise SchemaError(f"bad integer list {text!r}") from exc
 
@@ -281,8 +282,30 @@ def cmd_selftest(opts) -> int:
                                                 "simple-type", "scale"]), opts.meta)
 
 
-# the flags each command reads, by their dests; any other flag given is refused, as
-# an unknown document key is, since it would be ignored
+# each flag's kind, its value when not given and its help: an int flag's value is
+# read by int(), a str flag's as it is, a tuple's must be one of its choices, and
+# a bool flag takes no value; help first, as the usage text lists it
+FLAGS = {
+    "help": (bool, False, "print this text and exit"),
+    "command": (("params", "delta", "verify", "walls", "selftest"), None, "the command to run"),
+    "input": (str, None, "path to a JSON model/surface document"),
+    "output": (("json", "csv"), "json", "default: json"),
+    "r": (int, 0, "multiplicity of the point class x (default: 0)"),
+    "s": (int, None, "multiplicity of alpha (default: d - 2r - (3|gammas| + |threes|)/2)"),
+    "gammas": (str, "", "H_1 insertion indices, e.g. '0,1'"),
+    "threes": (str, "", "H_3 insertion indices, e.g. '0'"),
+    "path": (PATHS, "auto", "delta evaluation path (default: auto)"),
+    "alpha": (str, None, "alpha vector in the surface basis"),
+    "w": (str, None, "w vector in the surface basis"),
+    "p1": (int, None, "first Pontryagin number"),
+    "bound": (int, 10, "wall enumeration bound (default: 10)"),
+    "grid": (str, None, "verify bounds, e.g. 'q=0..3,d<=8'"),
+    "property": (str, None, "comma-separated property filter for verify"),
+    "meta": (bool, False, "add run metadata to JSON output, and each check's time to verify's"),
+}
+
+# the flags each command reads; any other flag given is refused, as an unknown
+# document key is, since it would be ignored
 _COMMON_FLAGS = frozenset({"command", "meta"})
 COMMAND_FLAGS = {
     "params": _COMMON_FLAGS | {"input", "output"},
@@ -292,64 +315,93 @@ COMMAND_FLAGS = {
     "selftest": _COMMON_FLAGS,
 }
 
-# the value of each flag not given: the parser leaves it out of its namespace, so
-# that the flags given are the namespace's keys
-FLAG_DEFAULTS = {"input": None, "output": "json", "r": 0, "s": None, "gammas": "", "threes": "",
-                 "path": "auto", "alpha": None, "w": None, "p1": None, "bound": 10,
-                 "grid": None, "property": None, "meta": False}
+
+def usage_text() -> str:
+    """The text that -h and --help print: each flag of ``FLAGS``, with its help."""
+    lines = ["usage: wallcross --command COMMAND [flags]", "",
+             "Exact wall-crossing difference terms for Donaldson invariants of surfaces",
+             "with b+=1 and irregularity q >= 0.", "",
+             "flags (a name may be cut to a unique prefix; --name=value also works):"]
+    for name, (kind, _, text) in FLAGS.items():
+        flag = "-h, --help" if name == "help" else f"--{name}"
+        if kind is int or kind is str:
+            flag += " " + name.upper()
+        elif kind is not bool:
+            flag += " {" + ",".join(kind) + "}"
+        lines.append(f"  {flag:<24}{text}" if len(flag) < 24 else f"  {flag}\n{'':26}{text}")
+    return "\n".join(lines) + "\n"
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are input errors (exit 1), not
-    argparse's exit 2, which is the regime-error code here."""
-
-    def error(self, message):
-        raise SchemaError(message)
-
-
-# a parser is a reference cycle, so main reuses one per process instead of
-# leaving one for the cyclic collector at every call
-@functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="wallcross",
-        description="Exact wall-crossing difference terms for Donaldson invariants "
-                    "of surfaces with b+=1 and irregularity q >= 0.",
-        argument_default=argparse.SUPPRESS)
-    parser.add_argument("--command", required=True,
-                        choices=["params", "delta", "verify", "walls", "selftest"])
-    parser.add_argument("--input", help="path to a JSON model/surface document")
-    parser.add_argument("--output", choices=["json", "csv"], help="default: json")
-    parser.add_argument("--r", type=int, help="multiplicity of the point class x (default: 0)")
-    parser.add_argument("--s", type=int,
-                        help="multiplicity of alpha (default: d - 2r - (3|gammas| + |threes|)/2)")
-    parser.add_argument("--gammas", help="H_1 insertion indices, e.g. '0,1'")
-    parser.add_argument("--threes", help="H_3 insertion indices, e.g. '0'")
-    parser.add_argument("--path", choices=PATHS, help="delta evaluation path (default: auto)")
-    parser.add_argument("--alpha", help="alpha vector in the surface basis")
-    parser.add_argument("--w", help="w vector in the surface basis")
-    parser.add_argument("--p1", type=int, help="first Pontryagin number")
-    parser.add_argument("--bound", type=int, help="wall enumeration bound (default: 10)")
-    parser.add_argument("--grid", help="verify bounds, e.g. 'q=0..3,d<=8'")
-    parser.add_argument("--property", help="comma-separated property filter for verify")
-    parser.add_argument("--meta", action="store_true",
-                        help="attach run metadata; verify and selftest add each check's "
-                             "seconds and points/s")
-    return parser
+def read_flags(argv):
+    """The flags given in ``argv`` as {name: value}, or None for -h or --help: argparse's
+    rules, in one pass from the left, except that a flag's value is the next argument
+    whatever it starts with.  A name is read exactly or as a unique prefix, a value
+    after "=" or as the next argument, and the last of a repeated flag wins; every
+    refusal is one ``SchemaError`` in argparse's words."""
+    given, extras = {}, []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--":  # every argument after it is positional
+            extras += [arg, *args]
+            break
+        if not arg.startswith("--") and arg != "-h":
+            extras.append(arg)
+            continue
+        text, eq, value = ("help", "", "") if arg == "-h" else arg[2:].partition("=")
+        names = [text] if text in FLAGS else [name for name in FLAGS if name.startswith(text)]
+        if not names:
+            extras.append(arg)
+            continue
+        if len(names) > 1:
+            raise SchemaError(f"ambiguous option: {arg} could match "
+                              + ", ".join(f"--{name}" for name in names))
+        (name,) = names
+        kind = FLAGS[name][0]
+        if kind is bool:
+            if eq:
+                flag = "-h/--help" if name == "help" else f"--{name}"
+                raise SchemaError(f"argument {flag}: ignored explicit argument {value!r}")
+            if name == "help":
+                return None
+            given[name] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None:
+                raise SchemaError(f"argument --{name}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise SchemaError(f"argument --{name}: invalid int value: {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise SchemaError(f"argument --{name}: invalid choice: {value!r} (choose from "
+                              + ", ".join(map(repr, kind)) + ")")
+        given[name] = value
+    if "command" not in given:
+        raise SchemaError("the following arguments are required: --command")
+    if extras:
+        raise SchemaError("unrecognized arguments: " + " ".join(extras))
+    return given
 
 
 def main(argv=None) -> int:
     handlers = {"params": cmd_params, "delta": cmd_delta, "walls": cmd_walls,
                 "verify": cmd_verify, "selftest": cmd_selftest}
     try:
-        opts = make_parser().parse_args(argv)
-        given = vars(opts)
-        unread = given.keys() - COMMAND_FLAGS[opts.command]
+        given = read_flags(sys.argv[1:] if argv is None else argv)
+        if given is None:
+            sys.stdout.write(usage_text())
+            return EXIT_OK
+        command = given["command"]
+        unread = given.keys() - COMMAND_FLAGS[command]
         if unread:
-            raise SchemaError(f"the {opts.command} command does not read "
+            raise SchemaError(f"the {command} command does not read "
                               + ", ".join(f"--{name}" for name in sorted(unread)))
-        given.update(FLAG_DEFAULTS | given)  # a flag not given takes its default
-        return handlers[opts.command](opts)
+        if given.get("meta") and given.get("output") == "csv":
+            raise SchemaError("--meta adds its block to JSON output only, not to --output csv")
+        opts = SimpleNamespace(**{name: flag[1] for name, flag in FLAGS.items()} | given)
+        return handlers[command](opts)
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME

@@ -692,7 +692,9 @@ ALIASES = {"e_S": "axioms", "e_alpha": "axioms", "rem-ko": "identities"}
 
 def run_checks(grid=Grid(), properties=None):
     """Run the selected checks (all by default); returns a list of CheckResult."""
-    names = list(ALL_CHECKS) if not properties else [ALIASES.get(p, p) for p in properties]
+    # each check runs once, where it was first named, aliases resolved
+    names = list(ALL_CHECKS) if not properties else \
+        list(dict.fromkeys(ALIASES.get(p, p) for p in properties))
     for nm in names:
         if nm not in ALL_CHECKS:
             raise SchemaError(f"unknown property {nm!r}; known: {sorted(ALL_CHECKS)}")

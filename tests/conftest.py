@@ -1,3 +1,5 @@
+import argparse
+import functools
 import itertools
 import math
 import random
@@ -21,8 +23,9 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, WallGeometry,
-                       build_model, evaluate)
+from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError, SchemaError,
+                       WallGeometry, build_model, evaluate)
+from wallcross.delta import PATHS
 from wallcross.graded import GradedElement, ModelSpec, frac
 from wallcross.jacobian import jacobian_odd_integral, volume
 from wallcross.surfaces import SurfaceData
@@ -159,6 +162,44 @@ def pfaffian_mismatches(sides=120, words=4, seed=8):
             if value != reference:
                 mismatches.append((q, a, gammas, threes, value, reference))
     return mismatches, nonzero
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise SchemaError(message)
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli.read_flags`` replaced, as it was built: the
+    reference that the flag reader is compared with.  A flag not given is left out
+    of its namespace, a usage error raises ``SchemaError``, and -h or --help prints
+    argparse's help and raises ``SystemExit(0)``."""
+    parser = _ReferenceParser(
+        prog="wallcross",
+        description="Exact wall-crossing difference terms for Donaldson invariants "
+                    "of surfaces with b+=1 and irregularity q >= 0.",
+        argument_default=argparse.SUPPRESS)
+    parser.add_argument("--command", required=True,
+                        choices=["params", "delta", "verify", "walls", "selftest"])
+    parser.add_argument("--input", help="path to a JSON model/surface document")
+    parser.add_argument("--output", choices=["json", "csv"], help="default: json")
+    parser.add_argument("--r", type=int, help="multiplicity of the point class x (default: 0)")
+    parser.add_argument("--s", type=int,
+                        help="multiplicity of alpha (default: d - 2r - (3|gammas| + |threes|)/2)")
+    parser.add_argument("--gammas", help="H_1 insertion indices, e.g. '0,1'")
+    parser.add_argument("--threes", help="H_3 insertion indices, e.g. '0'")
+    parser.add_argument("--path", choices=PATHS, help="delta evaluation path (default: auto)")
+    parser.add_argument("--alpha", help="alpha vector in the surface basis")
+    parser.add_argument("--w", help="w vector in the surface basis")
+    parser.add_argument("--p1", type=int, help="first Pontryagin number")
+    parser.add_argument("--bound", type=int, help="wall enumeration bound (default: 10)")
+    parser.add_argument("--grid", help="verify bounds, e.g. 'q=0..3,d<=8'")
+    parser.add_argument("--property", help="comma-separated property filter for verify")
+    parser.add_argument("--meta", action="store_true",
+                        help="attach run metadata; verify and selftest add each check's "
+                             "seconds and points/s")
+    return parser
 
 
 def custom_surface(name, q, gram, K, Sigma, cone_slope=None) -> SurfaceData:

@@ -1,5 +1,7 @@
 """CLI end-to-end: commands, exit codes, determinism, format parity."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 
 import wallcross
 from wallcross import SchemaError, verify
-from wallcross.cli import _json_text, main
+from wallcross.cli import FLAGS, _json_text, main, read_flags, usage_text
 from wallcross.surfaces import MAX_BOUND
 from wallcross.verify import parse_grid
+
+from conftest import reference_parser
 
 L0_DOC = {
     "schema_version": 1,
@@ -288,6 +292,11 @@ def test_verify_property_alias_and_unknown(tmp_path, capsys):
     code, out, _ = _run(capsys, "--command", "verify", "--grid", "sweep<=6",
                         "--property", "e_S")
     assert code == 0 and "model-axioms" in out
+    # a check named twice, or through two aliases, ran and printed twice
+    code, out, _ = _run(capsys, "--command", "verify", "--grid", "sweep<=6",
+                        "--property", "axioms,identities,e_S,e_alpha,rem-ko")
+    assert (code, out) == (0, "PASS model-axioms (8 points)\n"
+                              "PASS structural-identities (12012 points)\n")
     # an empty --property used to be dropped, running all eleven checks
     for name in ("nope", ""):
         code, out, err = _run(capsys, "--command", "verify", "--property", name)
@@ -357,13 +366,12 @@ def test_cli_import_leaves_the_verification_grids_unloaded():
     loaded = json.loads(out)
     assert "wallcross.cli" in loaded
     assert "wallcross.verify" not in loaded
+    assert "argparse" not in loaded  # the flags are read against FLAGS
 
 
-def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
-    # each parser is a reference cycle; main must not build one per call
-    import argparse
-    path = _write(tmp_path, "m.json", L0_DOC)
-    assert _run(capsys, "--command", "params", "--input", path)[0] == 0
+def test_main_constructs_no_parser(tmp_path, capsys, monkeypatch):
+    # main read its flags through an argparse parser, a reference cycle that cost a
+    # quarter of an l = 0 request; it reads them in one pass over FLAGS instead
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -372,8 +380,10 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for _ in range(3):
-        assert _run(capsys, "--command", "params", "--input", path)[0] == 0
+    path = _write(tmp_path, "m.json", L0_DOC)
+    for argv in (["--command", "params", "--input", path], ["--command", "delta", "--r", "x"],
+                 ["--help"]):
+        _run(capsys, *argv)
     assert built == []
 
 
@@ -382,15 +392,121 @@ def _one_error_line(err):
     return len(lines) == 1 and lines[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("argv, needle", [
-    (["--command", "bogus"], "invalid choice: 'bogus'"),
-    (["--command", "delta", "--r", "abc"], "invalid int value: 'abc'"),
-], ids=["unknown-command", "non-integer-r"])
-def test_usage_errors_are_input_errors(capsys, argv, needle):
-    # argparse's own exit code 2 is the documented regime-error code
-    code, out, err = _run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert _one_error_line(err) and needle in err
+@pytest.mark.parametrize("argv, message", [
+    (["--command", "bogus"], "argument --command: invalid choice: 'bogus' (choose from "
+                             "'params', 'delta', 'verify', 'walls', 'selftest')"),
+    (["--command", "delta", "--r", "abc"], "argument --r: invalid int value: 'abc'"),
+    (["--command", "delta", "--r=1.5"], "argument --r: invalid int value: '1.5'"),
+    (["--command", "delta", "--pa", "nope"], "argument --path: invalid choice: 'nope' "
+                                             "(choose from 'auto', 'closed', 'oracle', 'leading')"),
+    (["--command", "delta", "--p", "1"], "ambiguous option: --p could match --path, --p1, "
+                                         "--property"),
+    (["--command", "delta", "--input"], "argument --input: expected one argument"),
+    (["--command", "params", "--meta=yes"], "argument --meta: ignored explicit argument 'yes'"),
+    (["--input", "m.json"], "the following arguments are required: --command"),
+    (["--command", "params", "m.json", "-x", "--bogus"],
+     "unrecognized arguments: m.json -x --bogus"),
+    (["--command", "params", "--", "--input", "m.json"],
+     "unrecognized arguments: -- --input m.json"),
+    # a flag's value is the next argument whatever it starts with
+    (["--command", "delta", "--r", "--s", "3"], "argument --r: invalid int value: '--s'"),
+], ids=["unknown-command", "non-integer-r", "r-equals-1.5", "path-prefix-nope", "ambiguous-p",
+        "input-no-value", "meta-equals", "no-command", "positionals", "after-double-dash",
+        "r-reads-dash-s"])
+def test_usage_errors_are_input_errors(capsys, argv, message):
+    # each refusal keeps argparse's words, but exits 1: argparse's own exit code 2
+    # is the documented regime-error code
+    assert _run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_help_prints_every_flag_and_exits_0(capsys):
+    for flag in ("-h", "--help", "--he"):
+        code, out, err = _run(capsys, "--command", "delta", flag, "--r", "x")
+        assert (code, err) == (0, "") and out == usage_text()
+    assert all(f"--{name}" in out for name in FLAGS)
+    # a refusal before the help flag is still a refusal
+    assert _run(capsys, "--r", "x", "-h")[0] == 1
+
+
+def test_a_value_may_begin_with_a_dash(tmp_path, capsys):
+    # "--alpha -1,3" was refused as "expected one argument": only --alpha=-1,3 was read
+    argv = _surface_request(tmp_path, "s.json", SURFACE_DOC)
+    spaced = _run(capsys, *argv[:-4], "--alpha", "-1,3", "--bound", "6")
+    assert spaced == _run(capsys, *argv[:-4], "--alpha=-1,3", "--bound=6")
+    assert spaced[0] == 0 and json.loads(spaced[1])["count"] == 1
+    # a flag's name may be cut to a unique prefix, and the last of a repeated flag wins
+    assert _run(capsys, "--comm", "walls", "--inp", argv[3], "--w=1,1", "--p1", "-2",
+                "--al", "-1,3", "--b", "4", "--b", "6") == spaced
+
+
+def _reads_a_dash_value(argv):
+    """Whether a value in ``argv`` may begin with "-": after "=" in a flag, or as the
+    argument after a flag without one."""
+    return any(arg.startswith("--") and arg.partition("=")[2].startswith("-") for arg in argv) \
+        or any(flag.startswith("--") and "=" not in flag and value.startswith("-")
+               for flag, value in zip(argv, argv[1:]))
+
+
+def _ambiguous(arg):
+    name = arg[2:].partition("=")[0]
+    return arg.startswith("--") and name not in FLAGS and \
+        sum(flag.startswith(name) for flag in FLAGS) > 1
+
+
+def _outcome(read, argv):
+    """("read", {flag: value}), ("help",) or ("refused",): what ``read`` made of ``argv``."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            flags = read(argv)
+    except SchemaError:
+        return ("refused",)
+    except SystemExit as exc:  # argparse prints its help and exits 0
+        assert exc.code == 0
+        return ("help",)
+    if flags is None:
+        return ("help",)
+    if isinstance(flags, argparse.Namespace):
+        # argparse before Python 3.13 reads the value "--" given after "=" as []
+        flags = {name: "--" if value == [] else value for name, value in vars(flags).items()}
+    return ("read", flags)
+
+
+FLAG_NAMES = [f"--{name}" for name in FLAGS] + [
+    "--h", "--he", "--co", "--inp", "--o", "--p", "--pa", "--pr", "--g", "--gr", "--me", "--x"]
+FLAG_VALUES = ["params", "delta", "walls", "verify", "selftest", "bogus", "json", "csv", "Json",
+               "auto", "leading", "", "0", "7", " 5", "-2", "abc", "1.5", "1_0", "-1_0", "1,2",
+               "-1,2", "x y", "-x", "--", "--s", "--p", "-h", "a=b"]
+# flags with values they accept, so that many argv are read, and a repeated flag
+# may change its value
+GOOD_FLAGS = st.sampled_from([("--input", "m.json"), ("--inp", "-x y"), ("--output", "csv"),
+                              ("--o", "json"), ("--r", "1"), ("--r", "2"), ("--s", "-2"),
+                              ("--gammas", "0,1"), ("--ga", "1"), ("--pa", "oracle"),
+                              ("--path", "auto"), ("--alpha", ""), ("--p1", "-5"),
+                              ("--grid", "q<=1"), ("--pr", "x")])
+ARGV_PIECES = st.one_of(
+    GOOD_FLAGS.map(list), GOOD_FLAGS.map(lambda pair: ["=".join(pair)]),
+    st.sampled_from([["--meta"], ["--me"]]),
+    st.tuples(st.sampled_from(FLAG_NAMES), st.sampled_from(FLAG_VALUES)).map(list),
+    st.tuples(st.sampled_from(FLAG_NAMES), st.sampled_from(FLAG_VALUES)).map(
+        lambda pair: ["=".join(pair)]),
+    st.sampled_from(FLAG_NAMES + ["--", "-h", "-", "x", "-5", "-x"]).map(lambda arg: [arg]))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([["--command", "delta"], ["--c=walls"], ["--command", "bogus"], []]),
+       st.lists(ARGV_PIECES, max_size=4))
+def test_the_flag_reader_agrees_with_argparse(head, pieces):
+    # where the reference parser reads an argv, read_flags reads the same values, and
+    # where it refuses one, read_flags refuses it, but for the one intended change:
+    # a value beginning with "-" is read.  argparse up to 3.13.0 at least refuses an
+    # ambiguous prefix anywhere in argv before it acts on -h; read_flags reads from
+    # the left, as later 3.13 releases do.  Outcomes are compared, not argparse's words.
+    argv = head + [arg for piece in pieces for arg in piece]
+    reference = _outcome(reference_parser().parse_args, argv)
+    read = _outcome(read_flags, argv)
+    assert read == reference or _reads_a_dash_value(argv) or (
+        reference == ("refused",) and read == ("help",) and any(map(_ambiguous, argv))), \
+        (argv, reference, read)
 
 
 def _model_text(**changes):
@@ -540,6 +656,10 @@ RANK3_SURFACE = {"name": "blown-up", "q": 1, "basis": ["e0", "e1", "e2"],
     (SURFACE_DOC, ["--command", "walls", "--w", "1,1"],
      "--p1 INT is required for the walls command"),
     (L0_DOC, ["--command", "delta", "--gammas", "0,x"], "bad integer list '0,x'"),
+    # an empty item used to be dropped: "0,,1" priced alpha^1 d1 d2
+    (L0_DOC, ["--command", "delta", "--gammas", "0,,1"], "bad integer list '0,,1'"),
+    (L0_DOC, ["--command", "delta", "--threes", "0,"], "bad integer list '0,'"),
+    (SURFACE_DOC, ["--command", "walls", "--w", ",1", "--p1", "-2"], "bad integer list ',1'"),
     (None, ["--command", "verify", "--grid", "x<=2"], "unknown grid key 'x'"),
     # each document object refuses a key it does not read: a misspelt key used to be
     # ignored and its default priced, so "a_block" for "a_blocks" printed vol 1/1
@@ -561,10 +681,19 @@ RANK3_SURFACE = {"name": "blown-up", "q": 1, "basis": ["e0", "e1", "e2"],
     (SURFACE_DOC, ["--command", "walls", "--w", "1,1", "--p1", "-2", "--r", "7"],
      "the walls command does not read --r"),
     (None, ["--command", "verify", "--input", "x"], "the verify command does not read --input"),
+    # --meta used to be read and then ignored under --output csv
+    (L0_DOC, ["--command", "params", "--meta", "--output", "csv"],
+     "--meta adds its block to JSON output only, not to --output csv"),
+    (L0_DOC, ["--command", "delta", "--output", "csv", "--meta"],
+     "--meta adds its block to JSON output only, not to --output csv"),
+    (SURFACE_DOC, ["--command", "walls", "--w", "1,1", "--p1", "-2", "--meta", "--o", "csv"],
+     "--meta adds its block to JSON output only, not to --output csv"),
 ], ids=["model-no-wall", "wall-no-p1", "wall-list", "pairings-list", "gram-size",
-        "gram-asymmetric", "surface-rank-3", "walls-no-p1", "gammas-not-int", "grid-key-x",
+        "gram-asymmetric", "surface-rank-3", "walls-no-p1", "gammas-not-int",
+        "gammas-empty-item", "threes-trailing-comma", "w-leading-comma", "grid-key-x",
         "model-a_block", "pairings-zetak", "wall-zetaw", "surface-document-surfaces",
-        "surface-cone_slop", "selftest-grid", "params-grid-w", "walls-r", "verify-input"])
+        "surface-cone_slop", "selftest-grid", "params-grid-w", "walls-r", "verify-input",
+        "params-meta-csv", "delta-meta-csv", "walls-meta-csv"])
 def test_reader_and_flag_errors_print_one_line(tmp_path, capsys, doc, argv, message):
     if doc is not None:
         argv = [*argv, "--input", _write(tmp_path, "doc.json", doc)]

@@ -155,7 +155,7 @@ def test_any_document_and_argv_give_a_documented_exit_code(tmp_path, data, comma
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, text, code)
     assert "Traceback" not in out + err, (argv, text)
-    # a flag the command does not read is refused, if argparse has not refused a value
+    # a flag the command does not read is refused, if the flag reader has not refused a value
     if reads is not None and {arg[2:] for arg in argv if arg.startswith("--")} - reads:
         assert code == 1, (argv, err)
     # a misspelt key is refused: every command but verify reads its document or

@@ -301,7 +301,8 @@ FLAGS = {
     "bound": (int, 10, "wall enumeration bound (default: 10)"),
     "grid": (str, None, "verify bounds, e.g. 'q=0..3,d<=8'"),
     "property": (str, None, "comma-separated property filter for verify"),
-    "meta": (bool, False, "add run metadata to JSON output, and each check's time to verify's"),
+    "meta": (bool, False, "attach run metadata to JSON output; verify and selftest add each "
+                          "check's seconds and points/s"),
 }
 
 # the flags each command reads; any other flag given is refused, as an unknown

@@ -8,11 +8,10 @@ is imported from its module (``wallcross.graded``, ``wallcross.oracle``, ...).
 
 __version__ = "0.1.0"
 
-from .closed import DeltaValue
 from .delta import evaluate
 from .errors import (InvalidWallError, InvariantError, PreconditionError, RegimeError,
                      SchemaError, WallCrossError)
-from .jacobian import InsertionWord, PairingInput, Pairings, build_model, volume
+from .jacobian import DeltaValue, InsertionWord, PairingInput, Pairings, build_model, volume
 from .walls import WallGeometry
 
 __all__ = ["DeltaValue", "InsertionWord", "InvalidWallError", "InvariantError", "PairingInput",

@@ -3,10 +3,7 @@
 ``ChernData`` stores the rank together with a_i = i! ch_i (even classes in
 the ring).  Chern and Segre classes come from Newton's recurrence in the
 a_i, n steps for the n-th class; each ``ChernData`` memoises its Chern and
-its Segre classes, so c_0..c_n or s_0..s_n cost n steps in total.  The
-classical Hessenberg determinant, which the recurrence solves, is kept only
-for ``closed.segre_det_determinant``, where the determinant is itself the
-claim.
+its Segre classes, so c_0..c_n or s_0..s_n cost n steps in total.
 """
 
 from __future__ import annotations
@@ -116,57 +113,3 @@ def segre_from_ch(data: ChernData, n) -> GradedElement:
     if n < 0:
         raise PreconditionError("segre_from_ch needs n >= 0")
     return _newton(data, data._segre_memo, True, n)
-
-
-def _det(model, rows) -> GradedElement:
-    """Determinant of a square matrix of commuting (even) ring elements.
-
-    Cofactor expansion along the first row, structural zeros skipped.  The
-    minor below row k is the determinant of rows k.. on the columns left,
-    so it is kept by those columns and expanded once: on the Hessenberg
-    matrices used below, which have at most two nonzero entries per first
-    row, that leaves O(n^2) minors, not 2^n expansions.
-    """
-    minors = {(): model.one()}
-
-    def minor(cols):
-        if cols not in minors:
-            row, total = rows[len(rows) - len(cols)], model.zero()
-            for i, j in enumerate(cols):
-                if not row[j].is_zero():
-                    term = row[j] * minor(cols[:i] + cols[i + 1:])
-                    total = total - term if i % 2 else total + term
-            minors[cols] = total
-        return minors[cols]
-    return minor(tuple(range(len(rows))))
-
-
-def hessenberg_det(data: ChernData, n, signed) -> GradedElement:
-    """The literal n x n Hessenberg determinant in the a_i.
-
-    It equals n! c_n, or n! s_n when ``signed``.  Newton's recurrence gives
-    the same class in n steps, so only ``closed.segre_det_determinant``,
-    where the determinant is itself the claim, evaluates it.
-    """
-    model = data.model
-    zero = model.zero()
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j == i + 1:
-                row.append(model.scalar(-(n - i)) if signed else model.scalar(n - i))
-            elif j <= i:
-                a = data.a_i(i - j + 1)
-                if signed and (i - j + 1) % 2 == 1:
-                    a = -a
-                row.append(a)
-            else:
-                row.append(zero)
-        rows.append(row)
-    return _det(model, rows)
-
-
-def total_chern(data: ChernData) -> GradedElement:
-    """Sum of chern_from_ch over all degrees representable in the model."""
-    return sum((chern_from_ch(data, n) for n in range(data.model.q + 3)), data.model.zero())

@@ -1,8 +1,8 @@
 """Direct evaluators for the closed-form wall-crossing results.
 
-Everything here is plain rational arithmetic plus a few ring elements; the
-independent ring evaluation of the general wall-crossing expression lives
-in ``oracle`` and is used by the test suite to confirm each formula.
+Everything here is plain rational arithmetic; the independent ring
+evaluation of the general wall-crossing expression lives in ``oracle`` and
+is used by the test suite to confirm each formula.
 
 Conventions used throughout: a = (zeta.alpha)/2 (may be a half-integer,
 all arithmetic is rational); binomial coefficients with out-of-range
@@ -12,32 +12,12 @@ arguments are zero, as are powers with negative exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import ChernData, hessenberg_det, segre_from_ch
-from .errors import InvariantError, PreconditionError
-from .graded import _ZERO, GradedElement, ModelSpec, frac
-from .jacobian import InsertionWord, Pairings, e_zeta, jacobian_odd_integral, volume
+from .errors import PreconditionError
+from .graded import _ZERO, ModelSpec, frac
+from .jacobian import DeltaValue, InsertionWord, Pairings, jacobian_odd_integral, volume
 from .walls import WallGeometry
-
-
-@dataclass(frozen=True)
-class DeltaValue:
-    """An exact wall-crossing difference value with its computation path."""
-
-    value: Fraction
-    path: str
-    modulus_exponent: int = None
-
-    def __init__(self, value, path, modulus_exponent=None):
-        # a frozen instance's fields go straight into its __dict__: on CPython 3.11 this
-        # build takes 0.4-0.5 us against 0.8-1.0 us through object.__setattr__, which
-        # would save ~15 ns per field read, and a verify sweep reads each value once
-        fields = self.__dict__
-        fields["value"] = value if type(value) is Fraction else frac(value)
-        fields["path"] = path
-        fields["modulus_exponent"] = modulus_exponent
 
 
 def _l0_sum(s, p, e, za, sa, sz):
@@ -133,103 +113,6 @@ def delta_l1(wall: WallGeometry, pairings: Pairings, r, vol) -> DeltaValue:
     sign = -wall.sign_wall if (r + d + 1) % 2 else wall.sign_wall
     vol = frac(vol)
     return _closed_value(sign * num * vol.numerator, den * vol.denominator, 3 * q - d)
-
-
-# -- the summed Segre classes of the two extension strata (l_zeta = 1) ----
-
-class StratumClasses:
-    """The classes the stratum sums of a model are written in: zeta, K, E, the
-    point, 4 e_zeta, the K-even determinant entries a_1, a_2, a_3 (as
-    ``ChernData``) and the recursion's head, built once.
-
-    The closed forms below take them, so a caller that asks for n = 0, 1, ...
-    on one model passes one instance, and each power of 4 e_zeta and of
-    base = 4 e_zeta - 2 zeta - 4 E, each recursion step and each Newton step
-    is multiplied once, not once per n.  They hold elements of their model,
-    so they live as long as their caller keeps them.
-    """
-
-    def __init__(self, model: ModelSpec):
-        zs, ks, uni = model.even("zeta"), model.even("K"), model.universal_class()
-        zz, kk, uz, uu = zs * zs, ks * ks, uni * zs, uni * uni
-        self.point = model.point()
-        self.four_ez = 4 * e_zeta(model)
-        self.base = self.four_ez - 2 * zs - 4 * uni
-        self.line = 4 * zs + 8 * uni
-        self.quad = 6 * zz + 2 * kk + 24 * uz + 24 * uu
-        self.head = 2 * zz + kk + 8 * uz + 8 * uu
-        a1 = -self.four_ez + 2 * zs + 4 * uni
-        self.data = ChernData(model, 0, (a1, 2 * zz + 8 * uu + kk + 8 * uz, 24 * (uu * zs)))
-        self._powers = {"four_ez": [model.one()], "base": [model.one()]}
-        self._steps, self._recursion = {}, [model.one(), -a1]
-
-    def power(self, name, n) -> GradedElement:
-        """The n-th power of the class ``name``, "four_ez" or "base", kept."""
-        powers = self._powers[name]
-        while len(powers) <= n:
-            powers.append(powers[-1] * getattr(self, name))
-        return powers[n]
-
-    def step(self, m) -> GradedElement:
-        """(m - 1) (4 e_zeta)^(m - 2) (head - 18 (m - 2) [S]), the recursion's m-th addend, kept."""
-        if m not in self._steps:
-            self._steps[m] = ((m - 1) * self.power("four_ez", m - 2)
-                              * (self.head - 18 * (m - 2) * self.point))
-        return self._steps[m]
-
-
-def segre_sum_closed(st: StratumClasses, n) -> GradedElement:
-    """Closed form for the k-summed Segre class s_n of the two extension pairs.
-
-    s_0 = 2; s_1 = 8 e_zeta - 4 zeta - 8 E; for n >= 2 the four-term
-    expression with the (n-3)! term dropped when n < 3.
-    """
-    if n < 0:
-        raise PreconditionError("segre_sum_closed needs n >= 0")
-    out = 2 * st.power("four_ez", n) / math.factorial(n)
-    if n >= 1:
-        out = out - st.line * st.power("four_ez", n - 1) / math.factorial(n - 1)
-    if n >= 2:
-        out = out + st.quad * st.power("four_ez", n - 2) / math.factorial(n - 2)
-    if n >= 3:
-        out = out - 24 * st.point * st.power("four_ez", n - 2) / math.factorial(n - 3)
-    return out
-
-
-def segre_det_recursive(st: StratumClasses, n) -> GradedElement:
-    """The stratum determinant by its two-term recursion (bases n = 0, 1), whose
-    steps ``st`` keeps."""
-    if n < 0:
-        raise PreconditionError("segre_det needs n >= 0")
-    seq, minus_a1 = st._recursion, st._recursion[1]
-    for m in range(len(seq), n + 1):
-        seq.append(minus_a1 * seq[-1] + st.step(m))
-    return seq[n]
-
-
-def segre_det_closed(st: StratumClasses, n) -> GradedElement:
-    """The stratum determinant by its resolved closed form."""
-    if n < 0:
-        raise PreconditionError("segre_det needs n >= 0")
-    out = st.power("base", n)
-    for i in range(2, n + 1):
-        out = out + st.power("base", n - i) * st.step(i)
-    return out
-
-
-def segre_det_determinant(st: StratumClasses, n) -> GradedElement:
-    """The stratum determinant evaluated literally as a determinant.
-
-    The determinant is n! s_n of the stratum data, so it also cross-checks
-    Newton's recurrence in ``segre_from_ch``; a mismatch raises.
-    """
-    if n < 0:
-        raise PreconditionError("segre_det needs n >= 0")
-    data = st.data
-    det = hessenberg_det(data, n, signed=True)
-    if det != segre_from_ch(data, n) * math.factorial(n):
-        raise InvariantError(f"literal stratum determinant != n! s_n by recurrence at n={n}")
-    return det
 
 
 def delta_leading(model: ModelSpec, wall: WallGeometry, word: InsertionWord) -> DeltaValue:

@@ -11,10 +11,10 @@ stay independent routes; this module only chooses between them.
 
 from __future__ import annotations
 
-from .closed import DeltaValue, delta_l0_odd, delta_l1, delta_leading
+from .closed import delta_l0_odd, delta_l1, delta_leading
 from .errors import PreconditionError, RegimeError
 from .graded import ModelSpec
-from .jacobian import InsertionWord, volume
+from .jacobian import DeltaValue, InsertionWord, volume
 from .oracle import delta_oracle_l0, delta_oracle_l1
 from .walls import WallGeometry
 

@@ -593,20 +593,6 @@ def monomial_str(key) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def inverse_unit_series(a: GradedElement) -> GradedElement:
-    """Multiplicative inverse of a unit series 1 + (positive-degree part)."""
-    if a.scalar_part() != 1:
-        raise PreconditionError("inverse_unit_series requires degree-0 component equal to 1")
-    u = a.model.one() - a
-    out = a.model.one()
-    p = a.model.one()
-    while True:
-        p = p * u
-        if p.is_zero():
-            return out
-        out = out + p
-
-
 def _by_s_part(terms):
     """The terms of an element grouped by S-side word: {s: [(j, coeff), ...]}."""
     groups = {}

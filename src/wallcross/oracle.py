@@ -32,11 +32,10 @@ import math
 from fractions import Fraction
 
 from .chern import ChernData, ch_direct_sum, ch_dual, segre_from_ch
-from .closed import DeltaValue
 from .errors import PreconditionError, RegimeError
 from .graded import (_ZERO, S_ONE, S_PT, SIGMA, ModelSpec, form_pairs, integrate_forms,
                      integration_index, s_even)
-from .jacobian import InsertionWord, e_divisor
+from .jacobian import DeltaValue, InsertionWord, e_divisor
 from .walls import WallGeometry
 
 

@@ -21,15 +21,14 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .chern import (ChernData, ch_direct_sum, ch_dual, chern_from_ch,
-                    segre_from_ch, total_chern)
-from .closed import (StratumClasses, delta_l0_odd, segre_det_closed, segre_det_determinant,
-                     segre_det_recursive, segre_sum_closed)
+from .chern import ChernData, ch_direct_sum, ch_dual, chern_from_ch, segre_from_ch
+from .closed import delta_l0_odd
 from .delta import evaluate
-from .errors import InvalidWallError, SchemaError, WallCrossError
-from .graded import SIGMA, ModelSpec, inverse_unit_series
-from .jacobian import (InsertionWord, PairingInput, Pairings, build_model,
-                       e_alpha, volume)
+from .errors import (InvalidWallError, InvariantError, PreconditionError, SchemaError,
+                     WallCrossError)
+from .graded import SIGMA, GradedElement, ModelSpec
+from .jacobian import (InsertionWord, PairingInput, Pairings, build_model, e_alpha, e_zeta,
+                       volume)
 from .oracle import ch_extension_bundles, delta_oracle_l0
 from .walls import WallGeometry, complex_orientation_sign, wall_params, wall_sign
 
@@ -240,15 +239,19 @@ def _show(value) -> str:
 def _check(name):
     """Make a generator of ``(lhs, rhs, where)`` cases into the check ``name``
     on a Grid: it counts the cases, stops at the first with lhs != rhs and
-    times the whole sweep."""
+    times the whole sweep.  A package error raised by the sweep fails the check
+    with the points done before it, so the checks after it still run."""
     def decorate(cases):
         @functools.wraps(cases)
         def check(grid=Grid()) -> CheckResult:
             points, detail, start = 0, "", time.perf_counter()
-            for points, (lhs, rhs, where) in enumerate(cases(grid), 1):
-                if lhs != rhs:
-                    detail = f"{where()}: {_show(lhs)} != {_show(rhs)}"
-                    break
+            try:
+                for points, (lhs, rhs, where) in enumerate(cases(grid), 1):
+                    if lhs != rhs:
+                        detail = f"{where()}: {_show(lhs)} != {_show(rhs)}"
+                        break
+            except WallCrossError as exc:
+                detail = f"raised {type(exc).__name__}: {exc}"
             return CheckResult(name, not detail, points, detail, time.perf_counter() - start)
         return check
     return decorate
@@ -482,7 +485,173 @@ def check_odd_words(grid):
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: Segre machinery
+# criterion 4: Segre machinery.  The ring code below is read by this check
+# alone, so it lives beside it and neither route imports it.
+
+def inverse_unit_series(a: GradedElement) -> GradedElement:
+    """Multiplicative inverse of a unit series 1 + (positive-degree part)."""
+    if a.scalar_part() != 1:
+        raise PreconditionError("inverse_unit_series requires degree-0 component equal to 1")
+    u = a.model.one() - a
+    out = a.model.one()
+    p = a.model.one()
+    while True:
+        p = p * u
+        if p.is_zero():
+            return out
+        out = out + p
+
+
+def _det(model, rows) -> GradedElement:
+    """Determinant of a square matrix of commuting (even) ring elements.
+
+    Cofactor expansion along the first row, structural zeros skipped.  The
+    minor below row k is the determinant of rows k.. on the columns left,
+    so it is kept by those columns and expanded once: on the Hessenberg
+    matrices used below, which have at most two nonzero entries per first
+    row, that leaves O(n^2) minors, not 2^n expansions.
+    """
+    minors = {(): model.one()}
+
+    def minor(cols):
+        if cols not in minors:
+            row, total = rows[len(rows) - len(cols)], model.zero()
+            for i, j in enumerate(cols):
+                if not row[j].is_zero():
+                    term = row[j] * minor(cols[:i] + cols[i + 1:])
+                    total = total - term if i % 2 else total + term
+            minors[cols] = total
+        return minors[cols]
+    return minor(tuple(range(len(rows))))
+
+
+def hessenberg_det(data: ChernData, n, signed) -> GradedElement:
+    """The literal n x n Hessenberg determinant in the a_i.
+
+    It equals n! c_n, or n! s_n when ``signed``.  Newton's recurrence gives
+    the same class in n steps, so only ``segre_det_determinant``, where the
+    determinant is itself the claim, evaluates it.
+    """
+    model = data.model
+    zero = model.zero()
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            if j == i + 1:
+                row.append(model.scalar(-(n - i)) if signed else model.scalar(n - i))
+            elif j <= i:
+                a = data.a_i(i - j + 1)
+                if signed and (i - j + 1) % 2 == 1:
+                    a = -a
+                row.append(a)
+            else:
+                row.append(zero)
+        rows.append(row)
+    return _det(model, rows)
+
+
+def total_chern(data: ChernData) -> GradedElement:
+    """Sum of chern_from_ch over all degrees representable in the model."""
+    return sum((chern_from_ch(data, n) for n in range(data.model.q + 3)), data.model.zero())
+
+
+# the summed Segre classes of the two extension strata (l_zeta = 1)
+
+class StratumClasses:
+    """The classes the stratum sums of a model are written in: zeta, K, E, the
+    point, 4 e_zeta, the K-even determinant entries a_1, a_2, a_3 (as
+    ``ChernData``) and the recursion's head, built once.
+
+    The closed forms below take them, so a caller that asks for n = 0, 1, ...
+    on one model passes one instance, and each power of 4 e_zeta and of
+    base = 4 e_zeta - 2 zeta - 4 E, each recursion step and each Newton step
+    is multiplied once, not once per n.  They hold elements of their model,
+    so they live as long as their caller keeps them.
+    """
+
+    def __init__(self, model: ModelSpec):
+        zs, ks, uni = model.even("zeta"), model.even("K"), model.universal_class()
+        zz, kk, uz, uu = zs * zs, ks * ks, uni * zs, uni * uni
+        self.point = model.point()
+        self.four_ez = 4 * e_zeta(model)
+        self.base = self.four_ez - 2 * zs - 4 * uni
+        self.line = 4 * zs + 8 * uni
+        self.quad = 6 * zz + 2 * kk + 24 * uz + 24 * uu
+        self.head = 2 * zz + kk + 8 * uz + 8 * uu
+        a1 = -self.four_ez + 2 * zs + 4 * uni
+        self.data = ChernData(model, 0, (a1, 2 * zz + 8 * uu + kk + 8 * uz, 24 * (uu * zs)))
+        self._powers = {"four_ez": [model.one()], "base": [model.one()]}
+        self._steps, self._recursion = {}, [model.one(), -a1]
+
+    def power(self, name, n) -> GradedElement:
+        """The n-th power of the class ``name``, "four_ez" or "base", kept."""
+        powers = self._powers[name]
+        while len(powers) <= n:
+            powers.append(powers[-1] * getattr(self, name))
+        return powers[n]
+
+    def step(self, m) -> GradedElement:
+        """(m - 1) (4 e_zeta)^(m - 2) (head - 18 (m - 2) [S]), the recursion's m-th addend, kept."""
+        if m not in self._steps:
+            self._steps[m] = ((m - 1) * self.power("four_ez", m - 2)
+                              * (self.head - 18 * (m - 2) * self.point))
+        return self._steps[m]
+
+
+def segre_sum_closed(st: StratumClasses, n) -> GradedElement:
+    """Closed form for the k-summed Segre class s_n of the two extension pairs.
+
+    s_0 = 2; s_1 = 8 e_zeta - 4 zeta - 8 E; for n >= 2 the four-term
+    expression with the (n-3)! term dropped when n < 3.
+    """
+    if n < 0:
+        raise PreconditionError("segre_sum_closed needs n >= 0")
+    out = 2 * st.power("four_ez", n) / math.factorial(n)
+    if n >= 1:
+        out = out - st.line * st.power("four_ez", n - 1) / math.factorial(n - 1)
+    if n >= 2:
+        out = out + st.quad * st.power("four_ez", n - 2) / math.factorial(n - 2)
+    if n >= 3:
+        out = out - 24 * st.point * st.power("four_ez", n - 2) / math.factorial(n - 3)
+    return out
+
+
+def segre_det_recursive(st: StratumClasses, n) -> GradedElement:
+    """The stratum determinant by its two-term recursion (bases n = 0, 1), whose
+    steps ``st`` keeps."""
+    if n < 0:
+        raise PreconditionError("segre_det needs n >= 0")
+    seq, minus_a1 = st._recursion, st._recursion[1]
+    for m in range(len(seq), n + 1):
+        seq.append(minus_a1 * seq[-1] + st.step(m))
+    return seq[n]
+
+
+def segre_det_closed(st: StratumClasses, n) -> GradedElement:
+    """The stratum determinant by its resolved closed form."""
+    if n < 0:
+        raise PreconditionError("segre_det needs n >= 0")
+    out = st.power("base", n)
+    for i in range(2, n + 1):
+        out = out + st.power("base", n - i) * st.step(i)
+    return out
+
+
+def segre_det_determinant(st: StratumClasses, n) -> GradedElement:
+    """The stratum determinant evaluated literally as a determinant.
+
+    The determinant is n! s_n of the stratum data, so it also cross-checks
+    Newton's recurrence in ``segre_from_ch``; a mismatch raises.
+    """
+    if n < 0:
+        raise PreconditionError("segre_det needs n >= 0")
+    data = st.data
+    det = hessenberg_det(data, n, signed=True)
+    if det != segre_from_ch(data, n) * math.factorial(n):
+        raise InvariantError(f"literal stratum determinant != n! s_n by recurrence at n={n}")
+    return det
+
 
 def _segre_models():
     base = dict(zeta2=-4, zetaK=2, zetaAlpha=2, sigmaZeta=1, sigmaAlpha=1,

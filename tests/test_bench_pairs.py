@@ -1,5 +1,5 @@
 """The paired-run script's summary, on two canned ``perfbench/run.py`` outputs,
-and its refusal of a dirty work tree.
+its refusal of a dirty work tree and its message for a failed run.
 
 ``tools/bench_pairs.py`` is loaded by its path; no benchmark runs.
 """
@@ -58,3 +58,33 @@ def test_a_dirty_work_tree_is_refused(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         _bench_pairs(tools / "bench_pairs.py").main(["HEAD"])
     assert exit_.value.code == 2 and "work tree is not clean" in capsys.readouterr().err
+
+
+def test_a_failed_run_ends_the_script_with_one_message(tmp_path, monkeypatch):
+    # git and perfbench/run.py are both faked: git succeeds, and the first run
+    # (parent side, cli-requests, seed 1) exits 2 with a long stderr
+    bench = _bench_pairs()
+    clone, runs = tmp_path / "clone", []
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, "" if "status" in cmd else "abc1234\n", "")
+        runs.append(kwargs["cwd"])
+        stderr = "".join(f"line {i}\n" for i in range(30)) + "RuntimeError: gate failed\n"
+        return subprocess.CompletedProcess(cmd, 2, "", stderr)
+
+    def mkdtemp(prefix):
+        clone.mkdir()
+        return str(clone)
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    monkeypatch.setattr(bench.tempfile, "mkdtemp", mkdtemp)
+    monkeypatch.setattr(bench, "_clear_bytecode", lambda tree: None)
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["HEAD~1", "--out", str(tmp_path / "bench.json")])
+    head, _, tail = str(exit_.value.code).partition("\n")
+    assert head == ("perfbench/run.py failed on the parent side: workload cli-requests, seed 1, "
+                    "trace 0, exit code 2; its stderr ends:")
+    assert tail.splitlines() == [f"line {i}" for i in range(11, 30)] + ["RuntimeError: gate failed"]
+    # one run, in the clone, which is removed, and no report is written
+    assert runs == [str(clone)]
+    assert not clone.exists() and not (tmp_path / "bench.json").exists()

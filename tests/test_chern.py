@@ -8,10 +8,9 @@ import pytest
 
 from wallcross import PreconditionError
 from wallcross.chern import (ChernData, chern_from_ch, ch_direct_sum, ch_dual,
-                             chern_data_from_element, hessenberg_det, segre_from_ch, total_chern)
-from wallcross.graded import inverse_unit_series
+                             chern_data_from_element, segre_from_ch)
 from wallcross.jacobian import e_divisor, e_zeta
-from wallcross.verify import random_even_element
+from wallcross.verify import hessenberg_det, inverse_unit_series, random_even_element, total_chern
 
 from conftest import make_model
 

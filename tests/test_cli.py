@@ -288,6 +288,27 @@ def test_verify_command_and_mutation(tmp_path, capsys, monkeypatch):
     assert "FAIL" in out and "sign identity" in out
 
 
+def test_a_check_that_raises_fails_and_the_others_still_report(capsys, monkeypatch):
+    # an error raised inside one check is that check's FAIL line, and verify exits 3,
+    # not 1 with the error line alone
+    from wallcross import PreconditionError, delta
+    real = delta.delta_l1
+
+    def injected(wall, pairings, r, vol):
+        if r == 1:
+            raise PreconditionError("injected")
+        return real(wall, pairings, r, vol)
+    monkeypatch.setattr(delta, "delta_l1", injected)
+    code, out, err = _run(capsys, "--command", "verify", "--grid", "q<=1,d<=5,pair<=1",
+                          "--property", "axioms,oracle-l1,segre")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (3, "", 3)
+    assert lines[0] == "PASS model-axioms (8 points)"
+    assert lines[1].startswith("FAIL oracle-l1 (")
+    assert lines[1].endswith(" points) -- raised PreconditionError: injected")
+    assert lines[2] == "PASS segre-machinery (105 points)"
+
+
 def test_verify_property_alias_and_unknown(tmp_path, capsys):
     code, out, _ = _run(capsys, "--command", "verify", "--grid", "sweep<=6",
                         "--property", "e_S")

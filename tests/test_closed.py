@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from wallcross import (InsertionWord, InvariantError, Pairings, PreconditionError, RegimeError,
                        WallGeometry, volume)
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
-from wallcross.closed import (DeltaValue, StratumClasses, _l0_sum, delta_l0, delta_l0_odd,
-                              delta_l1, delta_leading, segre_det_closed, segre_det_determinant,
-                              segre_det_recursive, segre_sum_closed)
-from wallcross.jacobian import e_alpha, e_zeta, jacobian_odd_integral
+from wallcross.closed import _l0_sum, delta_l0, delta_l0_odd, delta_l1, delta_leading
+from wallcross.jacobian import DeltaValue, e_alpha, e_zeta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles
-from wallcross.verify import valid_zeta_k
+from wallcross.verify import (StratumClasses, segre_det_closed, segre_det_determinant,
+                              segre_det_recursive, segre_sum_closed, valid_zeta_k)
 
 from conftest import make_model, reversed_wall
 
@@ -232,12 +231,12 @@ def test_segre_det_routes_agree():
 
 
 def test_literal_determinant_cross_checks_recurrence(monkeypatch):
-    import wallcross.closed as closed
+    import wallcross.verify as verify
     m = _l1_model(q=1)
     with pytest.raises(PreconditionError):
         segre_det_determinant(StratumClasses(m), -1)
-    real = closed.segre_from_ch
-    monkeypatch.setattr(closed, "segre_from_ch", lambda data, n: -real(data, n))
+    real = verify.segre_from_ch
+    monkeypatch.setattr(verify, "segre_from_ch", lambda data, n: -real(data, n))
     with pytest.raises(InvariantError):
         segre_det_determinant(StratumClasses(m), 3)
 

@@ -169,10 +169,10 @@ def test_closed_and_oracle_agree_at_large_q(monkeypatch):
     # x^r alpha^s and gamma_1 A_1 (F != 0), and l = 1 at q = 6.  An l = 0 word is
     # priced in the omega-subring, so it takes no Segre class of the full kernel;
     # at q = 12 one such class is a sum over up to 2^24 theta-monomials
-    from wallcross import chern, closed, oracle
+    from wallcross import chern, oracle
     segre_calls = []
     real = chern.segre_from_ch
-    for module in (chern, closed, oracle):
+    for module in (chern, oracle):
         monkeypatch.setattr(module, "segre_from_ch",
                             lambda *args: segre_calls.append(args) or real(*args))
     cases = 0

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from wallcross import PairingInput, Pairings, PreconditionError, build_model
 from wallcross.chern import ChernData
-from wallcross.closed import (StratumClasses, segre_det_closed, segre_det_recursive,
-                              segre_sum_closed)
 from wallcross.errors import ModelMismatchError
 from wallcross.graded import (_ZERO, EVEN_SYMBOLS, PAIRING_FIELDS, S_ONE, SIGMA, GradedElement,
                               form_pairs, integrate, integrate_forms, integrate_jacobian,
-                              integration_index, inverse_unit_series)
+                              integration_index)
 from wallcross.jacobian import PAIRING_KEYS
-from wallcross.verify import monomial_basis, random_even_element
+from wallcross.verify import (StratumClasses, inverse_unit_series, monomial_basis,
+                              random_even_element, segre_det_closed, segre_det_recursive,
+                              segre_sum_closed)
 
 from conftest import exp_truncated, make_model, omega_element
 

@@ -27,7 +27,7 @@ SHARED = {
     "graded.frac", "graded.exact_int", "graded.exact_count", "graded.exact_tuple",
     "graded.ModelSpec._index", "jacobian.InsertionWord.__post_init__",
     "jacobian.InsertionWord.plain", "jacobian.InsertionWord.degree",
-    "walls.WallGeometry.admit", "closed.DeltaValue.__init__", "delta.evaluate",
+    "walls.WallGeometry.admit", "jacobian.DeltaValue.__init__", "delta.evaluate",
 }
 
 # a dense J-side's vol and F are read off the int forms that the oracle's I_c and

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wallcross import chern, delta, graded, jacobian, oracle, verify, walls
-from wallcross.closed import DeltaValue
+from wallcross.jacobian import DeltaValue
 from wallcross.graded import SIGMA, GradedElement, ModelSpec
 
 from conftest import odd_zeta_k_values, omega_element, pfaffian_mismatches
@@ -58,7 +58,7 @@ def _with_omega(fn):
 
 
 def _doubled(fn):
-    return lambda *args: fn(*args) * 2
+    return lambda *args, **kwargs: fn(*args, **kwargs) * 2
 
 
 def _zero_for_odd_parity(fn):
@@ -226,6 +226,16 @@ def test_the_x_table_sign_read_off_n_plus_is_caught_on_odd_zeta_k_walls(monkeypa
              "if (n - wall.n_plus) % 2:")
     values = odd_zeta_k_values()
     assert all(closed == -oracle_value != 0 for closed, oracle_value, _ in values)
+
+
+def test_a_check_that_raises_is_a_fail_and_the_next_check_runs(monkeypatch):
+    # a doubled literal determinant makes segre_det_determinant raise InvariantError
+    # at the first stratum point, after the first model's 28 series points
+    monkeypatch.setattr(verify, "hessenberg_det", _doubled(verify.hessenberg_det))
+    segre, axioms = verify.run_checks(SMALL, ["segre", "axioms"])
+    assert axioms.line() == "PASS model-axioms (8 points)"
+    assert segre.line() == ("FAIL segre-machinery (28 points) -- raised InvariantError: literal "
+                            "stratum determinant != n! s_n by recurrence at n=0")
 
 
 def test_segre_machinery_makes_a_pinned_number_of_ring_products(monkeypatch):

@@ -35,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PLAN = (("cli-requests", 10), ("verify-default", 3), ("oracle-l1-deep", 3))
+STDERR_LINES = 20  # of a failed run, shown in the message that ends the script
 
 
 def parse_run(text) -> dict:
@@ -76,11 +77,17 @@ def summarize(pairs, better) -> dict:
     return out
 
 
-def _run(tree, workload, seed, seconds, trace) -> dict:
+def _run(side, tree, workload, seed, seconds, trace) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``, parsed; a failed run ends the script
+    with one message naming it and the last lines of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.rstrip().splitlines()[-STDERR_LINES:])
+        sys.exit(f"perfbench/run.py failed on the {side} side: workload {workload}, seed {seed}, "
+                 f"trace {trace}, exit code {proc.returncode}; its stderr ends:\n{tail}")
     return parse_run(proc.stdout)
 
 
@@ -122,7 +129,7 @@ def main(argv=None) -> int:
             pairs = []
             for seed in range(1, count + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
-                runs = {side: _run(trees[side], workload, seed, seconds, 0)
+                runs = {side: _run(side, trees[side], workload, seed, seconds, 0)
                         for side in order}
                 pairs.append((runs["parent"], runs["change"]))
                 print(f"{workload} pair {seed}: " + ", ".join(
@@ -133,7 +140,7 @@ def main(argv=None) -> int:
                      # completed requests per run, which peak_rss_mb grows with
                      "attempted": [[p["attempted"], c["attempted"]] for p, c in pairs],
                      "env": [[p["env"], c["env"]] for p, c in pairs]}
-            traced = {side: _run(trees[side], workload, 1, seconds, 1)
+            traced = {side: _run(side, trees[side], workload, 1, seconds, 1)
                       for side in ("parent", "change")}
             entry["trace"] = {side: run["metrics"] for side, run in traced.items()}
             entry["trace_env"] = {side: run["env"] for side, run in traced.items()}

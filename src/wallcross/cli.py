@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from . import __version__
 from .delta import PATHS, evaluate
 from .errors import InvariantError, PreconditionError, RegimeError, SchemaError, WallCrossError
-from .graded import exact_int, frac
+from .graded import _shown, exact_int, frac
 from .jacobian import PAIRING_KEYS, InsertionWord, PairingInput, Pairings, build_model, volume
 from .surfaces import SurfaceData, enumerate_walls, odd_ruled, product_ruled
 from .walls import WallGeometry
@@ -74,16 +74,16 @@ def _load_input(path):
 
 
 def _document(text) -> dict:
-    """A JSON document, model or surface: a top-level object of schema version 1."""
+    """A JSON document, model or surface: a top-level object whose schema_version reads as 1."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int literal past the int-string limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")
-    version = doc.get("schema_version", 1)
+    version = exact_int(doc.get("schema_version", 1), "schema_version")
     if version != 1:
-        raise SchemaError(f"unsupported schema_version {version}")
+        raise SchemaError(f"unsupported schema_version {_shown(version)}")
     return doc
 
 

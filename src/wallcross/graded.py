@@ -190,16 +190,6 @@ def wedge(a, b) -> dict:
     return {j: n for j, n in acc.items() if n}
 
 
-def block_coefficients(a_matrix):
-    """(b_1, ..., b_q), b_k = a_(2k-1, 2k), when every nonzero a_ij lies in a 2x2
-    diagonal block, so that omega = sum_k b_k th_(2k-1) th_2k; None otherwise."""
-    for i, row in enumerate(a_matrix):
-        partner = i ^ 1
-        if any(c for j, c in enumerate(row) if j != partner):
-            return None
-    return tuple(a_matrix[2 * k][2 * k + 1] for k in range(len(a_matrix) // 2))
-
-
 class ModelSpec:
     """Presentation of H*(J) (x) H*(S): generators, a_ij data, Gram pairings.
 
@@ -207,41 +197,33 @@ class ModelSpec:
     object identity.  ``a_matrix`` holds the a_ij (be_i.be_j = a_ij Sigma) and
     ``pairings`` the ``jacobian.Pairings`` record of the even symbols, which
     ``pair`` reads.  Both are taken as given: ``jacobian.build_model`` makes a
-    model from a ``PairingInput``, which checks them once.  ``blocks`` holds the
-    b_k of a block J-side, omega = sum_k b_k th_(2k-1) th_2k (0 for a zero block),
-    and is None for a dense one; ``block_coefficients`` reads it off a_ij when the
-    caller does not pass it.  Jacobian classes outside the ring multiply are int
-    forms read off a_ij (``omega_form``, ``odd_form``), so a model builds no element.
+    model from a ``PairingInput``, which checks them once.  Jacobian classes
+    outside the ring multiply are int forms read off a_ij (``omega_form``,
+    ``odd_form``), so a model builds no element.
 
     ``cache`` is one dict per J-side (q, a_ij), shared by ``with_pairings``.  A
     value kept there is keyed by a tag for its kind and every pairing it reads,
     each as its numerator and denominator ints (Fraction's pure-Python
     ``__hash__`` would dominate a lookup), so every model over the J-side whose
-    pairings agree there shares it.  It holds ints and term dicts, never
-    elements: an element refers to its model, and a cycle would keep a dead
-    model alive until a full garbage collection.
+    pairings agree there shares it.  It holds ints, Fractions and term dicts,
+    never elements: an element refers to its model, and a cycle would keep a
+    dead model alive until a full garbage collection.
     """
 
-    def __init__(self, q, a_matrix, pairings, blocks=None):
+    def __init__(self, q, a_matrix, pairings):
         self.q, self.a_matrix, self.j_top = q, a_matrix, (1 << 2 * q) - 1
-        self.blocks = block_coefficients(a_matrix) if blocks is None else blocks
-        # each omega^k once as its int form (den, {j: num}), which omega_form extends;
-        # ints, not elements, for the reason ``cache`` holds none
-        self._omega_powers = [(1, {0: 1})]
         self.cache = {}
         # S-side products read the pairings, so each model has its own table
         self.pairings, self._s_table = pairings, {}
 
     def with_pairings(self, pairings) -> "ModelSpec":
-        """The model over this J-side (q, a_ij, its blocks, the omega-power cache
-        and ``cache``) with new pairings.
+        """The model over this J-side (q, a_ij and ``cache``) with new pairings.
 
-        The caches are shared, so a sweep over pairings at fixed a_ij builds
-        its J-side once.
+        The cache is shared, so a sweep over pairings at fixed a_ij builds its
+        J-side once.
         """
         model = object.__new__(ModelSpec)
         model.q, model.a_matrix, model.j_top = self.q, self.a_matrix, self.j_top
-        model.blocks, model._omega_powers = self.blocks, self._omega_powers
         model.cache = self.cache
         model.pairings, model._s_table = pairings, {}
         return model
@@ -311,10 +293,11 @@ class ModelSpec:
         """omega^k as the int form ``(den, {j: num})`` that Jacobian integrals read,
         kept once per J-side: omega = sum_{i<j} a_ij th_i th_j over the lcm D of the
         denominators of the non-zero a_ij (a zero's is 1), read off ``a_matrix``, and
-        omega^k its ``wedge`` power, over one more D than omega^(k-1)."""
+        omega^k its ``wedge`` power, over one more D than omega^(k-1).  The powers
+        read no pairing, so they are kept as one list under ``("omega",)``."""
         if k < 0:
             raise PreconditionError("negative omega power")
-        powers = self._omega_powers
+        powers = self.cache.setdefault(("omega",), [(1, {0: 1})])
         if len(powers) <= k:
             if len(powers) == 1:
                 terms = [(1 << i | 1 << j, c) for i, row in enumerate(self.a_matrix)

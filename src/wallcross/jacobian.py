@@ -99,42 +99,29 @@ class PairingInput:
 
 
 def build_model(inp: PairingInput) -> ModelSpec:
-    """Realize a PairingInput as a concrete ring model."""
+    """Realize a PairingInput as a concrete ring model.  A block input keeps its blocks,
+    zero-padded to q, in the cache under ``("blocks",)``, which only this module reads."""
     if not isinstance(inp, PairingInput):
         raise PreconditionError(f"build_model needs a PairingInput, got {inp!r}")
-    matrix, blocks = inp.a_matrix, None
-    if matrix is None:
-        n = 2 * inp.q
-        blocks = inp.a_blocks if inp.a_blocks is not None else (_ONE,) * inp.q
-        rows = [[_ZERO] * n for _ in range(n)]
-        for r, b in enumerate(blocks):
-            rows[2 * r][2 * r + 1] = b
-            rows[2 * r + 1][2 * r] = -b
-        matrix = tuple(tuple(row) for row in rows)
-        blocks += (_ZERO,) * (inp.q - len(blocks))  # a short a_blocks leaves zero blocks
-    # a block input passes the blocks its matrix was built from, so ModelSpec scans none
-    return ModelSpec(inp.q, matrix, inp.pairings, blocks)
+    if inp.a_matrix is not None:
+        return ModelSpec(inp.q, inp.a_matrix, inp.pairings)
+    blocks = inp.a_blocks if inp.a_blocks is not None else (_ONE,) * inp.q
+    rows = [[_ZERO] * (2 * inp.q) for _ in range(2 * inp.q)]
+    for r, b in enumerate(blocks):
+        rows[2 * r][2 * r + 1] = b
+        rows[2 * r + 1][2 * r] = -b
+    model = ModelSpec(inp.q, tuple(tuple(row) for row in rows), inp.pairings)
+    # a short a_blocks leaves zero blocks
+    model.cache[("blocks",)] = blocks + (_ZERO,) * (inp.q - len(blocks))
+    return model
 
 
 def volume(model: ModelSpec) -> Fraction:
-    """vol = (1/q!) integral over J of omega^q; equals 1 when q = 0.  On a block
-    J-side it is the product of the blocks, else it is read off omega^q's int form
-    (``ModelSpec.omega_form``), with no element built.
-
-    It reads no pairing, so it is kept once per J-side, under ``("volume",)``.
-    """
+    """vol = (1/q!) integral over J of omega^q, which is F of the empty word over q!;
+    equals 1 when q = 0."""
     if not isinstance(model, ModelSpec):
         raise PreconditionError(f"volume needs a ModelSpec, got {model!r}")
-    cache, key = model.cache, ("volume",)
-    vol = cache.get(key)
-    if vol is None:
-        if model.blocks is not None:
-            vol = math.prod(model.blocks, start=_ONE)
-        else:
-            den, nums = model.omega_form(model.q)
-            vol = Fraction(nums.get(model.j_top, 0), den * math.factorial(model.q))
-        cache[key] = vol
-    return vol
+    return jacobian_odd_integral(model, (), ()) / math.factorial(model.q)
 
 
 def e_divisor(model: ModelSpec, sigma_dot) -> GradedElement:
@@ -167,16 +154,16 @@ def e_zeta_beta(model: ModelSpec, i) -> GradedElement:
 def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
     """The functional F on the odd part of an insertion word: the integral over J of
     th_{g_1} ... th_{g_a} . i_{be_{j_1}} omega ... i_{be_{j_b}} omega . omega^{q-(a+b)/2}.
-    An index naming no class of the model raises.  On a block J-side it is a product
-    of the blocks (``_block_odd_integral``), else the odd part's int form
-    (``ModelSpec.odd_form``) dotted with omega's power's.  It reads no pairing, so it
-    is kept once per J-side under ("F", gammas, threes).
+    An index naming no class of the model raises.  On a J-side built from blocks it
+    is a product of the blocks (``_block_odd_integral``), else the odd part's int
+    form (``ModelSpec.odd_form``) dotted with omega's power's.  It reads no pairing,
+    so it is kept once per J-side under ("F", gammas, threes).
     """
     cache, key = model.cache, ("F", tuple(gammas), tuple(threes))
     value = cache.get(key)
     if value is None:
-        if model.blocks is not None:
-            value = _block_odd_integral(model, gammas, threes)
+        if (blocks := cache.get(("blocks",))) is not None:
+            value = _block_odd_integral(model, blocks, gammas, threes)
         else:
             odd = model.odd_form(gammas, threes)
             # a vanishing odd part, as any of more than 2q degree-one classes, needs no
@@ -190,7 +177,7 @@ def jacobian_odd_integral(model: ModelSpec, gammas, threes) -> Fraction:
     return value
 
 
-def _block_odd_integral(model, gammas, threes) -> Fraction:
+def _block_odd_integral(model, blocks, gammas, threes) -> Fraction:
     """F on a block J-side, omega = sum_k b_k th_2k th_(2k+1) (0-based): i_{be_j} omega
     is the one term +-b_k th_(j^1) of j's block k, so the odd part is +-scale times
     the th of its indices, and omega^p = p! sum over p-sets S of blocks of
@@ -198,7 +185,6 @@ def _block_odd_integral(model, gammas, threes) -> Fraction:
     distinct and fill whole blocks; then it is sign(sort) scale p! prod b_k over the
     blocks the word does not touch (Macdonald, Symmetric products of an algebraic
     curve, 1962).  It runs no ring code."""
-    blocks = model.blocks
     indices = [model._index(i) for i in gammas]
     num = den = 1  # +-scale times the untouched blocks' product, as num/den in ints
     for j in [model._index(j) for j in threes]:

@@ -81,7 +81,7 @@ def complex_orientation_sign(wK, w2) -> int:
 @dataclass(frozen=True)
 class WallGeometry:
     """A wall from its seven inputs: p1, q and the pairings of zeta, w and K, the
-    w-data defaulting to w = zeta.
+    w-data (zetaW, w2, wK) all given or all omitted, for w = zeta.
 
     Each input is coerced once through ``exact_int``.  The derived fields (d,
     l_zeta, h, N and empty_side from ``wall_params``, and the two signs of the
@@ -108,16 +108,21 @@ class WallGeometry:
 
     def __post_init__(self):
         # object.__setattr__, not __dict__: a written __dict__ slows every attribute read
-        put = object.__setattr__
+        put, omitted = object.__setattr__, []
         for key, default in (("p1", None), ("q", None), ("zeta2", None), ("zetaK", None),
                              ("zetaW", "zeta2"), ("w2", "zeta2"), ("wK", "zetaK")):
             value = getattr(self, key)
             if value is None and default:
                 value = getattr(self, default)
+                omitted.append(key)
             elif abs(value := exact_int(value, key)) > MAX_WALL_INPUT:
                 raise PreconditionError(
                     f"{key} exceeds the largest wall input, 10^100, in magnitude")
             put(self, key, value)
+        # a part of the w-data would be priced with zeta's for the rest: a w nobody gave
+        if 0 < len(omitted) < 3:
+            raise PreconditionError(
+                f"give all of zetaW, w2 and wK or none of them; missing {', '.join(omitted)}")
         for key, value in wall_params(self.p1, self.q, self.zeta2, self.zetaK)._asdict().items():
             put(self, key, value)
         # each raises unless its sign is defined: (zeta - w)/2 a class, K.w + w^2 even

@@ -21,9 +21,9 @@ def _bench_pairs(path=SCRIPT):
     return module
 
 
-def _output(seed, p50, points_per_s):
+def _output(seed, p50, points_per_s, attempted=100, failed=0):
     env = {"python": "3.11.7", "nproc": 2, "seed": seed, "workload": "cli-requests"}
-    result = {"correct": True, "attempted": 100, "failed": 0,
+    result = {"correct": True, "attempted": attempted, "failed": failed,
               "metrics": {"latency_ms_p50": {"value": p50, "unit": "ms"},
                           "points_per_s": {"value": points_per_s, "unit": "1/s"},
                           "trace.other": {"value": 1.0, "unit": "s"}}}
@@ -88,3 +88,31 @@ def test_a_failed_run_ends_the_script_with_one_message(tmp_path, monkeypatch):
     # one run, in the clone, which is removed, and no report is written
     assert runs == [str(clone)]
     assert not clone.exists() and not (tmp_path / "bench.json").exists()
+
+
+def test_a_report_keeps_each_runs_attempted_and_failed_counts(tmp_path, monkeypatch):
+    # git and perfbench/run.py are both faked, over two cli-requests pairs: the
+    # change side's run of seed n fails n of its 100 + n operations
+    bench = _bench_pairs()
+    clone = tmp_path / "clone"
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, "" if "status" in cmd else "abc1234\n", "")
+        seed = int(cmd[cmd.index("--seed") + 1])
+        failed = 0 if kwargs["cwd"] == str(clone) else seed
+        out = _output(seed, 0.2, 800.0, 100 + seed, failed)
+        return subprocess.CompletedProcess(cmd, 0, out, "")
+
+    def mkdtemp(prefix):
+        clone.mkdir()
+        return str(clone)
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    monkeypatch.setattr(bench.tempfile, "mkdtemp", mkdtemp)
+    monkeypatch.setattr(bench, "_clear_bytecode", lambda tree: None)
+    monkeypatch.setattr(bench, "PLAN", (("cli-requests", 2),))
+    assert bench.main(["HEAD~1", "--out", str(tmp_path / "bench.json")]) == 0
+    entry = json.loads((tmp_path / "bench.json").read_text())["workloads"]["cli-requests"]
+    assert entry["attempted"] == [[101, 101], [102, 102]]
+    assert entry["failed"] == [[0, 1], [0, 2]]
+    assert entry["pairs"] == 2 and entry["correct"] and not clone.exists()

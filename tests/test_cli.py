@@ -809,3 +809,46 @@ def test_a_json_request_leaves_no_cyclic_garbage(tmp_path, capsys):
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+@pytest.mark.parametrize("keys", [("zetaW",), ("w2",), ("wK",), ("zetaW", "w2"), ("zetaW", "wK"),
+                                  ("w2", "wK")], ids="+".join)
+def test_partial_w_data_is_an_input_error(tmp_path, capsys, keys):
+    # L0_DOC's zeta^2 = -1, zeta.K = 1 with a wall {"p1": -1, "zetaW": 3} exited 0,
+    # its w^2 and w.K silently taken from zeta
+    full = {"zetaW": 3, "w2": 7, "wK": 1}
+    doc = dict(L0_DOC, wall={"p1": -1, **{key: full[key] for key in keys}})
+    code, out, err = _run(capsys, "--command", "delta", "--input", _write(tmp_path, "w.json", doc))
+    missing = ", ".join(key for key in full if key not in keys)
+    assert (code, out, err) == (1, "", "error: bad wall data: give all of zetaW, w2 and wK or "
+                                       f"none of them; missing {missing}\n")
+    doc = dict(L0_DOC, wall={"p1": -1, **full})
+    assert _run(capsys, "--command", "delta", "--input", _write(tmp_path, "w.json", doc))[0] == 0
+
+
+@pytest.mark.parametrize("version, refusal", [
+    (1, None), (1.0, None), ("1", None), ("2/2", None), ("1e0", None),
+    (True, "schema_version must be an integer, got True"),
+    (False, "schema_version must be an integer, got False"),
+    (None, "schema_version must be an integer, got None"),
+    ("1/2", "schema_version must be an integer, got 1/2"),
+    (0, "unsupported schema_version 0"), ("2", "unsupported schema_version 2"),
+    ("1e4300", "unsupported schema_version a int too long to print"),
+])
+@pytest.mark.parametrize("kind", ["model", "surface"])
+def test_schema_version_is_read_by_the_number_rule(tmp_path, capsys, version, refusal, kind):
+    # "schema_version": true was read as 1, and "1" was refused as "unsupported
+    # schema_version 1"
+    if kind == "model":
+        doc, args = dict(L0_DOC, schema_version=version), ["--command", "params"]
+    else:
+        doc, args = dict(SURFACE_DOC, schema_version=version), ["--command", "walls", "--w",
+                                                                "1,1", "--p1", "-2"]
+    path = _write(tmp_path, "v.json", doc)
+    code, out, err = _run(capsys, *args, "--input", path)
+    expected = _run(capsys, *args, "--input", _write(tmp_path, "one.json", dict(
+        doc, schema_version=1)))
+    if refusal is None:
+        assert (code, out, err) == expected and code == 0
+    else:
+        assert (code, out, err) == (1, "", f"error: {refusal}\n")

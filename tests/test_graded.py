@@ -461,11 +461,16 @@ def test_with_pairings_models_share_one_omega_power_cache_filled_in_either_order
             for first in range(2):
                 base = make_model(q, matrix=_random_a_matrix(rng, q, kind))
                 sibling = base.with_pairings(Pairings(zeta2=-1, sigmaZeta=2))
-                assert sibling._omega_powers is base._omega_powers
+                assert sibling.cache is base.cache
                 early, late = (base, sibling) if first == 0 else (sibling, base)
                 early.omega_pow(rng.randint(2, q))
                 late.omega_pow(q + 1)
-                assert len(base._omega_powers) == q + 2
+                # one list of int forms (den, {j: num}) for the J-side, omega^0..omega^(q+1)
+                assert list(base.cache) == [("omega",)]
+                powers = base.cache[("omega",)]
+                assert len(powers) == q + 2
+                assert {type(x) for den, nums in powers for x in (den, *nums, *nums.values())} \
+                    == {int}
                 for model in (base, sibling):
                     omega = omega_element(model)
                     for k in range(q + 2):

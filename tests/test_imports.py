@@ -96,3 +96,32 @@ def test_a_forbidden_import_is_found():
     assert _forbidden(tree, ROUTE_RULE["closed"]) == [
         ("chern", "segre_from_ch"), ("graded", "GradedElement"), ("oracle", None),
         ("verify", None)]
+
+
+def _block_names(tree):
+    """The lines where the module names a block J-side's data: the cache key
+    ``("blocks",)``, a one-tuple of the string "blocks", or ``block_coefficients``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple):
+            if [getattr(elt, "value", None) for elt in node.elts] == ["blocks"]:
+                lines.add(node.lineno)
+        elif "block_coefficients" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                      getattr(node, "name", None)):
+            lines.add(getattr(node, "lineno", 0))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_jacobian_names_the_block_data(path):
+    # the blocks of an a_blocks input are kept in the J-side's cache, and only the
+    # closed route's F reads them: the ring kernel and the oracle never do
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert bool(_block_names(tree)) == (path.stem == "jacobian"), _block_names(tree)
+
+
+def test_a_block_name_is_found():
+    tree = ast.parse('x = cache[("blocks",)]\ny = cache["blocks",]\nz = ("blocks", 1)\n'
+                     "def block_coefficients(a):\n    pass\n"
+                     "from .graded import block_coefficients\ngraded.block_coefficients(a)\n")
+    assert _block_names(tree) == [1, 2, 4, 6, 7]

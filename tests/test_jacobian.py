@@ -182,7 +182,8 @@ def _ring_f(model, gammas, threes):
 
 def _block_j_side(rng, side):
     """A random block J-side of q <= 4 with rational blocks: from a_blocks, cut short
-    at random (zero blocks past its end), or from a block-form a_matrix with zeros."""
+    at random (zero blocks past its end), or from a block-form a_matrix with zeros,
+    which is priced as a dense a_matrix is."""
     q = rng.randint(0, 4)
     values = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(q)]
     if side % 2:
@@ -205,7 +206,9 @@ def test_block_vol_and_f_are_the_ring_values():
     for side in range(150):
         model, blocks = _block_j_side(rng, side)
         q, n = model.q, 2 * model.q
-        assert model.blocks == tuple(blocks)
+        # only an a_blocks input keeps its blocks; a block-shaped a_matrix takes the
+        # int-form path of every a_matrix
+        assert model.cache.get(("blocks",)) == (None if side % 2 else tuple(blocks))
         assert volume(model) == math.prod(blocks) == integrate_jacobian(
             model.omega_pow(q)) / math.factorial(q) == pfaffian(model.a_matrix)
         for word in range(8):

@@ -480,14 +480,15 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         # an l = 1 X-table under (N_+, N_-, d), an l = 0 one under (branch, N_+, N_-, d),
         # each with the pairings it reads: Sigma.zeta = 1, Sigma.K = 2, zeta^2 = -4,
         # zeta.K = 2 and K^2 = 8, the unified l = 0 one Sigma.zeta alone.  One I_c per odd part, at the j = q - (|gamma| + |A|)/2
-        # that the word's degree leaves, shared by both r; I_c, vol and F read no
-        # pairing
+        # that the word's degree leaves, shared by both r; I_c, the omega powers, the
+        # blocks and F (vol is F of the empty word) read no pairing
         assert (wall1.n_plus, wall1.n_minus, wall1.d) == (4, 2, 11)
         assert (wall0.n_plus, wall0.n_minus, wall0.d) == (3, 1, 7)
         assert set(model.cache) == {("l1 table", 4, 2, 11, 1, 1, 2, 1, -4, 1, 2, 1, 8, 1),
                                     ("l0 table", "unified", 3, 1, 7, 1, 1),
                                     ("I_c", (0, 1), (2, 3), 0), ("I_c", (), (), 2),
-                                    ("volume",), ("F", (0, 1), (2, 3))}
+                                    ("blocks",), ("omega",), ("F", (), ()),
+                                    ("F", (0, 1), (2, 3))}
         ref = weakref.ref(model)
         del model
         assert ref() is None
@@ -498,11 +499,12 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         for model in models:
             price(model)
         # the models differ in Sigma.zeta, 1 or -2, so they keep two of each table;
-        # vol, F and each I_c read no pairing, and one entry each serves all three models
+        # the blocks, the omega powers, F and each I_c read no pairing, and one entry
+        # each serves all three models
         assert len(_kept(j_side, "l1 table")) == len(_kept(j_side, "l0 table")) == 2
         assert _kept(j_side, "I_c") == {("I_c", (0, 1), (2, 3), 0), ("I_c", (), (), 2)}
-        assert _kept(j_side, "volume") | _kept(j_side, "F") == {("volume",),
-                                                                ("F", (0, 1), (2, 3))}
+        assert _kept(j_side, "F") == {("F", (), ()), ("F", (0, 1), (2, 3))}
+        assert _kept(j_side, "blocks") | _kept(j_side, "omega") == {("blocks",), ("omega",)}
         refs = [weakref.ref(m) for m in (j_side, *models)]
         del j_side, models, model
         assert [ref() for ref in refs] == [None] * 4
@@ -565,9 +567,10 @@ def test_models_differing_in_one_pairing_share_exactly_the_entries_that_do_not_r
             built = [len(moments), sum(len(threes) for _, _, threes in moments)]
             priced += [_priced(model, wall1, word) for word in words1]
             priced += [volume(model), delta_l0_odd(wall0, model, words0[1]).value]
-            # the first model builds the l = 1 table (both strata) and keeps vol and F
-            built += [len(strata)] + [len(_kept(j_side, kind) - kept) for kind in ("volume", "F")]
-            expect = [3, 1, 2, 1, 1] if pairs is BASE else [0, 0, 2 * l1_table, 0, 0]
+            # the first model builds the l = 1 table (both strata) and keeps F of the
+            # empty word (vol) and of gamma_2 A_2
+            built += [len(strata), len(_kept(j_side, "F") - kept)]
+            expect = [3, 1, 2, 2] if pairs is BASE else [0, 0, 2 * l1_table, 0]
             assert built == expect, key
             fresh = build_model(PairingInput(q=q, pairings=pr, a_blocks=blocks))
             assert priced == [_priced(fresh, wall, word)
@@ -1062,8 +1065,9 @@ def test_no_model_build_and_no_l0_price_constructs_a_ring_element(monkeypatch):
 
 
 def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
-    # neither reads a pairing: a second with_pairings model keeps neither
-    # again, a model over other blocks does; F is kept by both index lists
+    # F reads no pairing, and vol is F of the empty word over q!: a second
+    # with_pairings model keeps no F again, a model over other blocks does; F is
+    # kept by both index lists
     # consecutive lists share their gammas or their A indices; at blocks (2, 3)
     # no two share their F
     lists = [((0, 1), ()), ((0, 1), (2, 3)), ((), (2, 3)), ((2, 3), (0, 1)), ((), (0, 1))]
@@ -1075,8 +1079,8 @@ def test_vol_and_f_are_kept_once_per_j_side(monkeypatch):
             kept = set(j_side.cache)
             got = [volume(model)] + [jacobian_odd_integral(model, *key) for key in lists]
             first = pairs is BASE
-            added = tuple(len(_kept(j_side, kind) - kept) for kind in ("volume", "F"))
-            assert added == ((1, len(lists)) if first else (0, 0)), blocks
+            assert len(_kept(j_side, "F") - kept) == (1 + len(lists) if first else 0), blocks
+            assert volume(model) == jacobian_odd_integral(model, (), ()) / 2
             fresh = build_model(PairingInput(q=2, pairings=Pairings(**pairs), a_blocks=blocks))
             assert got == [volume(fresh)] + [jacobian_odd_integral(fresh, *key) for key in lists]
             seen.append(got)
@@ -1120,9 +1124,10 @@ def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
 
 def _memo_parts(j_side):
     """The J-side cache split by kind: (integration forms, l = 0 table scalars,
-    I_c pairs, Fraction scalars, the ints of the keys).  Each key is its kind's
-    tag, then ints, a branch or index tuples, then the pairings its value reads."""
-    forms, scalars, moments, fractions, ints = [], [], [], [], []
+    I_c pairs, Fraction scalars, the ints of the keys, the omega powers' int forms).
+    Each key is its kind's tag, then ints, a branch or index tuples, then the
+    pairings its value reads."""
+    forms, scalars, moments, fractions, ints, powers = [], [], [], [], [], []
     for key, entry in j_side.cache.items():
         kind = key[0]
         if kind == "l1 table":  # (N_+, N_-, d) and five pairings: a form by N
@@ -1142,10 +1147,13 @@ def _memo_parts(j_side):
             assert len(key) == 3, key
             ints += [*key[1], *key[2]]
             fractions.append(entry)
-        else:
-            assert key == ("volume",), key
-            fractions.append(entry)
-    return forms, scalars, moments, fractions, ints
+        elif kind == "blocks":  # the b_k of an a_blocks input
+            assert key == ("blocks",) and len(entry) == j_side.q, key
+            fractions += entry
+        else:  # omega^0, omega^1, ... as (den, {j: num})
+            assert key == ("omega",), key
+            powers += entry
+    return forms, scalars, moments, fractions, ints, powers
 
 
 def _form_ints(form):
@@ -1203,12 +1211,14 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
                                               K2=8, Kalpha=2, alpha2=Fraction(-1, 3)))
         values += [delta_oracle_l1(model, wall, r).value for r in (0, 1)]
         values.append(volume(model))
-    forms, scalars, moments, fractions, key_ints = (
+    forms, scalars, moments, fractions, key_ints, powers = (
         sum(parts, []) for parts in zip(*map(_memo_parts, j_sides)))
     # a key names the pairings its value reads by (numerator, denominator) ints,
     # never a Fraction or a wall
     assert {type(x) for x in key_ints} == {int}
     assert {type(v) for v in values + fractions} == {Fraction}
+    assert {type(x) for den, nums in powers for x in (den, *nums, *nums.values())} == {int}
+    assert min(den for den, _ in powers) > 0 and max(den for den, _ in powers) > 1
     for pairs in (scalars, moments):
         assert {type(x) for pair in pairs for x in pair} == {int}
         assert all(den > 0 and math.gcd(num, den) == 1 for num, den in pairs)

@@ -30,8 +30,9 @@ SHARED = {
     "walls.WallGeometry.admit", "jacobian.DeltaValue.__init__", "delta.evaluate",
 }
 
-# a dense J-side's vol and F are read off the int forms that the oracle's I_c and
-# omega powers read
+# an a_matrix J-side's vol and F, a block-shaped one's too, are read off the int
+# forms that the oracle's I_c and omega powers read; only an a_blocks J-side's are
+# products of its blocks
 DENSE_SHARED = SHARED | {
     "graded.ModelSpec.omega_form",  # until item 8(b)
     "graded.wedge",  # until item 8(b)
@@ -44,6 +45,8 @@ DENSE_SHARED = SHARED | {
 PAIRINGS = Pairings(zeta2=-3, zetaK=1, zetaAlpha=3, sigmaZeta=2, sigmaAlpha=-1, sigmaK=1,
                     K2=8, Kalpha=1, alpha2=-1)
 PFAFFIAN_6 = ((0, 1, 1, 0), (-1, 0, 0, -5), (-1, 0, 0, 1), (0, 5, -1, 0))
+# the blocks (2, 3) as an a_matrix
+BLOCK_SHAPED = ((0, 2, 0, 0), (-2, 0, 0, 0), (0, 0, 0, 3), (0, 0, -3, 0))
 
 
 def _spans():
@@ -105,7 +108,8 @@ def _cases(q):
 
 @pytest.mark.parametrize("q, blocks, matrix, allowed", [
     (1, (2,), None, SHARED), (2, (2, 3), None, SHARED), (2, (1,), None, SHARED),
-    (2, None, PFAFFIAN_6, DENSE_SHARED)], ids=["blocks-2", "blocks-2-3", "zero-block", "dense"])
+    (2, None, PFAFFIAN_6, DENSE_SHARED), (2, None, BLOCK_SHAPED, DENSE_SHARED)],
+    ids=["blocks-2", "blocks-2-3", "zero-block", "dense", "block-shaped-matrix"])
 def test_the_routes_share_only_the_allowed_functions(q, blocks, matrix, allowed):
     shared = set()
     for wall, word in _cases(q):

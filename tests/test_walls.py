@@ -1,8 +1,10 @@
 """Wall parameter derivation, sign conventions, validity predicates."""
 
+import itertools
+
 import pytest
 
-from wallcross import InvalidWallError, WallGeometry
+from wallcross import InvalidWallError, PreconditionError, WallGeometry
 from wallcross.walls import complex_orientation_sign, wall_params, wall_sign
 
 from conftest import reversed_wall
@@ -113,3 +115,20 @@ def test_wall_geometry_w_validation():
         wall = WallGeometry.build(p1=-4, q=2, zeta2=-4, zetaK=4, zetaW=-4 - 2 * zu,
                                   w2=-4 - 4 * zu + 4 * u2, wK=4 - 2 * uk)
         assert wall.sign_wall == (-1) ** (u2 % 2)
+
+
+# a w with u = (zeta - w)/2, u.zeta = -2 and u^2 = u.K = 0, on zeta^2 = -1, zeta.K = 1
+FULL_W = {"zetaW": 3, "w2": 7, "wK": 1}
+# the six non-empty proper subsets of the w-data
+PARTIAL_W = [keys for n in (1, 2) for keys in itertools.combinations(FULL_W, n)]
+
+
+@pytest.mark.parametrize("keys", PARTIAL_W, ids="+".join)
+def test_partial_w_data_is_refused_naming_what_is_missing(keys):
+    # {"p1": -1, "zetaW": 3} was priced with w^2 and w.K taken from zeta, so the
+    # sign (-1)^((K.w + w^2)/2) was that of a w nobody gave
+    missing = ", ".join(key for key in FULL_W if key not in keys)
+    with pytest.raises(PreconditionError, match=f"none of them; missing {missing}$"):
+        WallGeometry(p1=-1, q=1, zeta2=-1, zetaK=1, **{key: FULL_W[key] for key in keys})
+    wall = WallGeometry(p1=-1, q=1, zeta2=-1, zetaK=1, **FULL_W)
+    assert (wall.zetaW, wall.w2, wall.wK) == (3, 7, 1)

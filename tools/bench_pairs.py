@@ -16,7 +16,8 @@ also makes one ``--trace 1`` run per workload for the per-layer metrics.
 
 The JSON written holds, per workload and metric, each side's median and
 quartiles, every run's value and the number of pairs the change won, and
-keeps each run's point count and ``perfbench-env`` line, beside both commits.
+keeps each run's point count, failed-operation count and ``perfbench-env``
+line, beside both commits.
 It reads BENCHMARK.json for the run length and the metrics' directions and
 imports nothing from ``perfbench/``.
 """
@@ -139,6 +140,8 @@ def main(argv=None) -> int:
                      "correct": all(p["correct"] and c["correct"] for p, c in pairs),
                      # completed requests per run, which peak_rss_mb grows with
                      "attempted": [[p["attempted"], c["attempted"]] for p, c in pairs],
+                     # failed operations per run: the failed share is compared too
+                     "failed": [[p["failed"], c["failed"]] for p, c in pairs],
                      "env": [[p["env"], c["env"]] for p, c in pairs]}
             traced = {side: _run(side, trees[side], workload, 1, seconds, 1)
                       for side in ("parent", "change")}

@@ -96,7 +96,8 @@ def _shown(x) -> str:
     try:
         text = str(x) if isinstance(x, Fraction) else repr(x)
     except ValueError:  # an int past Python's limit on the digits of an int as text
-        return f"a {type(x).__name__} too long to print"
+        name = type(x).__name__
+        return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name} too long to print"
     return text if len(text) <= 48 else f"{text[:40]}... ({len(text)} characters)"
 
 
@@ -198,8 +199,8 @@ class ModelSpec:
     ``pairings`` the ``jacobian.Pairings`` record of the even symbols, which
     ``pair`` reads.  Both are taken as given: ``jacobian.build_model`` makes a
     model from a ``PairingInput``, which checks them once.  Jacobian classes
-    outside the ring multiply are int forms read off a_ij (``omega_form``,
-    ``odd_form``), so a model builds no element.
+    outside the ring multiply are int forms (``omega_form`` from omega's sparse
+    rows, ``odd_form`` off a_ij), so a model builds no element.
 
     ``cache`` is one dict per J-side (q, a_ij), shared by ``with_pairings``.  A
     value kept there is keyed by a tag for its kind and every pairing it reads,
@@ -292,19 +293,18 @@ class ModelSpec:
     def omega_form(self, k) -> tuple:
         """omega^k as the int form ``(den, {j: num})`` that Jacobian integrals read,
         kept once per J-side: omega = sum_{i<j} a_ij th_i th_j over the lcm D of the
-        denominators of the non-zero a_ij (a zero's is 1), read off ``a_matrix``, and
-        omega^k its ``wedge`` power, over one more D than omega^(k-1).  The powers
-        read no pairing, so they are kept as one list under ``("omega",)``."""
+        denominators of the non-zero a_ij, read off the sparse rows ``(D, rows)`` that
+        ``jacobian.build_model`` keeps under ``("omega rows",)``, and omega^k its
+        ``wedge`` power, over one more D than omega^(k-1).  The powers read no
+        pairing, so they are kept as one list under ``("omega",)``."""
         if k < 0:
             raise PreconditionError("negative omega power")
         powers = self.cache.setdefault(("omega",), [(1, {0: 1})])
         if len(powers) <= k:
             if len(powers) == 1:
-                terms = [(1 << i | 1 << j, c) for i, row in enumerate(self.a_matrix)
-                         for j, c in enumerate(row[i + 1:], i + 1) if c]
-                d = math.lcm(*{c.denominator for _, c in terms})
-                powers.append((d, {bit: c.numerator * (d // c.denominator)
-                                   for bit, c in terms}))
+                d, rows = self.cache[("omega rows",)]
+                powers.append((d, {1 << i | 1 << j: n for i, row in enumerate(rows)
+                                   for j, n in row}))
             (d, omega), (scale, prev) = powers[1], powers[-1]
             while len(powers) <= k:
                 prev, scale = wedge(prev, omega), scale * d

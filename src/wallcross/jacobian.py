@@ -100,19 +100,33 @@ class PairingInput:
 
 def build_model(inp: PairingInput) -> ModelSpec:
     """Realize a PairingInput as a concrete ring model.  A block input keeps its blocks,
-    zero-padded to q, in the cache under ``("blocks",)``, which only this module reads."""
+    zero-padded to q, in the cache under ``("blocks",)``, which only this module reads.
+
+    omega = sum_{i<k} a_ik th_i th_k is derived here alone, as its sparse rows
+    ``(D, rows)`` under ``("omega rows",)``: ``rows[i]`` holds ``(k, n_ik)`` for each
+    k > i with a_ik = n_ik / D nonzero, D the lcm of their denominators (1 for none)."""
     if not isinstance(inp, PairingInput):
         raise PreconditionError(f"build_model needs a PairingInput, got {inp!r}")
+    n = 2 * inp.q
     if inp.a_matrix is not None:
-        return ModelSpec(inp.q, inp.a_matrix, inp.pairings)
-    blocks = inp.a_blocks if inp.a_blocks is not None else (_ONE,) * inp.q
-    rows = [[_ZERO] * (2 * inp.q) for _ in range(2 * inp.q)]
-    for r, b in enumerate(blocks):
-        rows[2 * r][2 * r + 1] = b
-        rows[2 * r + 1][2 * r] = -b
-    model = ModelSpec(inp.q, tuple(tuple(row) for row in rows), inp.pairings)
-    # a short a_blocks leaves zero blocks
-    model.cache[("blocks",)] = blocks + (_ZERO,) * (inp.q - len(blocks))
+        model = ModelSpec(inp.q, inp.a_matrix, inp.pairings)
+        terms = [[(k, c) for k, c in enumerate(row[i + 1:], i + 1) if c]
+                 for i, row in enumerate(inp.a_matrix)]
+        d = math.lcm(*{c.denominator for row in terms for _, c in row})
+        omega = tuple(tuple((k, c.numerator * (d // c.denominator)) for k, c in row)
+                      for row in terms)
+    else:
+        blocks = inp.a_blocks if inp.a_blocks is not None else (_ONE,) * inp.q
+        d = math.lcm(*{b.denominator for b in blocks})
+        rows, omega = [[_ZERO] * n for _ in range(n)], [()] * n
+        for r, b in enumerate(blocks):
+            rows[2 * r][2 * r + 1] = b
+            rows[2 * r + 1][2 * r] = -b
+            omega[2 * r] = ((2 * r + 1, b.numerator * (d // b.denominator)),)
+        model = ModelSpec(inp.q, tuple(tuple(row) for row in rows), inp.pairings)
+        # a short a_blocks leaves zero blocks
+        model.cache[("blocks",)] = blocks + (_ZERO,) * (inp.q - len(blocks))
+    model.cache[("omega rows",)] = (d, tuple(omega))
     return model
 
 

@@ -19,11 +19,11 @@ A = -e_alpha + aX is raised as A^s = sum_b C(s, b) a^b t^(s - b) omega^(s - b) X
 At l = 0 every e_D is a multiple of omega, so the X-table lives in the
 omega-subring, X^N becoming (num/den) omega^m, and a word is priced from the
 table's scalars and the Jacobian moments I_c(j) = integral over J of
-c omega^j of its odd part c, which read no wall: c and omega^j are int forms
-read off a_ij, dotted in ints, so no l = 0 price builds an element.  At l = 1
-the table is built in the full kernel, and a word is priced as scalars times
-Jacobian integrals: each surface class [S]^i alpha_S^j meets a table entry's
-S-words through the S-product alone.
+c omega^j of its odd part c, which read no wall: c is an int form, and only the
+coefficients of omega^j it reads are expanded, in ints, from omega's rows, so no
+l = 0 price builds an element.  At l = 1 the table is built in the full kernel,
+and a word is priced as scalars times Jacobian integrals: each surface class
+[S]^i alpha_S^j meets a table entry's S-words through the S-product alone.
 """
 
 from __future__ import annotations
@@ -146,18 +146,41 @@ def _l0_table(model, wall, branch):
     return table
 
 
+def _omega_top(rows, tops, t):
+    """The numerator of omega^j at the J-monomial t, |t| = 2j, over D^j for omega's
+    rows ``(D, rows)``.  With i the lowest generator of t and omega_i the terms of
+    omega holding th_i, omega_i^2 = 0, so omega^j = omega'^j + j omega_i omega'^(j-1)
+    and only the second term reaches t: top(t) = j sum over (k, n_ik) of row i with
+    k in t of n_ik (-1)^(bits of t - {i, k} below k) top(t - {i, k}).  Every value
+    is an int kept in ``tops`` by t."""
+    top = tops.get(t)
+    if top is None:
+        i, top = (t & -t).bit_length() - 1, 0
+        for k, n in rows[i]:
+            if t >> k & 1:
+                rest = t ^ (1 << i | 1 << k)
+                sub = n * _omega_top(rows, tops, rest)
+                top += -sub if (rest & ((1 << k) - 1)).bit_count() & 1 else sub
+        top = tops[t] = t.bit_count() // 2 * top
+    return top
+
+
 def _jacobian_moment(model, word, j):
     """I_c(j), the integral over J of c omega^j with c the word's odd factors in
-    order, as a reduced ``(num, den)``: c's ``odd_form`` dotted with omega^j's
-    ``omega_form``.  It reads no wall.  The factor of A_j is
-    -e_{zeta,beta_j} = -(Sigma.zeta) i_{be_j} omega, so (-Sigma.zeta)^b, b the
-    number of A-insertions, comes out of the integral, which reads no pairing and
-    is kept under (gamma, A, j)."""
+    order, as a reduced ``(num, den)``: D^-j times the sum over c's ``form_pairs``
+    (t, n) of n ``_omega_top(t)``, so only the coefficients of omega^j that c reads
+    are built, from the rows ``(D, rows)`` of omega.  It reads no wall.  The factor
+    of A_j is -e_{zeta,beta_j} = -(Sigma.zeta) i_{be_j} omega, so (-Sigma.zeta)^b, b
+    the number of A-insertions, comes out of the integral, which reads no pairing
+    and is kept under (gamma, A, j)."""
     key = ("I_c", word.gammas, word.threes, j)
     moment = model.cache.get(key)
     if moment is None:
-        c = model.odd_form(word.gammas, word.threes)
-        num, den = integrate_forms(form_pairs(model, c), model.omega_form(j))
+        d, rows = model.cache[("omega rows",)]
+        tops = model.cache.setdefault(("omega top",), {0: 1})
+        den, pairs = form_pairs(model, model.odd_form(word.gammas, word.threes))
+        num = sum(n * _omega_top(rows, tops, t) for t, n in pairs if t.bit_count() == 2 * j)
+        den *= d ** j
         g = math.gcd(num, den)
         moment = model.cache[key] = (num // g, den // g)
     b = len(word.threes)

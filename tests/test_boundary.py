@@ -27,7 +27,7 @@ from wallcross import (DeltaValue, InsertionWord, PairingInput, Pairings, Precon
                        volume)
 from wallcross.delta import PATHS
 from wallcross.cli import main, read_model_document
-from wallcross.graded import MAX_EXPONENT, MAX_Q, MAX_WALL_INPUT, frac
+from wallcross.graded import MAX_EXPONENT, MAX_Q, MAX_WALL_INPUT, _shown, exact_int, frac
 from wallcross.jacobian import PAIRING_KEYS
 from wallcross.walls import MAX_DEGREE, wall_params
 
@@ -314,6 +314,16 @@ def test_wall_params_names_an_int_too_long_to_print():
     for args in ((10 ** 5000, 1, -1, 1), (-1, -10 ** 5000, -1, 1), (-1, 1, 10 ** 5000, 1)):
         with pytest.raises(WallCrossError, match="too long to print"):
             wall_params(*args)
+
+
+def test_a_value_too_long_to_print_is_named_with_its_article():
+    # it printed "a int too long to print", seen as "unsupported schema_version a int ..."
+    huge = 10 ** 5000
+    assert _shown(huge) == "an int too long to print"
+    assert _shown(Fraction(huge, 3)) == "a Fraction too long to print"
+    with pytest.raises(PreconditionError) as refusal:
+        exact_int(Fraction(huge, 3), "q")
+    assert str(refusal.value) == "q must be an integer, got a Fraction too long to print"
 
 
 def test_the_library_and_the_json_reader_share_one_number_rule():

@@ -833,7 +833,7 @@ def test_partial_w_data_is_an_input_error(tmp_path, capsys, keys):
     (None, "schema_version must be an integer, got None"),
     ("1/2", "schema_version must be an integer, got 1/2"),
     (0, "unsupported schema_version 0"), ("2", "unsupported schema_version 2"),
-    ("1e4300", "unsupported schema_version a int too long to print"),
+    ("1e4300", "unsupported schema_version an int too long to print"),
 ])
 @pytest.mark.parametrize("kind", ["model", "surface"])
 def test_schema_version_is_read_by_the_number_rule(tmp_path, capsys, version, refusal, kind):

@@ -465,8 +465,9 @@ def test_with_pairings_models_share_one_omega_power_cache_filled_in_either_order
                 early, late = (base, sibling) if first == 0 else (sibling, base)
                 early.omega_pow(rng.randint(2, q))
                 late.omega_pow(q + 1)
-                # one list of int forms (den, {j: num}) for the J-side, omega^0..omega^(q+1)
-                assert list(base.cache) == [("omega",)]
+                # one list of int forms (den, {j: num}) for the J-side, omega^0..omega^(q+1),
+                # raised from the sparse rows of omega that build_model keeps
+                assert list(base.cache) == [("omega rows",), ("omega",)]
                 powers = base.cache[("omega",)]
                 assert len(powers) == q + 2
                 assert {type(x) for den, nums in powers for x in (den, *nums, *nums.values())} \

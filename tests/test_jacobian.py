@@ -167,6 +167,26 @@ def test_the_values_ci_pins_on_a_rational_dense_j_side_are_the_pfaffian_referenc
     assert values == [reference, reference] == [Fraction(4617, 100)] * 2
 
 
+def test_the_value_ci_pins_on_a_dense_q10_j_side_is_the_pfaffian_reference():
+    # CI prices alpha^25 d1 d2 on this fully dense q = 10 form by the oracle alone,
+    # whose I_c reads only the coefficients of omega^9 the word needs; the closed
+    # route still raises whole omega powers here, so the pin is its sum on the
+    # Pfaffian reference F (p = 9, b = 0)
+    a = [[0] * 20 for _ in range(20)]
+    for i, j in itertools.combinations(range(20), 2):
+        a[i][j] = (i + 2 * j) % 5 - 2 or 3
+        a[j][i] = -a[i][j]
+    pairings = Pairings(zeta2=-1, zetaK=1, zetaAlpha=Fraction(3, 2), sigmaZeta=2,
+                        sigmaAlpha=-1, sigmaK=1, K2=8, Kalpha=1, alpha2=-1)
+    wall = WallGeometry.build(p1=-1, q=10, zeta2=-1, zetaK=1)
+    word = InsertionWord(s=25, gammas=(0, 1))
+    assert word.degree() == 2 * wall.d
+    reference = _l0_closed(wall, pairings, 0, 25, 9, 0, pfaffian_f(a, (0, 1), ())).value
+    value, = evaluate(build_model(PairingInput(q=10, pairings=pairings, a_matrix=a)), wall,
+                      word, "oracle")
+    assert value.value == reference == Fraction(-4340105576331211323, 32768)
+
+
 def _ring_f(model, gammas, threes):
     """F by the ring: the odd factors' product against omega's power, integrated.
     The reference for the block product, which runs none of this."""
@@ -227,6 +247,31 @@ def test_block_vol_and_f_are_the_ring_values():
             checked += 1
             nonzero += value != 0
     assert checked == 1200 and nonzero > 300
+
+
+def test_the_omega_rows_of_a_blocks_input_are_those_of_its_a_matrix_twin():
+    # build_model derives omega's sparse rows (D, rows) once per J-side: in the loop
+    # that places an a_blocks input's blocks, or by one scan of an a_matrix.  The
+    # block-shaped a_matrix of the same blocks must give the same rows, with a zero
+    # block (a short a_blocks) leaving its row empty, and D the lcm of the nonzero
+    # entries' denominators
+    rng = random.Random(1962)
+    for _ in range(60):
+        q = rng.randint(0, 6)
+        blocks = [Fraction(rng.choice((-4, -3, -1, 1, 2, 5)), rng.randint(1, 6))
+                  for _ in range(rng.randint(0, q))]
+        a = [[Fraction(0)] * (2 * q) for _ in range(2 * q)]
+        for k, v in enumerate(blocks):
+            a[2 * k][2 * k + 1], a[2 * k + 1][2 * k] = v, -v
+        rows = make_model(q=q, blocks=blocks).cache[("omega rows",)]
+        assert make_model(q=q, matrix=a).cache[("omega rows",)] == rows
+        d = math.lcm(*(b.denominator for b in blocks))
+        assert rows == (d, tuple(
+            ((2 * k + 1, blocks[k].numerator * d // blocks[k].denominator),)
+            if i % 2 == 0 and (k := i // 2) < len(blocks) else () for i in range(2 * q)))
+        assert {type(x) for row in rows[1] for pair in row for x in pair} <= {int}
+    # the principal blocks
+    assert make_model(q=2).cache[("omega rows",)] == (1, (((1, 1),), (), ((3, 1),), ()))
 
 
 def test_insertion_word_validation():

@@ -15,12 +15,13 @@ from wallcross import (InsertionWord, PairingInput, Pairings, PreconditionError,
 from wallcross.chern import ch_direct_sum, ch_dual, segre_from_ch
 from wallcross.closed import delta_l0, delta_l0_odd, delta_l1
 from wallcross import oracle
-from wallcross.graded import S_ONE, SIGMA, ModelSpec, integrate, integrate_jacobian
+from wallcross.graded import (S_ONE, SIGMA, ModelSpec, form_pairs, integrate, integrate_forms,
+                              integrate_jacobian)
 from wallcross.jacobian import e_alpha, e_zeta, e_zeta_beta, jacobian_odd_integral
 from wallcross.oracle import ch_extension_bundles, delta_oracle_l0, delta_oracle_l1
 from wallcross.verify import valid_zeta_k
 
-from conftest import exp_truncated, make_model, odd_zeta_k_values
+from conftest import exp_truncated, make_model, odd_zeta_k_values, pfaffian_f
 
 
 def _wall_and_model(q=1, zeta2=-4, zetaK=2, l=1, **pairs):
@@ -479,16 +480,22 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         price(model)
         # an l = 1 X-table under (N_+, N_-, d), an l = 0 one under (branch, N_+, N_-, d),
         # each with the pairings it reads: Sigma.zeta = 1, Sigma.K = 2, zeta^2 = -4,
-        # zeta.K = 2 and K^2 = 8, the unified l = 0 one Sigma.zeta alone.  One I_c per odd part, at the j = q - (|gamma| + |A|)/2
-        # that the word's degree leaves, shared by both r; I_c, the omega powers, the
-        # blocks and F (vol is F of the empty word) read no pairing
+        # zeta.K = 2 and K^2 = 8, the unified l = 0 one Sigma.zeta alone.  One I_c per
+        # odd part, at the j = q - (|gamma| + |A|)/2 that the word's degree leaves,
+        # shared by both r.  I_c, the omega rows that build_model keeps, the l = 1
+        # oracle's omega powers, the I_c expansion's numerators of omega^j, the blocks
+        # and F (vol is F of the empty word) read no pairing
         assert (wall1.n_plus, wall1.n_minus, wall1.d) == (4, 2, 11)
         assert (wall0.n_plus, wall0.n_minus, wall0.d) == (3, 1, 7)
         assert set(model.cache) == {("l1 table", 4, 2, 11, 1, 1, 2, 1, -4, 1, 2, 1, 8, 1),
                                     ("l0 table", "unified", 3, 1, 7, 1, 1),
                                     ("I_c", (0, 1), (2, 3), 0), ("I_c", (), (), 2),
-                                    ("blocks",), ("omega",), ("F", (), ()),
-                                    ("F", (0, 1), (2, 3))}
+                                    ("blocks",), ("omega rows",), ("omega",),
+                                    ("omega top",), ("F", (), ()), ("F", (0, 1), (2, 3))}
+        # the expansion kept only the numerators it read, as ints by J-monomial: with
+        # the principal blocks omega = th_0 th_1 + th_2 th_3, omega^2 = 2 th_0..th_3 for
+        # the plain words, by omega at th_2 th_3, and omega^0 = 1 for the odd word
+        assert model.cache[("omega top",)] == {0: 1, 0b1100: 1, 0b1111: 2}
         ref = weakref.ref(model)
         del model
         assert ref() is None
@@ -499,12 +506,14 @@ def test_a_priced_model_is_freed_without_the_cycle_collector():
         for model in models:
             price(model)
         # the models differ in Sigma.zeta, 1 or -2, so they keep two of each table;
-        # the blocks, the omega powers, F and each I_c read no pairing, and one entry
-        # each serves all three models
+        # the blocks, omega's rows, powers and expansion, F and each I_c read no
+        # pairing, and one entry each serves all three models
         assert len(_kept(j_side, "l1 table")) == len(_kept(j_side, "l0 table")) == 2
         assert _kept(j_side, "I_c") == {("I_c", (0, 1), (2, 3), 0), ("I_c", (), (), 2)}
         assert _kept(j_side, "F") == {("F", (), ()), ("F", (0, 1), (2, 3))}
-        assert _kept(j_side, "blocks") | _kept(j_side, "omega") == {("blocks",), ("omega",)}
+        assert set(j_side.cache) - _kept(j_side, "l1 table") - _kept(j_side, "l0 table") \
+            - _kept(j_side, "I_c") - _kept(j_side, "F") == {
+                ("blocks",), ("omega rows",), ("omega",), ("omega top",)}
         refs = [weakref.ref(m) for m in (j_side, *models)]
         del j_side, models, model
         assert [ref() for ref in refs] == [None] * 4
@@ -903,6 +912,85 @@ def test_each_jacobian_moment_is_the_integral_of_c_omega_j():
     assert cases == 25 * 16 and nonzero > 15
 
 
+def _random_j_side(rng, q, kind):
+    """A J-side with Sigma.zeta = -1, so I_c carries no (-Sigma.zeta)^b: "blocks" from a
+    short a_blocks, so zero blocks occur, or a "dense" rational a_matrix with zeros."""
+    pairings = Pairings(sigmaZeta=-1)
+    if kind == "blocks":
+        blocks = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+                  for _ in range(rng.randint(0, q))]
+        return build_model(PairingInput(q=q, pairings=pairings, a_blocks=blocks))
+    a = [[Fraction(0)] * (2 * q) for _ in range(2 * q)]
+    for i, k in itertools.combinations(range(2 * q), 2):
+        a[i][k] = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 6)))
+        a[k][i] = -a[i][k]
+    return build_model(PairingInput(q=q, pairings=pairings, a_matrix=a))
+
+
+def test_the_moment_expansion_is_the_dot_product_with_the_whole_power():
+    # I_c(j) expands each coefficient of omega^j that c reads along its lowest
+    # generator; the reference dots c's form_pairs with all of omega_form(j), on block
+    # J-sides (zero blocks included) and dense rational ones, q <= 6, with gamma- and
+    # A-insertions in random order, for every j <= q + 1
+    rng = random.Random(1962)
+    cases = nonzero = 0
+    for q in range(7):
+        for kind in ("blocks", "dense"):
+            for _ in range(6 if q <= 3 else 2 if q <= 5 else 1):
+                model = _random_j_side(rng, q, kind)
+                for _ in range(8 if q <= 5 else 3):
+                    gammas, threes = (tuple(rng.sample(range(2 * q), rng.randint(0, min(q, 3))))
+                                      for _ in range(2))
+                    word = InsertionWord(gammas=gammas, threes=threes)
+                    pairs = form_pairs(model, model.odd_form(gammas, threes))
+                    for j in range(q + 2):
+                        want = Fraction(*integrate_forms(pairs, model.omega_form(j)))
+                        assert Fraction(*oracle._jacobian_moment(model, word, j)) == want, (
+                            q, kind, word, j)
+                        cases += 1
+                        nonzero += want != 0
+    assert cases > 800 and nonzero > 150
+
+
+def test_the_moment_is_the_pfaffian_reference_on_dense_j_sides_up_to_q_10():
+    # with Sigma.zeta = -1, I_c at p = q - (a + b)/2 is F, whose reference is the
+    # Pfaffian of the bordered matrix in tests/conftest.py, which runs no ring code;
+    # one fully dense rational J-side per q, odd counts included (both sides 0)
+    rng = random.Random(1997)
+    nonzero = 0
+    for q in range(1, 11):
+        model = _random_j_side(rng, q, "dense")
+        for _ in range(6 if q <= 6 else 2):
+            gammas, threes = (tuple(rng.sample(range(2 * q), rng.randint(0, min(q, 2))))
+                              for _ in range(2))
+            p = q - (len(gammas) + len(threes)) // 2
+            moment = oracle._jacobian_moment(model, InsertionWord(gammas=gammas, threes=threes), p)
+            want = pfaffian_f(model.a_matrix, gammas, threes)
+            assert Fraction(*moment) == want, (q, gammas, threes)
+            nonzero += want != 0
+    assert nonzero > 15
+
+
+def test_a_q12_block_l0_price_reads_omega_only_where_the_word_needs_it(monkeypatch):
+    # ROADMAP item 18's "< 1 ms at q = 12", stated as a count: on a fresh q = 12 block
+    # J-side, the l = 0 oracle raises no omega power, and the expansion keeps one
+    # numerator per tail of the blocks the word leaves whole: q + 1 for x^r alpha^s,
+    # q for the words whose odd part is th_0 th_1, as 1 is kept from the start
+    from wallcross.delta import evaluate
+    powers = _counting(monkeypatch, "omega_form", ModelSpec)
+    pr = Pairings(zeta2=-1, zetaK=1, zetaAlpha=Fraction(3, 2), sigmaZeta=2, sigmaAlpha=-1,
+                  sigmaK=1, K2=8, Kalpha=1, alpha2=-1)
+    wall = WallGeometry.build(p1=-1, q=12, zeta2=-1, zetaK=1)
+    for word, kept in ((InsertionWord.plain(1, wall.d), 13),
+                       (InsertionWord(s=wall.d - 3, gammas=(0, 1)), 12),
+                       (InsertionWord(s=wall.d - 2, gammas=(0,), threes=(0,)), 12)):
+        model = build_model(PairingInput(q=12, pairings=pr, a_blocks=(1, 2, 3) * 4))
+        value, = evaluate(model, wall, word, "oracle")
+        assert value.value != 0
+        assert len(model.cache[("omega top",)]) == kept <= model.q + 1, word
+    assert powers == []
+
+
 def _l0_per_term(model, wall, word, branch):
     """The l = 0 oracle's sum with I_c read at every term: the reference for
     ``delta_oracle_l0``, which reads it once per word."""
@@ -1041,7 +1129,7 @@ def test_a_fresh_model_prices_an_l0_word_without_ring_work(monkeypatch):
 
 
 def test_no_model_build_and_no_l0_price_constructs_a_ring_element(monkeypatch):
-    # omega, its powers and a word's odd part are int forms read off a_ij, so building
+    # omega's rows, its powers and a word's odd part are int forms, so building
     # a model and pricing an l = 0 word by both routes, on a fresh block or dense
     # J-side, constructs no GradedElement; counted on its __init__
     from wallcross.delta import evaluate
@@ -1124,10 +1212,11 @@ def test_a_table_is_built_once_per_branch_wall_and_table_pairings(monkeypatch):
 
 def _memo_parts(j_side):
     """The J-side cache split by kind: (integration forms, l = 0 table scalars,
-    I_c pairs, Fraction scalars, the ints of the keys, the omega powers' int forms).
-    Each key is its kind's tag, then ints, a branch or index tuples, then the
-    pairings its value reads."""
-    forms, scalars, moments, fractions, ints, powers = [], [], [], [], [], []
+    I_c pairs, Fraction scalars, the ints of the keys, the omega powers' int forms,
+    the values of omega's rows and of the I_c expansion's dict).  Each key is its
+    kind's tag, then ints, a branch or index tuples, then the pairings its value
+    reads."""
+    forms, scalars, moments, fractions, ints, powers, expansion = [], [], [], [], [], [], []
     for key, entry in j_side.cache.items():
         kind = key[0]
         if kind == "l1 table":  # (N_+, N_-, d) and five pairings: a form by N
@@ -1150,10 +1239,17 @@ def _memo_parts(j_side):
         elif kind == "blocks":  # the b_k of an a_blocks input
             assert key == ("blocks",) and len(entry) == j_side.q, key
             fractions += entry
+        elif kind == "omega rows":  # (D, rows): rows[i] = ((k, n_ik), ...) for k > i
+            assert key == ("omega rows",) and len(entry[1]) == 2 * j_side.q, key
+            assert all(k > i for i, row in enumerate(entry[1]) for k, _ in row)
+            expansion += [entry[0], *(x for row in entry[1] for pair in row for x in pair)]
+        elif kind == "omega top":  # {t: numerator of omega^(|t|/2) at t}
+            assert key == ("omega top",) and entry[0] == 1, key
+            expansion += [*entry, *entry.values()]
         else:  # omega^0, omega^1, ... as (den, {j: num})
             assert key == ("omega",), key
             powers += entry
-    return forms, scalars, moments, fractions, ints, powers
+    return forms, scalars, moments, fractions, ints, powers, expansion
 
 
 def _form_ints(form):
@@ -1211,7 +1307,7 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
                                               K2=8, Kalpha=2, alpha2=Fraction(-1, 3)))
         values += [delta_oracle_l1(model, wall, r).value for r in (0, 1)]
         values.append(volume(model))
-    forms, scalars, moments, fractions, key_ints, powers = (
+    forms, scalars, moments, fractions, key_ints, powers, expansion = (
         sum(parts, []) for parts in zip(*map(_memo_parts, j_sides)))
     # a key names the pairings its value reads by (numerator, denominator) ints,
     # never a Fraction or a wall
@@ -1219,6 +1315,10 @@ def test_the_memo_and_the_values_hold_fractions_only(monkeypatch):
     assert {type(v) for v in values + fractions} == {Fraction}
     assert {type(x) for den, nums in powers for x in (den, *nums, *nums.values())} == {int}
     assert min(den for den, _ in powers) > 0 and max(den for den, _ in powers) > 1
+    # omega's rows and the expansion's numerators of omega^j: ints only, never a
+    # Fraction or a closure, the rational blocks' D = 3 and 2 among them
+    assert {type(x) for x in expansion} == {int} and len(expansion) > 50
+    assert {3, 2} <= {j_side.cache[("omega rows",)][0] for j_side in j_sides}
     for pairs in (scalars, moments):
         assert {type(x) for pair in pairs for x in pair} == {int}
         assert all(den > 0 and math.gcd(num, den) == 1 for num, den in pairs)

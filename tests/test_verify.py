@@ -2,8 +2,8 @@
 replaced by a wrong version, it reports FAIL with a counterexample.  A check
 that prices words through ``delta.evaluate`` is mutated where ``evaluate``
 looks the route function up.  The kill list shows the converse: a fault in the
-code both routes share, or in the closed route's block product, makes a named
-check fail."""
+code both routes share, in the closed route's block product, or in the oracle's
+I_c expansion and the omega rows it reads, makes a named check fail."""
 
 import inspect
 import sys
@@ -129,8 +129,9 @@ def test_oracle_l1_fails_on_a_grid_with_only_the_w_variant_slice(monkeypatch):
     _fails_under("oracle-l1", delta, "delta_oracle_l1", _shifted(_sigma_k), tiny, monkeypatch)
 
 
-# -- the kill list: a fault in the code both routes share, or in the block
-# product that the closed route reads in its place, fails some check ---------
+# -- the kill list: a fault in the code both routes share, in the block product
+# that the closed route reads in its place, or in the oracle's I_c expansion and
+# omega's rows, fails some check ---------------------------------------------
 
 def _edited(owner, name, old, new):
     """``owner.name`` compiled from its source with the one ``old`` in it replaced by
@@ -189,6 +190,20 @@ KILL_LIST = [
     ("block-sort-sign", (jacobian, "_block_odd_integral",
                          "Fraction(-num if inversions & 1 else num, den)", "Fraction(num, den)"),
      ["odd-words"]),
+    # the oracle's own I_c expansion: its sign only flips where omega has a term
+    # th_i th_k with a generator of the word's complement between i and k, so on
+    # block J-sides never, and the grid's one dense J-side is hidden-data's
+    ("expansion-sign", (oracle, "_omega_top",
+                        "-sub if (rest & ((1 << k) - 1)).bit_count() & 1 else sub", "sub"),
+     ["hidden-data"]),
+    ("expansion-factor", (oracle, "_omega_top", "t.bit_count() // 2 * top", "top"),
+     ["oracle-l0", "component-branch"]),
+    # omega's rows of a block input negated: every omega^j the oracles read, at l = 0
+    # through I_c and at l = 1 through omega_form, moves by (-1)^j
+    ("block-rows-sign", (jacobian, "build_model", "(2 * r + 1, b.numerator",
+                         "(2 * r + 1, -b.numerator"),
+     ["axioms", "oracle-l0", "oracle-l1", "odd-words", "segre", "hidden-data",
+      "component-branch"]),
 ]
 
 

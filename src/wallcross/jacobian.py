@@ -107,7 +107,6 @@ def build_model(inp: PairingInput) -> ModelSpec:
     k > i with a_ik = n_ik / D nonzero, D the lcm of their denominators (1 for none)."""
     if not isinstance(inp, PairingInput):
         raise PreconditionError(f"build_model needs a PairingInput, got {inp!r}")
-    n = 2 * inp.q
     if inp.a_matrix is not None:
         model = ModelSpec(inp.q, inp.a_matrix, inp.pairings)
         terms = [[(k, c) for k, c in enumerate(row[i + 1:], i + 1) if c]
@@ -117,6 +116,7 @@ def build_model(inp: PairingInput) -> ModelSpec:
                       for row in terms)
     else:
         blocks = inp.a_blocks if inp.a_blocks is not None else (_ONE,) * inp.q
+        n = 2 * inp.q
         d = math.lcm(*{b.denominator for b in blocks})
         rows, omega = [[_ZERO] * n for _ in range(n)], [()] * n
         for r, b in enumerate(blocks):
